@@ -21,10 +21,10 @@ from .errors import (
     UnknownLabelError,
     ValidationError,
 )
-from .hilbert import resolve_tol, set_default_tol
+from .hilbert import gram, resolve_tol, set_default_tol
 from .dilation import Dilation, naimark_dilate, povm_from_dilation
 from .interferometer import build_three_path, joint_outcomes_DA, joint_outcomes_VH
-from .povm import Povm, coarse_grain, completeness_check, context_graph
+from .povm import Povm, coarse_grain, completeness_check, context_graph, element_bound_residual
 from .scenario_io import Scenario, load_scenario, save_scenario, scenario_to_dict
 
 
@@ -61,8 +61,7 @@ def _print_povm_report(p: Povm, tol: float | None) -> None:
     vector_elements = [el for el in p.elements if el.is_vector]
     if len(vector_elements) > 1:
         print("gram (vector elements):")
-        stack = np.stack([el.vector.amplitudes for el in vector_elements])
-        matrix = stack.conj() @ stack.T
+        matrix = gram([el.vector for el in vector_elements])
         for el, row in zip(vector_elements, matrix):
             print(f"  {el.label}: {_fmt_vector(row)}")
     graph = context_graph(p, tol)
@@ -93,23 +92,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bound_residual(p: Povm) -> float:
-    worst = 0.0
-    for el in p.elements:
-        if el.is_vector:
-            worst = max(worst, el.weight() - 1.0)
-        else:
-            eigs = np.linalg.eigvalsh(el.operator.entries)
-            worst = max(worst, float(-eigs[0]), float(eigs[-1] - 1.0))
-    return max(worst, 0.0)
-
-
 def _cmd_povm_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file, args.tol)
     p = scenario.resolve_povm()
     tol = resolve_tol(args.tol)
     completeness = completeness_check(p)
-    bounds = _bound_residual(p)
+    bounds = element_bound_residual(p)
     ok = completeness <= tol and bounds <= tol
     if args.json:
         print(
@@ -129,6 +117,10 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
         print(f"completeness residual: {_fmt(completeness)}")
         print(f"element bound residual: {_fmt(bounds)}")
         print(f"result: {'ok' if ok else 'FAIL'} (tol={_fmt(tol)})")
+    if args.strict and bounds > tol:
+        raise ValidationError(
+            f"element bound residual {bounds:.3e} exceeds tol", invariant="element-bounds"
+        )
     if args.strict and not ok:
         raise ValidationError(
             f"completeness residual {completeness:.3e} exceeds tol", invariant="completeness"

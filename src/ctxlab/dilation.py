@@ -28,6 +28,7 @@ from .hilbert import (
     basis_ket,
     fix_phase,
     gram,
+    orthonormality_residual,
     partial_inner_env,
     resolve_tol,
     tensor,
@@ -90,8 +91,7 @@ class JointOutcomeSet:
         return len(self.outcomes) == self.space.dim
 
     def orthonormality_residual(self) -> float:
-        g = gram(list(self.kets()))
-        return float(np.abs(g - np.eye(len(self.outcomes))).max())
+        return orthonormality_residual(self.kets())
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -133,26 +133,6 @@ def povm_from_dilation(d: Dilation) -> Povm:
     return Povm.from_vectors(pairs, system_dim=d.outcomes.space.sys_dim)
 
 
-@dataclass(frozen=True)
-class ResidualSet:
-    """Outcome components orthogonal to phi_init (x) system, keyed by label."""
-
-    space: Space
-    residuals: tuple[tuple[str, Ket], ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.residuals)
-
-    def ket(self, label: str) -> Ket:
-        for name, ket in self.residuals:
-            if name == label:
-                return ket
-        raise UnknownLabelError(f"no residual labelled {label!r}")
-
-    def __len__(self) -> int:
-        return len(self.residuals)
-
-
 def _raw_components(d: Dilation) -> tuple[list[Ket], list[Ket]]:
     lambdas, sigmas = [], []
     for _, m in d.outcomes.outcomes:
@@ -162,13 +142,11 @@ def _raw_components(d: Dilation) -> tuple[list[Ket], list[Ket]]:
     return lambdas, sigmas
 
 
-def residual_decompose(d: Dilation) -> ResidualSet:
-    """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome."""
+def residual_decompose(d: Dilation) -> JointOutcomeSet:
+    """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
     _, sigmas = _raw_components(d)
-    pairs = tuple(
-        (label, sigma) for (label, _), sigma in zip(d.outcomes.outcomes, sigmas)
-    )
-    return ResidualSet(d.outcomes.space, pairs)
+    pairs = tuple(zip(d.outcomes.labels(), sigmas))
+    return JointOutcomeSet(d.outcomes.space, pairs, validate=False)
 
 
 @dataclass(frozen=True)
@@ -228,9 +206,7 @@ def naimark_dilate(p: Povm, tol: float | None = None) -> Dilation:
 
     count = len(p.elements)
     sys_dim = p.system_dim
-    stack = np.stack([el.vector.amplitudes for el in p.elements])
-    g_lambda = stack.conj() @ stack.T
-    g_sigma = np.eye(count) - g_lambda
+    g_sigma = np.eye(count) - gram([el.vector for el in p.elements])
 
     values, vectors = np.linalg.eigh(g_sigma)
     keep = values > tol
@@ -282,7 +258,7 @@ def context_switch_povm(
     for env in env_kets:
         if env.space != phi_init.space or env.space.kind != ENVIRONMENT:
             raise SpaceMismatchError("context states must share phi_init's environment space")
-    residual = float(np.abs(gram(env_kets) - np.eye(len(env_kets))).max())
+    residual = orthonormality_residual(env_kets)
     if residual > tol:
         raise ValidationError(
             f"context states are not orthonormal (residual {residual:.3e})",
@@ -297,7 +273,7 @@ def context_switch_povm(
             f"readout basis has {len(basis)} kets for dim {sys_dim}",
             invariant="basis-completeness",
         )
-    basis_residual = float(np.abs(gram(list(basis)) - np.eye(sys_dim)).max())
+    basis_residual = orthonormality_residual(basis)
     if basis_residual > tol:
         raise ValidationError(
             f"readout basis is not orthonormal (residual {basis_residual:.3e})",

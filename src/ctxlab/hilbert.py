@@ -252,6 +252,11 @@ def gram(vectors: Sequence[Ket]) -> np.ndarray:
     return stack.conj() @ stack.T
 
 
+def orthonormality_residual(vectors: Sequence[Ket]) -> float:
+    """Max-entry residual of gram(vectors) - identity."""
+    return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
+
+
 def eigh(op: Operator, tol: float | None = None) -> tuple[np.ndarray, list[Ket]]:
     """Eigendecomposition of a Hermitian operator.
 

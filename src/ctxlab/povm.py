@@ -9,12 +9,12 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
-from .hilbert import SYSTEM, Ket, Operator, Space, fix_phase, gram, resolve_tol
+from .hilbert import SYSTEM, Ket, Operator, Space, fix_phase, orthonormality_residual, resolve_tol
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,16 @@ class Povm:
 
     system_dim: int
     elements: tuple[PovmElement, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValidationError("a POVM needs at least one element", invariant="nonempty")
-        labels = [el.label for el in self.elements]
-        if len(set(labels)) != len(labels):
+        index = {el.label: i for i, el in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
+        object.__setattr__(self, "_index", index)
         for el in self.elements:
             if el.dim != self.system_dim:
                 raise SpaceMismatchError(
@@ -108,10 +110,9 @@ class Povm:
         return tuple(el.label for el in self.elements)
 
     def element(self, label: str) -> PovmElement:
-        for el in self.elements:
-            if el.label == label:
-                return el
-        raise UnknownLabelError(f"no outcome labelled {label!r}")
+        if label not in self._index:
+            raise UnknownLabelError(f"no outcome labelled {label!r}")
+        return self.elements[self._index[label]]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -168,23 +169,27 @@ def completeness_check(p: Povm) -> float:
     return float(np.abs(total - np.eye(p.system_dim)).max())
 
 
+def element_bound_residual(p: Povm) -> float:
+    """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
+    worst = 0.0
+    for el in p.elements:
+        if el.is_vector:
+            worst = max(worst, el.weight() - 1.0)
+        else:
+            eigs = np.linalg.eigvalsh(el.operator.entries)
+            worst = max(worst, float(-eigs[0]), float(eigs[-1] - 1.0))
+    return worst
+
+
 def validate_povm(p: Povm, tol: float | None = None) -> None:
     """Raise unless the POVM is complete with well-bounded elements."""
     tol = resolve_tol(tol)
-    for el in p.elements:
-        if el.is_vector:
-            w = el.weight()
-            if w > 1.0 + tol:
-                raise ValidationError(
-                    f"element {el.label!r} has weight {w!r} > 1", invariant="element-bounds"
-                )
-        else:
-            eigs = np.linalg.eigvalsh(el.operator.entries)
-            if eigs[0] < -tol or eigs[-1] > 1.0 + tol:
-                raise ValidationError(
-                    f"element {el.label!r} has eigenvalues outside [0, 1]",
-                    invariant="element-bounds",
-                )
+    bound = element_bound_residual(p)
+    if bound > tol:
+        raise ValidationError(
+            f"element eigenvalues leave [0, 1] (residual {bound:.3e})",
+            invariant="element-bounds",
+        )
     residual = completeness_check(p)
     if residual > tol:
         raise ValidationError(
@@ -285,6 +290,29 @@ def _support_projector(el: PovmElement, tol: float) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def _context_relations(elements: Sequence[PovmElement], tol: float) -> tuple[np.ndarray, ...]:
+    """Witness, shared and proportional matrices of the rule in ``share_context``.
+
+    All rank-1 pairs come from one Gram matrix of the unit rows,
+    |G_ij| / sqrt(w_i w_j); only pairs involving an operator element take a
+    support-projector commutator.
+    """
+    is_vector = np.array([el.is_vector for el in elements], dtype=bool)
+    both_vectors = np.outer(is_vector, is_vector)
+    witness = np.zeros(both_vectors.shape)
+    if is_vector.any():
+        rows = np.stack([el.vector.amplitudes for el in elements if el.is_vector])
+        units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
+    if not is_vector.all():
+        projectors = [_support_projector(el, tol) for el in elements]
+        for i, j in np.argwhere(np.triu(~both_vectors, 1)):
+            commutator = projectors[i] @ projectors[j] - projectors[j] @ projectors[i]
+            witness[i, j] = witness[j, i] = np.linalg.norm(commutator, 2)
+    proportional = both_vectors & (witness >= 1.0 - tol)
+    return witness, (witness <= tol) | proportional, proportional
+
+
 def share_context(p: Povm, label1: str, label2: str, tol: float | None = None) -> ContextRelation:
     """Whether two outcomes can belong to one measurement context.
 
@@ -294,25 +322,19 @@ def share_context(p: Povm, label1: str, label2: str, tol: float | None = None) -
     the witness is then the spectral norm of the commutator.
     """
     tol = resolve_tol(tol)
-    e1, e2 = p.element(label1), p.element(label2)
-    for el in (e1, e2):
+    pair = (p.element(label1), p.element(label2))
+    for el in pair:
         if context_selection_probability(p, el.label) <= tol:
             raise ValidationError(
                 f"element {el.label!r} has zero weight", invariant="nonzero-element"
             )
-    if e1.is_vector and e2.is_vector:
-        overlap = abs(e1.vector.normalized(tol).inner(e2.vector.normalized(tol)))
-        proportional = overlap >= 1.0 - tol
-        return ContextRelation(
-            shared=(overlap <= tol or proportional),
-            witness=float(overlap),
-            test="inner-product",
-            proportional=proportional,
-        )
-    pi1, pi2 = _support_projector(e1, tol), _support_projector(e2, tol)
-    commutator = pi1 @ pi2 - pi2 @ pi1
-    witness = float(np.linalg.norm(commutator, 2))
-    return ContextRelation(shared=(witness <= tol), witness=witness, test="commutator")
+    witness, shared, proportional = _context_relations(pair, tol)
+    return ContextRelation(
+        shared=bool(shared[0, 1]),
+        witness=float(witness[0, 1]),
+        test="inner-product" if pair[0].is_vector and pair[1].is_vector else "commutator",
+        proportional=bool(proportional[0, 1]),
+    )
 
 
 @dataclass(frozen=True)
@@ -343,17 +365,15 @@ class ContextGraph:
 def context_graph(p: Povm, tol: float | None = None) -> ContextGraph:
     """Pairwise context-sharing structure; zero-weight outcomes are skipped."""
     tol = resolve_tol(tol)
-    nodes, skipped = [], []
-    for el in p.elements:
-        weight = el.weight() if el.is_vector else context_selection_probability(p, el.label)
-        (nodes if weight > tol else skipped).append(el.label)
-    edges = []
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            relation = share_context(p, a, b, tol)
-            if relation.shared:
-                edges.append((a, b, relation.witness))
-    return ContextGraph(tuple(nodes), tuple(edges), tuple(skipped))
+    live = [context_selection_probability(p, el.label) > tol for el in p.elements]
+    nodes = [el for el, keep in zip(p.elements, live) if keep]
+    skipped = tuple(el.label for el, keep in zip(p.elements, live) if not keep)
+    witness, shared, _ = _context_relations(nodes, tol)
+    edges = tuple(
+        (nodes[i].label, nodes[j].label, float(witness[i, j]))
+        for i, j in zip(*np.nonzero(np.triu(shared, 1)))
+    )
+    return ContextGraph(tuple(el.label for el in nodes), edges, skipped)
 
 
 def coarse_grain(
@@ -434,7 +454,7 @@ def basis_mixture_povm(
                 f"basis {x} has {len(basis)} kets for dim {dim}",
                 invariant="basis-completeness",
             )
-        residual = float(np.abs(gram(list(basis)) - np.eye(dim)).max())
+        residual = orthonormality_residual(basis)
         if residual > tol:
             raise ValidationError(
                 f"basis {x} is not orthonormal (residual {residual:.3e})",

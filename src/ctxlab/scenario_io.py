@@ -194,8 +194,8 @@ def scenario_from_dict(raw: dict, tol: float | None = None) -> Scenario:
 def load_scenario(path: str | Path, tol: float | None = None) -> Scenario:
     """Read and validate a scenario file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -244,4 +244,8 @@ def scenario_to_dict(
 
 
 def save_scenario(path: str | Path, raw: dict) -> None:
-    Path(path).write_text(json.dumps(raw, indent=2) + "\n")
+    text = json.dumps(raw, indent=2) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioFileError(f"cannot write {path}: {exc}") from exc

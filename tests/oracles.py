@@ -35,3 +35,35 @@ def hermitian3_eigvals(matrix: np.ndarray) -> np.ndarray:
         phi = np.arccos(arg)
         t = 2.0 * radius * np.cos(phi / 3.0 - 2.0 * np.pi * np.arange(3) / 3.0)
     return np.sort(t + c2 / 3.0)
+
+
+def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int, float, bool]]:
+    """Every pair (i, j, witness, shared), i < j, in row-major order.
+
+    Each element is a 1-D vector (rank one) or a 2-D positive matrix. Two
+    vectors share a context when the modulus of the inner product of their unit
+    vectors is within tol of 0 or 1; any other pair shares one when the
+    spectral norm of the commutator of the two support projectors is at most tol.
+    """
+
+    def support(e: np.ndarray) -> np.ndarray:
+        if e.ndim == 1:
+            u = e / np.linalg.norm(e)
+            return np.outer(u, u.conj())
+        values, vectors = np.linalg.eigh(e)
+        cols = vectors[:, values > tol]
+        return cols @ cols.conj().T
+
+    pairs = []
+    for i, a in enumerate(elements):
+        for j in range(i + 1, len(elements)):
+            b = elements[j]
+            if a.ndim == 1 and b.ndim == 1:
+                witness = abs(np.vdot(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+                shared = witness <= tol or witness >= 1.0 - tol
+            else:
+                pa, pb = support(a), support(b)
+                witness = np.linalg.norm(pa @ pb - pb @ pa, 2)
+                shared = witness <= tol
+            pairs.append((i, j, float(witness), bool(shared)))
+    return pairs

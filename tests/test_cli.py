@@ -11,6 +11,7 @@ import pytest
 
 from ctxlab import (
     DEFAULT_TOL,
+    encode_matrix,
     encode_vector,
     fixture_dict,
     fixture_path,
@@ -123,6 +124,32 @@ def test_povm_check_strict_exits_three(capsys, tmp_path):
     assert "invariant violation [completeness]" in err
 
 
+def test_povm_check_strict_names_element_bounds(capsys, tmp_path):
+    # the elements sum exactly to the identity, but one has eigenvalue -0.5
+    raw = {
+        "version": 1,
+        "system_dim": 2,
+        "povm": [
+            {"label": "over", "matrix": encode_matrix(np.diag([1.5, 0.0]))},
+            {"label": "under", "matrix": encode_matrix(np.diag([-0.5, 1.0]))},
+        ],
+    }
+    path = tmp_path / "unbounded.json"
+    save_scenario(path, raw)
+    code, out, err = run_cli(capsys, "povm", "check", str(path), "--strict")
+    assert code == 3
+    assert "completeness residual: 0\n" in out
+    assert "invariant violation [element-bounds]" in err
+
+
+def test_undecodable_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(capsys, "povm", "check", str(path))
+    assert code == 2
+    assert "input error" in err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{oops")
@@ -171,6 +198,14 @@ def test_dilate_rejects_operator_povms(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dilate", str(path), "-o", str(tmp_path / "out.json"))
     assert code == 3
     assert "rank-one-elements" in err
+
+
+def test_dilate_into_a_missing_directory_exits_two(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "dilated.json"
+    code, out, err = run_cli(capsys, "dilate", HARDY_FILE, "-o", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
 
 
 def test_context_graph_text(capsys):

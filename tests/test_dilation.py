@@ -128,7 +128,7 @@ def test_residuals_vanish_for_product_outcomes():
         tuple((f"a{i}", tensor(x, basis_ket(Space.system(3), i))) for i in range(3)),
     )
     residuals = residual_decompose(Dilation(outcomes, x))
-    for _, sigma in residuals.residuals:
+    for _, sigma in residuals.outcomes:
         assert sigma.norm() <= 1e-12
 
 
@@ -196,7 +196,7 @@ def test_naimark_of_projective_povm_has_no_residual():
     d = naimark_dilate(p)
     assert d.outcomes.space.env_dim == 3
     np.testing.assert_allclose(d.phi_init.amplitudes, [1.0, 0.0, 0.0])
-    for _, sigma in residual_decompose(d).residuals:
+    for _, sigma in residual_decompose(d).outcomes:
         assert sigma.norm() <= 1e-9
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxlab import (
     DensityMatrix,
@@ -33,7 +35,8 @@ from ctxlab import (
     tensor,
     validate_povm,
 )
-from helpers import random_pure_state, random_rank1_povm
+from helpers import random_pure_state, random_rank1_povm, random_unitary
+from oracles import context_pairs
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -288,6 +291,87 @@ def test_context_graph_dot_output(da_povm):
     assert dot.rstrip().endswith("}")
     assert '"D1" -- "A"' in dot or '"A" -- "D1"' in dot
     assert dot.count("--") == 3
+
+
+def _oracle_elements(p):
+    return [el.vector.amplitudes if el.is_vector else el.operator.entries for el in p.elements]
+
+
+def _clear_of_thresholds(witness):
+    return witness <= 1e-12 or witness >= 1.0 - 1e-12 or 1e-3 <= witness <= 1.0 - 1e-3
+
+
+@st.composite
+def context_povms(draw):
+    """A seeded POVM with one coarse-grained operator element, plus its oracle pairs.
+
+    Basis mixtures of two random bases, some elements split into two exactly
+    proportional parts, or rows of a random isometry; M <= 3d. Every pair's
+    witness sits within 1e-12 of 0 or 1 or at least 1e-3 away from both, so no
+    verdict depends on round-off; a draw that breaks this is redrawn.
+    """
+    dim = draw(st.integers(2, 8))
+    mixture = draw(st.booleans())
+    splits = draw(st.integers(0, dim))
+    count = draw(st.integers(dim, 3 * dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        if mixture:
+            pairs = []
+            for x in range(2):
+                basis = random_unitary(rng, dim)
+                for a in range(dim):
+                    u = basis[:, a] / SQ2
+                    if x == 0 and a < splits:
+                        pairs += [(f"0:{a}", u / np.sqrt(5.0)), (f"0:{a}'", 2.0 * u / np.sqrt(5.0))]
+                    else:
+                        pairs.append((f"{x}:{a}", u))
+            p = coarse_grain(Povm.from_vectors(pairs), ("0:0", "0:1"), "merged")
+        else:
+            p = coarse_grain(random_rank1_povm(rng, dim, count), ("m0", "m1"), "merged")
+        pairs = context_pairs(_oracle_elements(p), 1e-9)
+        if all(_clear_of_thresholds(w) for _, _, w, _ in pairs):
+            phases = np.exp(2j * np.pi * rng.random(len(p)))
+            return p, pairs, random_unitary(rng, dim), phases
+
+
+def _transformed(p, unitary, phases):
+    space = Space.system(p.system_dim)
+    elements = []
+    for el, phase in zip(p.elements, phases):
+        if el.is_vector:
+            ket = Ket(space, phase * (unitary @ el.vector.amplitudes))
+            elements.append(PovmElement(el.label, vector=ket))
+        else:
+            op = Operator(space, unitary @ el.operator.entries @ unitary.conj().T)
+            elements.append(PovmElement(el.label, operator=op))
+    return Povm(p.system_dim, tuple(elements))
+
+
+def _edge_set(graph):
+    return {(a, b) for a, b, _ in graph.edges}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(context_povms())
+def test_context_graph_matches_the_pairwise_oracle(case):
+    p, pairs, unitary, phases = case
+    assert any(not el.is_vector for el in p.elements)
+    labels = p.labels()
+    g = context_graph(p, 1e-9)
+    assert g.nodes == labels and g.skipped == ()
+    expected = [(labels[i], labels[j], w) for i, j, w, shared in pairs if shared]
+    assert [(a, b) for a, b, _ in g.edges] == [(a, b) for a, b, _ in expected]
+    for (_, _, got), (_, _, want) in zip(g.edges, expected):
+        assert abs(got - want) <= 1e-12
+    for i, j, witness, _ in pairs:
+        rel = share_context(p, labels[i], labels[j], 1e-9)
+        assert rel.shared == g.has_edge(labels[i], labels[j])
+        assert abs(rel.witness - witness) <= 1e-12
+    rotated = _transformed(p, unitary, np.ones(len(p)))
+    rephased = _transformed(p, np.eye(p.system_dim), phases)
+    for q in (rotated, rephased):
+        assert _edge_set(context_graph(q, 1e-9)) == _edge_set(g)
 
 
 def test_coarse_grain_recovers_the_merged_element(scenario, da_povm):
