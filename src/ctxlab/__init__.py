@@ -6,8 +6,6 @@ outcomes can share a measurement context, and evaluate rescaled-probability
 contextuality tests, with the three-path interferometer as a worked scenario.
 """
 
-from __future__ import annotations
-
 from .errors import (
     CtxlabError,
     ScenarioFileError,
@@ -25,7 +23,6 @@ from .hilbert import (
     fix_phase,
     gram,
     partial_inner_env,
-    set_default_tol,
     tensor,
 )
 from .povm import (
@@ -98,79 +95,3 @@ from .fixtures import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CtxlabError",
-    "ScenarioFileError",
-    "SpaceMismatchError",
-    "UnknownLabelError",
-    "ValidationError",
-    "DEFAULT_TOL",
-    "Ket",
-    "Operator",
-    "Space",
-    "basis_ket",
-    "eigh",
-    "fix_phase",
-    "gram",
-    "partial_inner_env",
-    "set_default_tol",
-    "tensor",
-    "ContextGraph",
-    "ContextRelation",
-    "DensityMatrix",
-    "Povm",
-    "PovmElement",
-    "basis_mixture_povm",
-    "coarse_grain",
-    "completeness_check",
-    "context_graph",
-    "context_selection_probability",
-    "element_bound_residual",
-    "maximizing_state",
-    "probability",
-    "rescaled_probability",
-    "share_context",
-    "validate_povm",
-    "ConstraintReport",
-    "Dilation",
-    "JointOutcomeSet",
-    "context_switch_povm",
-    "naimark_dilate",
-    "povm_from_dilation",
-    "residual_decompose",
-    "verify_constraints",
-    "Certification",
-    "DecompositionReport",
-    "HardyTriple",
-    "InequalityReport",
-    "evaluate_inequality",
-    "hardy_decomposition_check",
-    "hardy_embedding_povm",
-    "hardy_state",
-    "max_violation",
-    "ThreePathScenario",
-    "build_three_path",
-    "dilation_DA",
-    "dilation_VH",
-    "hwp_transform",
-    "joint_outcomes_DA",
-    "joint_outcomes_VH",
-    "povm_DA",
-    "SCHEMA_VERSION",
-    "Scenario",
-    "decode_matrix",
-    "decode_vector",
-    "encode_matrix",
-    "encode_vector",
-    "load_scenario",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "FIXTURE_NAMES",
-    "fixture_dict",
-    "fixture_path",
-    "load_fixture",
-    "write_fixtures",
-    "__version__",
-]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import (
     UnknownLabelError,
     ValidationError,
 )
-from .hilbert import gram, resolve_tol, set_default_tol
+from .hilbert import DEFAULT_TOL, gram
 from .dilation import Dilation, naimark_dilate, povm_from_dilation
 from .interferometer import build_three_path, joint_outcomes_DA, joint_outcomes_VH
 from .povm import Povm, coarse_grain, completeness_check, context_graph, element_bound_residual
@@ -42,7 +43,7 @@ def _fmt_vector(amplitudes) -> str:
     return "[" + ", ".join(_fmt_complex(complex(z)) for z in amplitudes) + "]"
 
 
-def _print_povm_report(p: Povm, tol: float | None) -> None:
+def _print_povm_report(p: Povm, tol: float) -> None:
     print(f"povm: {len(p)} elements, system_dim={p.system_dim}")
     print("elements:")
     for el in p.elements:
@@ -81,10 +82,11 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         return 2
     s = build_three_path()
     phi = {"D": s.d, "A": s.a, "H": s.h, "V": s.v}[args.phi_init]
-    outcomes = joint_outcomes_DA(s) if args.basis == "DA" else joint_outcomes_VH(s)
-    p = povm_from_dilation(Dilation(outcomes, phi))
+    build = joint_outcomes_DA if args.basis == "DA" else joint_outcomes_VH
+    outcomes = build(s, args.tol)
+    p = povm_from_dilation(Dilation(outcomes, phi, tol=args.tol))
     if args.merge_a:
-        p = coarse_grain(p, ("A1", "A2", "A3"), "A")
+        p = coarse_grain(p, ("A1", "A2", "A3"), "A", args.tol)
     merged = "yes" if args.merge_a else "no"
     print(f"scenario three-path: basis={args.basis} phi_init={args.phi_init} merge_A={merged}")
     print(f"system_dim=3 env_dim=2 outcomes={len(outcomes)}")
@@ -93,12 +95,10 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_povm_check(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.file, args.tol)
-    p = scenario.resolve_povm()
-    tol = resolve_tol(args.tol)
+    p = load_scenario(args.file, args.tol).resolve_povm(args.tol)
     completeness = completeness_check(p)
     bounds = element_bound_residual(p)
-    ok = completeness <= tol and bounds <= tol
+    ok = completeness <= args.tol and bounds <= args.tol
     if args.json:
         print(
             json.dumps(
@@ -107,7 +107,7 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
                     "system_dim": p.system_dim,
                     "completeness_residual": completeness,
                     "element_bound_residual": bounds,
-                    "tol": tol,
+                    "tol": args.tol,
                     "ok": ok,
                 }
             )
@@ -116,8 +116,8 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
         print(f"povm: {len(p)} elements, system_dim={p.system_dim}")
         print(f"completeness residual: {_fmt(completeness)}")
         print(f"element bound residual: {_fmt(bounds)}")
-        print(f"result: {'ok' if ok else 'FAIL'} (tol={_fmt(tol)})")
-    if args.strict and bounds > tol:
+        print(f"result: {'ok' if ok else 'FAIL'} (tol={_fmt(args.tol)})")
+    if args.strict and bounds > args.tol:
         raise ValidationError(
             f"element bound residual {bounds:.3e} exceeds tol", invariant="element-bounds"
         )
@@ -129,8 +129,7 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_dilate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.file, args.tol)
-    p = scenario.resolve_povm()
+    p = load_scenario(args.file, args.tol).resolve_povm(args.tol)
     d = naimark_dilate(p, args.tol)
     raw = scenario_to_dict(
         system_dim=p.system_dim,
@@ -149,7 +148,7 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
 
 def _cmd_context_graph(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file, args.tol)
-    graph = context_graph(scenario.resolve_povm(), args.tol)
+    graph = context_graph(scenario.resolve_povm(args.tol), args.tol)
     if args.dot:
         print(graph.to_dot())
     elif args.json:
@@ -171,11 +170,10 @@ def _cmd_context_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hardy_inputs(scenario: Scenario, tol: float | None) -> HardyTriple:
+def _hardy_inputs(scenario: Scenario, tol: float) -> HardyTriple:
     if scenario.hardy is None:
         raise ScenarioFileError("the file carries no hardy block")
-    p = scenario.resolve_povm()
-    return HardyTriple.from_povm(p, *scenario.hardy, tol=tol)
+    return HardyTriple.from_povm(scenario.resolve_povm(tol), *scenario.hardy, tol=tol)
 
 
 def _cmd_inequality(args: argparse.Namespace) -> int:
@@ -247,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ctxlab {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=None, help="override the global tolerance for this run"
+        "--tol", type=float, default=DEFAULT_TOL, help="tolerance for every check in this run"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,12 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is not None and args.tol <= 0:
-        print("input error: --tol must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("input error: --tol must be positive and finite", file=sys.stderr)
         return 2
-    previous_tol = resolve_tol(None)
-    if args.tol is not None:
-        set_default_tol(args.tol)
     try:
         return args.handler(args)
     except ScenarioFileError as exc:
@@ -319,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    finally:
-        set_default_tol(previous_tol)
 
 
 if __name__ == "__main__":

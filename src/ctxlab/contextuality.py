@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import Ket, Operator, Space, eigh, fix_phase, resolve_tol
-from .povm import (
-    DensityMatrix,
-    Povm,
-    maximizing_state,
-    probability,
-    rescaled_probability,
-)
+from .hilbert import DEFAULT_TOL, Ket, Operator, Space, eigh, fix_phase
+from .povm import DensityMatrix, Povm, maximizing_state, rescaled_probability
 
 
 def _unit_direction(p: Povm, label: str, tol: float) -> Ket:
@@ -63,9 +57,8 @@ class HardyTriple:
 
     @classmethod
     def from_povm(
-        cls, p: Povm, f: str, d1: str, d2: str, tol: float | None = None
+        cls, p: Povm, f: str, d1: str, d2: str, tol: float = DEFAULT_TOL
     ) -> HardyTriple:
-        tol = resolve_tol(tol)
         f_hat = _unit_direction(p, f, tol)
         d1_hat = _unit_direction(p, d1, tol)
         d2_hat = _unit_direction(p, d2, tol)
@@ -100,10 +93,9 @@ def _best_fit(f: Ket, b: Ket, d: Ket) -> tuple[complex, complex, float]:
 
 
 def hardy_decomposition_check(
-    f: Ket, basis1: Ket, d1: Ket, basis2: Ket, d2: Ket, tol: float | None = None
+    f: Ket, basis1: Ket, d1: Ket, basis2: Ket, d2: Ket, tol: float = DEFAULT_TOL
 ) -> DecompositionReport:
     """Fit F = alpha * basis_k + beta * D_k for k = 1, 2 and report residuals."""
-    tol = resolve_tol(tol)
     for name, ket in (("f", f), ("basis1", basis1), ("d1", d1), ("basis2", basis2), ("d2", d2)):
         if not ket.is_normalized(tol):
             raise ValidationError(f"{name} must be normalised", invariant="normalisation")
@@ -112,13 +104,12 @@ def hardy_decomposition_check(
     return DecompositionReport(alpha1, beta1, residual1, alpha2, beta2, residual2)
 
 
-def hardy_state(d1: Ket, d2: Ket, tol: float | None = None) -> Ket:
+def hardy_state(d1: Ket, d2: Ket, tol: float = DEFAULT_TOL) -> Ket:
     """The unique dim-3 unit state orthogonal to both D directions.
 
     Only three-dimensional inputs are accepted; the state is the null space of
     the two bras, with the canonical phase.
     """
-    tol = resolve_tol(tol)
     if d1.space.dim != 3 or d2.space.dim != 3:
         raise ValidationError(
             "the paradox state is defined for dim-3 systems only", invariant="dimension"
@@ -158,7 +149,7 @@ class InequalityReport:
 
 
 def evaluate_inequality(
-    p: Povm, t: HardyTriple, state: Ket | DensityMatrix, tol: float | None = None
+    p: Povm, t: HardyTriple, state: Ket | DensityMatrix, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
     """Compare the rescaled F probability against the D1 + D2 sum at a state.
 
@@ -168,7 +159,6 @@ def evaluate_inequality(
     at the states maximising D1 and D2 and at the two decomposition basis
     vectors.
     """
-    tol = resolve_tol(tol)
     used = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state, tol)
     lhs = rescaled_probability(p, used, t.f, tol)
     rhs = rescaled_probability(p, used, t.d1, tol) + rescaled_probability(p, used, t.d2, tol)
@@ -181,7 +171,7 @@ def evaluate_inequality(
     return InequalityReport(lhs, rhs, lhs > rhs + tol, used, certification)
 
 
-def max_violation(t: HardyTriple, tol: float | None = None) -> tuple[float, Ket]:
+def max_violation(t: HardyTriple, tol: float = DEFAULT_TOL) -> tuple[float, Ket]:
     """Largest achievable lhs - rhs gap and a pure state attaining it.
 
     The gap is linear in the state, so the optimum over all density matrices
@@ -200,7 +190,7 @@ def hardy_embedding_povm(
     d2: Ket,
     scales: tuple[float, float, float] | None = None,
     labels: tuple[str, str, str] = ("F", "D1", "D2"),
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> Povm:
     """A complete POVM containing the three directions as rank-1 outcomes.
 
@@ -209,7 +199,6 @@ def hardy_embedding_povm(
     remainder ``I - sum`` is appended as rank-1 elements R1, R2, ... from its
     eigendecomposition. Rescaled probabilities do not depend on the scales.
     """
-    tol = resolve_tol(tol)
     if scales is None:
         scales = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     units = [k.normalized(tol).with_canonical_phase() for k in (f, d1, d2)]

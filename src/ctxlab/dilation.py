@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
 from .hilbert import (
+    DEFAULT_TOL,
     ENVIRONMENT,
     JOINT,
     Ket,
@@ -30,10 +31,9 @@ from .hilbert import (
     gram,
     orthonormality_residual,
     partial_inner_env,
-    resolve_tol,
     tensor,
 )
-from .povm import Povm, completeness_check
+from .povm import Povm, validate_povm
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class JointOutcomeSet:
     space: Space
     outcomes: tuple[tuple[str, Ket], ...]
     validate: InitVar[bool] = True
-    tol: InitVar[float | None] = None
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, validate: bool, tol: float | None) -> None:
+    def __post_init__(self, validate: bool, tol: float) -> None:
         if self.space.kind != JOINT:
             raise SpaceMismatchError("outcome sets live on joint spaces")
         object.__setattr__(self, "outcomes", tuple((str(l), k) for l, k in self.outcomes))
@@ -68,7 +68,7 @@ class JointOutcomeSet:
             )
         if validate:
             residual = self.orthonormality_residual()
-            if residual > resolve_tol(tol):
+            if residual > tol:
                 raise ValidationError(
                     f"outcome set is not orthonormal (residual {residual:.3e})",
                     invariant="outcome-orthonormality",
@@ -104,9 +104,9 @@ class Dilation:
     outcomes: JointOutcomeSet
     phi_init: Ket
     validate: InitVar[bool] = True
-    tol: InitVar[float | None] = None
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, validate: bool, tol: float | None) -> None:
+    def __post_init__(self, validate: bool, tol: float) -> None:
         if self.phi_init.space.kind != ENVIRONMENT:
             raise SpaceMismatchError("phi_init must be an environment ket")
         if self.phi_init.space.dim != self.outcomes.space.env_dim:
@@ -156,11 +156,10 @@ class ConstraintReport:
     max_orthogonality_residual: float
     max_normalisation_residual: float
 
-    def ok(self, tol: float | None = None) -> bool:
-        bound = resolve_tol(tol)
+    def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return (
-            self.max_orthogonality_residual <= bound
-            and self.max_normalisation_residual <= bound
+            self.max_orthogonality_residual <= tol
+            and self.max_normalisation_residual <= tol
         )
 
 
@@ -179,7 +178,7 @@ def verify_constraints(d: Dilation) -> ConstraintReport:
     return ConstraintReport(max_orth, max_norm)
 
 
-def naimark_dilate(p: Povm, tol: float | None = None) -> Dilation:
+def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     """Rebuild a dilation whose derived POVM is exactly ``p``.
 
     The environment dimension equals the element count M, phi_init is the
@@ -189,20 +188,14 @@ def naimark_dilate(p: Povm, tol: float | None = None) -> Dilation:
     phases canonicalised). Because the elements are embedded verbatim, the
     round trip has no per-outcome phase freedom.
 
-    Raises on operator elements or an incomplete POVM.
+    Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """
-    tol = resolve_tol(tol)
     for el in p.elements:
         if not el.is_vector:
             raise ValidationError(
                 f"element {el.label!r} is not rank one", invariant="rank-one-elements"
             )
-    residual = completeness_check(p)
-    if residual > tol:
-        raise ValidationError(
-            f"POVM does not sum to identity (residual {residual:.3e})",
-            invariant="completeness",
-        )
+    validate_povm(p, tol)
 
     count = len(p.elements)
     sys_dim = p.system_dim
@@ -231,7 +224,7 @@ def context_switch_povm(
     basis: Sequence[Ket],
     phi_init: Ket,
     labels: Sequence[Sequence[str]] | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> Povm:
     """POVM of a measurement whose basis choice is conditioned on the environment.
 
@@ -251,7 +244,6 @@ def context_switch_povm(
     The result is complete exactly when phi_init lies in the span of the
     context states.
     """
-    tol = resolve_tol(tol)
     if len(contexts) == 0:
         raise ValidationError("at least one context is required", invariant="nonempty")
     env_kets = [env for env, _ in contexts]

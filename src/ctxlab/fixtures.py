@@ -15,7 +15,7 @@ import numpy as np
 
 from .contextuality import hardy_embedding_povm
 from .errors import ScenarioFileError
-from .hilbert import Ket, Space
+from .hilbert import Ket
 from .interferometer import build_three_path, dilation_DA, dilation_VH, povm_DA
 from .dilation import povm_from_dilation
 from .scenario_io import Scenario, load_scenario, save_scenario, scenario_to_dict

@@ -23,18 +23,6 @@ _KINDS = (SYSTEM, ENVIRONMENT, JOINT)
 DEFAULT_TOL = 1e-9
 
 
-def set_default_tol(tol: float) -> None:
-    """Override the global tolerance used when a call does not pass one."""
-    global DEFAULT_TOL
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive", invariant="tolerance")
-    DEFAULT_TOL = float(tol)
-
-
-def resolve_tol(tol: float | None) -> float:
-    return DEFAULT_TOL if tol is None else float(tol)
-
-
 @dataclass(frozen=True)
 class Space:
     """A labelled Hilbert space: system, environment, or their tensor product."""
@@ -122,12 +110,12 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float | None = None) -> bool:
-        return abs(self.norm_sq() - 1.0) <= resolve_tol(tol)
+    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
+        return abs(self.norm_sq() - 1.0) <= tol
 
-    def normalized(self, tol: float | None = None) -> Ket:
+    def normalized(self, tol: float = DEFAULT_TOL) -> Ket:
         n = self.norm()
-        if n <= resolve_tol(tol):
+        if n <= tol:
             raise ValidationError("cannot normalise a zero vector", invariant="normalisable")
         return Ket(self.space, self.amplitudes / n)
 
@@ -191,8 +179,8 @@ class Operator:
     def hermiticity_residual(self) -> float:
         return float(np.abs(self.entries - self.entries.conj().T).max())
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        return self.hermiticity_residual() <= resolve_tol(tol)
+    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.hermiticity_residual() <= tol
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -257,14 +245,14 @@ def orthonormality_residual(vectors: Sequence[Ket]) -> float:
     return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
 
 
-def eigh(op: Operator, tol: float | None = None) -> tuple[np.ndarray, list[Ket]]:
+def eigh(op: Operator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[Ket]]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvector kets. Raises if the operator is not Hermitian within tol.
     """
     residual = op.hermiticity_residual()
-    if residual > resolve_tol(tol):
+    if residual > tol:
         raise ValidationError(
             f"operator is not Hermitian (residual {residual:.3e})", invariant="hermiticity"
         )

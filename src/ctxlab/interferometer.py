@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import Ket, Space, basis_ket, resolve_tol, tensor
+from .hilbert import DEFAULT_TOL, Ket, Space, basis_ket, tensor
 from .povm import Povm, coarse_grain
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 
@@ -78,7 +78,7 @@ def hwp_transform(s: ThreePathScenario, psi: Ket) -> Ket:
     return psi - (2.0 * w.inner(psi)) * w
 
 
-def joint_outcomes_VH(s: ThreePathScenario) -> JointOutcomeSet:
+def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
     """Product outcomes of path detection with an H/V polarisation readout.
 
     V heralds the unmodified path basis, H the plate-reflected one.
@@ -86,10 +86,10 @@ def joint_outcomes_VH(s: ThreePathScenario) -> JointOutcomeSet:
     space = Space.joint(2, 3)
     outcomes = [(f"V{i + 1}", tensor(s.v, s.paths[i])) for i in range(3)]
     outcomes += [(f"H{i + 1}", tensor(s.h, hwp_transform(s, s.paths[i]))) for i in range(3)]
-    return JointOutcomeSet(space, tuple(outcomes))
+    return JointOutcomeSet(space, tuple(outcomes), tol=tol)
 
 
-def joint_outcomes_DA(s: ThreePathScenario) -> JointOutcomeSet:
+def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
     """Entangled outcomes of the same detection with a D/A polarisation readout.
 
     (D, i) and (A, i) are the +/- combinations of |H> (x) u_H,i and
@@ -103,7 +103,7 @@ def joint_outcomes_DA(s: ThreePathScenario) -> JointOutcomeSet:
         u_v = s.paths[i]
         d_outcomes.append((f"D{i + 1}", (tensor(s.h, u_h) + tensor(s.v, u_v)) * inv2))
         a_outcomes.append((f"A{i + 1}", (tensor(s.h, u_h) - tensor(s.v, u_v)) * inv2))
-    return JointOutcomeSet(space, tuple(d_outcomes + a_outcomes))
+    return JointOutcomeSet(space, tuple(d_outcomes + a_outcomes), tol=tol)
 
 
 def dilation_VH(s: ThreePathScenario, phi_init: Ket | None = None) -> Dilation:
@@ -116,7 +116,7 @@ def dilation_DA(s: ThreePathScenario, phi_init: Ket | None = None) -> Dilation:
     return Dilation(joint_outcomes_DA(s), s.d if phi_init is None else phi_init)
 
 
-def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float | None = None) -> Povm:
+def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float = DEFAULT_TOL) -> Povm:
     """The D/A-readout POVM for a diagonally polarised photon.
 
     With ``merge_A`` the three proportional A outcomes are summed into a
@@ -125,5 +125,5 @@ def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float | None = None
     """
     p = povm_from_dilation(dilation_DA(s))
     if merge_A:
-        p = coarse_grain(p, ("A1", "A2", "A3"), "A", resolve_tol(tol))
+        p = coarse_grain(p, ("A1", "A2", "A3"), "A", tol)
     return p

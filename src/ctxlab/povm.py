@@ -9,12 +9,12 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
-from .hilbert import SYSTEM, Ket, Operator, Space, fix_phase, orthonormality_residual, resolve_tol
+from .hilbert import DEFAULT_TOL, SYSTEM, Ket, Operator, Space, fix_phase, orthonormality_residual
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,9 @@ class PovmElement:
     label: str
     vector: Ket | None = None
     operator: Operator | None = None
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float) -> None:
         if (self.vector is None) == (self.operator is None):
             raise ValidationError(
                 f"element {self.label!r} needs exactly one of vector/operator",
@@ -34,7 +35,7 @@ class PovmElement:
         payload = self.vector if self.vector is not None else self.operator
         if payload.space.kind != SYSTEM:
             raise SpaceMismatchError(f"element {self.label!r} must live on a system space")
-        if self.operator is not None and not self.operator.is_hermitian():
+        if self.operator is not None and not self.operator.is_hermitian(tol):
             raise ValidationError(
                 f"element {self.label!r} is not Hermitian", invariant="hermiticity"
             )
@@ -123,11 +124,11 @@ class DensityMatrix:
     """A positive, unit-trace system operator used as an input state."""
 
     op: Operator
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float) -> None:
         if self.op.space.kind != SYSTEM:
             raise SpaceMismatchError("density matrices live on system spaces")
-        tol = resolve_tol(None)
         if not self.op.is_hermitian(tol):
             raise ValidationError("density matrix is not Hermitian", invariant="hermiticity")
         low = float(np.linalg.eigvalsh(self.op.entries)[0])
@@ -140,12 +141,12 @@ class DensityMatrix:
             raise ValidationError(f"trace {tr!r} != 1", invariant="unit-trace")
 
     @classmethod
-    def from_ket(cls, psi: Ket, tol: float | None = None) -> DensityMatrix:
+    def from_ket(cls, psi: Ket, tol: float = DEFAULT_TOL) -> DensityMatrix:
         if not psi.is_normalized(tol):
             raise ValidationError(
                 "pure states must be normalised", invariant="state-normalisation"
             )
-        return cls(Operator(psi.space, psi.projector()))
+        return cls(Operator(psi.space, psi.projector()), tol)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> DensityMatrix:
@@ -181,9 +182,8 @@ def element_bound_residual(p: Povm) -> float:
     return worst
 
 
-def validate_povm(p: Povm, tol: float | None = None) -> None:
+def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
     """Raise unless the POVM is complete with well-bounded elements."""
-    tol = resolve_tol(tol)
     bound = element_bound_residual(p)
     if bound > tol:
         raise ValidationError(
@@ -198,7 +198,7 @@ def validate_povm(p: Povm, tol: float | None = None) -> None:
         )
 
 
-def _state_density(state: Ket | DensityMatrix, dim: int, tol: float | None) -> np.ndarray:
+def _state_density(state: Ket | DensityMatrix, dim: int, tol: float) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         if state.dim != dim:
             raise SpaceMismatchError(f"state dim {state.dim} != system dim {dim}")
@@ -210,10 +210,11 @@ def _state_density(state: Ket | DensityMatrix, dim: int, tol: float | None) -> n
     return state.projector()
 
 
-def probability(p: Povm, state: Ket | DensityMatrix, label: str, tol: float | None = None) -> float:
+def probability(
+    p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
+) -> float:
     """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator)."""
     el = p.element(label)
-    tol = resolve_tol(tol)
     if el.is_vector:
         amps = el.vector.amplitudes
         if isinstance(state, DensityMatrix):
@@ -230,7 +231,7 @@ def probability(p: Povm, state: Ket | DensityMatrix, label: str, tol: float | No
     return value
 
 
-def context_selection_probability(p: Povm, label: str, tol: float | None = None) -> float:
+def context_selection_probability(p: Povm, label: str) -> float:
     """Probability that the environment selects this outcome's context.
 
     For a vector element this is its squared norm; for an operator element it
@@ -243,16 +244,15 @@ def context_selection_probability(p: Povm, label: str, tol: float | None = None)
     return float(np.linalg.eigvalsh(el.operator.entries)[-1])
 
 
-def maximizing_state(p: Povm, label: str, tol: float | None = None) -> DensityMatrix:
+def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """The pure state attaining the outcome's maximal probability."""
     el = p.element(label)
-    tol = resolve_tol(tol)
     if el.is_vector:
         if el.weight() <= tol:
             raise ValidationError(
                 f"element {label!r} has zero weight", invariant="nonzero-element"
             )
-        return DensityMatrix.from_ket(el.vector.normalized(tol))
+        return DensityMatrix.from_ket(el.vector.normalized(tol), tol)
     values, vectors = np.linalg.eigh(el.operator.entries)
     if values[-1] <= tol:
         raise ValidationError(f"element {label!r} has zero weight", invariant="nonzero-element")
@@ -261,15 +261,15 @@ def maximizing_state(p: Povm, label: str, tol: float | None = None) -> DensityMa
             f"element {label!r} is not rank one", invariant="rank-one"
         )
     top = Ket(Space.system(p.system_dim), fix_phase(vectors[:, -1]))
-    return DensityMatrix.from_ket(top.normalized(tol))
+    return DensityMatrix.from_ket(top.normalized(tol), tol)
 
 
 def rescaled_probability(
-    p: Povm, state: Ket | DensityMatrix, label: str, tol: float | None = None
+    p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability divided by its context-selection probability."""
     weight = context_selection_probability(p, label)
-    if weight <= resolve_tol(tol):
+    if weight <= tol:
         raise ValidationError(f"element {label!r} has zero weight", invariant="nonzero-element")
     return probability(p, state, label, tol) / weight
 
@@ -313,7 +313,7 @@ def _context_relations(elements: Sequence[PovmElement], tol: float) -> tuple[np.
     return witness, (witness <= tol) | proportional, proportional
 
 
-def share_context(p: Povm, label1: str, label2: str, tol: float | None = None) -> ContextRelation:
+def share_context(p: Povm, label1: str, label2: str, tol: float = DEFAULT_TOL) -> ContextRelation:
     """Whether two outcomes can belong to one measurement context.
 
     Rank-1 pairs share a context iff their normalised inner-product magnitude
@@ -321,7 +321,6 @@ def share_context(p: Povm, label1: str, label2: str, tol: float | None = None) -
     operator elements share a context iff their support projectors commute;
     the witness is then the spectral norm of the commutator.
     """
-    tol = resolve_tol(tol)
     pair = (p.element(label1), p.element(label2))
     for el in pair:
         if context_selection_probability(p, el.label) <= tol:
@@ -362,9 +361,8 @@ class ContextGraph:
         return "\n".join(lines)
 
 
-def context_graph(p: Povm, tol: float | None = None) -> ContextGraph:
+def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     """Pairwise context-sharing structure; zero-weight outcomes are skipped."""
-    tol = resolve_tol(tol)
     live = [context_selection_probability(p, el.label) > tol for el in p.elements]
     nodes = [el for el, keep in zip(p.elements, live) if keep]
     skipped = tuple(el.label for el, keep in zip(p.elements, live) if not keep)
@@ -377,7 +375,7 @@ def context_graph(p: Povm, tol: float | None = None) -> ContextGraph:
 
 
 def coarse_grain(
-    p: Povm, labels_to_merge: Sequence[str], new_label: str, tol: float | None = None
+    p: Povm, labels_to_merge: Sequence[str], new_label: str, tol: float = DEFAULT_TOL
 ) -> Povm:
     """Replace a group of outcomes by their sum, kept rank-1 when possible.
 
@@ -388,17 +386,17 @@ def coarse_grain(
     merge = [str(label) for label in labels_to_merge]
     if not merge:
         raise ValidationError("nothing to merge", invariant="nonempty")
-    tol = resolve_tol(tol)
     total = np.zeros((p.system_dim, p.system_dim), dtype=complex)
     for label in merge:
         total += p.element(label).matrix()
 
+    space = Space.system(p.system_dim)
     values, vectors = np.linalg.eigh(total)
     if values.shape[0] == 1 or values[-2] <= tol:
         amps = np.sqrt(max(values[-1], 0.0)) * fix_phase(vectors[:, -1])
-        merged = PovmElement(new_label, vector=Ket(Space.system(p.system_dim), amps))
+        merged = PovmElement(new_label, vector=Ket(space, amps))
     else:
-        merged = PovmElement(new_label, operator=Operator(Space.system(p.system_dim), total))
+        merged = PovmElement(new_label, operator=Operator(space, total), tol=tol)
 
     merge_set = set(merge)
     elements: list[PovmElement] = []
@@ -417,7 +415,7 @@ def basis_mixture_povm(
     bases: Sequence[Sequence[Ket]],
     weights: Sequence[float],
     labels: Sequence[Sequence[str]] | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> Povm:
     """One POVM for a random choice among projective bases.
 
@@ -435,7 +433,6 @@ def basis_mixture_povm(
     Povm
         Elements ``sqrt(P(x)) |a_x>``; complete by construction.
     """
-    tol = resolve_tol(tol)
     if len(bases) == 0:
         raise ValidationError("at least one basis is required", invariant="nonempty")
     if len(weights) != len(bases):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
-from .hilbert import Ket, Operator, Space
+from .hilbert import DEFAULT_TOL, Ket, Operator, Space
 from .povm import DensityMatrix, Povm, PovmElement
 
 SCHEMA_VERSION = 1
@@ -81,17 +81,17 @@ class Scenario:
     states: dict[str, Ket | DensityMatrix] = field(default_factory=dict)
     hardy: tuple[str, str, str] | None = None
 
-    def dilation(self) -> Dilation:
+    def dilation(self, tol: float = DEFAULT_TOL) -> Dilation:
         if self.outcomes is None or self.phi_init is None:
             raise ScenarioFileError("the file carries no dilation (outcomes + phi_init)")
-        return Dilation(self.outcomes, self.phi_init)
+        return Dilation(self.outcomes, self.phi_init, tol=tol)
 
-    def resolve_povm(self) -> Povm:
+    def resolve_povm(self, tol: float = DEFAULT_TOL) -> Povm:
         """The file's POVM, deriving it from the dilation when absent."""
         if self.povm is not None:
             return self.povm
         if self.outcomes is not None and self.phi_init is not None:
-            return povm_from_dilation(self.dilation())
+            return povm_from_dilation(self.dilation(tol))
         raise ScenarioFileError("the file carries neither a povm nor a dilation")
 
 
@@ -117,7 +117,7 @@ def _labelled_entries(raw: object, section: str) -> list[dict]:
     return entries
 
 
-def scenario_from_dict(raw: dict, tol: float | None = None) -> Scenario:
+def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioFileError("scenario file must hold a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -161,7 +161,7 @@ def scenario_from_dict(raw: dict, tol: float | None = None) -> Scenario:
                 elements.append(PovmElement(item["label"], vector=Ket(space, vec)))
             else:
                 mat = decode_matrix(item["matrix"], system_dim, f"povm {item['label']!r}")
-                elements.append(PovmElement(item["label"], operator=Operator(space, mat)))
+                elements.append(PovmElement(item["label"], operator=Operator(space, mat), tol=tol))
         povm = Povm(system_dim, tuple(elements))
 
     states: dict[str, Ket | DensityMatrix] = {}
@@ -177,7 +177,7 @@ def scenario_from_dict(raw: dict, tol: float | None = None) -> Scenario:
                 states[item["label"]] = Ket(space, vec)
             else:
                 mat = decode_matrix(item["matrix"], system_dim, f"state {item['label']!r}")
-                states[item["label"]] = DensityMatrix(Operator(space, mat))
+                states[item["label"]] = DensityMatrix(Operator(space, mat), tol)
 
     hardy = None
     if "hardy" in raw:
@@ -191,7 +191,7 @@ def scenario_from_dict(raw: dict, tol: float | None = None) -> Scenario:
     return Scenario(system_dim, env_dim, outcomes, phi_init, povm, states, hardy)
 
 
-def load_scenario(path: str | Path, tol: float | None = None) -> Scenario:
+def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
     """Read and validate a scenario file."""
     try:
         text = Path(path).read_text(encoding="utf-8")

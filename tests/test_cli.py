@@ -20,7 +20,6 @@ from ctxlab import (
     save_scenario,
 )
 from ctxlab.cli import main
-from ctxlab.hilbert import resolve_tol
 
 DA_FILE = str(fixture_path("three-path-DA"))
 VH_FILE = str(fixture_path("three-path-VH"))
@@ -294,8 +293,9 @@ def test_max_violation_json(capsys):
     assert abs(np.linalg.norm(amps) - 1.0) <= 1e-9
 
 
-def test_tol_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "povm", "check", DA_FILE, "--tol", "-1")
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_tol_must_be_positive(capsys, value):
+    code, _, err = run_cli(capsys, "povm", "check", DA_FILE, "--tol", value)
     assert code == 2
     assert "--tol must be positive" in err
 
@@ -313,7 +313,55 @@ def test_tol_loosens_the_verdict_and_is_restored(capsys, tmp_path):
     assert code == 0 and "result: FAIL" in out
     code, out, _ = run_cli(capsys, "povm", "check", str(path), "--tol", "1e-3")
     assert code == 0 and "result: ok" in out
-    assert resolve_tol(None) == pytest.approx(DEFAULT_TOL)
+    code, out, _ = run_cli(capsys, "povm", "check", str(path))
+    assert code == 0 and "result: FAIL" in out
+
+
+def _decode(pairs):
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+def _nearly_valid_file(tmp_path, kind):
+    """A bundled fixture with one invariant broken by far less than 1e-3."""
+    if kind == "trace":
+        raw = fixture_dict("hardy")
+        psi = _decode(raw["states"][0]["vector"])
+        rho = (1.0 + 1e-6) * np.outer(psi, psi.conj())
+        raw["states"][0] = {"label": "hardy", "matrix": encode_matrix(rho)}
+    elif kind == "phi-init":
+        raw = fixture_dict("three-path-DA")
+        del raw["povm"]
+        raw["phi_init"] = encode_vector((1.0 + 1e-5) * _decode(raw["phi_init"]))
+    else:
+        raw = fixture_dict("three-path-DA")
+        for key in ("outcomes", "phi_init", "env_dim"):
+            del raw[key]
+        entry = raw["povm"][-1]
+        vec = _decode(entry["vector"])
+        matrix = np.outer(vec, vec.conj())
+        matrix[0, 1] += 1e-6
+        raw["povm"][-1] = {"label": entry["label"], "matrix": encode_matrix(matrix)}
+    path = tmp_path / f"{kind}.json"
+    save_scenario(path, raw)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    ("kind", "command", "invariant"),
+    [
+        ("non-hermitian", ("povm", "check"), "hermiticity"),
+        ("phi-init", ("povm", "check"), "phi-init-normalisation"),
+        ("trace", ("inequality",), "unit-trace"),
+    ],
+    ids=["hermiticity", "phi-init", "trace"],
+)
+def test_tol_reaches_every_check_of_the_run(capsys, tmp_path, kind, command, invariant):
+    path = _nearly_valid_file(tmp_path, kind)
+    for tol_args, expected in (((), 3), (("--tol", "1e-3"), 0), ((), 3)):
+        code, _, err = run_cli(capsys, *command, path, *tol_args)
+        assert code == expected, err
+        if expected == 3:
+            assert f"invariant violation [{invariant}]" in err
 
 
 def test_module_and_console_entry_points(tmp_path):

@@ -230,6 +230,10 @@ def test_naimark_rejects_incomplete_and_operator_povms():
     with pytest.raises(ValidationError) as err:
         naimark_dilate(Povm(2, (op_el,)))
     assert err.value.invariant == "rank-one-elements"
+    heavy = Povm.from_vectors([("a", np.array([np.sqrt(1.5), 0.0])), ("b", np.array([0.0, 1.0]))])
+    with pytest.raises(ValidationError) as err:
+        naimark_dilate(heavy)
+    assert err.value.invariant == "element-bounds"
 
 
 def test_context_switch_matches_dilation_derivation():

@@ -103,6 +103,15 @@ def test_density_matrix_validation():
     assert mixed.dim == 2
 
 
+def test_from_ket_checks_the_trace_at_its_own_tol():
+    psi = Ket(Space.system(2), np.sqrt((1.0 + 2e-7) / 2.0) * np.ones(2))
+    with pytest.raises(ValidationError) as err:
+        DensityMatrix.from_ket(psi)
+    assert err.value.invariant == "state-normalisation"
+    rho = DensityMatrix.from_ket(psi, tol=1e-6)
+    assert abs(np.trace(rho.matrix).real - (1.0 + 2e-7)) <= 1e-15
+
+
 def test_completeness_of_derived_povms(vh_povm, da_povm):
     assert completeness_check(vh_povm) <= 1e-12
     assert completeness_check(da_povm) <= 1e-12
