@@ -8,6 +8,7 @@ emits machine-readable reports where available.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -237,7 +238,9 @@ def _cmd_max_violation(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each ``main`` call parses afresh."""
     parser = argparse.ArgumentParser(
         prog="ctxlab",
         description="POVMs from system-environment dilations and context-selection analysis.",

@@ -14,7 +14,7 @@ and ``naimark_dilate`` rebuilds a dilation from any complete rank-1 POVM.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class JointOutcomeSet:
     space: Space
     outcomes: tuple[tuple[str, Ket], ...]
     validate: InitVar[bool] = True
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def __post_init__(self, validate: bool, tol: float) -> None:
+    def __post_init__(self, validate: bool) -> None:
         if self.space.kind != JOINT:
             raise SpaceMismatchError("outcome sets live on joint spaces")
         object.__setattr__(self, "outcomes", tuple((str(l), k) for l, k in self.outcomes))
@@ -68,7 +68,7 @@ class JointOutcomeSet:
             )
         if validate:
             residual = self.orthonormality_residual()
-            if residual > tol:
+            if residual > self.tol:
                 raise ValidationError(
                     f"outcome set is not orthonormal (residual {residual:.3e})",
                     invariant="outcome-orthonormality",
@@ -104,9 +104,9 @@ class Dilation:
     outcomes: JointOutcomeSet
     phi_init: Ket
     validate: InitVar[bool] = True
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def __post_init__(self, validate: bool, tol: float) -> None:
+    def __post_init__(self, validate: bool) -> None:
         if self.phi_init.space.kind != ENVIRONMENT:
             raise SpaceMismatchError("phi_init must be an environment ket")
         if self.phi_init.space.dim != self.outcomes.space.env_dim:
@@ -114,7 +114,7 @@ class Dilation:
                 f"phi_init dim {self.phi_init.space.dim} != environment factor "
                 f"{self.outcomes.space.env_dim}"
             )
-        if validate and not self.phi_init.is_normalized(tol):
+        if validate and not self.phi_init.is_normalized(self.tol):
             raise ValidationError(
                 "phi_init must be normalised", invariant="phi-init-normalisation"
             )

@@ -90,7 +90,7 @@ class Ket:
             raise SpaceMismatchError(
                 f"{amps.shape[0]} amplitudes for a dim-{self.space.dim} space"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -167,7 +167,7 @@ class Operator:
             raise SpaceMismatchError(
                 f"matrix shape {mat.shape} for a dim-{self.space.dim} space"
             )
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+        if not np.isfinite(mat).all():
             raise ValidationError("entries must be finite", invariant="finite-entries")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)

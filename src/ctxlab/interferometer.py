@@ -106,14 +106,18 @@ def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     return JointOutcomeSet(space, tuple(d_outcomes + a_outcomes), tol=tol)
 
 
-def dilation_VH(s: ThreePathScenario, phi_init: Ket | None = None) -> Dilation:
+def dilation_VH(
+    s: ThreePathScenario, phi_init: Ket | None = None, tol: float = DEFAULT_TOL
+) -> Dilation:
     """H/V-readout dilation; the photon enters diagonally polarised by default."""
-    return Dilation(joint_outcomes_VH(s), s.d if phi_init is None else phi_init)
+    return Dilation(joint_outcomes_VH(s, tol), s.d if phi_init is None else phi_init, tol=tol)
 
 
-def dilation_DA(s: ThreePathScenario, phi_init: Ket | None = None) -> Dilation:
+def dilation_DA(
+    s: ThreePathScenario, phi_init: Ket | None = None, tol: float = DEFAULT_TOL
+) -> Dilation:
     """D/A-readout dilation; the photon enters diagonally polarised by default."""
-    return Dilation(joint_outcomes_DA(s), s.d if phi_init is None else phi_init)
+    return Dilation(joint_outcomes_DA(s, tol), s.d if phi_init is None else phi_init, tol=tol)
 
 
 def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float = DEFAULT_TOL) -> Povm:
@@ -123,7 +127,7 @@ def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float = DEFAULT_TOL
     single rank-1 element labelled "A", giving three weight-2/3 path-context
     elements plus one weight-1 element along the plate direction.
     """
-    p = povm_from_dilation(dilation_DA(s))
+    p = povm_from_dilation(dilation_DA(s, tol=tol))
     if merge_A:
         p = coarse_grain(p, ("A1", "A2", "A3"), "A", tol)
     return p

@@ -9,7 +9,7 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,9 @@ class PovmElement:
     label: str
     vector: Ket | None = None
     operator: Operator | None = None
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         if (self.vector is None) == (self.operator is None):
             raise ValidationError(
                 f"element {self.label!r} needs exactly one of vector/operator",
@@ -35,7 +35,7 @@ class PovmElement:
         payload = self.vector if self.vector is not None else self.operator
         if payload.space.kind != SYSTEM:
             raise SpaceMismatchError(f"element {self.label!r} must live on a system space")
-        if self.operator is not None and not self.operator.is_hermitian(tol):
+        if self.operator is not None and not self.operator.is_hermitian(self.tol):
             raise ValidationError(
                 f"element {self.label!r} is not Hermitian", invariant="hermiticity"
             )
@@ -124,20 +124,20 @@ class DensityMatrix:
     """A positive, unit-trace system operator used as an input state."""
 
     op: Operator
-    tol: InitVar[float] = DEFAULT_TOL
+    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         if self.op.space.kind != SYSTEM:
             raise SpaceMismatchError("density matrices live on system spaces")
-        if not self.op.is_hermitian(tol):
+        if not self.op.is_hermitian(self.tol):
             raise ValidationError("density matrix is not Hermitian", invariant="hermiticity")
         low = float(np.linalg.eigvalsh(self.op.entries)[0])
-        if low < -tol:
+        if low < -self.tol:
             raise ValidationError(
                 f"density matrix has eigenvalue {low:.3e} < 0", invariant="positivity"
             )
         tr = self.op.trace().real
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"trace {tr!r} != 1", invariant="unit-trace")
 
     @classmethod

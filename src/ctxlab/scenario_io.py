@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,27 +41,35 @@ _TOP_KEYS = {"version", "system_dim", "env_dim", "outcomes", "phi_init", "povm",
 
 
 def encode_vector(amplitudes: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(amplitudes, dtype=complex)]
+    return np.ascontiguousarray(amplitudes, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def encode_matrix(entries: np.ndarray) -> list[list[list[float]]]:
     return [encode_vector(row) for row in np.asarray(entries, dtype=complex)]
 
 
-def _decode_complex(obj: object, what: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        raise ScenarioFileError(f"{what}: expected an [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+_REAL_TYPES = frozenset((int, float))
 
 
 def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
+    """Decode [re, im] pairs of exact ints or floats bit for bit (-0.0 kept)."""
     if not isinstance(obj, list) or len(obj) != length:
         raise ScenarioFileError(f"{what}: expected {length} [re, im] pairs")
-    return np.array([_decode_complex(entry, what) for entry in obj], dtype=complex)
+    try:
+        if _REAL_TYPES.issuperset(map(type, chain.from_iterable(obj))):
+            pairs = np.array(obj, dtype=float)
+            if pairs.shape == (length, 2):
+                return pairs.view(complex).reshape(length)
+    except (TypeError, ValueError, OverflowError):
+        pass  # the loop below names the entry at fault
+    for entry in obj:
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not _REAL_TYPES.issuperset(map(type, entry))
+        ):
+            raise ScenarioFileError(f"{what}: expected an [re, im] pair, got {entry!r}")
+    raise ScenarioFileError(f"{what}: an amplitude is too large for a float")
 
 
 def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from ctxlab import (
     povm_from_dilation,
     save_scenario,
 )
-from ctxlab.cli import main
+from ctxlab.cli import build_parser, main
 
 DA_FILE = str(fixture_path("three-path-DA"))
 VH_FILE = str(fixture_path("three-path-VH"))
@@ -379,3 +379,30 @@ def test_module_and_console_entry_points(tmp_path):
     )
     assert result.returncode == 2
     assert "input error" in result.stderr
+
+
+def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):
+    raw = fixture_dict("hardy")
+    raw["povm"][0]["vector"][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    save_scenario(path, raw)
+    code, _, err = run_cli(capsys, "povm", "check", str(path))
+    assert code == 2
+    assert err.startswith("input error: povm 'F': ")
+
+
+def test_repeated_calls_do_not_share_state(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "povm", "check", "--json", DA_FILE)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = run_cli(capsys, "povm", "check", DA_FILE)
+    assert code == 0 and out.startswith("povm: 4 elements")
+    code, out, _ = run_cli(capsys, "povm", "check", DA_FILE, "--tol", "1e-3")
+    assert code == 0 and "(tol=0.001)" in out
+    code, out, _ = run_cli(capsys, "povm", "check", DA_FILE)
+    assert code == 0 and "(tol=1e-09)" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["povm", "check"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "context-graph", "--dot", DA_FILE)
+    assert code == 0 and out.startswith("graph")

@@ -298,3 +298,11 @@ def test_incomplete_context_span_leaves_incomplete_povm():
     phi = Ket(env, np.array([1.0, 1.0]) / SQ2)
     p = context_switch_povm([(x, Operator.identity(sys2))], [basis_ket(sys2, 0), basis_ket(sys2, 1)], phi)
     assert abs(completeness_check(p) - 0.5) <= 1e-12
+
+
+def test_dilations_record_the_tol_that_validated_them():
+    s = build_three_path()
+    for build in (dilation_VH, dilation_DA):
+        d = build(s, tol=1e-6)
+        assert d.tol == 1e-6 and d.outcomes.tol == 1e-6
+        assert build(s).tol == 1e-9

@@ -186,3 +186,12 @@ def test_alternate_plate_positions_keep_completeness():
         assert completeness_check(povm_from_dilation(dilation_VH(s))) <= 1e-12
         assert completeness_check(povm_DA(s, merge_A=False)) <= 1e-12
         assert verify_constraints(dilation_DA(s)).ok()
+
+
+def test_povm_da_checks_the_dilation_at_its_own_tol(s):
+    with pytest.raises(ValidationError) as err:
+        povm_DA(s, tol=1e-17)
+    assert err.value.invariant == "outcome-orthonormality"
+    for build in (dilation_VH, dilation_DA):
+        with pytest.raises(ValidationError):
+            build(s, tol=1e-17)

@@ -468,3 +468,12 @@ def test_random_rank1_povms_are_complete():
             p = random_rank1_povm(rng, dim, count)
             assert completeness_check(p) <= 1e-12
             validate_povm(p)
+
+
+def test_elements_and_states_record_the_tol_that_validated_them():
+    psi = Ket(Space.system(2), np.array([1.0, 0.0]))
+    assert DensityMatrix.from_ket(psi, tol=1e-6).tol == 1e-6
+    assert DensityMatrix.from_ket(psi).tol == 1e-9
+    element = PovmElement("a", operator=Operator(psi.space, np.eye(2)), tol=1e-6)
+    assert element.tol == 1e-6
+    assert "tol" not in repr(PovmElement("b", vector=psi, tol=1e-6))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ctxlab import (
     scenario_to_dict,
     write_fixtures,
 )
+from ctxlab.cli import main
 
 
 def _da_dict():
@@ -57,6 +59,54 @@ def test_vector_codec_round_trip():
     np.testing.assert_array_equal(decoded, vec)
     mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     np.testing.assert_array_equal(decode_matrix(encode_matrix(mat), 3, "test"), mat)
+
+
+def test_integer_amplitudes_decode_as_the_same_floats():
+    decoded = decode_vector([[1, 0], [-3, 2]], 2, "test")
+    assert decoded.tobytes() == np.array([1.0 + 0.0j, -3.0 + 2.0j]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0.0], [0.0, "1"], [None, 0.0], {"re": 1.0, "im": 0.0}, [1.0, 0.0, 0.0], [[1.0, 0.0]]],
+    ids=["bool", "str", "none", "dict", "three-element", "nested"],
+)
+def test_decoder_names_the_entry_that_is_not_a_pair(entry):
+    expected = f"test: expected an [re, im] pair, got {entry!r}"
+    with pytest.raises(ScenarioFileError, match=re.escape(expected)):
+        decode_vector([[0.5, 0.0], entry], 2, "test")
+
+
+def test_decoder_rejects_integers_beyond_float_range():
+    with pytest.raises(ScenarioFileError, match="too large for a float"):
+        decode_vector([[0.5, 0.0], [10**400, 0]], 2, "test")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_amplitudes_reach_the_ket_check(capsys, tmp_path, literal):
+    text = json.dumps(fixture_dict("hardy")).replace("[0.0, 0.0]", f"[{literal}, 0.0]", 1)
+    assert literal in text
+    path = tmp_path / "non-finite.json"
+    path.write_text(text)
+    assert main(["povm", "check", str(path)]) == 3
+    assert "invariant violation [finite-amplitudes]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["three-path-VH", "three-path-DA"])
+def test_negative_zero_survives_a_load_and_dump(name):
+    text = fixture_path(name).read_text()
+    assert "-0.0" in text
+    sc = load_scenario(fixture_path(name))
+    raw = scenario_to_dict(
+        system_dim=sc.system_dim,
+        env_dim=sc.env_dim,
+        outcomes=sc.outcomes,
+        phi_init=sc.phi_init,
+        povm=sc.povm,
+        states=sc.states,
+        hardy=sc.hardy,
+    )
+    assert json.dumps(raw, indent=2) + "\n" == text
 
 
 def test_dict_round_trip_preserves_everything():
