@@ -15,15 +15,20 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import DEFAULT_TOL, Ket, Operator, Space, eigh, fix_phase
-from .povm import DensityMatrix, Povm, maximizing_state, rescaled_probability
+from .povm import (
+    DensityMatrix,
+    Povm,
+    maximizing_state,
+    require_context_weight,
+    rescaled_probability,
+)
 
 
 def _unit_direction(p: Povm, label: str, tol: float) -> Ket:
     el = p.element(label)
     if not el.is_vector:
         raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
-    if el.weight() <= tol:
-        raise ValidationError(f"element {label!r} has zero weight", invariant="nonzero-element")
+    require_context_weight(p, label, tol)
     return el.vector.normalized(tol).with_canonical_phase()
 
 

@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
+from .errors import SpaceMismatchError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
     ENVIRONMENT,
@@ -31,9 +31,11 @@ from .hilbert import (
     gram,
     orthonormality_residual,
     partial_inner_env,
+    require_basis,
+    require_orthonormal,
     tensor,
 )
-from .povm import Povm, validate_povm
+from .povm import Povm, label_index, validate_povm
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,7 @@ class JointOutcomeSet:
     outcomes: tuple[tuple[str, Ket], ...]
     validate: InitVar[bool] = True
     tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool) -> None:
         if self.space.kind != JOINT:
@@ -55,9 +58,7 @@ class JointOutcomeSet:
         object.__setattr__(self, "outcomes", tuple((str(l), k) for l, k in self.outcomes))
         if not self.outcomes:
             raise ValidationError("at least one outcome is required", invariant="nonempty")
-        labels = [label for label, _ in self.outcomes]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("outcome labels must be unique", invariant="unique-labels")
+        object.__setattr__(self, "_index", label_index(self.labels()))
         for label, ket in self.outcomes:
             if ket.space != self.space:
                 raise SpaceMismatchError(f"outcome {label!r} is not on the joint space")
@@ -67,12 +68,7 @@ class JointOutcomeSet:
                 invariant="outcome-count",
             )
         if validate:
-            residual = self.orthonormality_residual()
-            if residual > self.tol:
-                raise ValidationError(
-                    f"outcome set is not orthonormal (residual {residual:.3e})",
-                    invariant="outcome-orthonormality",
-                )
+            require_orthonormal(self.kets(), self.tol, "outcome set is", "outcome-orthonormality")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
@@ -81,10 +77,7 @@ class JointOutcomeSet:
         return tuple(ket for _, ket in self.outcomes)
 
     def ket(self, label: str) -> Ket:
-        for name, ket in self.outcomes:
-            if name == label:
-                return ket
-        raise UnknownLabelError(f"no outcome labelled {label!r}")
+        return self.outcomes[self._index[label]][1]
 
     @property
     def complete(self) -> bool:
@@ -103,10 +96,9 @@ class Dilation:
 
     outcomes: JointOutcomeSet
     phi_init: Ket
-    validate: InitVar[bool] = True
     tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         if self.phi_init.space.kind != ENVIRONMENT:
             raise SpaceMismatchError("phi_init must be an environment ket")
         if self.phi_init.space.dim != self.outcomes.space.env_dim:
@@ -114,7 +106,7 @@ class Dilation:
                 f"phi_init dim {self.phi_init.space.dim} != environment factor "
                 f"{self.outcomes.space.env_dim}"
             )
-        if validate and not self.phi_init.is_normalized(self.tol):
+        if not self.phi_init.is_normalized(self.tol):
             raise ValidationError(
                 "phi_init must be normalised", invariant="phi-init-normalisation"
             )
@@ -250,27 +242,12 @@ def context_switch_povm(
     for env in env_kets:
         if env.space != phi_init.space or env.space.kind != ENVIRONMENT:
             raise SpaceMismatchError("context states must share phi_init's environment space")
-    residual = orthonormality_residual(env_kets)
-    if residual > tol:
-        raise ValidationError(
-            f"context states are not orthonormal (residual {residual:.3e})",
-            invariant="context-orthonormality",
-        )
+    require_orthonormal(env_kets, tol, "context states are", "context-orthonormality")
     if not phi_init.is_normalized(tol):
         raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
 
     sys_dim = basis[0].space.dim
-    if len(basis) != sys_dim:
-        raise ValidationError(
-            f"readout basis has {len(basis)} kets for dim {sys_dim}",
-            invariant="basis-completeness",
-        )
-    basis_residual = orthonormality_residual(basis)
-    if basis_residual > tol:
-        raise ValidationError(
-            f"readout basis is not orthonormal (residual {basis_residual:.3e})",
-            invariant="basis-orthonormality",
-        )
+    require_basis(basis, sys_dim, tol, "readout basis")
 
     pairs: list[tuple[str, np.ndarray]] = []
     for x, (env, unitary) in enumerate(contexts):

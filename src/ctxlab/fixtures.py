@@ -25,26 +25,12 @@ FIXTURE_NAMES = ("three-path-VH", "three-path-DA", "hardy")
 
 def fixture_dict(name: str) -> dict:
     """Regenerate a bundled scenario from the library (no file access)."""
-    if name == "three-path-VH":
+    if name in ("three-path-VH", "three-path-DA"):
         s = build_three_path()
-        d = dilation_VH(s)
-        return scenario_to_dict(
-            system_dim=3,
-            env_dim=2,
-            outcomes=d.outcomes,
-            phi_init=d.phi_init,
-            povm=povm_from_dilation(d),
-        )
-    if name == "three-path-DA":
-        s = build_three_path()
-        d = dilation_DA(s)
-        return scenario_to_dict(
-            system_dim=3,
-            env_dim=2,
-            outcomes=d.outcomes,
-            phi_init=d.phi_init,
-            povm=povm_DA(s, merge_A=True),
-        )
+        vh = name == "three-path-VH"
+        d = dilation_VH(s) if vh else dilation_DA(s)
+        p = povm_from_dilation(d) if vh else povm_DA(s, merge_A=True)
+        return scenario_to_dict(Scenario(3, 2, d.outcomes, d.phi_init, p))
     if name == "hardy":
         s = build_three_path()
         space = s.system
@@ -57,10 +43,7 @@ def fixture_dict(name: str) -> dict:
         # two D overlaps cancel to a clean zero in reports
         paradox = Ket(space, np.ones(3) / np.sqrt(3.0))
         return scenario_to_dict(
-            system_dim=3,
-            povm=p,
-            states={"hardy": paradox},
-            hardy=("F", "D1", "D2"),
+            Scenario(3, povm=p, states={"hardy": paradox}, hardy=("F", "D1", "D2"))
         )
     raise ScenarioFileError(f"unknown fixture {name!r}; choose one of {FIXTURE_NAMES}")
 

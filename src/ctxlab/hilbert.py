@@ -245,6 +245,27 @@ def orthonormality_residual(vectors: Sequence[Ket]) -> float:
     return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
 
 
+def require_orthonormal(vectors: Sequence[Ket], tol: float, what: str, invariant: str) -> None:
+    """Raise ``invariant`` unless the vectors are orthonormal within tol.
+
+    ``what`` starts the message, e.g. ``"readout basis is"``.
+    """
+    residual = orthonormality_residual(vectors)
+    if residual > tol:
+        raise ValidationError(
+            f"{what} not orthonormal (residual {residual:.3e})", invariant=invariant
+        )
+
+
+def require_basis(basis: Sequence[Ket], dim: int, tol: float, name: str) -> None:
+    """Raise unless ``basis`` holds exactly ``dim`` orthonormal kets."""
+    if len(basis) != dim:
+        raise ValidationError(
+            f"{name} has {len(basis)} kets for dim {dim}", invariant="basis-completeness"
+        )
+    require_orthonormal(basis, tol, f"{name} is", "basis-orthonormality")
+
+
 def eigh(op: Operator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[Ket]]:
     """Eigendecomposition of a Hermitian operator.
 

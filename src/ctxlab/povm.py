@@ -14,7 +14,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
-from .hilbert import DEFAULT_TOL, SYSTEM, Ket, Operator, Space, fix_phase, orthonormality_residual
+from .hilbert import DEFAULT_TOL, SYSTEM, Ket, Operator, Space, fix_phase, require_basis
+
+
+class _LabelIndex(dict):
+    def __missing__(self, label: str) -> int:
+        raise UnknownLabelError(f"no outcome labelled {label!r}")
+
+
+def label_index(labels: Sequence[str]) -> dict[str, int]:
+    """Position of each label; looking up an absent label raises UnknownLabelError.
+
+    Raises ``unique-labels`` if a label repeats.
+    """
+    index = _LabelIndex((label, i) for i, label in enumerate(labels))
+    if len(index) != len(labels):
+        raise ValidationError("outcome labels must be unique", invariant="unique-labels")
+    return index
 
 
 @dataclass(frozen=True)
@@ -79,10 +95,7 @@ class Povm:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValidationError("a POVM needs at least one element", invariant="nonempty")
-        index = {el.label: i for i, el in enumerate(self.elements)}
-        if len(index) != len(self.elements):
-            raise ValidationError("outcome labels must be unique", invariant="unique-labels")
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", label_index(self.labels()))
         for el in self.elements:
             if el.dim != self.system_dim:
                 raise SpaceMismatchError(
@@ -111,8 +124,6 @@ class Povm:
         return tuple(el.label for el in self.elements)
 
     def element(self, label: str) -> PovmElement:
-        if label not in self._index:
-            raise UnknownLabelError(f"no outcome labelled {label!r}")
         return self.elements[self._index[label]]
 
     def __len__(self) -> int:
@@ -198,34 +209,20 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
         )
 
 
-def _state_density(state: Ket | DensityMatrix, dim: int, tol: float) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        if state.dim != dim:
-            raise SpaceMismatchError(f"state dim {state.dim} != system dim {dim}")
-        return state.matrix
-    if state.space.kind != SYSTEM or state.space.dim != dim:
-        raise SpaceMismatchError("state must be a system ket of the POVM's dimension")
-    if not state.is_normalized(tol):
-        raise ValidationError("pure states must be normalised", invariant="state-normalisation")
-    return state.projector()
-
-
 def probability(
     p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator)."""
     el = p.element(label)
+    if isinstance(state, Ket):
+        state = DensityMatrix.from_ket(state, tol)
+    if state.dim != p.system_dim:
+        raise SpaceMismatchError(f"state dim {state.dim} != system dim {p.system_dim}")
     if el.is_vector:
         amps = el.vector.amplitudes
-        if isinstance(state, DensityMatrix):
-            rho = _state_density(state, p.system_dim, tol)
-            value = float(np.vdot(amps, rho @ amps).real)
-        else:
-            _state_density(state, p.system_dim, tol)
-            value = float(abs(np.vdot(amps, state.amplitudes)) ** 2)
+        value = float(np.vdot(amps, state.matrix @ amps).real)
     else:
-        rho = _state_density(state, p.system_dim, tol)
-        value = float(np.trace(el.operator.entries @ rho).real)
+        value = float(np.trace(el.operator.entries @ state.matrix).real)
     if value < -tol:
         raise ValidationError(f"negative probability {value!r}", invariant="positivity")
     return value
@@ -244,18 +241,21 @@ def context_selection_probability(p: Povm, label: str) -> float:
     return float(np.linalg.eigvalsh(el.operator.entries)[-1])
 
 
+def require_context_weight(p: Povm, label: str, tol: float) -> float:
+    """``context_selection_probability``, raising ``nonzero-element`` at or below tol."""
+    weight = context_selection_probability(p, label)
+    if weight <= tol:
+        raise ValidationError(f"element {label!r} has zero weight", invariant="nonzero-element")
+    return weight
+
+
 def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """The pure state attaining the outcome's maximal probability."""
     el = p.element(label)
+    require_context_weight(p, label, tol)
     if el.is_vector:
-        if el.weight() <= tol:
-            raise ValidationError(
-                f"element {label!r} has zero weight", invariant="nonzero-element"
-            )
         return DensityMatrix.from_ket(el.vector.normalized(tol), tol)
     values, vectors = np.linalg.eigh(el.operator.entries)
-    if values[-1] <= tol:
-        raise ValidationError(f"element {label!r} has zero weight", invariant="nonzero-element")
     if values.shape[0] > 1 and values[-2] > tol:
         raise ValidationError(
             f"element {label!r} is not rank one", invariant="rank-one"
@@ -268,9 +268,7 @@ def rescaled_probability(
     p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability divided by its context-selection probability."""
-    weight = context_selection_probability(p, label)
-    if weight <= tol:
-        raise ValidationError(f"element {label!r} has zero weight", invariant="nonzero-element")
+    weight = require_context_weight(p, label, tol)
     return probability(p, state, label, tol) / weight
 
 
@@ -323,10 +321,7 @@ def share_context(p: Povm, label1: str, label2: str, tol: float = DEFAULT_TOL) -
     """
     pair = (p.element(label1), p.element(label2))
     for el in pair:
-        if context_selection_probability(p, el.label) <= tol:
-            raise ValidationError(
-                f"element {el.label!r} has zero weight", invariant="nonzero-element"
-            )
+        require_context_weight(p, el.label, tol)
     witness, shared, proportional = _context_relations(pair, tol)
     return ContextRelation(
         shared=bool(shared[0, 1]),
@@ -446,17 +441,7 @@ def basis_mixture_povm(
     dim = bases[0][0].space.dim
     pairs: list[tuple[str, Ket]] = []
     for x, basis in enumerate(bases):
-        if len(basis) != dim:
-            raise ValidationError(
-                f"basis {x} has {len(basis)} kets for dim {dim}",
-                invariant="basis-completeness",
-            )
-        residual = orthonormality_residual(basis)
-        if residual > tol:
-            raise ValidationError(
-                f"basis {x} is not orthonormal (residual {residual:.3e})",
-                invariant="basis-orthonormality",
-            )
+        require_basis(basis, dim, tol, f"basis {x}")
         scale = np.sqrt(max(float(w[x]), 0.0))
         for a, ket in enumerate(basis):
             label = labels[x][a] if labels is not None else f"{x}:{a}"

@@ -24,6 +24,7 @@ enforced by the constructed objects themselves.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -126,6 +127,30 @@ def _labelled_entries(raw: object, section: str) -> list[dict]:
     return entries
 
 
+def _vectors_or_matrices(
+    raw: object, section: str, dim: int, noun: str, what: str
+) -> Iterator[tuple[str, Ket | Operator]]:
+    """Decode, entry by entry, a section whose entries hold exactly one of vector/matrix.
+
+    ``noun`` names an entry in the payload rule's message, ``what`` in decode errors.
+    """
+    space = Space.system(dim)
+    for item in _labelled_entries(raw, section):
+        label = item["label"]
+        if ("vector" in item) == ("matrix" in item):
+            raise ScenarioFileError(f"{noun} {label!r} needs exactly one of vector/matrix")
+        if "vector" in item:
+            yield label, Ket(space, decode_vector(item["vector"], dim, f"{what} {label!r}"))
+        else:
+            yield label, Operator(space, decode_matrix(item["matrix"], dim, f"{what} {label!r}"))
+
+
+def _encode_entry(label: str, payload: Ket | Operator) -> dict:
+    if isinstance(payload, Ket):
+        return {"label": label, "vector": encode_vector(payload.amplitudes)}
+    return {"label": label, "matrix": encode_matrix(payload.entries)}
+
+
 def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioFileError("scenario file must hold a JSON object")
@@ -158,35 +183,22 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
 
     povm = None
     if "povm" in raw:
-        space = Space.system(system_dim)
-        elements = []
-        for item in _labelled_entries(raw["povm"], "povm"):
-            if ("vector" in item) == ("matrix" in item):
-                raise ScenarioFileError(
-                    f"povm element {item['label']!r} needs exactly one of vector/matrix"
-                )
-            if "vector" in item:
-                vec = decode_vector(item["vector"], system_dim, f"povm {item['label']!r}")
-                elements.append(PovmElement(item["label"], vector=Ket(space, vec)))
-            else:
-                mat = decode_matrix(item["matrix"], system_dim, f"povm {item['label']!r}")
-                elements.append(PovmElement(item["label"], operator=Operator(space, mat), tol=tol))
-        povm = Povm(system_dim, tuple(elements))
+        entries = _vectors_or_matrices(raw["povm"], "povm", system_dim, "povm element", "povm")
+        povm = Povm(
+            system_dim,
+            tuple(
+                PovmElement(label, vector=x)
+                if isinstance(x, Ket)
+                else PovmElement(label, operator=x, tol=tol)
+                for label, x in entries
+            ),
+        )
 
     states: dict[str, Ket | DensityMatrix] = {}
     if "states" in raw:
-        space = Space.system(system_dim)
-        for item in _labelled_entries(raw["states"], "states"):
-            if ("vector" in item) == ("matrix" in item):
-                raise ScenarioFileError(
-                    f"state {item['label']!r} needs exactly one of vector/matrix"
-                )
-            if "vector" in item:
-                vec = decode_vector(item["vector"], system_dim, f"state {item['label']!r}")
-                states[item["label"]] = Ket(space, vec)
-            else:
-                mat = decode_matrix(item["matrix"], system_dim, f"state {item['label']!r}")
-                states[item["label"]] = DensityMatrix(Operator(space, mat), tol)
+        entries = _vectors_or_matrices(raw["states"], "states", system_dim, "state", "state")
+        for label, x in entries:
+            states[label] = x if isinstance(x, Ket) else DensityMatrix(x, tol)
 
     hardy = None
     if "hardy" in raw:
@@ -210,45 +222,32 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioFileError(f"{path} nests too deeply to parse") from exc
     return scenario_from_dict(raw, tol)
 
 
-def scenario_to_dict(
-    system_dim: int,
-    env_dim: int | None = None,
-    outcomes: JointOutcomeSet | None = None,
-    phi_init: Ket | None = None,
-    povm: Povm | None = None,
-    states: dict[str, Ket | DensityMatrix] | None = None,
-    hardy: tuple[str, str, str] | None = None,
-) -> dict:
-    """Assemble a JSON-ready scenario dict from library objects."""
-    raw: dict = {"version": SCHEMA_VERSION, "system_dim": int(system_dim)}
-    if env_dim is not None:
-        raw["env_dim"] = int(env_dim)
-    if outcomes is not None:
-        raw["outcomes"] = [
-            {"label": label, "vector": encode_vector(ket.amplitudes)}
-            for label, ket in outcomes.outcomes
-        ]
-    if phi_init is not None:
-        raw["phi_init"] = encode_vector(phi_init.amplitudes)
-    if povm is not None:
+def scenario_to_dict(s: Scenario) -> dict:
+    """The JSON-ready dict of a scenario; ``scenario_from_dict`` reads it back."""
+    raw: dict = {"version": SCHEMA_VERSION, "system_dim": int(s.system_dim)}
+    if s.env_dim is not None:
+        raw["env_dim"] = int(s.env_dim)
+    if s.outcomes is not None:
+        raw["outcomes"] = [_encode_entry(label, ket) for label, ket in s.outcomes.outcomes]
+    if s.phi_init is not None:
+        raw["phi_init"] = encode_vector(s.phi_init.amplitudes)
+    if s.povm is not None:
         raw["povm"] = [
-            {"label": el.label, "vector": encode_vector(el.vector.amplitudes)}
-            if el.is_vector
-            else {"label": el.label, "matrix": encode_matrix(el.operator.entries)}
-            for el in povm.elements
+            _encode_entry(el.label, el.vector if el.is_vector else el.operator)
+            for el in s.povm.elements
         ]
-    if states:
+    if s.states:
         raw["states"] = [
-            {"label": label, "vector": encode_vector(state.amplitudes)}
-            if isinstance(state, Ket)
-            else {"label": label, "matrix": encode_matrix(state.matrix)}
-            for label, state in states.items()
+            _encode_entry(label, state if isinstance(state, Ket) else state.op)
+            for label, state in s.states.items()
         ]
-    if hardy is not None:
-        raw["hardy"] = {"f": hardy[0], "d1": hardy[1], "d2": hardy[2]}
+    if s.hardy is not None:
+        raw["hardy"] = {"f": s.hardy[0], "d1": s.hardy[1], "d2": s.hardy[2]}
     return raw
 
 

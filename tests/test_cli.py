@@ -406,3 +406,35 @@ def test_repeated_calls_do_not_share_state(capsys):
     assert exc.value.code == 2
     code, out, _ = run_cli(capsys, "context-graph", "--dot", DA_FILE)
     assert code == 0 and out.startswith("graph")
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+_OVERFLOWING_POVMS = {
+    "huge-vector": (2, [{"label": "a", "vector": [[1e200, 0.0], [0.0, 0.0]]}]),
+    "overflowing-sum": (
+        1,
+        [{"label": "a", "matrix": [[[1e308, 0.0]]]}, {"label": "b", "matrix": [[[1e308, 0.0]]]}],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",), ("--strict",)], ids=["text", "json", "strict"])
+@pytest.mark.parametrize("kind", _OVERFLOWING_POVMS)
+def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
+    capsys, tmp_path, kind, mode
+):
+    dim, povm = _OVERFLOWING_POVMS[kind]
+    path = tmp_path / f"{kind}.json"
+    save_scenario(path, {"version": 1, "system_dim": dim, "povm": povm})
+    code, out, err = run_cli(capsys, "povm", "check", str(path), *mode)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numerical failure: ")

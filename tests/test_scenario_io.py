@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxlab import (
     FIXTURE_NAMES,
@@ -15,6 +17,7 @@ from ctxlab import (
     Operator,
     Povm,
     PovmElement,
+    Scenario,
     ScenarioFileError,
     Space,
     ValidationError,
@@ -28,6 +31,7 @@ from ctxlab import (
     fixture_path,
     load_fixture,
     load_scenario,
+    naimark_dilate,
     povm_DA,
     povm_from_dilation,
     save_scenario,
@@ -36,19 +40,22 @@ from ctxlab import (
     write_fixtures,
 )
 from ctxlab.cli import main
+from helpers import random_pure_state, random_rank1_povm, random_unitary
 
 
 def _da_dict():
     s = build_three_path()
     d = dilation_DA(s)
     return scenario_to_dict(
-        system_dim=3,
-        env_dim=2,
-        outcomes=d.outcomes,
-        phi_init=d.phi_init,
-        povm=povm_DA(s, merge_A=True),
-        states={"plus": Ket(s.system, np.ones(3) / np.sqrt(3.0))},
-        hardy=("D1", "D2", "D3"),
+        Scenario(
+            system_dim=3,
+            env_dim=2,
+            outcomes=d.outcomes,
+            phi_init=d.phi_init,
+            povm=povm_DA(s, merge_A=True),
+            states={"plus": Ket(s.system, np.ones(3) / np.sqrt(3.0))},
+            hardy=("D1", "D2", "D3"),
+        )
     )
 
 
@@ -97,15 +104,7 @@ def test_negative_zero_survives_a_load_and_dump(name):
     text = fixture_path(name).read_text()
     assert "-0.0" in text
     sc = load_scenario(fixture_path(name))
-    raw = scenario_to_dict(
-        system_dim=sc.system_dim,
-        env_dim=sc.env_dim,
-        outcomes=sc.outcomes,
-        phi_init=sc.phi_init,
-        povm=sc.povm,
-        states=sc.states,
-        hardy=sc.hardy,
-    )
+    raw = scenario_to_dict(sc)
     assert json.dumps(raw, indent=2) + "\n" == text
 
 
@@ -139,15 +138,17 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
     space = Space.system(2)
     mixed = DensityMatrix.from_matrix(np.eye(2) / 2.0)
     raw = scenario_to_dict(
-        system_dim=2,
-        povm=Povm(
-            2,
-            (
-                PovmElement("half", operator=Operator(space, np.eye(2) / 2.0)),
-                PovmElement("rest", operator=Operator(space, np.eye(2) / 2.0)),
+        Scenario(
+            system_dim=2,
+            povm=Povm(
+                2,
+                (
+                    PovmElement("half", operator=Operator(space, np.eye(2) / 2.0)),
+                    PovmElement("rest", operator=Operator(space, np.eye(2) / 2.0)),
+                ),
             ),
-        ),
-        states={"mixed": mixed},
+            states={"mixed": mixed},
+        )
     )
     path = tmp_path / "ops.json"
     save_scenario(path, raw)
@@ -264,3 +265,41 @@ def test_unknown_fixture_names_are_rejected():
         fixture_dict("nope")
     with pytest.raises(ScenarioFileError):
         fixture_path("nope")
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios with rank-1 and operator elements, pure and mixed states, and
+    optionally a Naimark dilation and a hardy block; d <= 6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    rank1 = random_rank1_povm(rng, dim, draw(st.integers(max(dim, 3), dim + 3)))
+    space = Space.system(dim)
+    pair = rank1.element("m0").matrix() + rank1.element("m1").matrix()
+    povm = Povm(dim, (PovmElement("pair", operator=Operator(space, pair)),) + rank1.elements[2:])
+    signed_zero = np.full(dim, complex(-0.0, -0.0))
+    signed_zero[-1] = complex(1.0, -0.0)
+    states = {"signed-zero": Ket(space, signed_zero)}
+    for k in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            states[f"pure{k}"] = random_pure_state(rng, dim)
+        else:
+            u = random_unitary(rng, dim)
+            weights = rng.random(dim)
+            rho = (u * (weights / weights.sum())) @ u.conj().T
+            states[f"mixed{k}"] = DensityMatrix.from_matrix((rho + rho.conj().T) / 2.0)
+    dilated = {}
+    if draw(st.booleans()):
+        d = naimark_dilate(rank1)
+        dilated = dict(env_dim=len(rank1), outcomes=d.outcomes, phi_init=d.phi_init)
+    hardy = ("pair", "m2", povm.labels()[-1]) if draw(st.booleans()) else None
+    return Scenario(dim, povm=povm, states=states, hardy=hardy, **dilated)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(scenarios())
+def test_scenario_json_round_trip_is_exact(scenario):
+    first = json.dumps(scenario_to_dict(scenario), indent=2)
+    assert "-0.0" in first
+    again = scenario_to_dict(scenario_from_dict(json.loads(first)))
+    assert json.dumps(again, indent=2) == first
