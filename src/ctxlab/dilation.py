@@ -90,6 +90,11 @@ class JointOutcomeSet:
         return len(self.outcomes)
 
 
+def require_normalised_phi_init(phi_init: Ket, tol: float) -> None:
+    if not phi_init.is_normalized(tol):
+        raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
+
+
 @dataclass(frozen=True)
 class Dilation:
     """A joint outcome set together with the environment's initial state."""
@@ -106,10 +111,7 @@ class Dilation:
                 f"phi_init dim {self.phi_init.space.dim} != environment factor "
                 f"{self.outcomes.space.env_dim}"
             )
-        if not self.phi_init.is_normalized(self.tol):
-            raise ValidationError(
-                "phi_init must be normalised", invariant="phi-init-normalisation"
-            )
+        require_normalised_phi_init(self.phi_init, self.tol)
 
 
 def povm_from_dilation(d: Dilation) -> Povm:
@@ -243,8 +245,7 @@ def context_switch_povm(
         if env.space != phi_init.space or env.space.kind != ENVIRONMENT:
             raise SpaceMismatchError("context states must share phi_init's environment space")
     require_orthonormal(env_kets, tol, "context states are", "context-orthonormality")
-    if not phi_init.is_normalized(tol):
-        raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
+    require_normalised_phi_init(phi_init, tol)
 
     sys_dim = basis[0].space.dim
     require_basis(basis, sys_dim, tol, "readout basis")

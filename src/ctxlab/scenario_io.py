@@ -24,6 +24,7 @@ enforced by the constructed objects themselves.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -50,6 +51,8 @@ def encode_matrix(entries: np.ndarray) -> list[list[list[float]]]:
 
 
 _REAL_TYPES = frozenset((int, float))
+# An entry longer than this is cut in the error that names it.
+_SHOWN_ENTRY_CHARS = 80
 
 
 def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
@@ -69,7 +72,10 @@ def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
             or len(entry) != 2
             or not _REAL_TYPES.issuperset(map(type, entry))
         ):
-            raise ScenarioFileError(f"{what}: expected an [re, im] pair, got {entry!r}")
+            shown = repr(entry)
+            if len(shown) > _SHOWN_ENTRY_CHARS:
+                shown = f"{shown[:_SHOWN_ENTRY_CHARS]}... ({len(shown)} characters)"
+            raise ScenarioFileError(f"{what}: expected an [re, im] pair, got {shown}")
     raise ScenarioFileError(f"{what}: an amplitude is too large for a float")
 
 
@@ -251,8 +257,39 @@ def scenario_to_dict(s: Scenario) -> dict:
     return raw
 
 
+def _dumps(obj: object, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` written at indentation ``pad``, byte for byte.
+
+    Non-empty dicts with ``str`` keys and non-empty lists are walked. A list of
+    finite ``[float, float]`` pairs is written by one ``%`` call whose ``%r``
+    slots are ``float.__repr__``, as in ``json``; every other value goes
+    through ``json.dumps`` itself. Plain loops, not comprehensions, keep one
+    frame per level, so a tree nests as deep as ``json`` allows before
+    ``RecursionError``.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = []
+        for key, value in obj.items():
+            items.append(f"{json.dumps(key)}: {_dumps(value, inner)}")
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if type(obj) is list and obj:
+        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+            flat = tuple(chain.from_iterable(obj))
+            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+                pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+                return ("[\n" + inner + sep.join([pair] * len(obj)) + "\n" + pad + "]") % flat
+        items = []
+        for entry in obj:
+            items.append(_dumps(entry, inner))
+        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
 def save_scenario(path: str | Path, raw: dict) -> None:
-    text = json.dumps(raw, indent=2) + "\n"
+    """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``."""
+    text = _dumps(raw) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:

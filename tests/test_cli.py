@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxlab import (
     DEFAULT_TOL,
+    Scenario,
     encode_matrix,
     encode_vector,
     fixture_dict,
@@ -18,8 +25,11 @@ from ctxlab import (
     load_scenario,
     povm_from_dilation,
     save_scenario,
+    scenario_to_dict,
+    verify_constraints,
 )
 from ctxlab.cli import build_parser, main
+from helpers import phase_aligned_max_err, random_rank1_povm
 
 DA_FILE = str(fixture_path("three-path-DA"))
 VH_FILE = str(fixture_path("three-path-VH"))
@@ -181,6 +191,23 @@ def test_dilate_round_trip(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "povm", "check", str(out_path))
     assert code == 0
     assert "result: ok" in out
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 16))
+def test_dilate_round_trips_through_the_file(seed, dim, extra):
+    p = random_rank1_povm(np.random.default_rng(seed), dim, dim + extra % (2 * dim + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        source, target = Path(tmp) / "povm.json", Path(tmp) / "dilated.json"
+        save_scenario(source, scenario_to_dict(Scenario(dim, povm=p)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["dilate", str(source), "-o", str(target)]) == 0
+        dilation = load_scenario(target).dilation()
+    assert verify_constraints(dilation).ok(DEFAULT_TOL)
+    derived = povm_from_dilation(dilation)
+    assert derived.labels() == p.labels()
+    for el, el2 in zip(p.elements, derived.elements):
+        assert phase_aligned_max_err(el2.vector.amplitudes, el.vector.amplitudes) <= 1e-12
 
 
 def test_dilate_rejects_operator_povms(capsys, tmp_path):
@@ -415,6 +442,21 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ")
+
+
+def test_a_deeply_nested_entry_is_cut_in_the_message(capsys, tmp_path):
+    entry = 0.0
+    for _ in range(900):
+        entry = [entry]
+    raw = {"version": 1, "system_dim": 2, "povm": [{"label": "a", "vector": [[1.0, 0.0], entry]}]}
+    path = tmp_path / "deep-entry.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: povm 'a': expected an [re, im] pair, got [[[[")
+    assert err.rstrip().endswith("... (1803 characters)")
+    assert len(err) < 200
 
 
 _OVERFLOWING_POVMS = {

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ctxlab import (
+    Dilation,
     HardyTriple,
     JointOutcomeSet,
     Ket,
@@ -65,6 +66,7 @@ MATRIX = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 ZERO_WEIGHT = "element 'z' has zero weight"
 OUTCOMES = (("a", tensor(X0, E0)), ("b", tensor(X1, E1)))
+LONG_PHI = Ket(ENV2, [2.0, 0.0])
 
 CASES = {
     "maximizing_state-vector": (
@@ -106,6 +108,14 @@ CASES = {
         lambda: context_switch_povm([(X0, IDENTITY)], [E0, E0], X0),
         ValidationError, "basis-orthonormality",
         "readout basis is not orthonormal (residual 1.000e+00)",
+    ),
+    "dilation-phi-init-normalisation": (
+        lambda: Dilation(_outcome_set(OUTCOMES), LONG_PHI),
+        ValidationError, "phi-init-normalisation", "phi_init must be normalised",
+    ),
+    "context-switch-phi-init-normalisation": (
+        lambda: context_switch_povm([(X0, IDENTITY)], [E0, E1], LONG_PHI),
+        ValidationError, "phi-init-normalisation", "phi_init must be normalised",
     ),
     "basis-mixture-count": (
         lambda: basis_mixture_povm([[E0, E1], [E0]], [0.5, 0.5]),

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +102,14 @@ def test_non_finite_json_amplitudes_reach_the_ket_check(capsys, tmp_path, litera
     assert "invariant violation [finite-amplitudes]" in capsys.readouterr().err
 
 
+def _written(raw: dict) -> str:
+    """The text ``save_scenario`` writes for ``raw``, newlines untranslated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "written.json"
+        save_scenario(path, raw)
+        return path.read_bytes().decode("utf-8")
+
+
 @pytest.mark.parametrize("name", ["three-path-VH", "three-path-DA"])
 def test_negative_zero_survives_a_load_and_dump(name):
     text = fixture_path(name).read_text()
@@ -106,6 +117,7 @@ def test_negative_zero_survives_a_load_and_dump(name):
     sc = load_scenario(fixture_path(name))
     raw = scenario_to_dict(sc)
     assert json.dumps(raw, indent=2) + "\n" == text
+    assert _written(raw).encode("utf-8") == fixture_path(name).read_bytes()
 
 
 def test_dict_round_trip_preserves_everything():
@@ -303,3 +315,44 @@ def test_scenario_json_round_trip_is_exact(scenario):
     assert "-0.0" in first
     again = scenario_to_dict(scenario_from_dict(json.loads(first)))
     assert json.dumps(again, indent=2) == first
+
+
+
+
+# repr switches to exponent form at 1e16 and below 1e-4.
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 9.999e15]
+_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+_texts = st.sampled_from(["", "label", '"\\\n\t\x00\x7f', "\u00e9\u2028", "\U0001f600"]) | st.text()
+_numbers = _floats | st.integers(-(2**70), 2**70) | st.booleans()
+_pairs = st.tuples(_floats, _floats).map(list) | st.lists(_numbers, min_size=1, max_size=3)
+_leaves = (
+    _numbers
+    | _texts
+    | st.none()
+    | st.lists(_pairs, max_size=5)
+    | st.lists(st.tuples(_floats, _floats).map(list), min_size=1, max_size=5)
+    | st.just([])
+    | st.just({})
+)
+_keys = _texts | st.integers() | _floats | st.booleans() | st.none()
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_texts, children, max_size=4)
+    | st.dictionaries(_keys, children, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.dictionaries(_texts, _trees, max_size=4))
+def test_writer_equals_the_indented_json_dump(raw):
+    assert _written(raw) == json.dumps(raw, indent=2) + "\n"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(scenarios())
+def test_writer_equals_the_indented_json_dump_on_scenarios(scenario):
+    raw = scenario_to_dict(scenario)
+    assert _written(raw) == json.dumps(raw, indent=2) + "\n"
