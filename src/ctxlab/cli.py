@@ -76,12 +76,11 @@ def _print_povm_report(p: Povm, tol: float) -> None:
                 f"eigenvalues={_fmt_vector(eigs)}"
             )
     print(f"completeness residual: {_fmt(completeness_check(p))}")
-    vector_elements = [el for el in p.elements if el.is_vector]
-    if len(vector_elements) > 1:
+    positions = [k for k, el in enumerate(p.elements) if el.is_vector]
+    if len(positions) > 1:
         print("gram (vector elements):")
-        matrix = gram([el.vector for el in vector_elements])
-        for el, row in zip(vector_elements, matrix):
-            print(f"  {el.label}: {_fmt_vector(row)}")
+        for k, row in zip(positions, gram(p.vectors[positions])):
+            print(f"  {p.elements[k].label}: {_fmt_vector(row)}")
     _print_graph(context_graph(p, tol))
 
 

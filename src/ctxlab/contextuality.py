@@ -208,25 +208,17 @@ def hardy_embedding_povm(
         scales = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     units = [k.normalized(tol).with_canonical_phase() for k in (f, d1, d2)]
     dim = units[0].space.dim
-    pairs = []
-    total = np.zeros((dim, dim), dtype=complex)
-    for label, scale, unit in zip(labels, scales, units):
-        if scale < 0:
-            raise ValidationError("scales must be nonnegative", invariant="weights")
-        vec = np.sqrt(scale) * unit.amplitudes
-        total += np.outer(vec, vec.conj())
-        pairs.append((label, vec))
-    remainder = np.eye(dim) - total
-    values, vectors = np.linalg.eigh(remainder)
+    if min(scales) < 0:
+        raise ValidationError("scales must be nonnegative", invariant="weights")
+    rows = np.sqrt(scales)[:, None] * np.stack([unit.amplitudes for unit in units])
+    total = (rows[:, :, None] * rows.conj()[:, None, :]).sum(axis=0)  # added in order
+    values, vectors = np.linalg.eigh(np.eye(dim) - total)
     if values[0] < -tol:
         raise ValidationError(
             f"scales leave a negative remainder (eigenvalue {values[0]:.3e})",
             invariant="completion-positivity",
         )
-    rank = 0
-    for idx in range(dim - 1, -1, -1):
-        if values[idx] <= tol:
-            continue
-        rank += 1
-        pairs.append((f"R{rank}", np.sqrt(values[idx]) * fix_phase(vectors[:, idx])))
-    return Povm.from_vectors(pairs, system_dim=dim)
+    kept = np.flatnonzero(values > tol)[::-1]
+    rest = np.sqrt(values[kept])[:, None] * fix_phase(vectors[:, kept].T)
+    names = [*labels, *(f"R{rank}" for rank in range(1, len(kept) + 1))]
+    return Povm.from_vectors(zip(names, np.concatenate([rows, rest])), system_dim=dim)

@@ -30,10 +30,8 @@ from .hilbert import (
     fix_phase,
     gram,
     orthonormality_residual,
-    partial_inner_env,
     require_basis,
     require_orthonormal,
-    tensor,
 )
 from .povm import Povm, label_index, validate_povm
 
@@ -43,13 +41,15 @@ class JointOutcomeSet:
     """Orthonormal joint vectors, one per macroscopically distinct outcome.
 
     ``validate=False`` skips the orthonormality check so that deliberately
-    perturbed sets can be built for diagnostics.
+    perturbed sets can be built for diagnostics. ``vectors`` stacks the
+    amplitudes, one read-only row per outcome.
     """
 
     space: Space
     outcomes: tuple[tuple[str, Ket], ...]
     validate: InitVar[bool] = True
     tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool) -> None:
@@ -67,14 +67,14 @@ class JointOutcomeSet:
                 f"{len(self.outcomes)} outcomes exceed dim {self.space.dim}",
                 invariant="outcome-count",
             )
+        vectors = np.stack([ket.amplitudes for _, ket in self.outcomes])
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
         if validate:
-            require_orthonormal(self.kets(), self.tol, "outcome set is", "outcome-orthonormality")
+            require_orthonormal(vectors, self.tol, "outcome set is", "outcome-orthonormality")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.outcomes)
-
-    def kets(self) -> tuple[Ket, ...]:
-        return tuple(ket for _, ket in self.outcomes)
 
     def ket(self, label: str) -> Ket:
         return self.outcomes[self._index[label]][1]
@@ -84,7 +84,7 @@ class JointOutcomeSet:
         return len(self.outcomes) == self.space.dim
 
     def orthonormality_residual(self) -> float:
-        return orthonormality_residual(self.kets())
+        return orthonormality_residual(self.vectors)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -121,26 +121,25 @@ def povm_from_dilation(d: Dilation) -> Povm:
     kept, so the label set always matches the outcome set. If the outcome set
     is complete the result sums to the identity.
     """
-    pairs = [
-        (label, partial_inner_env(d.phi_init, ket)) for label, ket in d.outcomes.outcomes
-    ]
-    return Povm.from_vectors(pairs, system_dim=d.outcomes.space.sys_dim)
+    lambdas, _ = _components(d)
+    return Povm.from_vectors(zip(d.outcomes.labels(), lambdas), d.outcomes.space.sys_dim)
 
 
-def _raw_components(d: Dilation) -> tuple[list[Ket], list[Ket]]:
-    lambdas, sigmas = [], []
-    for _, m in d.outcomes.outcomes:
-        lam = partial_inner_env(d.phi_init, m)
-        lambdas.append(lam)
-        sigmas.append(m - tensor(d.phi_init, lam))
+def _components(d: Dilation) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lambda(m) = <phi_init|m> and sigma(m) = |m> - |phi_init> (x) |lambda(m)>."""
+    space = d.outcomes.space
+    phi = d.phi_init.amplitudes
+    lambdas = phi.conj() @ d.outcomes.vectors.reshape(-1, space.env_dim, space.sys_dim)
+    sigmas = d.outcomes.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(-1, space.dim)
     return lambdas, sigmas
 
 
 def residual_decompose(d: Dilation) -> JointOutcomeSet:
     """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
-    _, sigmas = _raw_components(d)
-    pairs = tuple(zip(d.outcomes.labels(), sigmas))
-    return JointOutcomeSet(d.outcomes.space, pairs, validate=False)
+    _, sigmas = _components(d)
+    space = d.outcomes.space
+    pairs = tuple((label, Ket(space, s)) for label, s in zip(d.outcomes.labels(), sigmas))
+    return JointOutcomeSet(space, pairs, validate=False)
 
 
 @dataclass(frozen=True)
@@ -163,11 +162,10 @@ def verify_constraints(d: Dilation) -> ConstraintReport:
     Residuals are reported, never raised, so perturbed dilations can be
     quantified.
     """
-    lambdas, sigmas = _raw_components(d)
+    lambdas, sigmas = _components(d)
     total = gram(sigmas) + gram(lambdas)
-    count = len(lambdas)
-    off = total - np.diag(np.diag(total))
-    max_orth = float(np.abs(off).max()) if count > 1 else 0.0
+    off = total[~np.eye(len(total), dtype=bool)]
+    max_orth = float(np.abs(off).max()) if off.size else 0.0
     max_norm = float(np.abs(np.diag(total) - 1.0).max())
     return ConstraintReport(max_orth, max_norm)
 
@@ -191,26 +189,19 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
             )
     validate_povm(p, tol)
 
-    count = len(p.elements)
-    sys_dim = p.system_dim
-    g_sigma = np.eye(count) - gram([el.vector for el in p.elements])
-
-    values, vectors = np.linalg.eigh(g_sigma)
+    count, sys_dim = p.vectors.shape
+    values, vectors = np.linalg.eigh(np.eye(count) - gram(p.vectors))
     keep = values > tol
     # coords[m, j] with conj(coords[m]) . coords[m'] = G_sigma[m, m']
-    coords = np.zeros((count, int(keep.sum())), dtype=complex)
-    for j, idx in enumerate(np.nonzero(keep)[0]):
-        coords[:, j] = np.sqrt(values[idx]) * fix_phase(vectors[:, idx]).conj()
+    coords = (np.sqrt(values[keep])[:, None] * fix_phase(vectors[:, keep].T).conj()).T
 
     joint = Space.joint(count, sys_dim)
-    outcomes = []
-    for m, el in enumerate(p.elements):
-        flat = np.zeros(count * sys_dim, dtype=complex)
-        flat[:sys_dim] = el.vector.amplitudes
-        flat[sys_dim : sys_dim + coords.shape[1]] = coords[m]
-        outcomes.append((el.label, Ket(joint, flat)))
+    flat = np.zeros((count, count * sys_dim), dtype=complex)
+    flat[:, :sys_dim] = p.vectors
+    flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
+    outcomes = tuple((label, Ket(joint, row)) for label, row in zip(p.labels(), flat))
     phi = basis_ket(Space.environment(count), 0)
-    return Dilation(JointOutcomeSet(joint, tuple(outcomes), tol=tol), phi, tol=tol)
+    return Dilation(JointOutcomeSet(joint, outcomes, tol=tol), phi, tol=tol)
 
 
 def context_switch_povm(
@@ -250,7 +241,8 @@ def context_switch_povm(
     sys_dim = basis[0].space.dim
     require_basis(basis, sys_dim, tol, "readout basis")
 
-    pairs: list[tuple[str, np.ndarray]] = []
+    readout = np.stack([ket.amplitudes for ket in basis])[:, :, None]
+    names, blocks = [], []
     for x, (env, unitary) in enumerate(contexts):
         if unitary.space.dim != sys_dim:
             raise SpaceMismatchError(f"context {x} unitary does not act on the system")
@@ -262,9 +254,7 @@ def context_switch_povm(
                 f"context {x} operator is not unitary (residual {gap:.3e})",
                 invariant="unitarity",
             )
-        coeff = phi_init.inner(env)
-        rotated = unitary.entries.conj().T
-        for a, ket in enumerate(basis):
-            label = labels[x][a] if labels is not None else f"{x}:{a}"
-            pairs.append((label, coeff * (rotated @ ket.amplitudes)))
-    return Povm.from_vectors(pairs, system_dim=sys_dim)
+        # Stacked matrix-vector products round each row as U^dag |a> alone does.
+        blocks.append(phi_init.inner(env) * (unitary.entries.conj().T @ readout)[:, :, 0])
+        names += [labels[x][a] if labels is not None else f"{x}:{a}" for a in range(sys_dim)]
+    return Povm.from_vectors(zip(names, np.concatenate(blocks)), system_dim=sys_dim)

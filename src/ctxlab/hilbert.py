@@ -21,6 +21,7 @@ JOINT = "joint"
 _KINDS = (SYSTEM, ENVIRONMENT, JOINT)
 
 DEFAULT_TOL = 1e-9
+Vectors = Sequence["Ket"] | np.ndarray  # kets on one space, or the rows of a stack
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,17 @@ class Space:
 def fix_phase(vector: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the largest-magnitude entry is real positive.
 
-    Ties pick the first index; the zero vector is returned unchanged.
+    A 2-D array is a stack of rows, each rotated alone with scalar ``abs`` and
+    division (their array forms can differ by an ulp). Ties pick the first
+    index; zero vectors are returned unchanged.
     """
-    v = np.array(vector, dtype=complex).reshape(-1)
-    pivot = v[int(np.argmax(np.abs(v)))]
-    if abs(pivot) == 0.0:
-        return v
-    return v * (pivot.conjugate() / abs(pivot))
+    v = np.array(vector, dtype=complex, order="C")
+    rows = v if v.ndim == 2 else v.reshape(1, -1)
+    for row in rows:
+        pivot = row[int(np.argmax(np.abs(row)))]
+        if abs(pivot) != 0.0:
+            row *= pivot.conjugate() / abs(pivot)
+    return v if v.ndim == 2 else rows[0]
 
 
 @dataclass(frozen=True)
@@ -228,24 +233,23 @@ def partial_inner_env(phi: Ket, m: Ket) -> Ket:
     return Ket(Space.system(m.space.sys_dim), phi.amplitudes.conj() @ table)
 
 
-def gram(vectors: Sequence[Ket]) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = <v_i|v_j> of same-space vectors."""
+def gram(vectors: Vectors) -> np.ndarray:
+    """Hermitian Gram matrix G[i, j] = <v_i|v_j> of same-space kets or of a stack's rows."""
     if len(vectors) == 0:
         raise ValidationError("gram of an empty vector list", invariant="nonempty")
-    space = vectors[0].space
-    for v in vectors[1:]:
-        if v.space != space:
+    if not isinstance(vectors, np.ndarray):
+        if any(v.space != vectors[0].space for v in vectors[1:]):
             raise SpaceMismatchError("gram needs vectors on one common space")
-    stack = np.stack([v.amplitudes for v in vectors])
-    return stack.conj() @ stack.T
+        vectors = np.stack([v.amplitudes for v in vectors])
+    return vectors.conj() @ vectors.T
 
 
-def orthonormality_residual(vectors: Sequence[Ket]) -> float:
+def orthonormality_residual(vectors: Vectors) -> float:
     """Max-entry residual of gram(vectors) - identity."""
     return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
 
 
-def require_orthonormal(vectors: Sequence[Ket], tol: float, what: str, invariant: str) -> None:
+def require_orthonormal(vectors: Vectors, tol: float, what: str, invariant: str) -> None:
     """Raise ``invariant`` unless the vectors are orthonormal within tol.
 
     ``what`` starts the message, e.g. ``"readout basis is"``.

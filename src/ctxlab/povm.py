@@ -8,7 +8,7 @@ and the probability that the environment selects its measurement context.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,11 +84,14 @@ class Povm:
 
     Construction does not enforce completeness, so partial collections can be
     inspected; ``completeness_check`` reports the residual and
-    ``validate_povm`` raises on violations.
+    ``validate_povm`` raises on violations. ``vectors`` holds one read-only
+    complex row per element: its amplitudes, or zeros for an operator element.
     """
 
     system_dim: int
     elements: tuple[PovmElement, ...]
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    _is_vector: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -101,18 +104,24 @@ class Povm:
                 raise SpaceMismatchError(
                     f"element {el.label!r} has dim {el.dim}, POVM has {self.system_dim}"
                 )
+        zero = np.zeros(self.system_dim, dtype=complex)
+        rows = [zero if el.vector is None else el.vector.amplitudes for el in self.elements]
+        vectors = np.array(rows, dtype=complex)
+        is_vector = np.array([el.vector is not None for el in self.elements])
+        for array, name in ((vectors, "vectors"), (is_vector, "_is_vector")):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def from_vectors(
         cls,
-        labelled_vectors: Sequence[tuple[str, Ket | np.ndarray]],
+        labelled_vectors: Iterable[tuple[str, Ket | np.ndarray]],
         system_dim: int | None = None,
     ) -> Povm:
         """Build a rank-1 POVM, canonicalising each vector's global phase."""
         elements = []
         for label, vec in labelled_vectors:
-            amps = vec.amplitudes if isinstance(vec, Ket) else vec
-            amps = fix_phase(np.asarray(amps, dtype=complex))
+            amps = fix_phase(np.reshape(vec.amplitudes if isinstance(vec, Ket) else vec, -1))
             if system_dim is None:
                 system_dim = amps.shape[0]
             elements.append(PovmElement(str(label), vector=Ket(Space.system(system_dim), amps)))
@@ -173,23 +182,34 @@ class DensityMatrix:
         return self.op.space.dim
 
 
+def _element_sum(p: Povm, positions: np.ndarray) -> np.ndarray:
+    """Sum of the elements at ``positions`` as a dense matrix, added in that order."""
+    rows = p.vectors[positions]
+    stack = rows[:, :, None] * rows.conj()[:, None, :]
+    for k in np.flatnonzero(~p._is_vector[positions]):
+        stack[k] = p.elements[positions[k]].operator.entries
+    return stack.sum(axis=0)
+
+
+def _selection_weights(p: Povm) -> np.ndarray:
+    """Each element's ``context_selection_probability``; rank-1 weights round as ``np.vdot``."""
+    rows = p.vectors
+    weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
+    for k in np.flatnonzero(~p._is_vector):
+        weights[k] = context_selection_probability(p, p.elements[k].label)
+    return weights
+
+
 def completeness_check(p: Povm) -> float:
     """Max-entry residual of (sum of elements) - identity."""
-    total = np.zeros((p.system_dim, p.system_dim), dtype=complex)
-    for el in p.elements:
-        total += el.matrix()
-    return float(np.abs(total - np.eye(p.system_dim)).max())
+    return float(np.abs(_element_sum(p, np.arange(len(p))) - np.eye(p.system_dim)).max())
 
 
 def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
-    worst = 0.0
-    for el in p.elements:
-        if el.is_vector:
-            worst = max(worst, el.weight() - 1.0)
-        else:
-            eigs = np.linalg.eigvalsh(el.operator.entries)
-            worst = max(worst, float(-eigs[0]), float(eigs[-1] - 1.0))
+    worst = max(0.0, float(_selection_weights(p).max()) - 1.0)
+    for k in np.flatnonzero(~p._is_vector):
+        worst = max(worst, float(-np.linalg.eigvalsh(p.elements[k].operator.entries)[0]))
     return worst
 
 
@@ -288,22 +308,23 @@ def _support_projector(el: PovmElement, tol: float) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def _context_relations(elements: Sequence[PovmElement], tol: float) -> tuple[np.ndarray, ...]:
+def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Witness, shared and proportional matrices of the rule in ``share_context``.
 
+    Rows and columns follow ``positions``, which must name nonzero elements.
     All rank-1 pairs come from one Gram matrix of the unit rows,
     |G_ij| / sqrt(w_i w_j); only pairs involving an operator element take a
     support-projector commutator.
     """
-    is_vector = np.array([el.is_vector for el in elements], dtype=bool)
+    is_vector = p._is_vector[positions]
     both_vectors = np.outer(is_vector, is_vector)
     witness = np.zeros(both_vectors.shape)
     if is_vector.any():
-        rows = np.stack([el.vector.amplitudes for el in elements if el.is_vector])
+        rows = p.vectors[positions[is_vector]]
         units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
     if not is_vector.all():
-        projectors = [_support_projector(el, tol) for el in elements]
+        projectors = [_support_projector(p.elements[k], tol) for k in positions]
         for i, j in np.argwhere(np.triu(~both_vectors, 1)):
             commutator = projectors[i] @ projectors[j] - projectors[j] @ projectors[i]
             witness[i, j] = witness[j, i] = np.linalg.norm(commutator, 2)
@@ -319,14 +340,14 @@ def share_context(p: Povm, label1: str, label2: str, tol: float = DEFAULT_TOL) -
     operator elements share a context iff their support projectors commute;
     the witness is then the spectral norm of the commutator.
     """
-    pair = (p.element(label1), p.element(label2))
-    for el in pair:
-        require_context_weight(p, el.label, tol)
-    witness, shared, proportional = _context_relations(pair, tol)
+    positions = np.array([p._index[label1], p._index[label2]])
+    for label in (label1, label2):
+        require_context_weight(p, label, tol)
+    witness, shared, proportional = _context_relations(p, positions, tol)
     return ContextRelation(
         shared=bool(shared[0, 1]),
         witness=float(witness[0, 1]),
-        test="inner-product" if pair[0].is_vector and pair[1].is_vector else "commutator",
+        test="inner-product" if p._is_vector[positions].all() else "commutator",
         proportional=bool(proportional[0, 1]),
     )
 
@@ -358,15 +379,16 @@ class ContextGraph:
 
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     """Pairwise context-sharing structure; zero-weight outcomes are skipped."""
-    live = [context_selection_probability(p, el.label) > tol for el in p.elements]
-    nodes = [el for el, keep in zip(p.elements, live) if keep]
-    skipped = tuple(el.label for el, keep in zip(p.elements, live) if not keep)
-    witness, shared, _ = _context_relations(nodes, tol)
+    labels = p.labels()
+    weights = _selection_weights(p)
+    live = np.flatnonzero(weights > tol)
+    nodes = tuple(labels[k] for k in live)
+    witness, shared, _ = _context_relations(p, live, tol)
     edges = tuple(
-        (nodes[i].label, nodes[j].label, float(witness[i, j]))
+        (nodes[i], nodes[j], float(witness[i, j]))
         for i, j in zip(*np.nonzero(np.triu(shared, 1)))
     )
-    return ContextGraph(tuple(el.label for el in nodes), edges, skipped)
+    return ContextGraph(nodes, edges, tuple(labels[k] for k in np.flatnonzero(weights <= tol)))
 
 
 def coarse_grain(
@@ -381,9 +403,8 @@ def coarse_grain(
     merge = [str(label) for label in labels_to_merge]
     if not merge:
         raise ValidationError("nothing to merge", invariant="nonempty")
-    total = np.zeros((p.system_dim, p.system_dim), dtype=complex)
-    for label in merge:
-        total += p.element(label).matrix()
+    positions = np.array([p._index[label] for label in merge])
+    total = _element_sum(p, positions)
 
     space = Space.system(p.system_dim)
     values, vectors = np.linalg.eigh(total)
@@ -393,16 +414,9 @@ def coarse_grain(
     else:
         merged = PovmElement(new_label, operator=Operator(space, total), tol=tol)
 
-    merge_set = set(merge)
-    elements: list[PovmElement] = []
-    placed = False
-    for el in p.elements:
-        if el.label in merge_set:
-            if not placed:
-                elements.append(merged)
-                placed = True
-            continue
-        elements.append(el)
+    drop = set(positions.tolist())
+    elements = [el for k, el in enumerate(p.elements) if k not in drop]
+    elements.insert(min(drop), merged)  # nothing before the first merged element was dropped
     return Povm(p.system_dim, tuple(elements))
 
 
@@ -439,11 +453,10 @@ def basis_mixture_povm(
         raise ValidationError(f"weights sum to {w.sum()!r} != 1", invariant="weights")
 
     dim = bases[0][0].space.dim
-    pairs: list[tuple[str, Ket]] = []
+    names, blocks = [], []
     for x, basis in enumerate(bases):
         require_basis(basis, dim, tol, f"basis {x}")
         scale = np.sqrt(max(float(w[x]), 0.0))
-        for a, ket in enumerate(basis):
-            label = labels[x][a] if labels is not None else f"{x}:{a}"
-            pairs.append((label, scale * ket))
-    return Povm.from_vectors(pairs, system_dim=dim)
+        blocks.append(np.stack([ket.amplitudes for ket in basis]) * scale)
+        names += [labels[x][a] if labels is not None else f"{x}:{a}" for a in range(dim)]
+    return Povm.from_vectors(zip(names, np.concatenate(blocks)), system_dim=dim)

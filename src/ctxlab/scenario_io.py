@@ -289,8 +289,9 @@ def _dumps(obj: object, pad: str = "") -> str:
 
 def save_scenario(path: str | Path, raw: dict) -> None:
     """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``."""
-    text = _dumps(raw) + "\n"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_text(_dumps(raw) + "\n", encoding="utf-8")
     except OSError as exc:
         raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioFileError(f"cannot write {path}: the data nests too deeply") from exc

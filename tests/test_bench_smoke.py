@@ -30,6 +30,11 @@ def test_paper_fixtures_benchmark_is_correct():
     _assert_benchmark_is_correct("paper-fixtures")
 
 
+def test_grown_context_benchmark_is_correct():
+    """The context graphs at M = 64 and 128 match the plain-numpy edge sets."""
+    _assert_benchmark_is_correct("grown-context")
+
+
 def test_dilation_roundtrip_benchmark_is_correct():
     """Every file `dilate` writes is checked against a plain-numpy round trip."""
     _assert_benchmark_is_correct("dilation-roundtrip")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ctxlab import (
     DEFAULT_TOL,
     Scenario,
+    decode_vector,
     encode_matrix,
     encode_vector,
     fixture_dict,
@@ -480,3 +481,38 @@ def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
     assert code == 4
     assert out == ""
     assert err.startswith("numerical failure: ")
+
+
+def _state_of(out: str) -> np.ndarray:
+    line = out.splitlines()[1]
+    assert line.startswith("state [") and line.endswith("]")
+    return np.array([complex(z) for z in line[len("state [") : -1].split(", ")])
+
+
+def test_max_violation_prints_complex_amplitudes(capsys, tmp_path):
+    phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+    raw = fixture_dict("hardy")
+    for entry in raw["povm"] + raw["states"]:
+        entry["vector"] = encode_vector(phases * decode_vector(entry["vector"], 3, "vector"))
+    path = tmp_path / "rotated.json"
+    save_scenario(path, raw)
+    code, out, _ = run_cli(capsys, "max-violation", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "max violation 0.228713553878"
+    assert "j" in out.splitlines()[1]
+    rotated = _state_of(out)
+    _, plain, _ = run_cli(capsys, "max-violation", HARDY_FILE)
+    assert phase_aligned_max_err(rotated, phases * _state_of(plain)) <= 1e-9
+
+
+def test_inequality_asks_for_a_state_when_the_file_has_several(capsys, tmp_path):
+    raw = fixture_dict("hardy")
+    raw["states"].append({"label": "x", "vector": encode_vector(np.array([1.0, 0.0, 0.0]))})
+    path = tmp_path / "two-states.json"
+    save_scenario(path, raw)
+    code, _, err = run_cli(capsys, "inequality", str(path))
+    assert code == 2
+    assert "choose a state with --state; the file has none or several" in err
+    code, out, _ = run_cli(capsys, "inequality", str(path), "--state", "x")
+    assert code == 0
+    assert out.splitlines()[-1] == "state x"

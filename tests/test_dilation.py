@@ -23,6 +23,7 @@ from ctxlab import (
     dilation_VH,
     gram,
     naimark_dilate,
+    partial_inner_env,
     povm_from_dilation,
     residual_decompose,
     tensor,
@@ -306,3 +307,20 @@ def test_dilations_record_the_tol_that_validated_them():
         d = build(s, tol=1e-6)
         assert d.tol == 1e-6 and d.outcomes.tol == 1e-6
         assert build(s).tol == 1e-9
+
+
+def test_outcome_vectors_stack_the_kets_read_only():
+    d = dilation_DA(build_three_path())
+    stack = np.stack([ket.amplitudes for _, ket in d.outcomes.outcomes])
+    assert np.array_equal(d.outcomes.vectors, stack)
+    assert not d.outcomes.vectors.flags.writeable
+
+
+def test_residual_rows_equal_the_per_outcome_contraction_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for env_dim, sys_dim in ((2, 3), (3, 2), (4, 4)):
+        d = _random_dilation(rng, env_dim, sys_dim)
+        sigmas = residual_decompose(d).vectors
+        for k, (_, m) in enumerate(d.outcomes.outcomes):
+            expected = m - tensor(d.phi_init, partial_inner_env(d.phi_init, m))
+            assert np.array_equal(sigmas[k].view(float), expected.amplitudes.view(float))

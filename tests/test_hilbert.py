@@ -18,6 +18,7 @@ from ctxlab import (
     partial_inner_env,
     tensor,
 )
+from ctxlab.hilbert import orthonormality_residual
 from helpers import random_pure_state, random_rank1_povm, random_unitary
 from oracles import hermitian3_eigvals
 
@@ -221,3 +222,40 @@ def test_operator_apply_and_unitary_invariants():
     assert abs(op.apply(psi).norm() - 1.0) <= 1e-12
     with pytest.raises(SpaceMismatchError):
         op.apply(basis_ket(ENV2, 0))
+
+
+def _scalar_fix_phase(row: np.ndarray) -> np.ndarray:
+    """One vector rotated with Python-scalar abs and division, the reference arithmetic."""
+    pivot = row[int(np.argmax(np.abs(row)))]
+    return row.copy() if abs(pivot) == 0.0 else row * (pivot.conjugate() / abs(pivot))
+
+
+def test_fix_phase_on_a_stack_matches_it_row_by_row():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        stack = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
+        stack[rng.random(8) < 0.25] = 0.0
+        tied = rng.integers(8)
+        stack[tied, 3], stack[tied, 11] = 10.0 * (1.0 + 1.0j), 10.0 * (1.0 - 1.0j)
+        before = stack.copy()
+        expected = np.stack([_scalar_fix_phase(row) for row in stack])
+        fixed = fix_phase(stack)
+        assert np.array_equal(fixed.view(float), expected.view(float))
+        for row, want in zip(stack, expected):
+            assert np.array_equal(fix_phase(row).view(float), want.view(float))
+        assert np.array_equal(stack.view(float), before.view(float))  # the input is left as it was
+    # the first of the two maximal entries wins the tie
+    assert fixed[tied, 3].imag == 0.0 < fixed[tied, 3].real and fixed[tied, 11].imag != 0.0
+
+
+def test_gram_and_orthonormality_residual_accept_a_stack():
+    rng = np.random.default_rng(73)
+    kets = [random_pure_state(rng, 3) for _ in range(4)]
+    stack = np.stack([k.amplitudes for k in kets])
+    assert np.array_equal(gram(stack), gram(kets))
+    basis = random_unitary(rng, 3).T
+    assert orthonormality_residual(basis) == orthonormality_residual(
+        [Ket(SYS3, row) for row in basis]
+    )
+    with pytest.raises(ValidationError):
+        gram(np.zeros((0, 3)))

@@ -477,3 +477,34 @@ def test_elements_and_states_record_the_tol_that_validated_them():
     element = PovmElement("a", operator=Operator(psi.space, np.eye(2)), tol=1e-6)
     assert element.tol == 1e-6
     assert "tol" not in repr(PovmElement("b", vector=psi, tol=1e-6))
+
+
+def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
+    rng = np.random.default_rng(43)
+    u = random_unitary(rng, 3)
+    space = Space.system(3)
+    half = Operator(space, 0.5 * np.outer(u[:, 0], u[:, 0].conj()))
+    plane = Operator(space, np.outer(u[:, 1], u[:, 1].conj()) + np.outer(u[:, 2], u[:, 2].conj()))
+    p = Povm(3, (PovmElement("half", operator=half), PovmElement("plane", operator=plane)))
+    psi = random_pure_state(rng, 3)
+    overlap = abs(np.vdot(u[:, 0], psi.amplitudes)) ** 2
+    assert abs(probability(p, psi, "half") - 0.5 * overlap) <= 1e-12
+    assert abs(rescaled_probability(p, psi, "half") - overlap) <= 1e-12
+    rho = maximizing_state(p, "half")
+    assert np.abs(rho.matrix - np.outer(u[:, 0], u[:, 0].conj())).max() <= 1e-12
+    assert abs(probability(p, rho, "half") - 0.5) <= 1e-12
+    with pytest.raises(ValidationError) as err:
+        maximizing_state(p, "plane")
+    assert err.value.invariant == "rank-one"
+
+
+def test_vectors_hold_one_read_only_row_per_element(da_povm):
+    merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
+    assert merged.vectors.shape == (len(merged), 3) and merged.vectors.dtype == complex
+    for row, el in zip(merged.vectors, merged.elements):
+        assert np.array_equal(row, el.vector.amplitudes if el.is_vector else np.zeros(3))
+    assert not merged.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        merged.vectors[0, 0] = 1.0
+    identity = Povm(2, (PovmElement("I", operator=Operator.identity(Space.system(2))),))
+    assert identity.vectors.dtype == complex and not identity.vectors.any()

@@ -356,3 +356,30 @@ def test_writer_equals_the_indented_json_dump(raw):
 def test_writer_equals_the_indented_json_dump_on_scenarios(scenario):
     raw = scenario_to_dict(scenario)
     assert _written(raw) == json.dumps(raw, indent=2) + "\n"
+
+
+def test_saving_a_too_deeply_nested_dict_is_a_file_error(tmp_path):
+    tree: list = []
+    for _ in range(1200):
+        tree = [tree]
+    path = tmp_path / "deep.json"
+    with pytest.raises(ScenarioFileError, match="nests too deeply"):
+        save_scenario(path, {"tree": tree})
+    assert not path.exists()
+
+
+def test_env_dim_without_a_dilation_loads_and_saves_back_unchanged(tmp_path):
+    raw = {
+        "version": 1,
+        "system_dim": 2,
+        "env_dim": 3,
+        "povm": [{"label": "I", "matrix": encode_matrix(np.eye(2))}],
+    }
+    path = tmp_path / "env-only.json"
+    save_scenario(path, raw)
+    scenario = load_scenario(path)
+    assert scenario.env_dim == 3
+    assert scenario.outcomes is None and scenario.phi_init is None
+    again = tmp_path / "again.json"
+    save_scenario(again, scenario_to_dict(scenario))
+    assert again.read_bytes() == path.read_bytes()
