@@ -13,8 +13,9 @@ and ``naimark_dilate`` rebuilds a dilation from any complete rank-1 POVM.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+import functools
+from collections.abc import Iterable, Sequence
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -31,63 +32,109 @@ from .hilbert import (
     gram,
     orthonormality_residual,
     require_basis,
+    require_finite,
     require_orthonormal,
 )
 from .povm import Povm, label_index, validate_povm
 
 
-@dataclass(frozen=True)
 class JointOutcomeSet:
     """Orthonormal joint vectors, one per macroscopically distinct outcome.
 
     ``validate=False`` skips the orthonormality check so that deliberately
-    perturbed sets can be built for diagnostics. ``vectors`` stacks the
-    amplitudes, one read-only row per outcome.
+    perturbed sets can be built for diagnostics. The labels and ``vectors``,
+    one read-only row of amplitudes per outcome, are the storage; ``outcomes``
+    builds the ``(label, Ket)`` pairs on first access. Instances are immutable.
     """
 
-    space: Space
-    outcomes: tuple[tuple[str, Ket], ...]
-    validate: InitVar[bool] = True
-    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
-    vectors: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, validate: bool) -> None:
-        if self.space.kind != JOINT:
-            raise SpaceMismatchError("outcome sets live on joint spaces")
-        object.__setattr__(self, "outcomes", tuple((str(l), k) for l, k in self.outcomes))
-        if not self.outcomes:
-            raise ValidationError("at least one outcome is required", invariant="nonempty")
-        object.__setattr__(self, "_index", label_index(self.labels()))
-        for label, ket in self.outcomes:
-            if ket.space != self.space:
+    def __init__(
+        self,
+        space: Space,
+        outcomes: Iterable[tuple[str, Ket]],
+        validate: bool = True,
+        tol: float = DEFAULT_TOL,
+    ) -> None:
+        _require_joint(space)
+        outcomes = tuple((str(label), ket) for label, ket in outcomes)
+        index = _outcome_index(tuple(label for label, _ in outcomes))
+        for label, ket in outcomes:
+            if ket.space != space:
                 raise SpaceMismatchError(f"outcome {label!r} is not on the joint space")
-        if len(self.outcomes) > self.space.dim:
+        vectors = np.stack([ket.amplitudes for _, ket in outcomes])
+        self._fill(space, index, vectors, validate, tol)
+        self.__dict__["outcomes"] = outcomes
+
+    @classmethod
+    def _from_stack(
+        cls,
+        space: Space,
+        labels: Sequence[str],
+        vectors: np.ndarray,
+        validate: bool = True,
+        tol: float = DEFAULT_TOL,
+    ) -> JointOutcomeSet:
+        """An outcome set over an ``(M, space.dim)`` stack, checked as the constructor does."""
+        _require_joint(space)
+        index = _outcome_index(tuple(labels))
+        require_finite(vectors)
+        s = cls.__new__(cls)
+        s._fill(space, index, vectors, validate, tol)
+        return s
+
+    def _fill(
+        self, space: Space, index: dict, vectors: np.ndarray, validate: bool, tol: float
+    ) -> None:
+        if len(index) > space.dim:
             raise ValidationError(
-                f"{len(self.outcomes)} outcomes exceed dim {self.space.dim}",
-                invariant="outcome-count",
+                f"{len(index)} outcomes exceed dim {space.dim}", invariant="outcome-count"
             )
-        vectors = np.stack([ket.amplitudes for _, ket in self.outcomes])
         vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        self.__dict__.update(space=space, tol=tol, vectors=vectors, _index=index)
         if validate:
-            require_orthonormal(vectors, self.tol, "outcome set is", "outcome-orthonormality")
+            require_orthonormal(vectors, tol, "outcome set is", "outcome-orthonormality")
+
+    @functools.cached_property
+    def outcomes(self) -> tuple[tuple[str, Ket], ...]:
+        rows = zip(self._index, self.vectors)
+        return tuple((label, Ket(self.space, row)) for label, row in rows)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.outcomes)
+        return tuple(self._index)
 
     def ket(self, label: str) -> Ket:
         return self.outcomes[self._index[label]][1]
 
     @property
     def complete(self) -> bool:
-        return len(self.outcomes) == self.space.dim
+        return len(self) == self.space.dim
 
     def orthonormality_residual(self) -> float:
         return orthonormality_residual(self.vectors)
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self._index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.outcomes) == (other.space, other.outcomes)
+
+    def __repr__(self) -> str:
+        return f"JointOutcomeSet(space={self.space!r}, outcomes={self.outcomes!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _require_joint(space: Space) -> None:
+    if space.kind != JOINT:
+        raise SpaceMismatchError("outcome sets live on joint spaces")
+
+
+def _outcome_index(labels: tuple[str, ...]) -> dict[str, int]:
+    if not labels:
+        raise ValidationError("at least one outcome is required", invariant="nonempty")
+    return label_index(labels)
 
 
 def require_normalised_phi_init(phi_init: Ket, tol: float) -> None:
@@ -121,25 +168,29 @@ def povm_from_dilation(d: Dilation) -> Povm:
     kept, so the label set always matches the outcome set. If the outcome set
     is complete the result sums to the identity.
     """
-    lambdas, _ = _components(d)
-    return Povm.from_vectors(zip(d.outcomes.labels(), lambdas), d.outcomes.space.sys_dim)
+    return Povm.from_vectors(zip(d.outcomes.labels(), _lambdas(d)), d.outcomes.space.sys_dim)
+
+
+def _lambdas(d: Dilation) -> np.ndarray:
+    """Rows lambda(m) = <phi_init|m>."""
+    space = d.outcomes.space
+    phi = d.phi_init.amplitudes
+    return phi.conj() @ d.outcomes.vectors.reshape(-1, space.env_dim, space.sys_dim)
 
 
 def _components(d: Dilation) -> tuple[np.ndarray, np.ndarray]:
-    """Rows lambda(m) = <phi_init|m> and sigma(m) = |m> - |phi_init> (x) |lambda(m)>."""
-    space = d.outcomes.space
+    """Rows lambda(m) and sigma(m) = |m> - |phi_init> (x) |lambda(m)>."""
+    lambdas = _lambdas(d)
     phi = d.phi_init.amplitudes
-    lambdas = phi.conj() @ d.outcomes.vectors.reshape(-1, space.env_dim, space.sys_dim)
-    sigmas = d.outcomes.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(-1, space.dim)
+    sigmas = d.outcomes.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(len(lambdas), -1)
     return lambdas, sigmas
 
 
 def residual_decompose(d: Dilation) -> JointOutcomeSet:
     """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
     _, sigmas = _components(d)
-    space = d.outcomes.space
-    pairs = tuple((label, Ket(space, s)) for label, s in zip(d.outcomes.labels(), sigmas))
-    return JointOutcomeSet(space, pairs, validate=False)
+    outcomes = d.outcomes
+    return JointOutcomeSet._from_stack(outcomes.space, outcomes.labels(), sigmas, validate=False)
 
 
 @dataclass(frozen=True)
@@ -182,11 +233,9 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
 
     Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """
-    for el in p.elements:
-        if not el.is_vector:
-            raise ValidationError(
-                f"element {el.label!r} is not rank one", invariant="rank-one-elements"
-            )
+    if p._operators:
+        label = p.labels()[min(p._operators)]
+        raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one-elements")
     validate_povm(p, tol)
 
     count, sys_dim = p.vectors.shape
@@ -199,9 +248,8 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     flat = np.zeros((count, count * sys_dim), dtype=complex)
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
-    outcomes = tuple((label, Ket(joint, row)) for label, row in zip(p.labels(), flat))
-    phi = basis_ket(Space.environment(count), 0)
-    return Dilation(JointOutcomeSet(joint, outcomes, tol=tol), phi, tol=tol)
+    outcomes = JointOutcomeSet._from_stack(joint, p.labels(), flat, tol=tol)
+    return Dilation(outcomes, basis_ket(Space.environment(count), 0), tol=tol)
 
 
 def context_switch_povm(

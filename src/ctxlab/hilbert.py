@@ -82,6 +82,12 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
     return v if v.ndim == 2 else rows[0]
 
 
+def require_finite(amplitudes: np.ndarray) -> None:
+    """Raise ``finite-amplitudes`` unless every amplitude (of a ket or a stack) is finite."""
+    if not np.isfinite(amplitudes).all():
+        raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
+
+
 @dataclass(frozen=True)
 class Ket:
     """An immutable vector over a labelled space. Not necessarily normalised."""
@@ -95,8 +101,7 @@ class Ket:
             raise SpaceMismatchError(
                 f"{amps.shape[0]} amplitudes for a dim-{self.space.dim} space"
             )
-        if not np.isfinite(amps).all():
-            raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
+        require_finite(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

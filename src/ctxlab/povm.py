@@ -8,13 +8,23 @@ and the probability that the environment selects its measurement context.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
 from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
-from .hilbert import DEFAULT_TOL, SYSTEM, Ket, Operator, Space, fix_phase, require_basis
+from .hilbert import (
+    DEFAULT_TOL,
+    SYSTEM,
+    Ket,
+    Operator,
+    Space,
+    fix_phase,
+    require_basis,
+    require_finite,
+)
 
 
 class _LabelIndex(dict):
@@ -78,39 +88,59 @@ class PovmElement:
         return np.array(self.operator.entries)
 
 
-@dataclass(frozen=True)
 class Povm:
     """An ordered, labelled POVM on a system space.
 
     Construction does not enforce completeness, so partial collections can be
     inspected; ``completeness_check`` reports the residual and
-    ``validate_povm`` raises on violations. ``vectors`` holds one read-only
-    complex row per element: its amplitudes, or zeros for an operator element.
+    ``validate_povm`` raises on violations. The labels and ``vectors`` are the
+    storage: one read-only complex row per element, its amplitudes or zeros for
+    an operator element, whose ``PovmElement`` is kept beside the stack.
+    ``elements`` builds the other ``PovmElement`` objects on first access.
+    Instances are immutable.
     """
 
-    system_dim: int
-    elements: tuple[PovmElement, ...]
-    vectors: np.ndarray = field(init=False, repr=False, compare=False)
-    _is_vector: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
-            raise ValidationError("a POVM needs at least one element", invariant="nonempty")
-        object.__setattr__(self, "_index", label_index(self.labels()))
-        for el in self.elements:
-            if el.dim != self.system_dim:
+    def __init__(self, system_dim: int, elements: Iterable[PovmElement]) -> None:
+        elements = tuple(elements)
+        index = _element_index(tuple(el.label for el in elements))
+        for el in elements:
+            if el.dim != system_dim:
                 raise SpaceMismatchError(
-                    f"element {el.label!r} has dim {el.dim}, POVM has {self.system_dim}"
+                    f"element {el.label!r} has dim {el.dim}, POVM has {system_dim}"
                 )
-        zero = np.zeros(self.system_dim, dtype=complex)
-        rows = [zero if el.vector is None else el.vector.amplitudes for el in self.elements]
-        vectors = np.array(rows, dtype=complex)
-        is_vector = np.array([el.vector is not None for el in self.elements])
-        for array, name in ((vectors, "vectors"), (is_vector, "_is_vector")):
+        zero = np.zeros(system_dim, dtype=complex)
+        rows = [zero if el.vector is None else el.vector.amplitudes for el in elements]
+        operators = {k: el for k, el in enumerate(elements) if el.vector is None}
+        self._fill(system_dim, index, np.array(rows, dtype=complex), operators)
+        self.__dict__["elements"] = elements
+
+    @classmethod
+    def _from_stack(
+        cls,
+        system_dim: int,
+        labels: Sequence[str],
+        vectors: np.ndarray,
+        operators: dict[int, PovmElement] | None = None,
+    ) -> Povm:
+        """A POVM over an ``(M, system_dim)`` stack, taken as it is.
+
+        ``operators`` maps the positions of operator elements, whose rows are
+        zero, to their elements. Raises what ``Povm(system_dim, elements)``
+        would for empty or repeated labels and for non-finite amplitudes.
+        """
+        index = _element_index(tuple(labels))
+        require_finite(vectors)
+        p = cls.__new__(cls)
+        p._fill(system_dim, index, vectors, operators or {})
+        return p
+
+    def _fill(self, system_dim: int, index: dict, vectors: np.ndarray, operators: dict) -> None:
+        is_vector = np.ones(len(index), dtype=bool)
+        is_vector[list(operators)] = False
+        for array in (vectors, is_vector):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        self.__dict__.update(system_dim=system_dim, vectors=vectors, _index=index)
+        self.__dict__.update(_is_vector=is_vector, _operators=operators)
 
     @classmethod
     def from_vectors(
@@ -119,24 +149,58 @@ class Povm:
         system_dim: int | None = None,
     ) -> Povm:
         """Build a rank-1 POVM, canonicalising each vector's global phase."""
-        elements = []
+        labels, rows = [], []
         for label, vec in labelled_vectors:
-            amps = fix_phase(np.reshape(vec.amplitudes if isinstance(vec, Ket) else vec, -1))
-            if system_dim is None:
-                system_dim = amps.shape[0]
-            elements.append(PovmElement(str(label), vector=Ket(Space.system(system_dim), amps)))
-        if system_dim is None:
-            raise ValidationError("a POVM needs at least one element", invariant="nonempty")
-        return cls(system_dim, tuple(elements))
+            labels.append(str(label))
+            rows.append(np.reshape(vec.amplitudes if isinstance(vec, Ket) else vec, -1))
+        if system_dim is None and rows:
+            system_dim = rows[0].shape[0]
+        try:
+            stack = np.array(rows, dtype=complex)
+            clean = stack.shape == (len(rows), system_dim) and bool(np.isfinite(stack).all())
+        except (TypeError, ValueError):
+            clean = False
+        if clean:
+            stack = fix_phase(stack)
+        elif rows:  # one ket per row raises the first faulty row's error
+            space = Space.system(system_dim)
+            stack = np.array([Ket(space, fix_phase(row)).amplitudes for row in rows])
+        return cls._from_stack(system_dim, labels, stack)  # which refuses no rows
+
+    @functools.cached_property
+    def elements(self) -> tuple[PovmElement, ...]:
+        space = Space.system(self.system_dim)
+        return tuple(
+            self._operators[k] if k in self._operators
+            else PovmElement(label, vector=Ket(space, row))
+            for k, (label, row) in enumerate(zip(self._index, self.vectors))
+        )
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(el.label for el in self.elements)
+        return tuple(self._index)
 
     def element(self, label: str) -> PovmElement:
         return self.elements[self._index[label]]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.system_dim, self.elements) == (other.system_dim, other.elements)
+
+    def __repr__(self) -> str:
+        return f"Povm(system_dim={self.system_dim!r}, elements={self.elements!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _element_index(labels: tuple[str, ...]) -> dict[str, int]:
+    if not labels:
+        raise ValidationError("a POVM needs at least one element", invariant="nonempty")
+    return label_index(labels)
 
 
 @dataclass(frozen=True)
@@ -156,7 +220,8 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix has eigenvalue {low:.3e} < 0", invariant="positivity"
             )
-        tr = self.op.trace().real
+        with np.errstate(over="ignore"):  # an overflowing trace fails the check below instead
+            tr = self.op.trace().real
         if abs(tr - 1.0) > self.tol:
             raise ValidationError(f"trace {tr!r} != 1", invariant="unit-trace")
 
@@ -187,7 +252,7 @@ def _element_sum(p: Povm, positions: np.ndarray) -> np.ndarray:
     rows = p.vectors[positions]
     stack = rows[:, :, None] * rows.conj()[:, None, :]
     for k in np.flatnonzero(~p._is_vector[positions]):
-        stack[k] = p.elements[positions[k]].operator.entries
+        stack[k] = p._operators[positions[k]].operator.entries
     return stack.sum(axis=0)
 
 
@@ -195,8 +260,8 @@ def _selection_weights(p: Povm) -> np.ndarray:
     """Each element's ``context_selection_probability``; rank-1 weights round as ``np.vdot``."""
     rows = p.vectors
     weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
-    for k in np.flatnonzero(~p._is_vector):
-        weights[k] = context_selection_probability(p, p.elements[k].label)
+    for k in p._operators:
+        weights[k] = context_selection_probability(p, p.labels()[k])
     return weights
 
 
@@ -208,8 +273,8 @@ def completeness_check(p: Povm) -> float:
 def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
     worst = max(0.0, float(_selection_weights(p).max()) - 1.0)
-    for k in np.flatnonzero(~p._is_vector):
-        worst = max(worst, float(-np.linalg.eigvalsh(p.elements[k].operator.entries)[0]))
+    for el in p._operators.values():
+        worst = max(worst, float(-np.linalg.eigvalsh(el.operator.entries)[0]))
     return worst
 
 
@@ -255,10 +320,10 @@ def context_selection_probability(p: Povm, label: str) -> float:
     is the largest eigenvalue, the supremum of the outcome probability over
     states (an extension that reduces to the trace on rank-1 operators).
     """
-    el = p.element(label)
-    if el.is_vector:
-        return el.weight()
-    return float(np.linalg.eigvalsh(el.operator.entries)[-1])
+    k = p._index[label]
+    if p._is_vector[k]:
+        return float(np.vdot(p.vectors[k], p.vectors[k]).real)
+    return float(np.linalg.eigvalsh(p._operators[k].operator.entries)[-1])
 
 
 def require_context_weight(p: Povm, label: str, tol: float) -> float:
@@ -302,8 +367,12 @@ class ContextRelation:
     proportional: bool = False
 
 
-def _support_projector(el: PovmElement, tol: float) -> np.ndarray:
-    values, vectors = np.linalg.eigh(el.matrix())
+def _support_projector(p: Povm, k: int, tol: float) -> np.ndarray:
+    if p._is_vector[k]:
+        matrix = np.outer(p.vectors[k], p.vectors[k].conj())
+    else:
+        matrix = p._operators[k].operator.entries
+    values, vectors = np.linalg.eigh(matrix)
     cols = vectors[:, values > tol]
     return cols @ cols.conj().T
 
@@ -324,7 +393,7 @@ def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.n
         units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
     if not is_vector.all():
-        projectors = [_support_projector(p.elements[k], tol) for k in positions]
+        projectors = [_support_projector(p, k, tol) for k in positions]
         for i, j in np.argwhere(np.triu(~both_vectors, 1)):
             commutator = projectors[i] @ projectors[j] - projectors[j] @ projectors[i]
             witness[i, j] = witness[j, i] = np.linalg.norm(commutator, 2)
@@ -406,18 +475,25 @@ def coarse_grain(
     positions = np.array([p._index[label] for label in merge])
     total = _element_sum(p, positions)
 
-    space = Space.system(p.system_dim)
+    operators = dict(p._operators)  # by old position; -1 is the merged element
     values, vectors = np.linalg.eigh(total)
     if values.shape[0] == 1 or values[-2] <= tol:
-        amps = np.sqrt(max(values[-1], 0.0)) * fix_phase(vectors[:, -1])
-        merged = PovmElement(new_label, vector=Ket(space, amps))
+        row = np.sqrt(max(values[-1], 0.0)) * fix_phase(vectors[:, -1])
     else:
-        merged = PovmElement(new_label, operator=Operator(space, total), tol=tol)
+        row = np.zeros(p.system_dim, dtype=complex)
+        space = Space.system(p.system_dim)
+        operators[-1] = PovmElement(new_label, operator=Operator(space, total), tol=tol)
 
     drop = set(positions.tolist())
-    elements = [el for k, el in enumerate(p.elements) if k not in drop]
-    elements.insert(min(drop), merged)  # nothing before the first merged element was dropped
-    return Povm(p.system_dim, tuple(elements))
+    labels = p.labels()
+    order = [k for k in range(len(p)) if k not in drop]
+    order.insert(min(drop), -1)  # nothing before the first merged element was dropped
+    return Povm._from_stack(
+        p.system_dim,
+        [new_label if k < 0 else labels[k] for k in order],
+        np.array([row if k < 0 else p.vectors[k] for k in order]),
+        {i: operators[k] for i, k in enumerate(order) if k in operators},
+    )
 
 
 def basis_mixture_povm(

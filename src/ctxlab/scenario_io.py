@@ -47,7 +47,9 @@ def encode_vector(amplitudes: np.ndarray) -> list[list[float]]:
 
 
 def encode_matrix(entries: np.ndarray) -> list[list[list[float]]]:
-    return [encode_vector(row) for row in np.asarray(entries, dtype=complex)]
+    """Each row of a matrix, or of a stack of vectors, as ``encode_vector`` writes it."""
+    rows = np.ascontiguousarray(entries, dtype=complex)
+    return rows.view(float).reshape(len(rows), -1, 2).tolist()
 
 
 _REAL_TYPES = frozenset((int, float))
@@ -77,6 +79,30 @@ def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
                 shown = f"{shown[:_SHOWN_ENTRY_CHARS]}... ({len(shown)} characters)"
             raise ScenarioFileError(f"{what}: expected an [re, im] pair, got {shown}")
     raise ScenarioFileError(f"{what}: an amplitude is too large for a float")
+
+
+def _decode_section(vectors: list, length: int) -> np.ndarray | None:
+    """The vectors as one ``(M, length)`` complex array, bit for bit as ``decode_vector``.
+
+    None unless every vector is a list of ``length`` 2-element lists of exact,
+    finite ints or floats; the caller then decodes entry by entry, which names
+    the first entry at fault.
+    """
+    if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {length}:
+        return None
+    pairs = list(chain.from_iterable(vectors))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not _REAL_TYPES.issuperset(map(type, flat)):
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # an int beyond float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(len(vectors), length)
 
 
 def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
@@ -134,14 +160,14 @@ def _labelled_entries(raw: object, section: str) -> list[dict]:
 
 
 def _vectors_or_matrices(
-    raw: object, section: str, dim: int, noun: str, what: str
+    items: list[dict], dim: int, noun: str, what: str
 ) -> Iterator[tuple[str, Ket | Operator]]:
-    """Decode, entry by entry, a section whose entries hold exactly one of vector/matrix.
+    """Decode, entry by entry, labelled entries holding exactly one of vector/matrix.
 
     ``noun`` names an entry in the payload rule's message, ``what`` in decode errors.
     """
     space = Space.system(dim)
-    for item in _labelled_entries(raw, section):
+    for item in items:
         label = item["label"]
         if ("vector" in item) == ("matrix" in item):
             raise ScenarioFileError(f"{noun} {label!r} needs exactly one of vector/matrix")
@@ -155,6 +181,17 @@ def _encode_entry(label: str, payload: Ket | Operator) -> dict:
     if isinstance(payload, Ket):
         return {"label": label, "vector": encode_vector(payload.amplitudes)}
     return {"label": label, "matrix": encode_matrix(payload.entries)}
+
+
+def _encode_section(
+    labels: tuple[str, ...], vectors: np.ndarray, operators: dict[int, PovmElement]
+) -> list[dict]:
+    """Entries of a vector stack; positions in ``operators`` are written as matrices."""
+    return [
+        _encode_entry(label, operators[k].operator) if k in operators
+        else {"label": label, "vector": row}
+        for k, (label, row) in enumerate(zip(labels, encode_matrix(vectors)))
+    ]
 
 
 def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
@@ -174,13 +211,17 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
             raise ScenarioFileError("outcomes and phi_init must appear together")
         env_dim = _positive_int(raw, "env_dim")
         joint = Space.joint(env_dim, system_dim)
-        pairs = []
-        for item in _labelled_entries(raw["outcomes"], "outcomes"):
-            vec = decode_vector(
-                item.get("vector"), joint.dim, f"outcome {item['label']!r}"
-            )
-            pairs.append((item["label"], Ket(joint, vec)))
-        outcomes = JointOutcomeSet(joint, tuple(pairs), tol=tol)
+        items = _labelled_entries(raw["outcomes"], "outcomes")
+        labels = [item["label"] for item in items]
+        vectors = _decode_section([item.get("vector") for item in items], joint.dim)
+        if vectors is not None:
+            outcomes = JointOutcomeSet._from_stack(joint, labels, vectors, tol=tol)
+        else:
+            pairs = []
+            for item in items:
+                vec = decode_vector(item.get("vector"), joint.dim, f"outcome {item['label']!r}")
+                pairs.append((item["label"], Ket(joint, vec)))
+            outcomes = JointOutcomeSet(joint, tuple(pairs), tol=tol)
         phi_init = Ket(
             Space.environment(env_dim), decode_vector(raw["phi_init"], env_dim, "phi_init")
         )
@@ -189,20 +230,28 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
 
     povm = None
     if "povm" in raw:
-        entries = _vectors_or_matrices(raw["povm"], "povm", system_dim, "povm element", "povm")
-        povm = Povm(
-            system_dim,
-            tuple(
-                PovmElement(label, vector=x)
-                if isinstance(x, Ket)
-                else PovmElement(label, operator=x, tol=tol)
-                for label, x in entries
-            ),
-        )
+        items = _labelled_entries(raw["povm"], "povm")
+        vectors = None
+        if all("vector" in item and "matrix" not in item for item in items):
+            vectors = _decode_section([item["vector"] for item in items], system_dim)
+        if vectors is not None:
+            povm = Povm._from_stack(system_dim, [item["label"] for item in items], vectors)
+        else:
+            entries = _vectors_or_matrices(items, system_dim, "povm element", "povm")
+            povm = Povm(
+                system_dim,
+                tuple(
+                    PovmElement(label, vector=x)
+                    if isinstance(x, Ket)
+                    else PovmElement(label, operator=x, tol=tol)
+                    for label, x in entries
+                ),
+            )
 
     states: dict[str, Ket | DensityMatrix] = {}
     if "states" in raw:
-        entries = _vectors_or_matrices(raw["states"], "states", system_dim, "state", "state")
+        items = _labelled_entries(raw["states"], "states")
+        entries = _vectors_or_matrices(items, system_dim, "state", "state")
         for label, x in entries:
             states[label] = x if isinstance(x, Ket) else DensityMatrix(x, tol)
 
@@ -239,14 +288,11 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.env_dim is not None:
         raw["env_dim"] = int(s.env_dim)
     if s.outcomes is not None:
-        raw["outcomes"] = [_encode_entry(label, ket) for label, ket in s.outcomes.outcomes]
+        raw["outcomes"] = _encode_section(s.outcomes.labels(), s.outcomes.vectors, {})
     if s.phi_init is not None:
         raw["phi_init"] = encode_vector(s.phi_init.amplitudes)
     if s.povm is not None:
-        raw["povm"] = [
-            _encode_entry(el.label, el.vector if el.is_vector else el.operator)
-            for el in s.povm.elements
-        ]
+        raw["povm"] = _encode_section(s.povm.labels(), s.povm.vectors, s.povm._operators)
     if s.states:
         raw["states"] = [
             _encode_entry(label, state if isinstance(state, Ket) else state.op)

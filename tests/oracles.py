@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -67,3 +69,83 @@ def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int
                 shared = witness <= tol
             pairs.append((i, j, float(witness), bool(shared)))
     return pairs
+
+
+class LoadError(Exception):
+    """What loading a file must raise: ``(exception type name, invariant or None, message)``."""
+
+
+_SHOWN_ENTRY_CHARS = 80
+
+
+def _file_error(message: str) -> LoadError:
+    return LoadError("ScenarioFileError", None, message)
+
+
+def _reference_pairs(obj: object, length: int, what: str) -> list[tuple[float, float]]:
+    if not isinstance(obj, list) or len(obj) != length:
+        raise _file_error(f"{what}: expected {length} [re, im] pairs")
+    for pair in obj:
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or any(type(x) not in (int, float) for x in pair)
+        ):
+            shown = repr(pair)
+            if len(shown) > _SHOWN_ENTRY_CHARS:
+                shown = f"{shown[:_SHOWN_ENTRY_CHARS]}... ({len(shown)} characters)"
+            raise _file_error(f"{what}: expected an [re, im] pair, got {shown}")
+    try:
+        return [(float(re), float(im)) for re, im in obj]
+    except OverflowError:
+        raise _file_error(f"{what}: an amplitude is too large for a float") from None
+
+
+def _reference_vector(obj: object, length: int, what: str) -> list[tuple[float, float]]:
+    values = _reference_pairs(obj, length, what)
+    if not all(math.isfinite(x) for pair in values for x in pair):
+        raise LoadError("ValidationError", "finite-amplitudes", "amplitudes must be finite")
+    return values
+
+
+def _reference_matrix(obj: object, dim: int, what: str) -> list[list[tuple[float, float]]]:
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise _file_error(f"{what}: expected a {dim}x{dim} matrix")
+    rows = [_reference_pairs(row, dim, what) for row in obj]
+    if not all(math.isfinite(x) for row in rows for pair in row for x in pair):
+        raise LoadError("ValidationError", "finite-entries", "entries must be finite")
+    return rows
+
+
+def reference_sections(raw: dict) -> dict[str, list[tuple[str, str, list]]]:
+    """The outcomes, povm and states entries of a file, decoded one number at a time.
+
+    Each section maps to ``(label, "vector" | "matrix", values)`` in file order,
+    values being ``(re, im)`` float pairs (rows of them for a matrix). Raises
+    ``LoadError`` for the first faulty entry in the order a file is read:
+    outcomes, povm, states. Labels are taken to be unique strings and matrices
+    to be valid operators (Hermitian; positive with unit trace for states), and
+    the outcomes orthonormal: only decoding is modelled here.
+    """
+    dim = raw["system_dim"]
+    sections = {}
+    if "outcomes" in raw:
+        length = raw["env_dim"] * dim
+        sections["outcomes"] = []
+        for e in raw["outcomes"]:  # an outcome reads its vector and ignores a matrix
+            values = _reference_vector(e.get("vector"), length, f"outcome {e['label']!r}")
+            sections["outcomes"].append((e["label"], "vector", values))
+    for section, what, noun in (("povm", "povm", "povm element"), ("states", "state", "state")):
+        if section not in raw:
+            continue
+        sections[section] = []
+        for e in raw[section]:
+            label = e["label"]
+            if ("vector" in e) == ("matrix" in e):
+                raise _file_error(f"{noun} {label!r} needs exactly one of vector/matrix")
+            if "vector" in e:
+                entry = (label, "vector", _reference_vector(e["vector"], dim, f"{what} {label!r}"))
+            else:
+                entry = (label, "matrix", _reference_matrix(e["matrix"], dim, f"{what} {label!r}"))
+            sections[section].append(entry)
+    return sections

@@ -466,6 +466,13 @@ _OVERFLOWING_POVMS = {
         1,
         [{"label": "a", "matrix": [[[1e308, 0.0]]]}, {"label": "b", "matrix": [[[1e308, 0.0]]]}],
     ),
+    "infinities-of-both-signs": (
+        2,
+        [
+            {"label": "a", "vector": [[1e200, 0.0], [1e200, 0.0]]},
+            {"label": "b", "vector": [[1e200, 0.0], [-1e200, 0.0]]},
+        ],
+    ),
 }
 
 
@@ -481,6 +488,20 @@ def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
     assert code == 4
     assert out == ""
     assert err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("command", ["povm check", "context-graph", "inequality", "max-violation"])
+def test_a_density_matrix_whose_trace_overflows_fails_unit_trace_without_a_warning(
+    capsys, tmp_path, command
+):
+    raw = fixture_dict("hardy")
+    raw["states"] = [{"label": "huge", "matrix": encode_matrix(np.diag([1e308, 1e308, 0.0]))}]
+    path = tmp_path / "huge-trace.json"
+    save_scenario(path, raw)
+    code, out, err = run_cli(capsys, *command.split(), str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "invariant violation [unit-trace]: trace inf != 1\n"
 
 
 def _state_of(out: str) -> np.ndarray:
