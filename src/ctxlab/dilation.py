@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,20 +32,22 @@ from .hilbert import (
     gram,
     orthonormality_residual,
     require_basis,
-    require_finite,
     require_orthonormal,
 )
-from .povm import Povm, label_index, validate_povm
+from .povm import LabelledStack, Povm, validate_povm
 
 
-class JointOutcomeSet:
+class JointOutcomeSet(LabelledStack):
     """Orthonormal joint vectors, one per macroscopically distinct outcome.
 
     ``validate=False`` skips the orthonormality check so that deliberately
-    perturbed sets can be built for diagnostics. The labels and ``vectors``,
-    one read-only row of amplitudes per outcome, are the storage; ``outcomes``
-    builds the ``(label, Ket)`` pairs on first access. Instances are immutable.
+    perturbed sets can be built for diagnostics. ``vectors`` holds one row of
+    amplitudes per outcome; ``outcomes`` builds the ``(label, Ket)`` pairs on
+    first access.
     """
+
+    _fields = ("space", "outcomes")
+    _nonempty = "at least one outcome is required"
 
     def __init__(
         self,
@@ -54,18 +56,17 @@ class JointOutcomeSet:
         validate: bool = True,
         tol: float = DEFAULT_TOL,
     ) -> None:
-        _require_joint(space)
         outcomes = tuple((str(label), ket) for label, ket in outcomes)
-        index = _outcome_index(tuple(label for label, _ in outcomes))
         for label, ket in outcomes:
             if ket.space != space:
                 raise SpaceMismatchError(f"outcome {label!r} is not on the joint space")
-        vectors = np.stack([ket.amplitudes for _, ket in outcomes])
-        self._fill(space, index, vectors, validate, tol)
+        rows = [ket.amplitudes for _, ket in outcomes]
+        vectors = np.array(rows, dtype=complex).reshape(len(rows), space.dim)
+        self._build(space, [label for label, _ in outcomes], vectors, validate, tol)
         self.__dict__["outcomes"] = outcomes
 
     @classmethod
-    def _from_stack(
+    def from_stack(
         cls,
         space: Space,
         labels: Sequence[str],
@@ -74,22 +75,20 @@ class JointOutcomeSet:
         tol: float = DEFAULT_TOL,
     ) -> JointOutcomeSet:
         """An outcome set over an ``(M, space.dim)`` stack, checked as the constructor does."""
-        _require_joint(space)
-        index = _outcome_index(tuple(labels))
-        require_finite(vectors)
         s = cls.__new__(cls)
-        s._fill(space, index, vectors, validate, tol)
+        s._build(space, labels, vectors, validate, tol)
         return s
 
-    def _fill(
-        self, space: Space, index: dict, vectors: np.ndarray, validate: bool, tol: float
+    def _build(
+        self, space: Space, labels: Sequence[str], vectors: np.ndarray, validate: bool, tol: float
     ) -> None:
-        if len(index) > space.dim:
+        if space.kind != JOINT:
+            raise SpaceMismatchError("outcome sets live on joint spaces")
+        self._store(labels, vectors, space=space, tol=tol)
+        if len(labels) > space.dim:
             raise ValidationError(
-                f"{len(index)} outcomes exceed dim {space.dim}", invariant="outcome-count"
+                f"{len(labels)} outcomes exceed dim {space.dim}", invariant="outcome-count"
             )
-        vectors.setflags(write=False)
-        self.__dict__.update(space=space, tol=tol, vectors=vectors, _index=index)
         if validate:
             require_orthonormal(vectors, tol, "outcome set is", "outcome-orthonormality")
 
@@ -97,9 +96,6 @@ class JointOutcomeSet:
     def outcomes(self) -> tuple[tuple[str, Ket], ...]:
         rows = zip(self._index, self.vectors)
         return tuple((label, Ket(self.space, row)) for label, row in rows)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._index)
 
     def ket(self, label: str) -> Ket:
         return self.outcomes[self._index[label]][1]
@@ -110,31 +106,6 @@ class JointOutcomeSet:
 
     def orthonormality_residual(self) -> float:
         return orthonormality_residual(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.outcomes) == (other.space, other.outcomes)
-
-    def __repr__(self) -> str:
-        return f"JointOutcomeSet(space={self.space!r}, outcomes={self.outcomes!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _require_joint(space: Space) -> None:
-    if space.kind != JOINT:
-        raise SpaceMismatchError("outcome sets live on joint spaces")
-
-
-def _outcome_index(labels: tuple[str, ...]) -> dict[str, int]:
-    if not labels:
-        raise ValidationError("at least one outcome is required", invariant="nonempty")
-    return label_index(labels)
 
 
 def require_normalised_phi_init(phi_init: Ket, tol: float) -> None:
@@ -190,7 +161,7 @@ def residual_decompose(d: Dilation) -> JointOutcomeSet:
     """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
     _, sigmas = _components(d)
     outcomes = d.outcomes
-    return JointOutcomeSet._from_stack(outcomes.space, outcomes.labels(), sigmas, validate=False)
+    return JointOutcomeSet.from_stack(outcomes.space, outcomes.labels(), sigmas, validate=False)
 
 
 @dataclass(frozen=True)
@@ -233,8 +204,8 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
 
     Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """
-    if p._operators:
-        label = p.labels()[min(p._operators)]
+    if p.operators:
+        label = p.labels()[min(p.operators)]
         raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one-elements")
     validate_povm(p, tol)
 
@@ -248,7 +219,7 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     flat = np.zeros((count, count * sys_dim), dtype=complex)
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
-    outcomes = JointOutcomeSet._from_stack(joint, p.labels(), flat, tol=tol)
+    outcomes = JointOutcomeSet.from_stack(joint, p.labels(), flat, tol=tol)
     return Dilation(outcomes, basis_ket(Space.environment(count), 0), tol=tol)
 
 

@@ -9,8 +9,9 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,17 +31,6 @@ from .hilbert import (
 class _LabelIndex(dict):
     def __missing__(self, label: str) -> int:
         raise UnknownLabelError(f"no outcome labelled {label!r}")
-
-
-def label_index(labels: Sequence[str]) -> dict[str, int]:
-    """Position of each label; looking up an absent label raises UnknownLabelError.
-
-    Raises ``unique-labels`` if a label repeats.
-    """
-    index = _LabelIndex((label, i) for i, label in enumerate(labels))
-    if len(index) != len(labels):
-        raise ValidationError("outcome labels must be unique", invariant="unique-labels")
-    return index
 
 
 @dataclass(frozen=True)
@@ -88,21 +78,72 @@ class PovmElement:
         return np.array(self.operator.entries)
 
 
-class Povm:
+class LabelledStack:
+    """Labels plus ``vectors``, one read-only complex row per label, as the storage.
+
+    Subclasses name in ``_fields`` what equality compares and repr shows, and
+    in ``_nonempty`` the message for an empty label list. Instances are
+    immutable.
+    """
+
+    _fields: tuple[str, ...]
+    _nonempty: str
+
+    def _store(self, labels: Sequence[str], vectors: np.ndarray, **fields: object) -> None:
+        """Check the labels and the amplitudes' finiteness, then set the fields.
+
+        Looking up an absent label in ``_index`` raises UnknownLabelError.
+        """
+        if not labels:
+            raise ValidationError(self._nonempty, invariant="nonempty")
+        index = _LabelIndex((label, i) for i, label in enumerate(labels))
+        if len(index) != len(labels):
+            raise ValidationError("outcome labels must be unique", invariant="unique-labels")
+        require_finite(vectors)
+        vectors.setflags(write=False)
+        self.__dict__.update(fields, vectors=vectors, _index=index)
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Povm(LabelledStack):
     """An ordered, labelled POVM on a system space.
 
     Construction does not enforce completeness, so partial collections can be
     inspected; ``completeness_check`` reports the residual and
-    ``validate_povm`` raises on violations. The labels and ``vectors`` are the
-    storage: one read-only complex row per element, its amplitudes or zeros for
-    an operator element, whose ``PovmElement`` is kept beside the stack.
-    ``elements`` builds the other ``PovmElement`` objects on first access.
-    Instances are immutable.
+    ``validate_povm`` raises on violations. ``vectors`` holds the amplitudes
+    of each rank-1 element and zeros for each operator element, whose
+    ``PovmElement`` is kept in ``operators``. ``elements`` builds the other
+    ``PovmElement`` objects on first access.
     """
+
+    _fields = ("system_dim", "elements")
+    _nonempty = "a POVM needs at least one element"
 
     def __init__(self, system_dim: int, elements: Iterable[PovmElement]) -> None:
         elements = tuple(elements)
-        index = _element_index(tuple(el.label for el in elements))
         for el in elements:
             if el.dim != system_dim:
                 raise SpaceMismatchError(
@@ -110,37 +151,41 @@ class Povm:
                 )
         zero = np.zeros(system_dim, dtype=complex)
         rows = [zero if el.vector is None else el.vector.amplitudes for el in elements]
-        operators = {k: el for k, el in enumerate(elements) if el.vector is None}
-        self._fill(system_dim, index, np.array(rows, dtype=complex), operators)
+        self._build(
+            system_dim,
+            [el.label for el in elements],
+            np.array(rows, dtype=complex).reshape(len(rows), system_dim),
+            {k: el for k, el in enumerate(elements) if el.vector is None},
+        )
         self.__dict__["elements"] = elements
 
     @classmethod
-    def _from_stack(
+    def from_stack(
         cls,
         system_dim: int,
         labels: Sequence[str],
         vectors: np.ndarray,
         operators: dict[int, PovmElement] | None = None,
     ) -> Povm:
-        """A POVM over an ``(M, system_dim)`` stack, taken as it is.
+        """A POVM over an ``(M, system_dim)`` complex stack, taken as it is.
 
         ``operators`` maps the positions of operator elements, whose rows are
         zero, to their elements. Raises what ``Povm(system_dim, elements)``
         would for empty or repeated labels and for non-finite amplitudes.
         """
-        index = _element_index(tuple(labels))
-        require_finite(vectors)
         p = cls.__new__(cls)
-        p._fill(system_dim, index, vectors, operators or {})
+        p._build(system_dim, labels, vectors, dict(operators or {}))
         return p
 
-    def _fill(self, system_dim: int, index: dict, vectors: np.ndarray, operators: dict) -> None:
-        is_vector = np.ones(len(index), dtype=bool)
+    def _build(
+        self, system_dim: int, labels: Sequence[str], vectors: np.ndarray, operators: dict
+    ) -> None:
+        is_vector = np.ones(len(labels), dtype=bool)
         is_vector[list(operators)] = False
-        for array in (vectors, is_vector):
-            array.setflags(write=False)
-        self.__dict__.update(system_dim=system_dim, vectors=vectors, _index=index)
-        self.__dict__.update(_is_vector=is_vector, _operators=operators)
+        is_vector.setflags(write=False)
+        self._store(
+            labels, vectors, system_dim=system_dim, _operators=operators, _is_vector=is_vector
+        )
 
     @classmethod
     def from_vectors(
@@ -157,15 +202,21 @@ class Povm:
             system_dim = rows[0].shape[0]
         try:
             stack = np.array(rows, dtype=complex)
+            # finite before fix_phase, whose pivot division warns on inf and nan
             clean = stack.shape == (len(rows), system_dim) and bool(np.isfinite(stack).all())
         except (TypeError, ValueError):
             clean = False
         if clean:
             stack = fix_phase(stack)
-        elif rows:  # one ket per row raises the first faulty row's error
-            space = Space.system(system_dim)
-            stack = np.array([Ket(space, fix_phase(row)).amplitudes for row in rows])
-        return cls._from_stack(system_dim, labels, stack)  # which refuses no rows
+        else:
+            for row in rows:  # raises at the first faulty row; with no rows, from_stack does
+                Ket(Space.system(system_dim), row)
+        return cls.from_stack(system_dim, labels, stack)
+
+    @property
+    def operators(self) -> Mapping[int, PovmElement]:
+        """The operator elements by position; every other element is rank one."""
+        return MappingProxyType(self._operators)
 
     @functools.cached_property
     def elements(self) -> tuple[PovmElement, ...]:
@@ -176,31 +227,8 @@ class Povm:
             for k, (label, row) in enumerate(zip(self._index, self.vectors))
         )
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._index)
-
     def element(self, label: str) -> PovmElement:
         return self.elements[self._index[label]]
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.system_dim, self.elements) == (other.system_dim, other.elements)
-
-    def __repr__(self) -> str:
-        return f"Povm(system_dim={self.system_dim!r}, elements={self.elements!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _element_index(labels: tuple[str, ...]) -> dict[str, int]:
-    if not labels:
-        raise ValidationError("a POVM needs at least one element", invariant="nonempty")
-    return label_index(labels)
 
 
 @dataclass(frozen=True)
@@ -488,7 +516,7 @@ def coarse_grain(
     labels = p.labels()
     order = [k for k in range(len(p)) if k not in drop]
     order.insert(min(drop), -1)  # nothing before the first merged element was dropped
-    return Povm._from_stack(
+    return Povm.from_stack(
         p.system_dim,
         [new_label if k < 0 else labels[k] for k in order],
         np.array([row if k < 0 else p.vectors[k] for k in order]),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
-from .hilbert import DEFAULT_TOL, Ket, Operator, Space
+from .hilbert import DEFAULT_TOL, Ket, Operator, Space, require_finite
 from .povm import DensityMatrix, Povm, PovmElement
 
 SCHEMA_VERSION = 1
@@ -84,9 +84,11 @@ def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
 def _decode_section(vectors: list, length: int) -> np.ndarray | None:
     """The vectors as one ``(M, length)`` complex array, bit for bit as ``decode_vector``.
 
-    None unless every vector is a list of ``length`` 2-element lists of exact,
-    finite ints or floats; the caller then decodes entry by entry, which names
-    the first entry at fault.
+    None unless every vector is a list of ``length`` 2-element lists of exact
+    ints or floats within float range; the caller then decodes entry by entry,
+    which names the first entry at fault. One conversion of the flattened
+    numbers costs far less than one per vector. Finiteness is left to the
+    stack's own check, which raises what the first non-finite entry would.
     """
     if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {length}:
         return None
@@ -99,8 +101,6 @@ def _decode_section(vectors: list, length: int) -> np.ndarray | None:
     try:
         values = np.array(flat, dtype=float)
     except OverflowError:  # an int beyond float range
-        return None
-    if not np.isfinite(values).all():
         return None
     return values.view(complex).reshape(len(vectors), length)
 
@@ -159,12 +159,20 @@ def _labelled_entries(raw: object, section: str) -> list[dict]:
     return entries
 
 
+def _finite_vector(obj: object, dim: int, what: str) -> np.ndarray:
+    """``decode_vector``, then the ``finite-amplitudes`` check a ``Ket`` makes."""
+    vec = decode_vector(obj, dim, what)
+    require_finite(vec)
+    return vec
+
+
 def _vectors_or_matrices(
     items: list[dict], dim: int, noun: str, what: str
-) -> Iterator[tuple[str, Ket | Operator]]:
+) -> Iterator[tuple[str, np.ndarray | Operator]]:
     """Decode, entry by entry, labelled entries holding exactly one of vector/matrix.
 
-    ``noun`` names an entry in the payload rule's message, ``what`` in decode errors.
+    A vector comes as its finite amplitudes. ``noun`` names an entry in the
+    payload rule's message, ``what`` in decode errors.
     """
     space = Space.system(dim)
     for item in items:
@@ -172,7 +180,7 @@ def _vectors_or_matrices(
         if ("vector" in item) == ("matrix" in item):
             raise ScenarioFileError(f"{noun} {label!r} needs exactly one of vector/matrix")
         if "vector" in item:
-            yield label, Ket(space, decode_vector(item["vector"], dim, f"{what} {label!r}"))
+            yield label, _finite_vector(item["vector"], dim, f"{what} {label!r}")
         else:
             yield label, Operator(space, decode_matrix(item["matrix"], dim, f"{what} {label!r}"))
 
@@ -212,16 +220,15 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         env_dim = _positive_int(raw, "env_dim")
         joint = Space.joint(env_dim, system_dim)
         items = _labelled_entries(raw["outcomes"], "outcomes")
-        labels = [item["label"] for item in items]
         vectors = _decode_section([item.get("vector") for item in items], joint.dim)
-        if vectors is not None:
-            outcomes = JointOutcomeSet._from_stack(joint, labels, vectors, tol=tol)
-        else:
-            pairs = []
-            for item in items:
-                vec = decode_vector(item.get("vector"), joint.dim, f"outcome {item['label']!r}")
-                pairs.append((item["label"], Ket(joint, vec)))
-            outcomes = JointOutcomeSet(joint, tuple(pairs), tol=tol)
+        if vectors is None:
+            rows = [
+                _finite_vector(item.get("vector"), joint.dim, f"outcome {item['label']!r}")
+                for item in items
+            ]
+            vectors = np.array(rows, dtype=complex).reshape(-1, joint.dim)
+        labels = [item["label"] for item in items]
+        outcomes = JointOutcomeSet.from_stack(joint, labels, vectors, tol=tol)
         phi_init = Ket(
             Space.environment(env_dim), decode_vector(raw["phi_init"], env_dim, "phi_init")
         )
@@ -231,29 +238,29 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
     povm = None
     if "povm" in raw:
         items = _labelled_entries(raw["povm"], "povm")
-        vectors = None
-        if all("vector" in item and "matrix" not in item for item in items):
-            vectors = _decode_section([item["vector"] for item in items], system_dim)
-        if vectors is not None:
-            povm = Povm._from_stack(system_dim, [item["label"] for item in items], vectors)
-        else:
+        vectors, operators = None, {}
+        if not any("matrix" in item for item in items):
+            vectors = _decode_section([item.get("vector") for item in items], system_dim)
+        if vectors is None:
+            rows = []
+            zero = np.zeros(system_dim, dtype=complex)
             entries = _vectors_or_matrices(items, system_dim, "povm element", "povm")
-            povm = Povm(
-                system_dim,
-                tuple(
-                    PovmElement(label, vector=x)
-                    if isinstance(x, Ket)
-                    else PovmElement(label, operator=x, tol=tol)
-                    for label, x in entries
-                ),
-            )
+            for k, (label, x) in enumerate(entries):
+                if isinstance(x, Operator):
+                    operators[k] = PovmElement(label, operator=x, tol=tol)
+                    x = zero
+                rows.append(x)
+            vectors = np.array(rows, dtype=complex).reshape(-1, system_dim)
+        labels = [item["label"] for item in items]
+        povm = Povm.from_stack(system_dim, labels, vectors, operators)
 
     states: dict[str, Ket | DensityMatrix] = {}
     if "states" in raw:
         items = _labelled_entries(raw["states"], "states")
         entries = _vectors_or_matrices(items, system_dim, "state", "state")
+        space = Space.system(system_dim)
         for label, x in entries:
-            states[label] = x if isinstance(x, Ket) else DensityMatrix(x, tol)
+            states[label] = DensityMatrix(x, tol) if isinstance(x, Operator) else Ket(space, x)
 
     hardy = None
     if "hardy" in raw:
@@ -292,7 +299,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.phi_init is not None:
         raw["phi_init"] = encode_vector(s.phi_init.amplitudes)
     if s.povm is not None:
-        raw["povm"] = _encode_section(s.povm.labels(), s.povm.vectors, s.povm._operators)
+        raw["povm"] = _encode_section(s.povm.labels(), s.povm.vectors, s.povm.operators)
     if s.states:
         raw["states"] = [
             _encode_entry(label, state if isinstance(state, Ket) else state.op)

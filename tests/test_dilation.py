@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,18 @@ def test_outcome_set_validates_orthonormality():
                 ("b", tensor(v, Ket(Space.system(3), [0.9, 0.1, 0.0]))),
             ),
         )
+
+
+@pytest.mark.parametrize("name", ["space", "tol", "vectors", "outcomes", "_index"])
+def test_outcome_set_fields_can_be_neither_assigned_nor_deleted(name):
+    joint = Space.joint(2, 2)
+    pairs = [(f"m{k}", basis_ket(joint, k)) for k in range(3)]
+    outcomes = JointOutcomeSet(joint, pairs)
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(outcomes, name, None)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(outcomes, name)
+    assert outcomes.labels() == ("m0", "m1", "m2") and not outcomes.vectors.flags.writeable
 
 
 def test_outcome_set_count_cannot_exceed_dimension():

@@ -55,6 +55,7 @@ def _loaded(s: Scenario) -> dict[str, list[tuple[str, str, list[int]]]]:
         rows = zip(s.outcomes.labels(), s.outcomes.vectors)
         sections["outcomes"] = [(label, "vector", _bits(row)) for label, row in rows]
     if s.povm is not None:
+        assert not s.povm.vectors[list(s.povm.operators)].any()  # an operator's row is zero
         sections["povm"] = [
             (el.label, "vector", _bits(row)) if el.is_vector
             else (el.label, "matrix", _bits(el.operator.entries))
@@ -187,6 +188,22 @@ def test_loading_matches_the_per_entry_reference(fault, section, data):
     else:
         assert code in (0, 2, 4)
         assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
+
+@pytest.mark.parametrize("section", ("outcomes", "povm"))
+def test_a_non_finite_entry_is_named_before_a_later_malformed_one(section):
+    raw = {"version": 1, "system_dim": 2, "env_dim": 1, "phi_init": [[1, 0]]}
+    if section == "povm":
+        del raw["env_dim"], raw["phi_init"]
+    raw[section] = [
+        {"label": "a", "vector": [[float("nan"), 0], [0, 0]]},
+        {"label": "b", "vector": [["1", 0], [0, 0]]},
+    ]
+    want = ("ValidationError", "finite-amplitudes", "amplitudes must be finite")
+    assert _expected(raw) == want
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert (err.value.invariant, str(err.value)) == want[1:]
 
 
 def test_loading_and_checking_a_vector_povm_builds_no_ket(monkeypatch, tmp_path):

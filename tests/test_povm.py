@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,17 @@ def test_from_vectors_fixes_global_phase():
     np.testing.assert_allclose(p.element("m").vector.amplitudes, [0.0, 1.0])
     with pytest.raises(UnknownLabelError):
         p.element("missing")
+
+
+@pytest.mark.parametrize("name", ["system_dim", "vectors", "elements", "_operators", "_index"])
+def test_povm_fields_can_be_neither_assigned_nor_deleted(name):
+    p = Povm.from_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0j]))])
+    assert len(p.elements) == 2  # built and cached
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(p, name, None)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(p, name)
+    assert p.labels() == ("a", "b") and not p.vectors.flags.writeable
 
 
 def test_density_matrix_validation():
