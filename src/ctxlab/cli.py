@@ -107,13 +107,8 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def _cmd_povm_check(args: argparse.Namespace) -> int:
     p = load_scenario(args.file, args.tol).resolve_povm(args.tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned about
-        completeness = completeness_check(p)
-        bounds = element_bound_residual(p)
-    if not (math.isfinite(completeness) and math.isfinite(bounds)):
-        raise FloatingPointError(
-            f"povm residuals are not finite (completeness {completeness}, bounds {bounds})"
-        )
+    completeness = completeness_check(p)
+    bounds = element_bound_residual(p)
     ok = completeness <= args.tol and bounds <= args.tol
     if args.json:
         print(

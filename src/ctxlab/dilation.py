@@ -47,6 +47,7 @@ class JointOutcomeSet(LabelledStack):
     """
 
     _fields = ("space", "outcomes")
+    _compared = ("space",)
     _nonempty = "at least one outcome is required"
 
     def __init__(

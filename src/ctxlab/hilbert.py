@@ -105,6 +105,11 @@ class Ket:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.amplitudes, other.amplitudes)
+
     def _require_same_space(self, other: Ket, what: str) -> None:
         if self.space != other.space:
             raise SpaceMismatchError(f"{what} needs kets on the same space")
@@ -182,15 +187,17 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.entries, other.entries)
+
     @classmethod
     def identity(cls, space: Space) -> Operator:
         return cls(space, np.eye(space.dim, dtype=complex))
 
     def hermiticity_residual(self) -> float:
         return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermiticity_residual() <= tol
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
@@ -275,16 +282,21 @@ def require_basis(basis: Sequence[Ket], dim: int, tol: float, name: str) -> None
     require_orthonormal(basis, tol, f"{name} is", "basis-orthonormality")
 
 
+def require_hermitian(op: Operator, tol: float, what: str) -> None:
+    """Raise ``hermiticity`` unless ``op`` is Hermitian within tol; ``what`` names it."""
+    residual = op.hermiticity_residual()
+    if residual > tol:
+        raise ValidationError(
+            f"{what} is not Hermitian (residual {residual:.3e})", invariant="hermiticity"
+        )
+
+
 def eigh(op: Operator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[Ket]]:
     """Eigendecomposition of a Hermitian operator.
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvector kets. Raises if the operator is not Hermitian within tol.
     """
-    residual = op.hermiticity_residual()
-    if residual > tol:
-        raise ValidationError(
-            f"operator is not Hermitian (residual {residual:.3e})", invariant="hermiticity"
-        )
+    require_hermitian(op, tol, "operator")
     values, vectors = np.linalg.eigh(op.entries)
     return values, [Ket(op.space, vectors[:, k]) for k in range(values.shape[0])]

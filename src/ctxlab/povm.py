@@ -9,7 +9,7 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 
@@ -25,6 +25,7 @@ from .hilbert import (
     fix_phase,
     require_basis,
     require_finite,
+    require_hermitian,
 )
 
 
@@ -51,10 +52,8 @@ class PovmElement:
         payload = self.vector if self.vector is not None else self.operator
         if payload.space.kind != SYSTEM:
             raise SpaceMismatchError(f"element {self.label!r} must live on a system space")
-        if self.operator is not None and not self.operator.is_hermitian(self.tol):
-            raise ValidationError(
-                f"element {self.label!r} is not Hermitian", invariant="hermiticity"
-            )
+        if self.operator is not None:
+            require_hermitian(self.operator, self.tol, f"element {self.label!r}")
 
     @property
     def is_vector(self) -> bool:
@@ -81,12 +80,13 @@ class PovmElement:
 class LabelledStack:
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
 
-    Subclasses name in ``_fields`` what equality compares and repr shows, and
-    in ``_nonempty`` the message for an empty label list. Instances are
-    immutable.
+    Subclasses name in ``_fields`` what repr shows, in ``_compared`` what
+    equality compares besides the labels and the stack, and in ``_nonempty``
+    the message for an empty label list. Instances are immutable.
     """
 
     _fields: tuple[str, ...]
+    _compared: tuple[str, ...]
     _nonempty: str
 
     def _store(self, labels: Sequence[str], vectors: np.ndarray, **fields: object) -> None:
@@ -109,16 +109,17 @@ class LabelledStack:
     def __len__(self) -> int:
         return len(self._index)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return (
+            self.labels() == other.labels()
+            and np.array_equal(self.vectors, other.vectors)
+            and all(getattr(self, name) == getattr(other, name) for name in self._compared)
+        )
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -140,6 +141,7 @@ class Povm(LabelledStack):
     """
 
     _fields = ("system_dim", "elements")
+    _compared = ("system_dim", "_operators")
     _nonempty = "a POVM needs at least one element"
 
     def __init__(self, system_dim: int, elements: Iterable[PovmElement]) -> None:
@@ -151,11 +153,11 @@ class Povm(LabelledStack):
                 )
         zero = np.zeros(system_dim, dtype=complex)
         rows = [zero if el.vector is None else el.vector.amplitudes for el in elements]
-        self._build(
-            system_dim,
+        self._store(
             [el.label for el in elements],
             np.array(rows, dtype=complex).reshape(len(rows), system_dim),
-            {k: el for k, el in enumerate(elements) if el.vector is None},
+            system_dim=system_dim,
+            _operators={k: el for k, el in enumerate(elements) if el.vector is None},
         )
         self.__dict__["elements"] = elements
 
@@ -174,18 +176,8 @@ class Povm(LabelledStack):
         would for empty or repeated labels and for non-finite amplitudes.
         """
         p = cls.__new__(cls)
-        p._build(system_dim, labels, vectors, dict(operators or {}))
+        p._store(labels, vectors, system_dim=system_dim, _operators=dict(operators or {}))
         return p
-
-    def _build(
-        self, system_dim: int, labels: Sequence[str], vectors: np.ndarray, operators: dict
-    ) -> None:
-        is_vector = np.ones(len(labels), dtype=bool)
-        is_vector[list(operators)] = False
-        is_vector.setflags(write=False)
-        self._store(
-            labels, vectors, system_dim=system_dim, _operators=operators, _is_vector=is_vector
-        )
 
     @classmethod
     def from_vectors(
@@ -198,25 +190,28 @@ class Povm(LabelledStack):
         for label, vec in labelled_vectors:
             labels.append(str(label))
             rows.append(np.reshape(vec.amplitudes if isinstance(vec, Ket) else vec, -1))
-        if system_dim is None and rows:
-            system_dim = rows[0].shape[0]
-        try:
-            stack = np.array(rows, dtype=complex)
-            # finite before fix_phase, whose pivot division warns on inf and nan
-            clean = stack.shape == (len(rows), system_dim) and bool(np.isfinite(stack).all())
-        except (TypeError, ValueError):
-            clean = False
-        if clean:
-            stack = fix_phase(stack)
-        else:
-            for row in rows:  # raises at the first faulty row; with no rows, from_stack does
-                Ket(Space.system(system_dim), row)
-        return cls.from_stack(system_dim, labels, stack)
+        if system_dim is None:
+            system_dim = len(rows[0]) if rows else 0
+        # The rows before the first of the wrong length, checked finite before
+        # fix_phase, whose pivot division warns on inf and nan.
+        good = next((k for k, row in enumerate(rows) if len(row) != system_dim), len(rows))
+        stack = np.array(rows[:good], dtype=complex).reshape(good, system_dim)
+        require_finite(stack)
+        if good < len(rows):
+            raise SpaceMismatchError(f"{len(rows[good])} amplitudes for a dim-{system_dim} space")
+        return cls.from_stack(system_dim, labels, fix_phase(stack))
 
     @property
     def operators(self) -> Mapping[int, PovmElement]:
         """The operator elements by position; every other element is rank one."""
         return MappingProxyType(self._operators)
+
+    @functools.cached_property
+    def _is_vector(self) -> np.ndarray:
+        is_vector = np.ones(len(self), dtype=bool)
+        is_vector[list(self._operators)] = False
+        is_vector.setflags(write=False)
+        return is_vector
 
     @functools.cached_property
     def elements(self) -> tuple[PovmElement, ...]:
@@ -241,8 +236,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         if self.op.space.kind != SYSTEM:
             raise SpaceMismatchError("density matrices live on system spaces")
-        if not self.op.is_hermitian(self.tol):
-            raise ValidationError("density matrix is not Hermitian", invariant="hermiticity")
+        require_hermitian(self.op, self.tol, "density matrix")
         low = float(np.linalg.eigvalsh(self.op.entries)[0])
         if low < -self.tol:
             raise ValidationError(
@@ -284,6 +278,25 @@ def _element_sum(p: Povm, positions: np.ndarray) -> np.ndarray:
     return stack.sum(axis=0)
 
 
+def _finite(what: str) -> Callable[[Callable], Callable]:
+    """The one non-finite rule for weights and residuals.
+
+    The decorated computation runs with numpy's overflow warnings silenced; a
+    result that is not finite everywhere raises FloatingPointError instead.
+    """
+    def decorate(compute: Callable) -> Callable:
+        @functools.wraps(compute)
+        def checked(p: Povm):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = compute(p)
+            if not np.isfinite(value).all():
+                raise FloatingPointError(f"{what} not finite")
+            return value
+        return checked
+    return decorate
+
+
+@_finite("an element weight is")
 def _selection_weights(p: Povm) -> np.ndarray:
     """Each element's ``context_selection_probability``; rank-1 weights round as ``np.vdot``."""
     rows = p.vectors
@@ -293,6 +306,7 @@ def _selection_weights(p: Povm) -> np.ndarray:
     return weights
 
 
+@_finite("the completeness residual is")
 def completeness_check(p: Povm) -> float:
     """Max-entry residual of (sum of elements) - identity."""
     return float(np.abs(_element_sum(p, np.arange(len(p))) - np.eye(p.system_dim)).max())

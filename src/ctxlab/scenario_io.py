@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -52,6 +52,7 @@ def encode_matrix(entries: np.ndarray) -> list[list[list[float]]]:
     return rows.view(float).reshape(len(rows), -1, 2).tolist()
 
 
+_PAIR_TYPES = frozenset((list, tuple))
 _REAL_TYPES = frozenset((int, float))
 # An entry longer than this is cut in the error that names it.
 _SHOWN_ENTRY_CHARS = 80
@@ -59,18 +60,14 @@ _SHOWN_ENTRY_CHARS = 80
 
 def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
     """Decode [re, im] pairs of exact ints or floats bit for bit (-0.0 kept)."""
-    if not isinstance(obj, list) or len(obj) != length:
+    if type(obj) is not list or len(obj) != length:
         raise ScenarioFileError(f"{what}: expected {length} [re, im] pairs")
-    try:
-        if _REAL_TYPES.issuperset(map(type, chain.from_iterable(obj))):
-            pairs = np.array(obj, dtype=float)
-            if pairs.shape == (length, 2):
-                return pairs.view(complex).reshape(length)
-    except (TypeError, ValueError, OverflowError):
-        pass  # the loop below names the entry at fault
-    for entry in obj:
+    vectors = _decode_section([obj], length)
+    if vectors is not None:
+        return vectors[0]
+    for entry in obj:  # names the entry at fault
         if (
-            not isinstance(entry, (list, tuple))
+            type(entry) not in _PAIR_TYPES
             or len(entry) != 2
             or not _REAL_TYPES.issuperset(map(type, entry))
         ):
@@ -82,18 +79,17 @@ def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
 
 
 def _decode_section(vectors: list, length: int) -> np.ndarray | None:
-    """The vectors as one ``(M, length)`` complex array, bit for bit as ``decode_vector``.
+    """The vectors as one ``(M, length)`` complex array, bit for bit (-0.0 kept).
 
-    None unless every vector is a list of ``length`` 2-element lists of exact
-    ints or floats within float range; the caller then decodes entry by entry,
-    which names the first entry at fault. One conversion of the flattened
-    numbers costs far less than one per vector. Finiteness is left to the
-    stack's own check, which raises what the first non-finite entry would.
+    None unless every vector is a list of ``length`` [re, im] lists or tuples
+    of exact ints or floats within float range. One conversion of the
+    flattened numbers costs far less than one per vector. Finiteness is left
+    to the caller.
     """
     if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {length}:
         return None
     pairs = list(chain.from_iterable(vectors))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+    if not _PAIR_TYPES.issuperset(map(type, pairs)) or set(map(len, pairs)) != {2}:
         return None
     flat = list(chain.from_iterable(pairs))
     if not _REAL_TYPES.issuperset(map(type, flat)):
@@ -106,9 +102,12 @@ def _decode_section(vectors: list, length: int) -> np.ndarray | None:
 
 
 def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
+    if type(obj) is not list or len(obj) != dim:
         raise ScenarioFileError(f"{what}: expected a {dim}x{dim} matrix")
-    return np.stack([decode_vector(row, dim, what) for row in obj])
+    matrix = _decode_section(obj, dim)
+    if matrix is None:  # row by row, which names the row at fault
+        matrix = np.stack([decode_vector(row, dim, what) for row in obj])
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -144,59 +143,51 @@ def _positive_int(raw: dict, key: str) -> int:
     return value
 
 
-def _labelled_entries(raw: object, section: str) -> list[dict]:
+def _section(
+    raw: object, section: str, dim: int, what: str, noun: str = "", matrix: Callable | None = None
+) -> tuple[list[str], np.ndarray, dict[int, object]]:
+    """Labels, an ``(M, dim)`` stack with zero rows at matrix entries, and
+    ``matrix(label, operator)`` of each matrix entry by position.
+
+    Without ``matrix`` every entry is a vector and a "matrix" key is ignored.
+    Well-formed vectors are decoded in one call, their finiteness left to the
+    stack's constructor, which raises what the first non-finite entry would.
+    Any other section is read entry by entry, each checked in full before the
+    next. ``what`` names an entry in decode errors, ``noun`` in the one-payload
+    rule.
+    """
     if not isinstance(raw, list):
         raise ScenarioFileError(f"{section} must be a list")
     seen = set()
-    entries = []
     for item in raw:
         if not isinstance(item, dict) or not isinstance(item.get("label"), str):
             raise ScenarioFileError(f"{section}: every entry needs a string label")
         if item["label"] in seen:
             raise ScenarioFileError(f"{section}: duplicate label {item['label']!r}")
         seen.add(item["label"])
-        entries.append(item)
-    return entries
-
-
-def _finite_vector(obj: object, dim: int, what: str) -> np.ndarray:
-    """``decode_vector``, then the ``finite-amplitudes`` check a ``Ket`` makes."""
-    vec = decode_vector(obj, dim, what)
-    require_finite(vec)
-    return vec
-
-
-def _vectors_or_matrices(
-    items: list[dict], dim: int, noun: str, what: str
-) -> Iterator[tuple[str, np.ndarray | Operator]]:
-    """Decode, entry by entry, labelled entries holding exactly one of vector/matrix.
-
-    A vector comes as its finite amplitudes. ``noun`` names an entry in the
-    payload rule's message, ``what`` in decode errors.
-    """
-    space = Space.system(dim)
-    for item in items:
-        label = item["label"]
-        if ("vector" in item) == ("matrix" in item):
+    labels = [item["label"] for item in raw]
+    if matrix is None or not any("matrix" in item for item in raw):
+        stack = _decode_section([item.get("vector") for item in raw], dim)
+        if stack is not None:
+            return labels, stack, {}
+    stack, matrices = np.zeros((len(raw), dim), dtype=complex), {}
+    for k, (label, item) in enumerate(zip(labels, raw)):
+        name = f"{what} {label!r}"
+        if matrix is not None and ("vector" in item) == ("matrix" in item):
             raise ScenarioFileError(f"{noun} {label!r} needs exactly one of vector/matrix")
-        if "vector" in item:
-            yield label, _finite_vector(item["vector"], dim, f"{what} {label!r}")
+        if matrix is None or "vector" in item:
+            stack[k] = decode_vector(item.get("vector"), dim, name)
+            require_finite(stack[k])
         else:
-            yield label, Operator(space, decode_matrix(item["matrix"], dim, f"{what} {label!r}"))
+            entries = decode_matrix(item["matrix"], dim, name)
+            matrices[k] = matrix(label, Operator(Space.system(dim), entries))
+    return labels, stack, matrices
 
 
-def _encode_entry(label: str, payload: Ket | Operator) -> dict:
-    if isinstance(payload, Ket):
-        return {"label": label, "vector": encode_vector(payload.amplitudes)}
-    return {"label": label, "matrix": encode_matrix(payload.entries)}
-
-
-def _encode_section(
-    labels: tuple[str, ...], vectors: np.ndarray, operators: dict[int, PovmElement]
-) -> list[dict]:
-    """Entries of a vector stack; positions in ``operators`` are written as matrices."""
+def _encode_section(labels: Iterable[str], vectors: np.ndarray, matrices: dict) -> list[dict]:
+    """Entries of a vector stack; positions in ``matrices`` are written as those matrices."""
     return [
-        _encode_entry(label, operators[k].operator) if k in operators
+        {"label": label, "matrix": encode_matrix(matrices[k])} if k in matrices
         else {"label": label, "vector": row}
         for k, (label, row) in enumerate(zip(labels, encode_matrix(vectors)))
     ]
@@ -219,15 +210,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
             raise ScenarioFileError("outcomes and phi_init must appear together")
         env_dim = _positive_int(raw, "env_dim")
         joint = Space.joint(env_dim, system_dim)
-        items = _labelled_entries(raw["outcomes"], "outcomes")
-        vectors = _decode_section([item.get("vector") for item in items], joint.dim)
-        if vectors is None:
-            rows = [
-                _finite_vector(item.get("vector"), joint.dim, f"outcome {item['label']!r}")
-                for item in items
-            ]
-            vectors = np.array(rows, dtype=complex).reshape(-1, joint.dim)
-        labels = [item["label"] for item in items]
+        labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint.dim, "outcome")
         outcomes = JointOutcomeSet.from_stack(joint, labels, vectors, tol=tol)
         phi_init = Ket(
             Space.environment(env_dim), decode_vector(raw["phi_init"], env_dim, "phi_init")
@@ -237,30 +220,21 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
 
     povm = None
     if "povm" in raw:
-        items = _labelled_entries(raw["povm"], "povm")
-        vectors, operators = None, {}
-        if not any("matrix" in item for item in items):
-            vectors = _decode_section([item.get("vector") for item in items], system_dim)
-        if vectors is None:
-            rows = []
-            zero = np.zeros(system_dim, dtype=complex)
-            entries = _vectors_or_matrices(items, system_dim, "povm element", "povm")
-            for k, (label, x) in enumerate(entries):
-                if isinstance(x, Operator):
-                    operators[k] = PovmElement(label, operator=x, tol=tol)
-                    x = zero
-                rows.append(x)
-            vectors = np.array(rows, dtype=complex).reshape(-1, system_dim)
-        labels = [item["label"] for item in items]
+        labels, vectors, operators = _section(
+            raw["povm"], "povm", system_dim, "povm", noun="povm element",
+            matrix=lambda label, op: PovmElement(label, operator=op, tol=tol),
+        )
         povm = Povm.from_stack(system_dim, labels, vectors, operators)
 
     states: dict[str, Ket | DensityMatrix] = {}
     if "states" in raw:
-        items = _labelled_entries(raw["states"], "states")
-        entries = _vectors_or_matrices(items, system_dim, "state", "state")
+        labels, vectors, matrices = _section(
+            raw["states"], "states", system_dim, "state", noun="state",
+            matrix=lambda _, op: DensityMatrix(op, tol),
+        )
         space = Space.system(system_dim)
-        for label, x in entries:
-            states[label] = DensityMatrix(x, tol) if isinstance(x, Operator) else Ket(space, x)
+        for k, (label, row) in enumerate(zip(labels, vectors)):
+            states[label] = matrices[k] if k in matrices else Ket(space, row)
 
     hardy = None
     if "hardy" in raw:
@@ -299,12 +273,13 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.phi_init is not None:
         raw["phi_init"] = encode_vector(s.phi_init.amplitudes)
     if s.povm is not None:
-        raw["povm"] = _encode_section(s.povm.labels(), s.povm.vectors, s.povm.operators)
+        operators = {k: el.operator.entries for k, el in s.povm.operators.items()}
+        raw["povm"] = _encode_section(s.povm.labels(), s.povm.vectors, operators)
     if s.states:
-        raw["states"] = [
-            _encode_entry(label, state if isinstance(state, Ket) else state.op)
-            for label, state in s.states.items()
-        ]
+        states = tuple(s.states.values())
+        matrices = {k: x.matrix for k, x in enumerate(states) if not isinstance(x, Ket)}
+        rows = [np.zeros(x.dim) if k in matrices else x.amplitudes for k, x in enumerate(states)]
+        raw["states"] = _encode_section(s.states, rows, matrices)
     if s.hardy is not None:
         raw["hardy"] = {"f": s.hardy[0], "d1": s.hardy[1], "d2": s.hardy[2]}
     return raw

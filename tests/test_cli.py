@@ -490,6 +490,29 @@ def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
     assert err.startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize(
+    "command", ["context-graph", "context-graph --json", "context-graph --dot", "dilate -o OUT"]
+)
+@pytest.mark.parametrize("kind", _OVERFLOWING_POVMS)
+def test_overflowing_weights_are_a_numerical_failure_in_every_command(
+    capsys, tmp_path, kind, command
+):
+    dim, povm = _OVERFLOWING_POVMS[kind]
+    path = tmp_path / f"{kind}.json"
+    save_scenario(path, {"version": 1, "system_dim": dim, "povm": povm})
+    argv = [str(tmp_path / "out.json") if arg == "OUT" else arg for arg in command.split()]
+    code, out, err = run_cli(capsys, *argv, str(path))
+    if kind != "overflowing-sum":
+        expected = (4, "numerical failure: an element weight is not finite\n")
+    elif argv[0] == "context-graph":  # finite elements: the graph is drawn
+        expected = (0, "")
+    else:  # dilate refuses operator elements before it weighs them
+        expected = (3, "invariant violation [rank-one-elements]: element 'a' is not rank one\n")
+    assert (code, err) == expected
+    assert (out == "") == (code != 0)
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command", ["povm check", "context-graph", "inequality", "max-violation"])
 def test_a_density_matrix_whose_trace_overflows_fails_unit_trace_without_a_warning(
     capsys, tmp_path, command

@@ -7,11 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "ctxlab").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxlab"
+SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +33,43 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Private module-level functions and classes, and private methods of module-level
+    classes, whose name no module of ``sources`` reads as a name or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    referenced = set()
+    defined = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for definition in (node, *members):
+                if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append(definition.name)
+    return [name for name in defined if _is_private(name) and name not in referenced]
+
+
+def test_the_scan_finds_an_unreferenced_private_helper():
+    first = "def _used():\n    pass\n\ndef _left():\n    pass\n\nclass _Kept:\n    pass\n"
+    second = (
+        "class Public:\n    def _called(self):\n        pass\n\n"
+        "    def _stale(self):\n        pass\n\n"
+        "    def __eq__(self, other):\n        return self._called()\n\n"
+        "_used()\nx = _Kept\n"
+    )
+    assert unreferenced_private_names([first, second]) == ["_left", "_stale"]
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private_names(sources) == []

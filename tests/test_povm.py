@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctxlab import (
     DensityMatrix,
+    JointOutcomeSet,
     Ket,
     Operator,
     Povm,
@@ -26,8 +27,10 @@ from ctxlab import (
     completeness_check,
     context_graph,
     context_selection_probability,
+    dilation_DA,
     dilation_VH,
     hwp_transform,
+    load_fixture,
     maximizing_state,
     povm_DA,
     povm_from_dilation,
@@ -521,3 +524,59 @@ def test_vectors_hold_one_read_only_row_per_element(da_povm):
         merged.vectors[0, 0] = 1.0
     identity = Povm(2, (PovmElement("I", operator=Operator.identity(Space.system(2))),))
     assert identity.vectors.dtype == complex and not identity.vectors.any()
+
+
+def _one_ulp_up(values: np.ndarray) -> np.ndarray:
+    """A copy with the real part of the first nonzero entry moved up by one ulp."""
+    bumped = np.array(values, dtype=complex)
+    flat = bumped.reshape(-1)
+    k = int(np.flatnonzero(flat)[0])
+    flat[k] = complex(np.nextafter(flat[k].real, np.inf), flat[k].imag)
+    return bumped
+
+
+def test_equal_content_compares_equal(scenario, vh_povm):
+    assert povm_DA(scenario) == povm_DA(scenario)
+    assert load_fixture("hardy") == load_fixture("hardy")
+    assert dilation_DA(scenario) == dilation_DA(scenario)
+    merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
+    assert merged == coarse_grain(vh_povm, ("V1", "V2"), "V12")
+    assert DensityMatrix.from_ket(scenario.f) == DensityMatrix.from_ket(scenario.f)
+    assert Ket(scenario.system, [1.0, 0.0, 0.0]) == scenario.paths[0]
+    assert Ket(scenario.system, [1.0, 0.0, 0.0]) != scenario.paths[1]
+    assert Ket(scenario.environment, [1.0, 0.0]) != Ket(scenario.system, [1.0, 0.0, 0.0])
+    assert povm_DA(scenario) != povm_DA(scenario, merge_A=False)
+    assert merged != vh_povm and Ket(scenario.system, [1.0, 0.0, 0.0]) != "not a ket"
+
+
+def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
+    ket = scenario.f
+    assert ket != Ket(ket.space, _one_ulp_up(ket.amplitudes))
+    op = Operator(ket.space, ket.projector())
+    assert op != Operator(ket.space, _one_ulp_up(op.entries))
+    assert DensityMatrix(op) != DensityMatrix(Operator(ket.space, _one_ulp_up(op.entries)))
+    p = povm_DA(scenario)
+    assert p != Povm.from_stack(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
+    merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
+    entries = _one_ulp_up(merged.element("V12").operator.entries)
+    bumped = {0: PovmElement("V12", operator=Operator(ket.space, entries))}
+    assert merged != Povm.from_stack(3, merged.labels(), merged.vectors, bumped)
+    outcomes = dilation_DA(scenario).outcomes
+    moved = _one_ulp_up(outcomes.vectors)
+    assert outcomes != JointOutcomeSet.from_stack(outcomes.space, outcomes.labels(), moved)
+
+
+def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
+    for p in (povm_DA(scenario, merge_A=False), coarse_grain(vh_povm, ("V1", "V2"), "V12")):
+        eager = Povm(p.system_dim, p.elements)
+        assert eager == Povm.from_stack(p.system_dim, p.labels(), p.vectors, p.operators)
+        assert eager.elements == p.elements
+
+
+def test_from_vectors_raises_for_the_first_faulty_row():
+    good, nan, long = np.array([1.0, 0.0]), np.array([np.nan, 0.0]), np.ones(3)
+    with pytest.raises(ValidationError) as caught:
+        Povm.from_vectors([("a", good), ("b", nan), ("c", long)])
+    assert caught.value.invariant == "finite-amplitudes"
+    with pytest.raises(SpaceMismatchError, match="^3 amplitudes for a dim-2 space$"):
+        Povm.from_vectors([("a", good), ("c", long), ("b", nan)])

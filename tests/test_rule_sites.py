@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ctxlab import (
+    DensityMatrix,
     Dilation,
     HardyTriple,
     JointOutcomeSet,
@@ -27,6 +28,7 @@ from ctxlab import (
     basis_ket,
     basis_mixture_povm,
     context_switch_povm,
+    eigh,
     maximizing_state,
     rescaled_probability,
     scenario_from_dict,
@@ -41,6 +43,7 @@ E0, E1 = basis_ket(SYS2, 0), basis_ket(SYS2, 1)
 X0, X1 = basis_ket(ENV2, 0), basis_ket(ENV2, 1)
 ZERO = Ket(SYS2, [0.0, 0.0])
 IDENTITY = Operator.identity(SYS2)
+SKEWED = Operator(SYS2, np.array([[1.0, 1.0], [0.0, 0.0]]))  # hermiticity residual 1
 
 
 def _povm_with_zero_vector():
@@ -116,6 +119,18 @@ CASES = {
     "context-switch-phi-init-normalisation": (
         lambda: context_switch_povm([(X0, IDENTITY)], [E0, E1], LONG_PHI),
         ValidationError, "phi-init-normalisation", "phi_init must be normalised",
+    ),
+    "povm-element-hermiticity": (
+        lambda: PovmElement("x", operator=SKEWED),
+        ValidationError, "hermiticity", "element 'x' is not Hermitian (residual 1.000e+00)",
+    ),
+    "density-matrix-hermiticity": (
+        lambda: DensityMatrix(SKEWED),
+        ValidationError, "hermiticity", "density matrix is not Hermitian (residual 1.000e+00)",
+    ),
+    "eigh-hermiticity": (
+        lambda: eigh(SKEWED),
+        ValidationError, "hermiticity", "operator is not Hermitian (residual 1.000e+00)",
     ),
     "basis-mixture-count": (
         lambda: basis_mixture_povm([[E0, E1], [E0]], [0.5, 0.5]),

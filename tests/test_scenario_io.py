@@ -102,6 +102,59 @@ def test_non_finite_json_amplitudes_reach_the_ket_check(capsys, tmp_path, litera
     assert "invariant violation [finite-amplitudes]" in capsys.readouterr().err
 
 
+def _tupled(obj: object) -> object:
+    """``obj`` with every [re, im] pair, a 2-list of numbers, turned into a tuple."""
+    if isinstance(obj, dict):
+        return {key: _tupled(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        if len(obj) == 2 and {type(x) for x in obj} <= {int, float}:
+            return tuple(obj)
+        return [_tupled(entry) for entry in obj]
+    return obj
+
+
+def _bits(values: np.ndarray) -> list[int]:
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64).reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("with_matrices", [False, True], ids=["vectors", "with-matrices"])
+def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
+    raw = _da_dict()
+    third = np.eye(3) / 3.0
+    if with_matrices:
+        raw["povm"].append({"label": "M", "matrix": encode_matrix(third)})
+        raw["states"].append({"label": "mixed", "matrix": encode_matrix(third)})
+    assert "-0.0" in json.dumps(raw)
+    tupled = _tupled(raw)
+    assert type(tupled["phi_init"][0]) is tuple and type(tupled["povm"][0]["vector"][0]) is tuple
+    plain, loaded = scenario_from_dict(raw), scenario_from_dict(tupled)
+    assert _bits(loaded.outcomes.vectors) == _bits(plain.outcomes.vectors)
+    assert _bits(loaded.phi_init.amplitudes) == _bits(plain.phi_init.amplitudes)
+    assert _bits(loaded.povm.vectors) == _bits(plain.povm.vectors)
+    assert _bits(loaded.states["plus"].amplitudes) == _bits(plain.states["plus"].amplitudes)
+    if with_matrices:
+        m = len(plain.povm) - 1
+        assert list(loaded.povm.operators) == list(plain.povm.operators) == [m]
+        assert _bits(loaded.povm.operators[m].operator.entries) == _bits(third)
+        assert _bits(loaded.states["mixed"].matrix) == _bits(third)
+
+
+@pytest.mark.parametrize("section", ["povm", "states"])
+def test_a_non_hermitian_matrix_before_a_malformed_vector_is_reported_first(
+    capsys, tmp_path, section
+):
+    raw = fixture_dict("hardy")
+    skewed = encode_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    raw[section][:0] = [
+        {"label": "skewed", "matrix": skewed},
+        {"label": "short", "vector": [[1.0, 0.0]]},
+    ]
+    path = tmp_path / "skewed.json"
+    save_scenario(path, raw)
+    assert main(["povm", "check", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation [hermiticity]: ")
+
+
 def _written(raw: dict) -> str:
     """The text ``save_scenario`` writes for ``raw``, newlines untranslated."""
     with tempfile.TemporaryDirectory() as tmp:
