@@ -35,7 +35,7 @@ from .povm import (
     element_bound_residual,
     validate_povm,
 )
-from .scenario_io import Scenario, encode_vector, load_scenario, save_scenario, scenario_to_dict
+from .scenario_io import Scenario, encode_vector, load_scenario, save_scenario
 
 
 def _fmt(value: float) -> str:
@@ -139,7 +139,7 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     scenario = Scenario(
         p.system_dim, d.outcomes.space.env_dim, d.outcomes, d.phi_init, povm_from_dilation(d)
     )
-    save_scenario(args.output, scenario_to_dict(scenario))
+    save_scenario(args.output, scenario)
     print(
         f"wrote {args.output}: env_dim={d.outcomes.space.env_dim}, "
         f"{len(d.outcomes)} joint outcomes"

@@ -23,14 +23,13 @@ from .scenario_io import Scenario, load_scenario, save_scenario, scenario_to_dic
 FIXTURE_NAMES = ("three-path-VH", "three-path-DA", "hardy")
 
 
-def fixture_dict(name: str) -> dict:
-    """Regenerate a bundled scenario from the library (no file access)."""
+def _fixture_scenario(name: str) -> Scenario:
     if name in ("three-path-VH", "three-path-DA"):
         s = build_three_path()
         vh = name == "three-path-VH"
         d = dilation_VH(s) if vh else dilation_DA(s)
         p = povm_from_dilation(d) if vh else povm_DA(s, merge_A=True)
-        return scenario_to_dict(Scenario(3, 2, d.outcomes, d.phi_init, p))
+        return Scenario(3, 2, d.outcomes, d.phi_init, p)
     if name == "hardy":
         s = build_three_path()
         space = s.system
@@ -42,10 +41,13 @@ def fixture_dict(name: str) -> dict:
         # hardy_state(d1, d2) up to last-ulp SVD noise; stored exactly so the
         # two D overlaps cancel to a clean zero in reports
         paradox = Ket(space, np.ones(3) / np.sqrt(3.0))
-        return scenario_to_dict(
-            Scenario(3, povm=p, states={"hardy": paradox}, hardy=("F", "D1", "D2"))
-        )
+        return Scenario(3, povm=p, states={"hardy": paradox}, hardy=("F", "D1", "D2"))
     raise ScenarioFileError(f"unknown fixture {name!r}; choose one of {FIXTURE_NAMES}")
+
+
+def fixture_dict(name: str) -> dict:
+    """Regenerate a bundled scenario from the library (no file access)."""
+    return scenario_to_dict(_fixture_scenario(name))
 
 
 def fixture_path(name: str) -> Path:
@@ -65,7 +67,7 @@ def write_fixtures(directory: Path | None = None) -> list[Path]:
     written = []
     for name in FIXTURE_NAMES:
         path = target / f"{name}.json"
-        save_scenario(path, fixture_dict(name))
+        save_scenario(path, _fixture_scenario(name))
         written.append(path)
     return written
 

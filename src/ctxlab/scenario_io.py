@@ -29,6 +29,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,13 +185,20 @@ def _section(
     return labels, stack, matrices
 
 
-def _encode_section(labels: Iterable[str], vectors: np.ndarray, matrices: dict) -> list[dict]:
-    """Entries of a vector stack; positions in ``matrices`` are written as those matrices."""
-    return [
-        {"label": label, "matrix": encode_matrix(matrices[k])} if k in matrices
-        else {"label": label, "vector": row}
-        for k, (label, row) in enumerate(zip(labels, encode_matrix(vectors)))
-    ]
+class _Section(NamedTuple):
+    """A labelled vector stack, finite as its constructor checked, that ``_dumps``
+    writes in one pass; positions in ``matrices`` are written as those matrices."""
+
+    labels: Iterable[str]
+    vectors: np.ndarray
+    matrices: dict
+
+    def entries(self) -> list[dict]:
+        return [
+            {"label": label, "matrix": encode_matrix(self.matrices[k])} if k in self.matrices
+            else {"label": label, "vector": row}
+            for k, (label, row) in enumerate(zip(self.labels, encode_matrix(self.vectors)))
+        ]
 
 
 def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
@@ -263,62 +271,92 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
     return scenario_from_dict(raw, tol)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """The JSON-ready dict of a scenario; ``scenario_from_dict`` reads it back."""
+def _scenario_tree(s: Scenario) -> dict:
+    """``scenario_to_dict(s)`` with each section left a ``_Section``."""
     raw: dict = {"version": SCHEMA_VERSION, "system_dim": int(s.system_dim)}
     if s.env_dim is not None:
         raw["env_dim"] = int(s.env_dim)
     if s.outcomes is not None:
-        raw["outcomes"] = _encode_section(s.outcomes.labels(), s.outcomes.vectors, {})
+        raw["outcomes"] = _Section(s.outcomes.labels(), s.outcomes.vectors, {})
     if s.phi_init is not None:
         raw["phi_init"] = encode_vector(s.phi_init.amplitudes)
     if s.povm is not None:
         operators = {k: el.operator.entries for k, el in s.povm.operators.items()}
-        raw["povm"] = _encode_section(s.povm.labels(), s.povm.vectors, operators)
+        raw["povm"] = _Section(s.povm.labels(), s.povm.vectors, operators)
     if s.states:
         states = tuple(s.states.values())
         matrices = {k: x.matrix for k, x in enumerate(states) if not isinstance(x, Ket)}
         rows = [np.zeros(x.dim) if k in matrices else x.amplitudes for k, x in enumerate(states)]
-        raw["states"] = _encode_section(s.states, rows, matrices)
+        raw["states"] = _Section(s.states, rows, matrices)
     if s.hardy is not None:
         raw["hardy"] = {"f": s.hardy[0], "d1": s.hardy[1], "d2": s.hardy[2]}
     return raw
 
 
+def scenario_to_dict(s: Scenario) -> dict:
+    """The JSON-ready dict of a scenario; ``scenario_from_dict`` reads it back."""
+    raw = _scenario_tree(s)
+    return {key: v.entries() if type(v) is _Section else v for key, v in raw.items()}
+
+
+def _vectors(stack: np.ndarray, pad: str) -> list[str]:
+    """Each row of a finite complex stack as ``_dumps`` writes its [re, im] pairs at
+    indentation ``pad``. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
+    string; the others fill ``%r`` slots, ``float.__repr__`` as in ``json``."""
+    rows = np.ascontiguousarray(stack, dtype=complex)
+    pairs, inner = rows.view(float).reshape(len(rows), -1, 2), pad + "  "
+    pair, sep = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]", ",\n" + inner
+    texts = (pair, pair % (0.0, 0.0))
+    zero = ~((pairs != 0) | np.signbit(pairs)).any(axis=2)
+    templates = (f"[\n{inner}{sep.join(map(texts.__getitem__, z))}\n{pad}]" for z in zero.tolist())
+    # one % call for the stack; "\0" occurs in no row, so it parts them
+    return ("\0".join(templates) % tuple(pairs[~zero].ravel().tolist())).split("\0")
+
+
 def _dumps(obj: object, pad: str = "") -> str:
     """``json.dumps(obj, indent=2)`` written at indentation ``pad``, byte for byte.
 
-    Non-empty dicts with ``str`` keys and non-empty lists are walked. A list of
-    finite ``[float, float]`` pairs is written by one ``%`` call whose ``%r``
-    slots are ``float.__repr__``, as in ``json``; every other value goes
-    through ``json.dumps`` itself. Plain loops, not comprehensions, keep one
-    frame per level, so a tree nests as deep as ``json`` allows before
-    ``RecursionError``.
+    Non-empty dicts with ``str`` keys, non-empty lists and ``_Section``s are
+    walked. Finite ``[float, float]`` pairs, in a list or a section's stack, are
+    written by ``_vectors``; every other value goes through ``json.dumps``. Plain
+    loops, not comprehensions, keep one frame per level, so a tree nests as deep
+    as ``json`` allows before ``RecursionError``.
     """
     inner = pad + "  "
     sep = ",\n" + inner
+    if type(obj) is _Section:
+        entry, items = inner + "  ", []
+        for k, (label, row) in enumerate(zip(obj.labels, _vectors(obj.vectors, entry))):
+            key = "vector"
+            if k in obj.matrices:
+                key, row = "matrix", _dumps(encode_matrix(obj.matrices[k]), entry)
+            items.append(
+                f'{{\n{entry}"label": {json.dumps(label)},\n{entry}"{key}": {row}\n{inner}}}'
+            )
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
         items = []
         for key, value in obj.items():
             items.append(f"{json.dumps(key)}: {_dumps(value, inner)}")
-        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     if type(obj) is list and obj:
         if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
             flat = tuple(chain.from_iterable(obj))
             if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-                pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
-                return ("[\n" + inner + sep.join([pair] * len(obj)) + "\n" + pad + "]") % flat
+                return _vectors(np.array(flat).view(complex)[None], pad)[0]
         items = []
         for entry in obj:
             items.append(_dumps(entry, inner))
-        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
     return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
-def save_scenario(path: str | Path, raw: dict) -> None:
-    """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``."""
+def save_scenario(path: str | Path, raw: dict | Scenario) -> None:
+    """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``, or for
+    ``scenario_to_dict(raw)`` of a ``Scenario``, formatted from its stacks."""
+    tree = _scenario_tree(raw) if isinstance(raw, Scenario) else raw
     try:
-        Path(path).write_text(_dumps(raw) + "\n", encoding="utf-8")
+        Path(path).write_text(f"{_dumps(tree)}\n", encoding="utf-8")
     except OSError as exc:
         raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
     except RecursionError as exc:

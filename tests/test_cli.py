@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctxlab.cli
+import ctxlab.scenario_io
 from ctxlab import (
     DEFAULT_TOL,
     Scenario,
@@ -24,6 +26,7 @@ from ctxlab import (
     fixture_dict,
     fixture_path,
     load_scenario,
+    naimark_dilate,
     povm_from_dilation,
     save_scenario,
     scenario_to_dict,
@@ -209,6 +212,28 @@ def test_dilate_round_trips_through_the_file(seed, dim, extra):
     assert derived.labels() == p.labels()
     for el, el2 in zip(p.elements, derived.elements):
         assert phase_aligned_max_err(el2.vector.amplitudes, el.vector.amplitudes) <= 1e-12
+
+
+def test_dilate_writes_a_large_dilation_straight_from_its_stacks(monkeypatch, tmp_path):
+    p = random_rank1_povm(np.random.default_rng(64), 8, 64)
+    source, target = tmp_path / "povm.json", tmp_path / "dilated.json"
+    save_scenario(source, scenario_to_dict(Scenario(8, povm=p)))
+
+    def refuse(_):
+        raise AssertionError("dilate built the file's dict")
+
+    for module in (ctxlab.cli, ctxlab.scenario_io):
+        monkeypatch.setattr(module, "scenario_to_dict", refuse, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["dilate", str(source), "-o", str(target)]) == 0
+    monkeypatch.undo()
+    written = load_scenario(target)
+    dumped = json.dumps(scenario_to_dict(written), indent=2) + "\n"
+    assert target.read_text(encoding="utf-8") == dumped
+    expected = naimark_dilate(load_scenario(source).resolve_povm())
+    assert written.outcomes == expected.outcomes
+    assert written.phi_init == expected.phi_init
+    assert written.povm == povm_from_dilation(expected)
 
 
 def test_dilate_rejects_operator_povms(capsys, tmp_path):

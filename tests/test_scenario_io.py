@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ctxlab import (
     FIXTURE_NAMES,
     DensityMatrix,
+    JointOutcomeSet,
     Ket,
     Operator,
     Povm,
@@ -155,7 +156,7 @@ def test_a_non_hermitian_matrix_before_a_malformed_vector_is_reported_first(
     assert capsys.readouterr().err.startswith("invariant violation [hermiticity]: ")
 
 
-def _written(raw: dict) -> str:
+def _written(raw: dict | Scenario) -> str:
     """The text ``save_scenario`` writes for ``raw``, newlines untranslated."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "written.json"
@@ -323,6 +324,7 @@ def test_write_fixtures_to_a_directory(tmp_path):
     assert sorted(p.name for p in written) == sorted(f"{n}.json" for n in FIXTURE_NAMES)
     for path in written:
         assert load_scenario(path).system_dim == 3
+        assert path.read_bytes() == fixture_path(path.stem).read_bytes()
 
 
 def test_unknown_fixture_names_are_rejected():
@@ -409,6 +411,46 @@ def test_writer_equals_the_indented_json_dump(raw):
 def test_writer_equals_the_indented_json_dump_on_scenarios(scenario):
     raw = scenario_to_dict(scenario)
     assert _written(raw) == json.dumps(raw, indent=2) + "\n"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(scenarios())
+def test_a_scenario_is_written_from_its_stacks_as_its_dict_would_be(scenario):
+    assert _written(scenario) == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+
+
+# Each part alone: -0.0 must not share the +0.0 pair's string.
+_EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9.999e15, 1e-5, 1e-4, -1e-4, 0.1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
+    pairs = np.array([(re, im) for re in _EDGE_PARTS for im in _EDGE_PARTS])
+    outcomes = np.resize(pairs.view(complex).ravel(), (7, 7 * dim))  # every pair from dim 3
+    outcomes[4] = 0.0
+    rows = outcomes[:, -dim:].copy()
+    rows[[0, 3]] = 0.0  # an all-zero row, and the operator element's
+    labels = [f"m{k}" for k in range(7)]
+    space, diagonal = Space.system(dim), np.eye(dim, dtype=bool)
+    operator = Operator(space, np.where(diagonal, 0.25, complex(-0.0, -0.0)))
+    povm = Povm.from_stack(dim, labels, rows, {3: PovmElement("m3", operator=operator)})
+    states = {
+        "edge": Ket(space, rows[1]),
+        "zero": Ket(space, rows[0]),
+        "mixed": DensityMatrix.from_matrix(np.where(diagonal, 1.0 / dim, complex(0.0, -0.0))),
+    }
+    scenario = Scenario(
+        dim,
+        7,
+        JointOutcomeSet.from_stack(Space.joint(7, dim), labels, outcomes, validate=False),
+        Ket(Space.environment(7), outcomes[1, :7]),
+        povm,
+        states,
+        ("m1", "m2", "m3"),
+    )
+    text = _written(scenario)
+    assert text == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    assert all(f" {part}" in text for part in ("-0.0", "5e-324", "1e+16", "1e-05", "0.0001"))
 
 
 def test_saving_a_too_deeply_nested_dict_is_a_file_error(tmp_path):
