@@ -32,7 +32,7 @@ from ctxlab.cli import main
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 FLOAT_ABS = 1e-12
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_TOLS = ((), ("--tol", "1e-3"))
+_TOLS = ((), ("--tol", "1e-3"), ("--tol", "1e-17"))
 
 
 def golden_argvs() -> list[list[str]]:
