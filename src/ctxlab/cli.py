@@ -8,6 +8,7 @@ emits machine-readable reports where available.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -63,24 +64,23 @@ def _print_graph(graph: ContextGraph) -> None:
 def _print_povm_report(p: Povm, tol: float) -> None:
     print(f"povm: {len(p)} elements, system_dim={p.system_dim}")
     print("elements:")
-    for el in p.elements:
-        if el.is_vector:
-            print(
-                f"  {el.label}: weight={_fmt(el.weight())} "
-                f"vector={_fmt_vector(el.vector.amplitudes)}"
-            )
+    labels = p.labels()
+    for k, (label, row) in enumerate(zip(labels, p.vectors)):
+        if k not in p.operators:
+            weight = float(np.vdot(row, row).real)
+            print(f"  {label}: weight={_fmt(weight)} vector={_fmt_vector(row)}")
         else:
-            eigs = np.linalg.eigvalsh(el.operator.entries)
+            entries = p.operators[k].operator.entries
             print(
-                f"  {el.label}: operator trace={_fmt(el.weight())} "
-                f"eigenvalues={_fmt_vector(eigs)}"
+                f"  {label}: operator trace={_fmt(float(np.trace(entries).real))} "
+                f"eigenvalues={_fmt_vector(np.linalg.eigvalsh(entries))}"
             )
     print(f"completeness residual: {_fmt(completeness_check(p))}")
-    positions = [k for k, el in enumerate(p.elements) if el.is_vector]
+    positions = [k for k in range(len(p)) if k not in p.operators]
     if len(positions) > 1:
         print("gram (vector elements):")
         for k, row in zip(positions, gram(p.vectors[positions])):
-            print(f"  {p.elements[k].label}: {_fmt_vector(row)}")
+            print(f"  {labels[k]}: {_fmt_vector(row)}")
     _print_graph(context_graph(p, tol))
 
 
@@ -193,12 +193,7 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
                     "rhs": report.rhs,
                     "violated": report.violated,
                     "state": label,
-                    "certification": {
-                        "c1": report.certification.c1,
-                        "c2": report.certification.c2,
-                        "r1": report.certification.r1,
-                        "r2": report.certification.r2,
-                    },
+                    "certification": dataclasses.asdict(report.certification),
                 }
             )
         )

@@ -13,32 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .hilbert import DEFAULT_TOL, Ket, Operator, Space, eigh, fix_phase
+from .errors import SpaceMismatchError, ValidationError
+from .hilbert import DEFAULT_TOL, Ket, Space, fix_phase, unit_vector
 from .povm import (
     DensityMatrix,
     Povm,
-    maximizing_state,
+    _maximizing_unit,
+    _probability,
     require_context_weight,
     rescaled_probability,
 )
-
-
-def _unit_direction(p: Povm, label: str, tol: float) -> Ket:
-    el = p.element(label)
-    if not el.is_vector:
-        raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
-    require_context_weight(p, label, tol)
-    return el.vector.normalized(tol).with_canonical_phase()
-
-
-def _orthogonal_part(f: Ket, d: Ket, tol: float) -> Ket:
-    rest = f - d.inner(f) * d
-    if rest.norm() <= tol:
-        raise ValidationError(
-            "the reference outcome is parallel to its partner", invariant="hardy-decomposition"
-        )
-    return rest.normalized(tol).with_canonical_phase()
 
 
 @dataclass(frozen=True)
@@ -64,18 +48,27 @@ class HardyTriple:
     def from_povm(
         cls, p: Povm, f: str, d1: str, d2: str, tol: float = DEFAULT_TOL
     ) -> HardyTriple:
-        f_hat = _unit_direction(p, f, tol)
-        d1_hat = _unit_direction(p, d1, tol)
-        d2_hat = _unit_direction(p, d2, tol)
-        basis1 = _orthogonal_part(f_hat, d1_hat, tol)
-        basis2 = _orthogonal_part(f_hat, d2_hat, tol)
-        overlap = abs(basis1.inner(basis2))
+        units = []
+        for label in (f, d1, d2):
+            k = p._index[label]
+            if not p._is_vector[k]:
+                raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
+            require_context_weight(p, label, tol)
+            units.append(fix_phase(unit_vector(p.vectors[k], tol)))
+        parallel = ValidationError(
+            "the reference outcome is parallel to its partner", invariant="hardy-decomposition"
+        )
+        for d in units[1:]:  # basis1 and basis2 follow f, d1 and d2
+            rest = units[0] - d * complex(np.vdot(d, units[0]))
+            units.append(fix_phase(unit_vector(rest, tol, parallel)))
+        overlap = abs(complex(np.vdot(units[3], units[4])))
         if overlap > tol:
             raise ValidationError(
                 f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
                 invariant="hardy-basis-orthogonality",
             )
-        return cls(p, f, d1, d2, f_hat, d1_hat, d2_hat, basis1, basis2)
+        space = Space.system(p.system_dim)
+        return cls(p, f, d1, d2, *(Ket(space, row) for row in units))
 
 
 @dataclass(frozen=True)
@@ -167,26 +160,30 @@ def evaluate_inequality(
     used = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state, tol)
     lhs = rescaled_probability(p, used, t.f, tol)
     rhs = rescaled_probability(p, used, t.d1, tol) + rescaled_probability(p, used, t.d2, tol)
-    certification = Certification(
-        c1=rescaled_probability(p, maximizing_state(p, t.d1, tol), t.f, tol),
-        c2=rescaled_probability(p, maximizing_state(p, t.d2, tol), t.f, tol),
-        r1=rescaled_probability(p, DensityMatrix.from_ket(t.basis1, tol), t.f, tol),
-        r2=rescaled_probability(p, DensityMatrix.from_ket(t.basis2, tol), t.f, tol),
-    )
-    return InequalityReport(lhs, rhs, lhs > rhs + tol, used, certification)
+    f, weight = p._index[t.f], require_context_weight(p, t.f, tol)
+
+    def rescaled_f(unit: np.ndarray) -> float:  # at the pure state |unit>, not re-checked
+        if len(unit) != p.system_dim:  # a HardyTriple built by hand for another space
+            raise SpaceMismatchError(f"state dim {len(unit)} != system dim {p.system_dim}")
+        return _probability(p, f, np.outer(unit, unit.conj()), tol) / weight
+
+    c1, c2 = (rescaled_f(_maximizing_unit(p, label, tol)) for label in (t.d1, t.d2))
+    r1, r2 = (rescaled_f(basis.amplitudes) for basis in (t.basis1, t.basis2))
+    return InequalityReport(lhs, rhs, lhs > rhs + tol, used, Certification(c1, c2, r1, r2))
 
 
 def max_violation(t: HardyTriple, tol: float = DEFAULT_TOL) -> tuple[float, Ket]:
     """Largest achievable lhs - rhs gap and a pure state attaining it.
 
     The gap is linear in the state, so the optimum over all density matrices
-    sits on a pure state: the top eigenvector of P_F - P_D1 - P_D2.
+    sits on a pure state: the top eigenvector of P_F - P_D1 - P_D2. ``tol`` is
+    unused: that matrix is built Hermitian, up to the rounding of its products,
+    and ``eigh`` reads one triangle of it.
     """
-    space = Space.system(t.povm.system_dim)
-    matrix = t.f_hat.projector() - t.d1_hat.projector() - t.d2_hat.projector()
-    values, vectors = eigh(Operator(space, matrix), tol)
-    best = vectors[-1].with_canonical_phase()
-    return float(values[-1]), best
+    rows = np.stack([t.f_hat.amplitudes, t.d1_hat.amplitudes, t.d2_hat.amplitudes])
+    projectors = rows[:, :, None] * rows.conj()[:, None, :]
+    values, vectors = np.linalg.eigh(projectors[0] - projectors[1] - projectors[2])
+    return float(values[-1]), Ket(Space.system(t.povm.system_dim), fix_phase(vectors[:, -1]))
 
 
 def hardy_embedding_povm(
@@ -206,11 +203,11 @@ def hardy_embedding_povm(
     """
     if scales is None:
         scales = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    units = [k.normalized(tol).with_canonical_phase() for k in (f, d1, d2)]
-    dim = units[0].space.dim
+    units = np.stack([fix_phase(unit_vector(k.amplitudes, tol)) for k in (f, d1, d2)])
+    dim = units.shape[1]
     if min(scales) < 0:
         raise ValidationError("scales must be nonnegative", invariant="weights")
-    rows = np.sqrt(scales)[:, None] * np.stack([unit.amplitudes for unit in units])
+    rows = np.sqrt(scales)[:, None] * units
     total = (rows[:, :, None] * rows.conj()[:, None, :]).sum(axis=0)  # added in order
     values, vectors = np.linalg.eigh(np.eye(dim) - total)
     if values[0] < -tol:

@@ -194,14 +194,16 @@ def verify_constraints(d: Dilation) -> ConstraintReport:
 
 
 def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
-    """Rebuild a dilation whose derived POVM is exactly ``p``.
+    """Rebuild a dilation whose derived POVM is ``p`` with canonical phases.
 
     The environment dimension equals the element count M, phi_init is the
     first canonical environment basis vector, and each outcome is
     ``|e_0> (x) |lambda_m>`` plus a residual built from the eigendecomposition
     of ``G_sigma = I_M - G_lambda`` (eigenpairs above tol kept, eigenvector
-    phases canonicalised). Because the elements are embedded verbatim, the
-    round trip has no per-outcome phase freedom.
+    phases canonicalised). The elements are embedded verbatim, so the round
+    trip returns ``Povm.from_vectors(zip(p.labels(), p.vectors))`` exactly:
+    ``p`` itself when its rows carry the canonical phase, as the rows of
+    every ``from_vectors`` POVM do.
 
     Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """

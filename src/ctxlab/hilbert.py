@@ -82,6 +82,15 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
     return v if v.ndim == 2 else rows[0]
 
 
+def unit_vector(amplitudes: np.ndarray, tol: float, error: Exception | None = None) -> np.ndarray:
+    """``amplitudes`` over their norm; raises ``error``, by default ``normalisable``,
+    when the norm is at most tol."""
+    norm = float(np.linalg.norm(amplitudes))
+    if norm <= tol:
+        raise error or ValidationError("cannot normalise a zero vector", invariant="normalisable")
+    return amplitudes / norm
+
+
 def require_finite(amplitudes: np.ndarray) -> None:
     """Raise ``finite-amplitudes`` unless every amplitude (of a ket or a stack) is finite."""
     if not np.isfinite(amplitudes).all():
@@ -129,10 +138,7 @@ class Ket:
         return abs(self.norm_sq() - 1.0) <= tol
 
     def normalized(self, tol: float = DEFAULT_TOL) -> Ket:
-        n = self.norm()
-        if n <= tol:
-            raise ValidationError("cannot normalise a zero vector", invariant="normalisable")
-        return Ket(self.space, self.amplitudes / n)
+        return Ket(self.space, unit_vector(self.amplitudes, tol))
 
     def with_canonical_phase(self) -> Ket:
         return Ket(self.space, fix_phase(self.amplitudes))

@@ -26,6 +26,7 @@ from .hilbert import (
     require_basis,
     require_finite,
     require_hermitian,
+    unit_vector,
 )
 
 
@@ -340,16 +341,20 @@ def probability(
     p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator)."""
-    el = p.element(label)
+    k = p._index[label]
     if isinstance(state, Ket):
         state = DensityMatrix.from_ket(state, tol)
     if state.dim != p.system_dim:
         raise SpaceMismatchError(f"state dim {state.dim} != system dim {p.system_dim}")
-    if el.is_vector:
-        amps = el.vector.amplitudes
-        value = float(np.vdot(amps, state.matrix @ amps).real)
+    return _probability(p, k, state.matrix, tol)
+
+
+def _probability(p: Povm, k: int, rho: np.ndarray, tol: float) -> float:
+    """``probability`` of the element at position k for a density matrix taken as valid."""
+    if p._is_vector[k]:
+        value = float(np.vdot(p.vectors[k], rho @ p.vectors[k]).real)
     else:
-        value = float(np.trace(el.operator.entries @ state.matrix).real)
+        value = float(np.trace(p._operators[k].operator.entries @ rho).real)
     if value < -tol:
         raise ValidationError(f"negative probability {value!r}", invariant="positivity")
     return value
@@ -378,17 +383,24 @@ def require_context_weight(p: Povm, label: str, tol: float) -> float:
 
 def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """The pure state attaining the outcome's maximal probability."""
-    el = p.element(label)
+    unit = Ket(Space.system(p.system_dim), _maximizing_unit(p, label, tol))
+    return DensityMatrix.from_ket(unit, tol)
+
+
+def _maximizing_unit(p: Povm, label: str, tol: float) -> np.ndarray:
+    """The amplitudes of ``maximizing_state``, not checked as a state."""
+    k = p._index[label]
     require_context_weight(p, label, tol)
-    if el.is_vector:
-        return DensityMatrix.from_ket(el.vector.normalized(tol), tol)
-    values, vectors = np.linalg.eigh(el.operator.entries)
-    if values.shape[0] > 1 and values[-2] > tol:
-        raise ValidationError(
-            f"element {label!r} is not rank one", invariant="rank-one"
-        )
-    top = Ket(Space.system(p.system_dim), fix_phase(vectors[:, -1]))
-    return DensityMatrix.from_ket(top.normalized(tol), tol)
+    if p._is_vector[k]:
+        row = p.vectors[k]
+    else:
+        values, vectors = np.linalg.eigh(p._operators[k].operator.entries)
+        if values.shape[0] > 1 and values[-2] > tol:
+            raise ValidationError(
+                f"element {label!r} is not rank one", invariant="rank-one"
+            )
+        row = fix_phase(vectors[:, -1])
+    return unit_vector(row, tol)
 
 
 def rescaled_probability(

@@ -24,7 +24,6 @@ enforced by the constructed objects themselves.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -314,14 +313,9 @@ def _vectors(stack: np.ndarray, pad: str) -> list[str]:
 
 
 def _dumps(obj: object, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` written at indentation ``pad``, byte for byte.
-
-    Non-empty dicts with ``str`` keys, non-empty lists and ``_Section``s are
-    walked. Finite ``[float, float]`` pairs, in a list or a section's stack, are
-    written by ``_vectors``; every other value goes through ``json.dumps``. Plain
-    loops, not comprehensions, keep one frame per level, so a tree nests as deep
-    as ``json`` allows before ``RecursionError``.
-    """
+    """``json.dumps(obj, indent=2)`` of a ``_scenario_tree`` or a value in it, written
+    at indentation ``pad``, byte for byte. Sections, ``phi_init`` and matrix entries
+    are written by ``_vectors``."""
     inner = pad + "  "
     sep = ",\n" + inner
     if type(obj) is _Section:
@@ -329,34 +323,27 @@ def _dumps(obj: object, pad: str = "") -> str:
         for k, (label, row) in enumerate(zip(obj.labels, _vectors(obj.vectors, entry))):
             key = "vector"
             if k in obj.matrices:
-                key, row = "matrix", _dumps(encode_matrix(obj.matrices[k]), entry)
+                rows = f",\n{entry}  ".join(_vectors(obj.matrices[k], entry + "  "))
+                key, row = "matrix", f"[\n{entry}  {rows}\n{entry}]"
             items.append(
                 f'{{\n{entry}"label": {json.dumps(label)},\n{entry}"{key}": {row}\n{inner}}}'
             )
         return f"[\n{inner}{sep.join(items)}\n{pad}]"
-    if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = []
-        for key, value in obj.items():
-            items.append(f"{json.dumps(key)}: {_dumps(value, inner)}")
+    if type(obj) is dict:
+        items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    if type(obj) is list and obj:
-        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
-            flat = tuple(chain.from_iterable(obj))
-            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-                return _vectors(np.array(flat).view(complex)[None], pad)[0]
-        items = []
-        for entry in obj:
-            items.append(_dumps(entry, inner))
-        return f"[\n{inner}{sep.join(items)}\n{pad}]"
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    if type(obj) is list:  # phi_init's [re, im] pairs
+        return _vectors(np.array(obj).view(complex).reshape(1, -1), pad)[0]
+    return json.dumps(obj)
 
 
 def save_scenario(path: str | Path, raw: dict | Scenario) -> None:
     """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``, or for
     ``scenario_to_dict(raw)`` of a ``Scenario``, formatted from its stacks."""
-    tree = _scenario_tree(raw) if isinstance(raw, Scenario) else raw
+    tree = _scenario_tree(raw) if isinstance(raw, Scenario) else None
     try:
-        Path(path).write_text(f"{_dumps(tree)}\n", encoding="utf-8")
+        text = f"{json.dumps(raw, indent=2) if tree is None else _dumps(tree)}\n"
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
     except RecursionError as exc:

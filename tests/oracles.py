@@ -71,6 +71,37 @@ def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int
     return pairs
 
 
+def hardy_numbers(
+    f: np.ndarray, d1: np.ndarray, d2: np.ndarray, b1: np.ndarray, b2: np.ndarray, rho: np.ndarray
+) -> dict[str, float]:
+    """Every number of the rescaled Hardy inequality, from unit directions alone.
+
+    f, d1 and d2 are the unit directions of three rank-1 elements, f decomposes
+    over (b1, d1) and over (b2, d2), and rho is a density matrix. An element
+    sqrt(s)|u> has rescaled probability <u|rho|u> whatever its scale s, so:
+    lhs and rhs are <f|rho|f> and <d1|rho|d1> + <d2|rho|d2>; c_k = |<d_k|f>|^2
+    and r_k = |<b_k|f>|^2 are F at the pure states d_k and b_k; and the largest
+    gap over all states is the top eigenvalue of P_f - P_d1 - P_d2.
+    """
+
+    def expectation(u: np.ndarray) -> float:
+        return float(np.real(u.conj() @ rho @ u))
+
+    def fidelity(u: np.ndarray) -> float:
+        return float(abs(np.vdot(u, f)) ** 2)
+
+    gap = np.outer(f, f.conj()) - np.outer(d1, d1.conj()) - np.outer(d2, d2.conj())
+    return {
+        "lhs": expectation(f),
+        "rhs": expectation(d1) + expectation(d2),
+        "c1": fidelity(d1),
+        "c2": fidelity(d2),
+        "r1": fidelity(b1),
+        "r2": fidelity(b2),
+        "max_violation": float(np.linalg.eigvalsh(gap)[-1]),
+    }
+
+
 class LoadError(Exception):
     """What loading a file must raise: ``(exception type name, invariant or None, message)``."""
 

@@ -19,12 +19,15 @@ import ctxlab.cli
 import ctxlab.scenario_io
 from ctxlab import (
     DEFAULT_TOL,
+    Ket,
     Scenario,
+    Space,
     decode_vector,
     encode_matrix,
     encode_vector,
     fixture_dict,
     fixture_path,
+    hardy_embedding_povm,
     load_scenario,
     naimark_dilate,
     povm_from_dilation,
@@ -585,3 +588,45 @@ def test_inequality_asks_for_a_state_when_the_file_has_several(capsys, tmp_path)
     code, out, _ = run_cli(capsys, "inequality", str(path), "--state", "x")
     assert code == 0
     assert out.splitlines()[-1] == "state x"
+
+
+@pytest.mark.parametrize("command, most", [("inequality", 6), ("max-violation", 7)])
+def test_hardy_commands_build_kets_only_for_public_values(monkeypatch, capsys, command, most):
+    # five HardyTriple fields, the file's state, and max_violation's state
+    built = []
+    init = Ket.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ket, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, command, HARDY_FILE)
+    assert code == 0
+    assert len(built) <= most
+
+
+def _hardy_file_at(path: Path, state: np.ndarray) -> str:
+    """A hardy scenario whose triple is admissible at --tol 1e-16, with one state."""
+    space = Space.system(3)
+    directions = (np.array([1.0, 2.0, 4.0]), np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 4.0]))
+    p = hardy_embedding_povm(*(Ket(space, x / np.linalg.norm(x)) for x in directions))
+    states = {"e0": Ket(space, state)}
+    save_scenario(path, Scenario(3, povm=p, states=states, hardy=("F", "D1", "D2")))
+    return str(path)
+
+
+def test_inequality_below_round_off_does_not_recheck_derived_states(capsys, tmp_path):
+    path = _hardy_file_at(tmp_path / "e0.json", np.array([1.0, 0.0, 0.0]))
+    code, default_out, _ = run_cli(capsys, "inequality", path)
+    assert code == 0
+    code, out, err = run_cli(capsys, "inequality", path, "--tol", "1e-16")
+    assert (code, out, err) == (0, default_out, "")
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-16"]])
+def test_inequality_still_checks_the_input_state(capsys, tmp_path, tol):
+    path = _hardy_file_at(tmp_path / "scaled.json", np.array([1.0 + 1e-6, 0.0, 0.0]))
+    code, out, err = run_cli(capsys, "inequality", path, *tol)
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation [state-normalisation]: ")

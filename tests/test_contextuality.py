@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxlab import (
     DensityMatrix,
@@ -13,6 +15,7 @@ from ctxlab import (
     Povm,
     PovmElement,
     Space,
+    SpaceMismatchError,
     ValidationError,
     basis_ket,
     completeness_check,
@@ -23,9 +26,10 @@ from ctxlab import (
     hardy_state,
     max_violation,
     probability,
+    rescaled_probability,
 )
 from helpers import random_pure_state, random_unitary
-from oracles import hermitian3_eigvals
+from oracles import hardy_numbers, hermitian3_eigvals
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -160,6 +164,16 @@ def test_inequality_not_violated_at_the_mixed_state(embedding, triple):
     assert not report.violated
 
 
+def test_inequality_rejects_a_hand_built_basis_of_another_dimension(embedding, triple):
+    other = [basis_ket(Space.system(4), i) for i in range(2)]
+    bad = HardyTriple(
+        embedding, "F", "D1", "D2", triple.f_hat, triple.d1_hat, triple.d2_hat, *other
+    )
+    _, d1, d2 = _directions()
+    with pytest.raises(SpaceMismatchError, match="state dim 4 != system dim 3"):
+        evaluate_inequality(embedding, bad, hardy_state(d1, d2))
+
+
 def test_max_violation_matches_the_frozen_constant(triple):
     value, state = max_violation(triple)
     assert abs(value - MAX_GAP) <= 1e-12
@@ -279,3 +293,41 @@ def test_rescaled_reading_of_the_paradox(embedding):
     assert probability(embedding, psi, "D1") <= 1e-12
     assert probability(embedding, psi, "D2") <= 1e-12
     assert abs(probability(embedding, psi, "F") - 1.0 / 27.0) <= 1e-12
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    return z / np.linalg.norm(z)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
+    # an admissible triple: f decomposes over (b_k, d_k) with b1, b2 orthonormal
+    rng = np.random.default_rng(seed)
+    space = Space.system(dim)
+    f = _unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    u = random_unitary(rng, dim)
+    b1, b2 = u[:, 0], u[:, 1]
+    d1, d2 = (_unit(f - np.vdot(b, f) * b) for b in (b1, b2))
+    p = hardy_embedding_povm(Ket(space, f), Ket(space, d1), Ket(space, d2))
+    triple = HardyTriple.from_povm(p, "F", "D1", "D2")
+    value, best = max_violation(triple)
+
+    weights = rng.dirichlet(np.ones(dim))
+    v = random_unitary(rng, dim)
+    pure = random_pure_state(rng, dim)
+    mixed = DensityMatrix.from_matrix((v * weights) @ v.conj().T)
+    for state, rho in ((pure, pure.projector()), (mixed, mixed.matrix)):
+        want = hardy_numbers(f, d1, d2, b1, b2, rho)
+        assert abs(value - want["max_violation"]) <= 1e-12
+        report = evaluate_inequality(p, triple, state)
+        cert = report.certification
+        got = (report.lhs, report.rhs, cert.c1, cert.c2, cert.r1, cert.r2)
+        for name, number in zip(("lhs", "rhs", "c1", "c2", "r1", "r2"), got):
+            assert abs(number - want[name]) <= 1e-12, name
+        # rescaled probabilities lie in [0, 1] up to round-off, and no state beats the optimum
+        for label in ("F", "D1", "D2"):
+            assert -1e-12 <= rescaled_probability(p, state, label) <= 1.0 + 1e-12
+        assert report.lhs - report.rhs <= value + 1e-9
+    report = evaluate_inequality(p, triple, best)
+    assert abs((report.lhs - report.rhs) - value) <= 1e-9

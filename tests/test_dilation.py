@@ -236,6 +236,16 @@ def test_naimark_round_trip_on_random_povm():
         assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-9
 
 
+def test_naimark_round_trip_returns_the_povm_with_canonical_phases():
+    rng = np.random.default_rng(31)
+    rows = random_rank1_povm(rng, 4, 16).vectors
+    phases = np.exp(2j * np.pi * rng.uniform(size=(16, 1)))
+    p = Povm.from_stack(4, [f"m{k}" for k in range(16)], rows * phases)
+    again = povm_from_dilation(naimark_dilate(p))
+    assert again == Povm.from_vectors(zip(p.labels(), p.vectors))
+    assert np.abs(again.vectors - p.vectors).max() > 0.1  # not p: its phases are not canonical
+
+
 def test_naimark_rejects_incomplete_and_operator_povms():
     p = Povm.from_vectors([("only", np.array([1.0, 0.0, 0.0]) / SQ2)])
     with pytest.raises(ValidationError) as err:
