@@ -184,7 +184,7 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
         label, state = next(iter(scenario.states.items()))
     else:
         raise ScenarioFileError("choose a state with --state; the file has none or several")
-    report = evaluate_inequality(triple.povm, triple, state, args.tol)
+    report = evaluate_inequality(triple, state, args.tol)
     if args.json:
         print(
             json.dumps(
@@ -213,7 +213,7 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
 def _cmd_max_violation(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file, args.tol)
     triple = _hardy_inputs(scenario, args.tol)
-    value, state = max_violation(triple, args.tol)
+    value, state = max_violation(triple)
     if args.json:
         print(json.dumps({"value": value, "state": encode_vector(state.amplitudes)}))
     else:

@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 from .hilbert import DEFAULT_TOL, Ket, Space, fix_phase, unit_vector
-from .povm import (
-    DensityMatrix,
-    Povm,
-    _maximizing_unit,
-    _probability,
-    require_context_weight,
-    rescaled_probability,
-)
+from .povm import DensityMatrix, Povm, require_context_weight
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ class InequalityReport:
 
 
 def evaluate_inequality(
-    p: Povm, t: HardyTriple, state: Ket | DensityMatrix, tol: float = DEFAULT_TOL
+    t: HardyTriple, state: Ket | DensityMatrix, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
     """Compare the rescaled F probability against the D1 + D2 sum at a state.
 
@@ -155,30 +148,32 @@ def evaluate_inequality(
     left-hand side by the right-hand side; ``violated`` is True when the gap
     exceeds tol. The certification block evaluates the rescaled F probability
     at the states maximising D1 and D2 and at the two decomposition basis
-    vectors.
+    vectors. For rank-1 elements a rescaled probability is ``<u|rho|u>`` at the
+    element's unit direction u, so every number comes from the stack U of the
+    triple's five directions: lhs and rhs from the diagonal of U rho U^dagger,
+    the certification from |<u_k|f_hat>|^2, row 0 of the Gram matrix of U.
     """
     used = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state, tol)
-    lhs = rescaled_probability(p, used, t.f, tol)
-    rhs = rescaled_probability(p, used, t.d1, tol) + rescaled_probability(p, used, t.d2, tol)
-    f, weight = p._index[t.f], require_context_weight(p, t.f, tol)
-
-    def rescaled_f(unit: np.ndarray) -> float:  # at the pure state |unit>, not re-checked
-        if len(unit) != p.system_dim:  # a HardyTriple built by hand for another space
-            raise SpaceMismatchError(f"state dim {len(unit)} != system dim {p.system_dim}")
-        return _probability(p, f, np.outer(unit, unit.conj()), tol) / weight
-
-    c1, c2 = (rescaled_f(_maximizing_unit(p, label, tol)) for label in (t.d1, t.d2))
-    r1, r2 = (rescaled_f(basis.amplitudes) for basis in (t.basis1, t.basis2))
+    kets = (t.f_hat, t.d1_hat, t.d2_hat, t.basis1, t.basis2)
+    dim = t.povm.system_dim
+    for n in (used.dim, *(ket.space.dim for ket in kets)):
+        if n != dim:  # the state, or a HardyTriple built by hand for another space
+            raise SpaceMismatchError(f"state dim {n} != system dim {dim}")
+    units = np.stack([ket.amplitudes for ket in kets])
+    rows = units[:3]  # f_hat, d1_hat, d2_hat
+    lhs, d1, d2 = np.einsum("ki,ij,kj->k", rows.conj(), used.matrix, rows).real.tolist()
+    c1, c2, r1, r2 = (np.abs(units[1:].conj() @ units[0]) ** 2).tolist()
+    rhs = d1 + d2
     return InequalityReport(lhs, rhs, lhs > rhs + tol, used, Certification(c1, c2, r1, r2))
 
 
-def max_violation(t: HardyTriple, tol: float = DEFAULT_TOL) -> tuple[float, Ket]:
+def max_violation(t: HardyTriple) -> tuple[float, Ket]:
     """Largest achievable lhs - rhs gap and a pure state attaining it.
 
     The gap is linear in the state, so the optimum over all density matrices
-    sits on a pure state: the top eigenvector of P_F - P_D1 - P_D2. ``tol`` is
-    unused: that matrix is built Hermitian, up to the rounding of its products,
-    and ``eigh`` reads one triangle of it.
+    sits on a pure state: the top eigenvector of P_F - P_D1 - P_D2, a matrix
+    built Hermitian up to the rounding of its products, of which ``eigh``
+    reads one triangle.
     """
     rows = np.stack([t.f_hat.amplitudes, t.d1_hat.amplitudes, t.d2_hat.amplitudes])
     projectors = rows[:, :, None] * rows.conj()[:, None, :]

@@ -7,7 +7,8 @@ Joint vectors are stored flat in environment-major order,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import functools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,25 @@ def unit_vector(amplitudes: np.ndarray, tol: float, error: Exception | None = No
     if norm <= tol:
         raise error or ValidationError("cannot normalise a zero vector", invariant="normalisable")
     return amplitudes / norm
+
+
+def finite(what: str) -> Callable[[Callable], Callable]:
+    """The one non-finite rule for weights and residuals.
+
+    The decorated computation runs with numpy's overflow and invalid-value
+    warnings silenced; a result that is not finite everywhere raises
+    FloatingPointError ``"{what} not finite"`` instead.
+    """
+    def decorate(compute: Callable) -> Callable:
+        @functools.wraps(compute)
+        def checked(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = compute(*args, **kwargs)
+            if not np.isfinite(value).all():
+                raise FloatingPointError(f"{what} not finite")
+            return value
+        return checked
+    return decorate
 
 
 def require_finite(amplitudes: np.ndarray) -> None:
@@ -262,6 +282,7 @@ def gram(vectors: Vectors) -> np.ndarray:
     return vectors.conj() @ vectors.T
 
 
+@finite("the orthonormality residual is")
 def orthonormality_residual(vectors: Vectors) -> float:
     """Max-entry residual of gram(vectors) - identity."""
     return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
@@ -270,7 +291,8 @@ def orthonormality_residual(vectors: Vectors) -> float:
 def require_orthonormal(vectors: Vectors, tol: float, what: str, invariant: str) -> None:
     """Raise ``invariant`` unless the vectors are orthonormal within tol.
 
-    ``what`` starts the message, e.g. ``"readout basis is"``.
+    ``what`` starts the message, e.g. ``"readout basis is"``. A residual that
+    is not finite raises FloatingPointError instead.
     """
     residual = orthonormality_residual(vectors)
     if residual > tol:

@@ -9,7 +9,7 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 
@@ -22,6 +22,7 @@ from .hilbert import (
     Ket,
     Operator,
     Space,
+    finite,
     fix_phase,
     require_basis,
     require_finite,
@@ -279,35 +280,18 @@ def _element_sum(p: Povm, positions: np.ndarray) -> np.ndarray:
     return stack.sum(axis=0)
 
 
-def _finite(what: str) -> Callable[[Callable], Callable]:
-    """The one non-finite rule for weights and residuals.
-
-    The decorated computation runs with numpy's overflow warnings silenced; a
-    result that is not finite everywhere raises FloatingPointError instead.
-    """
-    def decorate(compute: Callable) -> Callable:
-        @functools.wraps(compute)
-        def checked(p: Povm):
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = compute(p)
-            if not np.isfinite(value).all():
-                raise FloatingPointError(f"{what} not finite")
-            return value
-        return checked
-    return decorate
-
-
-@_finite("an element weight is")
-def _selection_weights(p: Povm) -> np.ndarray:
-    """Each element's ``context_selection_probability``; rank-1 weights round as ``np.vdot``."""
-    rows = p.vectors
+@finite("an element weight is")
+def _selection_weights(p: Povm, positions: np.ndarray) -> np.ndarray:
+    """``context_selection_probability`` of the elements at ``positions``; rank-1 weights
+    round as ``np.vdot``."""
+    rows = p.vectors[positions]
     weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
-    for k in p._operators:
-        weights[k] = context_selection_probability(p, p.labels()[k])
+    for i in np.flatnonzero(~p._is_vector[positions]):
+        weights[i] = np.linalg.eigvalsh(p._operators[positions[i]].operator.entries)[-1]
     return weights
 
 
-@_finite("the completeness residual is")
+@finite("the completeness residual is")
 def completeness_check(p: Povm) -> float:
     """Max-entry residual of (sum of elements) - identity."""
     return float(np.abs(_element_sum(p, np.arange(len(p))) - np.eye(p.system_dim)).max())
@@ -315,7 +299,7 @@ def completeness_check(p: Povm) -> float:
 
 def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
-    worst = max(0.0, float(_selection_weights(p).max()) - 1.0)
+    worst = max(0.0, float(_selection_weights(p, np.arange(len(p))).max()) - 1.0)
     for el in p._operators.values():
         worst = max(worst, float(-np.linalg.eigvalsh(el.operator.entries)[0]))
     return worst
@@ -346,15 +330,10 @@ def probability(
         state = DensityMatrix.from_ket(state, tol)
     if state.dim != p.system_dim:
         raise SpaceMismatchError(f"state dim {state.dim} != system dim {p.system_dim}")
-    return _probability(p, k, state.matrix, tol)
-
-
-def _probability(p: Povm, k: int, rho: np.ndarray, tol: float) -> float:
-    """``probability`` of the element at position k for a density matrix taken as valid."""
     if p._is_vector[k]:
-        value = float(np.vdot(p.vectors[k], rho @ p.vectors[k]).real)
+        value = float(np.vdot(p.vectors[k], state.matrix @ p.vectors[k]).real)
     else:
-        value = float(np.trace(p._operators[k].operator.entries @ rho).real)
+        value = float(np.trace(p._operators[k].operator.entries @ state.matrix).real)
     if value < -tol:
         raise ValidationError(f"negative probability {value!r}", invariant="positivity")
     return value
@@ -366,11 +345,9 @@ def context_selection_probability(p: Povm, label: str) -> float:
     For a vector element this is its squared norm; for an operator element it
     is the largest eigenvalue, the supremum of the outcome probability over
     states (an extension that reduces to the trace on rank-1 operators).
+    Raises FloatingPointError when the weight is not finite.
     """
-    k = p._index[label]
-    if p._is_vector[k]:
-        return float(np.vdot(p.vectors[k], p.vectors[k]).real)
-    return float(np.linalg.eigvalsh(p._operators[k].operator.entries)[-1])
+    return float(_selection_weights(p, np.array([p._index[label]]))[0])
 
 
 def require_context_weight(p: Povm, label: str, tol: float) -> float:
@@ -383,12 +360,6 @@ def require_context_weight(p: Povm, label: str, tol: float) -> float:
 
 def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """The pure state attaining the outcome's maximal probability."""
-    unit = Ket(Space.system(p.system_dim), _maximizing_unit(p, label, tol))
-    return DensityMatrix.from_ket(unit, tol)
-
-
-def _maximizing_unit(p: Povm, label: str, tol: float) -> np.ndarray:
-    """The amplitudes of ``maximizing_state``, not checked as a state."""
     k = p._index[label]
     require_context_weight(p, label, tol)
     if p._is_vector[k]:
@@ -400,7 +371,8 @@ def _maximizing_unit(p: Povm, label: str, tol: float) -> np.ndarray:
                 f"element {label!r} is not rank one", invariant="rank-one"
             )
         row = fix_phase(vectors[:, -1])
-    return unit_vector(row, tol)
+    unit = Ket(Space.system(p.system_dim), unit_vector(row, tol))
+    return DensityMatrix.from_ket(unit, tol)
 
 
 def rescaled_probability(
@@ -503,7 +475,7 @@ class ContextGraph:
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     """Pairwise context-sharing structure; zero-weight outcomes are skipped."""
     labels = p.labels()
-    weights = _selection_weights(p)
+    weights = _selection_weights(p, np.arange(len(p)))
     live = np.flatnonzero(weights > tol)
     nodes = tuple(labels[k] for k in live)
     witness, shared, _ = _context_relations(p, live, tol)

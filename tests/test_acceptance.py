@@ -258,7 +258,7 @@ def test_criterion_10(hardy_fixture, triple, paradox_state):
         triple.f_hat.projector() - triple.d1_hat.projector() - triple.d2_hat.projector()
     )
     oracle_top = hermitian3_eigvals(matrix)[-1]
-    report = evaluate_inequality(hardy_fixture.resolve_povm(), triple, paradox_state)
+    report = evaluate_inequality(triple, paradox_state)
     witnessed = report.lhs - report.rhs
     ok = (
         abs(value - oracle_top) <= 1e-9

@@ -502,16 +502,35 @@ _OVERFLOWING_POVMS = {
         ],
     ),
 }
+# a bundled fixture with the amplitudes of one section scaled by 1e200
+_OVERFLOWING_FIXTURES = {
+    "hardy-povm": ("hardy", "povm"),
+    "three-path-DA-outcomes": ("three-path-DA", "outcomes"),  # without its povm section
+}
+
+
+def _write_overflowing(tmp_path: Path, kind: str) -> Path:
+    if kind in _OVERFLOWING_FIXTURES:
+        name, section = _OVERFLOWING_FIXTURES[kind]
+        raw = fixture_dict(name)
+        if section == "outcomes":
+            del raw["povm"]
+        for entry in raw[section]:
+            entry["vector"] = [[re * 1e200, im * 1e200] for re, im in entry["vector"]]
+    else:
+        dim, povm = _OVERFLOWING_POVMS[kind]
+        raw = {"version": 1, "system_dim": dim, "povm": povm}
+    path = tmp_path / f"{kind}.json"
+    save_scenario(path, raw)
+    return path
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",), ("--strict",)], ids=["text", "json", "strict"])
-@pytest.mark.parametrize("kind", _OVERFLOWING_POVMS)
+@pytest.mark.parametrize("kind", [*_OVERFLOWING_POVMS, *_OVERFLOWING_FIXTURES])
 def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
     capsys, tmp_path, kind, mode
 ):
-    dim, povm = _OVERFLOWING_POVMS[kind]
-    path = tmp_path / f"{kind}.json"
-    save_scenario(path, {"version": 1, "system_dim": dim, "povm": povm})
+    path = _write_overflowing(tmp_path, kind)
     code, out, err = run_cli(capsys, "povm", "check", str(path), *mode)
     assert code == 4
     assert out == ""
@@ -519,18 +538,24 @@ def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
 
 
 @pytest.mark.parametrize(
-    "command", ["context-graph", "context-graph --json", "context-graph --dot", "dilate -o OUT"]
+    "command",
+    [
+        "context-graph", "context-graph --json", "context-graph --dot", "dilate -o OUT",
+        "inequality", "max-violation",
+    ],
 )
-@pytest.mark.parametrize("kind", _OVERFLOWING_POVMS)
+@pytest.mark.parametrize("kind", [*_OVERFLOWING_POVMS, *_OVERFLOWING_FIXTURES])
 def test_overflowing_weights_are_a_numerical_failure_in_every_command(
     capsys, tmp_path, kind, command
 ):
-    dim, povm = _OVERFLOWING_POVMS[kind]
-    path = tmp_path / f"{kind}.json"
-    save_scenario(path, {"version": 1, "system_dim": dim, "povm": povm})
+    path = _write_overflowing(tmp_path, kind)
     argv = [str(tmp_path / "out.json") if arg == "OUT" else arg for arg in command.split()]
     code, out, err = run_cli(capsys, *argv, str(path))
-    if kind != "overflowing-sum":
+    if kind == "three-path-DA-outcomes":  # loading checks the outcome set first
+        expected = (4, "numerical failure: the orthonormality residual is not finite\n")
+    elif kind in _OVERFLOWING_POVMS and argv[0] in ("inequality", "max-violation"):
+        expected = (2, "input error: the file carries no hardy block\n")
+    elif kind != "overflowing-sum":
         expected = (4, "numerical failure: an element weight is not finite\n")
     elif argv[0] == "context-graph":  # finite elements: the graph is drawn
         expected = (0, "")

@@ -145,7 +145,7 @@ def test_hardy_state_input_checks():
 
 def test_inequality_at_the_paradox_state(embedding, triple):
     _, d1, d2 = _directions()
-    report = evaluate_inequality(embedding, triple, hardy_state(d1, d2))
+    report = evaluate_inequality(triple, hardy_state(d1, d2))
     assert abs(report.lhs - 1.0 / 9.0) <= 1e-12
     assert report.rhs <= 1e-12
     assert report.violated
@@ -158,7 +158,7 @@ def test_inequality_at_the_paradox_state(embedding, triple):
 
 def test_inequality_not_violated_at_the_mixed_state(embedding, triple):
     mixed = DensityMatrix.from_matrix(np.eye(3) / 3.0)
-    report = evaluate_inequality(embedding, triple, mixed)
+    report = evaluate_inequality(triple, mixed)
     assert abs(report.lhs - 1.0 / 3.0) <= 1e-12
     assert abs(report.rhs - 2.0 / 3.0) <= 1e-12
     assert not report.violated
@@ -171,7 +171,7 @@ def test_inequality_rejects_a_hand_built_basis_of_another_dimension(embedding, t
     )
     _, d1, d2 = _directions()
     with pytest.raises(SpaceMismatchError, match="state dim 4 != system dim 3"):
-        evaluate_inequality(embedding, bad, hardy_state(d1, d2))
+        evaluate_inequality(bad, hardy_state(d1, d2))
 
 
 def test_max_violation_matches_the_frozen_constant(triple):
@@ -197,7 +197,7 @@ def test_max_violation_matches_the_cubic_oracle(triple):
 
 def test_max_violation_state_attains_the_gap(embedding, triple):
     value, state = max_violation(triple)
-    report = evaluate_inequality(embedding, triple, state)
+    report = evaluate_inequality(triple, state)
     assert abs((report.lhs - report.rhs) - value) <= 1e-9
     assert report.violated
 
@@ -206,7 +206,7 @@ def test_no_state_beats_the_optimum(embedding, triple):
     rng = np.random.default_rng(53)
     value, _ = max_violation(triple)
     for _ in range(300):
-        report = evaluate_inequality(embedding, triple, random_pure_state(rng, 3))
+        report = evaluate_inequality(triple, random_pure_state(rng, 3))
         assert report.lhs - report.rhs <= value + 1e-9
         assert -1e-12 <= report.lhs <= 1.0 + 1e-12
 
@@ -245,7 +245,7 @@ def test_degenerate_triples_have_known_optima():
     value, state = max_violation(orthogonal)
     assert abs(value - 1.0) <= 1e-12
     assert abs(abs(state.inner(e[0])) - 1.0) <= 1e-12
-    report = evaluate_inequality(p, orthogonal, state)
+    report = evaluate_inequality(orthogonal, state)
     assert abs(report.lhs - 1.0) <= 1e-12
     assert report.rhs <= 1e-12
     f, d1, _ = _directions()
@@ -320,7 +320,7 @@ def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
     for state, rho in ((pure, pure.projector()), (mixed, mixed.matrix)):
         want = hardy_numbers(f, d1, d2, b1, b2, rho)
         assert abs(value - want["max_violation"]) <= 1e-12
-        report = evaluate_inequality(p, triple, state)
+        report = evaluate_inequality(triple, state)
         cert = report.certification
         got = (report.lhs, report.rhs, cert.c1, cert.c2, cert.r1, cert.r2)
         for name, number in zip(("lhs", "rhs", "c1", "c2", "r1", "r2"), got):
@@ -329,5 +329,5 @@ def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
         for label in ("F", "D1", "D2"):
             assert -1e-12 <= rescaled_probability(p, state, label) <= 1.0 + 1e-12
         assert report.lhs - report.rhs <= value + 1e-9
-    report = evaluate_inequality(p, triple, best)
+    report = evaluate_inequality(triple, best)
     assert abs((report.lhs - report.rhs) - value) <= 1e-9

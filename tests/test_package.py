@@ -73,3 +73,28 @@ def test_the_scan_finds_an_unreferenced_private_helper():
 def test_every_private_helper_is_referenced_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names a module imports from another module of the package."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ctxlab")
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+
+
+def test_the_scan_finds_a_cross_module_private_import():
+    source = (
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "from .povm import Povm, _probability\nfrom ctxlab.hilbert import _KINDS, gram\n"
+    )
+    assert private_imports(source) == ["_probability", "_KINDS"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
