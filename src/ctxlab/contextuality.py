@@ -9,7 +9,7 @@ selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,10 @@ class HardyTriple:
     """Labels f, d1, d2 into a POVM plus the derived unit directions.
 
     basis1 and basis2 are the unique (up to phase) unit vectors completing the
-    two decompositions ``F = alpha * basis_k + beta * D_k``; they must be
-    mutually orthogonal for the triple to be admissible.
+    two decompositions ``F = alpha * basis_k + beta * D_k``. On construction the
+    five directions must be kets of the POVM's system space, and the two basis
+    vectors orthogonal within ``tol`` for the triple to be admissible (``tol`` is
+    kept outside equality and ``repr``).
     """
 
     povm: Povm
@@ -36,6 +38,19 @@ class HardyTriple:
     d2_hat: Ket
     basis1: Ket
     basis2: Ket
+    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        space = Space.system(self.povm.system_dim)
+        for name in ("f_hat", "d1_hat", "d2_hat", "basis1", "basis2"):
+            if getattr(self, name).space != space:
+                raise SpaceMismatchError(f"{name} is not on the dim-{space.dim} system space")
+        overlap = abs(complex(np.vdot(self.basis1.amplitudes, self.basis2.amplitudes)))
+        if overlap > self.tol:
+            raise ValidationError(
+                f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
+                invariant="hardy-basis-orthogonality",
+            )
 
     @classmethod
     def from_povm(
@@ -54,14 +69,8 @@ class HardyTriple:
         for d in units[1:]:  # basis1 and basis2 follow f, d1 and d2
             rest = units[0] - d * complex(np.vdot(d, units[0]))
             units.append(fix_phase(unit_vector(rest, tol, parallel)))
-        overlap = abs(complex(np.vdot(units[3], units[4])))
-        if overlap > tol:
-            raise ValidationError(
-                f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
-                invariant="hardy-basis-orthogonality",
-            )
         space = Space.system(p.system_dim)
-        return cls(p, f, d1, d2, *(Ket(space, row) for row in units))
+        return cls(p, f, d1, d2, *(Ket(space, row) for row in units), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -154,12 +163,9 @@ def evaluate_inequality(
     the certification from |<u_k|f_hat>|^2, row 0 of the Gram matrix of U.
     """
     used = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state, tol)
-    kets = (t.f_hat, t.d1_hat, t.d2_hat, t.basis1, t.basis2)
-    dim = t.povm.system_dim
-    for n in (used.dim, *(ket.space.dim for ket in kets)):
-        if n != dim:  # the state, or a HardyTriple built by hand for another space
-            raise SpaceMismatchError(f"state dim {n} != system dim {dim}")
-    units = np.stack([ket.amplitudes for ket in kets])
+    if used.dim != t.povm.system_dim:
+        raise SpaceMismatchError(f"state dim {used.dim} != system dim {t.povm.system_dim}")
+    units = np.stack([ket.amplitudes for ket in (t.f_hat, t.d1_hat, t.d2_hat, t.basis1, t.basis2)])
     rows = units[:3]  # f_hat, d1_hat, d2_hat
     lhs, d1, d2 = np.einsum("ki,ij,kj->k", rows.conj(), used.matrix, rows).real.tolist()
     c1, c2, r1, r2 = (np.abs(units[1:].conj() @ units[0]) ** 2).tolist()

@@ -462,12 +462,14 @@ class ContextGraph:
         return sum(1 for x, y, _ in self.edges if label in (x, y))
 
     def to_dot(self) -> str:
-        """Render as Graphviz DOT with the tested magnitude as an edge attribute."""
+        """Render as Graphviz DOT with the tested magnitude as an edge attribute. Labels
+        are quoted IDs, a double quote written ``\\"`` (DOT cannot escape a final ``\\``)."""
+        ids = {node: '"' + node.replace('"', '\\"') + '"' for node in self.nodes}
         lines = ["graph contexts {"]
         for node in self.nodes:
-            lines.append(f'  "{node}";')
+            lines.append(f"  {ids[node]};")
         for a, b, witness in self.edges:
-            lines.append(f'  "{a}" -- "{b}" [witness="{witness:.12g}"];')
+            lines.append(f'  {ids[a]} -- {ids[b]} [witness="{witness:.12g}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -498,6 +500,8 @@ def coarse_grain(
     merge = [str(label) for label in labels_to_merge]
     if not merge:
         raise ValidationError("nothing to merge", invariant="nonempty")
+    if len(set(merge)) < len(merge):
+        raise ValidationError("labels to merge must be unique", invariant="unique-labels")
     positions = np.array([p._index[label] for label in merge])
     total = _element_sum(p, positions)
 

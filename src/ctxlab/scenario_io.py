@@ -28,7 +28,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -184,22 +183,6 @@ def _section(
     return labels, stack, matrices
 
 
-class _Section(NamedTuple):
-    """A labelled vector stack, finite as its constructor checked, that ``_dumps``
-    writes in one pass; positions in ``matrices`` are written as those matrices."""
-
-    labels: Iterable[str]
-    vectors: np.ndarray
-    matrices: dict
-
-    def entries(self) -> list[dict]:
-        return [
-            {"label": label, "matrix": encode_matrix(self.matrices[k])} if k in self.matrices
-            else {"label": label, "vector": row}
-            for k, (label, row) in enumerate(zip(self.labels, encode_matrix(self.vectors)))
-        ]
-
-
 def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioFileError("scenario file must hold a JSON object")
@@ -270,36 +253,8 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
     return scenario_from_dict(raw, tol)
 
 
-def _scenario_tree(s: Scenario) -> dict:
-    """``scenario_to_dict(s)`` with each section left a ``_Section``."""
-    raw: dict = {"version": SCHEMA_VERSION, "system_dim": int(s.system_dim)}
-    if s.env_dim is not None:
-        raw["env_dim"] = int(s.env_dim)
-    if s.outcomes is not None:
-        raw["outcomes"] = _Section(s.outcomes.labels(), s.outcomes.vectors, {})
-    if s.phi_init is not None:
-        raw["phi_init"] = encode_vector(s.phi_init.amplitudes)
-    if s.povm is not None:
-        operators = {k: el.operator.entries for k, el in s.povm.operators.items()}
-        raw["povm"] = _Section(s.povm.labels(), s.povm.vectors, operators)
-    if s.states:
-        states = tuple(s.states.values())
-        matrices = {k: x.matrix for k, x in enumerate(states) if not isinstance(x, Ket)}
-        rows = [np.zeros(x.dim) if k in matrices else x.amplitudes for k, x in enumerate(states)]
-        raw["states"] = _Section(s.states, rows, matrices)
-    if s.hardy is not None:
-        raw["hardy"] = {"f": s.hardy[0], "d1": s.hardy[1], "d2": s.hardy[2]}
-    return raw
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """The JSON-ready dict of a scenario; ``scenario_from_dict`` reads it back."""
-    raw = _scenario_tree(s)
-    return {key: v.entries() if type(v) is _Section else v for key, v in raw.items()}
-
-
 def _vectors(stack: np.ndarray, pad: str) -> list[str]:
-    """Each row of a finite complex stack as ``_dumps`` writes its [re, im] pairs at
+    """Each row of a finite complex stack as ``_scenario_text`` writes its [re, im] pairs at
     indentation ``pad``. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
     string; the others fill ``%r`` slots, ``float.__repr__`` as in ``json``."""
     rows = np.ascontiguousarray(stack, dtype=complex)
@@ -312,38 +267,58 @@ def _vectors(stack: np.ndarray, pad: str) -> list[str]:
     return ("\0".join(templates) % tuple(pairs[~zero].ravel().tolist())).split("\0")
 
 
-def _dumps(obj: object, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` of a ``_scenario_tree`` or a value in it, written
-    at indentation ``pad``, byte for byte. Sections, ``phi_init`` and matrix entries
-    are written by ``_vectors``."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if type(obj) is _Section:
-        entry, items = inner + "  ", []
-        for k, (label, row) in enumerate(zip(obj.labels, _vectors(obj.vectors, entry))):
-            key = "vector"
-            if k in obj.matrices:
-                rows = f",\n{entry}  ".join(_vectors(obj.matrices[k], entry + "  "))
-                key, row = "matrix", f"[\n{entry}  {rows}\n{entry}]"
-            items.append(
-                f'{{\n{entry}"label": {json.dumps(label)},\n{entry}"{key}": {row}\n{inner}}}'
-            )
-        return f"[\n{inner}{sep.join(items)}\n{pad}]"
-    if type(obj) is dict:
-        items = [f"{json.dumps(key)}: {_dumps(value, inner)}" for key, value in obj.items()]
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    if type(obj) is list:  # phi_init's [re, im] pairs
-        return _vectors(np.array(obj).view(complex).reshape(1, -1), pad)[0]
-    return json.dumps(obj)
+def _section_text(labels: Iterable[str], vectors: np.ndarray, matrices: dict) -> str:
+    """A labelled section as a top-level value: each row of ``vectors`` as a "vector",
+    except the positions in ``matrices``, written as those matrices."""
+    pad, items = "      ", []  # the keys of an entry sit three levels deep
+    for k, (label, row) in enumerate(zip(labels, _vectors(vectors, pad))):
+        key = "vector"
+        if k in matrices:
+            rows = f",\n{pad}  ".join(_vectors(matrices[k], pad + "  "))
+            key, row = "matrix", f"[\n{pad}  {rows}\n{pad}]"
+        items.append(f'    {{\n{pad}"label": {json.dumps(label)},\n{pad}"{key}": {row}\n    }}')
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
+def _scenario_text(s: Scenario) -> str:
+    """The file text of a scenario, the one encoder of the format: what
+    ``json.dumps(..., indent=2)`` writes for its JSON form, byte for byte, in schema
+    order, with every [re, im] run (sections, ``phi_init``, matrix entries) formatted
+    straight from the stacks by ``_vectors``."""
+    fields = {"version": str(SCHEMA_VERSION), "system_dim": str(int(s.system_dim))}
+    if s.env_dim is not None:
+        fields["env_dim"] = str(int(s.env_dim))
+    if s.outcomes is not None:
+        fields["outcomes"] = _section_text(s.outcomes.labels(), s.outcomes.vectors, {})
+    if s.phi_init is not None:
+        fields["phi_init"] = _vectors(s.phi_init.amplitudes[None], "  ")[0]
+    if s.povm is not None:
+        operators = {k: el.operator.entries for k, el in s.povm.operators.items()}
+        fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, operators)
+    if s.states:
+        states = tuple(s.states.values())
+        matrices = {k: x.matrix for k, x in enumerate(states) if not isinstance(x, Ket)}
+        rows = [np.zeros(x.dim) if k in matrices else x.amplitudes for k, x in enumerate(states)]
+        fields["states"] = _section_text(s.states, rows, matrices)
+    if s.hardy is not None:
+        hardy = json.dumps(dict(zip(("f", "d1", "d2"), s.hardy)), indent=2)
+        fields["hardy"] = hardy.replace("\n", "\n  ")  # json escapes a newline in a label
+    items = ",\n  ".join(f'"{key}": {text}' for key, text in fields.items())
+    return f"{{\n  {items}\n}}"
+
+
+def scenario_to_dict(s: Scenario) -> dict:
+    """The JSON-ready dict of a scenario, parsed from its file text;
+    ``scenario_from_dict`` reads it back."""
+    return json.loads(_scenario_text(s))
 
 
 def save_scenario(path: str | Path, raw: dict | Scenario) -> None:
-    """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``, or for
-    ``scenario_to_dict(raw)`` of a ``Scenario``, formatted from its stacks."""
-    tree = _scenario_tree(raw) if isinstance(raw, Scenario) else None
+    """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``, or the
+    file text of a ``Scenario``, which is the same as for ``scenario_to_dict(raw)``."""
     try:
-        text = f"{json.dumps(raw, indent=2) if tree is None else _dumps(tree)}\n"
-        Path(path).write_text(text, encoding="utf-8")
+        text = _scenario_text(raw) if isinstance(raw, Scenario) else json.dumps(raw, indent=2)
+        Path(path).write_text(f"{text}\n", encoding="utf-8")
     except OSError as exc:
         raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
     except RecursionError as exc:

@@ -278,6 +278,17 @@ def test_context_graph_dot(capsys):
     assert out.count("--") == 3
 
 
+def test_context_graph_dot_escapes_double_quotes(capsys, tmp_path):
+    raw = fixture_dict("three-path-DA")
+    for item in raw["povm"]:
+        item["label"] = item["label"].replace("D1", 'D"1')
+    save_scenario(tmp_path / "quoted.json", raw)
+    code, out, _ = run_cli(capsys, "context-graph", "--dot", str(tmp_path / "quoted.json"))
+    assert code == 0
+    assert '  "D\\"1";\n' in out
+    assert '  "D\\"1" -- "A" [witness=' in out
+
+
 def test_context_graph_json(capsys):
     code, out, _ = run_cli(capsys, "context-graph", DA_FILE, "--json")
     assert code == 0

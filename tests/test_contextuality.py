@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,12 +168,28 @@ def test_inequality_not_violated_at_the_mixed_state(embedding, triple):
 
 def test_inequality_rejects_a_hand_built_basis_of_another_dimension(embedding, triple):
     other = [basis_ket(Space.system(4), i) for i in range(2)]
-    bad = HardyTriple(
-        embedding, "F", "D1", "D2", triple.f_hat, triple.d1_hat, triple.d2_hat, *other
-    )
-    _, d1, d2 = _directions()
+    with pytest.raises(SpaceMismatchError, match="basis1 is not on the dim-3 system space"):
+        HardyTriple(
+            embedding, "F", "D1", "D2", triple.f_hat, triple.d1_hat, triple.d2_hat, *other
+        )
     with pytest.raises(SpaceMismatchError, match="state dim 4 != system dim 3"):
-        evaluate_inequality(bad, hardy_state(d1, d2))
+        evaluate_inequality(triple, other[0])
+
+
+@pytest.mark.parametrize("space", [Space.system(4), Space.environment(3)], ids=["dim4", "env"])
+@pytest.mark.parametrize("name", ["f_hat", "d1_hat", "d2_hat", "basis1", "basis2"])
+def test_a_hand_built_triple_checks_the_space_of_each_direction(triple, name, space):
+    with pytest.raises(SpaceMismatchError, match=f"{name} is not on the dim-3 system space"):
+        dataclasses.replace(triple, **{name: basis_ket(space, 0)})
+
+
+def test_a_hand_built_triple_checks_its_basis_at_its_tol(embedding, triple):
+    with pytest.raises(ValidationError, match=r"\(\|<b1\|b2>\| = 1.000e\+00\)") as err:
+        dataclasses.replace(triple, basis2=triple.basis1)
+    assert err.value.invariant == "hardy-basis-orthogonality"
+    loose = HardyTriple.from_povm(embedding, "F", "D1", "D2", tol=1e-3)
+    assert (loose.tol, triple.tol) == (1e-3, 1e-9)
+    assert loose == triple and "tol" not in repr(loose)
 
 
 def test_max_violation_matches_the_frozen_constant(triple):

@@ -435,6 +435,13 @@ def test_coarse_grain_validates_labels(vh_povm):
         coarse_grain(vh_povm, (), "x")
 
 
+@pytest.mark.parametrize("merge", [("A1", "A1"), ("A1", "A2", "A1")])
+def test_coarse_grain_rejects_a_repeated_label(scenario, merge):
+    with pytest.raises(ValidationError, match="labels to merge must be unique") as err:
+        coarse_grain(povm_DA(scenario, merge_A=False), merge, "A")
+    assert err.value.invariant == "unique-labels"
+
+
 def test_two_basis_mixture_reproduces_the_VH_povm(scenario, vh_povm):
     mix = basis_mixture_povm(
         [list(scenario.paths), [hwp_transform(scenario, p) for p in scenario.paths]],

@@ -1,4 +1,5 @@
-"""The README's Python examples run against the installed signatures."""
+"""The README's Python examples run against the installed signatures, and its
+CLI transcript is what the command prints."""
 
 from __future__ import annotations
 
@@ -7,8 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from ctxlab import fixture_path
+from ctxlab.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+# the plain block that follows the `ctxlab inequality` command block
+INEQUALITY = re.search(r"^ctxlab inequality \S+\n```\n\n```\n(.*?)^```", TEXT, re.M | re.S)
 
 
 def test_the_readme_has_python_examples():
@@ -19,3 +26,9 @@ def test_the_readme_has_python_examples():
 def test_readme_python_block_runs(block, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the examples may write files
     exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_the_inequality_transcript_is_what_the_command_prints(capsys):
+    assert INEQUALITY is not None
+    assert main(["inequality", str(fixture_path("hardy"))]) == 0
+    assert capsys.readouterr().out == INEQUALITY.group(1)
