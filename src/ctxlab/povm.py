@@ -271,13 +271,13 @@ class DensityMatrix:
         return self.op.space.dim
 
 
-def _element_sum(p: Povm, positions: np.ndarray) -> np.ndarray:
-    """Sum of the elements at ``positions`` as a dense matrix, added in that order."""
+def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
+    """The elements at ``positions`` as a ``(K, d, d)`` stack of dense matrices."""
     rows = p.vectors[positions]
     stack = rows[:, :, None] * rows.conj()[:, None, :]
     for k in np.flatnonzero(~p._is_vector[positions]):
         stack[k] = p._operators[positions[k]].operator.entries
-    return stack.sum(axis=0)
+    return stack
 
 
 @finite("an element weight is")
@@ -294,7 +294,8 @@ def _selection_weights(p: Povm, positions: np.ndarray) -> np.ndarray:
 @finite("the completeness residual is")
 def completeness_check(p: Povm) -> float:
     """Max-entry residual of (sum of elements) - identity."""
-    return float(np.abs(_element_sum(p, np.arange(len(p))) - np.eye(p.system_dim)).max())
+    total = _element_matrices(p, np.arange(len(p))).sum(axis=0)
+    return float(np.abs(total - np.eye(p.system_dim)).max())
 
 
 def element_bound_residual(p: Povm) -> float:
@@ -393,23 +394,13 @@ class ContextRelation:
     proportional: bool = False
 
 
-def _support_projector(p: Povm, k: int, tol: float) -> np.ndarray:
-    if p._is_vector[k]:
-        matrix = np.outer(p.vectors[k], p.vectors[k].conj())
-    else:
-        matrix = p._operators[k].operator.entries
-    values, vectors = np.linalg.eigh(matrix)
-    cols = vectors[:, values > tol]
-    return cols @ cols.conj().T
-
-
 def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Witness, shared and proportional matrices of the rule in ``share_context``.
 
     Rows and columns follow ``positions``, which must name nonzero elements.
     All rank-1 pairs come from one Gram matrix of the unit rows,
-    |G_ij| / sqrt(w_i w_j); only pairs involving an operator element take a
-    support-projector commutator.
+    |G_ij| / sqrt(w_i w_j); the pairs involving an operator element take the
+    commutators of support projectors from one ``eigh`` of the element stack.
     """
     is_vector = p._is_vector[positions]
     both_vectors = np.outer(is_vector, is_vector)
@@ -419,10 +410,11 @@ def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.n
         units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
     if not is_vector.all():
-        projectors = [_support_projector(p, k, tol) for k in positions]
-        for i, j in np.argwhere(np.triu(~both_vectors, 1)):
-            commutator = projectors[i] @ projectors[j] - projectors[j] @ projectors[i]
-            witness[i, j] = witness[j, i] = np.linalg.norm(commutator, 2)
+        cols = [v[:, w > tol] for w, v in zip(*np.linalg.eigh(_element_matrices(p, positions)))]
+        supports = np.array([c @ c.conj().T for c in cols])
+        i, j = np.nonzero(np.triu(~both_vectors, 1))
+        commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
+        witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
     proportional = both_vectors & (witness >= 1.0 - tol)
     return witness, (witness <= tol) | proportional, proportional
 
@@ -503,7 +495,7 @@ def coarse_grain(
     if len(set(merge)) < len(merge):
         raise ValidationError("labels to merge must be unique", invariant="unique-labels")
     positions = np.array([p._index[label] for label in merge])
-    total = _element_sum(p, positions)
+    total = _element_matrices(p, positions).sum(axis=0)
 
     operators = dict(p._operators)  # by old position; -1 is the merged element
     values, vectors = np.linalg.eigh(total)
