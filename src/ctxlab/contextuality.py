@@ -206,8 +206,11 @@ def hardy_embedding_povm(
         scales = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     units = np.stack([fix_phase(unit_vector(k.amplitudes, tol)) for k in (f, d1, d2)])
     dim = units.shape[1]
-    if min(scales) < 0:
-        raise ValidationError("scales must be nonnegative", invariant="weights")
+    scales = np.asarray(scales, dtype=float)
+    if scales.shape != (3,):
+        raise ValidationError("one scale per direction is required", invariant="weights")
+    if not np.all(np.isfinite(scales) & (scales >= 0)):
+        raise ValidationError("scales must be finite and nonnegative", invariant="weights")
     rows = np.sqrt(scales)[:, None] * units
     total = (rows[:, :, None] * rows.conj()[:, None, :]).sum(axis=0)  # added in order
     values, vectors = np.linalg.eigh(np.eye(dim) - total)

@@ -34,7 +34,7 @@ from .hilbert import (
     require_basis,
     require_orthonormal,
 )
-from .povm import LabelledStack, Povm, validate_povm
+from .povm import LabelledStack, Povm, grid_labels, validate_povm
 
 
 class JointOutcomeSet(LabelledStack):
@@ -85,7 +85,7 @@ class JointOutcomeSet(LabelledStack):
     ) -> None:
         if space.kind != JOINT:
             raise SpaceMismatchError("outcome sets live on joint spaces")
-        self._store(labels, vectors, space=space, tol=tol)
+        self._store(labels, vectors, space.dim, space=space, tol=tol)
         if len(labels) > space.dim:
             raise ValidationError(
                 f"{len(labels)} outcomes exceed dim {space.dim}", invariant="outcome-count"
@@ -260,11 +260,13 @@ def context_switch_povm(
     require_orthonormal(env_kets, tol, "context states are", "context-orthonormality")
     require_normalised_phi_init(phi_init, tol)
 
+    if len(basis) == 0:
+        raise ValidationError("readout basis has no kets", invariant="basis-completeness")
     sys_dim = basis[0].space.dim
     require_basis(basis, sys_dim, tol, "readout basis")
 
     readout = np.stack([ket.amplitudes for ket in basis])[:, :, None]
-    names, blocks = [], []
+    names, blocks = grid_labels(labels, len(contexts), sys_dim), []
     for x, (env, unitary) in enumerate(contexts):
         if unitary.space.dim != sys_dim:
             raise SpaceMismatchError(f"context {x} unitary does not act on the system")
@@ -278,5 +280,4 @@ def context_switch_povm(
             )
         # Stacked matrix-vector products round each row as U^dag |a> alone does.
         blocks.append(phi_init.inner(env) * (unitary.entries.conj().T @ readout)[:, :, 0])
-        names += [labels[x][a] if labels is not None else f"{x}:{a}" for a in range(sys_dim)]
     return Povm.from_vectors(zip(names, np.concatenate(blocks)), system_dim=sys_dim)

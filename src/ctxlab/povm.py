@@ -79,6 +79,11 @@ class PovmElement:
         return np.array(self.operator.entries)
 
 
+def _require_dim(el: PovmElement, system_dim: int) -> None:
+    if el.dim != system_dim:
+        raise SpaceMismatchError(f"element {el.label!r} has dim {el.dim}, POVM has {system_dim}")
+
+
 class LabelledStack:
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
 
@@ -91,8 +96,11 @@ class LabelledStack:
     _compared: tuple[str, ...]
     _nonempty: str
 
-    def _store(self, labels: Sequence[str], vectors: np.ndarray, **fields: object) -> None:
-        """Check the labels and the amplitudes' finiteness, then set the fields.
+    def _store(
+        self, labels: Sequence[str], vectors: np.ndarray, dim: int, **fields: object
+    ) -> None:
+        """Check the labels, the ``(len(labels), dim)`` shape of ``vectors`` and the
+        amplitudes' finiteness, then set the fields.
 
         Looking up an absent label in ``_index`` raises UnknownLabelError.
         """
@@ -101,6 +109,10 @@ class LabelledStack:
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
         if len(index) != len(labels):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
+        if vectors.shape != (len(labels), dim):
+            raise SpaceMismatchError(
+                f"a stack of shape {vectors.shape} for {len(labels)} labels of dim {dim}"
+            )
         require_finite(vectors)
         vectors.setflags(write=False)
         self.__dict__.update(fields, vectors=vectors, _index=index)
@@ -149,15 +161,13 @@ class Povm(LabelledStack):
     def __init__(self, system_dim: int, elements: Iterable[PovmElement]) -> None:
         elements = tuple(elements)
         for el in elements:
-            if el.dim != system_dim:
-                raise SpaceMismatchError(
-                    f"element {el.label!r} has dim {el.dim}, POVM has {system_dim}"
-                )
+            _require_dim(el, system_dim)
         zero = np.zeros(system_dim, dtype=complex)
         rows = [zero if el.vector is None else el.vector.amplitudes for el in elements]
         self._store(
             [el.label for el in elements],
             np.array(rows, dtype=complex).reshape(len(rows), system_dim),
+            system_dim,
             system_dim=system_dim,
             _operators={k: el for k, el in enumerate(elements) if el.vector is None},
         )
@@ -175,10 +185,26 @@ class Povm(LabelledStack):
 
         ``operators`` maps the positions of operator elements, whose rows are
         zero, to their elements. Raises what ``Povm(system_dim, elements)``
-        would for empty or repeated labels and for non-finite amplitudes.
+        would for empty or repeated labels, for non-finite amplitudes and for
+        an element of another dimension; ``SpaceMismatchError`` for a stack
+        that is not ``(len(labels), system_dim)``; ``element-payload`` for an
+        entry that is not the operator element labelled at its position, or
+        whose row is not zero.
         """
         p = cls.__new__(cls)
-        p._store(labels, vectors, system_dim=system_dim, _operators=dict(operators or {}))
+        operators = dict(operators or {})
+        p._store(labels, vectors, system_dim, system_dim=system_dim, _operators=operators)
+        for k, el in operators.items():
+            _require_dim(el, system_dim)
+            if not isinstance(k, (int, np.integer)) or not 0 <= k < len(labels):
+                problem = f"operator position {k!r} is not one of the {len(labels)} positions"
+            elif el.is_vector or el.label != labels[k]:
+                problem = f"operators[{k}] is not an operator element labelled {labels[k]!r}"
+            elif vectors[k].any():
+                problem = f"operator element {labels[k]!r} has a nonzero row"
+            else:
+                continue
+            raise ValidationError(problem, invariant="element-payload")
         return p
 
     @classmethod
@@ -410,7 +436,8 @@ def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.n
         units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
     if not is_vector.all():
-        cols = [v[:, w > tol] for w, v in zip(*np.linalg.eigh(_element_matrices(p, positions)))]
+        values, vectors = np.linalg.eigh(_element_matrices(p, positions))
+        cols = [v[:, w > tol] for w, v in zip(values, vectors)]
         supports = np.array([c @ c.conj().T for c in cols])
         i, j = np.nonzero(np.triu(~both_vectors, 1))
         commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
@@ -545,16 +572,29 @@ def basis_mixture_povm(
     if len(weights) != len(bases):
         raise ValidationError("one weight per basis is required", invariant="weights")
     w = np.asarray(weights, dtype=float)
-    if np.any(w < -tol):
-        raise ValidationError("weights must be nonnegative", invariant="weights")
+    if not np.all(w >= -tol):  # NaN fails too
+        raise ValidationError("weights must be nonnegative numbers", invariant="weights")
     if abs(w.sum() - 1.0) > tol:
-        raise ValidationError(f"weights sum to {w.sum()!r} != 1", invariant="weights")
+        raise ValidationError(f"weights sum to {float(w.sum())!r} != 1", invariant="weights")
+    if len(bases[0]) == 0:
+        raise ValidationError("basis 0 has no kets", invariant="basis-completeness")
 
     dim = bases[0][0].space.dim
-    names, blocks = [], []
+    names, blocks = grid_labels(labels, len(bases), dim), []
     for x, basis in enumerate(bases):
         require_basis(basis, dim, tol, f"basis {x}")
         scale = np.sqrt(max(float(w[x]), 0.0))
         blocks.append(np.stack([ket.amplitudes for ket in basis]) * scale)
-        names += [labels[x][a] if labels is not None else f"{x}:{a}" for a in range(dim)]
     return Povm.from_vectors(zip(names, np.concatenate(blocks)), system_dim=dim)
+
+
+def grid_labels(labels: Sequence[Sequence[str]] | None, count: int, dim: int) -> list[str]:
+    """``labels[x][a]`` for ``count`` groups of ``dim`` outcomes in order, ``"x:a"`` without
+    ``labels``; raises ``labels`` unless there is one label per outcome."""
+    if labels is None:
+        return [f"{x}:{a}" for x in range(count) for a in range(dim)]
+    if len(labels) != count or any(len(row) != dim for row in labels):
+        raise ValidationError(
+            f"labels must hold {count} groups of {dim}, one per outcome", invariant="labels"
+        )
+    return [row[a] for row in labels for a in range(dim)]

@@ -57,10 +57,16 @@ _REAL_TYPES = frozenset((int, float))
 _SHOWN_ENTRY_CHARS = 80
 
 
+def _wrong_length(what: str, length: int, matrix: bool = False) -> ScenarioFileError:
+    """The reader's error for a vector or matrix entry of the wrong length."""
+    expected = f"a {length}x{length} matrix" if matrix else f"{length} [re, im] pairs"
+    return ScenarioFileError(f"{what}: expected {expected}")
+
+
 def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
     """Decode [re, im] pairs of exact ints or floats bit for bit (-0.0 kept)."""
     if type(obj) is not list or len(obj) != length:
-        raise ScenarioFileError(f"{what}: expected {length} [re, im] pairs")
+        raise _wrong_length(what, length)
     vectors = _decode_section([obj], length)
     if vectors is not None:
         return vectors[0]
@@ -102,7 +108,7 @@ def _decode_section(vectors: list, length: int) -> np.ndarray | None:
 
 def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
     if type(obj) is not list or len(obj) != dim:
-        raise ScenarioFileError(f"{what}: expected a {dim}x{dim} matrix")
+        raise _wrong_length(what, dim, matrix=True)
     matrix = _decode_section(obj, dim)
     if matrix is None:  # row by row, which names the row at fault
         matrix = np.stack([decode_vector(row, dim, what) for row in obj])
@@ -121,8 +127,28 @@ class Scenario:
     states: dict[str, Ket | DensityMatrix] = field(default_factory=dict)
     hardy: tuple[str, str, str] | None = None
 
+    def __post_init__(self) -> None:
+        """Refuse a part that the file could not hold, as the reader would refuse it."""
+        if (self.outcomes is None) != (self.phi_init is None):
+            raise ScenarioFileError("outcomes and phi_init must appear together")
+        if self.outcomes is not None:
+            if self.env_dim is None:
+                raise ScenarioFileError("env_dim must be a positive integer")
+            joint_dim = self.env_dim * self.system_dim
+            if self.outcomes.space.dim != joint_dim:
+                raise _wrong_length(f"outcome {self.outcomes.labels()[0]!r}", joint_dim)
+            if self.phi_init.space.dim != self.env_dim:
+                raise _wrong_length("phi_init", self.env_dim)
+        if self.povm is not None and self.povm.system_dim != self.system_dim:
+            first = f"povm {self.povm.labels()[0]!r}"
+            raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
+        for label, state in self.states.items():
+            ket = isinstance(state, Ket)
+            if (state.space.dim if ket else state.dim) != self.system_dim:
+                raise _wrong_length(f"state {label!r}", self.system_dim, matrix=not ket)
+
     def dilation(self, tol: float = DEFAULT_TOL) -> Dilation:
-        if self.outcomes is None or self.phi_init is None:
+        if self.outcomes is None:
             raise ScenarioFileError("the file carries no dilation (outcomes + phi_init)")
         return Dilation(self.outcomes, self.phi_init, tol=tol)
 
@@ -130,7 +156,7 @@ class Scenario:
         """The file's POVM, deriving it from the dilation when absent."""
         if self.povm is not None:
             return self.povm
-        if self.outcomes is not None and self.phi_init is not None:
+        if self.outcomes is not None:
             return povm_from_dilation(self.dilation(tol))
         raise ScenarioFileError("the file carries neither a povm nor a dilation")
 

@@ -304,6 +304,23 @@ def test_embedding_povm_rejects_oversized_scales():
     assert err.value.invariant == "weights"
 
 
+@pytest.mark.parametrize(
+    "scales, message",
+    [
+        ((0.3, 0.3), "one scale per direction is required"),
+        ((0.3, 0.3, 0.3, 0.1), "one scale per direction is required"),
+        ((np.nan, 0.3, 0.3), "scales must be finite and nonnegative"),
+        ((np.inf, 0.1, 0.1), "scales must be finite and nonnegative"),
+    ],
+    ids=["two", "four", "nan", "inf"],
+)
+def test_embedding_povm_names_a_bad_scale_tuple(scales, message):
+    f, d1, d2 = _directions()
+    with pytest.raises(ValidationError, match=f"^{message}$") as err:
+        hardy_embedding_povm(f, d1, d2, scales=scales)
+    assert err.value.invariant == "weights"
+
+
 def test_rescaled_reading_of_the_paradox(embedding):
     # the three probabilities behind the headline numbers, unrescaled
     _, d1, d2 = _directions()

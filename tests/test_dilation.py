@@ -31,7 +31,7 @@ from ctxlab import (
     tensor,
     verify_constraints,
 )
-from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm, random_unitary
+from helpers import phase_aligned_max_err, random_rank1_povm, random_unitary
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -314,6 +314,27 @@ def test_context_switch_validates_inputs():
         context_switch_povm(overlapping, basis, x)
     with pytest.raises(ValidationError):
         context_switch_povm([(x, Operator.identity(sys2))], [basis[0]], x)
+
+
+@pytest.mark.parametrize(
+    "labels", [[["a", "b"]], [["a", "b"], ["c"]]], ids=["one-group-short", "one-label-short"]
+)
+def test_context_switch_rejects_short_labels(labels):
+    env, sys2 = Space.environment(2), Space.system(2)
+    contexts = [(basis_ket(env, x), Operator.identity(sys2)) for x in range(2)]
+    basis = [basis_ket(sys2, 0), basis_ket(sys2, 1)]
+    with pytest.raises(ValidationError, match="^labels must hold 2 groups of 2") as err:
+        context_switch_povm(contexts, basis, basis_ket(env, 0), labels=labels)
+    assert err.value.invariant == "labels"
+    p = context_switch_povm(contexts, basis, basis_ket(env, 0), labels=[["a", "b"], ["c", "d"]])
+    assert p.labels() == ("a", "b", "c", "d")
+
+
+def test_context_switch_rejects_an_empty_readout_basis():
+    x = basis_ket(Space.environment(2), 0)
+    with pytest.raises(ValidationError, match="^readout basis has no kets$") as err:
+        context_switch_povm([(x, Operator.identity(Space.system(2)))], [], x)
+    assert err.value.invariant == "basis-completeness"
 
 
 def test_incomplete_context_span_leaves_incomplete_povm():

@@ -7,7 +7,6 @@ import pytest
 
 from ctxlab import (
     Ket,
-    Space,
     ValidationError,
     build_three_path,
     completeness_check,

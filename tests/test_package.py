@@ -9,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxlab"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +31,7 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["path"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -37,7 +38,6 @@ from ctxlab import (
     probability,
     rescaled_probability,
     share_context,
-    tensor,
     validate_povm,
 )
 from helpers import random_pure_state, random_rank1_povm, random_unitary
@@ -328,17 +328,20 @@ def _clear_of_thresholds(witness):
 
 @st.composite
 def context_povms(draw):
-    """A seeded POVM with one coarse-grained operator element, plus its oracle pairs.
+    """A seeded POVM with one or two coarse-grained operator elements, plus its oracle pairs.
 
     Basis mixtures of two random bases, some elements split into two exactly
-    proportional parts, or rows of a random isometry; M <= 3d. Every pair's
-    witness sits within 1e-12 of 0 or 1 or at least 1e-3 away from both, so no
-    verdict depends on round-off; a draw that breaks this is redrawn.
+    proportional parts, or rows of a random isometry; M <= 3d. One or two
+    disjoint pairs of orthogonal or generic rank-1 elements are merged, each
+    into a rank-2 operator element. Every pair's witness sits within 1e-12 of
+    0 or 1 or at least 1e-3 away from both, so no verdict depends on round-off;
+    a draw that breaks this is redrawn.
     """
     dim = draw(st.integers(2, 8))
     mixture = draw(st.booleans())
     splits = draw(st.integers(0, dim))
-    count = draw(st.integers(dim, 3 * dim))
+    count = draw(st.integers(max(dim, 4), 3 * dim))
+    groups = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     while True:
         if mixture:
@@ -351,13 +354,15 @@ def context_povms(draw):
                         pairs += [(f"0:{a}", u / np.sqrt(5.0)), (f"0:{a}'", 2.0 * u / np.sqrt(5.0))]
                     else:
                         pairs.append((f"{x}:{a}", u))
-            p = coarse_grain(Povm.from_vectors(pairs), ("0:0", "0:1"), "merged")
+            p, merges = Povm.from_vectors(pairs), [("0:0", "0:1"), ("1:0", "1:1")]
         else:
-            p = coarse_grain(random_rank1_povm(rng, dim, count), ("m0", "m1"), "merged")
+            p, merges = random_rank1_povm(rng, dim, count), [("m0", "m1"), ("m2", "m3")]
+        for k, merge in enumerate(merges[:groups]):
+            p = coarse_grain(p, merge, f"merged{k}")
         pairs = context_pairs(_oracle_elements(p), 1e-9)
         if all(_clear_of_thresholds(w) for _, _, w, _ in pairs):
             phases = np.exp(2j * np.pi * rng.random(len(p)))
-            return p, pairs, random_unitary(rng, dim), phases
+            return p, groups, pairs, random_unitary(rng, dim), phases
 
 
 def _transformed(p, unitary, phases):
@@ -380,8 +385,8 @@ def _edge_set(graph):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(context_povms())
 def test_context_graph_matches_the_pairwise_oracle(case):
-    p, pairs, unitary, phases = case
-    assert any(not el.is_vector for el in p.elements)
+    p, groups, pairs, unitary, phases = case
+    assert len(p.operators) == groups
     labels = p.labels()
     g = context_graph(p, 1e-9)
     assert g.nodes == labels and g.skipped == ()
@@ -484,6 +489,30 @@ def test_basis_mixture_validates_inputs():
         basis_mixture_povm([], [])
 
 
+@pytest.mark.parametrize(
+    "kwargs, invariant, message",
+    [
+        ({"weights": [np.nan, 1.0]}, "weights", "weights must be nonnegative numbers"),
+        ({"weights": [0.6, 0.6]}, "weights", "weights sum to 1.2 != 1"),
+        ({"labels": [["a", "b"]]}, "labels", "labels must hold 2 groups of 2, one per outcome"),
+        ({"labels": [["a", "b"], ["c"]]}, "labels", "labels must hold 2 groups of 2"),
+    ],
+    ids=["nan-weight", "weight-sum-repr", "one-group-short", "one-label-short"],
+)
+def test_basis_mixture_names_what_is_wrong_with_its_arguments(kwargs, invariant, message):
+    space = Space.system(2)
+    z = [basis_ket(space, 0), basis_ket(space, 1)]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}") as err:
+        basis_mixture_povm([z, z], **{"weights": [0.5, 0.5], **kwargs})
+    assert err.value.invariant == invariant
+
+
+def test_basis_mixture_rejects_an_empty_basis():
+    with pytest.raises(ValidationError, match="^basis 0 has no kets$") as err:
+        basis_mixture_povm([[]], [1.0])
+    assert err.value.invariant == "basis-completeness"
+
+
 def test_random_rank1_povms_are_complete():
     rng = np.random.default_rng(43)
     for dim in (2, 3, 4, 5):
@@ -571,6 +600,59 @@ def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     outcomes = dilation_DA(scenario).outcomes
     moved = _one_ulp_up(outcomes.vectors)
     assert outcomes != JointOutcomeSet.from_stack(outcomes.space, outcomes.labels(), moved)
+
+
+def _half_identity(label, dim=2):
+    return PovmElement(label, operator=Operator(Space.system(dim), np.eye(dim) / 2))
+
+
+_ROWS = np.array([[0.0, 0.0], [0.0, 1.0 / SQ2], [1.0 / SQ2, 0.0]], dtype=complex)
+_NOT_AT_POSITION = "operators[0] is not an operator element labelled 'a'"
+
+
+@pytest.mark.parametrize(
+    "operators, rows, message",
+    [
+        ({0: _half_identity("zzz")}, _ROWS, _NOT_AT_POSITION),
+        ({-1: _half_identity("c")}, _ROWS, "operator position -1 is not one of the 3 positions"),
+        ({3: _half_identity("d")}, _ROWS, "operator position 3 is not one of the 3 positions"),
+        ({0: _half_identity("a")}, _ROWS + 0.5, "operator element 'a' has a nonzero row"),
+        (
+            {0: PovmElement("a", vector=basis_ket(Space.system(2), 0))},
+            _ROWS,
+            _NOT_AT_POSITION,
+        ),
+    ],
+    ids=["label", "negative-key", "key-past-the-end", "nonzero-row", "vector-element"],
+)
+def test_from_stack_checks_each_operator_entry_against_its_position(operators, rows, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as err:
+        Povm.from_stack(2, ["a", "b", "c"], rows, operators)
+    assert err.value.invariant == "element-payload"
+
+
+def test_from_stack_rejects_an_operator_of_another_dimension():
+    with pytest.raises(SpaceMismatchError, match="^element 'a' has dim 3, POVM has 2$"):
+        Povm.from_stack(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a", dim=3)})
+    with pytest.raises(SpaceMismatchError, match="^element 'a' has dim 3, POVM has 2$"):
+        Povm(2, [_half_identity("a", dim=3)])
+    p = Povm.from_stack(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a")})
+    assert completeness_check(p) <= 1e-15 and p.elements[0].label == "a"
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda rows: Povm.from_stack(2, ["a", "b"], rows), (3, 2)),
+        (lambda rows: Povm.from_stack(2, ["a", "b"], rows.T[:2].copy()), (2, 3)),
+        (lambda rows: JointOutcomeSet.from_stack(Space.joint(1, 2), ["a", "b"], rows), (3, 2)),
+    ],
+    ids=["povm-extra-row", "povm-long-rows", "outcome-set-extra-row"],
+)
+def test_from_stack_rejects_a_stack_of_another_shape(build, shape):
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], dtype=complex)
+    with pytest.raises(SpaceMismatchError, match=re.escape(f"a stack of shape {shape} for 2")):
+        build(rows)
 
 
 def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):

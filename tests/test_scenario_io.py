@@ -277,6 +277,65 @@ def test_scenario_must_be_an_object():
         scenario_from_dict([1, 2, 3])
 
 
+def _misfits() -> dict[str, tuple[dict, str]]:
+    """Scenario fields that a file could not hold, with the error its reader gives."""
+    s = build_three_path()
+    d = dilation_DA(s)
+    sys2 = Space.system(2)
+    identity = PovmElement("I", operator=Operator.identity(sys2))
+    return {
+        "outcomes-of-another-dim": (
+            {"system_dim": 3, "env_dim": 5, "outcomes": d.outcomes, "phi_init": d.phi_init},
+            "outcome 'D1': expected 15 [re, im] pairs",
+        ),
+        "phi-init-of-another-dim": (
+            {"system_dim": 2, "env_dim": 3, "outcomes": d.outcomes, "phi_init": d.phi_init},
+            "phi_init: expected 3 [re, im] pairs",
+        ),
+        "no-env-dim": (
+            {"system_dim": 3, "outcomes": d.outcomes, "phi_init": d.phi_init},
+            "env_dim must be a positive integer",
+        ),
+        "outcomes-without-phi-init": (
+            {"system_dim": 3, "env_dim": 2, "outcomes": d.outcomes},
+            "outcomes and phi_init must appear together",
+        ),
+        "phi-init-without-outcomes": (
+            {"system_dim": 3, "env_dim": 2, "phi_init": d.phi_init},
+            "outcomes and phi_init must appear together",
+        ),
+        "povm-vector-of-another-dim": (
+            {"system_dim": 4, "povm": povm_DA(s)},
+            "povm 'D1': expected 4 [re, im] pairs",
+        ),
+        "povm-matrix-of-another-dim": (
+            {"system_dim": 3, "povm": Povm(2, [identity])},
+            "povm 'I': expected a 3x3 matrix",
+        ),
+        "state-vector-of-another-dim": (
+            {"system_dim": 3, "states": {"psi": Ket(sys2, np.array([1.0, 0.0]))}},
+            "state 'psi': expected 3 [re, im] pairs",
+        ),
+        "state-matrix-of-another-dim": (
+            {"system_dim": 3, "states": {"rho": DensityMatrix.from_matrix(np.eye(2) / 2)}},
+            "state 'rho': expected a 3x3 matrix",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_misfits()))
+def test_a_scenario_refuses_what_its_file_could_not_hold(name):
+    fields, message = _misfits()[name]
+    with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
+        Scenario(**fields)
+    unchecked = object.__new__(Scenario)  # as a scenario was built before the check
+    empty = {"env_dim": None, "outcomes": None, "phi_init": None, "povm": None, "states": {}}
+    for key, value in {**empty, "hardy": None, **fields}.items():
+        object.__setattr__(unchecked, key, value)
+    with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(scenario_to_dict(unchecked))
+
+
 def test_physical_invariants_still_apply():
     raw = _da_dict()
     raw["outcomes"][0]["vector"] = raw["outcomes"][1]["vector"]
