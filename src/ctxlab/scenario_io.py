@@ -24,7 +24,7 @@ enforced by the constructed objects themselves.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -139,6 +139,12 @@ class Scenario:
                 raise _wrong_length(f"outcome {self.outcomes.labels()[0]!r}", joint_dim)
             if self.phi_init.space.dim != self.env_dim:
                 raise _wrong_length("phi_init", self.env_dim)
+            space = self.outcomes.space
+            if (space.env_dim, space.sys_dim) != (self.env_dim, self.system_dim):
+                raise ScenarioFileError(  # the file would read them back on other factors
+                    f"outcomes are on joint(env {space.env_dim}, sys {space.sys_dim}), "
+                    f"not joint(env {self.env_dim}, sys {self.system_dim})"
+                )
         if self.povm is not None and self.povm.system_dim != self.system_dim:
             first = f"povm {self.povm.labels()[0]!r}"
             raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
@@ -279,45 +285,52 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
     return scenario_from_dict(raw, tol)
 
 
-def _vectors(stack: np.ndarray, pad: str) -> list[str]:
-    """Each row of a finite complex stack as ``_scenario_text`` writes its [re, im] pairs at
-    indentation ``pad``. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
-    string; the others fill ``%r`` slots, ``float.__repr__`` as in ``json``."""
+def _vectors(stack: np.ndarray, pad: str) -> Iterator[str]:
+    """Each row of a finite complex stack in turn, as ``_scenario_text`` writes its [re, im]
+    pairs at indentation ``pad``. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
+    string; the others fill the ``%r`` slots of one template per zero mask, ``float.__repr__``
+    as in ``json``. ``save_scenario`` has its file open by then, so a failure here leaves it
+    truncated, as a failed write does (none is known for a constructed ``Scenario``)."""
     rows = np.ascontiguousarray(stack, dtype=complex)
     pairs, inner = rows.view(float).reshape(len(rows), -1, 2), pad + "  "
     pair, sep = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]", ",\n" + inner
     texts = (pair, pair % (0.0, 0.0))
     zero = ~((pairs != 0) | np.signbit(pairs)).any(axis=2)
-    templates = (f"[\n{inner}{sep.join(map(texts.__getitem__, z))}\n{pad}]" for z in zero.tolist())
-    # one % call for the stack; "\0" occurs in no row, so it parts them
-    return ("\0".join(templates) % tuple(pairs[~zero].ravel().tolist())).split("\0")
+    templates = {}
+    for mask, parts in zip(zero, pairs):
+        key = mask.tobytes()
+        if key not in templates:
+            templates[key] = f"[\n{inner}{sep.join(map(texts.__getitem__, mask.tolist()))}\n{pad}]"
+        yield templates[key] % tuple(parts[~mask].ravel().tolist())
 
 
-def _section_text(labels: Iterable[str], vectors: np.ndarray, matrices: dict) -> str:
-    """A labelled section as a top-level value: each row of ``vectors`` as a "vector",
-    except the positions in ``matrices``, written as those matrices."""
-    pad, items = "      ", []  # the keys of an entry sit three levels deep
+def _section_text(labels: Iterable[str], vectors: np.ndarray, matrices: dict) -> Iterator[str]:
+    """A labelled section as a top-level value, in chunks: each row of ``vectors`` as a
+    "vector", except the positions in ``matrices``, written as those matrices."""
+    pad = "      "  # the keys of an entry sit three levels deep
+    yield "[\n"
     for k, (label, row) in enumerate(zip(labels, _vectors(vectors, pad))):
         key = "vector"
         if k in matrices:
             rows = f",\n{pad}  ".join(_vectors(matrices[k], pad + "  "))
             key, row = "matrix", f"[\n{pad}  {rows}\n{pad}]"
-        items.append(f'    {{\n{pad}"label": {json.dumps(label)},\n{pad}"{key}": {row}\n    }}')
-    return "[\n" + ",\n".join(items) + "\n  ]"
+        comma = ",\n" if k else ""
+        yield f'{comma}    {{\n{pad}"label": {json.dumps(label)},\n{pad}"{key}": {row}\n    }}'
+    yield "\n  ]"
 
 
-def _scenario_text(s: Scenario) -> str:
-    """The file text of a scenario, the one encoder of the format: what
-    ``json.dumps(..., indent=2)`` writes for its JSON form, byte for byte, in schema
-    order, with every [re, im] run (sections, ``phi_init``, matrix entries) formatted
-    straight from the stacks by ``_vectors``."""
-    fields = {"version": str(SCHEMA_VERSION), "system_dim": str(int(s.system_dim))}
+def _scenario_text(s: Scenario) -> Iterator[str]:
+    """The file text of a scenario in chunks, in file order, the one encoder of the
+    format: what ``json.dumps(..., indent=2)`` writes for its JSON form, byte for byte,
+    in schema order, with every [re, im] run (sections, ``phi_init``, matrix entries)
+    formatted straight from the stacks by ``_vectors``."""
+    fields = {"version": [str(SCHEMA_VERSION)], "system_dim": [str(int(s.system_dim))]}
     if s.env_dim is not None:
-        fields["env_dim"] = str(int(s.env_dim))
+        fields["env_dim"] = [str(int(s.env_dim))]
     if s.outcomes is not None:
         fields["outcomes"] = _section_text(s.outcomes.labels(), s.outcomes.vectors, {})
     if s.phi_init is not None:
-        fields["phi_init"] = _vectors(s.phi_init.amplitudes[None], "  ")[0]
+        fields["phi_init"] = _vectors(s.phi_init.amplitudes[None], "  ")
     if s.povm is not None:
         operators = {k: el.operator.entries for k, el in s.povm.operators.items()}
         fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, operators)
@@ -328,23 +341,32 @@ def _scenario_text(s: Scenario) -> str:
         fields["states"] = _section_text(s.states, rows, matrices)
     if s.hardy is not None:
         hardy = json.dumps(dict(zip(("f", "d1", "d2"), s.hardy)), indent=2)
-        fields["hardy"] = hardy.replace("\n", "\n  ")  # json escapes a newline in a label
-    items = ",\n  ".join(f'"{key}": {text}' for key, text in fields.items())
-    return f"{{\n  {items}\n}}"
+        fields["hardy"] = [hardy.replace("\n", "\n  ")]  # json escapes a newline in a label
+    separator = "{\n  "
+    for key, chunks in fields.items():
+        yield f'{separator}"{key}": '
+        yield from chunks
+        separator = ",\n  "
+    yield "\n}"
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """The JSON-ready dict of a scenario, parsed from its file text;
     ``scenario_from_dict`` reads it back."""
-    return json.loads(_scenario_text(s))
+    return json.loads("".join(_scenario_text(s)))
 
 
 def save_scenario(path: str | Path, raw: dict | Scenario) -> None:
     """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``, or the
-    file text of a ``Scenario``, which is the same as for ``scenario_to_dict(raw)``."""
+    file text of a ``Scenario``, which is the same as for ``scenario_to_dict(raw)``. A
+    ``Scenario`` is formatted chunk by chunk into the file, opened first, so a failure
+    part-way leaves it truncated, as a failed write does (none is known for a constructed
+    ``Scenario``); a dict is dumped whole before the file is opened."""
     try:
-        text = _scenario_text(raw) if isinstance(raw, Scenario) else json.dumps(raw, indent=2)
-        Path(path).write_text(f"{text}\n", encoding="utf-8")
+        chunks = _scenario_text(raw) if isinstance(raw, Scenario) else [json.dumps(raw, indent=2)]
+        with open(path, "w", encoding="utf-8") as file:
+            file.writelines(chunks)
+            file.write("\n")
     except OSError as exc:
         raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
     except RecursionError as exc:

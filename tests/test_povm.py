@@ -447,6 +447,32 @@ def test_coarse_grain_rejects_a_repeated_label(scenario, merge):
     assert err.value.invariant == "unique-labels"
 
 
+@st.composite
+def merged_groups(draw):
+    """A complete rank-1 POVM (d 2-8, M d-3d) and 1-3 disjoint groups of 2-3 of its labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 8))
+    p = random_rank1_povm(rng, dim, draw(st.integers(dim, 3 * dim)))
+    labels, groups = draw(st.permutations(p.labels())), []
+    for _ in range(draw(st.integers(1, 3))):
+        if len(labels) < 2:
+            break
+        size = draw(st.integers(2, min(3, len(labels))))
+        groups.append(labels[:size])
+        labels = labels[size:]
+    return p, groups
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(merged_groups())
+def test_coarse_grain_keeps_a_complete_povm_complete(case):
+    p, groups = case
+    assert completeness_check(p) <= 1e-12
+    for k, group in enumerate(groups):
+        p = coarse_grain(p, group, f"g{k}")
+        assert completeness_check(p) <= 1e-12
+
+
 def test_two_basis_mixture_reproduces_the_VH_povm(scenario, vh_povm):
     mix = basis_mixture_povm(
         [list(scenario.paths), [hwp_transform(scenario, p) for p in scenario.paths]],

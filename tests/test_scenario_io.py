@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from ctxlab import (
     decode_matrix,
     decode_vector,
     dilation_DA,
+    dilation_VH,
     encode_matrix,
     encode_vector,
     fixture_dict,
@@ -336,6 +338,18 @@ def test_a_scenario_refuses_what_its_file_could_not_hold(name):
         scenario_from_dict(scenario_to_dict(unchecked))
 
 
+def test_a_scenario_refuses_outcomes_on_other_factors_of_its_joint_dimension(tmp_path):
+    d = naimark_dilate(povm_from_dilation(dilation_VH(build_three_path())))
+    assert d.outcomes.space == Space.joint(6, 3)
+    phi_init = Ket(Space.environment(9), np.eye(9)[0])  # 9 * 2 == 6 * 3
+    message = "outcomes are on joint(env 6, sys 3), not joint(env 9, sys 2)"
+    with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
+        Scenario(2, 9, d.outcomes, phi_init)
+    path = tmp_path / "vh.json"
+    save_scenario(path, Scenario(3, 6, d.outcomes, d.phi_init))
+    assert load_scenario(path).outcomes == d.outcomes
+
+
 def test_physical_invariants_still_apply():
     raw = _da_dict()
     raw["outcomes"][0]["vector"] = raw["outcomes"][1]["vector"]
@@ -510,6 +524,37 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     text = _written(scenario)
     assert text == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
     assert all(f" {part}" in text for part in ("-0.0", "5e-324", "1e+16", "1e-05", "0.0001"))
+
+
+def test_each_zero_mask_gets_its_own_row_template():
+    rows = np.array(
+        [
+            [0.5, 0.0, 0.25j],
+            [0.125, 0.0, -0.5],  # the zero mask of row 0
+            [0.5, complex(-0.0, 0.0), 0.25j],  # row 0 but for a -0.0 part
+            [0.0, 0.5, 0.25j],  # as many zero pairs as row 0, elsewhere
+        ]
+    )
+    labels = [f"m{k}" for k in range(len(rows))]
+    scenario = Scenario(3, povm=Povm.from_stack(3, labels, rows))
+    section = [{"label": label, "vector": encode_vector(row)} for label, row in zip(labels, rows)]
+    raw = {"version": 1, "system_dim": 3, "povm": section}
+    assert _written(scenario) == json.dumps(raw, indent=2) + "\n"
+
+
+def test_saving_a_large_dilation_traces_less_memory_than_the_file_it_writes(tmp_path):
+    d = naimark_dilate(random_rank1_povm(np.random.default_rng(8), 8, 64))
+    scenario = Scenario(8, 64, d.outcomes, d.phi_init, povm_from_dilation(d))
+    path = tmp_path / "dilated.json"
+    save_scenario(path, scenario)  # a first call, so only the writer itself is traced
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        save_scenario(path, scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_saving_a_too_deeply_nested_dict_is_a_file_error(tmp_path):
