@@ -19,10 +19,8 @@ from .hilbert import (
     Operator,
     Space,
     basis_ket,
-    eigh,
     fix_phase,
     gram,
-    partial_inner_env,
     tensor,
 )
 from .povm import (
@@ -55,11 +53,9 @@ from .dilation import (
 )
 from .contextuality import (
     Certification,
-    DecompositionReport,
     HardyTriple,
     InequalityReport,
     evaluate_inequality,
-    hardy_decomposition_check,
     hardy_embedding_povm,
     hardy_state,
     max_violation,

@@ -73,37 +73,6 @@ class HardyTriple:
         return cls(p, f, d1, d2, *(Ket(space, row) for row in units), tol=tol)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Coefficients and residuals of F over the two (basis, D) pairs."""
-
-    alpha1: complex
-    beta1: complex
-    residual1: float
-    alpha2: complex
-    beta2: complex
-    residual2: float
-
-
-def _best_fit(f: Ket, b: Ket, d: Ket) -> tuple[complex, complex, float]:
-    columns = np.stack([b.amplitudes, d.amplitudes], axis=1)
-    coeffs, *_ = np.linalg.lstsq(columns, f.amplitudes, rcond=None)
-    residual = float(np.linalg.norm(f.amplitudes - columns @ coeffs))
-    return complex(coeffs[0]), complex(coeffs[1]), residual
-
-
-def hardy_decomposition_check(
-    f: Ket, basis1: Ket, d1: Ket, basis2: Ket, d2: Ket, tol: float = DEFAULT_TOL
-) -> DecompositionReport:
-    """Fit F = alpha * basis_k + beta * D_k for k = 1, 2 and report residuals."""
-    for name, ket in (("f", f), ("basis1", basis1), ("d1", d1), ("basis2", basis2), ("d2", d2)):
-        if not ket.is_normalized(tol):
-            raise ValidationError(f"{name} must be normalised", invariant="normalisation")
-    alpha1, beta1, residual1 = _best_fit(f, basis1, d1)
-    alpha2, beta2, residual2 = _best_fit(f, basis2, d2)
-    return DecompositionReport(alpha1, beta1, residual1, alpha2, beta2, residual2)
-
-
 def hardy_state(d1: Ket, d2: Ket, tol: float = DEFAULT_TOL) -> Ket:
     """The unique dim-3 unit state orthogonal to both D directions.
 

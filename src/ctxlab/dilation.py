@@ -101,10 +101,6 @@ class JointOutcomeSet(LabelledStack):
     def ket(self, label: str) -> Ket:
         return self.outcomes[self._index[label]][1]
 
-    @property
-    def complete(self) -> bool:
-        return len(self) == self.space.dim
-
     def orthonormality_residual(self) -> float:
         return orthonormality_residual(self.vectors)
 

@@ -35,8 +35,9 @@ def _fixture_scenario(name: str) -> Scenario:
         space = s.system
         basis1 = Ket(space, np.array([1.0, 0.0, 0.0]))
         basis2 = Ket(space, np.array([0.0, 1.0, 0.0]))
-        d1 = (s.f - basis1.inner(s.f) * basis1).normalized().with_canonical_phase()
-        d2 = (s.f - basis2.inner(s.f) * basis2).normalized().with_canonical_phase()
+        d1 = Ket(space, s.f.amplitudes - basis1.amplitudes * basis1.inner(s.f))
+        d2 = Ket(space, s.f.amplitudes - basis2.amplitudes * basis2.inner(s.f))
+        d1, d2 = (d.normalized().with_canonical_phase() for d in (d1, d2))
         p = hardy_embedding_povm(s.f, d1, d2)
         # hardy_state(d1, d2) up to last-ulp SVD noise; stored exactly so the
         # two D overlaps cancel to a clean zero in reports

@@ -139,13 +139,10 @@ class Ket:
             return NotImplemented
         return self.space == other.space and np.array_equal(self.amplitudes, other.amplitudes)
 
-    def _require_same_space(self, other: Ket, what: str) -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError(f"{what} needs kets on the same space")
-
     def inner(self, other: Ket) -> complex:
         """<self|other>, conjugate-linear in self."""
-        self._require_same_space(other, "inner product")
+        if self.space != other.space:
+            raise SpaceMismatchError("inner product needs kets on the same space")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def norm_sq(self) -> float:
@@ -166,22 +163,6 @@ class Ket:
     def projector(self) -> np.ndarray:
         """|v><v| as a dense matrix."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def __add__(self, other: Ket) -> Ket:
-        self._require_same_space(other, "addition")
-        return Ket(self.space, self.amplitudes + other.amplitudes)
-
-    def __sub__(self, other: Ket) -> Ket:
-        self._require_same_space(other, "subtraction")
-        return Ket(self.space, self.amplitudes - other.amplitudes)
-
-    def __mul__(self, scalar: complex) -> Ket:
-        return Ket(self.space, self.amplitudes * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Ket:
-        return Ket(self.space, -self.amplitudes)
 
 
 def basis_ket(space: Space, index: int) -> Ket:
@@ -228,11 +209,6 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def apply(self, ket: Ket) -> Ket:
-        if ket.space != self.space:
-            raise SpaceMismatchError("operator and ket live on different spaces")
-        return Ket(self.space, self.entries @ ket.amplitudes)
-
 
 def tensor(env: Ket, sys: Ket) -> Ket:
     """Tensor product of an environment ket with a system ket (env-major flat order)."""
@@ -242,33 +218,6 @@ def tensor(env: Ket, sys: Ket) -> Ket:
         )
     joint = Space.joint(env.space.dim, sys.space.dim)
     return Ket(joint, np.kron(env.amplitudes, sys.amplitudes))
-
-
-def partial_inner_env(phi: Ket, m: Ket) -> Ket:
-    """Contract a joint vector with an environment bra, leaving a system vector.
-
-    Parameters
-    ----------
-    phi : Ket
-        Environment ket; enters as the bra <phi|.
-    m : Ket
-        Joint ket over the matching environment factor.
-
-    Returns
-    -------
-    Ket
-        System vector with amplitudes ``sum_e conj(phi[e]) * m[e, s]``.
-    """
-    if phi.space.kind != ENVIRONMENT:
-        raise SpaceMismatchError(f"expected an environment ket, got {phi.space.kind}")
-    if m.space.kind != JOINT:
-        raise SpaceMismatchError(f"expected a joint ket, got {m.space.kind}")
-    if m.space.env_dim != phi.space.dim:
-        raise SpaceMismatchError(
-            f"environment dim {phi.space.dim} does not match joint factor {m.space.env_dim}"
-        )
-    table = m.amplitudes.reshape(m.space.env_dim, m.space.sys_dim)
-    return Ket(Space.system(m.space.sys_dim), phi.amplitudes.conj() @ table)
 
 
 def gram(vectors: Vectors) -> np.ndarray:
@@ -317,14 +266,3 @@ def require_hermitian(op: Operator, tol: float, what: str) -> None:
         raise ValidationError(
             f"{what} is not Hermitian (residual {residual:.3e})", invariant="hermiticity"
         )
-
-
-def eigh(op: Operator, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, list[Ket]]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvector kets. Raises if the operator is not Hermitian within tol.
-    """
-    require_hermitian(op, tol, "operator")
-    values, vectors = np.linalg.eigh(op.entries)
-    return values, [Ket(op.space, vectors[:, k]) for k in range(values.shape[0])]

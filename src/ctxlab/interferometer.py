@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import DEFAULT_TOL, Ket, Space, basis_ket, tensor
+from .hilbert import DEFAULT_TOL, Ket, Space, basis_ket
 from .povm import Povm, coarse_grain
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 
@@ -55,8 +55,8 @@ def build_three_path(hwp_path: str = "F") -> ThreePathScenario:
         system=system,
         environment=environment,
         paths=(p1, p2, p3),
-        s1=(p2 + p3) * inv2,
-        s2=(p1 + p3) * inv2,
+        s1=Ket(system, (p2.amplitudes + p3.amplitudes) * complex(inv2)),
+        s2=Ket(system, (p1.amplitudes + p3.amplitudes) * complex(inv2)),
         f=Ket(system, np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)),
         h=basis_ket(environment, 0),
         v=basis_ket(environment, 1),
@@ -72,10 +72,22 @@ def _plate_ket(s: ThreePathScenario) -> Ket:
     return named[s.hwp_path]
 
 
+def _reflect(w: Ket, psi: Ket) -> np.ndarray:
+    """The amplitudes of psi - 2 <w|psi> w."""
+    return psi.amplitudes - w.amplitudes * (2.0 * w.inner(psi))
+
+
 def hwp_transform(s: ThreePathScenario, psi: Ket) -> Ket:
     """Reflect a path state about the plate's path: psi - 2 <w|psi> w."""
+    return Ket(psi.space, _reflect(_plate_ket(s), psi))
+
+
+def _readout_rows(s: ThreePathScenario) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, 6) stacks |V> (x) |i> and |H> (x) u_H,i, u_H,i the plate-reflected path i."""
     w = _plate_ket(s)
-    return psi - (2.0 * w.inner(psi)) * w
+    paths = np.array([p.amplitudes for p in s.paths])
+    reflected = np.array([_reflect(w, p) for p in s.paths])
+    return np.kron(s.v.amplitudes, paths), np.kron(s.h.amplitudes, reflected)
 
 
 def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
@@ -83,10 +95,9 @@ def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
 
     V heralds the unmodified path basis, H the plate-reflected one.
     """
-    space = Space.joint(2, 3)
-    outcomes = [(f"V{i + 1}", tensor(s.v, s.paths[i])) for i in range(3)]
-    outcomes += [(f"H{i + 1}", tensor(s.h, hwp_transform(s, s.paths[i]))) for i in range(3)]
-    return JointOutcomeSet(space, tuple(outcomes), tol=tol)
+    labels = ("V1", "V2", "V3", "H1", "H2", "H3")
+    vectors = np.concatenate(_readout_rows(s))
+    return JointOutcomeSet.from_stack(Space.joint(2, 3), labels, vectors, tol=tol)
 
 
 def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
@@ -95,15 +106,11 @@ def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     (D, i) and (A, i) are the +/- combinations of |H> (x) u_H,i and
     |V> (x) u_V,i, where u are the unit context vectors of the H/V readout.
     """
-    space = Space.joint(2, 3)
-    inv2 = 1.0 / np.sqrt(2.0)
-    d_outcomes, a_outcomes = [], []
-    for i in range(3):
-        u_h = hwp_transform(s, s.paths[i])
-        u_v = s.paths[i]
-        d_outcomes.append((f"D{i + 1}", (tensor(s.h, u_h) + tensor(s.v, u_v)) * inv2))
-        a_outcomes.append((f"A{i + 1}", (tensor(s.h, u_h) - tensor(s.v, u_v)) * inv2))
-    return JointOutcomeSet(space, tuple(d_outcomes + a_outcomes), tol=tol)
+    labels = ("D1", "D2", "D3", "A1", "A2", "A3")
+    v_rows, h_rows = _readout_rows(s)
+    inv2 = complex(1.0 / np.sqrt(2.0))
+    vectors = np.concatenate([(h_rows + v_rows) * inv2, (h_rows - v_rows) * inv2])
+    return JointOutcomeSet.from_stack(Space.joint(2, 3), labels, vectors, tol=tol)
 
 
 def dilation_VH(

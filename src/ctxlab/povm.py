@@ -72,12 +72,6 @@ class PovmElement:
             return self.vector.norm_sq()
         return float(self.operator.trace().real)
 
-    def matrix(self) -> np.ndarray:
-        """The element as a dense positive operator."""
-        if self.vector is not None:
-            return self.vector.projector()
-        return np.array(self.operator.entries)
-
 
 def _require_dim(el: PovmElement, system_dim: int) -> None:
     if el.dim != system_dim:
@@ -476,9 +470,6 @@ class ContextGraph:
 
     def has_edge(self, a: str, b: str) -> bool:
         return any({a, b} == {x, y} for x, y, _ in self.edges)
-
-    def degree(self, label: str) -> int:
-        return sum(1 for x, y, _ in self.edges if label in (x, y))
 
     def to_dot(self) -> str:
         """Render as Graphviz DOT with the tested magnitude as an edge attribute. Labels

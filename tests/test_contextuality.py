@@ -23,7 +23,6 @@ from ctxlab import (
     completeness_check,
     context_selection_probability,
     evaluate_inequality,
-    hardy_decomposition_check,
     hardy_embedding_povm,
     hardy_state,
     max_violation,
@@ -70,25 +69,6 @@ def test_triple_derives_the_path_basis(triple):
     f, d1, d2 = _directions()
     for derived, given in ((triple.f_hat, f), (triple.d1_hat, d1), (triple.d2_hat, d2)):
         assert np.abs(derived.amplitudes - given.amplitudes).max() <= 1e-12
-
-
-def test_decomposition_coefficients(triple):
-    report = hardy_decomposition_check(
-        triple.f_hat, triple.basis1, triple.d1_hat, triple.basis2, triple.d2_hat
-    )
-    assert abs(report.alpha1 - 1.0 / SQ3) <= 1e-12
-    assert abs(report.beta1 - np.sqrt(2.0 / 3.0)) <= 1e-12
-    assert abs(report.alpha2 - 1.0 / SQ3) <= 1e-12
-    assert abs(report.beta2 - np.sqrt(2.0 / 3.0)) <= 1e-12
-    assert report.residual1 <= 1e-12
-    assert report.residual2 <= 1e-12
-
-
-def test_decomposition_requires_normalised_inputs():
-    f, d1, d2 = _directions()
-    long_f = Ket(f.space, 2.0 * f.amplitudes)
-    with pytest.raises(ValidationError):
-        hardy_decomposition_check(long_f, basis_ket(f.space, 0), d1, basis_ket(f.space, 1), d2)
 
 
 def test_triple_rejects_degenerate_configurations():

@@ -1,4 +1,4 @@
-"""Space, ket, operator, and decomposition primitives."""
+"""Space, ket, tensor, Gram and phase primitives."""
 
 from __future__ import annotations
 
@@ -6,21 +6,20 @@ import numpy as np
 import pytest
 
 from ctxlab import (
+    Dilation,
+    JointOutcomeSet,
     Ket,
-    Operator,
     Space,
     SpaceMismatchError,
     ValidationError,
     basis_ket,
-    eigh,
     fix_phase,
     gram,
-    partial_inner_env,
+    povm_from_dilation,
     tensor,
 )
 from ctxlab.hilbert import orthonormality_residual
-from helpers import random_pure_state, random_rank1_povm, random_unitary
-from oracles import hermitian3_eigvals
+from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm, random_unitary
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -86,46 +85,22 @@ def test_tensor_is_bilinear():
         b = Ket(SYS3, rng.normal(size=3) + 1j * rng.normal(size=3))
         c = Ket(SYS3, rng.normal(size=3) + 1j * rng.normal(size=3))
         scale = complex(rng.normal(), rng.normal())
-        left = tensor(a, b + scale * c).amplitudes
+        left = tensor(a, Ket(SYS3, b.amplitudes + scale * c.amplitudes)).amplitudes
         right = tensor(a, b).amplitudes + scale * tensor(a, c).amplitudes
         assert np.abs(left - right).max() <= 1e-12
 
 
-def test_partial_inner_retracts_product_states():
+def test_lambda_retracts_product_states():
+    # for m = chi (x) psi, lambda(m) = <phi|m> = <phi|chi> psi (up to the POVM's canonical phase)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        phi = random_pure_state(rng, 2)
-        chi = Ket(ENV2, rng.normal(size=2) + 1j * rng.normal(size=2))
-        psi = Ket(SYS3, rng.normal(size=3) + 1j * rng.normal(size=3))
-        env_phi = Ket(ENV2, phi.amplitudes)
-        lam = partial_inner_env(env_phi, tensor(chi, psi))
-        expected = env_phi.inner(chi) * psi.amplitudes
-        assert np.abs(lam.amplitudes - expected).max() <= 1e-12
-
-
-def test_partial_inner_on_polarised_outcome():
-    # <D| on |V> x |1> leaves |1>/sqrt2
-    d = Ket(ENV2, np.array([1.0, 1.0]) / SQ2)
-    v = basis_ket(ENV2, 1)
-    lam = partial_inner_env(d, tensor(v, basis_ket(SYS3, 0)))
-    np.testing.assert_allclose(lam.amplitudes, np.array([1.0, 0.0, 0.0]) / SQ2, atol=1e-15)
-
-
-def test_partial_inner_orthogonal_environment_gives_zero():
-    h = basis_ket(ENV2, 0)
-    v = basis_ket(ENV2, 1)
-    lam = partial_inner_env(h, tensor(v, basis_ket(SYS3, 2)))
-    assert np.abs(lam.amplitudes).max() == 0.0
-
-
-def test_partial_inner_space_checks():
-    with pytest.raises(SpaceMismatchError):
-        partial_inner_env(basis_ket(SYS3, 0), tensor(basis_ket(ENV2, 0), basis_ket(SYS3, 0)))
-    with pytest.raises(SpaceMismatchError):
-        partial_inner_env(
-            basis_ket(Space.environment(3), 0),
-            tensor(basis_ket(ENV2, 0), basis_ket(SYS3, 0)),
-        )
+        phi = Ket(ENV2, random_pure_state(rng, 2).amplitudes)
+        chi = Ket(ENV2, random_unitary(rng, 2)[:, 0])
+        psi = Ket(SYS3, random_unitary(rng, 3)[:, 0])
+        outcomes = JointOutcomeSet(Space.joint(2, 3), [("m", tensor(chi, psi))])
+        lam = povm_from_dilation(Dilation(outcomes, phi)).vectors[0]
+        expected = phi.inner(chi) * psi.amplitudes
+        assert phase_aligned_max_err(lam, expected) <= 1e-12
 
 
 def test_gram_of_orthonormal_basis_is_identity():
@@ -173,55 +148,6 @@ def test_fix_phase_pivots_largest_entry():
     assert tie[0] == 0.5  # first maximal entry wins the tie
     zero = fix_phase(np.zeros(3))
     assert np.all(zero == 0)
-
-
-def test_eigh_identity_and_projector():
-    values, _ = eigh(Operator.identity(Space.system(2)))
-    np.testing.assert_allclose(values, [1.0, 1.0])
-    f = Ket(SYS3, np.array([1.0, 1.0, -1.0]) / SQ3)
-    values, vectors = eigh(Operator(SYS3, f.projector()))
-    np.testing.assert_allclose(values, [0.0, 0.0, 1.0], atol=1e-12)
-    assert abs(abs(vectors[-1].inner(f)) - 1.0) <= 1e-12
-
-
-def test_eigh_requires_hermitian():
-    with pytest.raises(ValidationError):
-        eigh(Operator(Space.system(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
-
-
-def test_eigh_matches_characteristic_polynomial_oracle():
-    f = np.array([1.0, 1.0, -1.0]) / SQ3
-    d1 = np.array([0.0, 1.0, -1.0]) / SQ2
-    d2 = np.array([1.0, 0.0, -1.0]) / SQ2
-    gap = np.outer(f, f) - np.outer(d1, d1) - np.outer(d2, d2)
-    values, vectors = eigh(Operator(SYS3, gap))
-    assert np.abs(values - hermitian3_eigvals(gap)).max() <= 1e-9
-    # frozen spectrum: 12x^3 + 12x^2 + x - 1 = (2x + 1)(6x^2 + 3x - 1)
-    expected = np.array([-(3.0 + np.sqrt(33.0)) / 12.0, -0.5, (np.sqrt(33.0) - 3.0) / 12.0])
-    assert np.abs(values - expected).max() <= 1e-12
-    reconstructed = sum(w * k.projector() for w, k in zip(values, vectors))
-    assert np.abs(reconstructed - gap).max() <= 1e-9
-
-
-def test_eigh_reconstructs_random_hermitian():
-    rng = np.random.default_rng(17)
-    for dim in (2, 3, 5):
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        herm = (z + z.conj().T) / 2.0
-        values, vectors = eigh(Operator(Space.system(dim), herm))
-        reconstructed = sum(w * k.projector() for w, k in zip(values, vectors))
-        assert np.abs(reconstructed - herm).max() <= 1e-9
-        assert np.abs(gram(vectors) - np.eye(dim)).max() <= 1e-9
-
-
-def test_operator_apply_and_unitary_invariants():
-    rng = np.random.default_rng(19)
-    u = random_unitary(rng, 3)
-    op = Operator(SYS3, u)
-    psi = random_pure_state(rng, 3)
-    assert abs(op.apply(psi).norm() - 1.0) <= 1e-12
-    with pytest.raises(SpaceMismatchError):
-        op.apply(basis_ket(ENV2, 0))
 
 
 def _scalar_fix_phase(row: np.ndarray) -> np.ndarray:

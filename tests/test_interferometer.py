@@ -70,18 +70,27 @@ def test_plate_transform_is_a_reflection(s):
     np.testing.assert_allclose(first.amplitudes, np.array([1.0, -2.0, 2.0]) / 3.0, atol=1e-12)
 
 
-def test_joint_outcome_sets_are_complete_bases(s):
-    for outcomes in (joint_outcomes_VH(s), joint_outcomes_DA(s)):
-        assert len(outcomes) == 6
-        assert outcomes.complete
+@pytest.mark.parametrize("hwp_path", ("1", "2", "3", "S1", "S2", "F"))
+def test_joint_outcome_sets_are_complete_bases(hwp_path):
+    s = build_three_path(hwp_path)
+    vh, da = joint_outcomes_VH(s), joint_outcomes_DA(s)
+    for outcomes in (vh, da):
+        assert len(outcomes) == outcomes.space.dim == 6
         assert outcomes.orthonormality_residual() <= 1e-12
-    assert joint_outcomes_VH(s).labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
-    assert joint_outcomes_DA(s).labels() == ("D1", "D2", "D3", "A1", "A2", "A3")
-    # the plate acts on the reflected-polarisation readouts only
-    h3 = tensor(s.h, Ket(s.system, np.array([2.0, 2.0, 1.0]) / 3.0))
-    v3 = tensor(s.v, Ket(s.system, np.array([0.0, 0.0, 1.0])))
-    assert np.abs(joint_outcomes_VH(s).ket("H3").amplitudes - h3.amplitudes).max() <= 1e-12
-    assert np.abs(joint_outcomes_VH(s).ket("V3").amplitudes - v3.amplitudes).max() <= 1e-12
+    assert vh.labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
+    assert da.labels() == ("D1", "D2", "D3", "A1", "A2", "A3")
+    # V heralds the paths, H their reflections (I - 2|w><w|)|i> about the plate's path w
+    plate = {"1": s.paths[0], "2": s.paths[1], "3": s.paths[2], "S1": s.s1, "S2": s.s2, "F": s.f}
+    w = plate[hwp_path].amplitudes
+    reflected = np.eye(3) - 2.0 * np.outer(w, w.conj())
+    v_rows = np.array([np.kron(s.v.amplitudes, u) for u in np.eye(3)])
+    h_rows = np.array([np.kron(s.h.amplitudes, u) for u in reflected.T])
+    assert np.abs(vh.vectors - np.concatenate([v_rows, h_rows])).max() <= 1e-12
+    expected_da = np.concatenate([h_rows + v_rows, h_rows - v_rows]) / SQ2
+    assert np.abs(da.vectors - expected_da).max() <= 1e-12
+    if hwp_path == "F":
+        h3 = tensor(s.h, Ket(s.system, np.array([2.0, 2.0, 1.0]) / 3.0))
+        assert np.abs(vh.ket("H3").amplitudes - h3.amplitudes).max() <= 1e-12
 
 
 def test_readout_rotation_factorises_over_the_paths(s):

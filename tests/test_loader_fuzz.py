@@ -3,7 +3,8 @@
 A section that decodes cleanly becomes one stacked array with no ``Ket`` per
 element; any fault sends the loader back to the entry-by-entry path, which
 names the first faulty entry. Both must agree with the plain per-entry
-reference in ``oracles.py``, bit for bit and error for error.
+reference in ``oracles.py``, bit for bit and error for error. Arbitrary
+command lines over good and broken inputs end in a documented exit code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from ctxlab import (
     decode_vector,
     element_bound_residual,
     encode_vector,
+    fixture_path,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -245,3 +247,66 @@ def test_loading_and_checking_a_vector_povm_builds_no_ket(monkeypatch, tmp_path)
     for el, ref in zip(p.elements, eager.elements):
         assert (el.label, el.is_vector, el.tol) == (ref.label, ref.is_vector, ref.tol)
         assert _bits(el.vector.amplitudes) == _bits(ref.vector.amplitudes)
+
+
+COMMANDS = {  # each subcommand with its own flags
+    ("scenario", "run"): ("--basis", "--merge-a", "--phi-init"),
+    ("povm", "check"): ("--strict", "--json"),
+    ("dilate",): ("-o",),
+    ("context-graph",): ("--dot", "--json"),
+    ("inequality",): ("--state", "--json"),
+    ("max-violation",): ("--json",),
+}
+FLAGS = ("--json", "--dot", "--strict", "--merge-a", "--basis", "--phi-init", "--state", "-o")
+TOLS = ("nan", "inf", "-1", "0", "5e-324", "1e-17", "1e300", "abc")
+
+
+def _refuse(constant: str) -> None:
+    raise ValueError(f"{constant} in --json output")
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory) -> tuple[list[str], list[str], dict[str, list[str]]]:
+    """The three fixtures, the broken inputs (a missing path, a directory, an empty
+    file and a truncated fixture) and each option's drawn values."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "empty.json").write_text("")
+    text = fixture_path("three-path-DA").read_text(encoding="utf-8")
+    (root / "truncated.json").write_text(text[: len(text) // 2])
+    fixtures = [str(fixture_path(name)) for name in ("three-path-VH", "three-path-DA", "hardy")]
+    broken = [str(root / name) for name in ("missing.json", ".", "empty.json", "truncated.json")]
+    values = {
+        "--basis": ["DA", "VH", "XY"],
+        "--phi-init": ["D", "A", "H", "V", "R"],
+        "--state": ["hardy", "nope"],
+        "-o": [str(root / "out.json"), str(root), str(root / "missing" / "out.json")],
+    }
+    return fixtures, broken, values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_command_line_ends_in_a_documented_exit_code(cli_inputs, data):
+    fixtures, broken, values = cli_inputs
+    command = data.draw(st.sampled_from(list(COMMANDS)))
+    if command == ("scenario", "run"):
+        fixtures = ["three-path"]
+    argv = [*command, data.draw(st.sampled_from(fixtures) | st.sampled_from(broken))]
+    flags = data.draw(st.lists(st.sampled_from(COMMANDS[command]), unique=True))
+    flags += data.draw(st.lists(st.sampled_from(FLAGS), max_size=1))  # maybe another's flag
+    for flag in flags:
+        argv += [flag, data.draw(st.sampled_from(values[flag]))] if flag in values else [flag]
+    tol = data.draw(st.none() | st.sampled_from(TOLS))
+    if tol is not None:
+        argv += ["--tol", tol]
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3, 4)
+    if code == 0 and "--json" in argv and "--dot" not in argv:
+        json.loads(out.getvalue(), parse_constant=_refuse)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ctxlab"
+from test_readme import BLOCKS as README_BLOCKS
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ctxlab"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -40,24 +44,37 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every identifier a tree reads as a name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _definitions(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """``(qualified name, identifier)`` of each module-level function and class and of
+    each method of a module-level class, the qualified name ``Class.method``."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for definition in (node, *members):
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                owner = "" if definition is node else f"{node.name}."
+                yield owner + definition.name, definition.name
+
+
 def unreferenced_private_names(sources: list[str]) -> list[str]:
     """Private module-level functions and classes, and private methods of module-level
     classes, whose name no module of ``sources`` reads as a name or an attribute."""
     trees = [ast.parse(source) for source in sources]
-    referenced = set()
-    defined = []
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-        for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for definition in (node, *members):
-                if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
-                    defined.append(definition.name)
-    return [name for name in defined if _is_private(name) and name not in referenced]
+    referenced = set().union(*map(_read_names, trees))
+    return [
+        name
+        for tree in trees
+        for _, name in _definitions(tree)
+        if _is_private(name) and name not in referenced
+    ]
 
 
 def test_the_scan_finds_an_unreferenced_private_helper():
@@ -74,6 +91,61 @@ def test_the_scan_finds_an_unreferenced_private_helper():
 def test_every_private_helper_is_referenced_in_the_package():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+def unreached_public_names(package: list[str], outside: list[str]) -> list[str]:
+    """Public module-level functions and classes of ``package``, and public methods of its
+    module-level classes (as ``Class.method``), whose identifier no source of
+    ``package`` or ``outside`` reads as a name or an attribute.
+
+    It matches by identifier alone: a definition counts as reached when anything of the
+    same name is read, so a name shared with a reached one (``np.linalg.eigh``,
+    ``DensityMatrix.matrix``) is never reported.
+    """
+    trees = [ast.parse(source) for source in package]
+    reached = set().union(*map(_read_names, trees + [ast.parse(s) for s in outside]))
+    return [
+        qualified
+        for tree in trees
+        for qualified, name in _definitions(tree)
+        if not name.startswith("_") and name not in reached
+    ]
+
+
+# The library API that only its own tests reach, each with why it stays.
+KEPT_PUBLIC = {
+    "context_switch_povm": "the paper's environment-conditioned measurement",
+    "share_context": "the benchmark tracer counts its calls by name",
+    "encode_matrix": "the pair of decode_matrix, which the reader uses",
+    "fixture_dict": "a bundled fixture regenerated without file access, to cross-check it",
+    "Operator.identity": "the identity context of context_switch_povm",
+    "DensityMatrix.from_matrix": "a mixed state from a plain matrix, for evaluate_inequality",
+}
+
+
+def test_the_scan_finds_an_unreached_public_name():
+    package = (
+        "def used():\n    pass\n\ndef left():\n    pass\n\n"
+        "class Kept:\n    def read(self):\n        pass\n\n"
+        "    def unread(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n\nused()\n"
+    )
+    outside = "from pkg import Kept\nKept().read()\n"
+    assert unreached_public_names([package], [outside]) == ["left", "Kept.unread"]
+
+
+def test_every_public_name_is_reached_outside_the_unit_tests():
+    """Reached means read by the package, the benchmark, the acceptance gate or the
+    README's Python examples; what only unit tests read is kept or deleted."""
+    package = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    outside = [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("bench/*.py"))]
+    outside += [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+    outside += README_BLOCKS
+    unreached = unreached_public_names(package, outside)
+    unlisted = [name for name in unreached if name not in KEPT_PUBLIC]
+    assert not unlisted, f"public names that only unit tests read: {unlisted}"
+    stale = [name for name in KEPT_PUBLIC if name not in unreached]
+    assert not stale, f"kept names that are now reached, to unlist: {stale}"
 
 
 def private_imports(source: str) -> list[str]:

@@ -28,7 +28,6 @@ from ctxlab import (
     basis_ket,
     basis_mixture_povm,
     context_switch_povm,
-    eigh,
     maximizing_state,
     rescaled_probability,
     scenario_from_dict,
@@ -127,10 +126,6 @@ CASES = {
     "density-matrix-hermiticity": (
         lambda: DensityMatrix(SKEWED),
         ValidationError, "hermiticity", "density matrix is not Hermitian (residual 1.000e+00)",
-    ),
-    "eigh-hermiticity": (
-        lambda: eigh(SKEWED),
-        ValidationError, "hermiticity", "operator is not Hermitian (residual 1.000e+00)",
     ),
     "basis-mixture-count": (
         lambda: basis_mixture_povm([[E0, E1], [E0]], [0.5, 0.5]),

@@ -415,7 +415,8 @@ def scenarios(draw):
     dim = draw(st.integers(1, 6))
     rank1 = random_rank1_povm(rng, dim, draw(st.integers(max(dim, 3), dim + 3)))
     space = Space.system(dim)
-    pair = rank1.element("m0").matrix() + rank1.element("m1").matrix()
+    m0, m1 = rank1.vectors[:2]
+    pair = np.outer(m0, m0.conj()) + np.outer(m1, m1.conj())
     povm = Povm(dim, (PovmElement("pair", operator=Operator(space, pair)),) + rank1.elements[2:])
     signed_zero = np.full(dim, complex(-0.0, -0.0))
     signed_zero[-1] = complex(1.0, -0.0)
