@@ -71,6 +71,17 @@ def test_triple_derives_the_path_basis(triple):
         assert np.abs(derived.amplitudes - given.amplitudes).max() <= 1e-12
 
 
+def test_decomposition_coefficients(triple):
+    # F = alpha_k basis_k + beta_k D_k with alpha_k = 1/sqrt3 and beta_k = sqrt(2/3)
+    f = triple.f_hat
+    for basis, d in ((triple.basis1, triple.d1_hat), (triple.basis2, triple.d2_hat)):
+        alpha, beta = basis.inner(f), d.inner(f)
+        assert abs(alpha - 1.0 / SQ3) <= 1e-12
+        assert abs(beta - np.sqrt(2.0 / 3.0)) <= 1e-12
+        residual = f.amplitudes - alpha * basis.amplitudes - beta * d.amplitudes
+        assert np.abs(residual).max() <= 1e-12
+
+
 def test_triple_rejects_degenerate_configurations():
     f, d1, _ = _directions()
     space = _space()

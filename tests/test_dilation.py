@@ -93,6 +93,14 @@ def test_dilation_requires_normalised_environment_state():
         Dilation(outcomes, basis_ket(Space.environment(3), 0))
 
 
+def test_dilation_requires_phi_init_on_the_environment_factor():
+    outcomes = dilation_VH(build_three_path()).outcomes
+    with pytest.raises(SpaceMismatchError, match="^phi_init must be an environment ket$"):
+        Dilation(outcomes, basis_ket(Space.system(2), 0))
+    with pytest.raises(SpaceMismatchError, match="^phi_init dim 3 != environment factor 2$"):
+        Dilation(outcomes, basis_ket(Space.environment(3), 0))
+
+
 def test_product_outcomes_give_projective_elements():
     # outcomes |x> (x) |a> with phi_init = |x> contract to the bare basis
     env = Space.environment(2)

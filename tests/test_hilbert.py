@@ -103,6 +103,23 @@ def test_lambda_retracts_product_states():
         assert phase_aligned_max_err(lam, expected) <= 1e-12
 
 
+def test_partial_inner_on_polarised_outcome():
+    # <D| on |V> x |1> leaves |1>/sqrt2
+    d = Ket(ENV2, np.array([1.0, 1.0]) / SQ2)
+    v = basis_ket(ENV2, 1)
+    outcomes = JointOutcomeSet(Space.joint(2, 3), [("V1", tensor(v, basis_ket(SYS3, 0)))])
+    lam = povm_from_dilation(Dilation(outcomes, d)).vectors[0]
+    np.testing.assert_allclose(lam, np.array([1.0, 0.0, 0.0]) / SQ2, atol=1e-15)
+
+
+def test_partial_inner_orthogonal_environment_gives_zero():
+    h = basis_ket(ENV2, 0)
+    v = basis_ket(ENV2, 1)
+    outcomes = JointOutcomeSet(Space.joint(2, 3), [("V3", tensor(v, basis_ket(SYS3, 2)))])
+    lam = povm_from_dilation(Dilation(outcomes, h)).vectors[0]
+    assert np.abs(lam).max() == 0.0
+
+
 def test_gram_of_orthonormal_basis_is_identity():
     vectors = [basis_ket(SYS3, i) for i in range(3)]
     np.testing.assert_allclose(gram(vectors), np.eye(3), atol=1e-15)
