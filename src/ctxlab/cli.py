@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input or file-schema error, 3 violated invariant,
-4 numerical failure. Numbers print with 12 significant digits; ``--json``
-emits machine-readable reports where available.
+Exit codes: 0 success, 1 stdout closed by the reader, 2 input or file-schema
+error, 3 violated invariant, 4 numerical failure. Numbers print with 12
+significant digits; ``--json`` emits machine-readable reports where available.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -260,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("context-graph", parents=[common], help="context-sharing structure")
     graph.add_argument("file")
-    graph.add_argument("--dot", action="store_true")
-    graph.add_argument("--json", action="store_true")
+    form = graph.add_mutually_exclusive_group()
+    form.add_argument("--dot", action="store_true")
+    form.add_argument("--json", action="store_true")
     graph.set_defaults(handler=_cmd_context_graph)
 
     inequality = sub.add_parser(
@@ -287,7 +289,13 @@ def main(argv: list[str] | None = None) -> int:
         print("input error: --tol must be positive and finite", file=sys.stderr)
         return 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here rather than at exit
+        return code
+    except BrokenPipeError:
+        # Point fd 1 at devnull so that the flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ScenarioFileError, SpaceMismatchError, UnknownLabelError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,7 @@ and ``naimark_dilate`` rebuilds a dilation from any complete rank-1 POVM.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,47 +41,21 @@ class JointOutcomeSet(LabelledStack):
 
     ``validate=False`` skips the orthonormality check so that deliberately
     perturbed sets can be built for diagnostics. ``vectors`` holds one row of
-    amplitudes per outcome; ``outcomes`` builds the ``(label, Ket)`` pairs on
-    first access.
+    amplitudes per outcome.
     """
 
-    _fields = ("space", "outcomes")
     _compared = ("space",)
     _nonempty = "at least one outcome is required"
 
     def __init__(
         self,
         space: Space,
-        outcomes: Iterable[tuple[str, Ket]],
-        validate: bool = True,
-        tol: float = DEFAULT_TOL,
-    ) -> None:
-        outcomes = tuple((str(label), ket) for label, ket in outcomes)
-        for label, ket in outcomes:
-            if ket.space != space:
-                raise SpaceMismatchError(f"outcome {label!r} is not on the joint space")
-        rows = [ket.amplitudes for _, ket in outcomes]
-        vectors = np.array(rows, dtype=complex).reshape(len(rows), space.dim)
-        self._build(space, [label for label, _ in outcomes], vectors, validate, tol)
-        self.__dict__["outcomes"] = outcomes
-
-    @classmethod
-    def from_stack(
-        cls,
-        space: Space,
         labels: Sequence[str],
         vectors: np.ndarray,
         validate: bool = True,
         tol: float = DEFAULT_TOL,
-    ) -> JointOutcomeSet:
-        """An outcome set over an ``(M, space.dim)`` stack, checked as the constructor does."""
-        s = cls.__new__(cls)
-        s._build(space, labels, vectors, validate, tol)
-        return s
-
-    def _build(
-        self, space: Space, labels: Sequence[str], vectors: np.ndarray, validate: bool, tol: float
     ) -> None:
+        """An outcome set over an ``(M, space.dim)`` complex stack, taken as it is."""
         if space.kind != JOINT:
             raise SpaceMismatchError("outcome sets live on joint spaces")
         self._store(labels, vectors, space.dim, space=space, tol=tol)
@@ -92,14 +65,6 @@ class JointOutcomeSet(LabelledStack):
             )
         if validate:
             require_orthonormal(vectors, tol, "outcome set is", "outcome-orthonormality")
-
-    @functools.cached_property
-    def outcomes(self) -> tuple[tuple[str, Ket], ...]:
-        rows = zip(self._index, self.vectors)
-        return tuple((label, Ket(self.space, row)) for label, row in rows)
-
-    def ket(self, label: str) -> Ket:
-        return self.outcomes[self._index[label]][1]
 
     def orthonormality_residual(self) -> float:
         return orthonormality_residual(self.vectors)
@@ -158,7 +123,7 @@ def residual_decompose(d: Dilation) -> JointOutcomeSet:
     """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
     _, sigmas = _components(d)
     outcomes = d.outcomes
-    return JointOutcomeSet.from_stack(outcomes.space, outcomes.labels(), sigmas, validate=False)
+    return JointOutcomeSet(outcomes.space, outcomes.labels(), sigmas, validate=False)
 
 
 @dataclass(frozen=True)
@@ -218,7 +183,7 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     flat = np.zeros((count, count * sys_dim), dtype=complex)
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
-    outcomes = JointOutcomeSet.from_stack(joint, p.labels(), flat, tol=tol)
+    outcomes = JointOutcomeSet(joint, p.labels(), flat, tol=tol)
     return Dilation(outcomes, basis_ket(Space.environment(count), 0), tol=tol)
 
 

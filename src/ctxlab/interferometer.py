@@ -97,7 +97,7 @@ def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     """
     labels = ("V1", "V2", "V3", "H1", "H2", "H3")
     vectors = np.concatenate(_readout_rows(s))
-    return JointOutcomeSet.from_stack(Space.joint(2, 3), labels, vectors, tol=tol)
+    return JointOutcomeSet(Space.joint(2, 3), labels, vectors, tol=tol)
 
 
 def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
@@ -110,7 +110,7 @@ def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     v_rows, h_rows = _readout_rows(s)
     inv2 = complex(1.0 / np.sqrt(2.0))
     vectors = np.concatenate([(h_rows + v_rows) * inv2, (h_rows - v_rows) * inv2])
-    return JointOutcomeSet.from_stack(Space.joint(2, 3), labels, vectors, tol=tol)
+    return JointOutcomeSet(Space.joint(2, 3), labels, vectors, tol=tol)
 
 
 def dilation_VH(

@@ -38,55 +38,30 @@ class _LabelIndex(dict):
 
 @dataclass(frozen=True)
 class PovmElement:
-    """One labelled POVM element: a system vector or a positive operator."""
+    """One labelled operator element of a POVM: a Hermitian system operator."""
 
     label: str
-    vector: Ket | None = None
-    operator: Operator | None = None
+    operator: Operator
     tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if (self.vector is None) == (self.operator is None):
-            raise ValidationError(
-                f"element {self.label!r} needs exactly one of vector/operator",
-                invariant="element-payload",
-            )
-        payload = self.vector if self.vector is not None else self.operator
-        if payload.space.kind != SYSTEM:
+        if self.operator.space.kind != SYSTEM:
             raise SpaceMismatchError(f"element {self.label!r} must live on a system space")
-        if self.operator is not None:
-            require_hermitian(self.operator, self.tol, f"element {self.label!r}")
-
-    @property
-    def is_vector(self) -> bool:
-        return self.vector is not None
+        require_hermitian(self.operator, self.tol, f"element {self.label!r}")
 
     @property
     def dim(self) -> int:
-        payload = self.vector if self.vector is not None else self.operator
-        return payload.space.dim
-
-    def weight(self) -> float:
-        """<lambda|lambda> for vectors, the trace for operators."""
-        if self.vector is not None:
-            return self.vector.norm_sq()
-        return float(self.operator.trace().real)
-
-
-def _require_dim(el: PovmElement, system_dim: int) -> None:
-    if el.dim != system_dim:
-        raise SpaceMismatchError(f"element {el.label!r} has dim {el.dim}, POVM has {system_dim}")
+        return self.operator.space.dim
 
 
 class LabelledStack:
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
 
-    Subclasses name in ``_fields`` what repr shows, in ``_compared`` what
-    equality compares besides the labels and the stack, and in ``_nonempty``
-    the message for an empty label list. Instances are immutable.
+    Subclasses name in ``_compared`` what equality compares and repr shows
+    besides the labels and the stack, and in ``_nonempty`` the message for an
+    empty label list. Instances are immutable.
     """
 
-    _fields: tuple[str, ...]
     _compared: tuple[str, ...]
     _nonempty: str
 
@@ -127,8 +102,8 @@ class LabelledStack:
         )
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({shown})"
+        shown = "".join(f", {name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}(labels={self.labels()!r}{shown})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -144,62 +119,45 @@ class Povm(LabelledStack):
     inspected; ``completeness_check`` reports the residual and
     ``validate_povm`` raises on violations. ``vectors`` holds the amplitudes
     of each rank-1 element and zeros for each operator element, whose
-    ``PovmElement`` is kept in ``operators``. ``elements`` builds the other
-    ``PovmElement`` objects on first access.
+    ``PovmElement`` is kept in ``operators``.
     """
 
-    _fields = ("system_dim", "elements")
     _compared = ("system_dim", "_operators")
     _nonempty = "a POVM needs at least one element"
 
-    def __init__(self, system_dim: int, elements: Iterable[PovmElement]) -> None:
-        elements = tuple(elements)
-        for el in elements:
-            _require_dim(el, system_dim)
-        zero = np.zeros(system_dim, dtype=complex)
-        rows = [zero if el.vector is None else el.vector.amplitudes for el in elements]
-        self._store(
-            [el.label for el in elements],
-            np.array(rows, dtype=complex).reshape(len(rows), system_dim),
-            system_dim,
-            system_dim=system_dim,
-            _operators={k: el for k, el in enumerate(elements) if el.vector is None},
-        )
-        self.__dict__["elements"] = elements
-
-    @classmethod
-    def from_stack(
-        cls,
+    def __init__(
+        self,
         system_dim: int,
         labels: Sequence[str],
         vectors: np.ndarray,
         operators: dict[int, PovmElement] | None = None,
-    ) -> Povm:
+    ) -> None:
         """A POVM over an ``(M, system_dim)`` complex stack, taken as it is.
 
         ``operators`` maps the positions of operator elements, whose rows are
-        zero, to their elements. Raises what ``Povm(system_dim, elements)``
-        would for empty or repeated labels, for non-finite amplitudes and for
-        an element of another dimension; ``SpaceMismatchError`` for a stack
-        that is not ``(len(labels), system_dim)``; ``element-payload`` for an
-        entry that is not the operator element labelled at its position, or
-        whose row is not zero.
+        zero, to their elements. Raises ``nonempty`` or ``unique-labels`` for
+        empty or repeated labels, ``finite-amplitudes`` for non-finite
+        amplitudes, ``SpaceMismatchError`` for a stack that is not
+        ``(len(labels), system_dim)`` or an element of another dimension, and
+        ``element-payload`` for an entry that is not the operator element
+        labelled at its position, or whose row is not zero.
         """
-        p = cls.__new__(cls)
         operators = dict(operators or {})
-        p._store(labels, vectors, system_dim, system_dim=system_dim, _operators=operators)
+        self._store(labels, vectors, system_dim, system_dim=system_dim, _operators=operators)
         for k, el in operators.items():
-            _require_dim(el, system_dim)
+            if el.dim != system_dim:
+                raise SpaceMismatchError(
+                    f"element {el.label!r} has dim {el.dim}, POVM has {system_dim}"
+                )
             if not isinstance(k, (int, np.integer)) or not 0 <= k < len(labels):
                 problem = f"operator position {k!r} is not one of the {len(labels)} positions"
-            elif el.is_vector or el.label != labels[k]:
+            elif el.label != labels[k]:
                 problem = f"operators[{k}] is not an operator element labelled {labels[k]!r}"
             elif vectors[k].any():
                 problem = f"operator element {labels[k]!r} has a nonzero row"
             else:
                 continue
             raise ValidationError(problem, invariant="element-payload")
-        return p
 
     @classmethod
     def from_vectors(
@@ -221,7 +179,7 @@ class Povm(LabelledStack):
         require_finite(stack)
         if good < len(rows):
             raise SpaceMismatchError(f"{len(rows[good])} amplitudes for a dim-{system_dim} space")
-        return cls.from_stack(system_dim, labels, fix_phase(stack))
+        return cls(system_dim, labels, fix_phase(stack))
 
     @property
     def operators(self) -> Mapping[int, PovmElement]:
@@ -234,18 +192,6 @@ class Povm(LabelledStack):
         is_vector[list(self._operators)] = False
         is_vector.setflags(write=False)
         return is_vector
-
-    @functools.cached_property
-    def elements(self) -> tuple[PovmElement, ...]:
-        space = Space.system(self.system_dim)
-        return tuple(
-            self._operators[k] if k in self._operators
-            else PovmElement(label, vector=Ket(space, row))
-            for k, (label, row) in enumerate(zip(self._index, self.vectors))
-        )
-
-    def element(self, label: str) -> PovmElement:
-        return self.elements[self._index[label]]
 
 
 @dataclass(frozen=True)
@@ -528,7 +474,7 @@ def coarse_grain(
     labels = p.labels()
     order = [k for k in range(len(p)) if k not in drop]
     order.insert(min(drop), -1)  # nothing before the first merged element was dropped
-    return Povm.from_stack(
+    return Povm(
         p.system_dim,
         [new_label if k < 0 else labels[k] for k in order],
         np.array([row if k < 0 else p.vectors[k] for k in order]),

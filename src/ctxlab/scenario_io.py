@@ -233,7 +233,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         env_dim = _positive_int(raw, "env_dim")
         joint = Space.joint(env_dim, system_dim)
         labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint.dim, "outcome")
-        outcomes = JointOutcomeSet.from_stack(joint, labels, vectors, tol=tol)
+        outcomes = JointOutcomeSet(joint, labels, vectors, tol=tol)
         phi_init = Ket(
             Space.environment(env_dim), decode_vector(raw["phi_init"], env_dim, "phi_init")
         )
@@ -246,7 +246,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
             raw["povm"], "povm", system_dim, "povm", noun="povm element",
             matrix=lambda label, op: PovmElement(label, operator=op, tol=tol),
         )
-        povm = Povm.from_stack(system_dim, labels, vectors, operators)
+        povm = Povm(system_dim, labels, vectors, operators)
 
     states: dict[str, Ket | DensityMatrix] = {}
     if "states" in raw:

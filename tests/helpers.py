@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ctxlab import Ket, Povm, Space
+from ctxlab import JointOutcomeSet, Ket, Povm, Space
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -27,6 +27,16 @@ def random_rank1_povm(rng: np.random.Generator, dim: int, count: int) -> Povm:
     return Povm.from_vectors(
         [(f"m{m}", columns[m].conj()) for m in range(count)], system_dim=dim
     )
+
+
+def element_ket(p: Povm, label: str) -> Ket:
+    """The row of the rank-1 element ``label`` as a system ``Ket``."""
+    return Ket(Space.system(p.system_dim), p.vectors[p.labels().index(label)])
+
+
+def outcome_ket(s: JointOutcomeSet, label: str) -> Ket:
+    """The row of the outcome ``label`` as a joint ``Ket``."""
+    return Ket(s.space, s.vectors[s.labels().index(label)])
 
 
 def phase_aligned_max_err(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -192,9 +193,9 @@ def test_dilate_round_trip(capsys, tmp_path):
     rebuilt = load_scenario(out_path)
     original = load_scenario(DA_FILE)
     derived = povm_from_dilation(rebuilt.dilation())
-    for el, el2 in zip(original.povm.elements, derived.elements):
-        assert el.label == el2.label
-        assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-9
+    assert derived.labels() == original.povm.labels()
+    for row, row2 in zip(original.povm.vectors, derived.vectors):
+        assert np.abs(row - row2).max() <= 1e-9
     code, out, _ = run_cli(capsys, "povm", "check", str(out_path))
     assert code == 0
     assert "result: ok" in out
@@ -213,8 +214,8 @@ def test_dilate_round_trips_through_the_file(seed, dim, extra):
     assert verify_constraints(dilation).ok(DEFAULT_TOL)
     derived = povm_from_dilation(dilation)
     assert derived.labels() == p.labels()
-    for el, el2 in zip(p.elements, derived.elements):
-        assert phase_aligned_max_err(el2.vector.amplitudes, el.vector.amplitudes) <= 1e-12
+    for row, row2 in zip(p.vectors, derived.vectors):
+        assert phase_aligned_max_err(row2, row) <= 1e-12
 
 
 def test_dilate_writes_a_large_dilation_straight_from_its_stacks(monkeypatch, tmp_path):
@@ -287,6 +288,14 @@ def test_context_graph_dot_escapes_double_quotes(capsys, tmp_path):
     assert code == 0
     assert '  "D\\"1";\n' in out
     assert '  "D\\"1" -- "A" [witness=' in out
+
+
+def test_context_graph_dot_and_json_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["context-graph", "--dot", "--json", DA_FILE])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --json: not allowed with argument --dot" in err
 
 
 def test_context_graph_json(capsys):
@@ -446,6 +455,22 @@ def test_module_and_console_entry_points(tmp_path):
     )
     assert result.returncode == 2
     assert "input error" in result.stderr
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ctxlab", "context-graph", "--dot", HARDY_FILE],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
 
 
 def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):

@@ -29,7 +29,7 @@ from ctxlab import (
     probability,
     rescaled_probability,
 )
-from helpers import random_pure_state, random_unitary
+from helpers import element_ket, random_pure_state, random_unitary
 from oracles import hardy_numbers, hermitian3_eigvals
 
 SQ2 = np.sqrt(2.0)
@@ -102,7 +102,8 @@ def test_triple_rejects_operator_and_zero_elements():
     f, d1, d2 = _directions()
     p = hardy_embedding_povm(f, d1, d2)
     blob = Operator(_space(), np.eye(3) - sum(np.outer(k.amplitudes, k.amplitudes.conj()) / 3.0 for k in (f, d1, d2)))
-    q = Povm(3, tuple(p.elements[:3]) + (PovmElement("rest", operator=blob),))
+    rows = np.concatenate([p.vectors[:3], np.zeros((1, 3), dtype=complex)])
+    q = Povm(3, p.labels()[:3] + ("rest",), rows, {3: PovmElement("rest", operator=blob)})
     with pytest.raises(ValidationError) as err:
         HardyTriple.from_povm(q, "rest", "D1", "D2")
     assert err.value.invariant == "rank-one"
@@ -268,12 +269,12 @@ def test_embedding_povm_structure(embedding):
     assert completeness_check(embedding) <= 1e-12
     f, d1, d2 = _directions()
     for label, direction in (("F", f), ("D1", d1), ("D2", d2)):
-        el = embedding.element(label)
+        el = element_ket(embedding, label)
         assert abs(context_selection_probability(embedding, label) - 1.0 / 3.0) <= 1e-12
-        overlap = abs(el.vector.normalized().inner(direction))
+        overlap = abs(el.normalized().inner(direction))
         assert abs(overlap - 1.0) <= 1e-12
     # remainder weights are sorted largest first
-    weights = [embedding.element(f"R{i}").weight() for i in (1, 2, 3)]
+    weights = [element_ket(embedding, f"R{i}").norm_sq() for i in (1, 2, 3)]
     assert weights == sorted(weights, reverse=True)
 
 

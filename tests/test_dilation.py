@@ -30,7 +30,13 @@ from ctxlab import (
     tensor,
     verify_constraints,
 )
-from helpers import phase_aligned_max_err, random_rank1_povm, random_unitary
+from helpers import (
+    element_ket,
+    outcome_ket,
+    phase_aligned_max_err,
+    random_rank1_povm,
+    random_unitary,
+)
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -39,36 +45,29 @@ SQ3 = np.sqrt(3.0)
 def _random_dilation(rng, env_dim, sys_dim):
     joint = Space.joint(env_dim, sys_dim)
     basis = random_unitary(rng, joint.dim)
-    outcomes = tuple(
-        (f"m{k}", Ket(joint, basis[:, k])) for k in range(joint.dim)
-    )
+    labels = [f"m{k}" for k in range(joint.dim)]
     phi = rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)
     phi = Ket(Space.environment(env_dim), phi / np.linalg.norm(phi))
-    return Dilation(JointOutcomeSet(joint, outcomes), phi)
+    return Dilation(JointOutcomeSet(joint, labels, basis.T.copy()), phi)
 
 
 def test_outcome_set_validates_orthonormality():
     joint = Space.joint(2, 3)
     v = basis_ket(Space.environment(2), 1)
     p1 = basis_ket(Space.system(3), 0)
+    twice = np.array([tensor(v, p1).amplitudes] * 2)
     with pytest.raises(ValidationError) as err:
-        JointOutcomeSet(joint, (("a", tensor(v, p1)), ("b", tensor(v, p1))))
+        JointOutcomeSet(joint, ["a", "b"], twice)
     assert err.value.invariant == "unique-labels" or err.value.invariant == "outcome-orthonormality"
+    skew = tensor(v, Ket(Space.system(3), [0.9, 0.1, 0.0]))
     with pytest.raises(ValidationError):
-        JointOutcomeSet(
-            joint,
-            (
-                ("a", tensor(v, p1)),
-                ("b", tensor(v, Ket(Space.system(3), [0.9, 0.1, 0.0]))),
-            ),
-        )
+        JointOutcomeSet(joint, ["a", "b"], np.array([tensor(v, p1).amplitudes, skew.amplitudes]))
 
 
-@pytest.mark.parametrize("name", ["space", "tol", "vectors", "outcomes", "_index"])
+@pytest.mark.parametrize("name", ["space", "tol", "vectors", "_index"])
 def test_outcome_set_fields_can_be_neither_assigned_nor_deleted(name):
     joint = Space.joint(2, 2)
-    pairs = [(f"m{k}", basis_ket(joint, k)) for k in range(3)]
-    outcomes = JointOutcomeSet(joint, pairs)
+    outcomes = JointOutcomeSet(joint, ["m0", "m1", "m2"], np.eye(3, 4, dtype=complex))
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
         setattr(outcomes, name, None)
     with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
@@ -80,8 +79,9 @@ def test_outcome_set_count_cannot_exceed_dimension():
     joint = Space.joint(1, 2)
     e = basis_ket(Space.environment(1), 0)
     kets = [tensor(e, basis_ket(Space.system(2), i)) for i in range(2)]
+    rows = np.array([kets[0].amplitudes, kets[1].amplitudes, kets[0].amplitudes])
     with pytest.raises(ValidationError):
-        JointOutcomeSet(joint, (("a", kets[0]), ("b", kets[1]), ("c", kets[0])))
+        JointOutcomeSet(joint, ["a", "b", "c"], rows)
 
 
 def test_dilation_requires_normalised_environment_state():
@@ -106,14 +106,13 @@ def test_product_outcomes_give_projective_elements():
     env = Space.environment(2)
     sys3 = Space.system(3)
     x = basis_ket(env, 0)
-    outcomes = JointOutcomeSet(
-        Space.joint(2, 3),
-        tuple((f"a{i}", tensor(x, basis_ket(sys3, i))) for i in range(3)),
-    )
+    rows = np.array([tensor(x, basis_ket(sys3, i)).amplitudes for i in range(3)])
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["a0", "a1", "a2"], rows)
     p = povm_from_dilation(Dilation(outcomes, x))
-    for i, el in enumerate(p.elements):
-        assert abs(el.weight() - 1.0) <= 1e-12
-        assert phase_aligned_max_err(el.vector.amplitudes, basis_ket(sys3, i).amplitudes) <= 1e-12
+    for i, label in enumerate(p.labels()):
+        el = element_ket(p, label)
+        assert abs(el.norm_sq() - 1.0) <= 1e-12
+        assert phase_aligned_max_err(el.amplitudes, basis_ket(sys3, i).amplitudes) <= 1e-12
 
 
 def test_three_path_VH_povm_reproduces_published_elements():
@@ -128,9 +127,9 @@ def test_three_path_VH_povm_reproduces_published_elements():
         "H3": np.array([2.0, 2.0, 1.0]) / (3.0 * SQ2),
     }
     for label, vec in expected.items():
-        el = p.element(label)
-        assert abs(el.weight() - 0.5) <= 1e-12
-        assert phase_aligned_max_err(el.vector.amplitudes, vec) <= 1e-12
+        el = element_ket(p, label)
+        assert abs(el.norm_sq() - 0.5) <= 1e-12
+        assert phase_aligned_max_err(el.amplitudes, vec) <= 1e-12
     assert completeness_check(p) <= 1e-12
 
 
@@ -138,20 +137,18 @@ def test_outcomes_orthogonal_to_initial_condition_become_zero_elements():
     s = build_three_path()
     p = povm_from_dilation(dilation_VH(s, phi_init=s.h))
     for i in (1, 2, 3):
-        assert p.element(f"V{i}").weight() <= 1e-15
-        assert abs(p.element(f"H{i}").weight() - 1.0) <= 1e-12
+        assert element_ket(p, f"V{i}").norm_sq() <= 1e-15
+        assert abs(element_ket(p, f"H{i}").norm_sq() - 1.0) <= 1e-12
 
 
 def test_residuals_vanish_for_product_outcomes():
     env = Space.environment(2)
     x = basis_ket(env, 0)
-    outcomes = JointOutcomeSet(
-        Space.joint(2, 3),
-        tuple((f"a{i}", tensor(x, basis_ket(Space.system(3), i))) for i in range(3)),
-    )
+    rows = np.array([tensor(x, basis_ket(Space.system(3), i)).amplitudes for i in range(3)])
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["a0", "a1", "a2"], rows)
     residuals = residual_decompose(Dilation(outcomes, x))
-    for _, sigma in residuals.outcomes:
-        assert sigma.norm() <= 1e-12
+    for sigma in residuals.vectors:
+        assert np.linalg.norm(sigma) <= 1e-12
 
 
 def test_residuals_of_entangled_outcomes_lie_along_rejected_context():
@@ -159,7 +156,7 @@ def test_residuals_of_entangled_outcomes_lie_along_rejected_context():
     residuals = residual_decompose(dilation_DA(s))
     a_f = tensor(s.a, s.f)
     for i in (1, 2, 3):
-        sigma = residuals.ket(f"D{i}")
+        sigma = outcome_ket(residuals, f"D{i}")
         assert abs(sigma.norm_sq() - 1.0 / 3.0) <= 1e-9
         overlap = abs(a_f.inner(sigma.normalized()))
         assert abs(overlap - 1.0) <= 1e-9
@@ -178,7 +175,7 @@ def test_residual_gram_mirrors_element_gram():
     # <sigma(D,1)|sigma(D,2)> = +1/3 balances <lambda(D,1)|lambda(D,2)> = -1/3
     s = build_three_path()
     d = dilation_DA(s)
-    sigmas = [residual_decompose(d).ket(f"D{i}") for i in (1, 2)]
+    sigmas = [outcome_ket(residual_decompose(d), f"D{i}") for i in (1, 2)]
     assert abs(gram(sigmas)[0, 1] - (1.0 / 3.0)) <= 1e-12
 
 
@@ -192,7 +189,7 @@ def test_constraints_hold_for_random_dilations():
         derived = povm_from_dilation(d)
         assert completeness_check(derived) <= 1e-9
         # the lambda Gram matrix is a rank-d_S projection
-        g = gram([el.vector for el in derived.elements])
+        g = gram(derived.vectors)
         assert np.abs(g @ g - g).max() <= 1e-9
         assert abs(np.trace(g).real - sys_dim) <= 1e-9
 
@@ -200,13 +197,9 @@ def test_constraints_hold_for_random_dilations():
 def test_perturbed_outcomes_are_reported_not_raised():
     s = build_three_path()
     outcomes = dilation_DA(s).outcomes
-    bumped = []
-    for label, ket in outcomes.outcomes:
-        amps = np.array(ket.amplitudes)
-        if label == "D1":
-            amps[0] += 1e-3
-        bumped.append((label, Ket(outcomes.space, amps)))
-    loose = JointOutcomeSet(outcomes.space, tuple(bumped), validate=False)
+    bumped = np.array(outcomes.vectors)
+    bumped[outcomes.labels().index("D1"), 0] += 1e-3
+    loose = JointOutcomeSet(outcomes.space, outcomes.labels(), bumped, validate=False)
     report = verify_constraints(Dilation(loose, s.d))
     worst = max(report.max_orthogonality_residual, report.max_normalisation_residual)
     assert 1e-4 < worst < 1e-2
@@ -218,8 +211,8 @@ def test_naimark_of_projective_povm_has_no_residual():
     d = naimark_dilate(p)
     assert d.outcomes.space.env_dim == 3
     np.testing.assert_allclose(d.phi_init.amplitudes, [1.0, 0.0, 0.0])
-    for _, sigma in residual_decompose(d).outcomes:
-        assert sigma.norm() <= 1e-9
+    for sigma in residual_decompose(d).vectors:
+        assert np.linalg.norm(sigma) <= 1e-9
 
 
 def test_naimark_round_trip_on_three_path_povm():
@@ -230,24 +223,24 @@ def test_naimark_round_trip_on_three_path_povm():
     assert d.outcomes.space.env_dim == len(p)
     assert d.outcomes.orthonormality_residual() <= 1e-9
     again = povm_from_dilation(d)
-    for el, el2 in zip(p.elements, again.elements):
-        assert el.label == el2.label
-        assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-9
+    assert again.labels() == p.labels()
+    for row, row2 in zip(p.vectors, again.vectors):
+        assert np.abs(row - row2).max() <= 1e-9
 
 
 def test_naimark_round_trip_on_random_povm():
     rng = np.random.default_rng(29)
     p = random_rank1_povm(rng, 3, 5)
     again = povm_from_dilation(naimark_dilate(p))
-    for el, el2 in zip(p.elements, again.elements):
-        assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-9
+    for row, row2 in zip(p.vectors, again.vectors):
+        assert np.abs(row - row2).max() <= 1e-9
 
 
 def test_naimark_round_trip_returns_the_povm_with_canonical_phases():
     rng = np.random.default_rng(31)
     rows = random_rank1_povm(rng, 4, 16).vectors
     phases = np.exp(2j * np.pi * rng.uniform(size=(16, 1)))
-    p = Povm.from_stack(4, [f"m{k}" for k in range(16)], rows * phases)
+    p = Povm(4, [f"m{k}" for k in range(16)], rows * phases)
     again = povm_from_dilation(naimark_dilate(p))
     assert again == Povm.from_vectors(zip(p.labels(), p.vectors))
     assert np.abs(again.vectors - p.vectors).max() > 0.1  # not p: its phases are not canonical
@@ -260,7 +253,7 @@ def test_naimark_rejects_incomplete_and_operator_povms():
     assert err.value.invariant == "completeness"
     op_el = PovmElement("op", operator=Operator.identity(Space.system(2)))
     with pytest.raises(ValidationError) as err:
-        naimark_dilate(Povm(2, (op_el,)))
+        naimark_dilate(Povm(2, ["op"], np.zeros((1, 2), dtype=complex), {0: op_el}))
     assert err.value.invariant == "rank-one-elements"
     heavy = Povm.from_vectors([("a", np.array([np.sqrt(1.5), 0.0])), ("b", np.array([0.0, 1.0]))])
     with pytest.raises(ValidationError) as err:
@@ -279,8 +272,8 @@ def test_context_switch_matches_dilation_derivation():
     )
     q = povm_from_dilation(dilation_VH(s))
     assert p.labels() == q.labels()
-    for el, el2 in zip(p.elements, q.elements):
-        assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-12
+    for row, row2 in zip(p.vectors, q.vectors):
+        assert np.abs(row - row2).max() <= 1e-12
 
 
 def test_single_context_gives_rotated_projective_povm():
@@ -291,8 +284,8 @@ def test_single_context_gives_rotated_projective_povm():
     x = basis_ket(env, 0)
     p = context_switch_povm([(x, u)], [basis_ket(sys2, 0), basis_ket(sys2, 1)], x)
     assert completeness_check(p) <= 1e-12
-    for el in p.elements:
-        assert abs(el.weight() - 1.0) <= 1e-12
+    for label in p.labels():
+        assert abs(element_ket(p, label).norm_sq() - 1.0) <= 1e-12
 
 
 def test_uniform_context_choice_scales_every_weight():
@@ -303,8 +296,8 @@ def test_uniform_context_choice_scales_every_weight():
         phi = Ket(env, np.ones(count) / np.sqrt(count))
         p = context_switch_povm(contexts, [basis_ket(sys2, 0), basis_ket(sys2, 1)], phi)
         assert completeness_check(p) <= 1e-12
-        for el in p.elements:
-            assert abs(el.weight() - 1.0 / count) <= 1e-12
+        for label in p.labels():
+            assert abs(element_ket(p, label).norm_sq() - 1.0 / count) <= 1e-12
 
 
 def test_context_switch_validates_inputs():
@@ -361,11 +354,12 @@ def test_dilations_record_the_tol_that_validated_them():
         assert build(s).tol == 1e-9
 
 
-def test_outcome_vectors_stack_the_kets_read_only():
+def test_outcome_vectors_hold_one_read_only_row_per_outcome():
     d = dilation_DA(build_three_path())
-    stack = np.stack([ket.amplitudes for _, ket in d.outcomes.outcomes])
-    assert np.array_equal(d.outcomes.vectors, stack)
+    assert d.outcomes.vectors.shape == (6, 6) and d.outcomes.vectors.dtype == complex
     assert not d.outcomes.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        d.outcomes.vectors[0, 0] = 1.0
 
 
 def test_residual_rows_equal_the_per_outcome_contraction_bit_for_bit():

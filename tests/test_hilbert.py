@@ -97,7 +97,7 @@ def test_lambda_retracts_product_states():
         phi = Ket(ENV2, random_pure_state(rng, 2).amplitudes)
         chi = Ket(ENV2, random_unitary(rng, 2)[:, 0])
         psi = Ket(SYS3, random_unitary(rng, 3)[:, 0])
-        outcomes = JointOutcomeSet(Space.joint(2, 3), [("m", tensor(chi, psi))])
+        outcomes = JointOutcomeSet(Space.joint(2, 3), ["m"], tensor(chi, psi).amplitudes[None])
         lam = povm_from_dilation(Dilation(outcomes, phi)).vectors[0]
         expected = phi.inner(chi) * psi.amplitudes
         assert phase_aligned_max_err(lam, expected) <= 1e-12
@@ -107,7 +107,8 @@ def test_partial_inner_on_polarised_outcome():
     # <D| on |V> x |1> leaves |1>/sqrt2
     d = Ket(ENV2, np.array([1.0, 1.0]) / SQ2)
     v = basis_ket(ENV2, 1)
-    outcomes = JointOutcomeSet(Space.joint(2, 3), [("V1", tensor(v, basis_ket(SYS3, 0)))])
+    outcome = tensor(v, basis_ket(SYS3, 0))
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V1"], outcome.amplitudes[None])
     lam = povm_from_dilation(Dilation(outcomes, d)).vectors[0]
     np.testing.assert_allclose(lam, np.array([1.0, 0.0, 0.0]) / SQ2, atol=1e-15)
 
@@ -115,7 +116,8 @@ def test_partial_inner_on_polarised_outcome():
 def test_partial_inner_orthogonal_environment_gives_zero():
     h = basis_ket(ENV2, 0)
     v = basis_ket(ENV2, 1)
-    outcomes = JointOutcomeSet(Space.joint(2, 3), [("V3", tensor(v, basis_ket(SYS3, 2)))])
+    outcome = tensor(v, basis_ket(SYS3, 2))
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V3"], outcome.amplitudes[None])
     lam = povm_from_dilation(Dilation(outcomes, h)).vectors[0]
     assert np.abs(lam).max() == 0.0
 
@@ -154,7 +156,7 @@ def test_gram_idempotent_for_identity_resolving_sets():
     rng = np.random.default_rng(13)
     for dim, count in ((2, 4), (3, 5), (4, 9)):
         p = random_rank1_povm(rng, dim, count)
-        g = gram([el.vector for el in p.elements])
+        g = gram(p.vectors)
         assert np.abs(g @ g - g).max() <= 1e-9
 
 

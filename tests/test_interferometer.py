@@ -24,7 +24,7 @@ from ctxlab import (
     tensor,
     verify_constraints,
 )
-from helpers import phase_aligned_max_err, random_pure_state
+from helpers import element_ket, outcome_ket, phase_aligned_max_err, random_pure_state
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -90,7 +90,7 @@ def test_joint_outcome_sets_are_complete_bases(hwp_path):
     assert np.abs(da.vectors - expected_da).max() <= 1e-12
     if hwp_path == "F":
         h3 = tensor(s.h, Ket(s.system, np.array([2.0, 2.0, 1.0]) / 3.0))
-        assert np.abs(vh.ket("H3").amplitudes - h3.amplitudes).max() <= 1e-12
+        assert np.abs(outcome_ket(vh, "H3").amplitudes - h3.amplitudes).max() <= 1e-12
 
 
 def test_readout_rotation_factorises_over_the_paths(s):
@@ -98,7 +98,10 @@ def test_readout_rotation_factorises_over_the_paths(s):
     da = joint_outcomes_DA(s)
     vh = joint_outcomes_VH(s)
     overlaps = np.array(
-        [[da.ket(a).inner(vh.ket(b)) for b in vh.labels()] for a in da.labels()]
+        [
+            [outcome_ket(da, a).inner(outcome_ket(vh, b)) for b in vh.labels()]
+            for a in da.labels()
+        ]
     )
     b = np.array(
         [
@@ -119,13 +122,13 @@ def test_merged_DA_povm_reproduces_published_elements(s):
         "A": np.array([1.0, 1.0, -1.0]) / SQ3,
     }
     for label, vec in expected.items():
-        assert phase_aligned_max_err(p.element(label).vector.amplitudes, vec) <= 1e-12
+        assert phase_aligned_max_err(element_ket(p, label).amplitudes, vec) <= 1e-12
     assert completeness_check(p) <= 1e-12
 
 
 def test_published_gram_values(s):
     p = povm_DA(s, merge_A=True)
-    vectors = [p.element(f"D{i}").vector for i in (1, 2, 3)]
+    vectors = [element_ket(p, f"D{i}") for i in (1, 2, 3)]
     g = gram(vectors)
     assert abs(g[0, 1] - (-1.0 / 3.0)) <= 1e-12
     assert abs(g[0, 2] - (1.0 / 3.0)) <= 1e-12
@@ -141,15 +144,15 @@ def test_rejected_context_components(s):
     p = povm_DA(s, merge_A=False)
     a_f = tensor(s.a, s.f)
     for i in (1, 2, 3):
-        sigma_d = residuals.ket(f"D{i}")
+        sigma_d = outcome_ket(residuals, f"D{i}")
         assert abs(sigma_d.norm_sq() - 1.0 / 3.0) <= 1e-12
         assert abs(abs(a_f.inner(sigma_d.normalized())) - 1.0) <= 1e-12
-        sigma_a = residuals.ket(f"A{i}")
+        sigma_a = outcome_ket(residuals, f"A{i}")
         assert abs(sigma_a.norm_sq() - 2.0 / 3.0) <= 1e-12
-        lam_d = povm_from_dilation(dilation_DA(s)).element(f"D{i}").vector
+        lam_d = element_ket(povm_from_dilation(dilation_DA(s)), f"D{i}")
         target = tensor(s.a, lam_d.normalized())
         assert abs(abs(target.inner(sigma_a.normalized())) - 1.0) <= 1e-12
-    assert p.element("A1").weight() <= 1.0 / 3.0 + 1e-12
+    assert element_ket(p, "A1").norm_sq() <= 1.0 / 3.0 + 1e-12
 
 
 def test_constraint_reports_for_both_readouts(s):
@@ -168,10 +171,10 @@ def test_plate_in_a_detected_path_degenerates_the_povm():
     s = build_three_path(hwp_path="1")
     p = povm_DA(s, merge_A=True)
     assert completeness_check(p) <= 1e-12
-    assert p.element("D1").weight() <= 1e-12
-    assert abs(p.element("A").weight() - 1.0) <= 1e-12
+    assert element_ket(p, "D1").norm_sq() <= 1e-12
+    assert abs(element_ket(p, "A").norm_sq() - 1.0) <= 1e-12
     assert phase_aligned_max_err(
-        p.element("A").vector.amplitudes, np.array([1.0, 0.0, 0.0])
+        element_ket(p, "A").amplitudes, np.array([1.0, 0.0, 0.0])
     ) <= 1e-12
     g = context_graph(p)
     assert g.skipped == ("D1",)

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ctxlab"
 SOURCES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCH = sorted(ROOT.glob("bench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +36,7 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["path"]
 
 
-@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS + BENCH, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -138,7 +139,7 @@ def test_every_public_name_is_reached_outside_the_unit_tests():
     """Reached means read by the package, the benchmark, the acceptance gate or the
     README's Python examples; what only unit tests read is kept or deleted."""
     package = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    outside = [path.read_text(encoding="utf-8") for path in sorted(ROOT.glob("bench/*.py"))]
+    outside = [path.read_text(encoding="utf-8") for path in BENCH]
     outside += [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
     outside += README_BLOCKS
     unreached = unreached_public_names(package, outside)

@@ -34,6 +34,7 @@ from ctxlab import (
     hwp_transform,
     load_fixture,
     maximizing_state,
+    naimark_dilate,
     povm_DA,
     povm_from_dilation,
     probability,
@@ -41,7 +42,7 @@ from ctxlab import (
     share_context,
     validate_povm,
 )
-from helpers import random_pure_state, random_rank1_povm, random_unitary
+from helpers import element_ket, random_pure_state, random_rank1_povm, random_unitary
 from oracles import context_pairs
 
 SQ2 = np.sqrt(2.0)
@@ -63,47 +64,60 @@ def da_povm(scenario):
     return povm_DA(scenario, merge_A=True)
 
 
-def test_element_needs_exactly_one_payload():
+def test_element_must_be_a_hermitian_system_operator():
     space = Space.system(2)
-    k = basis_ket(space, 0)
-    op = Operator.identity(space)
-    with pytest.raises(ValidationError):
-        PovmElement("both", vector=k, operator=op)
-    with pytest.raises(ValidationError):
-        PovmElement("neither")
     with pytest.raises(SpaceMismatchError):
-        PovmElement("env", vector=basis_ket(Space.environment(2), 0))
+        PovmElement("env", operator=Operator.identity(Space.environment(2)))
     with pytest.raises(ValidationError):
         PovmElement("skew", operator=Operator(space, np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 def test_povm_rejects_duplicate_labels_and_mixed_dims():
-    k2 = basis_ket(Space.system(2), 0)
-    k3 = basis_ket(Space.system(3), 0)
+    rows = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(ValidationError):
-        Povm(2, (PovmElement("a", vector=k2), PovmElement("a", vector=k2)))
+        Povm(2, ["a", "a"], rows)
     with pytest.raises(SpaceMismatchError):
-        Povm(2, (PovmElement("a", vector=k2), PovmElement("b", vector=k3)))
+        Povm(2, ["a", "b"], np.zeros((2, 3), dtype=complex))
+    with pytest.raises(SpaceMismatchError):
+        Povm(2, ["a", "b"], rows * 0.0, {1: _half_identity("b", dim=3)})
     with pytest.raises(ValidationError):
-        Povm(2, ())
+        Povm(2, (), np.zeros((0, 2), dtype=complex))
 
 
 def test_from_vectors_fixes_global_phase():
     p = Povm.from_vectors([("m", np.array([0.0, -1.0j]))])
-    np.testing.assert_allclose(p.element("m").vector.amplitudes, [0.0, 1.0])
+    np.testing.assert_allclose(p.vectors[0], [0.0, 1.0])
     with pytest.raises(UnknownLabelError):
-        p.element("missing")
+        context_selection_probability(p, "missing")
 
 
-@pytest.mark.parametrize("name", ["system_dim", "vectors", "elements", "_operators", "_index"])
+@pytest.mark.parametrize("name", ["system_dim", "vectors", "_is_vector", "_operators", "_index"])
 def test_povm_fields_can_be_neither_assigned_nor_deleted(name):
     p = Povm.from_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0j]))])
-    assert len(p.elements) == 2  # built and cached
+    assert p._is_vector.all()  # built and cached
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
         setattr(p, name, None)
     with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
         delattr(p, name)
     assert p.labels() == ("a", "b") and not p.vectors.flags.writeable
+
+
+def test_repr_shows_the_labels_and_builds_no_ket(monkeypatch):
+    p = random_rank1_povm(np.random.default_rng(64), 16, 64)
+    outcomes = naimark_dilate(p).outcomes
+    built = []
+    init = Ket.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Ket, "__init__", counting_init)
+    shown = repr(p), repr(outcomes)
+    monkeypatch.undo()
+    assert built == []
+    assert shown[0] == f"Povm(labels={p.labels()!r}, system_dim=16, _operators={{}})"
+    assert shown[1] == f"JointOutcomeSet(labels={p.labels()!r}, space={outcomes.space!r})"
 
 
 def test_density_matrix_validation():
@@ -137,7 +151,8 @@ def test_completeness_of_derived_povms(vh_povm, da_povm):
 
 
 def test_dropping_the_plate_outcome_leaves_a_third(da_povm):
-    partial = Povm(3, tuple(el for el in da_povm.elements if el.label != "A"))
+    keep = [k for k, label in enumerate(da_povm.labels()) if label != "A"]
+    partial = Povm(3, [da_povm.labels()[k] for k in keep], da_povm.vectors[keep])
     assert abs(completeness_check(partial) - 1.0 / 3.0) <= 1e-12
 
 
@@ -146,7 +161,8 @@ def test_validate_povm_rejects_oversized_elements():
     with pytest.raises(ValidationError) as err:
         validate_povm(heavy)
     assert err.value.invariant == "element-bounds"
-    big_op = Povm(2, (PovmElement("op", operator=Operator(Space.system(2), 1.5 * np.eye(2))),))
+    big = {0: PovmElement("op", operator=Operator(Space.system(2), 1.5 * np.eye(2)))}
+    big_op = Povm(2, ["op"], np.zeros((1, 2), dtype=complex), big)
     with pytest.raises(ValidationError) as err:
         validate_povm(big_op)
     assert err.value.invariant == "element-bounds"
@@ -191,10 +207,9 @@ def test_context_selection_probabilities(da_povm, vh_povm):
 
 def test_operator_element_context_selection_is_peak_probability(da_povm):
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
-    el = merged.element("D12")
-    assert not el.is_vector
+    el = merged.operators[merged.labels().index("D12")]
     # trace 4/3 splits into eigenvalues 1 and 1/3; the peak probability is 1
-    assert abs(el.weight() - 4.0 / 3.0) <= 1e-12
+    assert abs(el.operator.trace().real - 4.0 / 3.0) <= 1e-12
     assert abs(context_selection_probability(merged, "D12") - 1.0) <= 1e-12
 
 
@@ -218,7 +233,7 @@ def test_rescaled_probability_is_scale_free(da_povm):
         psi = random_pure_state(rng, 3)
         for label in da_povm.labels():
             r = rescaled_probability(da_povm, psi, label)
-            direction = da_povm.element(label).vector.normalized()
+            direction = element_ket(da_povm, label).normalized()
             assert abs(r - abs(direction.inner(psi)) ** 2) <= 1e-12
             assert r <= 1.0 + 1e-9
 
@@ -321,7 +336,10 @@ def test_context_graph_dot_output(da_povm):
 
 
 def _oracle_elements(p):
-    return [el.vector.amplitudes if el.is_vector else el.operator.entries for el in p.elements]
+    return [
+        p.operators[k].operator.entries if k in p.operators else row
+        for k, row in enumerate(p.vectors)
+    ]
 
 
 def _clear_of_thresholds(witness):
@@ -369,15 +387,12 @@ def context_povms(draw):
 
 def _transformed(p, unitary, phases):
     space = Space.system(p.system_dim)
-    elements = []
-    for el, phase in zip(p.elements, phases):
-        if el.is_vector:
-            ket = Ket(space, phase * (unitary @ el.vector.amplitudes))
-            elements.append(PovmElement(el.label, vector=ket))
-        else:
-            op = Operator(space, unitary @ el.operator.entries @ unitary.conj().T)
-            elements.append(PovmElement(el.label, operator=op))
-    return Povm(p.system_dim, tuple(elements))
+    rows = np.array([phase * (unitary @ row) for row, phase in zip(p.vectors, phases)])
+    operators = {}
+    for k, el in p.operators.items():
+        op = Operator(space, unitary @ el.operator.entries @ unitary.conj().T)
+        operators[k] = PovmElement(el.label, operator=op)
+    return Povm(p.system_dim, p.labels(), rows, operators)
 
 
 def _edge_set(graph):
@@ -410,26 +425,24 @@ def test_coarse_grain_recovers_the_merged_element(scenario, da_povm):
     raw = povm_DA(scenario, merge_A=False)
     merged = coarse_grain(raw, ("A1", "A2", "A3"), "A")
     assert merged.labels() == ("D1", "D2", "D3", "A")
-    el = merged.element("A")
-    assert el.is_vector
-    assert np.abs(el.vector.amplitudes - da_povm.element("A").vector.amplitudes).max() <= 1e-12
+    assert 3 not in merged.operators
+    row = merged.vectors[3]
+    assert np.abs(row - element_ket(da_povm, "A").amplitudes).max() <= 1e-12
     f_direction = np.array([1.0, 1.0, -1.0]) / SQ3
-    assert np.abs(el.vector.amplitudes - f_direction).max() <= 1e-12
+    assert np.abs(row - f_direction).max() <= 1e-12
 
 
 def test_coarse_grain_full_merge_gives_identity(vh_povm):
     merged = coarse_grain(vh_povm, vh_povm.labels(), "all")
-    el = merged.element("all")
-    assert not el.is_vector
+    el = merged.operators[0]
     assert np.abs(el.operator.entries - np.eye(3)).max() <= 1e-12
     assert len(merged) == 1
 
 
 def test_coarse_grain_partial_merge_keeps_operator_weight(vh_povm):
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    el = merged.element("V12")
-    assert not el.is_vector
-    assert abs(el.weight() - 1.0) <= 1e-12
+    el = merged.operators[0]
+    assert abs(el.operator.trace().real - 1.0) <= 1e-12
     assert abs(context_selection_probability(merged, "V12") - 0.5) <= 1e-12
     assert completeness_check(merged) <= 1e-12
     assert merged.labels() == ("V12", "V3", "H1", "H2", "H3")
@@ -482,9 +495,9 @@ def test_two_basis_mixture_reproduces_the_VH_povm(scenario, vh_povm):
         labels=[["V1", "V2", "V3"], ["H1", "H2", "H3"]],
     )
     assert mix.labels() == vh_povm.labels()
-    for el, el2 in zip(mix.elements, vh_povm.elements):
-        assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-15
-        assert abs(context_selection_probability(mix, el.label) - 0.5) <= 1e-12
+    for label, row, row2 in zip(mix.labels(), mix.vectors, vh_povm.vectors):
+        assert np.abs(row - row2).max() <= 1e-15
+        assert abs(context_selection_probability(mix, label) - 0.5) <= 1e-12
 
 
 def test_three_basis_qubit_mixture():
@@ -556,7 +569,7 @@ def test_elements_and_states_record_the_tol_that_validated_them():
     assert DensityMatrix.from_ket(psi).tol == 1e-9
     element = PovmElement("a", operator=Operator(psi.space, np.eye(2)), tol=1e-6)
     assert element.tol == 1e-6
-    assert "tol" not in repr(PovmElement("b", vector=psi, tol=1e-6))
+    assert "tol" not in repr(PovmElement("b", operator=Operator(psi.space, np.eye(2)), tol=1e-6))
 
 
 def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
@@ -565,7 +578,8 @@ def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
     space = Space.system(3)
     half = Operator(space, 0.5 * np.outer(u[:, 0], u[:, 0].conj()))
     plane = Operator(space, np.outer(u[:, 1], u[:, 1].conj()) + np.outer(u[:, 2], u[:, 2].conj()))
-    p = Povm(3, (PovmElement("half", operator=half), PovmElement("plane", operator=plane)))
+    operators = {0: PovmElement("half", operator=half), 1: PovmElement("plane", operator=plane)}
+    p = Povm(3, ["half", "plane"], np.zeros((2, 3), dtype=complex), operators)
     psi = random_pure_state(rng, 3)
     overlap = abs(np.vdot(u[:, 0], psi.amplitudes)) ** 2
     assert abs(probability(p, psi, "half") - 0.5 * overlap) <= 1e-12
@@ -581,12 +595,13 @@ def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
 def test_vectors_hold_one_read_only_row_per_element(da_povm):
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
     assert merged.vectors.shape == (len(merged), 3) and merged.vectors.dtype == complex
-    for row, el in zip(merged.vectors, merged.elements):
-        assert np.array_equal(row, el.vector.amplitudes if el.is_vector else np.zeros(3))
+    assert list(merged.operators) == [0] and not merged.vectors[0].any()
+    assert np.array_equal(merged.vectors[1:], da_povm.vectors[2:])
     assert not merged.vectors.flags.writeable
     with pytest.raises(ValueError):
         merged.vectors[0, 0] = 1.0
-    identity = Povm(2, (PovmElement("I", operator=Operator.identity(Space.system(2))),))
+    qubit = Povm.from_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0]))])
+    identity = coarse_grain(qubit, ("a", "b"), "I")
     assert identity.vectors.dtype == complex and not identity.vectors.any()
 
 
@@ -620,14 +635,14 @@ def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     assert op != Operator(ket.space, _one_ulp_up(op.entries))
     assert DensityMatrix(op) != DensityMatrix(Operator(ket.space, _one_ulp_up(op.entries)))
     p = povm_DA(scenario)
-    assert p != Povm.from_stack(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
+    assert p != Povm(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    entries = _one_ulp_up(merged.element("V12").operator.entries)
+    entries = _one_ulp_up(merged.operators[0].operator.entries)
     bumped = {0: PovmElement("V12", operator=Operator(ket.space, entries))}
-    assert merged != Povm.from_stack(3, merged.labels(), merged.vectors, bumped)
+    assert merged != Povm(3, merged.labels(), merged.vectors, bumped)
     outcomes = dilation_DA(scenario).outcomes
     moved = _one_ulp_up(outcomes.vectors)
-    assert outcomes != JointOutcomeSet.from_stack(outcomes.space, outcomes.labels(), moved)
+    assert outcomes != JointOutcomeSet(outcomes.space, outcomes.labels(), moved)
 
 
 def _half_identity(label, dim=2):
@@ -645,39 +660,32 @@ _NOT_AT_POSITION = "operators[0] is not an operator element labelled 'a'"
         ({-1: _half_identity("c")}, _ROWS, "operator position -1 is not one of the 3 positions"),
         ({3: _half_identity("d")}, _ROWS, "operator position 3 is not one of the 3 positions"),
         ({0: _half_identity("a")}, _ROWS + 0.5, "operator element 'a' has a nonzero row"),
-        (
-            {0: PovmElement("a", vector=basis_ket(Space.system(2), 0))},
-            _ROWS,
-            _NOT_AT_POSITION,
-        ),
     ],
-    ids=["label", "negative-key", "key-past-the-end", "nonzero-row", "vector-element"],
+    ids=["label", "negative-key", "key-past-the-end", "nonzero-row"],
 )
-def test_from_stack_checks_each_operator_entry_against_its_position(operators, rows, message):
+def test_povm_checks_each_operator_entry_against_its_position(operators, rows, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as err:
-        Povm.from_stack(2, ["a", "b", "c"], rows, operators)
+        Povm(2, ["a", "b", "c"], rows, operators)
     assert err.value.invariant == "element-payload"
 
 
-def test_from_stack_rejects_an_operator_of_another_dimension():
+def test_povm_rejects_an_operator_of_another_dimension():
     with pytest.raises(SpaceMismatchError, match="^element 'a' has dim 3, POVM has 2$"):
-        Povm.from_stack(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a", dim=3)})
-    with pytest.raises(SpaceMismatchError, match="^element 'a' has dim 3, POVM has 2$"):
-        Povm(2, [_half_identity("a", dim=3)])
-    p = Povm.from_stack(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a")})
-    assert completeness_check(p) <= 1e-15 and p.elements[0].label == "a"
+        Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a", dim=3)})
+    p = Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a")})
+    assert completeness_check(p) <= 1e-15 and p.operators[0].label == "a"
 
 
 @pytest.mark.parametrize(
     "build, shape",
     [
-        (lambda rows: Povm.from_stack(2, ["a", "b"], rows), (3, 2)),
-        (lambda rows: Povm.from_stack(2, ["a", "b"], rows.T[:2].copy()), (2, 3)),
-        (lambda rows: JointOutcomeSet.from_stack(Space.joint(1, 2), ["a", "b"], rows), (3, 2)),
+        (lambda rows: Povm(2, ["a", "b"], rows), (3, 2)),
+        (lambda rows: Povm(2, ["a", "b"], rows.T[:2].copy()), (2, 3)),
+        (lambda rows: JointOutcomeSet(Space.joint(1, 2), ["a", "b"], rows), (3, 2)),
     ],
     ids=["povm-extra-row", "povm-long-rows", "outcome-set-extra-row"],
 )
-def test_from_stack_rejects_a_stack_of_another_shape(build, shape):
+def test_stack_constructors_reject_a_stack_of_another_shape(build, shape):
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], dtype=complex)
     with pytest.raises(SpaceMismatchError, match=re.escape(f"a stack of shape {shape} for 2")):
         build(rows)
@@ -685,9 +693,8 @@ def test_from_stack_rejects_a_stack_of_another_shape(build, shape):
 
 def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
     for p in (povm_DA(scenario, merge_A=False), coarse_grain(vh_povm, ("V1", "V2"), "V12")):
-        eager = Povm(p.system_dim, p.elements)
-        assert eager == Povm.from_stack(p.system_dim, p.labels(), p.vectors, p.operators)
-        assert eager.elements == p.elements
+        again = Povm(p.system_dim, p.labels(), p.vectors, p.operators)
+        assert again == p and again.operators == p.operators
 
 
 def test_from_vectors_raises_for_the_first_faulty_row():

@@ -46,16 +46,18 @@ SKEWED = Operator(SYS2, np.array([[1.0, 1.0], [0.0, 0.0]]))  # hermiticity resid
 
 
 def _povm_with_zero_vector():
-    return Povm(2, (PovmElement("z", vector=ZERO), PovmElement("e1", vector=E1)))
+    return Povm(2, ["z", "e1"], np.array([ZERO.amplitudes, E1.amplitudes]))
 
 
 def _povm_with_zero_operator():
     zero = Operator(SYS2, np.zeros((2, 2)))
-    return Povm(2, (PovmElement("z", operator=zero), PovmElement("e1", vector=E1)))
+    rows = np.array([ZERO.amplitudes, E1.amplitudes])
+    return Povm(2, ["z", "e1"], rows, {0: PovmElement("z", operator=zero)})
 
 
 def _outcome_set(pairs):
-    return JointOutcomeSet(JOINT, tuple(pairs))
+    labels = [label for label, _ in pairs]
+    return JointOutcomeSet(JOINT, labels, np.array([ket.amplitudes for _, ket in pairs]))
 
 
 def _entries(section, entry):
@@ -136,15 +138,15 @@ CASES = {
         ValidationError, "basis-completeness", "readout basis has 1 kets for dim 2",
     ),
     "povm-unique-labels": (
-        lambda: Povm(2, (PovmElement("a", vector=E0), PovmElement("a", vector=E1))),
+        lambda: Povm(2, ["a", "a"], np.array([E0.amplitudes, E1.amplitudes])),
         ValidationError, "unique-labels", "outcome labels must be unique",
     ),
     "outcome-set-unique-labels": (
         lambda: _outcome_set((("a", tensor(X0, E0)), ("a", tensor(X1, E1)))),
         ValidationError, "unique-labels", "outcome labels must be unique",
     ),
-    "outcome-set-unknown-label": (
-        lambda: _outcome_set(OUTCOMES).ket("missing"),
+    "povm-unknown-label": (
+        lambda: rescaled_probability(_povm_with_zero_vector(), E0, "missing"),
         UnknownLabelError, None, "no outcome labelled 'missing'",
     ),
     "povm-entry-both": (

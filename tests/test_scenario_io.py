@@ -186,10 +186,7 @@ def test_dict_round_trip_preserves_everything():
     s = build_three_path()
     reference = dilation_DA(s)
     assert d.outcomes.labels() == reference.outcomes.labels()
-    for label in d.outcomes.labels():
-        np.testing.assert_array_equal(
-            d.outcomes.ket(label).amplitudes, reference.outcomes.ket(label).amplitudes
-        )
+    np.testing.assert_array_equal(d.outcomes.vectors, reference.outcomes.vectors)
     np.testing.assert_array_equal(d.phi_init.amplitudes, reference.phi_init.amplitudes)
     assert sc.povm.labels() == ("D1", "D2", "D3", "A")
 
@@ -210,10 +207,12 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
             system_dim=2,
             povm=Povm(
                 2,
-                (
-                    PovmElement("half", operator=Operator(space, np.eye(2) / 2.0)),
-                    PovmElement("rest", operator=Operator(space, np.eye(2) / 2.0)),
-                ),
+                ["half", "rest"],
+                np.zeros((2, 2), dtype=complex),
+                {
+                    0: PovmElement("half", operator=Operator(space, np.eye(2) / 2.0)),
+                    1: PovmElement("rest", operator=Operator(space, np.eye(2) / 2.0)),
+                },
             ),
             states={"mixed": mixed},
         )
@@ -221,8 +220,7 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
     path = tmp_path / "ops.json"
     save_scenario(path, raw)
     sc = load_scenario(path)
-    el = sc.povm.element("half")
-    assert not el.is_vector
+    el = sc.povm.operators[sc.povm.labels().index("half")]
     np.testing.assert_array_equal(el.operator.entries, np.eye(2) / 2.0)
     assert isinstance(sc.states["mixed"], DensityMatrix)
 
@@ -311,7 +309,7 @@ def _misfits() -> dict[str, tuple[dict, str]]:
             "povm 'D1': expected 4 [re, im] pairs",
         ),
         "povm-matrix-of-another-dim": (
-            {"system_dim": 3, "povm": Povm(2, [identity])},
+            {"system_dim": 3, "povm": Povm(2, ["I"], np.zeros((1, 2), complex), {0: identity})},
             "povm 'I': expected a 3x3 matrix",
         ),
         "state-vector-of-another-dim": (
@@ -381,8 +379,8 @@ def test_bundled_fixture_contents():
     vh = load_fixture("three-path-VH")
     assert vh.resolve_povm().labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
     derived = povm_from_dilation(vh.dilation())
-    for el, el2 in zip(vh.povm.elements, derived.elements):
-        assert np.abs(el.vector.amplitudes - el2.vector.amplitudes).max() <= 1e-15
+    for row, row2 in zip(vh.povm.vectors, derived.vectors):
+        assert np.abs(row - row2).max() <= 1e-15
     da = load_fixture("three-path-DA")
     assert da.povm.labels() == ("D1", "D2", "D3", "A")
     assert da.dilation().outcomes.orthonormality_residual() <= 1e-12
@@ -417,7 +415,9 @@ def scenarios(draw):
     space = Space.system(dim)
     m0, m1 = rank1.vectors[:2]
     pair = np.outer(m0, m0.conj()) + np.outer(m1, m1.conj())
-    povm = Povm(dim, (PovmElement("pair", operator=Operator(space, pair)),) + rank1.elements[2:])
+    rows = np.concatenate([np.zeros((1, dim), dtype=complex), rank1.vectors[2:]])
+    pair_element = PovmElement("pair", operator=Operator(space, pair))
+    povm = Povm(dim, ("pair",) + rank1.labels()[2:], rows, {0: pair_element})
     signed_zero = np.full(dim, complex(-0.0, -0.0))
     signed_zero[-1] = complex(1.0, -0.0)
     states = {"signed-zero": Ket(space, signed_zero)}
@@ -507,7 +507,7 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     labels = [f"m{k}" for k in range(7)]
     space, diagonal = Space.system(dim), np.eye(dim, dtype=bool)
     operator = Operator(space, np.where(diagonal, 0.25, complex(-0.0, -0.0)))
-    povm = Povm.from_stack(dim, labels, rows, {3: PovmElement("m3", operator=operator)})
+    povm = Povm(dim, labels, rows, {3: PovmElement("m3", operator=operator)})
     states = {
         "edge": Ket(space, rows[1]),
         "zero": Ket(space, rows[0]),
@@ -516,7 +516,7 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     scenario = Scenario(
         dim,
         7,
-        JointOutcomeSet.from_stack(Space.joint(7, dim), labels, outcomes, validate=False),
+        JointOutcomeSet(Space.joint(7, dim), labels, outcomes, validate=False),
         Ket(Space.environment(7), outcomes[1, :7]),
         povm,
         states,
@@ -537,7 +537,7 @@ def test_each_zero_mask_gets_its_own_row_template():
         ]
     )
     labels = [f"m{k}" for k in range(len(rows))]
-    scenario = Scenario(3, povm=Povm.from_stack(3, labels, rows))
+    scenario = Scenario(3, povm=Povm(3, labels, rows))
     section = [{"label": label, "vector": encode_vector(row)} for label, row in zip(labels, rows)]
     raw = {"version": 1, "system_dim": 3, "povm": section}
     assert _written(scenario) == json.dumps(raw, indent=2) + "\n"
