@@ -28,7 +28,6 @@ from .povm import (
     ContextRelation,
     DensityMatrix,
     Povm,
-    PovmElement,
     basis_mixture_povm,
     coarse_grain,
     completeness_check,

@@ -71,7 +71,7 @@ def _print_povm_report(p: Povm, tol: float) -> None:
             weight = float(np.vdot(row, row).real)
             print(f"  {label}: weight={_fmt(weight)} vector={_fmt_vector(row)}")
         else:
-            entries = p.operators[k].operator.entries
+            entries = p.operators[k].entries
             print(
                 f"  {label}: operator trace={_fmt(float(np.trace(entries).real))} "
                 f"eigenvalues={_fmt_vector(np.linalg.eigvalsh(entries))}"

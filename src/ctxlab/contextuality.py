@@ -191,4 +191,4 @@ def hardy_embedding_povm(
     kept = np.flatnonzero(values > tol)[::-1]
     rest = np.sqrt(values[kept])[:, None] * fix_phase(vectors[:, kept].T)
     names = [*labels, *(f"R{rank}" for rank in range(1, len(kept) + 1))]
-    return Povm.from_vectors(zip(names, np.concatenate([rows, rest])), system_dim=dim)
+    return Povm.from_vectors(dim, names, np.concatenate([rows, rest]))

@@ -55,7 +55,7 @@ class JointOutcomeSet(LabelledStack):
         validate: bool = True,
         tol: float = DEFAULT_TOL,
     ) -> None:
-        """An outcome set over an ``(M, space.dim)`` complex stack, taken as it is."""
+        """An outcome set over a copy of an ``(M, space.dim)`` complex stack."""
         if space.kind != JOINT:
             raise SpaceMismatchError("outcome sets live on joint spaces")
         self._store(labels, vectors, space.dim, space=space, tol=tol)
@@ -64,7 +64,7 @@ class JointOutcomeSet(LabelledStack):
                 f"{len(labels)} outcomes exceed dim {space.dim}", invariant="outcome-count"
             )
         if validate:
-            require_orthonormal(vectors, tol, "outcome set is", "outcome-orthonormality")
+            require_orthonormal(self.vectors, tol, "outcome set is", "outcome-orthonormality")
 
     def orthonormality_residual(self) -> float:
         return orthonormality_residual(self.vectors)
@@ -101,7 +101,7 @@ def povm_from_dilation(d: Dilation) -> Povm:
     kept, so the label set always matches the outcome set. If the outcome set
     is complete the result sums to the identity.
     """
-    return Povm.from_vectors(zip(d.outcomes.labels(), _lambdas(d)), d.outcomes.space.sys_dim)
+    return Povm.from_vectors(d.outcomes.space.sys_dim, d.outcomes.labels(), _lambdas(d))
 
 
 def _lambdas(d: Dilation) -> np.ndarray:
@@ -162,7 +162,7 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     ``|e_0> (x) |lambda_m>`` plus a residual built from the eigendecomposition
     of ``G_sigma = I_M - G_lambda`` (eigenpairs above tol kept, eigenvector
     phases canonicalised). The elements are embedded verbatim, so the round
-    trip returns ``Povm.from_vectors(zip(p.labels(), p.vectors))`` exactly:
+    trip returns ``Povm.from_vectors(p.system_dim, p.labels(), p.vectors)`` exactly:
     ``p`` itself when its rows carry the canonical phase, as the rows of
     every ``from_vectors`` POVM do.
 
@@ -241,4 +241,4 @@ def context_switch_povm(
             )
         # Stacked matrix-vector products round each row as U^dag |a> alone does.
         blocks.append(phi_init.inner(env) * (unitary.entries.conj().T @ readout)[:, :, 0])
-    return Povm.from_vectors(zip(names, np.concatenate(blocks)), system_dim=sys_dim)
+    return Povm.from_vectors(sys_dim, names, np.concatenate(blocks))

@@ -259,10 +259,12 @@ def require_basis(basis: Sequence[Ket], dim: int, tol: float, name: str) -> None
     require_orthonormal(basis, tol, f"{name} is", "basis-orthonormality")
 
 
-def require_hermitian(op: Operator, tol: float, what: str) -> None:
-    """Raise ``hermiticity`` unless ``op`` is Hermitian within tol; ``what`` names it."""
+def require_hermitian(op: Operator, tol: float, what: str) -> Operator:
+    """Raise ``hermiticity`` unless ``op`` is Hermitian within tol; ``what`` names it.
+    Returns ``op``."""
     residual = op.hermiticity_residual()
     if residual > tol:
         raise ValidationError(
             f"{what} is not Hermitian (residual {residual:.3e})", invariant="hermiticity"
         )
+    return op

@@ -9,7 +9,7 @@ and the probability that the environment selects its measurement context.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 
@@ -36,24 +36,6 @@ class _LabelIndex(dict):
         raise UnknownLabelError(f"no outcome labelled {label!r}")
 
 
-@dataclass(frozen=True)
-class PovmElement:
-    """One labelled operator element of a POVM: a Hermitian system operator."""
-
-    label: str
-    operator: Operator
-    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.operator.space.kind != SYSTEM:
-            raise SpaceMismatchError(f"element {self.label!r} must live on a system space")
-        require_hermitian(self.operator, self.tol, f"element {self.label!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.operator.space.dim
-
-
 class LabelledStack:
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
 
@@ -69,7 +51,8 @@ class LabelledStack:
         self, labels: Sequence[str], vectors: np.ndarray, dim: int, **fields: object
     ) -> None:
         """Check the labels, the ``(len(labels), dim)`` shape of ``vectors`` and the
-        amplitudes' finiteness, then set the fields.
+        amplitudes' finiteness, then set the fields. The stack is a read-only complex
+        copy, so no later write to the caller's array reaches it.
 
         Looking up an absent label in ``_index`` raises UnknownLabelError.
         """
@@ -78,6 +61,7 @@ class LabelledStack:
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
         if len(index) != len(labels):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
+        vectors = np.array(vectors, dtype=complex)
         if vectors.shape != (len(labels), dim):
             raise SpaceMismatchError(
                 f"a stack of shape {vectors.shape} for {len(labels)} labels of dim {dim}"
@@ -119,7 +103,7 @@ class Povm(LabelledStack):
     inspected; ``completeness_check`` reports the residual and
     ``validate_povm`` raises on violations. ``vectors`` holds the amplitudes
     of each rank-1 element and zeros for each operator element, whose
-    ``PovmElement`` is kept in ``operators``.
+    Hermitian system ``Operator`` is kept in ``operators``.
     """
 
     _compared = ("system_dim", "_operators")
@@ -130,59 +114,43 @@ class Povm(LabelledStack):
         system_dim: int,
         labels: Sequence[str],
         vectors: np.ndarray,
-        operators: dict[int, PovmElement] | None = None,
+        operators: dict[int, Operator] | None = None,
+        tol: float = DEFAULT_TOL,
     ) -> None:
-        """A POVM over an ``(M, system_dim)`` complex stack, taken as it is.
+        """A POVM over a copy of an ``(M, system_dim)`` complex stack.
 
         ``operators`` maps the positions of operator elements, whose rows are
-        zero, to their elements. Raises ``nonempty`` or ``unique-labels`` for
+        zero, to their operators. Raises ``nonempty`` or ``unique-labels`` for
         empty or repeated labels, ``finite-amplitudes`` for non-finite
         amplitudes, ``SpaceMismatchError`` for a stack that is not
-        ``(len(labels), system_dim)`` or an element of another dimension, and
-        ``element-payload`` for an entry that is not the operator element
-        labelled at its position, or whose row is not zero.
+        ``(len(labels), system_dim)`` or an operator off the dim-``system_dim``
+        system space, ``element-payload`` for a key that is not a position or a
+        nonzero row at an operator's position, and ``hermiticity`` for an
+        operator that is not Hermitian within tol.
         """
         operators = dict(operators or {})
         self._store(labels, vectors, system_dim, system_dim=system_dim, _operators=operators)
-        for k, el in operators.items():
-            if el.dim != system_dim:
-                raise SpaceMismatchError(
-                    f"element {el.label!r} has dim {el.dim}, POVM has {system_dim}"
-                )
+        for k, op in operators.items():
             if not isinstance(k, (int, np.integer)) or not 0 <= k < len(labels):
                 problem = f"operator position {k!r} is not one of the {len(labels)} positions"
-            elif el.label != labels[k]:
-                problem = f"operators[{k}] is not an operator element labelled {labels[k]!r}"
-            elif vectors[k].any():
+                raise ValidationError(problem, invariant="element-payload")
+            if (op.space.kind, op.space.dim) != (SYSTEM, system_dim):
+                raise SpaceMismatchError(
+                    f"element {labels[k]!r} is not on the dim-{system_dim} system space"
+                )
+            if self.vectors[k].any():
                 problem = f"operator element {labels[k]!r} has a nonzero row"
-            else:
-                continue
-            raise ValidationError(problem, invariant="element-payload")
+                raise ValidationError(problem, invariant="element-payload")
+            require_hermitian(op, tol, f"element {labels[k]!r}")
 
     @classmethod
-    def from_vectors(
-        cls,
-        labelled_vectors: Iterable[tuple[str, Ket | np.ndarray]],
-        system_dim: int | None = None,
-    ) -> Povm:
-        """Build a rank-1 POVM, canonicalising each vector's global phase."""
-        labels, rows = [], []
-        for label, vec in labelled_vectors:
-            labels.append(str(label))
-            rows.append(np.reshape(vec.amplitudes if isinstance(vec, Ket) else vec, -1))
-        if system_dim is None:
-            system_dim = len(rows[0]) if rows else 0
-        # The rows before the first of the wrong length, checked finite before
-        # fix_phase, whose pivot division warns on inf and nan.
-        good = next((k for k, row in enumerate(rows) if len(row) != system_dim), len(rows))
-        stack = np.array(rows[:good], dtype=complex).reshape(good, system_dim)
-        require_finite(stack)
-        if good < len(rows):
-            raise SpaceMismatchError(f"{len(rows[good])} amplitudes for a dim-{system_dim} space")
+    def from_vectors(cls, system_dim: int, labels: Sequence[str], stack: np.ndarray) -> Povm:
+        """A rank-1 POVM over ``stack``, each row rotated to the canonical global phase."""
+        require_finite(stack)  # before fix_phase, whose pivot division warns on inf and nan
         return cls(system_dim, labels, fix_phase(stack))
 
     @property
-    def operators(self) -> Mapping[int, PovmElement]:
+    def operators(self) -> Mapping[int, Operator]:
         """The operator elements by position; every other element is rank one."""
         return MappingProxyType(self._operators)
 
@@ -242,7 +210,7 @@ def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
     rows = p.vectors[positions]
     stack = rows[:, :, None] * rows.conj()[:, None, :]
     for k in np.flatnonzero(~p._is_vector[positions]):
-        stack[k] = p._operators[positions[k]].operator.entries
+        stack[k] = p._operators[positions[k]].entries
     return stack
 
 
@@ -253,7 +221,7 @@ def _selection_weights(p: Povm, positions: np.ndarray) -> np.ndarray:
     rows = p.vectors[positions]
     weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
     for i in np.flatnonzero(~p._is_vector[positions]):
-        weights[i] = np.linalg.eigvalsh(p._operators[positions[i]].operator.entries)[-1]
+        weights[i] = np.linalg.eigvalsh(p._operators[positions[i]].entries)[-1]
     return weights
 
 
@@ -267,8 +235,8 @@ def completeness_check(p: Povm) -> float:
 def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
     worst = max(0.0, float(_selection_weights(p, np.arange(len(p))).max()) - 1.0)
-    for el in p._operators.values():
-        worst = max(worst, float(-np.linalg.eigvalsh(el.operator.entries)[0]))
+    for op in p._operators.values():
+        worst = max(worst, float(-np.linalg.eigvalsh(op.entries)[0]))
     return worst
 
 
@@ -300,7 +268,7 @@ def probability(
     if p._is_vector[k]:
         value = float(np.vdot(p.vectors[k], state.matrix @ p.vectors[k]).real)
     else:
-        value = float(np.trace(p._operators[k].operator.entries @ state.matrix).real)
+        value = float(np.trace(p._operators[k].entries @ state.matrix).real)
     if value < -tol:
         raise ValidationError(f"negative probability {value!r}", invariant="positivity")
     return value
@@ -332,7 +300,7 @@ def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMa
     if p._is_vector[k]:
         row = p.vectors[k]
     else:
-        values, vectors = np.linalg.eigh(p._operators[k].operator.entries)
+        values, vectors = np.linalg.eigh(p._operators[k].entries)
         if values.shape[0] > 1 and values[-2] > tol:
             raise ValidationError(
                 f"element {label!r} is not rank one", invariant="rank-one"
@@ -467,8 +435,7 @@ def coarse_grain(
         row = np.sqrt(max(values[-1], 0.0)) * fix_phase(vectors[:, -1])
     else:
         row = np.zeros(p.system_dim, dtype=complex)
-        space = Space.system(p.system_dim)
-        operators[-1] = PovmElement(new_label, operator=Operator(space, total), tol=tol)
+        operators[-1] = Operator(Space.system(p.system_dim), total)
 
     drop = set(positions.tolist())
     labels = p.labels()
@@ -479,6 +446,7 @@ def coarse_grain(
         [new_label if k < 0 else labels[k] for k in order],
         np.array([row if k < 0 else p.vectors[k] for k in order]),
         {i: operators[k] for i, k in enumerate(order) if k in operators},
+        tol,
     )
 
 
@@ -522,7 +490,7 @@ def basis_mixture_povm(
         require_basis(basis, dim, tol, f"basis {x}")
         scale = np.sqrt(max(float(w[x]), 0.0))
         blocks.append(np.stack([ket.amplitudes for ket in basis]) * scale)
-    return Povm.from_vectors(zip(names, np.concatenate(blocks)), system_dim=dim)
+    return Povm.from_vectors(dim, names, np.concatenate(blocks))
 
 
 def grid_labels(labels: Sequence[Sequence[str]] | None, count: int, dim: int) -> list[str]:

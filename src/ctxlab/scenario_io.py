@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
-from .hilbert import DEFAULT_TOL, Ket, Operator, Space, require_finite
-from .povm import DensityMatrix, Povm, PovmElement
+from .hilbert import DEFAULT_TOL, Ket, Operator, Space, require_finite, require_hermitian
+from .povm import DensityMatrix, Povm
 
 SCHEMA_VERSION = 1
 
@@ -242,11 +242,12 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
 
     povm = None
     if "povm" in raw:
+        # Each matrix is checked as it is read, so the first faulty entry is the one named.
         labels, vectors, operators = _section(
             raw["povm"], "povm", system_dim, "povm", noun="povm element",
-            matrix=lambda label, op: PovmElement(label, operator=op, tol=tol),
+            matrix=lambda label, op: require_hermitian(op, tol, f"element {label!r}"),
         )
-        povm = Povm(system_dim, labels, vectors, operators)
+        povm = Povm(system_dim, labels, vectors, operators, tol)
 
     states: dict[str, Ket | DensityMatrix] = {}
     if "states" in raw:
@@ -332,7 +333,7 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
     if s.phi_init is not None:
         fields["phi_init"] = _vectors(s.phi_init.amplitudes[None], "  ")
     if s.povm is not None:
-        operators = {k: el.operator.entries for k, el in s.povm.operators.items()}
+        operators = {k: op.entries for k, op in s.povm.operators.items()}
         fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, operators)
     if s.states:
         states = tuple(s.states.values())

@@ -24,9 +24,7 @@ def random_rank1_povm(rng: np.random.Generator, dim: int, count: int) -> Povm:
     """A complete rank-1 POVM from the rows of a random isometry."""
     assert count >= dim
     columns = random_unitary(rng, count)[:, :dim]
-    return Povm.from_vectors(
-        [(f"m{m}", columns[m].conj()) for m in range(count)], system_dim=dim
-    )
+    return Povm.from_vectors(dim, [f"m{m}" for m in range(count)], columns.conj())
 
 
 def element_ket(p: Povm, label: str) -> Ket:

@@ -185,6 +185,22 @@ def test_invalid_outcome_set_exits_three(capsys, tmp_path):
     assert "invariant violation [outcome-orthonormality]" in err
 
 
+def test_the_first_faulty_povm_entry_is_named(capsys, tmp_path):
+    skewed = [[[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    raw = {
+        "version": 1,
+        "system_dim": 2,
+        "povm": [{"label": "a", "matrix": skewed}, {"label": "b", "vector": [[1.0, 0.0]]}],
+    }
+    path = tmp_path / "two-faults.json"
+    save_scenario(path, raw)
+    code, _, err = run_cli(capsys, "povm", "check", str(path))
+    assert code == 3
+    assert err == (
+        "invariant violation [hermiticity]: element 'a' is not Hermitian (residual 1.000e+00)\n"
+    )
+
+
 def test_dilate_round_trip(capsys, tmp_path):
     out_path = tmp_path / "dilated.json"
     code, out, _ = run_cli(capsys, "dilate", DA_FILE, "-o", str(out_path))

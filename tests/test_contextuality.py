@@ -15,7 +15,6 @@ from ctxlab import (
     Ket,
     Operator,
     Povm,
-    PovmElement,
     Space,
     SpaceMismatchError,
     ValidationError,
@@ -103,7 +102,7 @@ def test_triple_rejects_operator_and_zero_elements():
     p = hardy_embedding_povm(f, d1, d2)
     blob = Operator(_space(), np.eye(3) - sum(np.outer(k.amplitudes, k.amplitudes.conj()) / 3.0 for k in (f, d1, d2)))
     rows = np.concatenate([p.vectors[:3], np.zeros((1, 3), dtype=complex)])
-    q = Povm(3, p.labels()[:3] + ("rest",), rows, {3: PovmElement("rest", operator=blob)})
+    q = Povm(3, p.labels()[:3] + ("rest",), rows, {3: blob})
     with pytest.raises(ValidationError) as err:
         HardyTriple.from_povm(q, "rest", "D1", "D2")
     assert err.value.invariant == "rank-one"

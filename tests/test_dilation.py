@@ -13,7 +13,6 @@ from ctxlab import (
     Ket,
     Operator,
     Povm,
-    PovmElement,
     Space,
     SpaceMismatchError,
     ValidationError,
@@ -207,7 +206,7 @@ def test_perturbed_outcomes_are_reported_not_raised():
 
 
 def test_naimark_of_projective_povm_has_no_residual():
-    p = Povm.from_vectors([(f"b{i}", np.eye(3)[i]) for i in range(3)])
+    p = Povm.from_vectors(3, ["b0", "b1", "b2"], np.eye(3))
     d = naimark_dilate(p)
     assert d.outcomes.space.env_dim == 3
     np.testing.assert_allclose(d.phi_init.amplitudes, [1.0, 0.0, 0.0])
@@ -242,20 +241,20 @@ def test_naimark_round_trip_returns_the_povm_with_canonical_phases():
     phases = np.exp(2j * np.pi * rng.uniform(size=(16, 1)))
     p = Povm(4, [f"m{k}" for k in range(16)], rows * phases)
     again = povm_from_dilation(naimark_dilate(p))
-    assert again == Povm.from_vectors(zip(p.labels(), p.vectors))
+    assert again == Povm.from_vectors(4, p.labels(), p.vectors)
     assert np.abs(again.vectors - p.vectors).max() > 0.1  # not p: its phases are not canonical
 
 
 def test_naimark_rejects_incomplete_and_operator_povms():
-    p = Povm.from_vectors([("only", np.array([1.0, 0.0, 0.0]) / SQ2)])
+    p = Povm.from_vectors(3, ["only"], np.array([[1.0, 0.0, 0.0]]) / SQ2)
     with pytest.raises(ValidationError) as err:
         naimark_dilate(p)
     assert err.value.invariant == "completeness"
-    op_el = PovmElement("op", operator=Operator.identity(Space.system(2)))
+    identity = {0: Operator.identity(Space.system(2))}
     with pytest.raises(ValidationError) as err:
-        naimark_dilate(Povm(2, ["op"], np.zeros((1, 2), dtype=complex), {0: op_el}))
+        naimark_dilate(Povm(2, ["op"], np.zeros((1, 2), dtype=complex), identity))
     assert err.value.invariant == "rank-one-elements"
-    heavy = Povm.from_vectors([("a", np.array([np.sqrt(1.5), 0.0])), ("b", np.array([0.0, 1.0]))])
+    heavy = Povm.from_vectors(2, ["a", "b"], np.diag([np.sqrt(1.5), 1.0]))
     with pytest.raises(ValidationError) as err:
         naimark_dilate(heavy)
     assert err.value.invariant == "element-bounds"

@@ -57,7 +57,7 @@ def _loaded(s: Scenario) -> dict[str, list[tuple[str, str, list[int]]]]:
         assert not s.povm.vectors[list(s.povm.operators)].any()  # an operator's row is zero
         operators = s.povm.operators
         sections["povm"] = [
-            (label, "matrix", _bits(operators[k].operator.entries)) if k in operators
+            (label, "matrix", _bits(operators[k].entries)) if k in operators
             else (label, "vector", _bits(row))
             for k, (label, row) in enumerate(zip(s.povm.labels(), s.povm.vectors))
         ]

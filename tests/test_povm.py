@@ -17,7 +17,6 @@ from ctxlab import (
     Ket,
     Operator,
     Povm,
-    PovmElement,
     Space,
     SpaceMismatchError,
     UnknownLabelError,
@@ -65,11 +64,14 @@ def da_povm(scenario):
 
 
 def test_element_must_be_a_hermitian_system_operator():
-    space = Space.system(2)
+    zero = np.zeros((1, 2), dtype=complex)
     with pytest.raises(SpaceMismatchError):
-        PovmElement("env", operator=Operator.identity(Space.environment(2)))
-    with pytest.raises(ValidationError):
-        PovmElement("skew", operator=Operator(space, np.array([[0.0, 1.0], [0.0, 0.0]])))
+        Povm(2, ["env"], zero, {0: Operator.identity(Space.environment(2))})
+    skew = Operator(Space.system(2), np.array([[0.5, 1e-7], [0.0, 0.5]]))
+    with pytest.raises(ValidationError) as err:
+        Povm(2, ["skew"], zero, {0: skew})
+    assert err.value.invariant == "hermiticity"
+    assert Povm(2, ["skew"], zero, {0: skew}, tol=1e-6).operators[0] is skew
 
 
 def test_povm_rejects_duplicate_labels_and_mixed_dims():
@@ -79,13 +81,13 @@ def test_povm_rejects_duplicate_labels_and_mixed_dims():
     with pytest.raises(SpaceMismatchError):
         Povm(2, ["a", "b"], np.zeros((2, 3), dtype=complex))
     with pytest.raises(SpaceMismatchError):
-        Povm(2, ["a", "b"], rows * 0.0, {1: _half_identity("b", dim=3)})
+        Povm(2, ["a", "b"], rows * 0.0, {1: _half_identity(dim=3)})
     with pytest.raises(ValidationError):
         Povm(2, (), np.zeros((0, 2), dtype=complex))
 
 
 def test_from_vectors_fixes_global_phase():
-    p = Povm.from_vectors([("m", np.array([0.0, -1.0j]))])
+    p = Povm.from_vectors(2, ["m"], np.array([[0.0, -1.0j]]))
     np.testing.assert_allclose(p.vectors[0], [0.0, 1.0])
     with pytest.raises(UnknownLabelError):
         context_selection_probability(p, "missing")
@@ -93,13 +95,32 @@ def test_from_vectors_fixes_global_phase():
 
 @pytest.mark.parametrize("name", ["system_dim", "vectors", "_is_vector", "_operators", "_index"])
 def test_povm_fields_can_be_neither_assigned_nor_deleted(name):
-    p = Povm.from_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0j]))])
+    p = Povm.from_vectors(2, ["a", "b"], np.diag([1.0, 1.0j]))
     assert p._is_vector.all()  # built and cached
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
         setattr(p, name, None)
     with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
         delattr(p, name)
     assert p.labels() == ("a", "b") and not p.vectors.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rows: Povm(2, ["a", "b"], rows),
+        lambda rows: JointOutcomeSet(Space.joint(1, 2), ["a", "b"], rows),
+    ],
+    ids=["povm", "outcome-set"],
+)
+def test_a_stack_is_a_complex_copy_of_the_callers_rows(build):
+    source = np.eye(2, dtype=complex)
+    stack = build(source[:])
+    source[0, 0] = 5.0
+    assert source.flags.writeable
+    assert np.array_equal(stack.vectors, np.eye(2)) and not stack.vectors.flags.writeable
+    for rows in ([[1.0, 0.0], [0.0, 1.0]], np.eye(2)):
+        again = build(rows)
+        assert again.vectors.dtype == complex and again == stack
 
 
 def test_repr_shows_the_labels_and_builds_no_ket(monkeypatch):
@@ -157,11 +178,11 @@ def test_dropping_the_plate_outcome_leaves_a_third(da_povm):
 
 
 def test_validate_povm_rejects_oversized_elements():
-    heavy = Povm.from_vectors([("m", np.array([1.1, 0.0]))])
+    heavy = Povm.from_vectors(2, ["m"], np.array([[1.1, 0.0]]))
     with pytest.raises(ValidationError) as err:
         validate_povm(heavy)
     assert err.value.invariant == "element-bounds"
-    big = {0: PovmElement("op", operator=Operator(Space.system(2), 1.5 * np.eye(2)))}
+    big = {0: Operator(Space.system(2), 1.5 * np.eye(2))}
     big_op = Povm(2, ["op"], np.zeros((1, 2), dtype=complex), big)
     with pytest.raises(ValidationError) as err:
         validate_povm(big_op)
@@ -207,9 +228,9 @@ def test_context_selection_probabilities(da_povm, vh_povm):
 
 def test_operator_element_context_selection_is_peak_probability(da_povm):
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
-    el = merged.operators[merged.labels().index("D12")]
+    op = merged.operators[merged.labels().index("D12")]
     # trace 4/3 splits into eigenvalues 1 and 1/3; the peak probability is 1
-    assert abs(el.operator.trace().real - 4.0 / 3.0) <= 1e-12
+    assert abs(op.trace().real - 4.0 / 3.0) <= 1e-12
     assert abs(context_selection_probability(merged, "D12") - 1.0) <= 1e-12
 
 
@@ -337,7 +358,7 @@ def test_context_graph_dot_output(da_povm):
 
 def _oracle_elements(p):
     return [
-        p.operators[k].operator.entries if k in p.operators else row
+        p.operators[k].entries if k in p.operators else row
         for k, row in enumerate(p.vectors)
     ]
 
@@ -365,16 +386,19 @@ def context_povms(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     while True:
         if mixture:
-            pairs = []
+            labels, rows = [], []
             for x in range(2):
                 basis = random_unitary(rng, dim)
                 for a in range(dim):
                     u = basis[:, a] / SQ2
                     if x == 0 and a < splits:
-                        pairs += [(f"0:{a}", u / np.sqrt(5.0)), (f"0:{a}'", 2.0 * u / np.sqrt(5.0))]
+                        labels += [f"0:{a}", f"0:{a}'"]
+                        rows += [u / np.sqrt(5.0), 2.0 * u / np.sqrt(5.0)]
                     else:
-                        pairs.append((f"{x}:{a}", u))
-            p, merges = Povm.from_vectors(pairs), [("0:0", "0:1"), ("1:0", "1:1")]
+                        labels.append(f"{x}:{a}")
+                        rows.append(u)
+            p = Povm.from_vectors(dim, labels, np.array(rows))
+            merges = [("0:0", "0:1"), ("1:0", "1:1")]
         else:
             p, merges = random_rank1_povm(rng, dim, count), [("m0", "m1"), ("m2", "m3")]
         for k, merge in enumerate(merges[:groups]):
@@ -388,10 +412,10 @@ def context_povms(draw):
 def _transformed(p, unitary, phases):
     space = Space.system(p.system_dim)
     rows = np.array([phase * (unitary @ row) for row, phase in zip(p.vectors, phases)])
-    operators = {}
-    for k, el in p.operators.items():
-        op = Operator(space, unitary @ el.operator.entries @ unitary.conj().T)
-        operators[k] = PovmElement(el.label, operator=op)
+    operators = {
+        k: Operator(space, unitary @ op.entries @ unitary.conj().T)
+        for k, op in p.operators.items()
+    }
     return Povm(p.system_dim, p.labels(), rows, operators)
 
 
@@ -434,15 +458,13 @@ def test_coarse_grain_recovers_the_merged_element(scenario, da_povm):
 
 def test_coarse_grain_full_merge_gives_identity(vh_povm):
     merged = coarse_grain(vh_povm, vh_povm.labels(), "all")
-    el = merged.operators[0]
-    assert np.abs(el.operator.entries - np.eye(3)).max() <= 1e-12
+    assert np.abs(merged.operators[0].entries - np.eye(3)).max() <= 1e-12
     assert len(merged) == 1
 
 
 def test_coarse_grain_partial_merge_keeps_operator_weight(vh_povm):
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    el = merged.operators[0]
-    assert abs(el.operator.trace().real - 1.0) <= 1e-12
+    assert abs(merged.operators[0].trace().real - 1.0) <= 1e-12
     assert abs(context_selection_probability(merged, "V12") - 0.5) <= 1e-12
     assert completeness_check(merged) <= 1e-12
     assert merged.labels() == ("V12", "V3", "H1", "H2", "H3")
@@ -563,13 +585,11 @@ def test_random_rank1_povms_are_complete():
             validate_povm(p)
 
 
-def test_elements_and_states_record_the_tol_that_validated_them():
+def test_states_record_the_tol_that_validated_them():
     psi = Ket(Space.system(2), np.array([1.0, 0.0]))
     assert DensityMatrix.from_ket(psi, tol=1e-6).tol == 1e-6
     assert DensityMatrix.from_ket(psi).tol == 1e-9
-    element = PovmElement("a", operator=Operator(psi.space, np.eye(2)), tol=1e-6)
-    assert element.tol == 1e-6
-    assert "tol" not in repr(PovmElement("b", operator=Operator(psi.space, np.eye(2)), tol=1e-6))
+    assert "tol" not in repr(DensityMatrix.from_ket(psi, tol=1e-6))
 
 
 def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
@@ -578,8 +598,7 @@ def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
     space = Space.system(3)
     half = Operator(space, 0.5 * np.outer(u[:, 0], u[:, 0].conj()))
     plane = Operator(space, np.outer(u[:, 1], u[:, 1].conj()) + np.outer(u[:, 2], u[:, 2].conj()))
-    operators = {0: PovmElement("half", operator=half), 1: PovmElement("plane", operator=plane)}
-    p = Povm(3, ["half", "plane"], np.zeros((2, 3), dtype=complex), operators)
+    p = Povm(3, ["half", "plane"], np.zeros((2, 3), dtype=complex), {0: half, 1: plane})
     psi = random_pure_state(rng, 3)
     overlap = abs(np.vdot(u[:, 0], psi.amplitudes)) ** 2
     assert abs(probability(p, psi, "half") - 0.5 * overlap) <= 1e-12
@@ -600,7 +619,7 @@ def test_vectors_hold_one_read_only_row_per_element(da_povm):
     assert not merged.vectors.flags.writeable
     with pytest.raises(ValueError):
         merged.vectors[0, 0] = 1.0
-    qubit = Povm.from_vectors([("a", np.array([1.0, 0.0])), ("b", np.array([0.0, 1.0]))])
+    qubit = Povm.from_vectors(2, ["a", "b"], np.eye(2))
     identity = coarse_grain(qubit, ("a", "b"), "I")
     assert identity.vectors.dtype == complex and not identity.vectors.any()
 
@@ -637,31 +656,28 @@ def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     p = povm_DA(scenario)
     assert p != Povm(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    entries = _one_ulp_up(merged.operators[0].operator.entries)
-    bumped = {0: PovmElement("V12", operator=Operator(ket.space, entries))}
+    bumped = {0: Operator(ket.space, _one_ulp_up(merged.operators[0].entries))}
     assert merged != Povm(3, merged.labels(), merged.vectors, bumped)
     outcomes = dilation_DA(scenario).outcomes
     moved = _one_ulp_up(outcomes.vectors)
     assert outcomes != JointOutcomeSet(outcomes.space, outcomes.labels(), moved)
 
 
-def _half_identity(label, dim=2):
-    return PovmElement(label, operator=Operator(Space.system(dim), np.eye(dim) / 2))
+def _half_identity(dim=2):
+    return Operator(Space.system(dim), np.eye(dim) / 2)
 
 
 _ROWS = np.array([[0.0, 0.0], [0.0, 1.0 / SQ2], [1.0 / SQ2, 0.0]], dtype=complex)
-_NOT_AT_POSITION = "operators[0] is not an operator element labelled 'a'"
 
 
 @pytest.mark.parametrize(
     "operators, rows, message",
     [
-        ({0: _half_identity("zzz")}, _ROWS, _NOT_AT_POSITION),
-        ({-1: _half_identity("c")}, _ROWS, "operator position -1 is not one of the 3 positions"),
-        ({3: _half_identity("d")}, _ROWS, "operator position 3 is not one of the 3 positions"),
-        ({0: _half_identity("a")}, _ROWS + 0.5, "operator element 'a' has a nonzero row"),
+        ({-1: _half_identity()}, _ROWS, "operator position -1 is not one of the 3 positions"),
+        ({3: _half_identity()}, _ROWS, "operator position 3 is not one of the 3 positions"),
+        ({0: _half_identity()}, _ROWS + 0.5, "operator element 'a' has a nonzero row"),
     ],
-    ids=["label", "negative-key", "key-past-the-end", "nonzero-row"],
+    ids=["negative-key", "key-past-the-end", "nonzero-row"],
 )
 def test_povm_checks_each_operator_entry_against_its_position(operators, rows, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as err:
@@ -670,10 +686,10 @@ def test_povm_checks_each_operator_entry_against_its_position(operators, rows, m
 
 
 def test_povm_rejects_an_operator_of_another_dimension():
-    with pytest.raises(SpaceMismatchError, match="^element 'a' has dim 3, POVM has 2$"):
-        Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a", dim=3)})
-    p = Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity("a")})
-    assert completeness_check(p) <= 1e-15 and p.operators[0].label == "a"
+    with pytest.raises(SpaceMismatchError, match="^element 'a' is not on the dim-2 system space$"):
+        Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity(dim=3)})
+    p = Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity()})
+    assert completeness_check(p) <= 1e-15 and p.operators[0] == _half_identity()
 
 
 @pytest.mark.parametrize(
@@ -697,10 +713,12 @@ def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
         assert again == p and again.operators == p.operators
 
 
-def test_from_vectors_raises_for_the_first_faulty_row():
-    good, nan, long = np.array([1.0, 0.0]), np.array([np.nan, 0.0]), np.ones(3)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_from_vectors_raises_for_the_first_faulty_row(bad):
+    # A RuntimeWarning fails the test: the rows are checked before fix_phase divides by a pivot.
+    stack = np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError) as caught:
-        Povm.from_vectors([("a", good), ("b", nan), ("c", long)])
+        Povm.from_vectors(2, ["a", "b", "c"], stack)
     assert caught.value.invariant == "finite-amplitudes"
-    with pytest.raises(SpaceMismatchError, match="^3 amplitudes for a dim-2 space$"):
-        Povm.from_vectors([("a", good), ("c", long), ("b", nan)])
+    with pytest.raises(SpaceMismatchError, match=re.escape("a stack of shape (3, 2) for 2")):
+        Povm.from_vectors(2, ["a", "b"], np.eye(3, 2))

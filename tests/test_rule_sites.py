@@ -20,9 +20,9 @@ from ctxlab import (
     Ket,
     Operator,
     Povm,
-    PovmElement,
     ScenarioFileError,
     Space,
+    SpaceMismatchError,
     UnknownLabelError,
     ValidationError,
     basis_ket,
@@ -52,7 +52,11 @@ def _povm_with_zero_vector():
 def _povm_with_zero_operator():
     zero = Operator(SYS2, np.zeros((2, 2)))
     rows = np.array([ZERO.amplitudes, E1.amplitudes])
-    return Povm(2, ["z", "e1"], rows, {0: PovmElement("z", operator=zero)})
+    return Povm(2, ["z", "e1"], rows, {0: zero})
+
+
+def _povm_with_operator(key, operator):
+    return lambda: Povm(2, ["x"], np.zeros((1, 2)), {key: operator})
 
 
 def _outcome_set(pairs):
@@ -67,6 +71,7 @@ def _entries(section, entry):
 
 VECTOR = [[1.0, 0.0], [0.0, 0.0]]
 MATRIX = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+SKEWED_MATRIX = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 
 ZERO_WEIGHT = "element 'z' has zero weight"
 OUTCOMES = (("a", tensor(X0, E0)), ("b", tensor(X1, E1)))
@@ -122,8 +127,20 @@ CASES = {
         ValidationError, "phi-init-normalisation", "phi_init must be normalised",
     ),
     "povm-element-hermiticity": (
-        lambda: PovmElement("x", operator=SKEWED),
+        _povm_with_operator(0, SKEWED),
         ValidationError, "hermiticity", "element 'x' is not Hermitian (residual 1.000e+00)",
+    ),
+    "povm-file-element-hermiticity": (
+        _entries("povm", {"matrix": SKEWED_MATRIX}),
+        ValidationError, "hermiticity", "element 'x' is not Hermitian (residual 1.000e+00)",
+    ),
+    "povm-element-off-the-system-space": (
+        _povm_with_operator(0, Operator.identity(ENV2)),
+        SpaceMismatchError, None, "element 'x' is not on the dim-2 system space",
+    ),
+    "povm-element-key-not-a-position": (
+        _povm_with_operator("x", IDENTITY),
+        ValidationError, "element-payload", "operator position 'x' is not one of the 1 positions",
     ),
     "density-matrix-hermiticity": (
         lambda: DensityMatrix(SKEWED),

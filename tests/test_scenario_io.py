@@ -21,7 +21,6 @@ from ctxlab import (
     Ket,
     Operator,
     Povm,
-    PovmElement,
     Scenario,
     ScenarioFileError,
     Space,
@@ -138,7 +137,7 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
     if with_matrices:
         m = len(plain.povm) - 1
         assert list(loaded.povm.operators) == list(plain.povm.operators) == [m]
-        assert _bits(loaded.povm.operators[m].operator.entries) == _bits(third)
+        assert _bits(loaded.povm.operators[m].entries) == _bits(third)
         assert _bits(loaded.states["mixed"].matrix) == _bits(third)
 
 
@@ -210,8 +209,8 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
                 ["half", "rest"],
                 np.zeros((2, 2), dtype=complex),
                 {
-                    0: PovmElement("half", operator=Operator(space, np.eye(2) / 2.0)),
-                    1: PovmElement("rest", operator=Operator(space, np.eye(2) / 2.0)),
+                    0: Operator(space, np.eye(2) / 2.0),
+                    1: Operator(space, np.eye(2) / 2.0),
                 },
             ),
             states={"mixed": mixed},
@@ -220,8 +219,8 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
     path = tmp_path / "ops.json"
     save_scenario(path, raw)
     sc = load_scenario(path)
-    el = sc.povm.operators[sc.povm.labels().index("half")]
-    np.testing.assert_array_equal(el.operator.entries, np.eye(2) / 2.0)
+    op = sc.povm.operators[sc.povm.labels().index("half")]
+    np.testing.assert_array_equal(op.entries, np.eye(2) / 2.0)
     assert isinstance(sc.states["mixed"], DensityMatrix)
 
 
@@ -282,7 +281,7 @@ def _misfits() -> dict[str, tuple[dict, str]]:
     s = build_three_path()
     d = dilation_DA(s)
     sys2 = Space.system(2)
-    identity = PovmElement("I", operator=Operator.identity(sys2))
+    identity = Operator.identity(sys2)
     return {
         "outcomes-of-another-dim": (
             {"system_dim": 3, "env_dim": 5, "outcomes": d.outcomes, "phi_init": d.phi_init},
@@ -416,8 +415,7 @@ def scenarios(draw):
     m0, m1 = rank1.vectors[:2]
     pair = np.outer(m0, m0.conj()) + np.outer(m1, m1.conj())
     rows = np.concatenate([np.zeros((1, dim), dtype=complex), rank1.vectors[2:]])
-    pair_element = PovmElement("pair", operator=Operator(space, pair))
-    povm = Povm(dim, ("pair",) + rank1.labels()[2:], rows, {0: pair_element})
+    povm = Povm(dim, ("pair",) + rank1.labels()[2:], rows, {0: Operator(space, pair)})
     signed_zero = np.full(dim, complex(-0.0, -0.0))
     signed_zero[-1] = complex(1.0, -0.0)
     states = {"signed-zero": Ket(space, signed_zero)}
@@ -507,7 +505,7 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     labels = [f"m{k}" for k in range(7)]
     space, diagonal = Space.system(dim), np.eye(dim, dtype=bool)
     operator = Operator(space, np.where(diagonal, 0.25, complex(-0.0, -0.0)))
-    povm = Povm(dim, labels, rows, {3: PovmElement("m3", operator=operator)})
+    povm = Povm(dim, labels, rows, {3: operator})
     states = {
         "edge": Ket(space, rows[1]),
         "zero": Ket(space, rows[0]),
