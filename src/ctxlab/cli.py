@@ -55,11 +55,11 @@ def _fmt_vector(amplitudes) -> str:
 
 
 def _print_graph(graph: ContextGraph) -> None:
-    print(f"context graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges")
-    for a, b, witness in graph.edges:
-        print(f"  {a} -- {b} (witness={_fmt(witness)})")
+    lines = [f"context graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges"]
+    lines += [f"  {a} -- {b} (witness={_fmt(witness)})" for a, b, witness in graph.edges]
     if graph.skipped:
-        print(f"  skipped zero-weight outcomes: {', '.join(graph.skipped)}")
+        lines.append(f"  skipped zero-weight outcomes: {', '.join(graph.skipped)}")
+    print("\n".join(lines))
 
 
 def _print_povm_report(p: Povm, tol: float) -> None:
@@ -154,15 +154,7 @@ def _cmd_context_graph(args: argparse.Namespace) -> int:
     if args.dot:
         print(graph.to_dot())
     elif args.json:
-        print(
-            json.dumps(
-                {
-                    "nodes": list(graph.nodes),
-                    "edges": [[a, b, w] for a, b, w in graph.edges],
-                    "skipped": list(graph.skipped),
-                }
-            )
-        )
+        print(json.dumps({"nodes": graph.nodes, "edges": graph.edges, "skipped": graph.skipped}))
     else:
         _print_graph(graph)
     return 0

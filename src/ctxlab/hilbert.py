@@ -72,9 +72,11 @@ def fix_phase(vector: np.ndarray) -> np.ndarray:
 
     A 2-D array is a stack of rows, each rotated alone with scalar ``abs`` and
     division (their array forms can differ by an ulp). Ties pick the first
-    index; zero vectors are returned unchanged.
+    index; zero vectors and empty input are returned unchanged.
     """
     v = np.array(vector, dtype=complex, order="C")
+    if not v.size:
+        return v
     rows = v if v.ndim == 2 else v.reshape(1, -1)
     for row in rows:
         pivot = row[int(np.argmax(np.abs(row)))]

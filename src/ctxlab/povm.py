@@ -61,7 +61,12 @@ class LabelledStack:
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
         if len(index) != len(labels):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
-        vectors = np.array(vectors, dtype=complex)
+        try:
+            vectors = np.array(vectors, dtype=complex)
+        except ValueError as exc:  # rows of unequal lengths or a string entry
+            raise SpaceMismatchError(
+                f"rows that are not one complex stack for {len(labels)} labels of dim {dim}"
+            ) from exc
         if vectors.shape != (len(labels), dim):
             raise SpaceMismatchError(
                 f"a stack of shape {vectors.shape} for {len(labels)} labels of dim {dim}"
@@ -405,10 +410,9 @@ def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     live = np.flatnonzero(weights > tol)
     nodes = tuple(labels[k] for k in live)
     witness, shared, _ = _context_relations(p, live, tol)
-    edges = tuple(
-        (nodes[i], nodes[j], float(witness[i, j]))
-        for i, j in zip(*np.nonzero(np.triu(shared, 1)))
-    )
+    i, j = np.nonzero(np.triu(shared, 1))
+    a, b = (map(nodes.__getitem__, k.tolist()) for k in (i, j))
+    edges = tuple(zip(a, b, witness[i, j].tolist()))
     return ContextGraph(nodes, edges, tuple(labels[k] for k in np.flatnonzero(weights <= tol)))
 
 

@@ -23,6 +23,7 @@ enforced by the constructed objects themselves.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -272,18 +273,30 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
 
 
 def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
-    """Read and validate a scenario file."""
+    """Read and validate a scenario file. The cyclic garbage collector is paused,
+    and left as it was found, while the file is parsed and read: a JSON tree holds
+    no cycle, yet its one list per [re, im] pair would be scanned on each pass, so
+    the text and the tree are dropped before the collector resumes."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ScenarioFileError(f"{path} nests too deeply to parse") from exc
-    return scenario_from_dict(raw, tol)
+    else:
+        del text
+        scenario = scenario_from_dict(raw, tol)
+        del raw
+        return scenario
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _vectors(stack: np.ndarray, pad: str) -> Iterator[str]:

@@ -23,6 +23,8 @@ from ctxlab import (
     Ket,
     Scenario,
     Space,
+    basis_mixture_povm,
+    context_graph,
     decode_vector,
     encode_matrix,
     encode_vector,
@@ -37,7 +39,7 @@ from ctxlab import (
     verify_constraints,
 )
 from ctxlab.cli import build_parser, main
-from helpers import phase_aligned_max_err, random_rank1_povm
+from helpers import phase_aligned_max_err, random_rank1_povm, random_unitary
 
 DA_FILE = str(fixture_path("three-path-DA"))
 VH_FILE = str(fixture_path("three-path-VH"))
@@ -321,6 +323,24 @@ def test_context_graph_json(capsys):
     assert set(graph["nodes"]) == {"D1", "D2", "D3", "A"}
     assert len(graph["edges"]) == 3
     assert graph["skipped"] == []
+
+
+def test_a_dense_context_graph_prints_every_edge_in_text_and_json(capsys, tmp_path):
+    rng = np.random.default_rng(19)
+    unitaries = [random_unitary(rng, 16) for _ in range(4)]
+    bases = [[Ket(Space.system(16), column) for column in u.T] for u in unitaries]
+    p = basis_mixture_povm(bases, [0.25] * 4)
+    path = str(tmp_path / "dense.json")
+    save_scenario(path, Scenario(16, povm=p))
+    graph = context_graph(p)
+    assert len(graph.nodes) == 64 and len(graph.edges) == 4 * 120  # the pairs inside a basis
+    assert all(type(witness) is float for _, _, witness in graph.edges)
+    lines = [f"context graph: 64 nodes, {len(graph.edges)} edges"]
+    lines += [f"  {a} -- {b} (witness={witness:.12g})" for a, b, witness in graph.edges]
+    assert run_cli(capsys, "context-graph", path) == (0, "\n".join(lines) + "\n", "")
+    edges = [[a, b, witness] for a, b, witness in graph.edges]
+    text = json.dumps({"nodes": list(graph.nodes), "edges": edges, "skipped": []})
+    assert run_cli(capsys, "context-graph", path, "--json") == (0, text + "\n", "")
 
 
 def test_inequality_text_output(capsys):

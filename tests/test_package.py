@@ -172,3 +172,29 @@ def test_the_scan_finds_a_cross_module_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_private_name_of_another(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def collector_switches(source: str) -> list[int]:
+    """The lines where a module reaches ``gc.disable``, as an attribute of ``gc`` or
+    imported from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "disable":
+            if isinstance(node.value, ast.Name) and node.value.id == "gc":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            if any(alias.name == "disable" for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_each_way_to_switch_the_collector_off():
+    source = "import gc\nfrom gc import disable as off\ngc.disable()\ngc.enable()\nlog.disable()\n"
+    assert collector_switches(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_scenario_reader_switches_the_collector_off(path):
+    """The switch is process-wide, so it is kept to the one place that restores it."""
+    switches = collector_switches(path.read_text(encoding="utf-8"))
+    assert len(switches) == (path.name == "scenario_io.py")

@@ -707,6 +707,27 @@ def test_stack_constructors_reject_a_stack_of_another_shape(build, shape):
         build(rows)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rows: Povm(2, ["a", "b"], rows),
+        lambda rows: JointOutcomeSet(Space.joint(1, 2), ["a", "b"], rows),
+    ],
+    ids=["povm", "outcome-set"],
+)
+def test_stack_constructors_reject_rows_of_unequal_lengths(build):
+    message = "^rows that are not one complex stack for 2 labels of dim 2$"
+    with pytest.raises(SpaceMismatchError, match=message) as caught:
+        build([[1, 0], [0]])
+    assert isinstance(caught.value.__cause__, ValueError)
+
+
+def test_from_vectors_of_no_rows_is_refused_as_an_empty_povm():
+    with pytest.raises(ValidationError, match="^a POVM needs at least one element$") as caught:
+        Povm.from_vectors(2, [], [])
+    assert caught.value.invariant == "nonempty"
+
+
 def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
     for p in (povm_DA(scenario, merge_A=False), coarse_grain(vh_povm, ("V1", "V2"), "V12")):
         again = Povm(p.system_dim, p.labels(), p.vectors, p.operators)

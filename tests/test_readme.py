@@ -16,6 +16,10 @@ TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
 # the plain block that follows the `ctxlab inequality` command block
 INEQUALITY = re.search(r"^ctxlab inequality \S+\n```\n\n```\n(.*?)^```", TEXT, re.M | re.S)
+# the plain block that follows the `ctxlab context-graph --json` command block
+GRAPH_JSON = re.search(
+    r"^ctxlab context-graph --json \S+\n```\n\n```\n(.*?)^```", TEXT, re.M | re.S
+)
 
 
 def test_the_readme_has_python_examples():
@@ -32,3 +36,9 @@ def test_the_inequality_transcript_is_what_the_command_prints(capsys):
     assert INEQUALITY is not None
     assert main(["inequality", str(fixture_path("hardy"))]) == 0
     assert capsys.readouterr().out == INEQUALITY.group(1)
+
+
+def test_the_context_graph_json_transcript_is_what_the_command_prints(capsys):
+    assert GRAPH_JSON is not None
+    assert main(["context-graph", "--json", str(fixture_path("three-path-DA"))]) == 0
+    assert capsys.readouterr().out == GRAPH_JSON.group(1)

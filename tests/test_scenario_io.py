@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctxlab.scenario_io
 from ctxlab import (
     FIXTURE_NAMES,
     DensityMatrix,
@@ -366,6 +368,32 @@ def test_unreadable_and_malformed_files(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioFileError):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_loading_leaves_the_garbage_collector_as_it_found_it(monkeypatch, tmp_path, enabled):
+    good, bad_json, bad_povm = (tmp_path / f"{name}.json" for name in ("good", "json", "povm"))
+    save_scenario(good, _da_dict())
+    bad_json.write_text("{not json")
+    save_scenario(bad_povm, {**_da_dict(), "povm": "not a list"})
+    seen = []  # whether the collector was on while the parsed tree was read
+
+    def read(*args):
+        seen.append(gc.isenabled())
+        return scenario_from_dict(*args)
+
+    monkeypatch.setattr(ctxlab.scenario_io, "scenario_from_dict", read)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_scenario(good).povm is not None and gc.isenabled() is enabled
+        for path in (bad_json, bad_povm):
+            with pytest.raises(ScenarioFileError):
+                load_scenario(path)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_bundled_fixtures_match_regeneration():
