@@ -15,17 +15,13 @@ from .errors import (
 )
 from .hilbert import (
     DEFAULT_TOL,
-    Ket,
     Operator,
     Space,
-    basis_ket,
     fix_phase,
     gram,
-    tensor,
 )
 from .povm import (
     ContextGraph,
-    ContextRelation,
     DensityMatrix,
     Povm,
     basis_mixture_povm,
@@ -37,7 +33,6 @@ from .povm import (
     maximizing_state,
     probability,
     rescaled_probability,
-    share_context,
     validate_povm,
 )
 from .dilation import (

@@ -208,10 +208,10 @@ def _cmd_max_violation(args: argparse.Namespace) -> int:
     triple = _hardy_inputs(scenario, args.tol)
     value, state = max_violation(triple)
     if args.json:
-        print(json.dumps({"value": value, "state": encode_vector(state.amplitudes)}))
+        print(json.dumps({"value": value, "state": encode_vector(state)}))
     else:
         print(f"max violation {_fmt(value)}")
-        print(f"state {_fmt_vector(state.amplitudes)}")
+        print(f"state {_fmt_vector(state)}")
     return 0
 
 

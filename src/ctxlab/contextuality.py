@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .hilbert import DEFAULT_TOL, Ket, Space, fix_phase, unit_vector
+from .hilbert import DEFAULT_TOL, amplitudes, fix_phase, unit_vector
 from .povm import DensityMatrix, Povm, require_context_weight
 
 
@@ -22,35 +22,37 @@ from .povm import DensityMatrix, Povm, require_context_weight
 class HardyTriple:
     """Labels f, d1, d2 into a POVM plus the derived unit directions.
 
-    basis1 and basis2 are the unique (up to phase) unit vectors completing the
-    two decompositions ``F = alpha * basis_k + beta * D_k``. On construction the
-    five directions must be kets of the POVM's system space, and the two basis
-    vectors orthogonal within ``tol`` for the triple to be admissible (``tol`` is
-    kept outside equality and ``repr``).
+    ``directions`` holds five rows: the unit directions f_hat, d1_hat and d2_hat of
+    the three outcomes, then basis1 and basis2, the unique (up to phase) unit
+    vectors completing the two decompositions ``F = alpha * basis_k + beta * D_k``.
+    On construction it must be a ``(5, system_dim)`` stack for the POVM, stored as a
+    read-only complex copy, and the two basis vectors orthogonal within ``tol`` for
+    the triple to be admissible (``tol`` is kept outside equality and ``repr``).
     """
 
     povm: Povm
     f: str
     d1: str
     d2: str
-    f_hat: Ket
-    d1_hat: Ket
-    d2_hat: Ket
-    basis1: Ket
-    basis2: Ket
+    directions: np.ndarray
     tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        space = Space.system(self.povm.system_dim)
-        for name in ("f_hat", "d1_hat", "d2_hat", "basis1", "basis2"):
-            if getattr(self, name).space != space:
-                raise SpaceMismatchError(f"{name} is not on the dim-{space.dim} system space")
-        overlap = abs(complex(np.vdot(self.basis1.amplitudes, self.basis2.amplitudes)))
+        dim = self.povm.system_dim
+        units = amplitudes(self.directions, (5, dim), f"for five directions of dim {dim}")
+        object.__setattr__(self, "directions", units)
+        overlap = abs(complex(np.vdot(units[3], units[4])))
         if overlap > self.tol:
             raise ValidationError(
                 f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
                 invariant="hardy-basis-orthogonality",
             )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.povm, self.f, self.d1, self.d2) == (other.povm, other.f, other.d1, other.d2)
+        return same and np.array_equal(self.directions, other.directions)
 
     @classmethod
     def from_povm(
@@ -69,30 +71,27 @@ class HardyTriple:
         for d in units[1:]:  # basis1 and basis2 follow f, d1 and d2
             rest = units[0] - d * complex(np.vdot(d, units[0]))
             units.append(fix_phase(unit_vector(rest, tol, parallel)))
-        space = Space.system(p.system_dim)
-        return cls(p, f, d1, d2, *(Ket(space, row) for row in units), tol=tol)
+        return cls(p, f, d1, d2, units, tol=tol)
 
 
-def hardy_state(d1: Ket, d2: Ket, tol: float = DEFAULT_TOL) -> Ket:
+def hardy_state(d1: np.ndarray, d2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The unique dim-3 unit state orthogonal to both D directions.
 
     Only three-dimensional inputs are accepted; the state is the null space of
     the two bras, with the canonical phase.
     """
-    if d1.space.dim != 3 or d2.space.dim != 3:
+    kets = amplitudes([d1, d2], (2, None), "for d1 and d2")
+    if kets.shape[1] != 3:
         raise ValidationError(
             "the paradox state is defined for dim-3 systems only", invariant="dimension"
         )
-    if d1.space != d2.space:
-        raise ValidationError("d1 and d2 must share a space", invariant="dimension")
-    rows = np.stack([d1.amplitudes.conj(), d2.amplitudes.conj()])
-    _, singulars, vh = np.linalg.svd(rows)
+    _, singulars, vh = np.linalg.svd(kets.conj())
     if singulars[1] <= tol:
         raise ValidationError(
             "d1 and d2 are parallel; the orthogonal state is not unique",
             invariant="independence",
         )
-    return Ket(d1.space, fix_phase(vh[-1].conj()))
+    return fix_phase(vh[-1].conj())
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class InequalityReport:
 
 
 def evaluate_inequality(
-    t: HardyTriple, state: Ket | DensityMatrix, tol: float = DEFAULT_TOL
+    t: HardyTriple, state: np.ndarray | DensityMatrix, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
     """Compare the rescaled F probability against the D1 + D2 sum at a state.
 
@@ -134,7 +133,7 @@ def evaluate_inequality(
     used = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state, tol)
     if used.dim != t.povm.system_dim:
         raise SpaceMismatchError(f"state dim {used.dim} != system dim {t.povm.system_dim}")
-    units = np.stack([ket.amplitudes for ket in (t.f_hat, t.d1_hat, t.d2_hat, t.basis1, t.basis2)])
+    units = t.directions
     rows = units[:3]  # f_hat, d1_hat, d2_hat
     lhs, d1, d2 = np.einsum("ki,ij,kj->k", rows.conj(), used.matrix, rows).real.tolist()
     c1, c2, r1, r2 = (np.abs(units[1:].conj() @ units[0]) ** 2).tolist()
@@ -142,7 +141,7 @@ def evaluate_inequality(
     return InequalityReport(lhs, rhs, lhs > rhs + tol, used, Certification(c1, c2, r1, r2))
 
 
-def max_violation(t: HardyTriple) -> tuple[float, Ket]:
+def max_violation(t: HardyTriple) -> tuple[float, np.ndarray]:
     """Largest achievable lhs - rhs gap and a pure state attaining it.
 
     The gap is linear in the state, so the optimum over all density matrices
@@ -150,16 +149,16 @@ def max_violation(t: HardyTriple) -> tuple[float, Ket]:
     built Hermitian up to the rounding of its products, of which ``eigh``
     reads one triangle.
     """
-    rows = np.stack([t.f_hat.amplitudes, t.d1_hat.amplitudes, t.d2_hat.amplitudes])
+    rows = t.directions[:3]  # f_hat, d1_hat, d2_hat
     projectors = rows[:, :, None] * rows.conj()[:, None, :]
     values, vectors = np.linalg.eigh(projectors[0] - projectors[1] - projectors[2])
-    return float(values[-1]), Ket(Space.system(t.povm.system_dim), fix_phase(vectors[:, -1]))
+    return float(values[-1]), fix_phase(vectors[:, -1])
 
 
 def hardy_embedding_povm(
-    f: Ket,
-    d1: Ket,
-    d2: Ket,
+    f: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
     scales: tuple[float, float, float] | None = None,
     labels: tuple[str, str, str] = ("F", "D1", "D2"),
     tol: float = DEFAULT_TOL,
@@ -173,7 +172,8 @@ def hardy_embedding_povm(
     """
     if scales is None:
         scales = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    units = np.stack([fix_phase(unit_vector(k.amplitudes, tol)) for k in (f, d1, d2)])
+    kets = amplitudes([f, d1, d2], (3, None), "for f, d1 and d2")
+    units = np.stack([fix_phase(unit_vector(k, tol)) for k in kets])
     dim = units.shape[1]
     scales = np.asarray(scales, dtype=float)
     if scales.shape != (3,):

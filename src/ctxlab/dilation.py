@@ -21,12 +21,10 @@ import numpy as np
 from .errors import SpaceMismatchError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
-    ENVIRONMENT,
     JOINT,
-    Ket,
     Operator,
     Space,
-    basis_ket,
+    amplitudes,
     fix_phase,
     gram,
     orthonormality_residual,
@@ -70,28 +68,33 @@ class JointOutcomeSet(LabelledStack):
         return orthonormality_residual(self.vectors)
 
 
-def require_normalised_phi_init(phi_init: Ket, tol: float) -> None:
-    if not phi_init.is_normalized(tol):
+def require_normalised_phi_init(phi_init: np.ndarray, tol: float) -> None:
+    if abs(float(np.vdot(phi_init, phi_init).real) - 1.0) > tol:
         raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
 
 
 @dataclass(frozen=True)
 class Dilation:
-    """A joint outcome set together with the environment's initial state."""
+    """A joint outcome set together with the environment's initial state, stored as a
+    read-only ``(env_dim,)`` complex copy. Equality compares ``phi_init`` by value."""
 
     outcomes: JointOutcomeSet
-    phi_init: Ket
+    phi_init: np.ndarray
     tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.phi_init.space.kind != ENVIRONMENT:
-            raise SpaceMismatchError("phi_init must be an environment ket")
-        if self.phi_init.space.dim != self.outcomes.space.env_dim:
+        phi = amplitudes(self.phi_init, (None,), "for phi_init")
+        if len(phi) != self.outcomes.space.env_dim:
             raise SpaceMismatchError(
-                f"phi_init dim {self.phi_init.space.dim} != environment factor "
-                f"{self.outcomes.space.env_dim}"
+                f"phi_init dim {len(phi)} != environment factor {self.outcomes.space.env_dim}"
             )
-        require_normalised_phi_init(self.phi_init, self.tol)
+        require_normalised_phi_init(phi, self.tol)
+        object.__setattr__(self, "phi_init", phi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.outcomes == other.outcomes and np.array_equal(self.phi_init, other.phi_init)
 
 
 def povm_from_dilation(d: Dilation) -> Povm:
@@ -107,14 +110,13 @@ def povm_from_dilation(d: Dilation) -> Povm:
 def _lambdas(d: Dilation) -> np.ndarray:
     """Rows lambda(m) = <phi_init|m>."""
     space = d.outcomes.space
-    phi = d.phi_init.amplitudes
-    return phi.conj() @ d.outcomes.vectors.reshape(-1, space.env_dim, space.sys_dim)
+    return d.phi_init.conj() @ d.outcomes.vectors.reshape(-1, space.env_dim, space.sys_dim)
 
 
 def _components(d: Dilation) -> tuple[np.ndarray, np.ndarray]:
     """Rows lambda(m) and sigma(m) = |m> - |phi_init> (x) |lambda(m)>."""
     lambdas = _lambdas(d)
-    phi = d.phi_init.amplitudes
+    phi = d.phi_init
     sigmas = d.outcomes.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(len(lambdas), -1)
     return lambdas, sigmas
 
@@ -184,13 +186,13 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
     outcomes = JointOutcomeSet(joint, p.labels(), flat, tol=tol)
-    return Dilation(outcomes, basis_ket(Space.environment(count), 0), tol=tol)
+    return Dilation(outcomes, np.eye(1, count)[0], tol=tol)
 
 
 def context_switch_povm(
-    contexts: Sequence[tuple[Ket, Operator]],
-    basis: Sequence[Ket],
-    phi_init: Ket,
+    contexts: Sequence[tuple[np.ndarray, Operator]],
+    basis: np.ndarray,
+    phi_init: np.ndarray,
     labels: Sequence[Sequence[str]] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> Povm:
@@ -199,11 +201,12 @@ def context_switch_povm(
     Parameters
     ----------
     contexts : pairs (environment ket, system unitary)
-        The environment kets must be mutually orthonormal; detecting context x
-        measures the system in the basis rotated by that context's unitary.
+        The environment kets, of phi_init's length, must be mutually orthonormal;
+        detecting context x measures the system in the basis rotated by that
+        context's unitary.
     basis : orthonormal complete system basis
-        The readout basis before rotation.
-    phi_init : Ket
+        The readout basis before rotation, a ``(dim, dim)`` stack of kets as rows.
+    phi_init : 1-D array
         Initial environment state; the element for (x, a) is
         ``<phi_init|x> U_x^dag |a>``.
     labels : optional per-(context, outcome) labels
@@ -214,21 +217,19 @@ def context_switch_povm(
     """
     if len(contexts) == 0:
         raise ValidationError("at least one context is required", invariant="nonempty")
-    env_kets = [env for env, _ in contexts]
-    for env in env_kets:
-        if env.space != phi_init.space or env.space.kind != ENVIRONMENT:
-            raise SpaceMismatchError("context states must share phi_init's environment space")
+    phi_init = amplitudes(phi_init, (None,), "for phi_init")
+    count, env_dim = len(contexts), len(phi_init)
+    what = f"for {count} context states of dim {env_dim}"
+    env_kets = amplitudes([env for env, _ in contexts], (count, env_dim), what)
     require_orthonormal(env_kets, tol, "context states are", "context-orthonormality")
     require_normalised_phi_init(phi_init, tol)
 
     if len(basis) == 0:
         raise ValidationError("readout basis has no kets", invariant="basis-completeness")
-    sys_dim = basis[0].space.dim
-    require_basis(basis, sys_dim, tol, "readout basis")
-
-    readout = np.stack([ket.amplitudes for ket in basis])[:, :, None]
+    sys_dim = len(basis[0])
+    readout = require_basis(basis, sys_dim, tol, "readout basis")[:, :, None]
     names, blocks = grid_labels(labels, len(contexts), sys_dim), []
-    for x, (env, unitary) in enumerate(contexts):
+    for x, (_, unitary) in enumerate(contexts):
         if unitary.space.dim != sys_dim:
             raise SpaceMismatchError(f"context {x} unitary does not act on the system")
         gap = float(
@@ -240,5 +241,6 @@ def context_switch_povm(
                 invariant="unitarity",
             )
         # Stacked matrix-vector products round each row as U^dag |a> alone does.
-        blocks.append(phi_init.inner(env) * (unitary.entries.conj().T @ readout)[:, :, 0])
+        overlap = complex(np.vdot(phi_init, env_kets[x]))
+        blocks.append(overlap * (unitary.entries.conj().T @ readout)[:, :, 0])
     return Povm.from_vectors(sys_dim, names, np.concatenate(blocks))

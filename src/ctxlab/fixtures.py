@@ -15,7 +15,7 @@ import numpy as np
 
 from .contextuality import hardy_embedding_povm
 from .errors import ScenarioFileError
-from .hilbert import Ket
+from .hilbert import DEFAULT_TOL, fix_phase, unit_vector
 from .interferometer import build_three_path, dilation_DA, dilation_VH, povm_DA
 from .dilation import povm_from_dilation
 from .scenario_io import Scenario, load_scenario, save_scenario, scenario_to_dict
@@ -31,17 +31,16 @@ def _fixture_scenario(name: str) -> Scenario:
         p = povm_from_dilation(d) if vh else povm_DA(s, merge_A=True)
         return Scenario(3, 2, d.outcomes, d.phi_init, p)
     if name == "hardy":
-        s = build_three_path()
-        space = s.system
-        basis1 = Ket(space, np.array([1.0, 0.0, 0.0]))
-        basis2 = Ket(space, np.array([0.0, 1.0, 0.0]))
-        d1 = Ket(space, s.f.amplitudes - basis1.amplitudes * basis1.inner(s.f))
-        d2 = Ket(space, s.f.amplitudes - basis2.amplitudes * basis2.inner(s.f))
-        d1, d2 = (d.normalized().with_canonical_phase() for d in (d1, d2))
-        p = hardy_embedding_povm(s.f, d1, d2)
+        f = build_three_path().f
+        # D_k is f less its component along the k-th basis ket, for basis1 = |1>, basis2 = |2>
+        d1, d2 = (
+            fix_phase(unit_vector(f - basis * complex(np.vdot(basis, f)), DEFAULT_TOL))
+            for basis in np.eye(3, dtype=complex)[:2]
+        )
+        p = hardy_embedding_povm(f, d1, d2)
         # hardy_state(d1, d2) up to last-ulp SVD noise; stored exactly so the
         # two D overlaps cancel to a clean zero in reports
-        paradox = Ket(space, np.ones(3) / np.sqrt(3.0))
+        paradox = np.ones(3) / np.sqrt(3.0)
         return Scenario(3, povm=p, states={"hardy": paradox}, hardy=("F", "D1", "D2"))
     raise ScenarioFileError(f"unknown fixture {name!r}; choose one of {FIXTURE_NAMES}")
 

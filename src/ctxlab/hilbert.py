@@ -1,14 +1,15 @@
-"""Labelled finite-dimensional Hilbert spaces: kets, operators, tensor products.
+"""Labelled finite-dimensional Hilbert spaces and operators; kets are complex arrays.
 
-Joint vectors are stored flat in environment-major order,
-``flat_index = env_index * sys_dim + sys_index``, so that the flat vector of
-``env (x) sys`` is ``numpy.kron(env, sys)``.
+A ket is a 1-D complex array of its space's length, and a set of kets a 2-D
+stack with one ket per row. Joint vectors are stored flat in environment-major
+order, ``flat_index = env_index * sys_dim + sys_index``, so that the flat vector
+of ``env (x) sys`` is ``numpy.kron(env, sys)``.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ JOINT = "joint"
 _KINDS = (SYSTEM, ENVIRONMENT, JOINT)
 
 DEFAULT_TOL = 1e-9
-Vectors = Sequence["Ket"] | np.ndarray  # kets on one space, or the rows of a stack
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ class Space:
     @classmethod
     def system(cls, dim: int) -> Space:
         return cls(SYSTEM, dim)
-
-    @classmethod
-    def environment(cls, dim: int) -> Space:
-        return cls(ENVIRONMENT, dim)
 
     @classmethod
     def joint(cls, env_dim: int, sys_dim: int) -> Space:
@@ -119,63 +115,24 @@ def require_finite(amplitudes: np.ndarray) -> None:
         raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
 
 
-@dataclass(frozen=True)
-class Ket:
-    """An immutable vector over a labelled space. Not necessarily normalised."""
+def amplitudes(values: object, shape: tuple[int | None, ...], what: str) -> np.ndarray:
+    """``values`` as a read-only complex copy of ``shape``: ``(dim,)`` for a ket, ``(count,
+    dim)`` for a stack of kets as rows, None for a length the caller checks itself.
 
-    space: Space
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != self.space.dim:
-            raise SpaceMismatchError(
-                f"{amps.shape[0]} amplitudes for a dim-{self.space.dim} space"
-            )
-        require_finite(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.amplitudes, other.amplitudes)
-
-    def inner(self, other: Ket) -> complex:
-        """<self|other>, conjugate-linear in self."""
-        if self.space != other.space:
-            raise SpaceMismatchError("inner product needs kets on the same space")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def normalized(self, tol: float = DEFAULT_TOL) -> Ket:
-        return Ket(self.space, unit_vector(self.amplitudes, tol))
-
-    def with_canonical_phase(self) -> Ket:
-        return Ket(self.space, fix_phase(self.amplitudes))
-
-    def projector(self) -> np.ndarray:
-        """|v><v| as a dense matrix."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-def basis_ket(space: Space, index: int) -> Ket:
-    """The index-th canonical basis vector of a space."""
-    if not 0 <= index < space.dim:
-        raise ValidationError(
-            f"basis index {index} outside dim-{space.dim} space", invariant="basis-index"
-        )
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[index] = 1.0
-    return Ket(space, amps)
+    The one conversion of the kets a public function takes. Raises SpaceMismatchError,
+    its message ended by ``what``, for values that are not one complex array (rows of
+    unequal lengths, a string entry) or of another shape, then ``finite-amplitudes``.
+    """
+    items, form = ("rows", "stack") if len(shape) == 2 else ("amplitudes", "ket")
+    try:
+        array = np.array(values, dtype=complex)
+    except (TypeError, ValueError) as exc:  # rows of unequal lengths or a string entry
+        raise SpaceMismatchError(f"{items} that are not one complex {form} {what}") from exc
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise SpaceMismatchError(f"a {form} of shape {array.shape} {what}")
+    require_finite(array)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -212,35 +169,21 @@ class Operator:
         return complex(np.trace(self.entries))
 
 
-def tensor(env: Ket, sys: Ket) -> Ket:
-    """Tensor product of an environment ket with a system ket (env-major flat order)."""
-    if env.space.kind != ENVIRONMENT or sys.space.kind != SYSTEM:
-        raise SpaceMismatchError(
-            f"tensor expects (environment, system) kets, got ({env.space.kind}, {sys.space.kind})"
-        )
-    joint = Space.joint(env.space.dim, sys.space.dim)
-    return Ket(joint, np.kron(env.amplitudes, sys.amplitudes))
-
-
-def gram(vectors: Vectors) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = <v_i|v_j> of same-space kets or of a stack's rows."""
+def gram(vectors: np.ndarray) -> np.ndarray:
+    """Hermitian Gram matrix G[i, j] = <v_i|v_j> of a stack's rows."""
     if len(vectors) == 0:
         raise ValidationError("gram of an empty vector list", invariant="nonempty")
-    if not isinstance(vectors, np.ndarray):
-        if any(v.space != vectors[0].space for v in vectors[1:]):
-            raise SpaceMismatchError("gram needs vectors on one common space")
-        vectors = np.stack([v.amplitudes for v in vectors])
     return vectors.conj() @ vectors.T
 
 
 @finite("the orthonormality residual is")
-def orthonormality_residual(vectors: Vectors) -> float:
+def orthonormality_residual(vectors: np.ndarray) -> float:
     """Max-entry residual of gram(vectors) - identity."""
     return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
 
 
-def require_orthonormal(vectors: Vectors, tol: float, what: str, invariant: str) -> None:
-    """Raise ``invariant`` unless the vectors are orthonormal within tol.
+def require_orthonormal(vectors: np.ndarray, tol: float, what: str, invariant: str) -> None:
+    """Raise ``invariant`` unless the rows of a stack are orthonormal within tol.
 
     ``what`` starts the message, e.g. ``"readout basis is"``. A residual that
     is not finite raises FloatingPointError instead.
@@ -252,13 +195,16 @@ def require_orthonormal(vectors: Vectors, tol: float, what: str, invariant: str)
         )
 
 
-def require_basis(basis: Sequence[Ket], dim: int, tol: float, name: str) -> None:
-    """Raise unless ``basis`` holds exactly ``dim`` orthonormal kets."""
+def require_basis(basis: np.ndarray, dim: int, tol: float, name: str) -> np.ndarray:
+    """``basis`` as an ``(dim, dim)`` stack, raising unless it holds exactly ``dim``
+    orthonormal kets of dimension ``dim``."""
     if len(basis) != dim:
         raise ValidationError(
             f"{name} has {len(basis)} kets for dim {dim}", invariant="basis-completeness"
         )
-    require_orthonormal(basis, tol, f"{name} is", "basis-orthonormality")
+    stack = amplitudes(basis, (dim, dim), f"for {name} of dim {dim}")
+    require_orthonormal(stack, tol, f"{name} is", "basis-orthonormality")
+    return stack
 
 
 def require_hermitian(op: Operator, tol: float, what: str) -> Operator:

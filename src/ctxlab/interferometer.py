@@ -16,28 +16,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import DEFAULT_TOL, Ket, Space, basis_ket
+from .hilbert import DEFAULT_TOL, Space, amplitudes
 from .povm import Povm, coarse_grain
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 
 _PATH_NAMES = ("1", "2", "3", "S1", "S2", "F")
+_SHAPES = dict(paths=(3, 3), s1=(3,), s2=(3,), f=(3,), h=(2,), v=(2,), d=(2,), a=(2,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreePathScenario:
-    """Fixed states of the three-path layout, parameterised by plate placement."""
+    """Fixed states of the three-path layout, parameterised by plate placement.
 
-    system: Space
-    environment: Space
-    paths: tuple[Ket, Ket, Ket]
-    s1: Ket
-    s2: Ket
-    f: Ket
-    h: Ket
-    v: Ket
-    d: Ket
-    a: Ket
+    ``paths`` stacks the path basis kets as rows; s1, s2 and f are path states, h, v, d
+    and a polarisation states. Each is stored as a read-only complex copy.
+    """
+
+    paths: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    f: np.ndarray
+    h: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
     hwp_path: str = "F"
+
+    def __post_init__(self) -> None:
+        for name, shape in _SHAPES.items():
+            object.__setattr__(self, name, amplitudes(getattr(self, name), shape, f"for {name}"))
 
 
 def build_three_path(hwp_path: str = "F") -> ThreePathScenario:
@@ -47,47 +54,41 @@ def build_three_path(hwp_path: str = "F") -> ThreePathScenario:
             f"unknown plate position {hwp_path!r}; choose one of {_PATH_NAMES}",
             invariant="hwp-path",
         )
-    system = Space.system(3)
-    environment = Space.environment(2)
-    p1, p2, p3 = (basis_ket(system, i) for i in range(3))
+    paths, (h, v) = np.eye(3, dtype=complex), np.eye(2, dtype=complex)
     inv2 = 1.0 / np.sqrt(2.0)
-    scenario = ThreePathScenario(
-        system=system,
-        environment=environment,
-        paths=(p1, p2, p3),
-        s1=Ket(system, (p2.amplitudes + p3.amplitudes) * complex(inv2)),
-        s2=Ket(system, (p1.amplitudes + p3.amplitudes) * complex(inv2)),
-        f=Ket(system, np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)),
-        h=basis_ket(environment, 0),
-        v=basis_ket(environment, 1),
-        d=Ket(environment, np.array([1.0, 1.0]) * inv2),
-        a=Ket(environment, np.array([1.0, -1.0]) * inv2),
+    return ThreePathScenario(
+        paths=paths,
+        s1=(paths[1] + paths[2]) * complex(inv2),
+        s2=(paths[0] + paths[2]) * complex(inv2),
+        f=np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0),
+        h=h,
+        v=v,
+        d=np.array([1.0, 1.0]) * inv2,
+        a=np.array([1.0, -1.0]) * inv2,
         hwp_path=hwp_path,
     )
-    return scenario
 
 
-def _plate_ket(s: ThreePathScenario) -> Ket:
+def _plate_ket(s: ThreePathScenario) -> np.ndarray:
     named = {"1": s.paths[0], "2": s.paths[1], "3": s.paths[2], "S1": s.s1, "S2": s.s2, "F": s.f}
     return named[s.hwp_path]
 
 
-def _reflect(w: Ket, psi: Ket) -> np.ndarray:
-    """The amplitudes of psi - 2 <w|psi> w."""
-    return psi.amplitudes - w.amplitudes * (2.0 * w.inner(psi))
+def _reflect(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """psi - 2 <w|psi> w."""
+    return psi - w * (2.0 * complex(np.vdot(w, psi)))
 
 
-def hwp_transform(s: ThreePathScenario, psi: Ket) -> Ket:
+def hwp_transform(s: ThreePathScenario, psi: np.ndarray) -> np.ndarray:
     """Reflect a path state about the plate's path: psi - 2 <w|psi> w."""
-    return Ket(psi.space, _reflect(_plate_ket(s), psi))
+    return _reflect(_plate_ket(s), amplitudes(psi, (3,), "for a path state"))
 
 
 def _readout_rows(s: ThreePathScenario) -> tuple[np.ndarray, np.ndarray]:
     """The (3, 6) stacks |V> (x) |i> and |H> (x) u_H,i, u_H,i the plate-reflected path i."""
     w = _plate_ket(s)
-    paths = np.array([p.amplitudes for p in s.paths])
     reflected = np.array([_reflect(w, p) for p in s.paths])
-    return np.kron(s.v.amplitudes, paths), np.kron(s.h.amplitudes, reflected)
+    return np.kron(s.v, s.paths), np.kron(s.h, reflected)
 
 
 def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
@@ -114,14 +115,14 @@ def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
 
 
 def dilation_VH(
-    s: ThreePathScenario, phi_init: Ket | None = None, tol: float = DEFAULT_TOL
+    s: ThreePathScenario, phi_init: np.ndarray | None = None, tol: float = DEFAULT_TOL
 ) -> Dilation:
     """H/V-readout dilation; the photon enters diagonally polarised by default."""
     return Dilation(joint_outcomes_VH(s, tol), s.d if phi_init is None else phi_init, tol=tol)
 
 
 def dilation_DA(
-    s: ThreePathScenario, phi_init: Ket | None = None, tol: float = DEFAULT_TOL
+    s: ThreePathScenario, phi_init: np.ndarray | None = None, tol: float = DEFAULT_TOL
 ) -> Dilation:
     """D/A-readout dilation; the photon enters diagonally polarised by default."""
     return Dilation(joint_outcomes_DA(s, tol), s.d if phi_init is None else phi_init, tol=tol)

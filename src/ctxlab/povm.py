@@ -19,13 +19,12 @@ from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
     SYSTEM,
-    Ket,
     Operator,
     Space,
+    amplitudes,
     finite,
     fix_phase,
     require_basis,
-    require_finite,
     require_hermitian,
     unit_vector,
 )
@@ -47,33 +46,26 @@ class LabelledStack:
     _compared: tuple[str, ...]
     _nonempty: str
 
+    @classmethod
+    def _rows(cls, labels: Sequence[str], vectors: np.ndarray, dim: int) -> np.ndarray:
+        """``vectors`` as the read-only ``(len(labels), dim)`` stack ``amplitudes`` makes,
+        raising ``nonempty`` for no labels first."""
+        if not labels:
+            raise ValidationError(cls._nonempty, invariant="nonempty")
+        return amplitudes(vectors, (len(labels), dim), f"for {len(labels)} labels of dim {dim}")
+
     def _store(
         self, labels: Sequence[str], vectors: np.ndarray, dim: int, **fields: object
     ) -> None:
-        """Check the labels, the ``(len(labels), dim)`` shape of ``vectors`` and the
-        amplitudes' finiteness, then set the fields. The stack is a read-only complex
-        copy, so no later write to the caller's array reaches it.
+        """Check that the labels are unique, then take ``vectors`` through ``_rows`` and set
+        the fields. The stack is a copy, so no later write to the caller's array reaches it.
 
         Looking up an absent label in ``_index`` raises UnknownLabelError.
         """
-        if not labels:
-            raise ValidationError(self._nonempty, invariant="nonempty")
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
         if len(index) != len(labels):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
-        try:
-            vectors = np.array(vectors, dtype=complex)
-        except ValueError as exc:  # rows of unequal lengths or a string entry
-            raise SpaceMismatchError(
-                f"rows that are not one complex stack for {len(labels)} labels of dim {dim}"
-            ) from exc
-        if vectors.shape != (len(labels), dim):
-            raise SpaceMismatchError(
-                f"a stack of shape {vectors.shape} for {len(labels)} labels of dim {dim}"
-            )
-        require_finite(vectors)
-        vectors.setflags(write=False)
-        self.__dict__.update(fields, vectors=vectors, _index=index)
+        self.__dict__.update(fields, vectors=self._rows(labels, vectors, dim), _index=index)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self._index)
@@ -150,9 +142,10 @@ class Povm(LabelledStack):
 
     @classmethod
     def from_vectors(cls, system_dim: int, labels: Sequence[str], stack: np.ndarray) -> Povm:
-        """A rank-1 POVM over ``stack``, each row rotated to the canonical global phase."""
-        require_finite(stack)  # before fix_phase, whose pivot division warns on inf and nan
-        return cls(system_dim, labels, fix_phase(stack))
+        """A rank-1 POVM over ``stack``, each row rotated to the canonical global phase.
+        The stack is checked as the constructor checks it before ``fix_phase``, whose
+        pivot division warns on inf and nan."""
+        return cls(system_dim, labels, fix_phase(cls._rows(labels, stack, system_dim)))
 
     @property
     def operators(self) -> Mapping[int, Operator]:
@@ -189,12 +182,14 @@ class DensityMatrix:
             raise ValidationError(f"trace {tr!r} != 1", invariant="unit-trace")
 
     @classmethod
-    def from_ket(cls, psi: Ket, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        if not psi.is_normalized(tol):
+    def from_ket(cls, psi: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
+        """|psi><psi| of a unit ket, a 1-D array of any length."""
+        psi = amplitudes(psi, (None,), "for a pure state")
+        if abs(float(np.vdot(psi, psi).real) - 1.0) > tol:
             raise ValidationError(
                 "pure states must be normalised", invariant="state-normalisation"
             )
-        return cls(Operator(psi.space, psi.projector()), tol)
+        return cls(Operator(Space.system(len(psi)), np.outer(psi, psi.conj())), tol)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> DensityMatrix:
@@ -262,11 +257,11 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
 
 
 def probability(
-    p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
+    p: Povm, state: np.ndarray | DensityMatrix, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator)."""
     k = p._index[label]
-    if isinstance(state, Ket):
+    if not isinstance(state, DensityMatrix):
         state = DensityMatrix.from_ket(state, tol)
     if state.dim != p.system_dim:
         raise SpaceMismatchError(f"state dim {state.dim} != system dim {p.system_dim}")
@@ -311,35 +306,27 @@ def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMa
                 f"element {label!r} is not rank one", invariant="rank-one"
             )
         row = fix_phase(vectors[:, -1])
-    unit = Ket(Space.system(p.system_dim), unit_vector(row, tol))
-    return DensityMatrix.from_ket(unit, tol)
+    return DensityMatrix.from_ket(unit_vector(row, tol), tol)
 
 
 def rescaled_probability(
-    p: Povm, state: Ket | DensityMatrix, label: str, tol: float = DEFAULT_TOL
+    p: Povm, state: np.ndarray | DensityMatrix, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability divided by its context-selection probability."""
     weight = require_context_weight(p, label, tol)
     return probability(p, state, label, tol) / weight
 
 
-@dataclass(frozen=True)
-class ContextRelation:
-    """Result of a pairwise context test with the tested magnitude as witness."""
-
-    shared: bool
-    witness: float
-    test: str
-    proportional: bool = False
-
-
 def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Witness, shared and proportional matrices of the rule in ``share_context``.
+    """Witness, shared and proportional matrices of the pairs at ``positions``, which
+    must name nonzero elements.
 
-    Rows and columns follow ``positions``, which must name nonzero elements.
-    All rank-1 pairs come from one Gram matrix of the unit rows,
-    |G_ij| / sqrt(w_i w_j); the pairs involving an operator element take the
-    commutators of support projectors from one ``eigh`` of the element stack.
+    Two rank-1 elements share a context iff their normalised inner-product
+    magnitude, the witness, is 0 (orthogonal) or 1 (proportional, flagged)
+    within tol: all such pairs come from one Gram matrix of the unit rows,
+    |G_ij| / sqrt(w_i w_j). A pair involving an operator element shares one iff
+    the support projectors commute; the witness is the spectral norm of the
+    commutator, from one ``eigh`` of the element stack.
     """
     is_vector = p._is_vector[positions]
     both_vectors = np.outer(is_vector, is_vector)
@@ -357,26 +344,6 @@ def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.n
         witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
     proportional = both_vectors & (witness >= 1.0 - tol)
     return witness, (witness <= tol) | proportional, proportional
-
-
-def share_context(p: Povm, label1: str, label2: str, tol: float = DEFAULT_TOL) -> ContextRelation:
-    """Whether two outcomes can belong to one measurement context.
-
-    Rank-1 pairs share a context iff their normalised inner-product magnitude
-    is 0 (orthogonal) or 1 (proportional, flagged) within tol. Pairs involving
-    operator elements share a context iff their support projectors commute;
-    the witness is then the spectral norm of the commutator.
-    """
-    positions = np.array([p._index[label1], p._index[label2]])
-    for label in (label1, label2):
-        require_context_weight(p, label, tol)
-    witness, shared, proportional = _context_relations(p, positions, tol)
-    return ContextRelation(
-        shared=bool(shared[0, 1]),
-        witness=float(witness[0, 1]),
-        test="inner-product" if p._is_vector[positions].all() else "commutator",
-        proportional=bool(proportional[0, 1]),
-    )
 
 
 @dataclass(frozen=True)
@@ -404,7 +371,12 @@ class ContextGraph:
 
 
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
-    """Pairwise context-sharing structure; zero-weight outcomes are skipped."""
+    """Pairwise context-sharing structure; zero-weight outcomes are skipped.
+
+    Rank-1 outcomes share a context iff their directions are orthogonal or
+    proportional within tol, and outcomes involving an operator element iff
+    their support projectors commute (``_context_relations``).
+    """
     labels = p.labels()
     weights = _selection_weights(p, np.arange(len(p)))
     live = np.flatnonzero(weights > tol)
@@ -455,7 +427,7 @@ def coarse_grain(
 
 
 def basis_mixture_povm(
-    bases: Sequence[Sequence[Ket]],
+    bases: Sequence[np.ndarray],
     weights: Sequence[float],
     labels: Sequence[Sequence[str]] | None = None,
     tol: float = DEFAULT_TOL,
@@ -465,7 +437,7 @@ def basis_mixture_povm(
     Parameters
     ----------
     bases : sequence of orthonormal complete system bases
-        Each inner sequence must hold ``dim`` mutually orthonormal kets.
+        Each a ``(dim, dim)`` stack of mutually orthonormal kets as rows.
     weights : probability vector
         P(basis), nonnegative and summing to one within tol.
     labels : optional per-(basis, outcome) labels
@@ -488,12 +460,12 @@ def basis_mixture_povm(
     if len(bases[0]) == 0:
         raise ValidationError("basis 0 has no kets", invariant="basis-completeness")
 
-    dim = bases[0][0].space.dim
+    dim = len(bases[0][0])
     names, blocks = grid_labels(labels, len(bases), dim), []
     for x, basis in enumerate(bases):
-        require_basis(basis, dim, tol, f"basis {x}")
+        rows = require_basis(basis, dim, tol, f"basis {x}")
         scale = np.sqrt(max(float(w[x]), 0.0))
-        blocks.append(np.stack([ket.amplitudes for ket in basis]) * scale)
+        blocks.append(rows * scale)
     return Povm.from_vectors(dim, names, np.concatenate(blocks))
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
-from .hilbert import DEFAULT_TOL, Ket, Operator, Space, require_finite, require_hermitian
+from .hilbert import DEFAULT_TOL, Operator, Space, amplitudes, require_finite, require_hermitian
 from .povm import DensityMatrix, Povm
 
 SCHEMA_VERSION = 1
@@ -118,14 +118,18 @@ def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed contents of one scenario file."""
+    """Parsed contents of one scenario file.
+
+    ``phi_init`` and each pure state are stored as read-only complex copies, of the
+    environment and the system dimension, and compare by value.
+    """
 
     system_dim: int
     env_dim: int | None = None
     outcomes: JointOutcomeSet | None = None
-    phi_init: Ket | None = None
+    phi_init: np.ndarray | None = None
     povm: Povm | None = None
-    states: dict[str, Ket | DensityMatrix] = field(default_factory=dict)
+    states: dict[str, np.ndarray | DensityMatrix] = field(default_factory=dict)
     hardy: tuple[str, str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -138,8 +142,10 @@ class Scenario:
             joint_dim = self.env_dim * self.system_dim
             if self.outcomes.space.dim != joint_dim:
                 raise _wrong_length(f"outcome {self.outcomes.labels()[0]!r}", joint_dim)
-            if self.phi_init.space.dim != self.env_dim:
+            phi_init = amplitudes(self.phi_init, (None,), "for phi_init")
+            if len(phi_init) != self.env_dim:
                 raise _wrong_length("phi_init", self.env_dim)
+            object.__setattr__(self, "phi_init", phi_init)
             space = self.outcomes.space
             if (space.env_dim, space.sys_dim) != (self.env_dim, self.system_dim):
                 raise ScenarioFileError(  # the file would read them back on other factors
@@ -149,10 +155,28 @@ class Scenario:
         if self.povm is not None and self.povm.system_dim != self.system_dim:
             first = f"povm {self.povm.labels()[0]!r}"
             raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
+        states = {}
         for label, state in self.states.items():
-            ket = isinstance(state, Ket)
-            if (state.space.dim if ket else state.dim) != self.system_dim:
+            ket = not isinstance(state, DensityMatrix)
+            if ket:
+                state = amplitudes(state, (None,), f"for state {label!r}")
+            if (len(state) if ket else state.dim) != self.system_dim:
                 raise _wrong_length(f"state {label!r}", self.system_dim, matrix=not ket)
+            states[label] = state
+        object.__setattr__(self, "states", states)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        plain = ("system_dim", "env_dim", "outcomes", "povm", "hardy")
+        if any(getattr(self, name) != getattr(other, name) for name in plain):
+            return False
+        pairs = [(self.phi_init, other.phi_init)]
+        pairs += [(x, other.states.get(label)) for label, x in self.states.items()]
+        return self.states.keys() == other.states.keys() and all(
+            np.array_equal(x, y) if np.ndarray in (type(x), type(y)) else x == y
+            for x, y in pairs
+        )
 
     def dilation(self, tol: float = DEFAULT_TOL) -> Dilation:
         if self.outcomes is None:
@@ -235,9 +259,8 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         joint = Space.joint(env_dim, system_dim)
         labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint.dim, "outcome")
         outcomes = JointOutcomeSet(joint, labels, vectors, tol=tol)
-        phi_init = Ket(
-            Space.environment(env_dim), decode_vector(raw["phi_init"], env_dim, "phi_init")
-        )
+        phi_init = decode_vector(raw["phi_init"], env_dim, "phi_init")
+        require_finite(phi_init)
     elif "env_dim" in raw:
         env_dim = _positive_int(raw, "env_dim")
 
@@ -250,15 +273,15 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         )
         povm = Povm(system_dim, labels, vectors, operators, tol)
 
-    states: dict[str, Ket | DensityMatrix] = {}
+    states: dict[str, np.ndarray | DensityMatrix] = {}
     if "states" in raw:
         labels, vectors, matrices = _section(
             raw["states"], "states", system_dim, "state", noun="state",
             matrix=lambda _, op: DensityMatrix(op, tol),
         )
-        space = Space.system(system_dim)
+        require_finite(vectors)  # the pure states; a mixed state's row is zero
         for k, (label, row) in enumerate(zip(labels, vectors)):
-            states[label] = matrices[k] if k in matrices else Ket(space, row)
+            states[label] = matrices.get(k, row)
 
     hardy = None
     if "hardy" in raw:
@@ -344,14 +367,14 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
     if s.outcomes is not None:
         fields["outcomes"] = _section_text(s.outcomes.labels(), s.outcomes.vectors, {})
     if s.phi_init is not None:
-        fields["phi_init"] = _vectors(s.phi_init.amplitudes[None], "  ")
+        fields["phi_init"] = _vectors(s.phi_init[None], "  ")
     if s.povm is not None:
         operators = {k: op.entries for k, op in s.povm.operators.items()}
         fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, operators)
     if s.states:
         states = tuple(s.states.values())
-        matrices = {k: x.matrix for k, x in enumerate(states) if not isinstance(x, Ket)}
-        rows = [np.zeros(x.dim) if k in matrices else x.amplitudes for k, x in enumerate(states)]
+        matrices = {k: x.matrix for k, x in enumerate(states) if isinstance(x, DensityMatrix)}
+        rows = [np.zeros(x.dim) if k in matrices else x for k, x in enumerate(states)]
         fields["states"] = _section_text(s.states, rows, matrices)
     if s.hardy is not None:
         hardy = json.dumps(dict(zip(("f", "d1", "d2"), s.hardy)), indent=2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ctxlab import JointOutcomeSet, Ket, Povm, Space
+from ctxlab import JointOutcomeSet, Povm
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -15,9 +15,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases
 
 
-def random_pure_state(rng: np.random.Generator, dim: int) -> Ket:
+def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(Space.system(dim), z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def random_rank1_povm(rng: np.random.Generator, dim: int, count: int) -> Povm:
@@ -27,14 +27,24 @@ def random_rank1_povm(rng: np.random.Generator, dim: int, count: int) -> Povm:
     return Povm.from_vectors(dim, [f"m{m}" for m in range(count)], columns.conj())
 
 
-def element_ket(p: Povm, label: str) -> Ket:
-    """The row of the rank-1 element ``label`` as a system ``Ket``."""
-    return Ket(Space.system(p.system_dim), p.vectors[p.labels().index(label)])
+def element_row(p: Povm, label: str) -> np.ndarray:
+    """The row of the rank-1 element ``label``."""
+    return p.vectors[p.labels().index(label)]
 
 
-def outcome_ket(s: JointOutcomeSet, label: str) -> Ket:
-    """The row of the outcome ``label`` as a joint ``Ket``."""
-    return Ket(s.space, s.vectors[s.labels().index(label)])
+def outcome_row(s: JointOutcomeSet, label: str) -> np.ndarray:
+    """The row of the outcome ``label``."""
+    return s.vectors[s.labels().index(label)]
+
+
+def norm_sq(ket: np.ndarray) -> float:
+    """<v|v>."""
+    return float(np.vdot(ket, ket).real)
+
+
+def unit(ket: np.ndarray) -> np.ndarray:
+    """v / ||v||."""
+    return ket / np.linalg.norm(ket)
 
 
 def phase_aligned_max_err(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -11,8 +11,6 @@ import pytest
 
 from ctxlab import (
     HardyTriple,
-    Ket,
-    Space,
     basis_mixture_povm,
     build_three_path,
     completeness_check,
@@ -32,7 +30,6 @@ from ctxlab import (
     probability,
     rescaled_probability,
     residual_decompose,
-    tensor,
     verify_constraints,
 )
 from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm
@@ -74,7 +71,7 @@ def triple(hardy_fixture):
 
 @pytest.fixture(scope="module")
 def paradox_state():
-    return Ket(Space.system(3), np.ones(3) / SQ3)
+    return np.ones(3) / SQ3
 
 
 def test_criterion_01(merged):
@@ -125,8 +122,8 @@ def test_criterion_04(hardy_fixture, triple):
     p = hardy_fixture.resolve_povm()
     c1 = rescaled_probability(p, maximizing_state(p, "D1"), "F")
     c2 = rescaled_probability(p, maximizing_state(p, "D2"), "F")
-    r1 = rescaled_probability(p, triple.basis1, "F")
-    r2 = rescaled_probability(p, triple.basis2, "F")
+    r1 = rescaled_probability(p, triple.directions[3], "F")  # basis1
+    r2 = rescaled_probability(p, triple.directions[4], "F")  # basis2
     worst = max(
         abs(c1 - 2.0 / 3.0), abs(c2 - 2.0 / 3.0), abs(r1 - 1.0 / 3.0), abs(r2 - 1.0 / 3.0)
     )
@@ -142,14 +139,14 @@ def test_criterion_05(scenario):
     d = dilation_DA(scenario)
     report = verify_constraints(d)
     residuals = residual_decompose(d)
-    a_f = tensor(scenario.a, scenario.f)
+    a_f = np.kron(scenario.a, scenario.f)
     worst_norm = max(
-        abs(Ket(residuals.space, residuals.vectors[k]).norm_sq() - 1.0 / 3.0)
-        for k in (residuals.labels().index(f"D{i}") for i in (1, 2, 3))
+        abs(float(np.vdot(sigma, sigma).real) - 1.0 / 3.0)
+        for sigma in (residuals.vectors[residuals.labels().index(f"D{i}")] for i in (1, 2, 3))
     )
     worst_overlap = max(
-        abs(abs(a_f.inner(Ket(residuals.space, residuals.vectors[k]).normalized())) - 1.0)
-        for k in (residuals.labels().index(f"D{i}") for i in (1, 2, 3))
+        abs(abs(complex(np.vdot(a_f, sigma / np.linalg.norm(sigma)))) - 1.0)
+        for sigma in (residuals.vectors[residuals.labels().index(f"D{i}")] for i in (1, 2, 3))
     )
     ok = (
         report.max_orthogonality_residual <= 1e-9
@@ -234,7 +231,7 @@ def test_criterion_08(merged):
 def test_criterion_09(scenario):
     reference = povm_from_dilation(dilation_VH(scenario))
     mix = basis_mixture_povm(
-        [list(scenario.paths), [hwp_transform(scenario, p) for p in scenario.paths]],
+        [scenario.paths, [hwp_transform(scenario, p) for p in scenario.paths]],
         [0.5, 0.5],
         labels=[["V1", "V2", "V3"], ["H1", "H2", "H3"]],
     )
@@ -256,8 +253,10 @@ def test_criterion_09(scenario):
 
 def test_criterion_10(hardy_fixture, triple, paradox_state):
     value, best = max_violation(triple)
+    f_hat, d1_hat, d2_hat = triple.directions[:3]
     matrix = (
-        triple.f_hat.projector() - triple.d1_hat.projector() - triple.d2_hat.projector()
+        np.outer(f_hat, f_hat.conj()) - np.outer(d1_hat, d1_hat.conj())
+        - np.outer(d2_hat, d2_hat.conj())
     )
     oracle_top = hermitian3_eigvals(matrix)[-1]
     report = evaluate_inequality(triple, paradox_state)

@@ -16,10 +16,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _assert_benchmark_is_correct(workload: str, tmp_path: Path) -> None:
+def _assert_benchmark_is_correct(workload: str, tmp_path: Path, trace: int = 0) -> dict:
+    """The result line of a 1 s run, after checking that it passed."""
     for part in ("bench", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
-    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)]
     result = subprocess.run(
         [sys.executable, str(tmp_path / "bench" / "run.py"), *argv],
         cwd=tmp_path,
@@ -32,6 +33,7 @@ def _assert_benchmark_is_correct(workload: str, tmp_path: Path) -> None:
     assert summary["correct"] is True
     assert summary["failed"] == 0
     assert summary["attempted"] > 0
+    return summary
 
 
 def test_paper_fixtures_benchmark_is_correct(tmp_path):
@@ -46,3 +48,11 @@ def test_grown_context_benchmark_is_correct(tmp_path):
 def test_dilation_roundtrip_benchmark_is_correct(tmp_path):
     """Every file `dilate` writes is checked against a plain-numpy round trip."""
     _assert_benchmark_is_correct("dilation-roundtrip", tmp_path)
+
+
+def test_traced_paper_fixtures_benchmark_reports_every_layer(tmp_path):
+    """The traced half of a run stays correct and reports each per-layer metric."""
+    summary = _assert_benchmark_is_correct("paper-fixtures", tmp_path, trace=1)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    missing = [m["name"] for m in declared["per_layer"] if m["name"] not in summary["metrics"]]
+    assert missing == []

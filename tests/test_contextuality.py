@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,11 @@ from hypothesis import strategies as st
 from ctxlab import (
     DensityMatrix,
     HardyTriple,
-    Ket,
     Operator,
     Povm,
     Space,
     SpaceMismatchError,
     ValidationError,
-    basis_ket,
     completeness_check,
     context_selection_probability,
     evaluate_inequality,
@@ -28,7 +27,7 @@ from ctxlab import (
     probability,
     rescaled_probability,
 )
-from helpers import element_ket, random_pure_state, random_unitary
+from helpers import element_row, norm_sq, random_pure_state, random_unitary, unit
 from oracles import hardy_numbers, hermitian3_eigvals
 
 SQ2 = np.sqrt(2.0)
@@ -44,10 +43,9 @@ def _space():
 
 
 def _directions():
-    space = _space()
-    f = Ket(space, np.array([1.0, 1.0, -1.0]) / SQ3)
-    d1 = Ket(space, np.array([0.0, 1.0, -1.0]) / SQ2)
-    d2 = Ket(space, np.array([1.0, 0.0, -1.0]) / SQ2)
+    f = np.array([1.0, 1.0, -1.0]) / SQ3
+    d1 = np.array([0.0, 1.0, -1.0]) / SQ2
+    d2 = np.array([1.0, 0.0, -1.0]) / SQ2
     return f, d1, d2
 
 
@@ -63,29 +61,27 @@ def triple(embedding):
 
 
 def test_triple_derives_the_path_basis(triple):
-    np.testing.assert_allclose(triple.basis1.amplitudes, [1.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(triple.basis2.amplitudes, [0.0, 1.0, 0.0], atol=1e-12)
-    f, d1, d2 = _directions()
-    for derived, given in ((triple.f_hat, f), (triple.d1_hat, d1), (triple.d2_hat, d2)):
-        assert np.abs(derived.amplitudes - given.amplitudes).max() <= 1e-12
+    np.testing.assert_allclose(triple.directions[3], [1.0, 0.0, 0.0], atol=1e-12)  # basis1
+    np.testing.assert_allclose(triple.directions[4], [0.0, 1.0, 0.0], atol=1e-12)  # basis2
+    for derived, given in zip(triple.directions[:3], _directions()):
+        assert np.abs(derived - given).max() <= 1e-12
 
 
 def test_decomposition_coefficients(triple):
     # F = alpha_k basis_k + beta_k D_k with alpha_k = 1/sqrt3 and beta_k = sqrt(2/3)
-    f = triple.f_hat
-    for basis, d in ((triple.basis1, triple.d1_hat), (triple.basis2, triple.d2_hat)):
-        alpha, beta = basis.inner(f), d.inner(f)
+    f, d1, d2, basis1, basis2 = triple.directions
+    for basis, d in ((basis1, d1), (basis2, d2)):
+        alpha, beta = complex(np.vdot(basis, f)), complex(np.vdot(d, f))
         assert abs(alpha - 1.0 / SQ3) <= 1e-12
         assert abs(beta - np.sqrt(2.0 / 3.0)) <= 1e-12
-        residual = f.amplitudes - alpha * basis.amplitudes - beta * d.amplitudes
+        residual = f - alpha * basis - beta * d
         assert np.abs(residual).max() <= 1e-12
 
 
 def test_triple_rejects_degenerate_configurations():
     f, d1, _ = _directions()
-    space = _space()
     # d2 chosen so that the two completing vectors fail to be orthogonal
-    skew = basis_ket(space, 2)
+    skew = np.eye(3)[2]
     p = hardy_embedding_povm(f, d1, skew)
     with pytest.raises(ValidationError) as err:
         HardyTriple.from_povm(p, "F", "D1", "D2")
@@ -100,7 +96,7 @@ def test_triple_rejects_degenerate_configurations():
 def test_triple_rejects_operator_and_zero_elements():
     f, d1, d2 = _directions()
     p = hardy_embedding_povm(f, d1, d2)
-    blob = Operator(_space(), np.eye(3) - sum(np.outer(k.amplitudes, k.amplitudes.conj()) / 3.0 for k in (f, d1, d2)))
+    blob = Operator(_space(), np.eye(3) - sum(np.outer(k, k.conj()) / 3.0 for k in (f, d1, d2)))
     rows = np.concatenate([p.vectors[:3], np.zeros((1, 3), dtype=complex)])
     q = Povm(3, p.labels()[:3] + ("rest",), rows, {3: blob})
     with pytest.raises(ValidationError) as err:
@@ -111,28 +107,26 @@ def test_triple_rejects_operator_and_zero_elements():
 def test_hardy_state_is_the_uniform_superposition():
     _, d1, d2 = _directions()
     psi = hardy_state(d1, d2)
-    np.testing.assert_allclose(psi.amplitudes, np.ones(3) / SQ3, atol=1e-12)
+    np.testing.assert_allclose(psi, np.ones(3) / SQ3, atol=1e-12)
 
 
 def test_hardy_state_kills_both_partners():
     rng = np.random.default_rng(47)
-    space = _space()
     for _ in range(50):
         d1 = random_pure_state(rng, 3)
         d2 = random_pure_state(rng, 3)
         psi = hardy_state(d1, d2)
-        assert abs(d1.inner(psi)) <= 1e-12
-        assert abs(d2.inner(psi)) <= 1e-12
-        assert abs(psi.norm() - 1.0) <= 1e-12
+        assert abs(np.vdot(d1, psi)) <= 1e-12
+        assert abs(np.vdot(d2, psi)) <= 1e-12
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
 
 def test_hardy_state_input_checks():
-    space2 = Space.system(2)
     with pytest.raises(ValidationError):
-        hardy_state(basis_ket(space2, 0), basis_ket(space2, 1))
+        hardy_state(np.eye(2)[0], np.eye(2)[1])
     _, d1, _ = _directions()
     with pytest.raises(ValidationError) as err:
-        hardy_state(d1, Ket(d1.space, -d1.amplitudes))
+        hardy_state(d1, -d1)
     assert err.value.invariant == "independence"
 
 
@@ -158,25 +152,38 @@ def test_inequality_not_violated_at_the_mixed_state(embedding, triple):
 
 
 def test_inequality_rejects_a_hand_built_basis_of_another_dimension(embedding, triple):
-    other = [basis_ket(Space.system(4), i) for i in range(2)]
-    with pytest.raises(SpaceMismatchError, match="basis1 is not on the dim-3 system space"):
-        HardyTriple(
-            embedding, "F", "D1", "D2", triple.f_hat, triple.d1_hat, triple.d2_hat, *other
-        )
+    other = np.eye(4)[:2]
+    message = "rows that are not one complex stack for five directions of dim 3"
+    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+        HardyTriple(embedding, "F", "D1", "D2", [*triple.directions[:3], *other])
     with pytest.raises(SpaceMismatchError, match="state dim 4 != system dim 3"):
         evaluate_inequality(triple, other[0])
 
 
-@pytest.mark.parametrize("space", [Space.system(4), Space.environment(3)], ids=["dim4", "env"])
-@pytest.mark.parametrize("name", ["f_hat", "d1_hat", "d2_hat", "basis1", "basis2"])
-def test_a_hand_built_triple_checks_the_space_of_each_direction(triple, name, space):
-    with pytest.raises(SpaceMismatchError, match=f"{name} is not on the dim-3 system space"):
-        dataclasses.replace(triple, **{name: basis_ket(space, 0)})
+@pytest.mark.parametrize("shape", [(5, 4), (4, 3), (6, 3), (5, 3, 1), (15,)])
+def test_a_hand_built_triple_checks_the_shape_of_its_directions(triple, shape):
+    message = re.escape(f"a stack of shape {shape} for five directions of dim 3")
+    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+        dataclasses.replace(triple, directions=np.zeros(shape))
+
+
+def test_directions_are_a_read_only_copy_compared_by_value(embedding, triple):
+    directions = np.array(triple.directions)
+    again = HardyTriple(embedding, "F", "D1", "D2", directions)
+    directions[0, 0] = 2.0
+    assert again == triple and again.directions.dtype == complex
+    with pytest.raises(ValueError):
+        again.directions[0, 0] = 2.0
+    directions[0, 0] = np.nextafter(triple.directions[0, 0].real, np.inf)
+    assert HardyTriple(embedding, "F", "D1", "D2", directions) != triple
+    assert HardyTriple(embedding, "F", "D2", "D1", triple.directions) != triple
 
 
 def test_a_hand_built_triple_checks_its_basis_at_its_tol(embedding, triple):
+    directions = np.array(triple.directions)
+    directions[4] = directions[3]  # basis2 = basis1
     with pytest.raises(ValidationError, match=r"\(\|<b1\|b2>\| = 1.000e\+00\)") as err:
-        dataclasses.replace(triple, basis2=triple.basis1)
+        dataclasses.replace(triple, directions=directions)
     assert err.value.invariant == "hardy-basis-orthogonality"
     loose = HardyTriple.from_povm(embedding, "F", "D1", "D2", tol=1e-3)
     assert (loose.tol, triple.tol) == (1e-3, 1e-9)
@@ -187,14 +194,15 @@ def test_max_violation_matches_the_frozen_constant(triple):
     value, state = max_violation(triple)
     assert abs(value - MAX_GAP) <= 1e-12
     assert value >= 1.0 / 9.0
-    assert abs(state.norm() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
 
 
 def test_max_violation_matches_the_cubic_oracle(triple):
+    f_hat, d1_hat, d2_hat = triple.directions[:3]
     matrix = (
-        triple.f_hat.projector()
-        - triple.d1_hat.projector()
-        - triple.d2_hat.projector()
+        np.outer(f_hat, f_hat.conj())
+        - np.outer(d1_hat, d1_hat.conj())
+        - np.outer(d2_hat, d2_hat.conj())
     )
     roots = hermitian3_eigvals(matrix)
     value, _ = max_violation(triple)
@@ -224,15 +232,12 @@ def test_max_violation_is_phase_and_rotation_invariant(embedding, triple):
     rng = np.random.default_rng(59)
     f, d1, d2 = _directions()
     for _ in range(20):
-        phased = [
-            Ket(k.space, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * k.amplitudes)
-            for k in (f, d1, d2)
-        ]
-        t = HardyTriple(embedding, "F", "D1", "D2", *phased, triple.basis1, triple.basis2)
+        phased = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * k for k in (f, d1, d2)]
+        t = HardyTriple(embedding, "F", "D1", "D2", [*phased, *triple.directions[3:]])
         value, _ = max_violation(t)
         assert abs(value - MAX_GAP) <= 1e-9
         u = random_unitary(rng, 3)
-        rotated = [Ket(k.space, u @ k.amplitudes) for k in (f, d1, d2)]
+        rotated = [u @ k for k in (f, d1, d2)]
         p = hardy_embedding_povm(*rotated)
         value, _ = max_violation(HardyTriple.from_povm(p, "F", "D1", "D2"))
         assert abs(value - MAX_GAP) <= 1e-9
@@ -247,18 +252,17 @@ def test_max_violation_ignores_element_scales():
 
 
 def test_degenerate_triples_have_known_optima():
-    space = _space()
-    e = [basis_ket(space, i) for i in range(3)]
+    e = np.eye(3, dtype=complex)
     p = hardy_embedding_povm(*e)
-    orthogonal = HardyTriple(p, "F", "D1", "D2", e[0], e[1], e[2], e[1], e[2])
+    orthogonal = HardyTriple(p, "F", "D1", "D2", [e[0], e[1], e[2], e[1], e[2]])
     value, state = max_violation(orthogonal)
     assert abs(value - 1.0) <= 1e-12
-    assert abs(abs(state.inner(e[0])) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(state, e[0])) - 1.0) <= 1e-12
     report = evaluate_inequality(orthogonal, state)
     assert abs(report.lhs - 1.0) <= 1e-12
     assert report.rhs <= 1e-12
     f, d1, _ = _directions()
-    collapsed = HardyTriple(p, "F", "D1", "D2", f, f, d1, e[0], e[1])
+    collapsed = HardyTriple(p, "F", "D1", "D2", [f, f, d1, e[0], e[1]])
     value, _ = max_violation(collapsed)
     assert abs(value) <= 1e-12
 
@@ -268,12 +272,12 @@ def test_embedding_povm_structure(embedding):
     assert completeness_check(embedding) <= 1e-12
     f, d1, d2 = _directions()
     for label, direction in (("F", f), ("D1", d1), ("D2", d2)):
-        el = element_ket(embedding, label)
+        el = element_row(embedding, label)
         assert abs(context_selection_probability(embedding, label) - 1.0 / 3.0) <= 1e-12
-        overlap = abs(el.normalized().inner(direction))
+        overlap = abs(np.vdot(unit(el), direction))
         assert abs(overlap - 1.0) <= 1e-12
     # remainder weights are sorted largest first
-    weights = [element_ket(embedding, f"R{i}").norm_sq() for i in (1, 2, 3)]
+    weights = [norm_sq(element_row(embedding, f"R{i}")) for i in (1, 2, 3)]
     assert weights == sorted(weights, reverse=True)
 
 
@@ -321,21 +325,16 @@ def test_rescaled_reading_of_the_paradox(embedding):
     assert abs(probability(embedding, psi, "F") - 1.0 / 27.0) <= 1e-12
 
 
-def _unit(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z)
-
-
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 2**32 - 1))
 def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
     # an admissible triple: f decomposes over (b_k, d_k) with b1, b2 orthonormal
     rng = np.random.default_rng(seed)
-    space = Space.system(dim)
-    f = _unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    f = unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     u = random_unitary(rng, dim)
     b1, b2 = u[:, 0], u[:, 1]
-    d1, d2 = (_unit(f - np.vdot(b, f) * b) for b in (b1, b2))
-    p = hardy_embedding_povm(Ket(space, f), Ket(space, d1), Ket(space, d2))
+    d1, d2 = (unit(f - np.vdot(b, f) * b) for b in (b1, b2))
+    p = hardy_embedding_povm(f, d1, d2)
     triple = HardyTriple.from_povm(p, "F", "D1", "D2")
     value, best = max_violation(triple)
 
@@ -343,7 +342,7 @@ def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
     v = random_unitary(rng, dim)
     pure = random_pure_state(rng, dim)
     mixed = DensityMatrix.from_matrix((v * weights) @ v.conj().T)
-    for state, rho in ((pure, pure.projector()), (mixed, mixed.matrix)):
+    for state, rho in ((pure, np.outer(pure, pure.conj())), (mixed, mixed.matrix)):
         want = hardy_numbers(f, d1, d2, b1, b2, rho)
         assert abs(value - want["max_violation"]) <= 1e-12
         report = evaluate_inequality(triple, state)

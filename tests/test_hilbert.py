@@ -1,4 +1,4 @@
-"""Space, ket, tensor, Gram and phase primitives."""
+"""Space, ket conversion, Gram and phase primitives."""
 
 from __future__ import annotations
 
@@ -6,27 +6,20 @@ import numpy as np
 import pytest
 
 from ctxlab import (
+    DEFAULT_TOL,
     Dilation,
     JointOutcomeSet,
-    Ket,
     Space,
     SpaceMismatchError,
     ValidationError,
-    basis_ket,
     fix_phase,
     gram,
     povm_from_dilation,
-    tensor,
 )
-from ctxlab.hilbert import orthonormality_residual
+from ctxlab.hilbert import amplitudes, unit_vector
 from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm, random_unitary
 
 SQ2 = np.sqrt(2.0)
-SQ3 = np.sqrt(3.0)
-SQ6 = np.sqrt(6.0)
-
-ENV2 = Space.environment(2)
-SYS3 = Space.system(3)
 
 
 def test_space_kinds_and_dims():
@@ -40,99 +33,64 @@ def test_space_kinds_and_dims():
         Space("joint", 5, 2, 3)
 
 
-def test_ket_shape_and_finiteness():
-    with pytest.raises(SpaceMismatchError):
-        Ket(SYS3, [1.0, 0.0])
+def test_amplitudes_checks_shape_and_finiteness():
+    with pytest.raises(SpaceMismatchError, match=r"^a ket of shape \(2,\) for a test ket$"):
+        amplitudes([1.0, 0.0], (3,), "for a test ket")
+    with pytest.raises(ValidationError) as err:
+        amplitudes([np.inf, 0.0, 0.0], (3,), "for a test ket")
+    assert err.value.invariant == "finite-amplitudes"
     with pytest.raises(ValidationError):
-        Ket(SYS3, [np.inf, 0.0, 0.0])
-    with pytest.raises(ValidationError):
-        Ket(SYS3, [0.0, 0.0, 0.0]).normalized()
-    with pytest.raises(ValidationError):
-        basis_ket(SYS3, 3)
+        unit_vector(np.zeros(3), DEFAULT_TOL)
+    assert amplitudes([1.0, 2.0], (None,), "").dtype == complex
 
 
-def test_ket_amplitudes_are_immutable():
-    ket = basis_ket(SYS3, 0)
+def test_amplitudes_are_a_read_only_copy():
+    source = np.eye(3)[0]
+    ket = amplitudes(source, (3,), "for a test ket")
+    source[0] = 2.0
+    assert ket[0] == 1.0
     with pytest.raises(ValueError):
-        ket.amplitudes[0] = 2.0
-
-
-def test_tensor_of_basis_kets_is_env_major():
-    joint = tensor(basis_ket(ENV2, 0), basis_ket(SYS3, 1))
-    expected = np.zeros(6)
-    expected[0 * 3 + 1] = 1.0
-    np.testing.assert_allclose(joint.amplitudes, expected)
-
-
-def test_tensor_diagonal_with_plate_direction():
-    d = Ket(ENV2, np.array([1.0, 1.0]) / SQ2)
-    f = Ket(SYS3, np.array([1.0, 1.0, -1.0]) / SQ3)
-    expected = np.array([1.0, 1.0, -1.0, 1.0, 1.0, -1.0]) / SQ6
-    assert np.abs(tensor(d, f).amplitudes - expected).max() <= 1e-15
-
-
-def test_tensor_rejects_wrong_kinds():
-    with pytest.raises(SpaceMismatchError):
-        tensor(basis_ket(SYS3, 0), basis_ket(SYS3, 1))
-    with pytest.raises(SpaceMismatchError):
-        tensor(basis_ket(ENV2, 0), basis_ket(ENV2, 1))
-
-
-def test_tensor_is_bilinear():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a = Ket(ENV2, rng.normal(size=2) + 1j * rng.normal(size=2))
-        b = Ket(SYS3, rng.normal(size=3) + 1j * rng.normal(size=3))
-        c = Ket(SYS3, rng.normal(size=3) + 1j * rng.normal(size=3))
-        scale = complex(rng.normal(), rng.normal())
-        left = tensor(a, Ket(SYS3, b.amplitudes + scale * c.amplitudes)).amplitudes
-        right = tensor(a, b).amplitudes + scale * tensor(a, c).amplitudes
-        assert np.abs(left - right).max() <= 1e-12
+        ket[0] = 2.0
 
 
 def test_lambda_retracts_product_states():
     # for m = chi (x) psi, lambda(m) = <phi|m> = <phi|chi> psi (up to the POVM's canonical phase)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        phi = Ket(ENV2, random_pure_state(rng, 2).amplitudes)
-        chi = Ket(ENV2, random_unitary(rng, 2)[:, 0])
-        psi = Ket(SYS3, random_unitary(rng, 3)[:, 0])
-        outcomes = JointOutcomeSet(Space.joint(2, 3), ["m"], tensor(chi, psi).amplitudes[None])
+        phi = random_pure_state(rng, 2)
+        chi = random_unitary(rng, 2)[:, 0]
+        psi = random_unitary(rng, 3)[:, 0]
+        outcomes = JointOutcomeSet(Space.joint(2, 3), ["m"], np.kron(chi, psi)[None])
         lam = povm_from_dilation(Dilation(outcomes, phi)).vectors[0]
-        expected = phi.inner(chi) * psi.amplitudes
+        expected = complex(np.vdot(phi, chi)) * psi
         assert phase_aligned_max_err(lam, expected) <= 1e-12
 
 
 def test_partial_inner_on_polarised_outcome():
     # <D| on |V> x |1> leaves |1>/sqrt2
-    d = Ket(ENV2, np.array([1.0, 1.0]) / SQ2)
-    v = basis_ket(ENV2, 1)
-    outcome = tensor(v, basis_ket(SYS3, 0))
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V1"], outcome.amplitudes[None])
+    d = np.array([1.0, 1.0]) / SQ2
+    v = np.eye(2)[1]
+    outcome = np.kron(v, np.eye(3)[0])
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V1"], outcome[None])
     lam = povm_from_dilation(Dilation(outcomes, d)).vectors[0]
     np.testing.assert_allclose(lam, np.array([1.0, 0.0, 0.0]) / SQ2, atol=1e-15)
 
 
 def test_partial_inner_orthogonal_environment_gives_zero():
-    h = basis_ket(ENV2, 0)
-    v = basis_ket(ENV2, 1)
-    outcome = tensor(v, basis_ket(SYS3, 2))
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V3"], outcome.amplitudes[None])
+    h, v = np.eye(2)
+    outcome = np.kron(v, np.eye(3)[2])
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V3"], outcome[None])
     lam = povm_from_dilation(Dilation(outcomes, h)).vectors[0]
     assert np.abs(lam).max() == 0.0
 
 
 def test_gram_of_orthonormal_basis_is_identity():
-    vectors = [basis_ket(SYS3, i) for i in range(3)]
+    vectors = np.eye(3, dtype=complex)
     np.testing.assert_allclose(gram(vectors), np.eye(3), atol=1e-15)
 
 
 def test_gram_of_context_elements():
-    vectors = [
-        Ket(SYS3, np.array([2.0, -1.0, 1.0]) / 3.0),
-        Ket(SYS3, np.array([-1.0, 2.0, 1.0]) / 3.0),
-        Ket(SYS3, np.array([1.0, 1.0, 2.0]) / 3.0),
-    ]
+    vectors = np.array([[2.0, -1.0, 1.0], [-1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 3.0
     g = gram(vectors)
     np.testing.assert_allclose(np.diag(g), [2.0 / 3.0] * 3, atol=1e-15)
     assert abs(g[0, 1] - (-1.0 / 3.0)) <= 1e-15
@@ -141,15 +99,13 @@ def test_gram_of_context_elements():
 
 
 def test_gram_of_repeated_vector():
-    v = basis_ket(SYS3, 0)
-    np.testing.assert_allclose(gram([v, v]), np.ones((2, 2)), atol=1e-15)
+    v = np.eye(3)[0]
+    np.testing.assert_allclose(gram(np.array([v, v])), np.ones((2, 2)), atol=1e-15)
 
 
-def test_gram_rejects_empty_and_mixed_spaces():
+def test_gram_rejects_an_empty_stack():
     with pytest.raises(ValidationError):
-        gram([])
-    with pytest.raises(SpaceMismatchError):
-        gram([basis_ket(SYS3, 0), basis_ket(ENV2, 0)])
+        gram(np.zeros((0, 3)))
 
 
 def test_gram_idempotent_for_identity_resolving_sets():
@@ -191,16 +147,3 @@ def test_fix_phase_on_a_stack_matches_it_row_by_row():
         assert np.array_equal(stack.view(float), before.view(float))  # the input is left as it was
     # the first of the two maximal entries wins the tie
     assert fixed[tied, 3].imag == 0.0 < fixed[tied, 3].real and fixed[tied, 11].imag != 0.0
-
-
-def test_gram_and_orthonormality_residual_accept_a_stack():
-    rng = np.random.default_rng(73)
-    kets = [random_pure_state(rng, 3) for _ in range(4)]
-    stack = np.stack([k.amplitudes for k in kets])
-    assert np.array_equal(gram(stack), gram(kets))
-    basis = random_unitary(rng, 3).T
-    assert orthonormality_residual(basis) == orthonormality_residual(
-        [Ket(SYS3, row) for row in basis]
-    )
-    with pytest.raises(ValidationError):
-        gram(np.zeros((0, 3)))

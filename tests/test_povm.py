@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 
 from ctxlab import (
     DensityMatrix,
+    Dilation,
     JointOutcomeSet,
-    Ket,
     Operator,
     Povm,
     Space,
     SpaceMismatchError,
     UnknownLabelError,
     ValidationError,
-    basis_ket,
     basis_mixture_povm,
     build_three_path,
     coarse_grain,
@@ -38,10 +37,9 @@ from ctxlab import (
     povm_from_dilation,
     probability,
     rescaled_probability,
-    share_context,
     validate_povm,
 )
-from helpers import element_ket, random_pure_state, random_rank1_povm, random_unitary
+from helpers import element_row, random_pure_state, random_rank1_povm, random_unitary, unit
 from oracles import context_pairs
 
 SQ2 = np.sqrt(2.0)
@@ -66,7 +64,7 @@ def da_povm(scenario):
 def test_element_must_be_a_hermitian_system_operator():
     zero = np.zeros((1, 2), dtype=complex)
     with pytest.raises(SpaceMismatchError):
-        Povm(2, ["env"], zero, {0: Operator.identity(Space.environment(2))})
+        Povm(2, ["env"], zero, {0: Operator.identity(Space("environment", 2))})
     skew = Operator(Space.system(2), np.array([[0.5, 1e-7], [0.0, 0.5]]))
     with pytest.raises(ValidationError) as err:
         Povm(2, ["skew"], zero, {0: skew})
@@ -123,28 +121,17 @@ def test_a_stack_is_a_complex_copy_of_the_callers_rows(build):
         assert again.vectors.dtype == complex and again == stack
 
 
-def test_repr_shows_the_labels_and_builds_no_ket(monkeypatch):
+def test_repr_shows_the_labels():
     p = random_rank1_povm(np.random.default_rng(64), 16, 64)
     outcomes = naimark_dilate(p).outcomes
-    built = []
-    init = Ket.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Ket, "__init__", counting_init)
     shown = repr(p), repr(outcomes)
-    monkeypatch.undo()
-    assert built == []
     assert shown[0] == f"Povm(labels={p.labels()!r}, system_dim=16, _operators={{}})"
     assert shown[1] == f"JointOutcomeSet(labels={p.labels()!r}, space={outcomes.space!r})"
 
 
 def test_density_matrix_validation():
-    space = Space.system(2)
     with pytest.raises(ValidationError):
-        DensityMatrix.from_ket(Ket(space, [1.0, 1.0]))
+        DensityMatrix.from_ket([1.0, 1.0])
     with pytest.raises(ValidationError):
         DensityMatrix.from_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValidationError):
@@ -156,7 +143,7 @@ def test_density_matrix_validation():
 
 
 def test_from_ket_checks_the_trace_at_its_own_tol():
-    psi = Ket(Space.system(2), np.sqrt((1.0 + 2e-7) / 2.0) * np.ones(2))
+    psi = np.sqrt((1.0 + 2e-7) / 2.0) * np.ones(2)
     with pytest.raises(ValidationError) as err:
         DensityMatrix.from_ket(psi)
     assert err.value.invariant == "state-normalisation"
@@ -198,7 +185,7 @@ def test_path_state_probabilities_on_VH(vh_povm, scenario):
 
 
 def test_uniform_state_probabilities_on_DA(da_povm):
-    psi = Ket(Space.system(3), np.ones(3) / SQ3)
+    psi = np.ones(3) / SQ3
     assert abs(probability(da_povm, psi, "D1") - 4.0 / 27.0) <= 1e-12
     assert abs(probability(da_povm, psi, "D2") - 4.0 / 27.0) <= 1e-12
     assert abs(probability(da_povm, psi, "D3") - 16.0 / 27.0) <= 1e-12
@@ -213,9 +200,9 @@ def test_mixed_state_probability_is_weight_over_dim(da_povm):
 
 def test_probability_checks_the_state(da_povm):
     with pytest.raises(ValidationError):
-        probability(da_povm, Ket(Space.system(3), [1.0, 1.0, 0.0]), "A")
+        probability(da_povm, [1.0, 1.0, 0.0], "A")
     with pytest.raises(SpaceMismatchError):
-        probability(da_povm, basis_ket(Space.system(2), 0), "A")
+        probability(da_povm, np.eye(2)[0], "A")
 
 
 def test_context_selection_probabilities(da_povm, vh_povm):
@@ -254,8 +241,8 @@ def test_rescaled_probability_is_scale_free(da_povm):
         psi = random_pure_state(rng, 3)
         for label in da_povm.labels():
             r = rescaled_probability(da_povm, psi, label)
-            direction = element_ket(da_povm, label).normalized()
-            assert abs(r - abs(direction.inner(psi)) ** 2) <= 1e-12
+            direction = unit(element_row(da_povm, label))
+            assert abs(r - abs(np.vdot(direction, psi)) ** 2) <= 1e-12
             assert r <= 1.0 + 1e-9
 
 
@@ -277,44 +264,34 @@ def test_rescaled_probability_rejects_zero_weight(scenario):
     assert err.value.invariant == "nonzero-element"
 
 
-def test_share_context_on_the_merged_povm(da_povm):
+def _witnesses(graph):
+    return {(a, b): witness for a, b, witness in graph.edges}
+
+
+def test_merged_povm_edges_are_orthogonal_pairs(da_povm):
+    g = context_graph(da_povm)
     for i in (1, 2, 3):
-        rel = share_context(da_povm, "A", f"D{i}")
-        assert rel.shared and not rel.proportional
-        assert rel.witness <= 1e-12
+        assert _witnesses(g)[(f"D{i}", "A")] <= 1e-12
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        rel = share_context(da_povm, f"D{i}", f"D{j}")
-        assert not rel.shared
-        assert abs(rel.witness - 0.5) <= 1e-12
+        assert not g.has_edge(f"D{i}", f"D{j}")
 
 
 def test_unmerged_plate_outcomes_are_proportional(scenario):
     p = povm_DA(scenario, merge_A=False)
-    rel = share_context(p, "A1", "A2")
-    assert rel.shared and rel.proportional
-    assert abs(rel.witness - 1.0) <= 1e-12
+    assert abs(_witnesses(context_graph(p))[("A1", "A2")] - 1.0) <= 1e-12
     for i in (1, 2, 3):
         assert abs(context_selection_probability(p, f"A{i}") - 1.0 / 3.0) <= 1e-12
 
 
-def test_share_context_rejects_zero_weight(scenario):
-    p = povm_from_dilation(dilation_VH(scenario, phi_init=scenario.h))
-    with pytest.raises(ValidationError) as err:
-        share_context(p, "V1", "H1")
-    assert err.value.invariant == "nonzero-element"
-
-
-def test_operator_share_context_uses_support_commutators(vh_povm, da_povm):
+def test_operator_edges_use_support_commutators(vh_povm, da_povm):
     # span{D1, D2} is the full plane orthogonal to the plate direction
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
-    rel = share_context(merged, "D12", "A")
-    assert rel.test == "commutator" and rel.shared and rel.witness <= 1e-9
-    rel = share_context(merged, "D12", "D3")
-    assert rel.shared and rel.witness <= 1e-9
+    witnesses = _witnesses(context_graph(merged))
+    assert witnesses[("D12", "A")] <= 1e-9
+    assert witnesses[("D12", "D3")] <= 1e-9
     # span{V1, H1} neither contains nor avoids the V2 direction
     skew = coarse_grain(vh_povm, ("V1", "H1"), "VH1")
-    rel = share_context(skew, "VH1", "V2")
-    assert rel.test == "commutator" and not rel.shared and rel.witness > 0.1
+    assert not context_graph(skew).has_edge("VH1", "V2")
 
 
 def test_context_graph_is_a_star(da_povm):
@@ -435,10 +412,6 @@ def test_context_graph_matches_the_pairwise_oracle(case):
     assert [(a, b) for a, b, _ in g.edges] == [(a, b) for a, b, _ in expected]
     for (_, _, got), (_, _, want) in zip(g.edges, expected):
         assert abs(got - want) <= 1e-12
-    for i, j, witness, _ in pairs:
-        rel = share_context(p, labels[i], labels[j], 1e-9)
-        assert rel.shared == g.has_edge(labels[i], labels[j])
-        assert abs(rel.witness - witness) <= 1e-12
     rotated = _transformed(p, unitary, np.ones(len(p)))
     rephased = _transformed(p, np.eye(p.system_dim), phases)
     for q in (rotated, rephased):
@@ -451,7 +424,7 @@ def test_coarse_grain_recovers_the_merged_element(scenario, da_povm):
     assert merged.labels() == ("D1", "D2", "D3", "A")
     assert 3 not in merged.operators
     row = merged.vectors[3]
-    assert np.abs(row - element_ket(da_povm, "A").amplitudes).max() <= 1e-12
+    assert np.abs(row - element_row(da_povm, "A")).max() <= 1e-12
     f_direction = np.array([1.0, 1.0, -1.0]) / SQ3
     assert np.abs(row - f_direction).max() <= 1e-12
 
@@ -512,7 +485,7 @@ def test_coarse_grain_keeps_a_complete_povm_complete(case):
 
 def test_two_basis_mixture_reproduces_the_VH_povm(scenario, vh_povm):
     mix = basis_mixture_povm(
-        [list(scenario.paths), [hwp_transform(scenario, p) for p in scenario.paths]],
+        [scenario.paths, [hwp_transform(scenario, p) for p in scenario.paths]],
         [0.5, 0.5],
         labels=[["V1", "V2", "V3"], ["H1", "H2", "H3"]],
     )
@@ -523,10 +496,9 @@ def test_two_basis_mixture_reproduces_the_VH_povm(scenario, vh_povm):
 
 
 def test_three_basis_qubit_mixture():
-    space = Space.system(2)
-    z = [basis_ket(space, 0), basis_ket(space, 1)]
-    x = [Ket(space, np.array([1.0, 1.0]) / SQ2), Ket(space, np.array([1.0, -1.0]) / SQ2)]
-    y = [Ket(space, np.array([1.0, 1.0j]) / SQ2), Ket(space, np.array([1.0, -1.0j]) / SQ2)]
+    z = np.eye(2)
+    x = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQ2
+    y = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / SQ2
     p = basis_mixture_povm([z, x, y], [1.0 / 3.0] * 3)
     assert completeness_check(p) <= 1e-12
     for label in p.labels():
@@ -535,9 +507,8 @@ def test_three_basis_qubit_mixture():
 
 
 def test_basis_mixture_validates_inputs():
-    space = Space.system(2)
-    z = [basis_ket(space, 0), basis_ket(space, 1)]
-    tilted = [basis_ket(space, 0), Ket(space, np.array([0.1, 1.0]) / np.sqrt(1.01))]
+    z = np.eye(2)
+    tilted = [np.eye(2)[0], np.array([0.1, 1.0]) / np.sqrt(1.01)]
     with pytest.raises(ValidationError) as err:
         basis_mixture_povm([z], [0.9])
     assert err.value.invariant == "weights"
@@ -563,8 +534,7 @@ def test_basis_mixture_validates_inputs():
     ids=["nan-weight", "weight-sum-repr", "one-group-short", "one-label-short"],
 )
 def test_basis_mixture_names_what_is_wrong_with_its_arguments(kwargs, invariant, message):
-    space = Space.system(2)
-    z = [basis_ket(space, 0), basis_ket(space, 1)]
+    z = np.eye(2)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}") as err:
         basis_mixture_povm([z, z], **{"weights": [0.5, 0.5], **kwargs})
     assert err.value.invariant == invariant
@@ -586,7 +556,7 @@ def test_random_rank1_povms_are_complete():
 
 
 def test_states_record_the_tol_that_validated_them():
-    psi = Ket(Space.system(2), np.array([1.0, 0.0]))
+    psi = np.array([1.0, 0.0])
     assert DensityMatrix.from_ket(psi, tol=1e-6).tol == 1e-6
     assert DensityMatrix.from_ket(psi).tol == 1e-9
     assert "tol" not in repr(DensityMatrix.from_ket(psi, tol=1e-6))
@@ -600,7 +570,7 @@ def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
     plane = Operator(space, np.outer(u[:, 1], u[:, 1].conj()) + np.outer(u[:, 2], u[:, 2].conj()))
     p = Povm(3, ["half", "plane"], np.zeros((2, 3), dtype=complex), {0: half, 1: plane})
     psi = random_pure_state(rng, 3)
-    overlap = abs(np.vdot(u[:, 0], psi.amplitudes)) ** 2
+    overlap = abs(np.vdot(u[:, 0], psi)) ** 2
     assert abs(probability(p, psi, "half") - 0.5 * overlap) <= 1e-12
     assert abs(rescaled_probability(p, psi, "half") - overlap) <= 1e-12
     rho = maximizing_state(p, "half")
@@ -640,23 +610,21 @@ def test_equal_content_compares_equal(scenario, vh_povm):
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
     assert merged == coarse_grain(vh_povm, ("V1", "V2"), "V12")
     assert DensityMatrix.from_ket(scenario.f) == DensityMatrix.from_ket(scenario.f)
-    assert Ket(scenario.system, [1.0, 0.0, 0.0]) == scenario.paths[0]
-    assert Ket(scenario.system, [1.0, 0.0, 0.0]) != scenario.paths[1]
-    assert Ket(scenario.environment, [1.0, 0.0]) != Ket(scenario.system, [1.0, 0.0, 0.0])
     assert povm_DA(scenario) != povm_DA(scenario, merge_A=False)
-    assert merged != vh_povm and Ket(scenario.system, [1.0, 0.0, 0.0]) != "not a ket"
+    assert merged != vh_povm and dilation_DA(scenario) != "not a dilation"
 
 
 def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
-    ket = scenario.f
-    assert ket != Ket(ket.space, _one_ulp_up(ket.amplitudes))
-    op = Operator(ket.space, ket.projector())
-    assert op != Operator(ket.space, _one_ulp_up(op.entries))
-    assert DensityMatrix(op) != DensityMatrix(Operator(ket.space, _one_ulp_up(op.entries)))
+    ket, space = scenario.f, Space.system(3)
+    d = dilation_DA(scenario)
+    assert d != Dilation(d.outcomes, _one_ulp_up(d.phi_init))
+    op = Operator(space, np.outer(ket, ket.conj()))
+    assert op != Operator(space, _one_ulp_up(op.entries))
+    assert DensityMatrix(op) != DensityMatrix(Operator(space, _one_ulp_up(op.entries)))
     p = povm_DA(scenario)
     assert p != Povm(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    bumped = {0: Operator(ket.space, _one_ulp_up(merged.operators[0].entries))}
+    bumped = {0: Operator(space, _one_ulp_up(merged.operators[0].entries))}
     assert merged != Povm(3, merged.labels(), merged.vectors, bumped)
     outcomes = dilation_DA(scenario).outcomes
     moved = _one_ulp_up(outcomes.vectors)
@@ -743,3 +711,18 @@ def test_from_vectors_raises_for_the_first_faulty_row(bad):
     assert caught.value.invariant == "finite-amplitudes"
     with pytest.raises(SpaceMismatchError, match=re.escape("a stack of shape (3, 2) for 2")):
         Povm.from_vectors(2, ["a", "b"], np.eye(3, 2))
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        ([[1, 0], [0]], "rows that are not one complex stack for 2 labels of dim 2"),
+        ([[1, 0], ["x", 1]], "rows that are not one complex stack for 2 labels of dim 2"),
+        (np.ones((2, 2, 1)), "a stack of shape (2, 2, 1) for 2 labels of dim 2"),
+    ],
+    ids=["ragged", "string-entry", "three-axes"],
+)
+def test_from_vectors_maps_a_malformed_stack_as_the_constructor_does(stack, message):
+    for build in (Povm, Povm.from_vectors):
+        with pytest.raises(SpaceMismatchError, match=f"^{re.escape(message)}$"):
+            build(2, ["a", "b"], stack)

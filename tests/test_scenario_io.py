@@ -20,7 +20,6 @@ from ctxlab import (
     FIXTURE_NAMES,
     DensityMatrix,
     JointOutcomeSet,
-    Ket,
     Operator,
     Povm,
     Scenario,
@@ -60,7 +59,7 @@ def _da_dict():
             outcomes=d.outcomes,
             phi_init=d.phi_init,
             povm=povm_DA(s, merge_A=True),
-            states={"plus": Ket(s.system, np.ones(3) / np.sqrt(3.0))},
+            states={"plus": np.ones(3) / np.sqrt(3.0)},
             hardy=("D1", "D2", "D3"),
         )
     )
@@ -133,9 +132,9 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
     assert type(tupled["phi_init"][0]) is tuple and type(tupled["povm"][0]["vector"][0]) is tuple
     plain, loaded = scenario_from_dict(raw), scenario_from_dict(tupled)
     assert _bits(loaded.outcomes.vectors) == _bits(plain.outcomes.vectors)
-    assert _bits(loaded.phi_init.amplitudes) == _bits(plain.phi_init.amplitudes)
+    assert _bits(loaded.phi_init) == _bits(plain.phi_init)
     assert _bits(loaded.povm.vectors) == _bits(plain.povm.vectors)
-    assert _bits(loaded.states["plus"].amplitudes) == _bits(plain.states["plus"].amplitudes)
+    assert _bits(loaded.states["plus"]) == _bits(plain.states["plus"])
     if with_matrices:
         m = len(plain.povm) - 1
         assert list(loaded.povm.operators) == list(plain.povm.operators) == [m]
@@ -188,7 +187,7 @@ def test_dict_round_trip_preserves_everything():
     reference = dilation_DA(s)
     assert d.outcomes.labels() == reference.outcomes.labels()
     np.testing.assert_array_equal(d.outcomes.vectors, reference.outcomes.vectors)
-    np.testing.assert_array_equal(d.phi_init.amplitudes, reference.phi_init.amplitudes)
+    np.testing.assert_array_equal(d.phi_init, reference.phi_init)
     assert sc.povm.labels() == ("D1", "D2", "D3", "A")
 
 
@@ -314,7 +313,7 @@ def _misfits() -> dict[str, tuple[dict, str]]:
             "povm 'I': expected a 3x3 matrix",
         ),
         "state-vector-of-another-dim": (
-            {"system_dim": 3, "states": {"psi": Ket(sys2, np.array([1.0, 0.0]))}},
+            {"system_dim": 3, "states": {"psi": np.array([1.0, 0.0])}},
             "state 'psi': expected 3 [re, im] pairs",
         ),
         "state-matrix-of-another-dim": (
@@ -340,13 +339,31 @@ def test_a_scenario_refuses_what_its_file_could_not_hold(name):
 def test_a_scenario_refuses_outcomes_on_other_factors_of_its_joint_dimension(tmp_path):
     d = naimark_dilate(povm_from_dilation(dilation_VH(build_three_path())))
     assert d.outcomes.space == Space.joint(6, 3)
-    phi_init = Ket(Space.environment(9), np.eye(9)[0])  # 9 * 2 == 6 * 3
+    phi_init = np.eye(9)[0]  # 9 * 2 == 6 * 3
     message = "outcomes are on joint(env 6, sys 3), not joint(env 9, sys 2)"
     with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
         Scenario(2, 9, d.outcomes, phi_init)
     path = tmp_path / "vh.json"
     save_scenario(path, Scenario(3, 6, d.outcomes, d.phi_init))
     assert load_scenario(path).outcomes == d.outcomes
+
+
+def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
+    s = build_three_path()
+    d = dilation_DA(s)
+    phi, plus = np.array(d.phi_init), np.ones(3) / np.sqrt(3.0)
+    scenario = Scenario(3, 2, d.outcomes, phi, states={"plus": plus})
+    phi[0] = plus[0] = 0.0
+    for stored in (scenario.phi_init, scenario.states["plus"]):
+        assert stored.dtype == complex and stored[0] != 0.0
+        with pytest.raises(ValueError):
+            stored[0] = 0.0
+    pure = {"plus": np.ones(3) / np.sqrt(3.0)}
+    assert scenario == Scenario(3, 2, d.outcomes, d.phi_init, states=pure)
+    assert scenario != Scenario(3, 2, d.outcomes, s.a, states=pure)
+    mixed = {"plus": DensityMatrix.from_matrix(np.eye(3) / 3.0)}
+    assert scenario != Scenario(3, 2, d.outcomes, d.phi_init, states=mixed)
+    assert Scenario(3, 2, d.outcomes, d.phi_init, states=mixed) != scenario
 
 
 def test_physical_invariants_still_apply():
@@ -446,7 +463,7 @@ def scenarios(draw):
     povm = Povm(dim, ("pair",) + rank1.labels()[2:], rows, {0: Operator(space, pair)})
     signed_zero = np.full(dim, complex(-0.0, -0.0))
     signed_zero[-1] = complex(1.0, -0.0)
-    states = {"signed-zero": Ket(space, signed_zero)}
+    states = {"signed-zero": signed_zero}
     for k in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
             states[f"pure{k}"] = random_pure_state(rng, dim)
@@ -535,15 +552,15 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     operator = Operator(space, np.where(diagonal, 0.25, complex(-0.0, -0.0)))
     povm = Povm(dim, labels, rows, {3: operator})
     states = {
-        "edge": Ket(space, rows[1]),
-        "zero": Ket(space, rows[0]),
+        "edge": rows[1],
+        "zero": rows[0],
         "mixed": DensityMatrix.from_matrix(np.where(diagonal, 1.0 / dim, complex(0.0, -0.0))),
     }
     scenario = Scenario(
         dim,
         7,
         JointOutcomeSet(Space.joint(7, dim), labels, outcomes, validate=False),
-        Ket(Space.environment(7), outcomes[1, :7]),
+        outcomes[1, :7],
         povm,
         states,
         ("m1", "m2", "m3"),
