@@ -167,6 +167,17 @@ def test_a_hand_built_triple_checks_the_shape_of_its_directions(triple, shape):
         dataclasses.replace(triple, directions=np.zeros(shape))
 
 
+@pytest.mark.parametrize("dim", [4, 2], ids=["dim4", "dim2"])
+@pytest.mark.parametrize("name", ["f_hat", "d1_hat", "d2_hat", "basis1", "basis2"])
+def test_a_hand_built_triple_checks_the_space_of_each_direction(triple, name, dim):
+    directions = list(triple.directions)
+    index = ["f_hat", "d1_hat", "d2_hat", "basis1", "basis2"].index(name)
+    directions[index] = np.eye(dim)[0]  # this one direction off the dim-3 system space
+    message = "rows that are not one complex stack for five directions of dim 3"
+    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+        dataclasses.replace(triple, directions=directions)
+
+
 def test_directions_are_a_read_only_copy_compared_by_value(embedding, triple):
     directions = np.array(triple.directions)
     again = HardyTriple(embedding, "F", "D1", "D2", directions)

@@ -16,7 +16,7 @@ from ctxlab import (
     gram,
     povm_from_dilation,
 )
-from ctxlab.hilbert import amplitudes, unit_vector
+from ctxlab.hilbert import amplitudes, orthonormality_residual, require_basis, unit_vector
 from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm, random_unitary
 
 SQ2 = np.sqrt(2.0)
@@ -106,6 +106,39 @@ def test_gram_of_repeated_vector():
 def test_gram_rejects_an_empty_stack():
     with pytest.raises(ValidationError):
         gram(np.zeros((0, 3)))
+
+
+def test_gram_and_orthonormality_residual_accept_a_stack():
+    rng = np.random.default_rng(73)
+    stack = np.array([random_pure_state(rng, 3) for _ in range(4)])
+    want = np.array([[np.vdot(a, b) for b in stack] for a in stack])
+    assert np.abs(gram(stack) - want).max() <= 1e-15
+    basis = random_unitary(rng, 3).T
+    want = np.abs(np.array([[np.vdot(a, b) for b in basis] for a in basis]) - np.eye(3)).max()
+    assert abs(orthonormality_residual(basis) - want) <= 1e-15
+
+
+def test_require_basis_checks_count_shape_and_orthonormality():
+    basis = require_basis([[1.0, 0.0], [0.0, 1.0]], 2, DEFAULT_TOL, "test basis")
+    assert basis.shape == (2, 2) and basis.dtype == complex
+    with pytest.raises(ValueError):
+        basis[0, 0] = 2.0
+    with pytest.raises(ValidationError, match="^test basis has 1 kets for dim 2$") as err:
+        require_basis([[1.0, 0.0]], 2, DEFAULT_TOL, "test basis")
+    assert err.value.invariant == "basis-completeness"
+    with pytest.raises(SpaceMismatchError, match="^rows that are not one complex stack"):
+        require_basis([[1.0, 0.0], [0.0]], 2, DEFAULT_TOL, "test basis")
+    with pytest.raises(ValidationError) as err:
+        require_basis([[1.0, 0.0], [1.0, 0.0]], 2, DEFAULT_TOL, "test basis")
+    assert err.value.invariant == "basis-orthonormality"
+
+
+def test_joint_index_is_env_major():
+    # joint index e * sys_dim + s holds environment e and system s
+    _, v = np.eye(2)
+    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V1"], np.eye(6)[None, 1 * 3 + 0])
+    lam = povm_from_dilation(Dilation(outcomes, v)).vectors[0]
+    assert np.array_equal(lam, np.eye(3)[0])  # system-major would put index 3 at (1, 1)
 
 
 def test_gram_idempotent_for_identity_resolving_sets():
