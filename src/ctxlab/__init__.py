@@ -15,14 +15,11 @@ from .errors import (
 )
 from .hilbert import (
     DEFAULT_TOL,
-    Operator,
-    Space,
     fix_phase,
     gram,
 )
 from .povm import (
     ContextGraph,
-    DensityMatrix,
     Povm,
     basis_mixture_povm,
     coarse_grain,

@@ -71,10 +71,10 @@ def _print_povm_report(p: Povm, tol: float) -> None:
             weight = float(np.vdot(row, row).real)
             print(f"  {label}: weight={_fmt(weight)} vector={_fmt_vector(row)}")
         else:
-            entries = p.operators[k].entries
+            op = p.operators[k]
             print(
-                f"  {label}: operator trace={_fmt(float(np.trace(entries).real))} "
-                f"eigenvalues={_fmt_vector(np.linalg.eigvalsh(entries))}"
+                f"  {label}: operator trace={_fmt(float(np.trace(op).real))} "
+                f"eigenvalues={_fmt_vector(np.linalg.eigvalsh(op))}"
             )
     print(f"completeness residual: {_fmt(completeness_check(p))}")
     positions = [k for k in range(len(p)) if k not in p.operators]
@@ -138,11 +138,11 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     p = load_scenario(args.file, args.tol).resolve_povm(args.tol)
     d = naimark_dilate(p, args.tol)
     scenario = Scenario(
-        p.system_dim, d.outcomes.space.env_dim, d.outcomes, d.phi_init, povm_from_dilation(d)
+        p.system_dim, d.outcomes.env_dim, d.outcomes, d.phi_init, povm_from_dilation(d)
     )
     save_scenario(args.output, scenario)
     print(
-        f"wrote {args.output}: env_dim={d.outcomes.space.env_dim}, "
+        f"wrote {args.output}: env_dim={d.outcomes.env_dim}, "
         f"{len(d.outcomes)} joint outcomes"
     )
     return 0

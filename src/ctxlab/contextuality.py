@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpaceMismatchError, ValidationError
-from .hilbert import DEFAULT_TOL, amplitudes, fix_phase, unit_vector
-from .povm import DensityMatrix, Povm, require_context_weight
+from .errors import ValidationError
+from .hilbert import DEFAULT_TOL, amplitudes, density_matrix, fix_phase, unit_vector
+from .povm import Povm, require_context_weight
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,24 @@ class Certification:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """The verdict at one state, whose read-only density matrix is ``state_used``."""
+
     lhs: float
     rhs: float
     violated: bool
-    state_used: DensityMatrix
+    state_used: np.ndarray
     certification: Certification
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.lhs, self.rhs, self.violated, self.certification)
+        same = same == (other.lhs, other.rhs, other.violated, other.certification)
+        return same and np.array_equal(self.state_used, other.state_used)
 
 
 def evaluate_inequality(
-    t: HardyTriple, state: np.ndarray | DensityMatrix, tol: float = DEFAULT_TOL
+    t: HardyTriple, state: np.ndarray, tol: float = DEFAULT_TOL
 ) -> InequalityReport:
     """Compare the rescaled F probability against the D1 + D2 sum at a state.
 
@@ -128,14 +137,13 @@ def evaluate_inequality(
     vectors. For rank-1 elements a rescaled probability is ``<u|rho|u>`` at the
     element's unit direction u, so every number comes from the stack U of the
     triple's five directions: lhs and rhs from the diagonal of U rho U^dagger,
-    the certification from |<u_k|f_hat>|^2, row 0 of the Gram matrix of U.
+    the certification from |<u_k|f_hat>|^2, row 0 of the Gram matrix of U. The
+    state, a ket or a density matrix, is checked by ``density_matrix``.
     """
-    used = state if isinstance(state, DensityMatrix) else DensityMatrix.from_ket(state, tol)
-    if used.dim != t.povm.system_dim:
-        raise SpaceMismatchError(f"state dim {used.dim} != system dim {t.povm.system_dim}")
+    used = density_matrix(state, t.povm.system_dim, tol)
     units = t.directions
     rows = units[:3]  # f_hat, d1_hat, d2_hat
-    lhs, d1, d2 = np.einsum("ki,ij,kj->k", rows.conj(), used.matrix, rows).real.tolist()
+    lhs, d1, d2 = np.einsum("ki,ij,kj->k", rows.conj(), used, rows).real.tolist()
     c1, c2, r1, r2 = (np.abs(units[1:].conj() @ units[0]) ** 2).tolist()
     rhs = d1 + d2
     return InequalityReport(lhs, rhs, lhs > rhs + tol, used, Certification(c1, c2, r1, r2))

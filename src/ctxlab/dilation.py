@@ -21,10 +21,8 @@ import numpy as np
 from .errors import SpaceMismatchError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
-    JOINT,
-    Operator,
-    Space,
     amplitudes,
+    entries,
     fix_phase,
     gram,
     orthonormality_residual,
@@ -39,27 +37,30 @@ class JointOutcomeSet(LabelledStack):
 
     ``validate=False`` skips the orthonormality check so that deliberately
     perturbed sets can be built for diagnostics. ``vectors`` holds one row of
-    amplitudes per outcome.
+    amplitudes per outcome on the joint space of ``env_dim * sys_dim`` amplitudes.
     """
 
-    _compared = ("space",)
+    _compared = ("env_dim", "sys_dim")
     _nonempty = "at least one outcome is required"
 
     def __init__(
         self,
-        space: Space,
+        env_dim: int,
+        sys_dim: int,
         labels: Sequence[str],
         vectors: np.ndarray,
         validate: bool = True,
         tol: float = DEFAULT_TOL,
     ) -> None:
-        """An outcome set over a copy of an ``(M, space.dim)`` complex stack."""
-        if space.kind != JOINT:
-            raise SpaceMismatchError("outcome sets live on joint spaces")
-        self._store(labels, vectors, space.dim, space=space, tol=tol)
-        if len(labels) > space.dim:
+        """An outcome set over a copy of an ``(M, env_dim * sys_dim)`` complex stack;
+        raises ``space-dim`` for a factor dimension below 1."""
+        if env_dim < 1 or sys_dim < 1:
+            raise ValidationError("space dimension must be at least 1", invariant="space-dim")
+        dim = env_dim * sys_dim
+        self._store(labels, vectors, dim, env_dim=env_dim, sys_dim=sys_dim, tol=tol)
+        if len(labels) > dim:
             raise ValidationError(
-                f"{len(labels)} outcomes exceed dim {space.dim}", invariant="outcome-count"
+                f"{len(labels)} outcomes exceed dim {dim}", invariant="outcome-count"
             )
         if validate:
             require_orthonormal(self.vectors, tol, "outcome set is", "outcome-orthonormality")
@@ -84,9 +85,9 @@ class Dilation:
 
     def __post_init__(self) -> None:
         phi = amplitudes(self.phi_init, (None,), "for phi_init")
-        if len(phi) != self.outcomes.space.env_dim:
+        if len(phi) != self.outcomes.env_dim:
             raise SpaceMismatchError(
-                f"phi_init dim {len(phi)} != environment factor {self.outcomes.space.env_dim}"
+                f"phi_init dim {len(phi)} != environment factor {self.outcomes.env_dim}"
             )
         require_normalised_phi_init(phi, self.tol)
         object.__setattr__(self, "phi_init", phi)
@@ -104,13 +105,13 @@ def povm_from_dilation(d: Dilation) -> Povm:
     kept, so the label set always matches the outcome set. If the outcome set
     is complete the result sums to the identity.
     """
-    return Povm.from_vectors(d.outcomes.space.sys_dim, d.outcomes.labels(), _lambdas(d))
+    return Povm.from_vectors(d.outcomes.sys_dim, d.outcomes.labels(), _lambdas(d))
 
 
 def _lambdas(d: Dilation) -> np.ndarray:
     """Rows lambda(m) = <phi_init|m>."""
-    space = d.outcomes.space
-    return d.phi_init.conj() @ d.outcomes.vectors.reshape(-1, space.env_dim, space.sys_dim)
+    outcomes = d.outcomes
+    return d.phi_init.conj() @ outcomes.vectors.reshape(-1, outcomes.env_dim, outcomes.sys_dim)
 
 
 def _components(d: Dilation) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +125,8 @@ def _components(d: Dilation) -> tuple[np.ndarray, np.ndarray]:
 def residual_decompose(d: Dilation) -> JointOutcomeSet:
     """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
     _, sigmas = _components(d)
-    outcomes = d.outcomes
-    return JointOutcomeSet(outcomes.space, outcomes.labels(), sigmas, validate=False)
+    env_dim, sys_dim = d.outcomes.env_dim, d.outcomes.sys_dim
+    return JointOutcomeSet(env_dim, sys_dim, d.outcomes.labels(), sigmas, validate=False)
 
 
 @dataclass(frozen=True)
@@ -181,16 +182,15 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     # coords[m, j] with conj(coords[m]) . coords[m'] = G_sigma[m, m']
     coords = (np.sqrt(values[keep])[:, None] * fix_phase(vectors[:, keep].T).conj()).T
 
-    joint = Space.joint(count, sys_dim)
     flat = np.zeros((count, count * sys_dim), dtype=complex)
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
-    outcomes = JointOutcomeSet(joint, p.labels(), flat, tol=tol)
+    outcomes = JointOutcomeSet(count, sys_dim, p.labels(), flat, tol=tol)
     return Dilation(outcomes, np.eye(1, count)[0], tol=tol)
 
 
 def context_switch_povm(
-    contexts: Sequence[tuple[np.ndarray, Operator]],
+    contexts: Sequence[tuple[np.ndarray, np.ndarray]],
     basis: np.ndarray,
     phi_init: np.ndarray,
     labels: Sequence[Sequence[str]] | None = None,
@@ -201,9 +201,9 @@ def context_switch_povm(
     Parameters
     ----------
     contexts : pairs (environment ket, system unitary)
-        The environment kets, of phi_init's length, must be mutually orthonormal;
-        detecting context x measures the system in the basis rotated by that
-        context's unitary.
+        The environment kets, of phi_init's length, must be mutually orthonormal,
+        and each unitary a ``(dim, dim)`` matrix; detecting context x measures the
+        system in the basis rotated by that context's unitary.
     basis : orthonormal complete system basis
         The readout basis before rotation, a ``(dim, dim)`` stack of kets as rows.
     phi_init : 1-D array
@@ -230,11 +230,8 @@ def context_switch_povm(
     readout = require_basis(basis, sys_dim, tol, "readout basis")[:, :, None]
     names, blocks = grid_labels(labels, len(contexts), sys_dim), []
     for x, (_, unitary) in enumerate(contexts):
-        if unitary.space.dim != sys_dim:
-            raise SpaceMismatchError(f"context {x} unitary does not act on the system")
-        gap = float(
-            np.abs(unitary.entries.conj().T @ unitary.entries - np.eye(sys_dim)).max()
-        )
+        unitary = entries(unitary, sys_dim, f"for context {x}'s unitary on dim {sys_dim}")
+        gap = float(np.abs(unitary.conj().T @ unitary - np.eye(sys_dim)).max())
         if gap > tol:
             raise ValidationError(
                 f"context {x} operator is not unitary (residual {gap:.3e})",
@@ -242,5 +239,5 @@ def context_switch_povm(
             )
         # Stacked matrix-vector products round each row as U^dag |a> alone does.
         overlap = complex(np.vdot(phi_init, env_kets[x]))
-        blocks.append(overlap * (unitary.entries.conj().T @ readout)[:, :, 0])
+        blocks.append(overlap * (unitary.conj().T @ readout)[:, :, 0])
     return Povm.from_vectors(sys_dim, names, np.concatenate(blocks))

@@ -8,7 +8,8 @@ class CtxlabError(Exception):
 
 
 class SpaceMismatchError(CtxlabError):
-    """Operands live on incompatible spaces (wrong kind or dimension)."""
+    """An array does not have the shape its place needs: a ket, stack, matrix or state of
+    another shape or dimension, or values that are not one complex array."""
 
 
 class UnknownLabelError(CtxlabError):

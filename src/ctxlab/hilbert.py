@@ -1,66 +1,23 @@
-"""Labelled finite-dimensional Hilbert spaces and operators; kets are complex arrays.
+"""Kets, operators and states as plain complex arrays, and the one conversion of each.
 
-A ket is a 1-D complex array of its space's length, and a set of kets a 2-D
-stack with one ket per row. Joint vectors are stored flat in environment-major
-order, ``flat_index = env_index * sys_dim + sys_index``, so that the flat vector
-of ``env (x) sys`` is ``numpy.kron(env, sys)``.
+A ket is a 1-D complex array of its space's length, a set of kets a 2-D stack
+with one ket per row, and an operator (a POVM element, a unitary, a density
+matrix) a 2-D ``(dim, dim)`` array. A state is a ket or a density matrix.
+Joint vectors are stored flat in environment-major order, ``flat_index =
+env_index * sys_dim + sys_index``, so that the flat vector of ``env (x) sys`` is
+``numpy.kron(env, sys)``.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 
-SYSTEM = "system"
-ENVIRONMENT = "environment"
-JOINT = "joint"
-
-_KINDS = (SYSTEM, ENVIRONMENT, JOINT)
-
 DEFAULT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Space:
-    """A labelled Hilbert space: system, environment, or their tensor product."""
-
-    kind: str
-    dim: int
-    env_dim: int | None = None
-    sys_dim: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown space kind {self.kind!r}", invariant="space-kind")
-        if self.dim < 1:
-            raise ValidationError("space dimension must be at least 1", invariant="space-dim")
-        if self.kind == JOINT:
-            if self.env_dim is None or self.sys_dim is None:
-                raise ValidationError(
-                    "joint spaces need env_dim and sys_dim", invariant="space-dim"
-                )
-            if self.env_dim < 1 or self.sys_dim < 1 or self.env_dim * self.sys_dim != self.dim:
-                raise ValidationError(
-                    f"joint dimension {self.dim} != env {self.env_dim} * sys {self.sys_dim}",
-                    invariant="space-dim",
-                )
-        elif self.env_dim is not None or self.sys_dim is not None:
-            raise ValidationError(
-                "only joint spaces carry factor dimensions", invariant="space-dim"
-            )
-
-    @classmethod
-    def system(cls, dim: int) -> Space:
-        return cls(SYSTEM, dim)
-
-    @classmethod
-    def joint(cls, env_dim: int, sys_dim: int) -> Space:
-        return cls(JOINT, env_dim * sys_dim, env_dim, sys_dim)
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
@@ -115,6 +72,14 @@ def require_finite(amplitudes: np.ndarray) -> None:
         raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
 
 
+def _complex(values: object, what: str, items: str, form: str) -> np.ndarray:
+    """``values`` as one complex array, else SpaceMismatchError."""
+    try:
+        return np.array(values, dtype=complex)
+    except (TypeError, ValueError) as exc:  # rows of unequal lengths or a string entry
+        raise SpaceMismatchError(f"{items} that are not one complex {form} {what}") from exc
+
+
 def amplitudes(values: object, shape: tuple[int | None, ...], what: str) -> np.ndarray:
     """``values`` as a read-only complex copy of ``shape``: ``(dim,)`` for a ket, ``(count,
     dim)`` for a stack of kets as rows, None for a length the caller checks itself.
@@ -124,10 +89,7 @@ def amplitudes(values: object, shape: tuple[int | None, ...], what: str) -> np.n
     unequal lengths, a string entry) or of another shape, then ``finite-amplitudes``.
     """
     items, form = ("rows", "stack") if len(shape) == 2 else ("amplitudes", "ket")
-    try:
-        array = np.array(values, dtype=complex)
-    except (TypeError, ValueError) as exc:  # rows of unequal lengths or a string entry
-        raise SpaceMismatchError(f"{items} that are not one complex {form} {what}") from exc
+    array = _complex(values, what, items, form)
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
         raise SpaceMismatchError(f"a {form} of shape {array.shape} {what}")
     require_finite(array)
@@ -135,38 +97,53 @@ def amplitudes(values: object, shape: tuple[int | None, ...], what: str) -> np.n
     return array
 
 
-@dataclass(frozen=True)
-class Operator:
-    """An immutable square matrix acting on a labelled space."""
+def entries(values: object, dim: int, what: str) -> np.ndarray:
+    """``values`` as a read-only complex ``(dim, dim)`` copy, the one conversion of an
+    operator: raises SpaceMismatchError, its message ended by ``what``, as ``amplitudes``
+    does, then ``finite-entries``."""
+    matrix = _complex(values, what, "rows", "matrix")
+    if matrix.shape != (dim, dim):
+        raise SpaceMismatchError(f"a matrix of shape {matrix.shape} {what}")
+    if not np.isfinite(matrix).all():
+        raise ValidationError("entries must be finite", invariant="finite-entries")
+    matrix.setflags(write=False)
+    return matrix
 
-    space: Space
-    entries: np.ndarray
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=complex)
-        if mat.shape != (self.space.dim, self.space.dim):
-            raise SpaceMismatchError(
-                f"matrix shape {mat.shape} for a dim-{self.space.dim} space"
-            )
-        if not np.isfinite(mat).all():
-            raise ValidationError("entries must be finite", invariant="finite-entries")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+def state_array(values: object, what: str) -> np.ndarray:
+    """A state as a read-only complex copy: a ket through ``amplitudes``, a square matrix
+    through ``entries``. Converted before the form is picked, so anything that is not one
+    complex array raises SpaceMismatchError, as does a matrix not square or of three axes."""
+    array = _complex(values, what, "values", "state")
+    if array.ndim < 2:
+        return amplitudes(array, (None,), what)
+    return entries(array, len(array), what)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.entries, other.entries)
 
-    @classmethod
-    def identity(cls, space: Space) -> Operator:
-        return cls(space, np.eye(space.dim, dtype=complex))
-
-    def hermiticity_residual(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+def density_matrix(state: object, dim: int, tol: float) -> np.ndarray:
+    """rho of a state, read-only ``(dim, dim)``, the one check of a state a function is given:
+    ``|psi><psi|`` of a ket normalised within tol (``state-normalisation``), or a matrix
+    Hermitian, positive and of unit trace within tol (``hermiticity``, ``positivity``,
+    ``unit-trace``). A state of another dimension raises SpaceMismatchError."""
+    rho = state_array(state, f"for a dim-{dim} system")
+    if len(rho) != dim:
+        raise SpaceMismatchError(f"state dim {len(rho)} != system dim {dim}")
+    if rho.ndim == 1 and abs(float(np.vdot(rho, rho).real) - 1.0) > tol:
+        raise ValidationError("pure states must be normalised", invariant="state-normalisation")
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+        rho.setflags(write=False)
+        return rho
+    require_hermitian(rho, tol, "density matrix")
+    low = float(np.linalg.eigvalsh(rho)[0])
+    if low < -tol:
+        problem = f"density matrix has eigenvalue {low:.3e} < 0"
+        raise ValidationError(problem, invariant="positivity")
+    with np.errstate(over="ignore"):  # an overflowing trace fails the check below instead
+        trace = float(np.trace(rho).real)
+    if abs(trace - 1.0) > tol:
+        raise ValidationError(f"trace {trace!r} != 1", invariant="unit-trace")
+    return rho
 
 
 def gram(vectors: np.ndarray) -> np.ndarray:
@@ -207,12 +184,11 @@ def require_basis(basis: np.ndarray, dim: int, tol: float, name: str) -> np.ndar
     return stack
 
 
-def require_hermitian(op: Operator, tol: float, what: str) -> Operator:
-    """Raise ``hermiticity`` unless ``op`` is Hermitian within tol; ``what`` names it.
-    Returns ``op``."""
-    residual = op.hermiticity_residual()
+def require_hermitian(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """``matrix``, raising ``hermiticity`` unless it is Hermitian within tol; ``what`` names it."""
+    residual = float(np.abs(matrix - matrix.conj().T).max())
     if residual > tol:
         raise ValidationError(
             f"{what} is not Hermitian (residual {residual:.3e})", invariant="hermiticity"
         )
-    return op
+    return matrix

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import DEFAULT_TOL, Space, amplitudes
+from .hilbert import DEFAULT_TOL, amplitudes
 from .povm import Povm, coarse_grain
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 
@@ -98,7 +98,7 @@ def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     """
     labels = ("V1", "V2", "V3", "H1", "H2", "H3")
     vectors = np.concatenate(_readout_rows(s))
-    return JointOutcomeSet(Space.joint(2, 3), labels, vectors, tol=tol)
+    return JointOutcomeSet(2, 3, labels, vectors, tol=tol)
 
 
 def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
@@ -111,7 +111,7 @@ def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     v_rows, h_rows = _readout_rows(s)
     inv2 = complex(1.0 / np.sqrt(2.0))
     vectors = np.concatenate([(h_rows + v_rows) * inv2, (h_rows - v_rows) * inv2])
-    return JointOutcomeSet(Space.joint(2, 3), labels, vectors, tol=tol)
+    return JointOutcomeSet(2, 3, labels, vectors, tol=tol)
 
 
 def dilation_VH(

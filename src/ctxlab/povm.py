@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping, Sequence
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import SpaceMismatchError, UnknownLabelError, ValidationError
+from .errors import UnknownLabelError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
-    SYSTEM,
-    Operator,
-    Space,
     amplitudes,
+    density_matrix,
+    entries,
     finite,
     fix_phase,
     require_basis,
@@ -39,8 +38,8 @@ class LabelledStack:
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
 
     Subclasses name in ``_compared`` what equality compares and repr shows
-    besides the labels and the stack, and in ``_nonempty`` the message for an
-    empty label list. Instances are immutable.
+    besides the labels and the stack (a dict of arrays by value), and in
+    ``_nonempty`` the message for an empty label list. Instances are immutable.
     """
 
     _compared: tuple[str, ...]
@@ -79,7 +78,7 @@ class LabelledStack:
         return (
             self.labels() == other.labels()
             and np.array_equal(self.vectors, other.vectors)
-            and all(getattr(self, name) == getattr(other, name) for name in self._compared)
+            and all(_same(getattr(self, name), getattr(other, name)) for name in self._compared)
         )
 
     def __repr__(self) -> str:
@@ -93,6 +92,12 @@ class LabelledStack:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _same(x: object, y: object) -> bool:
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+    return x == y
+
+
 class Povm(LabelledStack):
     """An ordered, labelled POVM on a system space.
 
@@ -100,7 +105,7 @@ class Povm(LabelledStack):
     inspected; ``completeness_check`` reports the residual and
     ``validate_povm`` raises on violations. ``vectors`` holds the amplitudes
     of each rank-1 element and zeros for each operator element, whose
-    Hermitian system ``Operator`` is kept in ``operators``.
+    read-only Hermitian ``(system_dim, system_dim)`` matrix is kept in ``operators``.
     """
 
     _compared = ("system_dim", "_operators")
@@ -111,19 +116,20 @@ class Povm(LabelledStack):
         system_dim: int,
         labels: Sequence[str],
         vectors: np.ndarray,
-        operators: dict[int, Operator] | None = None,
+        operators: Mapping[int, np.ndarray] | None = None,
         tol: float = DEFAULT_TOL,
     ) -> None:
         """A POVM over a copy of an ``(M, system_dim)`` complex stack.
 
         ``operators`` maps the positions of operator elements, whose rows are
-        zero, to their operators. Raises ``nonempty`` or ``unique-labels`` for
-        empty or repeated labels, ``finite-amplitudes`` for non-finite
-        amplitudes, ``SpaceMismatchError`` for a stack that is not
-        ``(len(labels), system_dim)`` or an operator off the dim-``system_dim``
-        system space, ``element-payload`` for a key that is not a position or a
-        nonzero row at an operator's position, and ``hermiticity`` for an
-        operator that is not Hermitian within tol.
+        zero, to their matrices, each stored as a read-only complex copy. Raises
+        ``nonempty`` or ``unique-labels`` for empty or repeated labels,
+        ``finite-amplitudes`` or ``finite-entries`` for non-finite values,
+        ``SpaceMismatchError`` for a stack that is not ``(len(labels),
+        system_dim)`` or a matrix that is not ``(system_dim, system_dim)``,
+        ``element-payload`` for a key that is not a position or a nonzero row at
+        an operator's position, and ``hermiticity`` for an operator that is not
+        Hermitian within tol.
         """
         operators = dict(operators or {})
         self._store(labels, vectors, system_dim, system_dim=system_dim, _operators=operators)
@@ -131,10 +137,8 @@ class Povm(LabelledStack):
             if not isinstance(k, (int, np.integer)) or not 0 <= k < len(labels):
                 problem = f"operator position {k!r} is not one of the {len(labels)} positions"
                 raise ValidationError(problem, invariant="element-payload")
-            if (op.space.kind, op.space.dim) != (SYSTEM, system_dim):
-                raise SpaceMismatchError(
-                    f"element {labels[k]!r} is not on the dim-{system_dim} system space"
-                )
+            what = f"for element {labels[k]!r} of dim {system_dim}"
+            operators[k] = op = entries(op, system_dim, what)
             if self.vectors[k].any():
                 problem = f"operator element {labels[k]!r} has a nonzero row"
                 raise ValidationError(problem, invariant="element-payload")
@@ -148,7 +152,7 @@ class Povm(LabelledStack):
         return cls(system_dim, labels, fix_phase(cls._rows(labels, stack, system_dim)))
 
     @property
-    def operators(self) -> Mapping[int, Operator]:
+    def operators(self) -> Mapping[int, np.ndarray]:
         """The operator elements by position; every other element is rank one."""
         return MappingProxyType(self._operators)
 
@@ -160,57 +164,12 @@ class Povm(LabelledStack):
         return is_vector
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A positive, unit-trace system operator used as an input state."""
-
-    op: Operator
-    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.op.space.kind != SYSTEM:
-            raise SpaceMismatchError("density matrices live on system spaces")
-        require_hermitian(self.op, self.tol, "density matrix")
-        low = float(np.linalg.eigvalsh(self.op.entries)[0])
-        if low < -self.tol:
-            raise ValidationError(
-                f"density matrix has eigenvalue {low:.3e} < 0", invariant="positivity"
-            )
-        with np.errstate(over="ignore"):  # an overflowing trace fails the check below instead
-            tr = self.op.trace().real
-        if abs(tr - 1.0) > self.tol:
-            raise ValidationError(f"trace {tr!r} != 1", invariant="unit-trace")
-
-    @classmethod
-    def from_ket(cls, psi: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        """|psi><psi| of a unit ket, a 1-D array of any length."""
-        psi = amplitudes(psi, (None,), "for a pure state")
-        if abs(float(np.vdot(psi, psi).real) - 1.0) > tol:
-            raise ValidationError(
-                "pure states must be normalised", invariant="state-normalisation"
-            )
-        return cls(Operator(Space.system(len(psi)), np.outer(psi, psi.conj())), tol)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> DensityMatrix:
-        mat = np.asarray(matrix, dtype=complex)
-        return cls(Operator(Space.system(mat.shape[0]), mat))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.entries
-
-    @property
-    def dim(self) -> int:
-        return self.op.space.dim
-
-
 def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
     """The elements at ``positions`` as a ``(K, d, d)`` stack of dense matrices."""
     rows = p.vectors[positions]
     stack = rows[:, :, None] * rows.conj()[:, None, :]
     for k in np.flatnonzero(~p._is_vector[positions]):
-        stack[k] = p._operators[positions[k]].entries
+        stack[k] = p._operators[positions[k]]
     return stack
 
 
@@ -221,7 +180,7 @@ def _selection_weights(p: Povm, positions: np.ndarray) -> np.ndarray:
     rows = p.vectors[positions]
     weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
     for i in np.flatnonzero(~p._is_vector[positions]):
-        weights[i] = np.linalg.eigvalsh(p._operators[positions[i]].entries)[-1]
+        weights[i] = np.linalg.eigvalsh(p._operators[positions[i]])[-1]
     return weights
 
 
@@ -236,7 +195,7 @@ def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
     worst = max(0.0, float(_selection_weights(p, np.arange(len(p))).max()) - 1.0)
     for op in p._operators.values():
-        worst = max(worst, float(-np.linalg.eigvalsh(op.entries)[0]))
+        worst = max(worst, float(-np.linalg.eigvalsh(op)[0]))
     return worst
 
 
@@ -256,19 +215,15 @@ def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
         )
 
 
-def probability(
-    p: Povm, state: np.ndarray | DensityMatrix, label: str, tol: float = DEFAULT_TOL
-) -> float:
-    """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator)."""
+def probability(p: Povm, state: np.ndarray, label: str, tol: float = DEFAULT_TOL) -> float:
+    """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator) at a
+    ket or a density matrix, checked by ``density_matrix``."""
     k = p._index[label]
-    if not isinstance(state, DensityMatrix):
-        state = DensityMatrix.from_ket(state, tol)
-    if state.dim != p.system_dim:
-        raise SpaceMismatchError(f"state dim {state.dim} != system dim {p.system_dim}")
+    rho = density_matrix(state, p.system_dim, tol)
     if p._is_vector[k]:
-        value = float(np.vdot(p.vectors[k], state.matrix @ p.vectors[k]).real)
+        value = float(np.vdot(p.vectors[k], rho @ p.vectors[k]).real)
     else:
-        value = float(np.trace(p._operators[k].entries @ state.matrix).real)
+        value = float(np.trace(p._operators[k] @ rho).real)
     if value < -tol:
         raise ValidationError(f"negative probability {value!r}", invariant="positivity")
     return value
@@ -293,24 +248,24 @@ def require_context_weight(p: Povm, label: str, tol: float) -> float:
     return weight
 
 
-def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """The pure state attaining the outcome's maximal probability."""
+def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The density matrix of the pure state attaining the outcome's maximal probability."""
     k = p._index[label]
     require_context_weight(p, label, tol)
     if p._is_vector[k]:
         row = p.vectors[k]
     else:
-        values, vectors = np.linalg.eigh(p._operators[k].entries)
+        values, vectors = np.linalg.eigh(p._operators[k])
         if values.shape[0] > 1 and values[-2] > tol:
             raise ValidationError(
                 f"element {label!r} is not rank one", invariant="rank-one"
             )
         row = fix_phase(vectors[:, -1])
-    return DensityMatrix.from_ket(unit_vector(row, tol), tol)
+    return density_matrix(unit_vector(row, tol), p.system_dim, tol)
 
 
 def rescaled_probability(
-    p: Povm, state: np.ndarray | DensityMatrix, label: str, tol: float = DEFAULT_TOL
+    p: Povm, state: np.ndarray, label: str, tol: float = DEFAULT_TOL
 ) -> float:
     """Outcome probability divided by its context-selection probability."""
     weight = require_context_weight(p, label, tol)
@@ -411,7 +366,7 @@ def coarse_grain(
         row = np.sqrt(max(values[-1], 0.0)) * fix_phase(vectors[:, -1])
     else:
         row = np.zeros(p.system_dim, dtype=complex)
-        operators[-1] = Operator(Space.system(p.system_dim), total)
+        operators[-1] = total
 
     drop = set(positions.tolist())
     labels = p.labels()

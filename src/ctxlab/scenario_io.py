@@ -25,17 +25,26 @@ from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
-from .hilbert import DEFAULT_TOL, Operator, Space, amplitudes, require_finite, require_hermitian
-from .povm import DensityMatrix, Povm
+from .hilbert import (
+    DEFAULT_TOL,
+    amplitudes,
+    density_matrix,
+    entries,
+    require_finite,
+    require_hermitian,
+    state_array,
+)
+from .povm import Povm
 
 SCHEMA_VERSION = 1
 
@@ -46,9 +55,9 @@ def encode_vector(amplitudes: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(amplitudes, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-def encode_matrix(entries: np.ndarray) -> list[list[list[float]]]:
+def encode_matrix(matrix: np.ndarray) -> list[list[list[float]]]:
     """Each row of a matrix, or of a stack of vectors, as ``encode_vector`` writes it."""
-    rows = np.ascontiguousarray(entries, dtype=complex)
+    rows = np.ascontiguousarray(matrix, dtype=complex)
     return rows.view(float).reshape(len(rows), -1, 2).tolist()
 
 
@@ -120,8 +129,10 @@ def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
 class Scenario:
     """Parsed contents of one scenario file.
 
-    ``phi_init`` and each pure state are stored as read-only complex copies, of the
-    environment and the system dimension, and compare by value.
+    ``phi_init`` and each state (a ket, or a square density matrix) are stored as
+    read-only complex copies, of the environment and the system dimension, and
+    compare by value; ``states`` is a read-only mapping. A mixed state's physics is
+    checked where it is used, and by the reader at its tol.
     """
 
     system_dim: int
@@ -129,7 +140,7 @@ class Scenario:
     outcomes: JointOutcomeSet | None = None
     phi_init: np.ndarray | None = None
     povm: Povm | None = None
-    states: dict[str, np.ndarray | DensityMatrix] = field(default_factory=dict)
+    states: Mapping[str, np.ndarray] = field(default_factory=dict)
     hardy: tuple[str, str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -139,17 +150,16 @@ class Scenario:
         if self.outcomes is not None:
             if self.env_dim is None:
                 raise ScenarioFileError("env_dim must be a positive integer")
-            joint_dim = self.env_dim * self.system_dim
-            if self.outcomes.space.dim != joint_dim:
-                raise _wrong_length(f"outcome {self.outcomes.labels()[0]!r}", joint_dim)
+            outcomes, joint_dim = self.outcomes, self.env_dim * self.system_dim
+            if outcomes.vectors.shape[1] != joint_dim:
+                raise _wrong_length(f"outcome {outcomes.labels()[0]!r}", joint_dim)
             phi_init = amplitudes(self.phi_init, (None,), "for phi_init")
             if len(phi_init) != self.env_dim:
                 raise _wrong_length("phi_init", self.env_dim)
             object.__setattr__(self, "phi_init", phi_init)
-            space = self.outcomes.space
-            if (space.env_dim, space.sys_dim) != (self.env_dim, self.system_dim):
+            if (outcomes.env_dim, outcomes.sys_dim) != (self.env_dim, self.system_dim):
                 raise ScenarioFileError(  # the file would read them back on other factors
-                    f"outcomes are on joint(env {space.env_dim}, sys {space.sys_dim}), "
+                    f"outcomes are on joint(env {outcomes.env_dim}, sys {outcomes.sys_dim}), "
                     f"not joint(env {self.env_dim}, sys {self.system_dim})"
                 )
         if self.povm is not None and self.povm.system_dim != self.system_dim:
@@ -157,13 +167,10 @@ class Scenario:
             raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
         states = {}
         for label, state in self.states.items():
-            ket = not isinstance(state, DensityMatrix)
-            if ket:
-                state = amplitudes(state, (None,), f"for state {label!r}")
-            if (len(state) if ket else state.dim) != self.system_dim:
-                raise _wrong_length(f"state {label!r}", self.system_dim, matrix=not ket)
-            states[label] = state
-        object.__setattr__(self, "states", states)
+            state = states[label] = state_array(state, f"for state {label!r}")
+            if len(state) != self.system_dim:
+                raise _wrong_length(f"state {label!r}", self.system_dim, matrix=state.ndim == 2)
+        object.__setattr__(self, "states", MappingProxyType(states))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -173,10 +180,8 @@ class Scenario:
             return False
         pairs = [(self.phi_init, other.phi_init)]
         pairs += [(x, other.states.get(label)) for label, x in self.states.items()]
-        return self.states.keys() == other.states.keys() and all(
-            np.array_equal(x, y) if np.ndarray in (type(x), type(y)) else x == y
-            for x, y in pairs
-        )
+        same = self.states.keys() == other.states.keys()
+        return same and all(np.array_equal(x, y) for x, y in pairs)
 
     def dilation(self, tol: float = DEFAULT_TOL) -> Dilation:
         if self.outcomes is None:
@@ -203,7 +208,8 @@ def _section(
     raw: object, section: str, dim: int, what: str, noun: str = "", matrix: Callable | None = None
 ) -> tuple[list[str], np.ndarray, dict[int, object]]:
     """Labels, an ``(M, dim)`` stack with zero rows at matrix entries, and
-    ``matrix(label, operator)`` of each matrix entry by position.
+    ``matrix(label, entries)`` of each matrix entry's read-only ``(dim, dim)`` entries
+    by position.
 
     Without ``matrix`` every entry is a vector and a "matrix" key is ignored.
     Well-formed vectors are decoded in one call, their finiteness left to the
@@ -235,8 +241,8 @@ def _section(
             stack[k] = decode_vector(item.get("vector"), dim, name)
             require_finite(stack[k])
         else:
-            entries = decode_matrix(item["matrix"], dim, name)
-            matrices[k] = matrix(label, Operator(Space.system(dim), entries))
+            decoded = decode_matrix(item["matrix"], dim, name)
+            matrices[k] = matrix(label, entries(decoded, dim, name))
     return labels, stack, matrices
 
 
@@ -256,9 +262,9 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         if "outcomes" not in raw or "phi_init" not in raw:
             raise ScenarioFileError("outcomes and phi_init must appear together")
         env_dim = _positive_int(raw, "env_dim")
-        joint = Space.joint(env_dim, system_dim)
-        labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint.dim, "outcome")
-        outcomes = JointOutcomeSet(joint, labels, vectors, tol=tol)
+        joint_dim = env_dim * system_dim
+        labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint_dim, "outcome")
+        outcomes = JointOutcomeSet(env_dim, system_dim, labels, vectors, tol=tol)
         phi_init = decode_vector(raw["phi_init"], env_dim, "phi_init")
         require_finite(phi_init)
     elif "env_dim" in raw:
@@ -273,11 +279,11 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         )
         povm = Povm(system_dim, labels, vectors, operators, tol)
 
-    states: dict[str, np.ndarray | DensityMatrix] = {}
+    states: dict[str, np.ndarray] = {}
     if "states" in raw:
         labels, vectors, matrices = _section(
             raw["states"], "states", system_dim, "state", noun="state",
-            matrix=lambda _, op: DensityMatrix(op, tol),
+            matrix=lambda _, rho: density_matrix(rho, system_dim, tol),
         )
         require_finite(vectors)  # the pure states; a mixed state's row is zero
         for k, (label, row) in enumerate(zip(labels, vectors)):
@@ -369,12 +375,11 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
     if s.phi_init is not None:
         fields["phi_init"] = _vectors(s.phi_init[None], "  ")
     if s.povm is not None:
-        operators = {k: op.entries for k, op in s.povm.operators.items()}
-        fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, operators)
+        fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, s.povm.operators)
     if s.states:
         states = tuple(s.states.values())
-        matrices = {k: x.matrix for k, x in enumerate(states) if isinstance(x, DensityMatrix)}
-        rows = [np.zeros(x.dim) if k in matrices else x for k, x in enumerate(states)]
+        matrices = {k: x for k, x in enumerate(states) if x.ndim == 2}
+        rows = [np.zeros(len(x)) if x.ndim == 2 else x for x in states]
         fields["states"] = _section_text(s.states, rows, matrices)
     if s.hardy is not None:
         hardy = json.dumps(dict(zip(("f", "d1", "d2"), s.hardy)), indent=2)

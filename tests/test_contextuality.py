@@ -11,11 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxlab import (
-    DensityMatrix,
     HardyTriple,
-    Operator,
     Povm,
-    Space,
     SpaceMismatchError,
     ValidationError,
     completeness_check,
@@ -36,10 +33,6 @@ SQ3 = np.sqrt(3.0)
 # top root of the characteristic polynomial of P_F - P_D1 - P_D2, frozen at
 # first build from the cubic oracle: (sqrt(33) - 3) / 12
 MAX_GAP = 0.22871355387816908
-
-
-def _space():
-    return Space.system(3)
 
 
 def _directions():
@@ -96,7 +89,7 @@ def test_triple_rejects_degenerate_configurations():
 def test_triple_rejects_operator_and_zero_elements():
     f, d1, d2 = _directions()
     p = hardy_embedding_povm(f, d1, d2)
-    blob = Operator(_space(), np.eye(3) - sum(np.outer(k, k.conj()) / 3.0 for k in (f, d1, d2)))
+    blob = np.eye(3) - sum(np.outer(k, k.conj()) / 3.0 for k in (f, d1, d2))
     rows = np.concatenate([p.vectors[:3], np.zeros((1, 3), dtype=complex)])
     q = Povm(3, p.labels()[:3] + ("rest",), rows, {3: blob})
     with pytest.raises(ValidationError) as err:
@@ -144,7 +137,7 @@ def test_inequality_at_the_paradox_state(embedding, triple):
 
 
 def test_inequality_not_violated_at_the_mixed_state(embedding, triple):
-    mixed = DensityMatrix.from_matrix(np.eye(3) / 3.0)
+    mixed = np.eye(3) / 3.0
     report = evaluate_inequality(triple, mixed)
     assert abs(report.lhs - 1.0 / 3.0) <= 1e-12
     assert abs(report.rhs - 2.0 / 3.0) <= 1e-12
@@ -352,8 +345,8 @@ def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
     weights = rng.dirichlet(np.ones(dim))
     v = random_unitary(rng, dim)
     pure = random_pure_state(rng, dim)
-    mixed = DensityMatrix.from_matrix((v * weights) @ v.conj().T)
-    for state, rho in ((pure, np.outer(pure, pure.conj())), (mixed, mixed.matrix)):
+    mixed = (v * weights) @ v.conj().T
+    for state, rho in ((pure, np.outer(pure, pure.conj())), (mixed, mixed)):
         want = hardy_numbers(f, d1, d2, b1, b2, rho)
         assert abs(value - want["max_violation"]) <= 1e-12
         report = evaluate_inequality(triple, state)

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from ctxlab import (
     Dilation,
     JointOutcomeSet,
-    Operator,
     Povm,
-    Space,
     SpaceMismatchError,
     ValidationError,
     build_three_path,
@@ -43,31 +41,28 @@ SQ3 = np.sqrt(3.0)
 
 
 def _random_dilation(rng, env_dim, sys_dim):
-    joint = Space.joint(env_dim, sys_dim)
-    basis = random_unitary(rng, joint.dim)
-    labels = [f"m{k}" for k in range(joint.dim)]
+    basis = random_unitary(rng, env_dim * sys_dim)
+    labels = [f"m{k}" for k in range(env_dim * sys_dim)]
     phi = rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)
     phi = phi / np.linalg.norm(phi)
-    return Dilation(JointOutcomeSet(joint, labels, basis.T.copy()), phi)
+    return Dilation(JointOutcomeSet(env_dim, sys_dim, labels, basis.T.copy()), phi)
 
 
 def test_outcome_set_validates_orthonormality():
-    joint = Space.joint(2, 3)
     v = np.eye(2)[1]
     p1 = np.eye(3)[0]
     twice = np.array([np.kron(v, p1)] * 2)
     with pytest.raises(ValidationError) as err:
-        JointOutcomeSet(joint, ["a", "b"], twice)
+        JointOutcomeSet(2, 3, ["a", "b"], twice)
     assert err.value.invariant == "unique-labels" or err.value.invariant == "outcome-orthonormality"
     skew = np.kron(v, [0.9, 0.1, 0.0])
     with pytest.raises(ValidationError):
-        JointOutcomeSet(joint, ["a", "b"], np.array([np.kron(v, p1), skew]))
+        JointOutcomeSet(2, 3, ["a", "b"], np.array([np.kron(v, p1), skew]))
 
 
-@pytest.mark.parametrize("name", ["space", "tol", "vectors", "_index"])
+@pytest.mark.parametrize("name", ["env_dim", "sys_dim", "tol", "vectors", "_index"])
 def test_outcome_set_fields_can_be_neither_assigned_nor_deleted(name):
-    joint = Space.joint(2, 2)
-    outcomes = JointOutcomeSet(joint, ["m0", "m1", "m2"], np.eye(3, 4, dtype=complex))
+    outcomes = JointOutcomeSet(2, 2, ["m0", "m1", "m2"], np.eye(3, 4, dtype=complex))
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
         setattr(outcomes, name, None)
     with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
@@ -76,10 +71,9 @@ def test_outcome_set_fields_can_be_neither_assigned_nor_deleted(name):
 
 
 def test_outcome_set_count_cannot_exceed_dimension():
-    joint = Space.joint(1, 2)
     rows = np.eye(2)[[0, 1, 0]]  # |0> (x) |a> for a = 0, 1, 0 on a dim-1 environment
     with pytest.raises(ValidationError):
-        JointOutcomeSet(joint, ["a", "b", "c"], rows)
+        JointOutcomeSet(1, 2, ["a", "b", "c"], rows)
 
 
 def test_dilation_requires_normalised_environment_state():
@@ -118,7 +112,7 @@ def test_product_outcomes_give_projective_elements():
     # outcomes |x> (x) |a> with phi_init = |x> contract to the bare basis
     x = np.eye(2)[0]
     rows = np.array([np.kron(x, np.eye(3)[i]) for i in range(3)])
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["a0", "a1", "a2"], rows)
+    outcomes = JointOutcomeSet(2, 3, ["a0", "a1", "a2"], rows)
     p = povm_from_dilation(Dilation(outcomes, x))
     for i, label in enumerate(p.labels()):
         el = element_row(p, label)
@@ -155,7 +149,7 @@ def test_outcomes_orthogonal_to_initial_condition_become_zero_elements():
 def test_residuals_vanish_for_product_outcomes():
     x = np.eye(2)[0]
     rows = np.array([np.kron(x, np.eye(3)[i]) for i in range(3)])
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["a0", "a1", "a2"], rows)
+    outcomes = JointOutcomeSet(2, 3, ["a0", "a1", "a2"], rows)
     residuals = residual_decompose(Dilation(outcomes, x))
     for sigma in residuals.vectors:
         assert np.linalg.norm(sigma) <= 1e-12
@@ -209,7 +203,7 @@ def test_perturbed_outcomes_are_reported_not_raised():
     outcomes = dilation_DA(s).outcomes
     bumped = np.array(outcomes.vectors)
     bumped[outcomes.labels().index("D1"), 0] += 1e-3
-    loose = JointOutcomeSet(outcomes.space, outcomes.labels(), bumped, validate=False)
+    loose = JointOutcomeSet(2, 3, outcomes.labels(), bumped, validate=False)
     report = verify_constraints(Dilation(loose, s.d))
     worst = max(report.max_orthogonality_residual, report.max_normalisation_residual)
     assert 1e-4 < worst < 1e-2
@@ -219,7 +213,7 @@ def test_perturbed_outcomes_are_reported_not_raised():
 def test_naimark_of_projective_povm_has_no_residual():
     p = Povm.from_vectors(3, ["b0", "b1", "b2"], np.eye(3))
     d = naimark_dilate(p)
-    assert d.outcomes.space.env_dim == 3
+    assert d.outcomes.env_dim == 3
     np.testing.assert_allclose(d.phi_init, [1.0, 0.0, 0.0])
     for sigma in residual_decompose(d).vectors:
         assert np.linalg.norm(sigma) <= 1e-9
@@ -230,7 +224,7 @@ def test_naimark_round_trip_on_three_path_povm():
 
     p = povm_DA(build_three_path(), merge_A=True)
     d = naimark_dilate(p)
-    assert d.outcomes.space.env_dim == len(p)
+    assert d.outcomes.env_dim == len(p)
     assert d.outcomes.orthonormality_residual() <= 1e-9
     again = povm_from_dilation(d)
     assert again.labels() == p.labels()
@@ -274,7 +268,7 @@ def test_naimark_rejects_incomplete_and_operator_povms():
     with pytest.raises(ValidationError) as err:
         naimark_dilate(p)
     assert err.value.invariant == "completeness"
-    identity = {0: Operator.identity(Space.system(2))}
+    identity = {0: np.eye(2)}
     with pytest.raises(ValidationError) as err:
         naimark_dilate(Povm(2, ["op"], np.zeros((1, 2), dtype=complex), identity))
     assert err.value.invariant == "rank-one-elements"
@@ -286,10 +280,9 @@ def test_naimark_rejects_incomplete_and_operator_povms():
 
 def test_context_switch_matches_dilation_derivation():
     s = build_three_path()
-    system = Space.system(3)
-    hwp = Operator(system, np.eye(3) - 2.0 * np.outer(s.f, s.f.conj()))
+    hwp = np.eye(3) - 2.0 * np.outer(s.f, s.f.conj())
     p = context_switch_povm(
-        contexts=[(s.v, Operator.identity(system)), (s.h, hwp)],
+        contexts=[(s.v, np.eye(3)), (s.h, hwp)],
         basis=s.paths,
         phi_init=s.d,
         labels=[["V1", "V2", "V3"], ["H1", "H2", "H3"]],
@@ -301,9 +294,8 @@ def test_context_switch_matches_dilation_derivation():
 
 
 def test_single_context_gives_rotated_projective_povm():
-    sys2 = Space.system(2)
     rng = np.random.default_rng(31)
-    u = Operator(sys2, random_unitary(rng, 2))
+    u = random_unitary(rng, 2)
     x = np.eye(2)[0]
     p = context_switch_povm([(x, u)], np.eye(2), x)
     assert completeness_check(p) <= 1e-12
@@ -312,9 +304,8 @@ def test_single_context_gives_rotated_projective_povm():
 
 
 def test_uniform_context_choice_scales_every_weight():
-    sys2 = Space.system(2)
     for count in (2, 3, 5):
-        contexts = [(env, Operator.identity(sys2)) for env in np.eye(count)]
+        contexts = [(env, np.eye(2)) for env in np.eye(count)]
         phi = np.ones(count) / np.sqrt(count)
         p = context_switch_povm(contexts, np.eye(2), phi)
         assert completeness_check(p) <= 1e-12
@@ -323,27 +314,26 @@ def test_uniform_context_choice_scales_every_weight():
 
 
 def test_context_switch_validates_inputs():
-    sys2 = Space.system(2)
     x = np.eye(2)[0]
     basis = np.eye(2)
-    not_unitary = Operator(sys2, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    not_unitary = np.array([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ValidationError) as err:
         context_switch_povm([(x, not_unitary)], basis, x)
     assert err.value.invariant == "unitarity"
-    overlapping = [(x, Operator.identity(sys2)), (x, Operator.identity(sys2))]
+    overlapping = [(x, np.eye(2)), (x, np.eye(2))]
     with pytest.raises(ValidationError):
         context_switch_povm(overlapping, basis, x)
     with pytest.raises(ValidationError):
-        context_switch_povm([(x, Operator.identity(sys2))], [basis[0]], x)
+        context_switch_povm([(x, np.eye(2))], [basis[0]], x)
     with pytest.raises(SpaceMismatchError, match=r"^a stack of shape \(1, 3\) for 1 context"):
-        context_switch_povm([(np.eye(3)[0], Operator.identity(sys2))], basis, x)
+        context_switch_povm([(np.eye(3)[0], np.eye(2))], basis, x)
 
 
 @pytest.mark.parametrize(
     "labels", [[["a", "b"]], [["a", "b"], ["c"]]], ids=["one-group-short", "one-label-short"]
 )
 def test_context_switch_rejects_short_labels(labels):
-    contexts = [(env, Operator.identity(Space.system(2))) for env in np.eye(2)]
+    contexts = [(env, np.eye(2)) for env in np.eye(2)]
     basis = np.eye(2)
     with pytest.raises(ValidationError, match="^labels must hold 2 groups of 2") as err:
         context_switch_povm(contexts, basis, np.eye(2)[0], labels=labels)
@@ -355,14 +345,14 @@ def test_context_switch_rejects_short_labels(labels):
 def test_context_switch_rejects_an_empty_readout_basis():
     x = np.eye(2)[0]
     with pytest.raises(ValidationError, match="^readout basis has no kets$") as err:
-        context_switch_povm([(x, Operator.identity(Space.system(2)))], [], x)
+        context_switch_povm([(x, np.eye(2))], [], x)
     assert err.value.invariant == "basis-completeness"
 
 
 def test_incomplete_context_span_leaves_incomplete_povm():
     x = np.eye(2)[0]
     phi = np.array([1.0, 1.0]) / SQ2
-    p = context_switch_povm([(x, Operator.identity(Space.system(2)))], np.eye(2), phi)
+    p = context_switch_povm([(x, np.eye(2))], np.eye(2), phi)
     assert abs(completeness_check(p) - 0.5) <= 1e-12
 
 

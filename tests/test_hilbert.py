@@ -1,4 +1,4 @@
-"""Space, ket conversion, Gram and phase primitives."""
+"""Ket, operator and state conversion, Gram and phase primitives."""
 
 from __future__ import annotations
 
@@ -9,28 +9,46 @@ from ctxlab import (
     DEFAULT_TOL,
     Dilation,
     JointOutcomeSet,
-    Space,
     SpaceMismatchError,
     ValidationError,
     fix_phase,
     gram,
     povm_from_dilation,
 )
-from ctxlab.hilbert import amplitudes, orthonormality_residual, require_basis, unit_vector
+from ctxlab.hilbert import (
+    amplitudes,
+    density_matrix,
+    entries,
+    orthonormality_residual,
+    require_basis,
+    unit_vector,
+)
 from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm, random_unitary
 
 SQ2 = np.sqrt(2.0)
 
 
-def test_space_kinds_and_dims():
-    joint = Space.joint(2, 3)
-    assert joint.dim == 6 and joint.env_dim == 2 and joint.sys_dim == 3
-    with pytest.raises(ValidationError):
-        Space("bogus", 2)
-    with pytest.raises(ValidationError):
-        Space.system(0)
-    with pytest.raises(ValidationError):
-        Space("joint", 5, 2, 3)
+def test_entries_are_a_checked_read_only_copy_of_a_square_matrix():
+    source = np.eye(2)
+    matrix = entries(source, 2, "for a test matrix")
+    source[0, 0] = 2.0
+    assert matrix.dtype == complex and matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 2.0
+    with pytest.raises(SpaceMismatchError, match=r"^a matrix of shape \(2, 3\) for a test m$"):
+        entries(np.ones((2, 3)), 2, "for a test m")
+    with pytest.raises(SpaceMismatchError, match="^rows that are not one complex matrix for m$"):
+        entries([[1.0, 0.0], [0.0]], 2, "for m")
+    with pytest.raises(ValidationError, match="^entries must be finite$") as err:
+        entries([[np.nan, 0.0], [0.0, 1.0]], 2, "for m")
+    assert err.value.invariant == "finite-entries"
+
+
+def test_density_matrix_of_a_ket_or_a_matrix_is_read_only():
+    psi = np.array([1.0, 1.0j]) / SQ2
+    for state, rho in ((psi, np.outer(psi, psi.conj())), (np.eye(2) / 2, np.eye(2) / 2)):
+        checked = density_matrix(state, 2, DEFAULT_TOL)
+        assert np.array_equal(checked, rho) and not checked.flags.writeable
 
 
 def test_amplitudes_checks_shape_and_finiteness():
@@ -60,7 +78,7 @@ def test_lambda_retracts_product_states():
         phi = random_pure_state(rng, 2)
         chi = random_unitary(rng, 2)[:, 0]
         psi = random_unitary(rng, 3)[:, 0]
-        outcomes = JointOutcomeSet(Space.joint(2, 3), ["m"], np.kron(chi, psi)[None])
+        outcomes = JointOutcomeSet(2, 3, ["m"], np.kron(chi, psi)[None])
         lam = povm_from_dilation(Dilation(outcomes, phi)).vectors[0]
         expected = complex(np.vdot(phi, chi)) * psi
         assert phase_aligned_max_err(lam, expected) <= 1e-12
@@ -71,7 +89,7 @@ def test_partial_inner_on_polarised_outcome():
     d = np.array([1.0, 1.0]) / SQ2
     v = np.eye(2)[1]
     outcome = np.kron(v, np.eye(3)[0])
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V1"], outcome[None])
+    outcomes = JointOutcomeSet(2, 3, ["V1"], outcome[None])
     lam = povm_from_dilation(Dilation(outcomes, d)).vectors[0]
     np.testing.assert_allclose(lam, np.array([1.0, 0.0, 0.0]) / SQ2, atol=1e-15)
 
@@ -79,7 +97,7 @@ def test_partial_inner_on_polarised_outcome():
 def test_partial_inner_orthogonal_environment_gives_zero():
     h, v = np.eye(2)
     outcome = np.kron(v, np.eye(3)[2])
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V3"], outcome[None])
+    outcomes = JointOutcomeSet(2, 3, ["V3"], outcome[None])
     lam = povm_from_dilation(Dilation(outcomes, h)).vectors[0]
     assert np.abs(lam).max() == 0.0
 
@@ -136,7 +154,7 @@ def test_require_basis_checks_count_shape_and_orthonormality():
 def test_joint_index_is_env_major():
     # joint index e * sys_dim + s holds environment e and system s
     _, v = np.eye(2)
-    outcomes = JointOutcomeSet(Space.joint(2, 3), ["V1"], np.eye(6)[None, 1 * 3 + 0])
+    outcomes = JointOutcomeSet(2, 3, ["V1"], np.eye(6)[None, 1 * 3 + 0])
     lam = povm_from_dilation(Dilation(outcomes, v)).vectors[0]
     assert np.array_equal(lam, np.eye(3)[0])  # system-major would put index 3 at (1, 1)
 

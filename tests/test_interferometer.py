@@ -98,7 +98,7 @@ def test_joint_outcome_sets_are_complete_bases(hwp_path):
     s = build_three_path(hwp_path)
     vh, da = joint_outcomes_VH(s), joint_outcomes_DA(s)
     for outcomes in (vh, da):
-        assert len(outcomes) == outcomes.space.dim == 6
+        assert len(outcomes) == outcomes.vectors.shape[1] == 6
         assert outcomes.orthonormality_residual() <= 1e-12
     assert vh.labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
     assert da.labels() == ("D1", "D2", "D3", "A1", "A2", "A3")

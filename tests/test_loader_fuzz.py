@@ -56,14 +56,13 @@ def _loaded(s: Scenario) -> dict[str, list[tuple[str, str, list[int]]]]:
         assert not s.povm.vectors[list(s.povm.operators)].any()  # an operator's row is zero
         operators = s.povm.operators
         sections["povm"] = [
-            (label, "matrix", _bits(operators[k].entries)) if k in operators
+            (label, "matrix", _bits(operators[k])) if k in operators
             else (label, "vector", _bits(row))
             for k, (label, row) in enumerate(zip(s.povm.labels(), s.povm.vectors))
         ]
     if s.states:
         sections["states"] = [
-            (label, "vector", _bits(state)) if isinstance(state, np.ndarray)
-            else (label, "matrix", _bits(state.matrix))
+            (label, "vector" if state.ndim == 1 else "matrix", _bits(state))
             for label, state in s.states.items()
         ]
     return sections

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxlab import (
-    DensityMatrix,
+    DEFAULT_TOL,
     Dilation,
+    HardyTriple,
     JointOutcomeSet,
-    Operator,
     Povm,
-    Space,
+    Scenario,
     SpaceMismatchError,
     UnknownLabelError,
     ValidationError,
@@ -29,6 +29,7 @@ from ctxlab import (
     context_selection_probability,
     dilation_DA,
     dilation_VH,
+    evaluate_inequality,
     hwp_transform,
     load_fixture,
     maximizing_state,
@@ -39,6 +40,7 @@ from ctxlab import (
     rescaled_probability,
     validate_povm,
 )
+from ctxlab.hilbert import density_matrix
 from helpers import element_row, random_pure_state, random_rank1_povm, random_unitary, unit
 from oracles import context_pairs
 
@@ -63,13 +65,11 @@ def da_povm(scenario):
 
 def test_element_must_be_a_hermitian_system_operator():
     zero = np.zeros((1, 2), dtype=complex)
-    with pytest.raises(SpaceMismatchError):
-        Povm(2, ["env"], zero, {0: Operator.identity(Space("environment", 2))})
-    skew = Operator(Space.system(2), np.array([[0.5, 1e-7], [0.0, 0.5]]))
+    skew = np.array([[0.5, 1e-7], [0.0, 0.5]])
     with pytest.raises(ValidationError) as err:
         Povm(2, ["skew"], zero, {0: skew})
     assert err.value.invariant == "hermiticity"
-    assert Povm(2, ["skew"], zero, {0: skew}, tol=1e-6).operators[0] is skew
+    assert np.array_equal(Povm(2, ["skew"], zero, {0: skew}, tol=1e-6).operators[0], skew)
 
 
 def test_povm_rejects_duplicate_labels_and_mixed_dims():
@@ -106,7 +106,7 @@ def test_povm_fields_can_be_neither_assigned_nor_deleted(name):
     "build",
     [
         lambda rows: Povm(2, ["a", "b"], rows),
-        lambda rows: JointOutcomeSet(Space.joint(1, 2), ["a", "b"], rows),
+        lambda rows: JointOutcomeSet(1, 2, ["a", "b"], rows),
     ],
     ids=["povm", "outcome-set"],
 )
@@ -126,29 +126,29 @@ def test_repr_shows_the_labels():
     outcomes = naimark_dilate(p).outcomes
     shown = repr(p), repr(outcomes)
     assert shown[0] == f"Povm(labels={p.labels()!r}, system_dim=16, _operators={{}})"
-    assert shown[1] == f"JointOutcomeSet(labels={p.labels()!r}, space={outcomes.space!r})"
+    assert shown[1] == f"JointOutcomeSet(labels={p.labels()!r}, env_dim=64, sys_dim=16)"
 
 
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
-        DensityMatrix.from_ket([1.0, 1.0])
+        density_matrix([1.0, 1.0], 2, DEFAULT_TOL)
     with pytest.raises(ValidationError):
-        DensityMatrix.from_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
+        density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]), 2, DEFAULT_TOL)
     with pytest.raises(ValidationError):
-        DensityMatrix.from_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
+        density_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]), 2, DEFAULT_TOL)
     with pytest.raises(ValidationError):
-        DensityMatrix.from_matrix(np.eye(2))
-    mixed = DensityMatrix.from_matrix(np.eye(2) / 2.0)
-    assert mixed.dim == 2
+        density_matrix(np.eye(2), 2, DEFAULT_TOL)
+    mixed = density_matrix(np.eye(2) / 2.0, 2, DEFAULT_TOL)
+    assert mixed.shape == (2, 2)
 
 
-def test_from_ket_checks_the_trace_at_its_own_tol():
+def test_a_ket_is_checked_at_the_tol_it_is_given():
     psi = np.sqrt((1.0 + 2e-7) / 2.0) * np.ones(2)
     with pytest.raises(ValidationError) as err:
-        DensityMatrix.from_ket(psi)
+        density_matrix(psi, 2, DEFAULT_TOL)
     assert err.value.invariant == "state-normalisation"
-    rho = DensityMatrix.from_ket(psi, tol=1e-6)
-    assert abs(np.trace(rho.matrix).real - (1.0 + 2e-7)) <= 1e-15
+    rho = density_matrix(psi, 2, 1e-6)
+    assert abs(np.trace(rho).real - (1.0 + 2e-7)) <= 1e-15
 
 
 def test_completeness_of_derived_povms(vh_povm, da_povm):
@@ -169,7 +169,7 @@ def test_validate_povm_rejects_oversized_elements():
     with pytest.raises(ValidationError) as err:
         validate_povm(heavy)
     assert err.value.invariant == "element-bounds"
-    big = {0: Operator(Space.system(2), 1.5 * np.eye(2))}
+    big = {0: 1.5 * np.eye(2)}
     big_op = Povm(2, ["op"], np.zeros((1, 2), dtype=complex), big)
     with pytest.raises(ValidationError) as err:
         validate_povm(big_op)
@@ -193,7 +193,7 @@ def test_uniform_state_probabilities_on_DA(da_povm):
 
 
 def test_mixed_state_probability_is_weight_over_dim(da_povm):
-    mixed = DensityMatrix.from_matrix(np.eye(3) / 3.0)
+    mixed = np.eye(3) / 3.0
     assert abs(probability(da_povm, mixed, "A") - 1.0 / 3.0) <= 1e-12
     assert abs(probability(da_povm, mixed, "D1") - 2.0 / 9.0) <= 1e-12
 
@@ -217,7 +217,7 @@ def test_operator_element_context_selection_is_peak_probability(da_povm):
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
     op = merged.operators[merged.labels().index("D12")]
     # trace 4/3 splits into eigenvalues 1 and 1/3; the peak probability is 1
-    assert abs(op.trace().real - 4.0 / 3.0) <= 1e-12
+    assert abs(np.trace(op).real - 4.0 / 3.0) <= 1e-12
     assert abs(context_selection_probability(merged, "D12") - 1.0) <= 1e-12
 
 
@@ -335,7 +335,7 @@ def test_context_graph_dot_output(da_povm):
 
 def _oracle_elements(p):
     return [
-        p.operators[k].entries if k in p.operators else row
+        p.operators[k] if k in p.operators else row
         for k, row in enumerate(p.vectors)
     ]
 
@@ -387,12 +387,8 @@ def context_povms(draw):
 
 
 def _transformed(p, unitary, phases):
-    space = Space.system(p.system_dim)
     rows = np.array([phase * (unitary @ row) for row, phase in zip(p.vectors, phases)])
-    operators = {
-        k: Operator(space, unitary @ op.entries @ unitary.conj().T)
-        for k, op in p.operators.items()
-    }
+    operators = {k: unitary @ op @ unitary.conj().T for k, op in p.operators.items()}
     return Povm(p.system_dim, p.labels(), rows, operators)
 
 
@@ -431,13 +427,13 @@ def test_coarse_grain_recovers_the_merged_element(scenario, da_povm):
 
 def test_coarse_grain_full_merge_gives_identity(vh_povm):
     merged = coarse_grain(vh_povm, vh_povm.labels(), "all")
-    assert np.abs(merged.operators[0].entries - np.eye(3)).max() <= 1e-12
+    assert np.abs(merged.operators[0] - np.eye(3)).max() <= 1e-12
     assert len(merged) == 1
 
 
 def test_coarse_grain_partial_merge_keeps_operator_weight(vh_povm):
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    assert abs(merged.operators[0].trace().real - 1.0) <= 1e-12
+    assert abs(np.trace(merged.operators[0]).real - 1.0) <= 1e-12
     assert abs(context_selection_probability(merged, "V12") - 0.5) <= 1e-12
     assert completeness_check(merged) <= 1e-12
     assert merged.labels() == ("V12", "V3", "H1", "H2", "H3")
@@ -555,26 +551,18 @@ def test_random_rank1_povms_are_complete():
             validate_povm(p)
 
 
-def test_states_record_the_tol_that_validated_them():
-    psi = np.array([1.0, 0.0])
-    assert DensityMatrix.from_ket(psi, tol=1e-6).tol == 1e-6
-    assert DensityMatrix.from_ket(psi).tol == 1e-9
-    assert "tol" not in repr(DensityMatrix.from_ket(psi, tol=1e-6))
-
-
 def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
     rng = np.random.default_rng(43)
     u = random_unitary(rng, 3)
-    space = Space.system(3)
-    half = Operator(space, 0.5 * np.outer(u[:, 0], u[:, 0].conj()))
-    plane = Operator(space, np.outer(u[:, 1], u[:, 1].conj()) + np.outer(u[:, 2], u[:, 2].conj()))
+    half = 0.5 * np.outer(u[:, 0], u[:, 0].conj())
+    plane = np.outer(u[:, 1], u[:, 1].conj()) + np.outer(u[:, 2], u[:, 2].conj())
     p = Povm(3, ["half", "plane"], np.zeros((2, 3), dtype=complex), {0: half, 1: plane})
     psi = random_pure_state(rng, 3)
     overlap = abs(np.vdot(u[:, 0], psi)) ** 2
     assert abs(probability(p, psi, "half") - 0.5 * overlap) <= 1e-12
     assert abs(rescaled_probability(p, psi, "half") - overlap) <= 1e-12
     rho = maximizing_state(p, "half")
-    assert np.abs(rho.matrix - np.outer(u[:, 0], u[:, 0].conj())).max() <= 1e-12
+    assert np.abs(rho - np.outer(u[:, 0], u[:, 0].conj())).max() <= 1e-12
     assert abs(probability(p, rho, "half") - 0.5) <= 1e-12
     with pytest.raises(ValidationError) as err:
         maximizing_state(p, "plane")
@@ -594,6 +582,21 @@ def test_vectors_hold_one_read_only_row_per_element(da_povm):
     assert identity.vectors.dtype == complex and not identity.vectors.any()
 
 
+def test_every_array_a_value_hands_out_is_read_only(da_povm):
+    merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
+    given = np.eye(3) / 2.0
+    p = Povm(3, ["half"], np.zeros((1, 3)), {0: given})
+    given[0, 0] = 1.0
+    assert p.operators[0][0, 0] == 0.5
+    triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
+    report = evaluate_inequality(triple, np.eye(3) / 3.0)
+    mixed = Scenario(3, states={"rho": np.eye(3) / 3.0}).states["rho"]
+    for array in (merged.operators[0], p.operators[0], report.state_used, mixed):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    assert report == evaluate_inequality(triple, np.eye(3) / 3.0)
+
+
 def _one_ulp_up(values: np.ndarray) -> np.ndarray:
     """A copy with the real part of the first nonzero entry moved up by one ulp."""
     bumped = np.array(values, dtype=complex)
@@ -609,30 +612,25 @@ def test_equal_content_compares_equal(scenario, vh_povm):
     assert dilation_DA(scenario) == dilation_DA(scenario)
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
     assert merged == coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    assert DensityMatrix.from_ket(scenario.f) == DensityMatrix.from_ket(scenario.f)
     assert povm_DA(scenario) != povm_DA(scenario, merge_A=False)
     assert merged != vh_povm and dilation_DA(scenario) != "not a dilation"
 
 
 def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
-    ket, space = scenario.f, Space.system(3)
     d = dilation_DA(scenario)
     assert d != Dilation(d.outcomes, _one_ulp_up(d.phi_init))
-    op = Operator(space, np.outer(ket, ket.conj()))
-    assert op != Operator(space, _one_ulp_up(op.entries))
-    assert DensityMatrix(op) != DensityMatrix(Operator(space, _one_ulp_up(op.entries)))
     p = povm_DA(scenario)
     assert p != Povm(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    bumped = {0: Operator(space, _one_ulp_up(merged.operators[0].entries))}
+    bumped = {0: _one_ulp_up(merged.operators[0])}
     assert merged != Povm(3, merged.labels(), merged.vectors, bumped)
     outcomes = dilation_DA(scenario).outcomes
     moved = _one_ulp_up(outcomes.vectors)
-    assert outcomes != JointOutcomeSet(outcomes.space, outcomes.labels(), moved)
+    assert outcomes != JointOutcomeSet(2, 3, outcomes.labels(), moved)
 
 
 def _half_identity(dim=2):
-    return Operator(Space.system(dim), np.eye(dim) / 2)
+    return np.eye(dim) / 2
 
 
 _ROWS = np.array([[0.0, 0.0], [0.0, 1.0 / SQ2], [1.0 / SQ2, 0.0]], dtype=complex)
@@ -654,10 +652,11 @@ def test_povm_checks_each_operator_entry_against_its_position(operators, rows, m
 
 
 def test_povm_rejects_an_operator_of_another_dimension():
-    with pytest.raises(SpaceMismatchError, match="^element 'a' is not on the dim-2 system space$"):
+    message = r"^a matrix of shape \(3, 3\) for element 'a' of dim 2$"
+    with pytest.raises(SpaceMismatchError, match=message):
         Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity(dim=3)})
     p = Povm(2, ["a", "b", "c"], _ROWS, {0: _half_identity()})
-    assert completeness_check(p) <= 1e-15 and p.operators[0] == _half_identity()
+    assert completeness_check(p) <= 1e-15 and np.array_equal(p.operators[0], _half_identity())
 
 
 @pytest.mark.parametrize(
@@ -665,7 +664,7 @@ def test_povm_rejects_an_operator_of_another_dimension():
     [
         (lambda rows: Povm(2, ["a", "b"], rows), (3, 2)),
         (lambda rows: Povm(2, ["a", "b"], rows.T[:2].copy()), (2, 3)),
-        (lambda rows: JointOutcomeSet(Space.joint(1, 2), ["a", "b"], rows), (3, 2)),
+        (lambda rows: JointOutcomeSet(1, 2, ["a", "b"], rows), (3, 2)),
     ],
     ids=["povm-extra-row", "povm-long-rows", "outcome-set-extra-row"],
 )
@@ -679,7 +678,7 @@ def test_stack_constructors_reject_a_stack_of_another_shape(build, shape):
     "build",
     [
         lambda rows: Povm(2, ["a", "b"], rows),
-        lambda rows: JointOutcomeSet(Space.joint(1, 2), ["a", "b"], rows),
+        lambda rows: JointOutcomeSet(1, 2, ["a", "b"], rows),
     ],
     ids=["povm", "outcome-set"],
 )
@@ -699,7 +698,8 @@ def test_from_vectors_of_no_rows_is_refused_as_an_empty_povm():
 def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
     for p in (povm_DA(scenario, merge_A=False), coarse_grain(vh_povm, ("V1", "V2"), "V12")):
         again = Povm(p.system_dim, p.labels(), p.vectors, p.operators)
-        assert again == p and again.operators == p.operators
+        assert again == p and again.operators.keys() == p.operators.keys()
+        assert all(np.array_equal(again.operators[k], op) for k, op in p.operators.items())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

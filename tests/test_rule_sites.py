@@ -13,31 +13,30 @@ import numpy as np
 import pytest
 
 from ctxlab import (
-    DensityMatrix,
     Dilation,
     HardyTriple,
     JointOutcomeSet,
-    Operator,
     Povm,
+    Scenario,
     ScenarioFileError,
-    Space,
     SpaceMismatchError,
     UnknownLabelError,
     ValidationError,
     basis_mixture_povm,
     context_switch_povm,
+    evaluate_inequality,
+    load_fixture,
     maximizing_state,
+    probability,
     rescaled_probability,
     scenario_from_dict,
 )
 
-SYS2 = Space.system(2)
-JOINT = Space.joint(2, 2)
 E0, E1 = np.eye(2)  # system basis
 X0, X1 = np.eye(2)  # environment basis
 ZERO = np.zeros(2)
-IDENTITY = Operator.identity(SYS2)
-SKEWED = Operator(SYS2, np.array([[1.0, 1.0], [0.0, 0.0]]))  # hermiticity residual 1
+IDENTITY = np.eye(2)
+SKEWED = np.array([[1.0, 1.0], [0.0, 0.0]])  # hermiticity residual 1
 
 
 def _povm_with_zero_vector():
@@ -45,9 +44,8 @@ def _povm_with_zero_vector():
 
 
 def _povm_with_zero_operator():
-    zero = Operator(SYS2, np.zeros((2, 2)))
     rows = np.array([ZERO, E1])
-    return Povm(2, ["z", "e1"], rows, {0: zero})
+    return Povm(2, ["z", "e1"], rows, {0: np.zeros((2, 2))})
 
 
 def _povm_with_operator(key, operator):
@@ -56,7 +54,12 @@ def _povm_with_operator(key, operator):
 
 def _outcome_set(pairs):
     labels = [label for label, _ in pairs]
-    return JointOutcomeSet(JOINT, labels, np.array([ket for _, ket in pairs]))
+    return JointOutcomeSet(2, 2, labels, np.array([ket for _, ket in pairs]))
+
+
+def _hardy_triple():
+    scenario = load_fixture("hardy")
+    return HardyTriple.from_povm(scenario.povm, *scenario.hardy)
 
 
 def _entries(section, entry):
@@ -125,17 +128,33 @@ CASES = {
         _entries("povm", {"matrix": SKEWED_MATRIX}),
         ValidationError, "hermiticity", "element 'x' is not Hermitian (residual 1.000e+00)",
     ),
-    "povm-element-off-the-system-space": (
-        _povm_with_operator(0, Operator.identity(Space("environment", 2))),
-        SpaceMismatchError, None, "element 'x' is not on the dim-2 system space",
+    "povm-element-of-another-shape": (
+        _povm_with_operator(0, np.eye(3)),
+        SpaceMismatchError, None, "a matrix of shape (3, 3) for element 'x' of dim 2",
+    ),
+    "context-switch-unitary-of-another-shape": (
+        lambda: context_switch_povm([(X0, np.eye(3))], [E0, E1], X0),
+        SpaceMismatchError, None, "a matrix of shape (3, 3) for context 0's unitary on dim 2",
+    ),
+    "outcome-set-factor-dim": (
+        lambda: JointOutcomeSet(0, 2, ["a"], np.zeros((1, 0))),
+        ValidationError, "space-dim", "space dimension must be at least 1",
     ),
     "povm-element-key-not-a-position": (
         _povm_with_operator("x", IDENTITY),
         ValidationError, "element-payload", "operator position 'x' is not one of the 1 positions",
     ),
     "density-matrix-hermiticity": (
-        lambda: DensityMatrix(SKEWED),
+        lambda: probability(_povm_with_zero_vector(), SKEWED, "e1"),
         ValidationError, "hermiticity", "density matrix is not Hermitian (residual 1.000e+00)",
+    ),
+    "probability-state-of-another-dim": (
+        lambda: probability(_povm_with_zero_vector(), np.eye(4)[0], "e1"),
+        SpaceMismatchError, None, "state dim 4 != system dim 2",
+    ),
+    "inequality-state-of-another-dim": (
+        lambda: evaluate_inequality(_hardy_triple(), np.eye(2) / 2),
+        SpaceMismatchError, None, "state dim 2 != system dim 3",
     ),
     "basis-mixture-count": (
         lambda: basis_mixture_povm([[E0, E1], [E0]], [0.5, 0.5]),
@@ -190,6 +209,27 @@ CASES = {
         ScenarioFileError, None, "state 'x': expected a 2x2 matrix",
     ),
 }
+# A state that is not one ket or one square matrix, as each caller of the state boundary
+# names it: numpy's own ValueError must never escape.
+MALFORMED_STATES = {
+    "ragged": ([[1.0, 0.0], [0.0]], "values that are not one complex state"),
+    "string-entry": ([1.0, "x"], "values that are not one complex state"),
+    "three-axes": (np.ones((2, 2, 1)), "a matrix of shape (2, 2, 1)"),
+    "non-square": (np.ones((2, 3)), "a matrix of shape (2, 3)"),
+}
+for name, (state, problem) in MALFORMED_STATES.items():
+    CASES[f"probability-{name}"] = (
+        lambda state=state: probability(_povm_with_zero_vector(), state, "e1"),
+        SpaceMismatchError, None, f"{problem} for a dim-2 system",
+    )
+    CASES[f"inequality-{name}"] = (
+        lambda state=state: evaluate_inequality(_hardy_triple(), state),
+        SpaceMismatchError, None, f"{problem} for a dim-3 system",
+    )
+    CASES[f"scenario-{name}"] = (
+        lambda state=state: Scenario(2, states={"x": state}),
+        SpaceMismatchError, None, f"{problem} for state 'x'",
+    )
 
 
 @pytest.mark.parametrize(("call", "error", "invariant", "message"), CASES.values(), ids=CASES)

@@ -18,13 +18,10 @@ from hypothesis import strategies as st
 import ctxlab.scenario_io
 from ctxlab import (
     FIXTURE_NAMES,
-    DensityMatrix,
     JointOutcomeSet,
-    Operator,
     Povm,
     Scenario,
     ScenarioFileError,
-    Space,
     ValidationError,
     build_three_path,
     decode_matrix,
@@ -138,8 +135,8 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
     if with_matrices:
         m = len(plain.povm) - 1
         assert list(loaded.povm.operators) == list(plain.povm.operators) == [m]
-        assert _bits(loaded.povm.operators[m].entries) == _bits(third)
-        assert _bits(loaded.states["mixed"].matrix) == _bits(third)
+        assert _bits(loaded.povm.operators[m]) == _bits(third)
+        assert _bits(loaded.states["mixed"]) == _bits(third)
 
 
 @pytest.mark.parametrize("section", ["povm", "states"])
@@ -200,8 +197,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_matrix_states_and_operator_elements_round_trip(tmp_path):
-    space = Space.system(2)
-    mixed = DensityMatrix.from_matrix(np.eye(2) / 2.0)
+    mixed = np.eye(2) / 2.0
     raw = scenario_to_dict(
         Scenario(
             system_dim=2,
@@ -209,10 +205,7 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
                 2,
                 ["half", "rest"],
                 np.zeros((2, 2), dtype=complex),
-                {
-                    0: Operator(space, np.eye(2) / 2.0),
-                    1: Operator(space, np.eye(2) / 2.0),
-                },
+                {0: np.eye(2) / 2.0, 1: np.eye(2) / 2.0},
             ),
             states={"mixed": mixed},
         )
@@ -221,8 +214,8 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
     save_scenario(path, raw)
     sc = load_scenario(path)
     op = sc.povm.operators[sc.povm.labels().index("half")]
-    np.testing.assert_array_equal(op.entries, np.eye(2) / 2.0)
-    assert isinstance(sc.states["mixed"], DensityMatrix)
+    np.testing.assert_array_equal(op, np.eye(2) / 2.0)
+    np.testing.assert_array_equal(sc.states["mixed"], mixed)
 
 
 def test_resolve_povm_prefers_the_povm_section():
@@ -281,8 +274,7 @@ def _misfits() -> dict[str, tuple[dict, str]]:
     """Scenario fields that a file could not hold, with the error its reader gives."""
     s = build_three_path()
     d = dilation_DA(s)
-    sys2 = Space.system(2)
-    identity = Operator.identity(sys2)
+    identity = np.eye(2)
     return {
         "outcomes-of-another-dim": (
             {"system_dim": 3, "env_dim": 5, "outcomes": d.outcomes, "phi_init": d.phi_init},
@@ -317,7 +309,7 @@ def _misfits() -> dict[str, tuple[dict, str]]:
             "state 'psi': expected 3 [re, im] pairs",
         ),
         "state-matrix-of-another-dim": (
-            {"system_dim": 3, "states": {"rho": DensityMatrix.from_matrix(np.eye(2) / 2)}},
+            {"system_dim": 3, "states": {"rho": np.eye(2) / 2}},
             "state 'rho': expected a 3x3 matrix",
         ),
     }
@@ -338,7 +330,7 @@ def test_a_scenario_refuses_what_its_file_could_not_hold(name):
 
 def test_a_scenario_refuses_outcomes_on_other_factors_of_its_joint_dimension(tmp_path):
     d = naimark_dilate(povm_from_dilation(dilation_VH(build_three_path())))
-    assert d.outcomes.space == Space.joint(6, 3)
+    assert (d.outcomes.env_dim, d.outcomes.sys_dim) == (6, 3)
     phi_init = np.eye(9)[0]  # 9 * 2 == 6 * 3
     message = "outcomes are on joint(env 6, sys 3), not joint(env 9, sys 2)"
     with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
@@ -361,9 +353,23 @@ def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
     pure = {"plus": np.ones(3) / np.sqrt(3.0)}
     assert scenario == Scenario(3, 2, d.outcomes, d.phi_init, states=pure)
     assert scenario != Scenario(3, 2, d.outcomes, s.a, states=pure)
-    mixed = {"plus": DensityMatrix.from_matrix(np.eye(3) / 3.0)}
+    mixed = {"plus": np.eye(3) / 3.0}
     assert scenario != Scenario(3, 2, d.outcomes, d.phi_init, states=mixed)
     assert Scenario(3, 2, d.outcomes, d.phi_init, states=mixed) != scenario
+
+
+def test_states_are_a_read_only_mapping_of_read_only_arrays(tmp_path):
+    scenario = load_fixture("hardy")
+    with pytest.raises(TypeError):
+        scenario.states["bad"] = np.array([np.nan, 0.0, 0.0])
+    assert list(scenario.states) == ["hardy"]
+    mixed = Scenario(3, states={"rho": np.eye(3) / 3.0}).states["rho"]
+    assert mixed.dtype == complex and mixed.shape == (3, 3)
+    with pytest.raises(ValueError):
+        mixed[0, 0] = 1.0
+    path = tmp_path / "hardy.json"
+    save_scenario(path, scenario)
+    assert load_scenario(path) == scenario
 
 
 def test_physical_invariants_still_apply():
@@ -456,11 +462,10 @@ def scenarios(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 6))
     rank1 = random_rank1_povm(rng, dim, draw(st.integers(max(dim, 3), dim + 3)))
-    space = Space.system(dim)
     m0, m1 = rank1.vectors[:2]
     pair = np.outer(m0, m0.conj()) + np.outer(m1, m1.conj())
     rows = np.concatenate([np.zeros((1, dim), dtype=complex), rank1.vectors[2:]])
-    povm = Povm(dim, ("pair",) + rank1.labels()[2:], rows, {0: Operator(space, pair)})
+    povm = Povm(dim, ("pair",) + rank1.labels()[2:], rows, {0: pair})
     signed_zero = np.full(dim, complex(-0.0, -0.0))
     signed_zero[-1] = complex(1.0, -0.0)
     states = {"signed-zero": signed_zero}
@@ -471,7 +476,7 @@ def scenarios(draw):
             u = random_unitary(rng, dim)
             weights = rng.random(dim)
             rho = (u * (weights / weights.sum())) @ u.conj().T
-            states[f"mixed{k}"] = DensityMatrix.from_matrix((rho + rho.conj().T) / 2.0)
+            states[f"mixed{k}"] = (rho + rho.conj().T) / 2.0
     dilated = {}
     if draw(st.booleans()):
         d = naimark_dilate(rank1)
@@ -548,18 +553,18 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     rows = outcomes[:, -dim:].copy()
     rows[[0, 3]] = 0.0  # an all-zero row, and the operator element's
     labels = [f"m{k}" for k in range(7)]
-    space, diagonal = Space.system(dim), np.eye(dim, dtype=bool)
-    operator = Operator(space, np.where(diagonal, 0.25, complex(-0.0, -0.0)))
+    diagonal = np.eye(dim, dtype=bool)
+    operator = np.where(diagonal, 0.25, complex(-0.0, -0.0))
     povm = Povm(dim, labels, rows, {3: operator})
     states = {
         "edge": rows[1],
         "zero": rows[0],
-        "mixed": DensityMatrix.from_matrix(np.where(diagonal, 1.0 / dim, complex(0.0, -0.0))),
+        "mixed": np.where(diagonal, 1.0 / dim, complex(0.0, -0.0)),
     }
     scenario = Scenario(
         dim,
         7,
-        JointOutcomeSet(Space.joint(7, dim), labels, outcomes, validate=False),
+        JointOutcomeSet(7, dim, labels, outcomes, validate=False),
         outcomes[1, :7],
         povm,
         states,
