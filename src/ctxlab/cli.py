@@ -107,7 +107,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_povm_check(args: argparse.Namespace) -> int:
-    p = load_scenario(args.file, args.tol).resolve_povm(args.tol)
+    p = load_scenario(args.file, args.tol).resolve_povm()
     completeness = completeness_check(p)
     bounds = element_bound_residual(p)
     ok = completeness <= args.tol and bounds <= args.tol
@@ -135,12 +135,9 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_dilate(args: argparse.Namespace) -> int:
-    p = load_scenario(args.file, args.tol).resolve_povm(args.tol)
+    p = load_scenario(args.file, args.tol).resolve_povm()
     d = naimark_dilate(p, args.tol)
-    scenario = Scenario(
-        p.system_dim, d.outcomes.env_dim, d.outcomes, d.phi_init, povm_from_dilation(d)
-    )
-    save_scenario(args.output, scenario)
+    save_scenario(args.output, Scenario(p.system_dim, d, povm_from_dilation(d)))
     print(
         f"wrote {args.output}: env_dim={d.outcomes.env_dim}, "
         f"{len(d.outcomes)} joint outcomes"
@@ -150,7 +147,7 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
 
 def _cmd_context_graph(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file, args.tol)
-    graph = context_graph(scenario.resolve_povm(args.tol), args.tol)
+    graph = context_graph(scenario.resolve_povm(), args.tol)
     if args.dot:
         print(graph.to_dot())
     elif args.json:
@@ -163,7 +160,7 @@ def _cmd_context_graph(args: argparse.Namespace) -> int:
 def _hardy_inputs(scenario: Scenario, tol: float) -> HardyTriple:
     if scenario.hardy is None:
         raise ScenarioFileError("the file carries no hardy block")
-    return HardyTriple.from_povm(scenario.resolve_povm(tol), *scenario.hardy, tol=tol)
+    return HardyTriple.from_povm(scenario.resolve_povm(), *scenario.hardy, tol=tol)
 
 
 def _cmd_inequality(args: argparse.Namespace) -> int:

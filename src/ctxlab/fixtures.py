@@ -29,7 +29,7 @@ def _fixture_scenario(name: str) -> Scenario:
         vh = name == "three-path-VH"
         d = dilation_VH(s) if vh else dilation_DA(s)
         p = povm_from_dilation(d) if vh else povm_DA(s, merge_A=True)
-        return Scenario(3, 2, d.outcomes, d.phi_init, p)
+        return Scenario(3, d, p)
     if name == "hardy":
         f = build_three_path().f
         # D_k is f less its component along the k-th basis ket, for basis1 = |1>, basis2 = |2>

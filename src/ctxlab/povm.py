@@ -45,26 +45,22 @@ class LabelledStack:
     _compared: tuple[str, ...]
     _nonempty: str
 
-    @classmethod
-    def _rows(cls, labels: Sequence[str], vectors: np.ndarray, dim: int) -> np.ndarray:
-        """``vectors`` as the read-only ``(len(labels), dim)`` stack ``amplitudes`` makes,
-        raising ``nonempty`` for no labels first."""
-        if not labels:
-            raise ValidationError(cls._nonempty, invariant="nonempty")
-        return amplitudes(vectors, (len(labels), dim), f"for {len(labels)} labels of dim {dim}")
-
     def _store(
         self, labels: Sequence[str], vectors: np.ndarray, dim: int, **fields: object
     ) -> None:
-        """Check that the labels are unique, then take ``vectors`` through ``_rows`` and set
-        the fields. The stack is a copy, so no later write to the caller's array reaches it.
+        """Check that the labels are unique, then that there is one, take ``vectors`` as the
+        read-only ``(len(labels), dim)`` copy ``amplitudes`` makes, and set the fields. The
+        stack is a copy, so no later write to the caller's array reaches it.
 
         Looking up an absent label in ``_index`` raises UnknownLabelError.
         """
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
         if len(index) != len(labels):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
-        self.__dict__.update(fields, vectors=self._rows(labels, vectors, dim), _index=index)
+        if not labels:
+            raise ValidationError(self._nonempty, invariant="nonempty")
+        rows = amplitudes(vectors, (len(labels), dim), f"for {len(labels)} labels of dim {dim}")
+        self.__dict__.update(fields, vectors=rows, _index=index)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self._index)
@@ -147,9 +143,13 @@ class Povm(LabelledStack):
     @classmethod
     def from_vectors(cls, system_dim: int, labels: Sequence[str], stack: np.ndarray) -> Povm:
         """A rank-1 POVM over ``stack``, each row rotated to the canonical global phase.
-        The stack is checked as the constructor checks it before ``fix_phase``, whose
-        pivot division warns on inf and nan."""
-        return cls(system_dim, labels, fix_phase(cls._rows(labels, stack, system_dim)))
+        The constructor checks and copies the stack, so ``fix_phase``, whose pivot
+        division warns on inf and nan, sees finite rows; its rotated rows replace the copy."""
+        p = cls(system_dim, labels, stack)
+        rows = fix_phase(p.vectors)
+        rows.setflags(write=False)
+        p.__dict__["vectors"] = rows
+        return p
 
     @property
     def operators(self) -> Mapping[int, np.ndarray]:

@@ -9,7 +9,7 @@ Schema (version 1)::
     {
       "version": 1,
       "system_dim": 3,
-      "env_dim": 2,                       # required with outcomes/phi_init
+      "env_dim": 2,                       # required with outcomes; alone, only checked
       "outcomes": [{"label": "...", "vector": [[re, im], ...]}, ...],
       "phi_init": [[re, im], ...],
       "povm": [{"label": "...", "vector": ...} | {"label": "...", "matrix": ...}, ...],
@@ -37,7 +37,6 @@ from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 from .hilbert import (
     DEFAULT_TOL,
-    amplitudes,
     density_matrix,
     entries,
     require_finite,
@@ -129,39 +128,24 @@ def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
 class Scenario:
     """Parsed contents of one scenario file.
 
-    ``phi_init`` and each state (a ket, or a square density matrix) are stored as
-    read-only complex copies, of the environment and the system dimension, and
-    compare by value; ``states`` is a read-only mapping. A mixed state's physics is
-    checked where it is used, and by the reader at its tol.
+    ``dilation`` checks itself and stores its ``phi_init`` as a read-only copy. Each
+    state (a ket, or a square density matrix) is stored as a read-only complex copy of
+    the system dimension and compares by value; ``states`` is a read-only mapping. A
+    mixed state's physics is checked where it is used, and by the reader at its tol.
     """
 
     system_dim: int
-    env_dim: int | None = None
-    outcomes: JointOutcomeSet | None = None
-    phi_init: np.ndarray | None = None
+    dilation: Dilation | None = None
     povm: Povm | None = None
     states: Mapping[str, np.ndarray] = field(default_factory=dict)
     hardy: tuple[str, str, str] | None = None
 
     def __post_init__(self) -> None:
         """Refuse a part that the file could not hold, as the reader would refuse it."""
-        if (self.outcomes is None) != (self.phi_init is None):
-            raise ScenarioFileError("outcomes and phi_init must appear together")
-        if self.outcomes is not None:
-            if self.env_dim is None:
-                raise ScenarioFileError("env_dim must be a positive integer")
-            outcomes, joint_dim = self.outcomes, self.env_dim * self.system_dim
-            if outcomes.vectors.shape[1] != joint_dim:
-                raise _wrong_length(f"outcome {outcomes.labels()[0]!r}", joint_dim)
-            phi_init = amplitudes(self.phi_init, (None,), "for phi_init")
-            if len(phi_init) != self.env_dim:
-                raise _wrong_length("phi_init", self.env_dim)
-            object.__setattr__(self, "phi_init", phi_init)
-            if (outcomes.env_dim, outcomes.sys_dim) != (self.env_dim, self.system_dim):
-                raise ScenarioFileError(  # the file would read them back on other factors
-                    f"outcomes are on joint(env {outcomes.env_dim}, sys {outcomes.sys_dim}), "
-                    f"not joint(env {self.env_dim}, sys {self.system_dim})"
-                )
+        if self.dilation is not None and self.dilation.outcomes.sys_dim != self.system_dim:
+            outcomes = self.dilation.outcomes
+            joint_dim = outcomes.env_dim * self.system_dim
+            raise _wrong_length(f"outcome {outcomes.labels()[0]!r}", joint_dim)
         if self.povm is not None and self.povm.system_dim != self.system_dim:
             first = f"povm {self.povm.labels()[0]!r}"
             raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
@@ -175,25 +159,19 @@ class Scenario:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        plain = ("system_dim", "env_dim", "outcomes", "povm", "hardy")
+        plain = ("system_dim", "dilation", "povm", "hardy")
         if any(getattr(self, name) != getattr(other, name) for name in plain):
             return False
-        pairs = [(self.phi_init, other.phi_init)]
-        pairs += [(x, other.states.get(label)) for label, x in self.states.items()]
+        pairs = [(x, other.states.get(label)) for label, x in self.states.items()]
         same = self.states.keys() == other.states.keys()
         return same and all(np.array_equal(x, y) for x, y in pairs)
 
-    def dilation(self, tol: float = DEFAULT_TOL) -> Dilation:
-        if self.outcomes is None:
-            raise ScenarioFileError("the file carries no dilation (outcomes + phi_init)")
-        return Dilation(self.outcomes, self.phi_init, tol=tol)
-
-    def resolve_povm(self, tol: float = DEFAULT_TOL) -> Povm:
+    def resolve_povm(self) -> Povm:
         """The file's POVM, deriving it from the dilation when absent."""
         if self.povm is not None:
             return self.povm
-        if self.outcomes is not None:
-            return povm_from_dilation(self.dilation(tol))
+        if self.dilation is not None:
+            return povm_from_dilation(self.dilation)
         raise ScenarioFileError("the file carries neither a povm nor a dilation")
 
 
@@ -256,8 +234,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         raise ScenarioFileError(f"unsupported version {raw.get('version')!r}")
     system_dim = _positive_int(raw, "system_dim")
 
-    env_dim: int | None = None
-    outcomes = phi_init = None
+    dilation = None
     if "outcomes" in raw or "phi_init" in raw:
         if "outcomes" not in raw or "phi_init" not in raw:
             raise ScenarioFileError("outcomes and phi_init must appear together")
@@ -266,9 +243,9 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint_dim, "outcome")
         outcomes = JointOutcomeSet(env_dim, system_dim, labels, vectors, tol=tol)
         phi_init = decode_vector(raw["phi_init"], env_dim, "phi_init")
-        require_finite(phi_init)
-    elif "env_dim" in raw:
-        env_dim = _positive_int(raw, "env_dim")
+        dilation = Dilation(outcomes, phi_init, tol=tol)
+    elif "env_dim" in raw:  # checked, though nothing reads it without a dilation
+        _positive_int(raw, "env_dim")
 
     povm = None
     if "povm" in raw:
@@ -298,7 +275,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
             raise ScenarioFileError("hardy labels must be strings")
         hardy = (block["f"], block["d1"], block["d2"])
 
-    return Scenario(system_dim, env_dim, outcomes, phi_init, povm, states, hardy)
+    return Scenario(system_dim, dilation, povm, states, hardy)
 
 
 def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
@@ -368,12 +345,11 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
     in schema order, with every [re, im] run (sections, ``phi_init``, matrix entries)
     formatted straight from the stacks by ``_vectors``."""
     fields = {"version": [str(SCHEMA_VERSION)], "system_dim": [str(int(s.system_dim))]}
-    if s.env_dim is not None:
-        fields["env_dim"] = [str(int(s.env_dim))]
-    if s.outcomes is not None:
-        fields["outcomes"] = _section_text(s.outcomes.labels(), s.outcomes.vectors, {})
-    if s.phi_init is not None:
-        fields["phi_init"] = _vectors(s.phi_init[None], "  ")
+    if s.dilation is not None:
+        outcomes = s.dilation.outcomes
+        fields["env_dim"] = [str(int(outcomes.env_dim))]
+        fields["outcomes"] = _section_text(outcomes.labels(), outcomes.vectors, {})
+        fields["phi_init"] = _vectors(s.dilation.phi_init[None], "  ")
     if s.povm is not None:
         fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, s.povm.operators)
     if s.states:
@@ -398,18 +374,14 @@ def scenario_to_dict(s: Scenario) -> dict:
     return json.loads("".join(_scenario_text(s)))
 
 
-def save_scenario(path: str | Path, raw: dict | Scenario) -> None:
-    """Write ``json.dumps(raw, indent=2) + "\\n"`` for any JSON-ready ``raw``, or the
-    file text of a ``Scenario``, which is the same as for ``scenario_to_dict(raw)``. A
-    ``Scenario`` is formatted chunk by chunk into the file, opened first, so a failure
-    part-way leaves it truncated, as a failed write does (none is known for a constructed
-    ``Scenario``); a dict is dumped whole before the file is opened."""
+def save_scenario(path: str | Path, s: Scenario) -> None:
+    """Write the file text of ``s``, the same as ``json.dumps(scenario_to_dict(s),
+    indent=2) + "\\n"``. The text is formatted chunk by chunk into the file, opened
+    first, so a failure part-way leaves it truncated, as a failed write does (none is
+    known for a constructed ``Scenario``)."""
     try:
-        chunks = _scenario_text(raw) if isinstance(raw, Scenario) else [json.dumps(raw, indent=2)]
         with open(path, "w", encoding="utf-8") as file:
-            file.writelines(chunks)
+            file.writelines(_scenario_text(s))
             file.write("\n")
     except OSError as exc:
         raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ScenarioFileError(f"cannot write {path}: the data nests too deeply") from exc

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from ctxlab import JointOutcomeSet, Povm
+
+
+def write_raw(path: str | Path, raw: dict) -> None:
+    """Write a hand-edited file dict as ``json.dumps(raw, indent=2)`` and a newline."""
+    Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from ctxlab import (
     verify_constraints,
 )
 from ctxlab.cli import build_parser, main
-from helpers import phase_aligned_max_err, random_rank1_povm, random_unitary
+from helpers import phase_aligned_max_err, random_rank1_povm, random_unitary, write_raw
 
 DA_FILE = str(fixture_path("three-path-DA"))
 VH_FILE = str(fixture_path("three-path-VH"))
@@ -125,7 +125,7 @@ def _incomplete_file(tmp_path):
         "povm": [{"label": "only", "vector": encode_vector(np.array([0.5, 0.0]))}],
     }
     path = tmp_path / "incomplete.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     return str(path)
 
 
@@ -152,7 +152,7 @@ def test_povm_check_strict_names_element_bounds(capsys, tmp_path):
         ],
     }
     path = tmp_path / "unbounded.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, out, err = run_cli(capsys, "povm", "check", str(path), "--strict")
     assert code == 3
     assert "completeness residual: 0\n" in out
@@ -179,7 +179,7 @@ def test_invalid_outcome_set_exits_three(capsys, tmp_path):
     raw = fixture_dict("three-path-DA")
     raw["outcomes"][0]["vector"] = raw["outcomes"][1]["vector"]
     path = tmp_path / "skewed.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, _, err = run_cli(capsys, "povm", "check", str(path))
     assert code == 3
     assert "invariant violation [outcome-orthonormality]" in err
@@ -193,7 +193,7 @@ def test_the_first_faulty_povm_entry_is_named(capsys, tmp_path):
         "povm": [{"label": "a", "matrix": skewed}, {"label": "b", "vector": [[1.0, 0.0]]}],
     }
     path = tmp_path / "two-faults.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, _, err = run_cli(capsys, "povm", "check", str(path))
     assert code == 3
     assert err == (
@@ -208,7 +208,7 @@ def test_dilate_round_trip(capsys, tmp_path):
     assert f"wrote {out_path}: env_dim=4, 4 joint outcomes" in out
     rebuilt = load_scenario(out_path)
     original = load_scenario(DA_FILE)
-    derived = povm_from_dilation(rebuilt.dilation())
+    derived = povm_from_dilation(rebuilt.dilation)
     assert derived.labels() == original.povm.labels()
     for row, row2 in zip(original.povm.vectors, derived.vectors):
         assert np.abs(row - row2).max() <= 1e-9
@@ -223,10 +223,10 @@ def test_dilate_round_trips_through_the_file(seed, dim, extra):
     p = random_rank1_povm(np.random.default_rng(seed), dim, dim + extra % (2 * dim + 1))
     with tempfile.TemporaryDirectory() as tmp:
         source, target = Path(tmp) / "povm.json", Path(tmp) / "dilated.json"
-        save_scenario(source, scenario_to_dict(Scenario(dim, povm=p)))
+        save_scenario(source, Scenario(dim, povm=p))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["dilate", str(source), "-o", str(target)]) == 0
-        dilation = load_scenario(target).dilation()
+        dilation = load_scenario(target).dilation
     assert verify_constraints(dilation).ok(DEFAULT_TOL)
     derived = povm_from_dilation(dilation)
     assert derived.labels() == p.labels()
@@ -237,7 +237,7 @@ def test_dilate_round_trips_through_the_file(seed, dim, extra):
 def test_dilate_writes_a_large_dilation_straight_from_its_stacks(monkeypatch, tmp_path):
     p = random_rank1_povm(np.random.default_rng(64), 8, 64)
     source, target = tmp_path / "povm.json", tmp_path / "dilated.json"
-    save_scenario(source, scenario_to_dict(Scenario(8, povm=p)))
+    save_scenario(source, Scenario(8, povm=p))
 
     def refuse(_):
         raise AssertionError("dilate built the file's dict")
@@ -251,8 +251,7 @@ def test_dilate_writes_a_large_dilation_straight_from_its_stacks(monkeypatch, tm
     dumped = json.dumps(scenario_to_dict(written), indent=2) + "\n"
     assert target.read_text(encoding="utf-8") == dumped
     expected = naimark_dilate(load_scenario(source).resolve_povm())
-    assert written.outcomes == expected.outcomes
-    assert np.array_equal(written.phi_init, expected.phi_init)
+    assert written.dilation == expected
     assert written.povm == povm_from_dilation(expected)
 
 
@@ -266,7 +265,7 @@ def test_dilate_rejects_operator_povms(capsys, tmp_path):
         ],
     }
     path = tmp_path / "ops.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, _, err = run_cli(capsys, "dilate", str(path), "-o", str(tmp_path / "out.json"))
     assert code == 3
     assert "rank-one-elements" in err
@@ -299,7 +298,7 @@ def test_context_graph_dot_escapes_double_quotes(capsys, tmp_path):
     raw = fixture_dict("three-path-DA")
     for item in raw["povm"]:
         item["label"] = item["label"].replace("D1", 'D"1')
-    save_scenario(tmp_path / "quoted.json", raw)
+    write_raw(tmp_path / "quoted.json", raw)
     code, out, _ = run_cli(capsys, "context-graph", "--dot", str(tmp_path / "quoted.json"))
     assert code == 0
     assert '  "D\\"1";\n' in out
@@ -380,7 +379,7 @@ def test_inequality_rejects_missing_triple_labels(capsys, tmp_path):
     raw = fixture_dict("hardy")
     raw["hardy"]["d2"] = "nope"
     path = tmp_path / "broken.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, _, err = run_cli(capsys, "inequality", str(path))
     assert code == 2
     assert "nope" in err
@@ -418,7 +417,7 @@ def test_tol_loosens_the_verdict_and_is_restored(capsys, tmp_path):
     vec = np.array([complex(re, im) for re, im in raw["povm"][0]["vector"]])
     raw["povm"][0]["vector"] = encode_vector(vec + 1e-5)
     path = tmp_path / "slightly-off.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, out, _ = run_cli(capsys, "povm", "check", str(path))
     assert code == 0 and "result: FAIL" in out
     code, out, _ = run_cli(capsys, "povm", "check", str(path), "--tol", "1e-3")
@@ -438,9 +437,10 @@ def _nearly_valid_file(tmp_path, kind):
         psi = _decode(raw["states"][0]["vector"])
         rho = (1.0 + 1e-6) * np.outer(psi, psi.conj())
         raw["states"][0] = {"label": "hardy", "matrix": encode_matrix(rho)}
-    elif kind == "phi-init":
+    elif kind in ("phi-init", "phi-init-beside-povm"):
         raw = fixture_dict("three-path-DA")
-        del raw["povm"]
+        if kind == "phi-init":
+            del raw["povm"]
         raw["phi_init"] = encode_vector((1.0 + 1e-5) * _decode(raw["phi_init"]))
     else:
         raw = fixture_dict("three-path-DA")
@@ -452,7 +452,7 @@ def _nearly_valid_file(tmp_path, kind):
         matrix[0, 1] += 1e-6
         raw["povm"][-1] = {"label": entry["label"], "matrix": encode_matrix(matrix)}
     path = tmp_path / f"{kind}.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     return str(path)
 
 
@@ -461,9 +461,10 @@ def _nearly_valid_file(tmp_path, kind):
     [
         ("non-hermitian", ("povm", "check"), "hermiticity"),
         ("phi-init", ("povm", "check"), "phi-init-normalisation"),
+        ("phi-init-beside-povm", ("povm", "check"), "phi-init-normalisation"),
         ("trace", ("inequality",), "unit-trace"),
     ],
-    ids=["hermiticity", "phi-init", "trace"],
+    ids=["hermiticity", "phi-init", "phi-init-beside-povm", "trace"],
 )
 def test_tol_reaches_every_check_of_the_run(capsys, tmp_path, kind, command, invariant):
     path = _nearly_valid_file(tmp_path, kind)
@@ -472,6 +473,21 @@ def test_tol_reaches_every_check_of_the_run(capsys, tmp_path, kind, command, inv
         assert code == expected, err
         if expected == 3:
             assert f"invariant violation [{invariant}]" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["povm check", "dilate -o OUT", "context-graph", "inequality", "max-violation"],
+)
+def test_an_unnormalised_phi_init_beside_a_povm_fails_every_command_that_loads_it(
+    capsys, tmp_path, command
+):
+    path = _nearly_valid_file(tmp_path, "phi-init-beside-povm")
+    argv = [str(tmp_path / "out.json") if arg == "OUT" else arg for arg in command.split()]
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (3, "")
+    assert err == "invariant violation [phi-init-normalisation]: phi_init must be normalised\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_module_and_console_entry_points(tmp_path):
@@ -511,7 +527,7 @@ def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):
     raw = fixture_dict("hardy")
     raw["povm"][0]["vector"][0][0] = 10**400
     path = tmp_path / "huge.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, _, err = run_cli(capsys, "povm", "check", str(path))
     assert code == 2
     assert err.startswith("input error: povm 'F': ")
@@ -591,7 +607,7 @@ def _write_overflowing(tmp_path: Path, kind: str) -> Path:
         dim, povm = _OVERFLOWING_POVMS[kind]
         raw = {"version": 1, "system_dim": dim, "povm": povm}
     path = tmp_path / f"{kind}.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     return path
 
 
@@ -643,7 +659,7 @@ def test_a_density_matrix_whose_trace_overflows_fails_unit_trace_without_a_warni
     raw = fixture_dict("hardy")
     raw["states"] = [{"label": "huge", "matrix": encode_matrix(np.diag([1e308, 1e308, 0.0]))}]
     path = tmp_path / "huge-trace.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, out, err = run_cli(capsys, *command.split(), str(path))
     assert code == 3
     assert out == ""
@@ -662,7 +678,7 @@ def test_max_violation_prints_complex_amplitudes(capsys, tmp_path):
     for entry in raw["povm"] + raw["states"]:
         entry["vector"] = encode_vector(phases * decode_vector(entry["vector"], 3, "vector"))
     path = tmp_path / "rotated.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, out, _ = run_cli(capsys, "max-violation", str(path))
     assert code == 0
     assert out.splitlines()[0] == "max violation 0.228713553878"
@@ -676,7 +692,7 @@ def test_inequality_asks_for_a_state_when_the_file_has_several(capsys, tmp_path)
     raw = fixture_dict("hardy")
     raw["states"].append({"label": "x", "vector": encode_vector(np.array([1.0, 0.0, 0.0]))})
     path = tmp_path / "two-states.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     code, _, err = run_cli(capsys, "inequality", str(path))
     assert code == 2
     assert "choose a state with --state; the file has none or several" in err

@@ -31,11 +31,10 @@ from ctxlab import (
     encode_vector,
     fixture_path,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
 )
 from ctxlab.cli import main
-from helpers import random_unitary
+from helpers import random_unitary, write_raw
 from oracles import LoadError, reference_sections
 
 
@@ -49,8 +48,8 @@ def _bits(values) -> list[int]:
 def _loaded(s: Scenario) -> dict[str, list[tuple[str, str, list[int]]]]:
     """Each section of a loaded scenario in the form ``reference_sections`` gives."""
     sections = {}
-    if s.outcomes is not None:
-        rows = zip(s.outcomes.labels(), s.outcomes.vectors)
+    if s.dilation is not None:
+        rows = zip(s.dilation.outcomes.labels(), s.dilation.outcomes.vectors)
         sections["outcomes"] = [(label, "vector", _bits(row)) for label, row in rows]
     if s.povm is not None:
         assert not s.povm.vectors[list(s.povm.operators)].any()  # an operator's row is zero
@@ -213,7 +212,7 @@ def test_loading_and_checking_a_vector_povm_keeps_its_rows_bit_for_bit(tmp_path)
         "povm": [{"label": f"m{k}", "vector": encode_vector(row)} for k, row in enumerate(rows)],
     }
     path = tmp_path / "d16-m64.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
 
     p = load_scenario(path).povm
     assert completeness_check(p) <= 1e-9

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import re
 import tempfile
 import tracemalloc
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 import ctxlab.scenario_io
 from ctxlab import (
     FIXTURE_NAMES,
+    Dilation,
     JointOutcomeSet,
     Povm,
     Scenario,
@@ -27,7 +27,6 @@ from ctxlab import (
     decode_matrix,
     decode_vector,
     dilation_DA,
-    dilation_VH,
     encode_matrix,
     encode_vector,
     fixture_dict,
@@ -43,7 +42,7 @@ from ctxlab import (
     write_fixtures,
 )
 from ctxlab.cli import main
-from helpers import random_pure_state, random_rank1_povm, random_unitary
+from helpers import random_pure_state, random_rank1_povm, random_unitary, write_raw
 
 
 def _da_dict():
@@ -52,9 +51,7 @@ def _da_dict():
     return scenario_to_dict(
         Scenario(
             system_dim=3,
-            env_dim=2,
-            outcomes=d.outcomes,
-            phi_init=d.phi_init,
+            dilation=d,
             povm=povm_DA(s, merge_A=True),
             states={"plus": np.ones(3) / np.sqrt(3.0)},
             hardy=("D1", "D2", "D3"),
@@ -128,8 +125,8 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
     tupled = _tupled(raw)
     assert type(tupled["phi_init"][0]) is tuple and type(tupled["povm"][0]["vector"][0]) is tuple
     plain, loaded = scenario_from_dict(raw), scenario_from_dict(tupled)
-    assert _bits(loaded.outcomes.vectors) == _bits(plain.outcomes.vectors)
-    assert _bits(loaded.phi_init) == _bits(plain.phi_init)
+    assert _bits(loaded.dilation.outcomes.vectors) == _bits(plain.dilation.outcomes.vectors)
+    assert _bits(loaded.dilation.phi_init) == _bits(plain.dilation.phi_init)
     assert _bits(loaded.povm.vectors) == _bits(plain.povm.vectors)
     assert _bits(loaded.states["plus"]) == _bits(plain.states["plus"])
     if with_matrices:
@@ -150,16 +147,16 @@ def test_a_non_hermitian_matrix_before_a_malformed_vector_is_reported_first(
         {"label": "short", "vector": [[1.0, 0.0]]},
     ]
     path = tmp_path / "skewed.json"
-    save_scenario(path, raw)
+    write_raw(path, raw)
     assert main(["povm", "check", str(path)]) == 3
     assert capsys.readouterr().err.startswith("invariant violation [hermiticity]: ")
 
 
-def _written(raw: dict | Scenario) -> str:
-    """The text ``save_scenario`` writes for ``raw``, newlines untranslated."""
+def _written(scenario: Scenario) -> str:
+    """The text ``save_scenario`` writes for ``scenario``, newlines untranslated."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "written.json"
-        save_scenario(path, raw)
+        save_scenario(path, scenario)
         return path.read_bytes().decode("utf-8")
 
 
@@ -170,16 +167,16 @@ def test_negative_zero_survives_a_load_and_dump(name):
     sc = load_scenario(fixture_path(name))
     raw = scenario_to_dict(sc)
     assert json.dumps(raw, indent=2) + "\n" == text
-    assert _written(raw).encode("utf-8") == fixture_path(name).read_bytes()
+    assert _written(sc).encode("utf-8") == fixture_path(name).read_bytes()
 
 
 def test_dict_round_trip_preserves_everything():
     raw = _da_dict()
     sc = scenario_from_dict(raw)
-    assert sc.system_dim == 3 and sc.env_dim == 2
+    assert sc.system_dim == 3 and sc.dilation.outcomes.env_dim == 2
     assert sc.hardy == ("D1", "D2", "D3")
     assert set(sc.states) == {"plus"}
-    d = sc.dilation()
+    d = sc.dilation
     s = build_three_path()
     reference = dilation_DA(s)
     assert d.outcomes.labels() == reference.outcomes.labels()
@@ -190,7 +187,7 @@ def test_dict_round_trip_preserves_everything():
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "da.json"
-    save_scenario(path, _da_dict())
+    save_scenario(path, scenario_from_dict(_da_dict()))
     sc = load_scenario(path)
     assert sc.resolve_povm().labels() == ("D1", "D2", "D3", "A")
     assert path.read_text().endswith("}\n")
@@ -198,20 +195,18 @@ def test_file_round_trip(tmp_path):
 
 def test_matrix_states_and_operator_elements_round_trip(tmp_path):
     mixed = np.eye(2) / 2.0
-    raw = scenario_to_dict(
-        Scenario(
-            system_dim=2,
-            povm=Povm(
-                2,
-                ["half", "rest"],
-                np.zeros((2, 2), dtype=complex),
-                {0: np.eye(2) / 2.0, 1: np.eye(2) / 2.0},
-            ),
-            states={"mixed": mixed},
-        )
+    scenario = Scenario(
+        system_dim=2,
+        povm=Povm(
+            2,
+            ["half", "rest"],
+            np.zeros((2, 2), dtype=complex),
+            {0: np.eye(2) / 2.0, 1: np.eye(2) / 2.0},
+        ),
+        states={"mixed": mixed},
     )
     path = tmp_path / "ops.json"
-    save_scenario(path, raw)
+    save_scenario(path, scenario)
     sc = load_scenario(path)
     op = sc.povm.operators[sc.povm.labels().index("half")]
     np.testing.assert_array_equal(op, np.eye(2) / 2.0)
@@ -228,8 +223,7 @@ def test_resolve_povm_prefers_the_povm_section():
     bare = scenario_from_dict({"version": 1, "system_dim": 3})
     with pytest.raises(ScenarioFileError):
         bare.resolve_povm()
-    with pytest.raises(ScenarioFileError):
-        bare.dilation()
+    assert bare.dilation is None
 
 
 @pytest.mark.parametrize(
@@ -276,25 +270,13 @@ def _misfits() -> dict[str, tuple[dict, str]]:
     d = dilation_DA(s)
     identity = np.eye(2)
     return {
-        "outcomes-of-another-dim": (
-            {"system_dim": 3, "env_dim": 5, "outcomes": d.outcomes, "phi_init": d.phi_init},
-            "outcome 'D1': expected 15 [re, im] pairs",
+        "dilation-of-a-larger-system-dim": (
+            {"system_dim": 4, "dilation": d},
+            "outcome 'D1': expected 8 [re, im] pairs",
         ),
-        "phi-init-of-another-dim": (
-            {"system_dim": 2, "env_dim": 3, "outcomes": d.outcomes, "phi_init": d.phi_init},
-            "phi_init: expected 3 [re, im] pairs",
-        ),
-        "no-env-dim": (
-            {"system_dim": 3, "outcomes": d.outcomes, "phi_init": d.phi_init},
-            "env_dim must be a positive integer",
-        ),
-        "outcomes-without-phi-init": (
-            {"system_dim": 3, "env_dim": 2, "outcomes": d.outcomes},
-            "outcomes and phi_init must appear together",
-        ),
-        "phi-init-without-outcomes": (
-            {"system_dim": 3, "env_dim": 2, "phi_init": d.phi_init},
-            "outcomes and phi_init must appear together",
+        "dilation-of-a-smaller-system-dim": (
+            {"system_dim": 2, "dilation": d},
+            "outcome 'D1': expected 4 [re, im] pairs",
         ),
         "povm-vector-of-another-dim": (
             {"system_dim": 4, "povm": povm_DA(s)},
@@ -321,41 +303,29 @@ def test_a_scenario_refuses_what_its_file_could_not_hold(name):
     with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
         Scenario(**fields)
     unchecked = object.__new__(Scenario)  # as a scenario was built before the check
-    empty = {"env_dim": None, "outcomes": None, "phi_init": None, "povm": None, "states": {}}
-    for key, value in {**empty, "hardy": None, **fields}.items():
+    empty = {"dilation": None, "povm": None, "states": {}, "hardy": None}
+    for key, value in {**empty, **fields}.items():
         object.__setattr__(unchecked, key, value)
     with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(scenario_to_dict(unchecked))
-
-
-def test_a_scenario_refuses_outcomes_on_other_factors_of_its_joint_dimension(tmp_path):
-    d = naimark_dilate(povm_from_dilation(dilation_VH(build_three_path())))
-    assert (d.outcomes.env_dim, d.outcomes.sys_dim) == (6, 3)
-    phi_init = np.eye(9)[0]  # 9 * 2 == 6 * 3
-    message = "outcomes are on joint(env 6, sys 3), not joint(env 9, sys 2)"
-    with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
-        Scenario(2, 9, d.outcomes, phi_init)
-    path = tmp_path / "vh.json"
-    save_scenario(path, Scenario(3, 6, d.outcomes, d.phi_init))
-    assert load_scenario(path).outcomes == d.outcomes
 
 
 def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
     s = build_three_path()
     d = dilation_DA(s)
     phi, plus = np.array(d.phi_init), np.ones(3) / np.sqrt(3.0)
-    scenario = Scenario(3, 2, d.outcomes, phi, states={"plus": plus})
+    scenario = Scenario(3, Dilation(d.outcomes, phi), states={"plus": plus})
     phi[0] = plus[0] = 0.0
-    for stored in (scenario.phi_init, scenario.states["plus"]):
+    for stored in (scenario.dilation.phi_init, scenario.states["plus"]):
         assert stored.dtype == complex and stored[0] != 0.0
         with pytest.raises(ValueError):
             stored[0] = 0.0
     pure = {"plus": np.ones(3) / np.sqrt(3.0)}
-    assert scenario == Scenario(3, 2, d.outcomes, d.phi_init, states=pure)
-    assert scenario != Scenario(3, 2, d.outcomes, s.a, states=pure)
+    assert scenario == Scenario(3, d, states=pure)
+    assert scenario != Scenario(3, Dilation(d.outcomes, s.a), states=pure)
     mixed = {"plus": np.eye(3) / 3.0}
-    assert scenario != Scenario(3, 2, d.outcomes, d.phi_init, states=mixed)
-    assert Scenario(3, 2, d.outcomes, d.phi_init, states=mixed) != scenario
+    assert scenario != Scenario(3, d, states=mixed)
+    assert Scenario(3, d, states=mixed) != scenario
 
 
 def test_states_are_a_read_only_mapping_of_read_only_arrays(tmp_path):
@@ -396,9 +366,9 @@ def test_unreadable_and_malformed_files(tmp_path):
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_loading_leaves_the_garbage_collector_as_it_found_it(monkeypatch, tmp_path, enabled):
     good, bad_json, bad_povm = (tmp_path / f"{name}.json" for name in ("good", "json", "povm"))
-    save_scenario(good, _da_dict())
+    write_raw(good, _da_dict())
     bad_json.write_text("{not json")
-    save_scenario(bad_povm, {**_da_dict(), "povm": "not a list"})
+    write_raw(bad_povm, {**_da_dict(), "povm": "not a list"})
     seen = []  # whether the collector was on while the parsed tree was read
 
     def read(*args):
@@ -428,12 +398,12 @@ def test_bundled_fixtures_match_regeneration():
 def test_bundled_fixture_contents():
     vh = load_fixture("three-path-VH")
     assert vh.resolve_povm().labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
-    derived = povm_from_dilation(vh.dilation())
+    derived = povm_from_dilation(vh.dilation)
     for row, row2 in zip(vh.povm.vectors, derived.vectors):
         assert np.abs(row - row2).max() <= 1e-15
     da = load_fixture("three-path-DA")
     assert da.povm.labels() == ("D1", "D2", "D3", "A")
-    assert da.dilation().outcomes.orthonormality_residual() <= 1e-12
+    assert da.dilation.outcomes.orthonormality_residual() <= 1e-12
     hardy = load_fixture("hardy")
     assert hardy.hardy == ("F", "D1", "D2")
     assert set(hardy.states) == {"hardy"}
@@ -477,12 +447,9 @@ def scenarios(draw):
             weights = rng.random(dim)
             rho = (u * (weights / weights.sum())) @ u.conj().T
             states[f"mixed{k}"] = (rho + rho.conj().T) / 2.0
-    dilated = {}
-    if draw(st.booleans()):
-        d = naimark_dilate(rank1)
-        dilated = dict(env_dim=len(rank1), outcomes=d.outcomes, phi_init=d.phi_init)
+    dilation = naimark_dilate(rank1) if draw(st.booleans()) else None
     hardy = ("pair", "m2", povm.labels()[-1]) if draw(st.booleans()) else None
-    return Scenario(dim, povm=povm, states=states, hardy=hardy, **dilated)
+    return Scenario(dim, dilation, povm, states, hardy)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -494,47 +461,6 @@ def test_scenario_json_round_trip_is_exact(scenario):
     assert json.dumps(again, indent=2) == first
 
 
-
-
-# repr switches to exponent form at 1e16 and below 1e-4.
-_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 9.999e15]
-_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
-_texts = st.sampled_from(["", "label", '"\\\n\t\x00\x7f', "\u00e9\u2028", "\U0001f600"]) | st.text()
-_numbers = _floats | st.integers(-(2**70), 2**70) | st.booleans()
-_pairs = st.tuples(_floats, _floats).map(list) | st.lists(_numbers, min_size=1, max_size=3)
-_leaves = (
-    _numbers
-    | _texts
-    | st.none()
-    | st.lists(_pairs, max_size=5)
-    | st.lists(st.tuples(_floats, _floats).map(list), min_size=1, max_size=5)
-    | st.just([])
-    | st.just({})
-)
-_keys = _texts | st.integers() | _floats | st.booleans() | st.none()
-_trees = st.recursive(
-    _leaves,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.dictionaries(_texts, children, max_size=4)
-    | st.dictionaries(_keys, children, max_size=3),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.dictionaries(_texts, _trees, max_size=4))
-def test_writer_equals_the_indented_json_dump(raw):
-    assert _written(raw) == json.dumps(raw, indent=2) + "\n"
-
-
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(scenarios())
-def test_writer_equals_the_indented_json_dump_on_scenarios(scenario):
-    raw = scenario_to_dict(scenario)
-    assert _written(raw) == json.dumps(raw, indent=2) + "\n"
-
-
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(scenarios())
 def test_a_scenario_is_written_from_its_stacks_as_its_dict_would_be(scenario):
@@ -543,6 +469,20 @@ def test_a_scenario_is_written_from_its_stacks_as_its_dict_would_be(scenario):
 
 # Each part alone: -0.0 must not share the +0.0 pair's string.
 _EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9.999e15, 1e-5, 1e-4, -1e-4, 0.1]
+# repr switches to exponent form at 1e16 and below 1e-4.
+_parts = st.sampled_from(_EDGE_PARTS) | st.floats(allow_nan=False, allow_infinity=False)
+_texts = st.sampled_from(["", "label", '"\\\n\t\x00\x7f', "\u00e9\u2028", "\U0001f600"]) | st.text()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(_texts, min_size=3, max_size=5, unique=True), st.data())
+def test_writer_equals_the_indented_json_dump(labels, data):
+    """Any labels, in sections and the hardy block, and any finite parts."""
+    parts = data.draw(st.lists(_parts, min_size=4 * len(labels), max_size=4 * len(labels)))
+    rows = np.array(parts).view(complex).reshape(len(labels), 2)
+    states = {label: row for label, row in zip(labels, rows)}
+    scenario = Scenario(2, povm=Povm(2, labels, rows), states=states, hardy=tuple(labels[:3]))
+    assert _written(scenario) == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -561,15 +501,10 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
         "zero": rows[0],
         "mixed": np.where(diagonal, 1.0 / dim, complex(0.0, -0.0)),
     }
-    scenario = Scenario(
-        dim,
-        7,
-        JointOutcomeSet(7, dim, labels, outcomes, validate=False),
-        outcomes[1, :7],
-        povm,
-        states,
-        ("m1", "m2", "m3"),
-    )
+    # checked at no tolerance, so that phi_init keeps the edge parts unnormalised
+    outcome_set = JointOutcomeSet(7, dim, labels, outcomes, validate=False)
+    dilation = Dilation(outcome_set, outcomes[1, :7], np.inf)
+    scenario = Scenario(dim, dilation, povm, states, ("m1", "m2", "m3"))
     text = _written(scenario)
     assert text == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
     assert all(f" {part}" in text for part in ("-0.0", "5e-324", "1e+16", "1e-05", "0.0001"))
@@ -593,7 +528,7 @@ def test_each_zero_mask_gets_its_own_row_template():
 
 def test_saving_a_large_dilation_traces_less_memory_than_the_file_it_writes(tmp_path):
     d = naimark_dilate(random_rank1_povm(np.random.default_rng(8), 8, 64))
-    scenario = Scenario(8, 64, d.outcomes, d.phi_init, povm_from_dilation(d))
+    scenario = Scenario(8, d, povm_from_dilation(d))
     path = tmp_path / "dilated.json"
     save_scenario(path, scenario)  # a first call, so only the writer itself is traced
     tracemalloc.start()
@@ -606,28 +541,12 @@ def test_saving_a_large_dilation_traces_less_memory_than_the_file_it_writes(tmp_
     assert peak < path.stat().st_size
 
 
-def test_saving_a_too_deeply_nested_dict_is_a_file_error(tmp_path):
-    tree: list = []
-    for _ in range(1200):
-        tree = [tree]
-    path = tmp_path / "deep.json"
-    with pytest.raises(ScenarioFileError, match="nests too deeply"):
-        save_scenario(path, {"tree": tree})
-    assert not path.exists()
-
-
-def test_env_dim_without_a_dilation_loads_and_saves_back_unchanged(tmp_path):
-    raw = {
-        "version": 1,
-        "system_dim": 2,
-        "env_dim": 3,
-        "povm": [{"label": "I", "matrix": encode_matrix(np.eye(2))}],
-    }
-    path = tmp_path / "env-only.json"
-    save_scenario(path, raw)
-    scenario = load_scenario(path)
-    assert scenario.env_dim == 3
-    assert scenario.outcomes is None and scenario.phi_init is None
-    again = tmp_path / "again.json"
-    save_scenario(again, scenario_to_dict(scenario))
-    assert again.read_bytes() == path.read_bytes()
+def test_a_lone_env_dim_is_checked_and_not_kept():
+    povm = [{"label": "I", "matrix": encode_matrix(np.eye(2))}]
+    raw = {"version": 1, "system_dim": 2, "povm": povm}
+    scenario = scenario_from_dict({**raw, "env_dim": 3})
+    assert scenario == scenario_from_dict(raw)
+    assert "env_dim" not in scenario_to_dict(scenario)
+    for bad in (0, -1, True, 3.0, "3", None):
+        with pytest.raises(ScenarioFileError, match="^env_dim must be a positive integer$"):
+            scenario_from_dict({**raw, "env_dim": bad})
