@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 stdout closed by the reader, 2 input or file-schema
 error, 3 violated invariant, 4 numerical failure. Numbers print with 12
-significant digits; ``--json`` emits machine-readable reports where available.
+significant digits. ``povm check``, ``context-graph``, ``inequality`` and
+``max-violation`` each build one report: ``--json`` prints it as JSON, and the
+text (or ``--dot``) output renders the same report.
 """
 
 from __future__ import annotations
@@ -14,17 +16,13 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from . import __version__
 from .contextuality import HardyTriple, evaluate_inequality, max_violation
-from .errors import (
-    ScenarioFileError,
-    SpaceMismatchError,
-    UnknownLabelError,
-    ValidationError,
-)
+from .errors import ScenarioFileError, SpaceMismatchError, UnknownLabelError, ValidationError
 from .hilbert import DEFAULT_TOL, gram
 from .dilation import Dilation, naimark_dilate, povm_from_dilation
 from .interferometer import build_three_path, joint_outcomes_DA, joint_outcomes_VH
@@ -45,21 +43,61 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return _fmt(z.real)
-    return f"{_fmt(z.real)}{z.imag:+.12g}j"
+    return _fmt(z.real) if z.imag == 0.0 else f"{_fmt(z.real)}{z.imag:+.12g}j"
 
 
 def _fmt_vector(amplitudes) -> str:
     return "[" + ", ".join(_fmt_complex(complex(z)) for z in amplitudes) + "]"
 
 
-def _print_graph(graph: ContextGraph) -> None:
-    lines = [f"context graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges"]
-    lines += [f"  {a} -- {b} (witness={_fmt(witness)})" for a, b, witness in graph.edges]
-    if graph.skipped:
-        lines.append(f"  skipped zero-weight outcomes: {', '.join(graph.skipped)}")
-    print("\n".join(lines))
+def _emit(args: argparse.Namespace, report: dict, render: Callable[[dict], str]) -> int:
+    """Print the report, as JSON under ``--json`` and else as ``render`` writes it; exit 0."""
+    print(json.dumps(report) if args.json else render(report))
+    return 0
+
+
+def _graph_report(graph: ContextGraph) -> dict:
+    return {"nodes": graph.nodes, "edges": graph.edges, "skipped": graph.skipped}
+
+
+def _graph_text(report: dict) -> str:
+    lines = [f"context graph: {len(report['nodes'])} nodes, {len(report['edges'])} edges"]
+    lines += [f"  {a} -- {b} (witness={_fmt(witness)})" for a, b, witness in report["edges"]]
+    if report["skipped"]:
+        lines.append(f"  skipped zero-weight outcomes: {', '.join(report['skipped'])}")
+    return "\n".join(lines)
+
+
+def _graph_dot(report: dict) -> str:
+    """Graphviz DOT with the witness as an edge attribute. Labels are quoted IDs, a double
+    quote written ``\\"`` (DOT cannot escape a final ``\\``)."""
+    ids = {node: '"' + node.replace('"', '\\"') + '"' for node in report["nodes"]}
+    lines = [f"  {ids[node]};" for node in report["nodes"]]
+    lines += [f'  {ids[a]} -- {ids[b]} [witness="{_fmt(w)}"];' for a, b, w in report["edges"]]
+    return "\n".join(["graph contexts {", *lines, "}"])
+
+
+def _check_text(report: dict) -> str:
+    return (
+        f"povm: {report['elements']} elements, system_dim={report['system_dim']}\n"
+        f"completeness residual: {_fmt(report['completeness_residual'])}\n"
+        f"element bound residual: {_fmt(report['element_bound_residual'])}\n"
+        f"result: {'ok' if report['ok'] else 'FAIL'} (tol={_fmt(report['tol'])})"
+    )
+
+
+def _inequality_text(report: dict) -> str:
+    certification = " ".join(f"{k}={_fmt(v)}" for k, v in report["certification"].items())
+    return (
+        f"lhs {_fmt(report['lhs'])}\nrhs {_fmt(report['rhs'])}\n"
+        f"violated {'true' if report['violated'] else 'false'}\n"
+        f"certification {certification}\nstate {report['state']}"
+    )
+
+
+def _violation_text(report: dict) -> str:
+    state = _fmt_vector(complex(*pair) for pair in report["state"])
+    return f"max violation {_fmt(report['value'])}\nstate {state}"
 
 
 def _print_povm_report(p: Povm, tol: float) -> None:
@@ -82,7 +120,7 @@ def _print_povm_report(p: Povm, tol: float) -> None:
         print("gram (vector elements):")
         for k, row in zip(positions, gram(p.vectors[positions])):
             print(f"  {labels[k]}: {_fmt_vector(row)}")
-    _print_graph(context_graph(p, tol))
+    print(_graph_text(_graph_report(context_graph(p, tol))))
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
@@ -108,27 +146,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def _cmd_povm_check(args: argparse.Namespace) -> int:
     p = load_scenario(args.file, args.tol).resolve_povm()
-    completeness = completeness_check(p)
-    bounds = element_bound_residual(p)
-    ok = completeness <= args.tol and bounds <= args.tol
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "elements": len(p),
-                    "system_dim": p.system_dim,
-                    "completeness_residual": completeness,
-                    "element_bound_residual": bounds,
-                    "tol": args.tol,
-                    "ok": ok,
-                }
-            )
-        )
-    else:
-        print(f"povm: {len(p)} elements, system_dim={p.system_dim}")
-        print(f"completeness residual: {_fmt(completeness)}")
-        print(f"element bound residual: {_fmt(bounds)}")
-        print(f"result: {'ok' if ok else 'FAIL'} (tol={_fmt(args.tol)})")
+    completeness, bounds = completeness_check(p), element_bound_residual(p)
+    report = dict(
+        elements=len(p), system_dim=p.system_dim, completeness_residual=completeness,
+        element_bound_residual=bounds, tol=args.tol, ok=max(completeness, bounds) <= args.tol,
+    )
+    _emit(args, report, _check_text)
     if args.strict:
         validate_povm(p, args.tol)
     return 0
@@ -138,23 +161,14 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     p = load_scenario(args.file, args.tol).resolve_povm()
     d = naimark_dilate(p, args.tol)
     save_scenario(args.output, Scenario(p.system_dim, d, povm_from_dilation(d)))
-    print(
-        f"wrote {args.output}: env_dim={d.outcomes.env_dim}, "
-        f"{len(d.outcomes)} joint outcomes"
-    )
+    print(f"wrote {args.output}: env_dim={d.outcomes.env_dim}, {len(d.outcomes)} joint outcomes")
     return 0
 
 
 def _cmd_context_graph(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file, args.tol)
     graph = context_graph(scenario.resolve_povm(), args.tol)
-    if args.dot:
-        print(graph.to_dot())
-    elif args.json:
-        print(json.dumps({"nodes": graph.nodes, "edges": graph.edges, "skipped": graph.skipped}))
-    else:
-        _print_graph(graph)
-    return 0
+    return _emit(args, _graph_report(graph), _graph_dot if args.dot else _graph_text)
 
 
 def _hardy_inputs(scenario: Scenario, tol: float) -> HardyTriple:
@@ -174,42 +188,17 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
         label, state = next(iter(scenario.states.items()))
     else:
         raise ScenarioFileError("choose a state with --state; the file has none or several")
-    report = evaluate_inequality(triple, state, args.tol)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "violated": report.violated,
-                    "state": label,
-                    "certification": dataclasses.asdict(report.certification),
-                }
-            )
-        )
-    else:
-        print(f"lhs {_fmt(report.lhs)}")
-        print(f"rhs {_fmt(report.rhs)}")
-        print(f"violated {'true' if report.violated else 'false'}")
-        c = report.certification
-        print(
-            f"certification c1={_fmt(c.c1)} c2={_fmt(c.c2)} "
-            f"r1={_fmt(c.r1)} r2={_fmt(c.r2)}"
-        )
-        print(f"state {label}")
-    return 0
+    verdict = evaluate_inequality(triple, state, args.tol)
+    report = dict(lhs=verdict.lhs, rhs=verdict.rhs, violated=verdict.violated, state=label)
+    report["certification"] = dataclasses.asdict(verdict.certification)
+    return _emit(args, report, _inequality_text)
 
 
 def _cmd_max_violation(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.file, args.tol)
     triple = _hardy_inputs(scenario, args.tol)
     value, state = max_violation(triple)
-    if args.json:
-        print(json.dumps({"value": value, "state": encode_vector(state)}))
-    else:
-        print(f"max violation {_fmt(value)}")
-        print(f"state {_fmt_vector(state)}")
-    return 0
+    return _emit(args, {"value": value, "state": encode_vector(state)}, _violation_text)
 
 
 @functools.cache

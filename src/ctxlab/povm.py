@@ -174,13 +174,15 @@ def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
 
 
 @finite("an element weight is")
-def _selection_weights(p: Povm, positions: np.ndarray) -> np.ndarray:
+def _selection_weights(p: Povm, positions: np.ndarray, bottoms=None) -> np.ndarray:
     """``context_selection_probability`` of the elements at ``positions``; rank-1 weights
-    round as ``np.vdot``."""
+    round as ``np.vdot``. The ``eigvalsh`` that weighs an operator element also writes its
+    lowest eigenvalue at the element's index in ``bottoms``, when given."""
     rows = p.vectors[positions]
     weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
+    lows = np.zeros(len(positions)) if bottoms is None else bottoms
     for i in np.flatnonzero(~p._is_vector[positions]):
-        weights[i] = np.linalg.eigvalsh(p._operators[positions[i]])[-1]
+        lows[i], weights[i] = np.linalg.eigvalsh(p._operators[positions[i]])[[0, -1]]
     return weights
 
 
@@ -193,10 +195,9 @@ def completeness_check(p: Povm) -> float:
 
 def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
-    worst = max(0.0, float(_selection_weights(p, np.arange(len(p))).max()) - 1.0)
-    for op in p._operators.values():
-        worst = max(worst, float(-np.linalg.eigvalsh(op)[0]))
-    return worst
+    bottoms = np.zeros(len(p))  # no rank-1 element has a negative eigenvalue
+    tops = _selection_weights(p, np.arange(len(p)), bottoms)
+    return max(0.0, float(tops.max()) - 1.0, float(-bottoms.min()))
 
 
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
@@ -311,18 +312,6 @@ class ContextGraph:
 
     def has_edge(self, a: str, b: str) -> bool:
         return any({a, b} == {x, y} for x, y, _ in self.edges)
-
-    def to_dot(self) -> str:
-        """Render as Graphviz DOT with the tested magnitude as an edge attribute. Labels
-        are quoted IDs, a double quote written ``\\"`` (DOT cannot escape a final ``\\``)."""
-        ids = {node: '"' + node.replace('"', '\\"') + '"' for node in self.nodes}
-        lines = ["graph contexts {"]
-        for node in self.nodes:
-            lines.append(f"  {ids[node]};")
-        for a, b, witness in self.edges:
-            lines.append(f'  {ids[a]} -- {ids[b]} [witness="{witness:.12g}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from ctxlab import JointOutcomeSet, Povm
+
+# A number token of CLI output: an integer, a decimal or an exponent form, with its sign.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def write_raw(path: str | Path, raw: dict) -> None:

@@ -20,6 +20,7 @@ import ctxlab.cli
 import ctxlab.scenario_io
 from ctxlab import (
     DEFAULT_TOL,
+    FIXTURE_NAMES,
     Scenario,
     basis_mixture_povm,
     context_graph,
@@ -37,7 +38,13 @@ from ctxlab import (
     verify_constraints,
 )
 from ctxlab.cli import build_parser, main
-from helpers import phase_aligned_max_err, random_rank1_povm, random_unitary, write_raw
+from helpers import (
+    NUMBER,
+    phase_aligned_max_err,
+    random_rank1_povm,
+    random_unitary,
+    write_raw,
+)
 
 DA_FILE = str(fixture_path("three-path-DA"))
 VH_FILE = str(fixture_path("three-path-VH"))
@@ -364,6 +371,39 @@ def test_inequality_json(capsys):
     assert report["state"] == "hardy"
     assert report["certification"]["c1"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert report["certification"]["r1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def _report_numbers(value: object) -> list[str]:
+    """Each number of a ``--json`` report in order at ``.12g``; words and labels give none."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [token for item in value for token in _report_numbers(item)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [f"{value:.12g}"]
+    return []
+
+
+_ON_EVERY_FIXTURE = ("povm check", "context-graph", "context-graph --dot")
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [(command, name) for name in FIXTURE_NAMES for command in _ON_EVERY_FIXTURE]
+    + [("inequality", "hardy"), ("max-violation", "hardy")],
+)
+def test_text_renders_every_number_of_the_json_report_in_order(capsys, command, fixture):
+    """Text and DOT output render the one report that ``--json`` prints."""
+    path = str(fixture_path(fixture))
+    code, out, _ = run_cli(capsys, *command.split(), path)
+    assert code == 0
+    json_argv = [arg for arg in command.split() if arg != "--dot"]
+    report = json.loads(run_cli(capsys, *json_argv, path, "--json")[1])
+    if command == "max-violation":  # the text prints a real amplitude as its real part alone
+        report["state"] = [[real, imag] if imag else [real] for real, imag in report["state"]]
+    printed = iter(token.lstrip("+") for token in NUMBER.findall(out))
+    wanted = _report_numbers(report)
+    assert wanted and all(token in printed for token in wanted), (wanted, out)
 
 
 def test_inequality_state_selection_errors(capsys):

@@ -20,7 +20,6 @@ import functools
 import io
 import itertools
 import json
-import re
 import tempfile
 from pathlib import Path
 
@@ -28,10 +27,10 @@ import pytest
 
 from ctxlab import FIXTURE_NAMES, fixture_path
 from ctxlab.cli import main
+from helpers import NUMBER
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 FLOAT_ABS = 1e-12
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _TOLS = ((), ("--tol", "1e-3"), ("--tol", "1e-17"))
 
 
@@ -88,7 +87,7 @@ def run_case(argv: list[str], out_dir: Path) -> dict:
 
 
 def _split(text: str) -> tuple[list[str], list[float]]:
-    return _NUMBER.split(text), [float(token) for token in _NUMBER.findall(text)]
+    return NUMBER.split(text), [float(token) for token in NUMBER.findall(text)]
 
 
 def assert_text_matches(got: str, want: str, what: str) -> None:

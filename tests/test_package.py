@@ -195,3 +195,9 @@ def test_only_the_scenario_reader_switches_the_collector_off(path):
     """The switch is process-wide, so it is kept to the one place that restores it."""
     switches = collector_switches(path.read_text(encoding="utf-8"))
     assert len(switches) == (path.name == "scenario_io.py")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_the_command_line_formats_numbers_for_output(path):
+    """Text output's 12 significant digits are set in the one module that renders it."""
+    assert (".12g" in path.read_text(encoding="utf-8")) == (path.name == "cli.py")

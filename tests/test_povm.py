@@ -30,6 +30,7 @@ from ctxlab import (
     dilation_DA,
     dilation_VH,
     evaluate_inequality,
+    fixture_path,
     hwp_transform,
     load_fixture,
     maximizing_state,
@@ -40,6 +41,7 @@ from ctxlab import (
     rescaled_probability,
     validate_povm,
 )
+from ctxlab.cli import main
 from ctxlab.hilbert import density_matrix
 from helpers import element_row, random_pure_state, random_rank1_povm, random_unitary, unit
 from oracles import context_pairs
@@ -325,8 +327,9 @@ def test_context_graph_skips_zero_weight_outcomes(scenario):
     assert len(g.edges) == 3
 
 
-def test_context_graph_dot_output(da_povm):
-    dot = context_graph(da_povm).to_dot()
+def test_context_graph_dot_output(capsys):
+    assert main(["context-graph", "--dot", str(fixture_path("three-path-DA"))]) == 0
+    dot = capsys.readouterr().out
     assert dot.startswith("graph contexts {")
     assert dot.rstrip().endswith("}")
     assert '"D1" -- "A"' in dot or '"A" -- "D1"' in dot
