@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import DEFAULT_TOL, amplitudes, density_matrix, fix_phase, unit_vector
+from .hilbert import DEFAULT_TOL, ByValue, amplitudes, density_matrix, fix_phase, unit_vector
 from .povm import Povm, require_context_weight
 
 
-@dataclass(frozen=True)
-class HardyTriple:
+@dataclass(frozen=True, eq=False)
+class HardyTriple(ByValue):
     """Labels f, d1, d2 into a POVM plus the derived unit directions.
 
     ``directions`` holds five rows: the unit directions f_hat, d1_hat and d2_hat of
@@ -47,12 +47,6 @@ class HardyTriple:
                 f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
                 invariant="hardy-basis-orthogonality",
             )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same = (self.povm, self.f, self.d1, self.d2) == (other.povm, other.f, other.d1, other.d2)
-        return same and np.array_equal(self.directions, other.directions)
 
     @classmethod
     def from_povm(
@@ -107,8 +101,8 @@ class Certification:
     r2: float
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+@dataclass(frozen=True, eq=False)
+class InequalityReport(ByValue):
     """The verdict at one state, whose read-only density matrix is ``state_used``."""
 
     lhs: float
@@ -116,13 +110,6 @@ class InequalityReport:
     violated: bool
     state_used: np.ndarray
     certification: Certification
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same = (self.lhs, self.rhs, self.violated, self.certification)
-        same = same == (other.lhs, other.rhs, other.violated, other.certification)
-        return same and np.array_equal(self.state_used, other.state_used)
 
 
 def evaluate_inequality(

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import SpaceMismatchError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
+    ByValue,
     amplitudes,
     entries,
     fix_phase,
@@ -32,6 +33,7 @@ from .hilbert import (
 from .povm import LabelledStack, Povm, grid_labels, validate_povm
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class JointOutcomeSet(LabelledStack):
     """Orthonormal joint vectors, one per macroscopically distinct outcome.
 
@@ -40,7 +42,9 @@ class JointOutcomeSet(LabelledStack):
     amplitudes per outcome on the joint space of ``env_dim * sys_dim`` amplitudes.
     """
 
-    _compared = ("env_dim", "sys_dim")
+    env_dim: int
+    sys_dim: int
+    tol: float = field(compare=False, repr=False)
     _nonempty = "at least one outcome is required"
 
     def __init__(
@@ -74,8 +78,8 @@ def require_normalised_phi_init(phi_init: np.ndarray, tol: float) -> None:
         raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
 
 
-@dataclass(frozen=True)
-class Dilation:
+@dataclass(frozen=True, eq=False)
+class Dilation(ByValue):
     """A joint outcome set together with the environment's initial state, stored as a
     read-only ``(env_dim,)`` complex copy. Equality compares ``phi_init`` by value."""
 
@@ -91,11 +95,6 @@ class Dilation:
             )
         require_normalised_phi_init(phi, self.tol)
         object.__setattr__(self, "phi_init", phi)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.outcomes == other.outcomes and np.array_equal(self.phi_init, other.phi_init)
 
 
 def povm_from_dilation(d: Dilation) -> Povm:

@@ -5,19 +5,41 @@ with one ket per row, and an operator (a POVM element, a unitary, a density
 matrix) a 2-D ``(dim, dim)`` array. A state is a ket or a density matrix.
 Joint vectors are stored flat in environment-major order, ``flat_index =
 env_index * sys_dim + sys_index``, so that the flat vector of ``env (x) sys`` is
-``numpy.kron(env, sys)``.
+``numpy.kron(env, sys)``. ``ByValue`` gives the frozen dataclasses that hold such
+arrays their one equality rule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
 
 DEFAULT_TOL = 1e-9
+
+
+class ByValue:
+    """Equality by value for a dataclass that holds arrays, which leaves it unhashable:
+    two instances of one class are equal when each ``compare=True`` field is, an array by
+    ``np.array_equal``, a mapping of arrays by its keys then entry by entry, else by ``==``."""
+
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in dataclasses.fields(self) if f.compare]
+        return all(_same(getattr(self, name), getattr(other, name)) for name in names)
+
+
+def _same(x: object, y: object) -> bool:
+    if isinstance(x, Mapping):
+        return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+    return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hilbert import DEFAULT_TOL, amplitudes
+from .hilbert import DEFAULT_TOL, ByValue, amplitudes
 from .povm import Povm, coarse_grain
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 
@@ -25,7 +25,7 @@ _SHAPES = dict(paths=(3, 3), s1=(3,), s2=(3,), f=(3,), h=(2,), v=(2,), d=(2,), a
 
 
 @dataclass(frozen=True, eq=False)
-class ThreePathScenario:
+class ThreePathScenario(ByValue):
     """Fixed states of the three-path layout, parameterised by plate placement.
 
     ``paths`` stacks the path basis kets as rows; s1, s2 and f are path states, h, v, d

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping, Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import UnknownLabelError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
+    ByValue,
     amplitudes,
     density_matrix,
     entries,
@@ -34,19 +36,21 @@ class _LabelIndex(dict):
         raise UnknownLabelError(f"no outcome labelled {label!r}")
 
 
-class LabelledStack:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class LabelledStack(ByValue):
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
 
-    Subclasses name in ``_compared`` what equality compares and repr shows
-    besides the labels and the stack (a dict of arrays by value), and in
+    Subclasses declare their other stored attributes as fields, compared by value and
+    shown by repr beside the labels unless a field says otherwise, and name in
     ``_nonempty`` the message for an empty label list. Instances are immutable.
     """
 
-    _compared: tuple[str, ...]
-    _nonempty: str
+    vectors: np.ndarray = field(repr=False)
+    _index: dict[str, int] = field(repr=False)
+    _nonempty: ClassVar[str]
 
     def _store(
-        self, labels: Sequence[str], vectors: np.ndarray, dim: int, **fields: object
+        self, labels: Sequence[str], vectors: np.ndarray, dim: int, **values: object
     ) -> None:
         """Check that the labels are unique, then that there is one, take ``vectors`` as the
         read-only ``(len(labels), dim)`` copy ``amplitudes`` makes, and set the fields. The
@@ -60,7 +64,7 @@ class LabelledStack:
         if not labels:
             raise ValidationError(self._nonempty, invariant="nonempty")
         rows = amplitudes(vectors, (len(labels), dim), f"for {len(labels)} labels of dim {dim}")
-        self.__dict__.update(fields, vectors=rows, _index=index)
+        self.__dict__.update(values, vectors=rows, _index=index)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self._index)
@@ -68,32 +72,12 @@ class LabelledStack:
     def __len__(self) -> int:
         return len(self._index)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.labels() == other.labels()
-            and np.array_equal(self.vectors, other.vectors)
-            and all(_same(getattr(self, name), getattr(other, name)) for name in self._compared)
-        )
-
     def __repr__(self) -> str:
-        shown = "".join(f", {name}={getattr(self, name)!r}" for name in self._compared)
+        shown = "".join(f", {f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
         return f"{type(self).__name__}(labels={self.labels()!r}{shown})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _same(x: object, y: object) -> bool:
-    if isinstance(x, dict):
-        return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
-    return x == y
-
-
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Povm(LabelledStack):
     """An ordered, labelled POVM on a system space.
 
@@ -104,7 +88,8 @@ class Povm(LabelledStack):
     read-only Hermitian ``(system_dim, system_dim)`` matrix is kept in ``operators``.
     """
 
-    _compared = ("system_dim", "_operators")
+    system_dim: int
+    _operators: dict[int, np.ndarray]
     _nonempty = "a POVM needs at least one element"
 
     def __init__(
@@ -193,11 +178,13 @@ def completeness_check(p: Povm) -> float:
     return float(np.abs(total - np.eye(p.system_dim)).max())
 
 
+@finite("the element bound residual is")
 def element_bound_residual(p: Povm) -> float:
-    """How far the worst element's eigenvalues leave [0, 1]; 0 when none do."""
+    """How far the worst element's eigenvalues leave [0, 1]; 0 when none do. ``np.max``
+    keeps a NaN lowest eigenvalue, which Python's ``max`` would drop unless first."""
     bottoms = np.zeros(len(p))  # no rank-1 element has a negative eigenvalue
     tops = _selection_weights(p, np.arange(len(p)), bottoms)
-    return max(0.0, float(tops.max()) - 1.0, float(-bottoms.min()))
+    return float(np.max([0.0, tops.max() - 1.0, -bottoms.min()]))
 
 
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:

@@ -37,6 +37,7 @@ from .errors import ScenarioFileError
 from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
 from .hilbert import (
     DEFAULT_TOL,
+    ByValue,
     density_matrix,
     entries,
     require_finite,
@@ -124,8 +125,8 @@ def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(ByValue):
     """Parsed contents of one scenario file.
 
     ``dilation`` checks itself and stores its ``phi_init`` as a read-only copy. Each
@@ -155,16 +156,6 @@ class Scenario:
             if len(state) != self.system_dim:
                 raise _wrong_length(f"state {label!r}", self.system_dim, matrix=state.ndim == 2)
         object.__setattr__(self, "states", MappingProxyType(states))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        plain = ("system_dim", "dilation", "povm", "hardy")
-        if any(getattr(self, name) != getattr(other, name) for name in plain):
-            return False
-        pairs = [(x, other.states.get(label)) for label, x in self.states.items()]
-        same = self.states.keys() == other.states.keys()
-        return same and all(np.array_equal(x, y) for x, y in pairs)
 
     def resolve_povm(self) -> Povm:
         """The file's POVM, deriving it from the dilation when absent."""

@@ -627,6 +627,16 @@ _OVERFLOWING_POVMS = {
             {"label": "b", "vector": [[1e200, 0.0], [-1e200, 0.0]]},
         ],
     ),
+    "lowest-eigenvalue-overflow": (  # element 'a' has eigenvalues -inf and 0
+        2,
+        [
+            {
+                "label": "a",
+                "matrix": [[[-1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [-1e308, 0.0]]],
+            },
+            {"label": "b", "vector": [[1.0, 0.0], [0.0, 0.0]]},
+        ],
+    ),
 }
 # a bundled fixture with the amplitudes of one section scaled by 1e200
 _OVERFLOWING_FIXTURES = {
@@ -661,6 +671,8 @@ def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
     assert code == 4
     assert out == ""
     assert err.startswith("numerical failure: ")
+    if kind == "lowest-eigenvalue-overflow":
+        assert err == "numerical failure: the element bound residual is not finite\n"
 
 
 @pytest.mark.parametrize(
@@ -681,9 +693,9 @@ def test_overflowing_weights_are_a_numerical_failure_in_every_command(
         expected = (4, "numerical failure: the orthonormality residual is not finite\n")
     elif kind in _OVERFLOWING_POVMS and argv[0] in ("inequality", "max-violation"):
         expected = (2, "input error: the file carries no hardy block\n")
-    elif kind != "overflowing-sum":
+    elif kind not in ("overflowing-sum", "lowest-eigenvalue-overflow"):
         expected = (4, "numerical failure: an element weight is not finite\n")
-    elif argv[0] == "context-graph":  # finite elements: the graph is drawn
+    elif argv[0] == "context-graph":  # finite weights: the graph is drawn
         expected = (0, "")
     else:  # dilate refuses operator elements before it weighs them
         expected = (3, "invariant violation [rank-one-elements]: element 'a' is not rank one\n")

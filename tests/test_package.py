@@ -201,3 +201,39 @@ def test_only_the_scenario_reader_switches_the_collector_off(path):
 def test_only_the_command_line_formats_numbers_for_output(path):
     """Text output's 12 significant digits are set in the one module that renders it."""
     assert (".12g" in path.read_text(encoding="utf-8")) == (path.name == "cli.py")
+
+
+_VALUE_METHODS = ("__eq__", "__setattr__", "__delattr__")
+
+
+def value_methods(source: str) -> list[str]:
+    """``Class.name`` of each ``__eq__``, ``__setattr__`` or ``__delattr__`` that a class
+    of ``source``, nested ones too, defines or assigns in its body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for member in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(member, ast.FunctionDef):
+                names = [member.name]
+            else:
+                names = [t.id for t in getattr(member, "targets", []) if isinstance(t, ast.Name)]
+            found += [f"{node.name}.{name}" for name in names if name in _VALUE_METHODS]
+    return found
+
+
+def test_the_scan_finds_each_hand_written_equality_and_freezing_method():
+    source = (
+        "class A:\n    def __eq__(self, other):\n        return True\n\n"
+        "    def __repr__(self):\n        return 'A'\n\n"
+        "    __hash__ = None\n\n"
+        "def make():\n    class B:\n        def __setattr__(self, name, value):\n            pass\n\n"
+        "        __delattr__ = object.__delattr__\n    return B\n"
+    )
+    assert value_methods(source) == ["A.__eq__", "B.__setattr__", "B.__delattr__"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_by_value_defines_equality_and_no_class_freezes_itself_by_hand(path):
+    """Every value type compares by the one rule, ``hilbert.ByValue.__eq__``, and is
+    frozen by ``dataclass(frozen=True)``."""
+    expected = ["ByValue.__eq__"] if path.name == "hilbert.py" else []
+    assert value_methods(path.read_text(encoding="utf-8")) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -29,6 +30,7 @@ from ctxlab import (
     context_selection_probability,
     dilation_DA,
     dilation_VH,
+    element_bound_residual,
     evaluate_inequality,
     fixture_path,
     hwp_transform,
@@ -617,6 +619,10 @@ def test_equal_content_compares_equal(scenario, vh_povm):
     assert merged == coarse_grain(vh_povm, ("V1", "V2"), "V12")
     assert povm_DA(scenario) != povm_DA(scenario, merge_A=False)
     assert merged != vh_povm and dilation_DA(scenario) != "not a dilation"
+    triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
+    state = np.array([1.0, 0.0, 0.0])
+    assert evaluate_inequality(triple, state) == evaluate_inequality(triple, state)
+    assert scenario == build_three_path() and scenario != build_three_path("1")
 
 
 def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
@@ -630,6 +636,21 @@ def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     outcomes = dilation_DA(scenario).outcomes
     moved = _one_ulp_up(outcomes.vectors)
     assert outcomes != JointOutcomeSet(2, 3, outcomes.labels(), moved)
+    triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
+    report = evaluate_inequality(triple, np.eye(3) / 3.0)
+    assert report != dataclasses.replace(report, state_used=_one_ulp_up(report.state_used))
+
+
+def test_an_element_bound_residual_that_is_not_finite_raises(monkeypatch):
+    overflowing = np.array([[-1e308, 1e308], [1e308, -1e308]])  # eigenvalues -inf and 0
+    p = Povm(2, ["a", "b"], [[0.0, 0.0], [1.0, 0.0]], {0: overflowing})
+    with pytest.raises(FloatingPointError, match="^the element bound residual is not finite$"):
+        element_bound_residual(p)
+    # Python's max(0.0, x, nan) drops a NaN that is not its first argument
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: np.array([np.nan, 0.5]))
+    half = Povm(2, ["a", "b"], [[0.0, 0.0], [1.0, 0.0]], {0: np.eye(2) / 2})
+    with pytest.raises(FloatingPointError, match="^the element bound residual is not finite$"):
+        element_bound_residual(half)
 
 
 def _half_identity(dim=2):
