@@ -17,6 +17,7 @@ from .hilbert import (
     DEFAULT_TOL,
     fix_phase,
     gram,
+    orthonormality_residual,
 )
 from .povm import (
     ContextGraph,
@@ -35,7 +36,6 @@ from .povm import (
 from .dilation import (
     ConstraintReport,
     Dilation,
-    JointOutcomeSet,
     context_switch_povm,
     naimark_dilate,
     povm_from_dilation,
@@ -57,8 +57,6 @@ from .interferometer import (
     dilation_DA,
     dilation_VH,
     hwp_transform,
-    joint_outcomes_DA,
-    joint_outcomes_VH,
     povm_DA,
 )
 from .scenario_io import (

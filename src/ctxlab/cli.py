@@ -24,8 +24,8 @@ from . import __version__
 from .contextuality import HardyTriple, evaluate_inequality, max_violation
 from .errors import ScenarioFileError, SpaceMismatchError, UnknownLabelError, ValidationError
 from .hilbert import DEFAULT_TOL, gram
-from .dilation import Dilation, naimark_dilate, povm_from_dilation
-from .interferometer import build_three_path, joint_outcomes_DA, joint_outcomes_VH
+from .dilation import naimark_dilate, povm_from_dilation
+from .interferometer import build_three_path, dilation_DA, dilation_VH
 from .povm import (
     ContextGraph,
     Povm,
@@ -132,14 +132,14 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         return 2
     s = build_three_path()
     phi = {"D": s.d, "A": s.a, "H": s.h, "V": s.v}[args.phi_init]
-    build = joint_outcomes_DA if args.basis == "DA" else joint_outcomes_VH
-    outcomes = build(s, args.tol)
-    p = povm_from_dilation(Dilation(outcomes, phi, tol=args.tol))
+    build = dilation_DA if args.basis == "DA" else dilation_VH
+    d = build(s, phi, args.tol)
+    p = povm_from_dilation(d)
     if args.merge_a:
         p = coarse_grain(p, ("A1", "A2", "A3"), "A", args.tol)
     merged = "yes" if args.merge_a else "no"
     print(f"scenario three-path: basis={args.basis} phi_init={args.phi_init} merge_A={merged}")
-    print(f"system_dim=3 env_dim=2 outcomes={len(outcomes)}")
+    print(f"system_dim=3 env_dim=2 outcomes={len(d)}")
     _print_povm_report(p, args.tol)
     return 0
 
@@ -161,7 +161,7 @@ def _cmd_dilate(args: argparse.Namespace) -> int:
     p = load_scenario(args.file, args.tol).resolve_povm()
     d = naimark_dilate(p, args.tol)
     save_scenario(args.output, Scenario(p.system_dim, d, povm_from_dilation(d)))
-    print(f"wrote {args.output}: env_dim={d.outcomes.env_dim}, {len(d.outcomes)} joint outcomes")
+    print(f"wrote {args.output}: env_dim={d.env_dim}, {len(d)} joint outcomes")
     return 0
 
 

@@ -1,9 +1,10 @@
 """POVMs from system-environment dilations and the inverse construction.
 
-A dilation is an orthonormal set of joint outcome vectors together with the
-environment's initial state phi_init. Contracting each outcome with phi_init
-yields the system-side POVM element; the part of the outcome orthogonal to
-phi_init (x) system is its residual component. The two obey
+A ``Dilation`` is one labelled stack of orthonormal joint outcome vectors together
+with the environment's initial state phi_init. Contracting each outcome with
+phi_init yields the system-side POVM element; the part of the outcome orthogonal
+to phi_init (x) system is its residual component, one row of the stack that
+``residual_decompose`` returns. The two obey
 
     <sigma(m)|sigma(m')> = -<lambda(m)|lambda(m')>   for m != m'
     <sigma(m)|sigma(m)> + <lambda(m)|lambda(m)> = 1
@@ -21,29 +22,31 @@ import numpy as np
 from .errors import SpaceMismatchError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
-    ByValue,
     amplitudes,
     entries,
     fix_phase,
     gram,
-    orthonormality_residual,
     require_basis,
     require_orthonormal,
 )
 from .povm import LabelledStack, Povm, grid_labels, validate_povm
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class JointOutcomeSet(LabelledStack):
-    """Orthonormal joint vectors, one per macroscopically distinct outcome.
+def require_normalised_phi_init(phi_init: np.ndarray, tol: float) -> None:
+    if abs(float(np.vdot(phi_init, phi_init).real) - 1.0) > tol:
+        raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
 
-    ``validate=False`` skips the orthonormality check so that deliberately
-    perturbed sets can be built for diagnostics. ``vectors`` holds one row of
-    amplitudes per outcome on the joint space of ``env_dim * sys_dim`` amplitudes.
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Dilation(LabelledStack):
+    """Orthonormal joint vectors, one ``env_dim * sys_dim`` row per macroscopically
+    distinct outcome, with the environment's initial state ``phi_init``, a read-only
+    ``(env_dim,)`` copy. A perturbed dilation for diagnostics is built at ``tol=np.inf``.
     """
 
     env_dim: int
     sys_dim: int
+    phi_init: np.ndarray = field(repr=False)
     tol: float = field(compare=False, repr=False)
     _nonempty = "at least one outcome is required"
 
@@ -53,11 +56,11 @@ class JointOutcomeSet(LabelledStack):
         sys_dim: int,
         labels: Sequence[str],
         vectors: np.ndarray,
-        validate: bool = True,
+        phi_init: np.ndarray,
         tol: float = DEFAULT_TOL,
     ) -> None:
-        """An outcome set over a copy of an ``(M, env_dim * sys_dim)`` complex stack;
-        raises ``space-dim`` for a factor dimension below 1."""
+        """Checks ``space-dim``, then the stack (labels, shape, finiteness, ``outcome-count``,
+        ``outcome-orthonormality``), then ``phi_init``'s conversion, length and norm."""
         if env_dim < 1 or sys_dim < 1:
             raise ValidationError("space dimension must be at least 1", invariant="space-dim")
         dim = env_dim * sys_dim
@@ -66,35 +69,12 @@ class JointOutcomeSet(LabelledStack):
             raise ValidationError(
                 f"{len(labels)} outcomes exceed dim {dim}", invariant="outcome-count"
             )
-        if validate:
-            require_orthonormal(self.vectors, tol, "outcome set is", "outcome-orthonormality")
-
-    def orthonormality_residual(self) -> float:
-        return orthonormality_residual(self.vectors)
-
-
-def require_normalised_phi_init(phi_init: np.ndarray, tol: float) -> None:
-    if abs(float(np.vdot(phi_init, phi_init).real) - 1.0) > tol:
-        raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
-
-
-@dataclass(frozen=True, eq=False)
-class Dilation(ByValue):
-    """A joint outcome set together with the environment's initial state, stored as a
-    read-only ``(env_dim,)`` complex copy. Equality compares ``phi_init`` by value."""
-
-    outcomes: JointOutcomeSet
-    phi_init: np.ndarray
-    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        phi = amplitudes(self.phi_init, (None,), "for phi_init")
-        if len(phi) != self.outcomes.env_dim:
-            raise SpaceMismatchError(
-                f"phi_init dim {len(phi)} != environment factor {self.outcomes.env_dim}"
-            )
-        require_normalised_phi_init(phi, self.tol)
-        object.__setattr__(self, "phi_init", phi)
+        require_orthonormal(self.vectors, tol, "outcome set is", "outcome-orthonormality")
+        phi = amplitudes(phi_init, (None,), "for phi_init")
+        if len(phi) != env_dim:
+            raise SpaceMismatchError(f"phi_init dim {len(phi)} != environment factor {env_dim}")
+        require_normalised_phi_init(phi, tol)
+        self.__dict__["phi_init"] = phi
 
 
 def povm_from_dilation(d: Dilation) -> Povm:
@@ -104,28 +84,20 @@ def povm_from_dilation(d: Dilation) -> Povm:
     kept, so the label set always matches the outcome set. If the outcome set
     is complete the result sums to the identity.
     """
-    return Povm.from_vectors(d.outcomes.sys_dim, d.outcomes.labels(), _lambdas(d))
+    return Povm.from_vectors(d.sys_dim, d.labels(), _lambdas(d))
 
 
 def _lambdas(d: Dilation) -> np.ndarray:
     """Rows lambda(m) = <phi_init|m>."""
-    outcomes = d.outcomes
-    return d.phi_init.conj() @ outcomes.vectors.reshape(-1, outcomes.env_dim, outcomes.sys_dim)
+    return d.phi_init.conj() @ d.vectors.reshape(-1, d.env_dim, d.sys_dim)
 
 
-def _components(d: Dilation) -> tuple[np.ndarray, np.ndarray]:
-    """Rows lambda(m) and sigma(m) = |m> - |phi_init> (x) |lambda(m)>."""
+def residual_decompose(d: Dilation) -> np.ndarray:
+    """The ``(M, env_dim * sys_dim)`` stack of sigma(m) = |m> - |phi_init> (x) |lambda(m)>,
+    one row per outcome in ``d.labels()`` order."""
     lambdas = _lambdas(d)
     phi = d.phi_init
-    sigmas = d.outcomes.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(len(lambdas), -1)
-    return lambdas, sigmas
-
-
-def residual_decompose(d: Dilation) -> JointOutcomeSet:
-    """sigma(m) = |m> - |phi_init> (x) |lambda(m)> for every outcome, unvalidated."""
-    _, sigmas = _components(d)
-    env_dim, sys_dim = d.outcomes.env_dim, d.outcomes.sys_dim
-    return JointOutcomeSet(env_dim, sys_dim, d.outcomes.labels(), sigmas, validate=False)
+    return d.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(len(lambdas), -1)
 
 
 @dataclass(frozen=True)
@@ -148,7 +120,7 @@ def verify_constraints(d: Dilation) -> ConstraintReport:
     Residuals are reported, never raised, so perturbed dilations can be
     quantified.
     """
-    lambdas, sigmas = _components(d)
+    lambdas, sigmas = _lambdas(d), residual_decompose(d)
     total = gram(sigmas) + gram(lambdas)
     off = total[~np.eye(len(total), dtype=bool)]
     max_orth = float(np.abs(off).max()) if off.size else 0.0
@@ -184,8 +156,7 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     flat = np.zeros((count, count * sys_dim), dtype=complex)
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
-    outcomes = JointOutcomeSet(count, sys_dim, p.labels(), flat, tol=tol)
-    return Dilation(outcomes, np.eye(1, count)[0], tol=tol)
+    return Dilation(count, sys_dim, p.labels(), flat, np.eye(1, count)[0], tol)
 
 
 def context_switch_povm(

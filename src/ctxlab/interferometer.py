@@ -3,10 +3,10 @@
 Paths are the system (dim 3), polarisation the environment (dim 2). A
 half-wave plate sits in one path superposition (F by default) and flips the
 polarisation there, so the photon's final polarisation records which
-measurement context the path detectors realised: the H/V readout gives two
-projective path contexts, while the rotated D/A readout gives entangled
-outcomes whose derived POVM mixes context information into the path
-statistics.
+measurement context the path detectors realised. ``dilation_VH`` gives the
+H/V readout, two projective path contexts, and ``dilation_DA`` the rotated D/A
+readout, entangled outcomes whose derived POVM mixes context information into
+the path statistics: each is one ``Dilation`` of the outcomes and phi_init.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .hilbert import DEFAULT_TOL, ByValue, amplitudes
 from .povm import Povm, coarse_grain
-from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
+from .dilation import Dilation, povm_from_dilation
 
 _PATH_NAMES = ("1", "2", "3", "S1", "S2", "F")
 _SHAPES = dict(paths=(3, 3), s1=(3,), s2=(3,), f=(3,), h=(2,), v=(2,), d=(2,), a=(2,))
@@ -91,18 +91,24 @@ def _readout_rows(s: ThreePathScenario) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(s.v, s.paths), np.kron(s.h, reflected)
 
 
-def joint_outcomes_VH(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
-    """Product outcomes of path detection with an H/V polarisation readout.
+def dilation_VH(
+    s: ThreePathScenario, phi_init: np.ndarray | None = None, tol: float = DEFAULT_TOL
+) -> Dilation:
+    """Product outcomes of path detection with an H/V polarisation readout; the photon
+    enters diagonally polarised unless ``phi_init`` says otherwise.
 
     V heralds the unmodified path basis, H the plate-reflected one.
     """
     labels = ("V1", "V2", "V3", "H1", "H2", "H3")
     vectors = np.concatenate(_readout_rows(s))
-    return JointOutcomeSet(2, 3, labels, vectors, tol=tol)
+    return Dilation(2, 3, labels, vectors, s.d if phi_init is None else phi_init, tol)
 
 
-def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOutcomeSet:
-    """Entangled outcomes of the same detection with a D/A polarisation readout.
+def dilation_DA(
+    s: ThreePathScenario, phi_init: np.ndarray | None = None, tol: float = DEFAULT_TOL
+) -> Dilation:
+    """Entangled outcomes of the same detection with a D/A polarisation readout; the
+    photon enters diagonally polarised unless ``phi_init`` says otherwise.
 
     (D, i) and (A, i) are the +/- combinations of |H> (x) u_H,i and
     |V> (x) u_V,i, where u are the unit context vectors of the H/V readout.
@@ -111,21 +117,7 @@ def joint_outcomes_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> JointOu
     v_rows, h_rows = _readout_rows(s)
     inv2 = complex(1.0 / np.sqrt(2.0))
     vectors = np.concatenate([(h_rows + v_rows) * inv2, (h_rows - v_rows) * inv2])
-    return JointOutcomeSet(2, 3, labels, vectors, tol=tol)
-
-
-def dilation_VH(
-    s: ThreePathScenario, phi_init: np.ndarray | None = None, tol: float = DEFAULT_TOL
-) -> Dilation:
-    """H/V-readout dilation; the photon enters diagonally polarised by default."""
-    return Dilation(joint_outcomes_VH(s, tol), s.d if phi_init is None else phi_init, tol=tol)
-
-
-def dilation_DA(
-    s: ThreePathScenario, phi_init: np.ndarray | None = None, tol: float = DEFAULT_TOL
-) -> Dilation:
-    """D/A-readout dilation; the photon enters diagonally polarised by default."""
-    return Dilation(joint_outcomes_DA(s, tol), s.d if phi_init is None else phi_init, tol=tol)
+    return Dilation(2, 3, labels, vectors, s.d if phi_init is None else phi_init, tol)
 
 
 def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float = DEFAULT_TOL) -> Povm:

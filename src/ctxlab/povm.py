@@ -52,16 +52,19 @@ class LabelledStack(ByValue):
     def _store(
         self, labels: Sequence[str], vectors: np.ndarray, dim: int, **values: object
     ) -> None:
-        """Check that the labels are unique, then that there is one, take ``vectors`` as the
-        read-only ``(len(labels), dim)`` copy ``amplitudes`` makes, and set the fields. The
-        stack is a copy, so no later write to the caller's array reaches it.
+        """Check that the labels are strings, then unique, then that there is one, take
+        ``vectors`` as the read-only ``(len(labels), dim)`` copy ``amplitudes`` makes, and
+        set the fields. The stack is a copy, so no later write to the caller's array
+        reaches it.
 
         Looking up an absent label in ``_index`` raises UnknownLabelError.
         """
+        if not all(isinstance(label, str) for label in labels):
+            raise ValidationError("outcome labels must be strings", invariant="string-labels")
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
         if len(index) != len(labels):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
-        if not labels:
+        if not len(labels):
             raise ValidationError(self._nonempty, invariant="nonempty")
         rows = amplitudes(vectors, (len(labels), dim), f"for {len(labels)} labels of dim {dim}")
         self.__dict__.update(values, vectors=rows, _index=index)
@@ -261,11 +264,11 @@ def rescaled_probability(
 
 
 def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Witness, shared and proportional matrices of the pairs at ``positions``, which
-    must name nonzero elements.
+    """Witness and shared matrices of the pairs at ``positions``, which must name
+    nonzero elements.
 
     Two rank-1 elements share a context iff their normalised inner-product
-    magnitude, the witness, is 0 (orthogonal) or 1 (proportional, flagged)
+    magnitude, the witness, is 0 (orthogonal) or 1 (proportional)
     within tol: all such pairs come from one Gram matrix of the unit rows,
     |G_ij| / sqrt(w_i w_j). A pair involving an operator element shares one iff
     the support projectors commute; the witness is the spectral norm of the
@@ -286,7 +289,7 @@ def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.n
         commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
         witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
     proportional = both_vectors & (witness >= 1.0 - tol)
-    return witness, (witness <= tol) | proportional, proportional
+    return witness, (witness <= tol) | proportional
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,7 @@ def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     weights = _selection_weights(p, np.arange(len(p)))
     live = np.flatnonzero(weights > tol)
     nodes = tuple(labels[k] for k in live)
-    witness, shared, _ = _context_relations(p, live, tol)
+    witness, shared = _context_relations(p, live, tol)
     i, j = np.nonzero(np.triu(shared, 1))
     a, b = (map(nodes.__getitem__, k.tolist()) for k in (i, j))
     edges = tuple(zip(a, b, witness[i, j].tolist()))

@@ -34,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ScenarioFileError
-from .dilation import Dilation, JointOutcomeSet, povm_from_dilation
+from .dilation import Dilation, povm_from_dilation
 from .hilbert import (
     DEFAULT_TOL,
     ByValue,
@@ -143,15 +143,18 @@ class Scenario(ByValue):
 
     def __post_init__(self) -> None:
         """Refuse a part that the file could not hold, as the reader would refuse it."""
-        if self.dilation is not None and self.dilation.outcomes.sys_dim != self.system_dim:
-            outcomes = self.dilation.outcomes
-            joint_dim = outcomes.env_dim * self.system_dim
-            raise _wrong_length(f"outcome {outcomes.labels()[0]!r}", joint_dim)
+        d = self.dilation
+        if d is not None and d.sys_dim != self.system_dim:
+            raise _wrong_length(f"outcome {d.labels()[0]!r}", d.env_dim * self.system_dim)
+        if self.hardy is not None and not all(isinstance(label, str) for label in self.hardy):
+            raise ScenarioFileError("hardy labels must be strings")
         if self.povm is not None and self.povm.system_dim != self.system_dim:
             first = f"povm {self.povm.labels()[0]!r}"
             raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
         states = {}
         for label, state in self.states.items():
+            if not isinstance(label, str):
+                raise ScenarioFileError("states: every entry needs a string label")
             state = states[label] = state_array(state, f"for state {label!r}")
             if len(state) != self.system_dim:
                 raise _wrong_length(f"state {label!r}", self.system_dim, matrix=state.ndim == 2)
@@ -184,8 +187,8 @@ def _section(
     Well-formed vectors are decoded in one call, their finiteness left to the
     stack's constructor, which raises what the first non-finite entry would.
     Any other section is read entry by entry, each checked in full before the
-    next. ``what`` names an entry in decode errors, ``noun`` in the one-payload
-    rule.
+    next, and stacked after the last, so no array outgrows the entries read.
+    ``what`` names an entry in decode errors, ``noun`` in the one-payload rule.
     """
     if not isinstance(raw, list):
         raise ScenarioFileError(f"{section} must be a list")
@@ -201,18 +204,19 @@ def _section(
         stack = _decode_section([item.get("vector") for item in raw], dim)
         if stack is not None:
             return labels, stack, {}
-    stack, matrices = np.zeros((len(raw), dim), dtype=complex), {}
+    rows, matrices = [], {}
     for k, (label, item) in enumerate(zip(labels, raw)):
         name = f"{what} {label!r}"
         if matrix is not None and ("vector" in item) == ("matrix" in item):
             raise ScenarioFileError(f"{noun} {label!r} needs exactly one of vector/matrix")
         if matrix is None or "vector" in item:
-            stack[k] = decode_vector(item.get("vector"), dim, name)
-            require_finite(stack[k])
+            rows.append(decode_vector(item.get("vector"), dim, name))
+            require_finite(rows[-1])
         else:
             decoded = decode_matrix(item["matrix"], dim, name)
             matrices[k] = matrix(label, entries(decoded, dim, name))
-    return labels, stack, matrices
+            rows.append(np.zeros(dim, dtype=complex))
+    return labels, np.array(rows, dtype=complex).reshape(len(rows), dim), matrices
 
 
 def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
@@ -232,9 +236,8 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         env_dim = _positive_int(raw, "env_dim")
         joint_dim = env_dim * system_dim
         labels, vectors, _ = _section(raw["outcomes"], "outcomes", joint_dim, "outcome")
-        outcomes = JointOutcomeSet(env_dim, system_dim, labels, vectors, tol=tol)
         phi_init = decode_vector(raw["phi_init"], env_dim, "phi_init")
-        dilation = Dilation(outcomes, phi_init, tol=tol)
+        dilation = Dilation(env_dim, system_dim, labels, vectors, phi_init, tol)
     elif "env_dim" in raw:  # checked, though nothing reads it without a dilation
         _positive_int(raw, "env_dim")
 
@@ -337,10 +340,10 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
     formatted straight from the stacks by ``_vectors``."""
     fields = {"version": [str(SCHEMA_VERSION)], "system_dim": [str(int(s.system_dim))]}
     if s.dilation is not None:
-        outcomes = s.dilation.outcomes
-        fields["env_dim"] = [str(int(outcomes.env_dim))]
-        fields["outcomes"] = _section_text(outcomes.labels(), outcomes.vectors, {})
-        fields["phi_init"] = _vectors(s.dilation.phi_init[None], "  ")
+        d = s.dilation
+        fields["env_dim"] = [str(int(d.env_dim))]
+        fields["outcomes"] = _section_text(d.labels(), d.vectors, {})
+        fields["phi_init"] = _vectors(d.phi_init[None], "  ")
     if s.povm is not None:
         fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, s.povm.operators)
     if s.states:

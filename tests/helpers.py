@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ctxlab import JointOutcomeSet, Povm
+from ctxlab import Dilation, Povm
 
 # A number token of CLI output: an integer, a decimal or an exponent form, with its sign.
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -44,9 +44,14 @@ def element_row(p: Povm, label: str) -> np.ndarray:
     return p.vectors[p.labels().index(label)]
 
 
-def outcome_row(s: JointOutcomeSet, label: str) -> np.ndarray:
-    """The row of the outcome ``label``."""
-    return s.vectors[s.labels().index(label)]
+def outcome_row(d: Dilation, label: str, rows: np.ndarray | None = None) -> np.ndarray:
+    """The row of the outcome ``label`` in ``rows``, by default the dilation's own stack."""
+    return (d.vectors if rows is None else rows)[d.labels().index(label)]
+
+
+def with_phi_init(d: Dilation, phi_init: np.ndarray) -> Dilation:
+    """The outcomes of ``d`` with another initial environment state."""
+    return Dilation(d.env_dim, d.sys_dim, d.labels(), d.vectors, phi_init)
 
 
 def norm_sq(ket: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from ctxlab import (
     max_violation,
     maximizing_state,
     naimark_dilate,
+    orthonormality_residual,
     povm_DA,
     povm_from_dilation,
     probability,
@@ -142,11 +143,11 @@ def test_criterion_05(scenario):
     a_f = np.kron(scenario.a, scenario.f)
     worst_norm = max(
         abs(float(np.vdot(sigma, sigma).real) - 1.0 / 3.0)
-        for sigma in (residuals.vectors[residuals.labels().index(f"D{i}")] for i in (1, 2, 3))
+        for sigma in (residuals[d.labels().index(f"D{i}")] for i in (1, 2, 3))
     )
     worst_overlap = max(
         abs(abs(complex(np.vdot(a_f, sigma / np.linalg.norm(sigma)))) - 1.0)
-        for sigma in (residuals.vectors[residuals.labels().index(f"D{i}")] for i in (1, 2, 3))
+        for sigma in (residuals[d.labels().index(f"D{i}")] for i in (1, 2, 3))
     )
     ok = (
         report.max_orthogonality_residual <= 1e-9
@@ -177,7 +178,7 @@ def test_criterion_06():
             worst_element = max(
                 worst_element, float(np.abs(row - row2).max())
             )
-        worst_gram = max(worst_gram, d.outcomes.orthonormality_residual())
+        worst_gram = max(worst_gram, orthonormality_residual(d.vectors))
     ok = worst_element <= 1e-9 and worst_gram <= 1e-9
     _report(
         6,

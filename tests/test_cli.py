@@ -192,6 +192,17 @@ def test_invalid_outcome_set_exits_three(capsys, tmp_path):
     assert "invariant violation [outcome-orthonormality]" in err
 
 
+def test_a_malformed_phi_init_is_reported_before_non_orthonormal_outcomes(capsys, tmp_path):
+    """The dilation block's parse errors come before its physics checks."""
+    raw = fixture_dict("three-path-DA")
+    raw["outcomes"][0]["vector"] = raw["outcomes"][1]["vector"]
+    raw["phi_init"] = raw["phi_init"][:1]
+    path = tmp_path / "two-faults.json"
+    write_raw(path, raw)
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    assert (code, out, err) == (2, "", "input error: phi_init: expected 2 [re, im] pairs\n")
+
+
 def test_the_first_faulty_povm_entry_is_named(capsys, tmp_path):
     skewed = [[[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     raw = {
@@ -597,6 +608,32 @@ def test_deeply_nested_json_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ")
+
+
+_HUGE = 10**12
+_HUGE_DIMENSIONS = {
+    "povm": ({"system_dim": _HUGE, "povm": [{"label": "a", "vector": [[1, 0]]}]}, "povm"),
+    "outcomes": (
+        {
+            "system_dim": 1,
+            "env_dim": _HUGE,
+            "outcomes": [{"label": "a", "vector": [[1, 0]]}],
+            "phi_init": [[1, 0]],
+        },
+        "outcome",
+    ),
+    "states": ({"system_dim": _HUGE, "states": [{"label": "a", "vector": [[1, 0]]}]}, "state"),
+}
+
+
+@pytest.mark.parametrize("section", list(_HUGE_DIMENSIONS))
+def test_a_huge_declared_dimension_exits_two_without_allocating_it(capsys, tmp_path, section):
+    fields, what = _HUGE_DIMENSIONS[section]
+    path = tmp_path / "huge.json"
+    write_raw(path, {"version": 1, **fields})
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {what} 'a': expected {_HUGE} [re, im] pairs\n"
 
 
 def test_a_deeply_nested_entry_is_cut_in_the_message(capsys, tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ctxlab import (
     Dilation,
-    JointOutcomeSet,
     Povm,
     SpaceMismatchError,
     ValidationError,
@@ -22,6 +21,7 @@ from ctxlab import (
     dilation_VH,
     gram,
     naimark_dilate,
+    orthonormality_residual,
     povm_from_dilation,
     residual_decompose,
     verify_constraints,
@@ -34,6 +34,7 @@ from helpers import (
     random_rank1_povm,
     random_unitary,
     unit,
+    with_phi_init,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -45,7 +46,7 @@ def _random_dilation(rng, env_dim, sys_dim):
     labels = [f"m{k}" for k in range(env_dim * sys_dim)]
     phi = rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)
     phi = phi / np.linalg.norm(phi)
-    return Dilation(JointOutcomeSet(env_dim, sys_dim, labels, basis.T.copy()), phi)
+    return Dilation(env_dim, sys_dim, labels, basis.T.copy(), phi)
 
 
 def test_outcome_set_validates_orthonormality():
@@ -53,16 +54,23 @@ def test_outcome_set_validates_orthonormality():
     p1 = np.eye(3)[0]
     twice = np.array([np.kron(v, p1)] * 2)
     with pytest.raises(ValidationError) as err:
-        JointOutcomeSet(2, 3, ["a", "b"], twice)
+        Dilation(2, 3, ["a", "b"], twice, v)
     assert err.value.invariant == "unique-labels" or err.value.invariant == "outcome-orthonormality"
     skew = np.kron(v, [0.9, 0.1, 0.0])
     with pytest.raises(ValidationError):
-        JointOutcomeSet(2, 3, ["a", "b"], np.array([np.kron(v, p1), skew]))
+        Dilation(2, 3, ["a", "b"], np.array([np.kron(v, p1), skew]), v)
 
 
-@pytest.mark.parametrize("name", ["env_dim", "sys_dim", "tol", "vectors", "_index"])
+def test_a_dilation_checks_its_outcomes_before_phi_init():
+    twice = np.array([np.kron(np.eye(2)[1], np.eye(3)[0])] * 2)
+    with pytest.raises(ValidationError) as err:
+        Dilation(2, 3, ["a", "b"], twice, [1.0, 1.0, 1.0])
+    assert err.value.invariant == "outcome-orthonormality"
+
+
+@pytest.mark.parametrize("name", ["env_dim", "sys_dim", "phi_init", "tol", "vectors", "_index"])
 def test_outcome_set_fields_can_be_neither_assigned_nor_deleted(name):
-    outcomes = JointOutcomeSet(2, 2, ["m0", "m1", "m2"], np.eye(3, 4, dtype=complex))
+    outcomes = Dilation(2, 2, ["m0", "m1", "m2"], np.eye(3, 4, dtype=complex), np.eye(2)[0])
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
         setattr(outcomes, name, None)
     with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
@@ -73,47 +81,47 @@ def test_outcome_set_fields_can_be_neither_assigned_nor_deleted(name):
 def test_outcome_set_count_cannot_exceed_dimension():
     rows = np.eye(2)[[0, 1, 0]]  # |0> (x) |a> for a = 0, 1, 0 on a dim-1 environment
     with pytest.raises(ValidationError):
-        JointOutcomeSet(1, 2, ["a", "b", "c"], rows)
+        Dilation(1, 2, ["a", "b", "c"], rows, [1.0])
 
 
 def test_dilation_requires_normalised_environment_state():
     s = build_three_path()
-    outcomes = dilation_VH(s).outcomes
+    outcomes = dilation_VH(s)
     with pytest.raises(ValidationError):
-        Dilation(outcomes, [1.0, 1.0])
+        with_phi_init(outcomes, [1.0, 1.0])
     with pytest.raises(SpaceMismatchError):
-        Dilation(outcomes, np.eye(3)[0])
+        with_phi_init(outcomes, np.eye(3)[0])
 
 
 def test_dilation_requires_phi_init_on_the_environment_factor():
-    outcomes = dilation_VH(build_three_path()).outcomes
+    outcomes = dilation_VH(build_three_path())
     with pytest.raises(SpaceMismatchError, match="^phi_init dim 3 != environment factor 2$"):
-        Dilation(outcomes, np.eye(3)[0])
+        with_phi_init(outcomes, np.eye(3)[0])
     with pytest.raises(SpaceMismatchError, match=r"^a ket of shape \(1, 2\) for phi_init$"):
-        Dilation(outcomes, np.eye(1, 2))
+        with_phi_init(outcomes, np.eye(1, 2))
     with pytest.raises(ValidationError) as err:
-        Dilation(outcomes, [np.nan, 1.0])
+        with_phi_init(outcomes, [np.nan, 1.0])
     assert err.value.invariant == "finite-amplitudes"
 
 
 def test_phi_init_is_a_read_only_copy_compared_by_value():
     s = build_three_path()
-    outcomes = dilation_VH(s).outcomes
+    outcomes = dilation_VH(s)
     phi = np.array(s.d)
-    d = Dilation(outcomes, phi)
+    d = with_phi_init(outcomes, phi)
     phi[0] = 1.0
     assert d == dilation_VH(s) and d.phi_init.dtype == complex
     with pytest.raises(ValueError):
         d.phi_init[0] = 1.0
-    assert Dilation(outcomes, s.a) != d
+    assert with_phi_init(outcomes, s.a) != d
 
 
 def test_product_outcomes_give_projective_elements():
     # outcomes |x> (x) |a> with phi_init = |x> contract to the bare basis
     x = np.eye(2)[0]
     rows = np.array([np.kron(x, np.eye(3)[i]) for i in range(3)])
-    outcomes = JointOutcomeSet(2, 3, ["a0", "a1", "a2"], rows)
-    p = povm_from_dilation(Dilation(outcomes, x))
+    outcomes = Dilation(2, 3, ["a0", "a1", "a2"], rows, x)
+    p = povm_from_dilation(outcomes)
     for i, label in enumerate(p.labels()):
         el = element_row(p, label)
         assert abs(norm_sq(el) - 1.0) <= 1e-12
@@ -149,18 +157,19 @@ def test_outcomes_orthogonal_to_initial_condition_become_zero_elements():
 def test_residuals_vanish_for_product_outcomes():
     x = np.eye(2)[0]
     rows = np.array([np.kron(x, np.eye(3)[i]) for i in range(3)])
-    outcomes = JointOutcomeSet(2, 3, ["a0", "a1", "a2"], rows)
-    residuals = residual_decompose(Dilation(outcomes, x))
-    for sigma in residuals.vectors:
+    outcomes = Dilation(2, 3, ["a0", "a1", "a2"], rows, x)
+    residuals = residual_decompose(outcomes)
+    for sigma in residuals:
         assert np.linalg.norm(sigma) <= 1e-12
 
 
 def test_residuals_of_entangled_outcomes_lie_along_rejected_context():
     s = build_three_path()
-    residuals = residual_decompose(dilation_DA(s))
+    d = dilation_DA(s)
+    residuals = residual_decompose(d)
     a_f = np.kron(s.a, s.f)
     for i in (1, 2, 3):
-        sigma = outcome_row(residuals, f"D{i}")
+        sigma = outcome_row(d, f"D{i}", residuals)
         assert abs(norm_sq(sigma) - 1.0 / 3.0) <= 1e-9
         overlap = abs(np.vdot(a_f, unit(sigma)))
         assert abs(overlap - 1.0) <= 1e-9
@@ -179,7 +188,7 @@ def test_residual_gram_mirrors_element_gram():
     # <sigma(D,1)|sigma(D,2)> = +1/3 balances <lambda(D,1)|lambda(D,2)> = -1/3
     s = build_three_path()
     d = dilation_DA(s)
-    sigmas = np.array([outcome_row(residual_decompose(d), f"D{i}") for i in (1, 2)])
+    sigmas = np.array([outcome_row(d, f"D{i}", residual_decompose(d)) for i in (1, 2)])
     assert abs(gram(sigmas)[0, 1] - (1.0 / 3.0)) <= 1e-12
 
 
@@ -200,11 +209,11 @@ def test_constraints_hold_for_random_dilations(env_dim, sys_dim, seed):
 
 def test_perturbed_outcomes_are_reported_not_raised():
     s = build_three_path()
-    outcomes = dilation_DA(s).outcomes
+    outcomes = dilation_DA(s)
     bumped = np.array(outcomes.vectors)
     bumped[outcomes.labels().index("D1"), 0] += 1e-3
-    loose = JointOutcomeSet(2, 3, outcomes.labels(), bumped, validate=False)
-    report = verify_constraints(Dilation(loose, s.d))
+    loose = Dilation(2, 3, outcomes.labels(), bumped, s.d, tol=np.inf)
+    report = verify_constraints(loose)
     worst = max(report.max_orthogonality_residual, report.max_normalisation_residual)
     assert 1e-4 < worst < 1e-2
     assert not report.ok()
@@ -213,9 +222,9 @@ def test_perturbed_outcomes_are_reported_not_raised():
 def test_naimark_of_projective_povm_has_no_residual():
     p = Povm.from_vectors(3, ["b0", "b1", "b2"], np.eye(3))
     d = naimark_dilate(p)
-    assert d.outcomes.env_dim == 3
+    assert d.env_dim == 3
     np.testing.assert_allclose(d.phi_init, [1.0, 0.0, 0.0])
-    for sigma in residual_decompose(d).vectors:
+    for sigma in residual_decompose(d):
         assert np.linalg.norm(sigma) <= 1e-9
 
 
@@ -224,8 +233,8 @@ def test_naimark_round_trip_on_three_path_povm():
 
     p = povm_DA(build_three_path(), merge_A=True)
     d = naimark_dilate(p)
-    assert d.outcomes.env_dim == len(p)
-    assert d.outcomes.orthonormality_residual() <= 1e-9
+    assert d.env_dim == len(p)
+    assert orthonormality_residual(d.vectors) <= 1e-9
     again = povm_from_dilation(d)
     assert again.labels() == p.labels()
     for row, row2 in zip(p.vectors, again.vectors):
@@ -248,7 +257,7 @@ def test_naimark_round_trip_on_random_povm(shape, seed):
     for row, row2 in zip(p.vectors, again.vectors):
         assert np.abs(row - row2).max() <= 1e-9
     # <sigma(m)|sigma(m')> + <lambda(m)|lambda(m')> = delta(m, m'), in plain numpy
-    sigmas, lambdas = residual_decompose(d).vectors, again.vectors
+    sigmas, lambdas = residual_decompose(d), again.vectors
     total = sigmas.conj() @ sigmas.T + lambdas.conj() @ lambdas.T
     assert np.abs(total - np.eye(len(p))).max() <= 1e-9
 
@@ -360,24 +369,24 @@ def test_dilations_record_the_tol_that_validated_them():
     s = build_three_path()
     for build in (dilation_VH, dilation_DA):
         d = build(s, tol=1e-6)
-        assert d.tol == 1e-6 and d.outcomes.tol == 1e-6
+        assert d.tol == 1e-6
         assert build(s).tol == 1e-9
 
 
 def test_outcome_vectors_hold_one_read_only_row_per_outcome():
     d = dilation_DA(build_three_path())
-    assert d.outcomes.vectors.shape == (6, 6) and d.outcomes.vectors.dtype == complex
-    assert not d.outcomes.vectors.flags.writeable
+    assert d.vectors.shape == (6, 6) and d.vectors.dtype == complex
+    assert not d.vectors.flags.writeable
     with pytest.raises(ValueError):
-        d.outcomes.vectors[0, 0] = 1.0
+        d.vectors[0, 0] = 1.0
 
 
 def test_residual_rows_equal_the_per_outcome_contraction_bit_for_bit():
     rng = np.random.default_rng(59)
     for env_dim, sys_dim in ((2, 3), (3, 2), (4, 4)):
         d = _random_dilation(rng, env_dim, sys_dim)
-        sigmas = residual_decompose(d).vectors
+        sigmas = residual_decompose(d)
         phi = d.phi_init
-        for k, m in enumerate(d.outcomes.vectors):
+        for k, m in enumerate(d.vectors):
             expected = m - np.kron(phi, phi.conj() @ m.reshape(env_dim, sys_dim))
             assert np.array_equal(sigmas[k].view(float), expected.view(float))

@@ -8,7 +8,6 @@ import pytest
 from ctxlab import (
     DEFAULT_TOL,
     Dilation,
-    JointOutcomeSet,
     SpaceMismatchError,
     ValidationError,
     fix_phase,
@@ -78,8 +77,8 @@ def test_lambda_retracts_product_states():
         phi = random_pure_state(rng, 2)
         chi = random_unitary(rng, 2)[:, 0]
         psi = random_unitary(rng, 3)[:, 0]
-        outcomes = JointOutcomeSet(2, 3, ["m"], np.kron(chi, psi)[None])
-        lam = povm_from_dilation(Dilation(outcomes, phi)).vectors[0]
+        outcomes = Dilation(2, 3, ["m"], np.kron(chi, psi)[None], phi)
+        lam = povm_from_dilation(outcomes).vectors[0]
         expected = complex(np.vdot(phi, chi)) * psi
         assert phase_aligned_max_err(lam, expected) <= 1e-12
 
@@ -89,16 +88,16 @@ def test_partial_inner_on_polarised_outcome():
     d = np.array([1.0, 1.0]) / SQ2
     v = np.eye(2)[1]
     outcome = np.kron(v, np.eye(3)[0])
-    outcomes = JointOutcomeSet(2, 3, ["V1"], outcome[None])
-    lam = povm_from_dilation(Dilation(outcomes, d)).vectors[0]
+    outcomes = Dilation(2, 3, ["V1"], outcome[None], d)
+    lam = povm_from_dilation(outcomes).vectors[0]
     np.testing.assert_allclose(lam, np.array([1.0, 0.0, 0.0]) / SQ2, atol=1e-15)
 
 
 def test_partial_inner_orthogonal_environment_gives_zero():
     h, v = np.eye(2)
     outcome = np.kron(v, np.eye(3)[2])
-    outcomes = JointOutcomeSet(2, 3, ["V3"], outcome[None])
-    lam = povm_from_dilation(Dilation(outcomes, h)).vectors[0]
+    outcomes = Dilation(2, 3, ["V3"], outcome[None], h)
+    lam = povm_from_dilation(outcomes).vectors[0]
     assert np.abs(lam).max() == 0.0
 
 
@@ -154,8 +153,8 @@ def test_require_basis_checks_count_shape_and_orthonormality():
 def test_joint_index_is_env_major():
     # joint index e * sys_dim + s holds environment e and system s
     _, v = np.eye(2)
-    outcomes = JointOutcomeSet(2, 3, ["V1"], np.eye(6)[None, 1 * 3 + 0])
-    lam = povm_from_dilation(Dilation(outcomes, v)).vectors[0]
+    outcomes = Dilation(2, 3, ["V1"], np.eye(6)[None, 1 * 3 + 0], v)
+    lam = povm_from_dilation(outcomes).vectors[0]
     assert np.array_equal(lam, np.eye(3)[0])  # system-major would put index 3 at (1, 1)
 
 

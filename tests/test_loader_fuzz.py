@@ -49,7 +49,7 @@ def _loaded(s: Scenario) -> dict[str, list[tuple[str, str, list[int]]]]:
     """Each section of a loaded scenario in the form ``reference_sections`` gives."""
     sections = {}
     if s.dilation is not None:
-        rows = zip(s.dilation.outcomes.labels(), s.dilation.outcomes.vectors)
+        rows = zip(s.dilation.labels(), s.dilation.vectors)
         sections["outcomes"] = [(label, "vector", _bits(row)) for label, row in rows]
     if s.povm is not None:
         assert not s.povm.vectors[list(s.povm.operators)].any()  # an operator's row is zero

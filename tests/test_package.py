@@ -100,8 +100,8 @@ def unreached_public_names(package: list[str], outside: list[str]) -> list[str]:
     ``package`` or ``outside`` reads as a name or an attribute.
 
     It matches by identifier alone: a definition counts as reached when anything of the
-    same name is read, so a name shared with a reached one (``np.linalg.eigh``,
-    ``JointOutcomeSet.orthonormality_residual``) is never reported.
+    same name is read, so a name shared with a reached one (``np.linalg.eigh``, or a
+    method named like a module function the package calls) is never reported.
     """
     trees = [ast.parse(source) for source in package]
     reached = set().union(*map(_read_names, trees + [ast.parse(s) for s in outside]))
@@ -144,6 +144,53 @@ def test_every_public_name_is_reached_outside_the_unit_tests():
     assert not unlisted, f"public names that only unit tests read: {unlisted}"
     stale = [name for name in KEPT_PUBLIC if name not in unreached]
     assert not stale, f"kept names that are now reached, to unlist: {stale}"
+
+
+def boolean_switches(module: str, source: str) -> list[str]:
+    """``module.function(parameter)``, or ``module.Class.method(parameter)``, of each
+    parameter whose default is ``True`` or ``False`` in a public module-level function
+    or a public method (``__init__`` too) of a public module-level class."""
+    switches = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_private(node.name):
+            continue
+        for definition in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if not isinstance(definition, ast.FunctionDef) or _is_private(definition.name):
+                continue
+            args = definition.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+            pairs += zip(args.kwonlyargs, args.kw_defaults)
+            owner = "" if definition is node else f"{node.name}."
+            switches += [
+                f"{module}.{owner}{definition.name}({arg.arg})"
+                for arg, default in pairs
+                if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+            ]
+    return switches
+
+
+def test_the_scan_finds_each_boolean_switch():
+    source = (
+        "def f(a, flag=True, n=0, name=None, *, strict=False, k):\n    pass\n\n"
+        "def _hidden(quiet=False):\n    pass\n\n"
+        "class Thing:\n    def __init__(self, x, validate=True):\n        pass\n\n"
+        "    def _skip(self, y=False):\n        pass\n\n"
+        "class _Private:\n    def run(self, z=True):\n        pass\n"
+    )
+    expected = ["mod.f(flag)", "mod.f(strict)", "mod.Thing.__init__(validate)"]
+    assert boolean_switches("mod", source) == expected
+
+
+def test_the_library_has_one_boolean_switch():
+    """A second switch beside an argument that already says the same thing (``tol``) is
+    a duplicate; a new one is added to this list on purpose."""
+    found = [
+        switch
+        for path in SOURCES
+        for switch in boolean_switches(path.stem, path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["interferometer.povm_DA(merge_A)"]
 
 
 def private_imports(source: str) -> list[str]:

@@ -16,7 +16,6 @@ from ctxlab import (
     DEFAULT_TOL,
     Dilation,
     HardyTriple,
-    JointOutcomeSet,
     Povm,
     Scenario,
     SpaceMismatchError,
@@ -45,7 +44,14 @@ from ctxlab import (
 )
 from ctxlab.cli import main
 from ctxlab.hilbert import density_matrix
-from helpers import element_row, random_pure_state, random_rank1_povm, random_unitary, unit
+from helpers import (
+    element_row,
+    random_pure_state,
+    random_rank1_povm,
+    random_unitary,
+    unit,
+    with_phi_init,
+)
 from oracles import context_pairs
 
 SQ2 = np.sqrt(2.0)
@@ -110,7 +116,7 @@ def test_povm_fields_can_be_neither_assigned_nor_deleted(name):
     "build",
     [
         lambda rows: Povm(2, ["a", "b"], rows),
-        lambda rows: JointOutcomeSet(1, 2, ["a", "b"], rows),
+        lambda rows: Dilation(1, 2, ["a", "b"], rows, [1.0]),
     ],
     ids=["povm", "outcome-set"],
 )
@@ -125,12 +131,17 @@ def test_a_stack_is_a_complex_copy_of_the_callers_rows(build):
         assert again.vectors.dtype == complex and again == stack
 
 
+def test_a_numpy_array_of_labels_is_taken_as_a_list_is():
+    p = Povm(2, np.array(["a", "b"]), np.eye(2))
+    assert p.labels() == ("a", "b") and p == Povm(2, ["a", "b"], np.eye(2))
+
+
 def test_repr_shows_the_labels():
     p = random_rank1_povm(np.random.default_rng(64), 16, 64)
-    outcomes = naimark_dilate(p).outcomes
+    outcomes = naimark_dilate(p)
     shown = repr(p), repr(outcomes)
     assert shown[0] == f"Povm(labels={p.labels()!r}, system_dim=16, _operators={{}})"
-    assert shown[1] == f"JointOutcomeSet(labels={p.labels()!r}, env_dim=64, sys_dim=16)"
+    assert shown[1] == f"Dilation(labels={p.labels()!r}, env_dim=64, sys_dim=16)"
 
 
 def test_density_matrix_validation():
@@ -627,15 +638,15 @@ def test_equal_content_compares_equal(scenario, vh_povm):
 
 def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     d = dilation_DA(scenario)
-    assert d != Dilation(d.outcomes, _one_ulp_up(d.phi_init))
+    assert d != with_phi_init(d, _one_ulp_up(d.phi_init))
     p = povm_DA(scenario)
     assert p != Povm(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
     bumped = {0: _one_ulp_up(merged.operators[0])}
     assert merged != Povm(3, merged.labels(), merged.vectors, bumped)
-    outcomes = dilation_DA(scenario).outcomes
+    outcomes = dilation_DA(scenario)
     moved = _one_ulp_up(outcomes.vectors)
-    assert outcomes != JointOutcomeSet(2, 3, outcomes.labels(), moved)
+    assert outcomes != Dilation(2, 3, outcomes.labels(), moved, outcomes.phi_init)
     triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
     report = evaluate_inequality(triple, np.eye(3) / 3.0)
     assert report != dataclasses.replace(report, state_used=_one_ulp_up(report.state_used))
@@ -688,7 +699,7 @@ def test_povm_rejects_an_operator_of_another_dimension():
     [
         (lambda rows: Povm(2, ["a", "b"], rows), (3, 2)),
         (lambda rows: Povm(2, ["a", "b"], rows.T[:2].copy()), (2, 3)),
-        (lambda rows: JointOutcomeSet(1, 2, ["a", "b"], rows), (3, 2)),
+        (lambda rows: Dilation(1, 2, ["a", "b"], rows, [1.0]), (3, 2)),
     ],
     ids=["povm-extra-row", "povm-long-rows", "outcome-set-extra-row"],
 )
@@ -702,7 +713,7 @@ def test_stack_constructors_reject_a_stack_of_another_shape(build, shape):
     "build",
     [
         lambda rows: Povm(2, ["a", "b"], rows),
-        lambda rows: JointOutcomeSet(1, 2, ["a", "b"], rows),
+        lambda rows: Dilation(1, 2, ["a", "b"], rows, [1.0]),
     ],
     ids=["povm", "outcome-set"],
 )

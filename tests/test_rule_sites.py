@@ -15,7 +15,6 @@ import pytest
 from ctxlab import (
     Dilation,
     HardyTriple,
-    JointOutcomeSet,
     Povm,
     Scenario,
     ScenarioFileError,
@@ -52,9 +51,9 @@ def _povm_with_operator(key, operator):
     return lambda: Povm(2, ["x"], np.zeros((1, 2)), {key: operator})
 
 
-def _outcome_set(pairs):
+def _outcome_set(pairs, phi_init=X0):
     labels = [label for label, _ in pairs]
-    return JointOutcomeSet(2, 2, labels, np.array([ket for _, ket in pairs]))
+    return Dilation(2, 2, labels, np.array([ket for _, ket in pairs]), phi_init)
 
 
 def _hardy_triple():
@@ -113,7 +112,7 @@ CASES = {
         "readout basis is not orthonormal (residual 1.000e+00)",
     ),
     "dilation-phi-init-normalisation": (
-        lambda: Dilation(_outcome_set(OUTCOMES), LONG_PHI),
+        lambda: _outcome_set(OUTCOMES, LONG_PHI),
         ValidationError, "phi-init-normalisation", "phi_init must be normalised",
     ),
     "context-switch-phi-init-normalisation": (
@@ -137,7 +136,7 @@ CASES = {
         SpaceMismatchError, None, "a matrix of shape (3, 3) for context 0's unitary on dim 2",
     ),
     "outcome-set-factor-dim": (
-        lambda: JointOutcomeSet(0, 2, ["a"], np.zeros((1, 0))),
+        lambda: Dilation(0, 2, ["a"], np.zeros((1, 0)), X0),
         ValidationError, "space-dim", "space dimension must be at least 1",
     ),
     "povm-element-key-not-a-position": (
@@ -171,6 +170,18 @@ CASES = {
     "outcome-set-unique-labels": (
         lambda: _outcome_set((("a", np.kron(X0, E0)), ("a", np.kron(X1, E1)))),
         ValidationError, "unique-labels", "outcome labels must be unique",
+    ),
+    "povm-string-labels": (
+        lambda: Povm(2, [1, 2], np.array([E0, E1])),
+        ValidationError, "string-labels", "outcome labels must be strings",
+    ),
+    "outcome-set-string-labels": (
+        lambda: _outcome_set(((b"a", np.kron(X0, E0)), ("b", np.kron(X1, E1)))),
+        ValidationError, "string-labels", "outcome labels must be strings",
+    ),
+    "povm-empty-label-array": (
+        lambda: Povm(2, np.array([], dtype=str), np.zeros((0, 2))),
+        ValidationError, "nonempty", "a POVM needs at least one element",
     ),
     "povm-unknown-label": (
         lambda: rescaled_probability(_povm_with_zero_vector(), E0, "missing"),

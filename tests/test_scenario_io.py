@@ -18,7 +18,6 @@ import ctxlab.scenario_io
 from ctxlab import (
     FIXTURE_NAMES,
     Dilation,
-    JointOutcomeSet,
     Povm,
     Scenario,
     ScenarioFileError,
@@ -34,6 +33,7 @@ from ctxlab import (
     load_fixture,
     load_scenario,
     naimark_dilate,
+    orthonormality_residual,
     povm_DA,
     povm_from_dilation,
     save_scenario,
@@ -42,7 +42,13 @@ from ctxlab import (
     write_fixtures,
 )
 from ctxlab.cli import main
-from helpers import random_pure_state, random_rank1_povm, random_unitary, write_raw
+from helpers import (
+    random_pure_state,
+    random_rank1_povm,
+    random_unitary,
+    with_phi_init,
+    write_raw,
+)
 
 
 def _da_dict():
@@ -125,7 +131,7 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
     tupled = _tupled(raw)
     assert type(tupled["phi_init"][0]) is tuple and type(tupled["povm"][0]["vector"][0]) is tuple
     plain, loaded = scenario_from_dict(raw), scenario_from_dict(tupled)
-    assert _bits(loaded.dilation.outcomes.vectors) == _bits(plain.dilation.outcomes.vectors)
+    assert _bits(loaded.dilation.vectors) == _bits(plain.dilation.vectors)
     assert _bits(loaded.dilation.phi_init) == _bits(plain.dilation.phi_init)
     assert _bits(loaded.povm.vectors) == _bits(plain.povm.vectors)
     assert _bits(loaded.states["plus"]) == _bits(plain.states["plus"])
@@ -173,14 +179,14 @@ def test_negative_zero_survives_a_load_and_dump(name):
 def test_dict_round_trip_preserves_everything():
     raw = _da_dict()
     sc = scenario_from_dict(raw)
-    assert sc.system_dim == 3 and sc.dilation.outcomes.env_dim == 2
+    assert sc.system_dim == 3 and sc.dilation.env_dim == 2
     assert sc.hardy == ("D1", "D2", "D3")
     assert set(sc.states) == {"plus"}
     d = sc.dilation
     s = build_three_path()
     reference = dilation_DA(s)
-    assert d.outcomes.labels() == reference.outcomes.labels()
-    np.testing.assert_array_equal(d.outcomes.vectors, reference.outcomes.vectors)
+    assert d.labels() == reference.labels()
+    np.testing.assert_array_equal(d.vectors, reference.vectors)
     np.testing.assert_array_equal(d.phi_init, reference.phi_init)
     assert sc.povm.labels() == ("D1", "D2", "D3", "A")
 
@@ -294,6 +300,14 @@ def _misfits() -> dict[str, tuple[dict, str]]:
             {"system_dim": 3, "states": {"rho": np.eye(2) / 2}},
             "state 'rho': expected a 3x3 matrix",
         ),
+        "state-label-that-is-not-a-string": (
+            {"system_dim": 2, "states": {1: np.array([1.0, 0.0])}},
+            "states: every entry needs a string label",
+        ),
+        "hardy-labels-that-are-not-strings": (
+            {"system_dim": 3, "hardy": (1, 2, 3)},
+            "hardy labels must be strings",
+        ),
     }
 
 
@@ -314,7 +328,7 @@ def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
     s = build_three_path()
     d = dilation_DA(s)
     phi, plus = np.array(d.phi_init), np.ones(3) / np.sqrt(3.0)
-    scenario = Scenario(3, Dilation(d.outcomes, phi), states={"plus": plus})
+    scenario = Scenario(3, with_phi_init(d, phi), states={"plus": plus})
     phi[0] = plus[0] = 0.0
     for stored in (scenario.dilation.phi_init, scenario.states["plus"]):
         assert stored.dtype == complex and stored[0] != 0.0
@@ -322,7 +336,7 @@ def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
             stored[0] = 0.0
     pure = {"plus": np.ones(3) / np.sqrt(3.0)}
     assert scenario == Scenario(3, d, states=pure)
-    assert scenario != Scenario(3, Dilation(d.outcomes, s.a), states=pure)
+    assert scenario != Scenario(3, with_phi_init(d, s.a), states=pure)
     mixed = {"plus": np.eye(3) / 3.0}
     assert scenario != Scenario(3, d, states=mixed)
     assert Scenario(3, d, states=mixed) != scenario
@@ -403,7 +417,7 @@ def test_bundled_fixture_contents():
         assert np.abs(row - row2).max() <= 1e-15
     da = load_fixture("three-path-DA")
     assert da.povm.labels() == ("D1", "D2", "D3", "A")
-    assert da.dilation.outcomes.orthonormality_residual() <= 1e-12
+    assert orthonormality_residual(da.dilation.vectors) <= 1e-12
     hardy = load_fixture("hardy")
     assert hardy.hardy == ("F", "D1", "D2")
     assert set(hardy.states) == {"hardy"}
@@ -502,8 +516,7 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
         "mixed": np.where(diagonal, 1.0 / dim, complex(0.0, -0.0)),
     }
     # checked at no tolerance, so that phi_init keeps the edge parts unnormalised
-    outcome_set = JointOutcomeSet(7, dim, labels, outcomes, validate=False)
-    dilation = Dilation(outcome_set, outcomes[1, :7], np.inf)
+    dilation = Dilation(7, dim, labels, outcomes, outcomes[1, :7], np.inf)
     scenario = Scenario(dim, dilation, povm, states, ("m1", "m2", "m3"))
     text = _written(scenario)
     assert text == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
