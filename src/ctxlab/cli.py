@@ -152,7 +152,7 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
         element_bound_residual=bounds, tol=args.tol, ok=max(completeness, bounds) <= args.tol,
     )
     _emit(args, report, _check_text)
-    if args.strict:
+    if args.strict and not report["ok"]:
         validate_povm(p, args.tol)
     return 0
 

@@ -8,7 +8,6 @@ fresh output.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from .dilation import povm_from_dilation
 from .scenario_io import Scenario, load_scenario, save_scenario, scenario_to_dict
 
 FIXTURE_NAMES = ("three-path-VH", "three-path-DA", "hardy")
+_DATA_DIR = Path(__file__).parent / "data"
 
 
 def _fixture_scenario(name: str) -> Scenario:
@@ -28,7 +28,7 @@ def _fixture_scenario(name: str) -> Scenario:
         s = build_three_path()
         vh = name == "three-path-VH"
         d = dilation_VH(s) if vh else dilation_DA(s)
-        p = povm_from_dilation(d) if vh else povm_DA(s, merge_A=True)
+        p = povm_from_dilation(d) if vh else povm_DA(s)
         return Scenario(3, d, p)
     if name == "hardy":
         f = build_three_path().f
@@ -53,7 +53,7 @@ def fixture_dict(name: str) -> dict:
 def fixture_path(name: str) -> Path:
     if name not in FIXTURE_NAMES:
         raise ScenarioFileError(f"unknown fixture {name!r}; choose one of {FIXTURE_NAMES}")
-    return Path(str(resources.files("ctxlab") / "data" / f"{name}.json"))
+    return _DATA_DIR / f"{name}.json"
 
 
 def load_fixture(name: str) -> Scenario:
@@ -62,7 +62,7 @@ def load_fixture(name: str) -> Scenario:
 
 def write_fixtures(directory: Path | None = None) -> list[Path]:
     """Write all bundled fixtures; defaults to the packaged data directory."""
-    target = Path(directory) if directory is not None else Path(__file__).parent / "data"
+    target = Path(directory) if directory is not None else _DATA_DIR
     target.mkdir(parents=True, exist_ok=True)
     written = []
     for name in FIXTURE_NAMES:

@@ -1,12 +1,12 @@
 """A three-path interferometer with a polarisation environment.
 
 Paths are the system (dim 3), polarisation the environment (dim 2). A
-half-wave plate sits in one path superposition (F by default) and flips the
-polarisation there, so the photon's final polarisation records which
-measurement context the path detectors realised. ``dilation_VH`` gives the
-H/V readout, two projective path contexts, and ``dilation_DA`` the rotated D/A
-readout, entangled outcomes whose derived POVM mixes context information into
-the path statistics: each is one ``Dilation`` of the outcomes and phi_init.
+half-wave plate sits on the layout's path state ``f`` and flips the polarisation
+there, so the photon's final polarisation records which measurement context the
+path detectors realised. ``dilation_VH`` gives the H/V readout, two projective
+path contexts, and ``dilation_DA`` the rotated D/A readout, entangled outcomes
+whose derived POVM mixes context information into the path statistics: each is
+one ``Dilation`` of the outcomes and phi_init.
 """
 
 from __future__ import annotations
@@ -15,21 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .hilbert import DEFAULT_TOL, ByValue, amplitudes
 from .povm import Povm, coarse_grain
 from .dilation import Dilation, povm_from_dilation
 
-_PATH_NAMES = ("1", "2", "3", "S1", "S2", "F")
 _SHAPES = dict(paths=(3, 3), s1=(3,), s2=(3,), f=(3,), h=(2,), v=(2,), d=(2,), a=(2,))
 
 
 @dataclass(frozen=True, eq=False)
 class ThreePathScenario(ByValue):
-    """Fixed states of the three-path layout, parameterised by plate placement.
+    """Fixed states of the three-path layout, whose half-wave plate sits on the path state f.
 
     ``paths`` stacks the path basis kets as rows; s1, s2 and f are path states, h, v, d
-    and a polarisation states. Each is stored as a read-only complex copy.
+    and a polarisation states. Each is stored as a read-only complex copy; the plate goes
+    elsewhere in ``dataclasses.replace(layout, f=state)``.
     """
 
     paths: np.ndarray
@@ -40,20 +39,14 @@ class ThreePathScenario(ByValue):
     v: np.ndarray
     d: np.ndarray
     a: np.ndarray
-    hwp_path: str = "F"
 
     def __post_init__(self) -> None:
         for name, shape in _SHAPES.items():
             object.__setattr__(self, name, amplitudes(getattr(self, name), shape, f"for {name}"))
 
 
-def build_three_path(hwp_path: str = "F") -> ThreePathScenario:
+def build_three_path() -> ThreePathScenario:
     """The standard layout: S1 = (|2>+|3>)/sqrt2, S2 = (|1>+|3>)/sqrt2, F = (1,1,-1)/sqrt3."""
-    if hwp_path not in _PATH_NAMES:
-        raise ValidationError(
-            f"unknown plate position {hwp_path!r}; choose one of {_PATH_NAMES}",
-            invariant="hwp-path",
-        )
     paths, (h, v) = np.eye(3, dtype=complex), np.eye(2, dtype=complex)
     inv2 = 1.0 / np.sqrt(2.0)
     return ThreePathScenario(
@@ -65,13 +58,7 @@ def build_three_path(hwp_path: str = "F") -> ThreePathScenario:
         v=v,
         d=np.array([1.0, 1.0]) * inv2,
         a=np.array([1.0, -1.0]) * inv2,
-        hwp_path=hwp_path,
     )
-
-
-def _plate_ket(s: ThreePathScenario) -> np.ndarray:
-    named = {"1": s.paths[0], "2": s.paths[1], "3": s.paths[2], "S1": s.s1, "S2": s.s2, "F": s.f}
-    return named[s.hwp_path]
 
 
 def _reflect(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -80,14 +67,13 @@ def _reflect(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def hwp_transform(s: ThreePathScenario, psi: np.ndarray) -> np.ndarray:
-    """Reflect a path state about the plate's path: psi - 2 <w|psi> w."""
-    return _reflect(_plate_ket(s), amplitudes(psi, (3,), "for a path state"))
+    """Reflect a path state about the plate's path f: psi - 2 <f|psi> f."""
+    return _reflect(s.f, amplitudes(psi, (3,), "for a path state"))
 
 
 def _readout_rows(s: ThreePathScenario) -> tuple[np.ndarray, np.ndarray]:
     """The (3, 6) stacks |V> (x) |i> and |H> (x) u_H,i, u_H,i the plate-reflected path i."""
-    w = _plate_ket(s)
-    reflected = np.array([_reflect(w, p) for p in s.paths])
+    reflected = np.array([_reflect(s.f, p) for p in s.paths])
     return np.kron(s.v, s.paths), np.kron(s.h, reflected)
 
 
@@ -120,14 +106,9 @@ def dilation_DA(
     return Dilation(2, 3, labels, vectors, s.d if phi_init is None else phi_init, tol)
 
 
-def povm_DA(s: ThreePathScenario, merge_A: bool = True, tol: float = DEFAULT_TOL) -> Povm:
-    """The D/A-readout POVM for a diagonally polarised photon.
-
-    With ``merge_A`` the three proportional A outcomes are summed into a
-    single rank-1 element labelled "A", giving three weight-2/3 path-context
-    elements plus one weight-1 element along the plate direction.
-    """
+def povm_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> Povm:
+    """The D/A-readout POVM of a diagonally polarised photon: the POVM of ``dilation_DA(s)``
+    with its proportional A1-A3 summed into one rank-1 element "A", so three weight-2/3
+    path-context elements plus one weight-1 element along the plate direction."""
     p = povm_from_dilation(dilation_DA(s, tol=tol))
-    if merge_A:
-        p = coarse_grain(p, ("A1", "A2", "A3"), "A", tol)
-    return p
+    return coarse_grain(p, ("A1", "A2", "A3"), "A", tol)

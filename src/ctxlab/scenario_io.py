@@ -265,8 +265,6 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         block = raw["hardy"]
         if not isinstance(block, dict) or set(block) != {"f", "d1", "d2"}:
             raise ScenarioFileError("hardy must map exactly the keys f, d1, d2")
-        if not all(isinstance(block[k], str) for k in ("f", "d1", "d2")):
-            raise ScenarioFileError("hardy labels must be strings")
         hardy = (block["f"], block["d1"], block["d2"])
 
     return Scenario(system_dim, dilation, povm, states, hardy)

@@ -57,7 +57,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def merged(scenario):
-    return povm_DA(scenario, merge_A=True)
+    return povm_DA(scenario)
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,7 @@ from ctxlab import (
     FIXTURE_NAMES,
     Scenario,
     basis_mixture_povm,
+    coarse_grain,
     context_graph,
     decode_vector,
     encode_matrix,
@@ -164,6 +165,22 @@ def test_povm_check_strict_names_element_bounds(capsys, tmp_path):
     assert code == 3
     assert "completeness residual: 0\n" in out
     assert "invariant violation [element-bounds]" in err
+
+
+def test_povm_check_strict_does_not_recompute_a_passing_report(capsys, tmp_path, monkeypatch):
+    # one eigvalsh per operator element for the report's bound residual, none after it
+    p = load_scenario(VH_FILE).resolve_povm()
+    for pair, label in ((("V1", "H1"), "VH1"), (("V2", "H2"), "VH2")):
+        p = coarse_grain(p, pair, label)
+    path = tmp_path / "two-operators.json"
+    save_scenario(path, Scenario(3, povm=p))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    code, out, _ = run_cli(capsys, "povm", "check", str(path), "--strict")
+    assert code == 0
+    assert out.endswith("result: ok (tol=1e-09)\n")
+    assert len(calls) == 2
 
 
 def test_undecodable_file_exits_two(capsys, tmp_path):

@@ -231,7 +231,7 @@ def test_naimark_of_projective_povm_has_no_residual():
 def test_naimark_round_trip_on_three_path_povm():
     from ctxlab import povm_DA
 
-    p = povm_DA(build_three_path(), merge_A=True)
+    p = povm_DA(build_three_path())
     d = naimark_dilate(p)
     assert d.env_dim == len(p)
     assert orthonormality_residual(d.vectors) <= 1e-9

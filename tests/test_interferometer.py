@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,13 @@ def s():
     return build_three_path()
 
 
+def _plate_on(name: str) -> ThreePathScenario:
+    """The standard layout with its plate moved to a named path state."""
+    s = build_three_path()
+    named = {"1": s.paths[0], "2": s.paths[1], "3": s.paths[2], "S1": s.s1, "S2": s.s2, "F": s.f}
+    return replace(s, f=named[name])
+
+
 def test_layout_constants(s):
     np.testing.assert_allclose(s.s1, [0.0, 1.0 / SQ2, 1.0 / SQ2])
     np.testing.assert_allclose(s.s2, [1.0 / SQ2, 0.0, 1.0 / SQ2])
@@ -68,12 +77,6 @@ def test_layout_states_are_read_only_checked_copies(s):
         ThreePathScenario(paths, s.s1, s.s2, s.f, s.f, s.v, s.d, s.a)
 
 
-def test_unknown_plate_position_is_rejected():
-    with pytest.raises(ValidationError) as err:
-        build_three_path("X")
-    assert err.value.invariant == "hwp-path"
-
-
 def test_plate_transform_is_a_reflection(s):
     rng = np.random.default_rng(59)
     for _ in range(20):
@@ -92,25 +95,23 @@ def test_plate_transform_is_a_reflection(s):
         hwp_transform(s, s.d)
 
 
-@pytest.mark.parametrize("hwp_path", ("1", "2", "3", "S1", "S2", "F"))
-def test_joint_outcome_sets_are_complete_bases(hwp_path):
-    s = build_three_path(hwp_path)
+@pytest.mark.parametrize("plate", ("1", "2", "3", "S1", "S2", "F"))
+def test_joint_outcome_sets_are_complete_bases(plate):
+    s = _plate_on(plate)
     vh, da = dilation_VH(s), dilation_DA(s)
     for outcomes in (vh, da):
         assert len(outcomes) == outcomes.vectors.shape[1] == 6
         assert orthonormality_residual(outcomes.vectors) <= 1e-12
     assert vh.labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
     assert da.labels() == ("D1", "D2", "D3", "A1", "A2", "A3")
-    # V heralds the paths, H their reflections (I - 2|w><w|)|i> about the plate's path w
-    plate = {"1": s.paths[0], "2": s.paths[1], "3": s.paths[2], "S1": s.s1, "S2": s.s2, "F": s.f}
-    w = plate[hwp_path]
-    reflected = np.eye(3) - 2.0 * np.outer(w, w.conj())
+    # V heralds the paths, H their reflections (I - 2|f><f|)|i> about the plate's path f
+    reflected = np.eye(3) - 2.0 * np.outer(s.f, s.f.conj())
     v_rows = np.array([np.kron(s.v, u) for u in np.eye(3)])
     h_rows = np.array([np.kron(s.h, u) for u in reflected.T])
     assert np.abs(vh.vectors - np.concatenate([v_rows, h_rows])).max() <= 1e-12
     expected_da = np.concatenate([h_rows + v_rows, h_rows - v_rows]) / SQ2
     assert np.abs(da.vectors - expected_da).max() <= 1e-12
-    if hwp_path == "F":
+    if plate == "F":
         h3 = np.kron(s.h, np.array([2.0, 2.0, 1.0]) / 3.0)
         assert np.abs(outcome_row(vh, "H3") - h3).max() <= 1e-12
 
@@ -135,7 +136,7 @@ def test_readout_rotation_factorises_over_the_paths(s):
 
 
 def test_merged_DA_povm_reproduces_published_elements(s):
-    p = povm_DA(s, merge_A=True)
+    p = povm_DA(s)
     assert p.labels() == ("D1", "D2", "D3", "A")
     expected = {
         "D1": np.array([2.0, -1.0, 1.0]) / 3.0,
@@ -149,7 +150,7 @@ def test_merged_DA_povm_reproduces_published_elements(s):
 
 
 def test_published_gram_values(s):
-    p = povm_DA(s, merge_A=True)
+    p = povm_DA(s)
     vectors = np.array([element_row(p, f"D{i}") for i in (1, 2, 3)])
     g = gram(vectors)
     assert abs(g[0, 1] - (-1.0 / 3.0)) <= 1e-12
@@ -164,7 +165,7 @@ def test_rejected_context_components(s):
     # polarisation; each A residual carries that outcome's path context
     d = dilation_DA(s)
     residuals = residual_decompose(d)
-    p = povm_DA(s, merge_A=False)
+    p = povm_from_dilation(dilation_DA(s))
     a_f = np.kron(s.a, s.f)
     for i in (1, 2, 3):
         sigma_d = outcome_row(d, f"D{i}", residuals)
@@ -186,13 +187,13 @@ def test_constraint_reports_for_both_readouts(s):
 
 def test_paradox_probability_through_the_A_port(s):
     psi = np.ones(3) / SQ3
-    p = povm_DA(s, merge_A=True)
+    p = povm_DA(s)
     assert abs(probability(p, psi, "A") - 1.0 / 9.0) <= 1e-12
 
 
 def test_plate_in_a_detected_path_degenerates_the_povm():
-    s = build_three_path(hwp_path="1")
-    p = povm_DA(s, merge_A=True)
+    s = _plate_on("1")
+    p = povm_DA(s)
     assert completeness_check(p) <= 1e-12
     assert norm_sq(element_row(p, "D1")) <= 1e-12
     assert abs(norm_sq(element_row(p, "A")) - 1.0) <= 1e-12
@@ -205,7 +206,7 @@ def test_plate_in_a_detected_path_degenerates_the_povm():
 
 
 def test_plate_in_a_detected_path_makes_VH_readouts_proportional():
-    s = build_three_path(hwp_path="1")
+    s = _plate_on("1")
     p = povm_from_dilation(dilation_VH(s))
     g = context_graph(p)
     # every pair is orthogonal or proportional: the graph is complete
@@ -216,9 +217,9 @@ def test_plate_in_a_detected_path_makes_VH_readouts_proportional():
 
 def test_alternate_plate_positions_keep_completeness():
     for path in ("2", "3", "S1", "S2"):
-        s = build_three_path(hwp_path=path)
+        s = _plate_on(path)
         assert completeness_check(povm_from_dilation(dilation_VH(s))) <= 1e-12
-        assert completeness_check(povm_DA(s, merge_A=False)) <= 1e-12
+        assert completeness_check(povm_from_dilation(dilation_DA(s))) <= 1e-12
         assert verify_constraints(dilation_DA(s)).ok()
 
 

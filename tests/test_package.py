@@ -146,10 +146,10 @@ def test_every_public_name_is_reached_outside_the_unit_tests():
     assert not stale, f"kept names that are now reached, to unlist: {stale}"
 
 
-def boolean_switches(module: str, source: str) -> list[str]:
+def selector_switches(module: str, source: str) -> list[str]:
     """``module.function(parameter)``, or ``module.Class.method(parameter)``, of each
-    parameter whose default is ``True`` or ``False`` in a public module-level function
-    or a public method (``__init__`` too) of a public module-level class."""
+    parameter whose default is ``True``, ``False`` or a string in a public module-level
+    function or a public method (``__init__`` too) of a public module-level class."""
     switches = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_private(node.name):
@@ -165,32 +165,33 @@ def boolean_switches(module: str, source: str) -> list[str]:
             switches += [
                 f"{module}.{owner}{definition.name}({arg.arg})"
                 for arg, default in pairs
-                if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+                if isinstance(default, ast.Constant) and isinstance(default.value, (bool, str))
             ]
     return switches
 
 
-def test_the_scan_finds_each_boolean_switch():
+def test_the_scan_finds_each_selector_switch():
     source = (
         "def f(a, flag=True, n=0, name=None, *, strict=False, k):\n    pass\n\n"
+        "def pick(where='F', data=b'x'):\n    pass\n\n"
         "def _hidden(quiet=False):\n    pass\n\n"
         "class Thing:\n    def __init__(self, x, validate=True):\n        pass\n\n"
         "    def _skip(self, y=False):\n        pass\n\n"
         "class _Private:\n    def run(self, z=True):\n        pass\n"
     )
-    expected = ["mod.f(flag)", "mod.f(strict)", "mod.Thing.__init__(validate)"]
-    assert boolean_switches("mod", source) == expected
+    expected = ["mod.f(flag)", "mod.f(strict)", "mod.pick(where)", "mod.Thing.__init__(validate)"]
+    assert selector_switches("mod", source) == expected
 
 
-def test_the_library_has_one_boolean_switch():
-    """A second switch beside an argument that already says the same thing (``tol``) is
-    a duplicate; a new one is added to this list on purpose."""
+def test_the_library_has_no_selector_switch():
+    """A switch that picks among fixed values repeats an argument that already says the
+    same thing (``tol``, or the state a name stood for); a new one is listed on purpose."""
     found = [
         switch
         for path in SOURCES
-        for switch in boolean_switches(path.stem, path.read_text(encoding="utf-8"))
+        for switch in selector_switches(path.stem, path.read_text(encoding="utf-8"))
     ]
-    assert found == ["interferometer.povm_DA(merge_A)"]
+    assert found == []
 
 
 def private_imports(source: str) -> list[str]:

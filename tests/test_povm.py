@@ -70,7 +70,7 @@ def vh_povm(scenario):
 
 @pytest.fixture(scope="module")
 def da_povm(scenario):
-    return povm_DA(scenario, merge_A=True)
+    return povm_DA(scenario)
 
 
 def test_element_must_be_a_hermitian_system_operator():
@@ -292,7 +292,7 @@ def test_merged_povm_edges_are_orthogonal_pairs(da_povm):
 
 
 def test_unmerged_plate_outcomes_are_proportional(scenario):
-    p = povm_DA(scenario, merge_A=False)
+    p = povm_from_dilation(dilation_DA(scenario))
     assert abs(_witnesses(context_graph(p))[("A1", "A2")] - 1.0) <= 1e-12
     for i in (1, 2, 3):
         assert abs(context_selection_probability(p, f"A{i}") - 1.0 / 3.0) <= 1e-12
@@ -431,7 +431,7 @@ def test_context_graph_matches_the_pairwise_oracle(case):
 
 
 def test_coarse_grain_recovers_the_merged_element(scenario, da_povm):
-    raw = povm_DA(scenario, merge_A=False)
+    raw = povm_from_dilation(dilation_DA(scenario))
     merged = coarse_grain(raw, ("A1", "A2", "A3"), "A")
     assert merged.labels() == ("D1", "D2", "D3", "A")
     assert 3 not in merged.operators
@@ -465,7 +465,7 @@ def test_coarse_grain_validates_labels(vh_povm):
 @pytest.mark.parametrize("merge", [("A1", "A1"), ("A1", "A2", "A1")])
 def test_coarse_grain_rejects_a_repeated_label(scenario, merge):
     with pytest.raises(ValidationError, match="labels to merge must be unique") as err:
-        coarse_grain(povm_DA(scenario, merge_A=False), merge, "A")
+        coarse_grain(povm_from_dilation(dilation_DA(scenario)), merge, "A")
     assert err.value.invariant == "unique-labels"
 
 
@@ -628,12 +628,13 @@ def test_equal_content_compares_equal(scenario, vh_povm):
     assert dilation_DA(scenario) == dilation_DA(scenario)
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
     assert merged == coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    assert povm_DA(scenario) != povm_DA(scenario, merge_A=False)
+    assert povm_DA(scenario) != povm_from_dilation(dilation_DA(scenario))
     assert merged != vh_povm and dilation_DA(scenario) != "not a dilation"
     triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
     state = np.array([1.0, 0.0, 0.0])
     assert evaluate_inequality(triple, state) == evaluate_inequality(triple, state)
-    assert scenario == build_three_path() and scenario != build_three_path("1")
+    moved = dataclasses.replace(scenario, f=scenario.paths[0])
+    assert scenario == build_three_path() and scenario != moved
 
 
 def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
@@ -731,7 +732,8 @@ def test_from_vectors_of_no_rows_is_refused_as_an_empty_povm():
 
 
 def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
-    for p in (povm_DA(scenario, merge_A=False), coarse_grain(vh_povm, ("V1", "V2"), "V12")):
+    unmerged = povm_from_dilation(dilation_DA(scenario))
+    for p in (unmerged, coarse_grain(vh_povm, ("V1", "V2"), "V12")):
         again = Povm(p.system_dim, p.labels(), p.vectors, p.operators)
         assert again == p and again.operators.keys() == p.operators.keys()
         assert all(np.array_equal(again.operators[k], op) for k, op in p.operators.items())

@@ -58,7 +58,7 @@ def _da_dict():
         Scenario(
             system_dim=3,
             dilation=d,
-            povm=povm_DA(s, merge_A=True),
+            povm=povm_DA(s),
             states={"plus": np.ones(3) / np.sqrt(3.0)},
             hardy=("D1", "D2", "D3"),
         )
