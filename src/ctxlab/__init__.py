@@ -36,7 +36,6 @@ from .povm import (
 from .dilation import (
     ConstraintReport,
     Dilation,
-    context_switch_povm,
     naimark_dilate,
     povm_from_dilation,
     residual_decompose,

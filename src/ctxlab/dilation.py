@@ -9,7 +9,8 @@ to phi_init (x) system is its residual component, one row of the stack that
     <sigma(m)|sigma(m')> = -<lambda(m)|lambda(m')>   for m != m'
     <sigma(m)|sigma(m)> + <lambda(m)|lambda(m)> = 1
 
-and ``naimark_dilate`` rebuilds a dilation from any complete rank-1 POVM.
+and ``naimark_dilate`` rebuilds a dilation from any complete rank-1 POVM. A measurement
+whose basis the environment selects is a ``Dilation`` too, its rows |x> (x) U_x^dag |a>.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ from .errors import SpaceMismatchError, ValidationError
 from .hilbert import (
     DEFAULT_TOL,
     amplitudes,
-    entries,
     fix_phase,
     gram,
-    require_basis,
     require_orthonormal,
 )
-from .povm import LabelledStack, Povm, grid_labels, validate_povm
-
-
-def require_normalised_phi_init(phi_init: np.ndarray, tol: float) -> None:
-    if abs(float(np.vdot(phi_init, phi_init).real) - 1.0) > tol:
-        raise ValidationError("phi_init must be normalised", invariant="phi-init-normalisation")
+from .povm import LabelledStack, Povm, validate_povm
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -73,7 +67,9 @@ class Dilation(LabelledStack):
         phi = amplitudes(phi_init, (None,), "for phi_init")
         if len(phi) != env_dim:
             raise SpaceMismatchError(f"phi_init dim {len(phi)} != environment factor {env_dim}")
-        require_normalised_phi_init(phi, tol)
+        if abs(float(np.vdot(phi, phi).real) - 1.0) > tol:
+            problem = "phi_init must be normalised"
+            raise ValidationError(problem, invariant="phi-init-normalisation")
         self.__dict__["phi_init"] = phi
 
 
@@ -157,57 +153,3 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     flat[:, :sys_dim] = p.vectors
     flat[:, sys_dim : sys_dim + coords.shape[1]] = coords
     return Dilation(count, sys_dim, p.labels(), flat, np.eye(1, count)[0], tol)
-
-
-def context_switch_povm(
-    contexts: Sequence[tuple[np.ndarray, np.ndarray]],
-    basis: np.ndarray,
-    phi_init: np.ndarray,
-    labels: Sequence[Sequence[str]] | None = None,
-    tol: float = DEFAULT_TOL,
-) -> Povm:
-    """POVM of a measurement whose basis choice is conditioned on the environment.
-
-    Parameters
-    ----------
-    contexts : pairs (environment ket, system unitary)
-        The environment kets, of phi_init's length, must be mutually orthonormal,
-        and each unitary a ``(dim, dim)`` matrix; detecting context x measures the
-        system in the basis rotated by that context's unitary.
-    basis : orthonormal complete system basis
-        The readout basis before rotation, a ``(dim, dim)`` stack of kets as rows.
-    phi_init : 1-D array
-        Initial environment state; the element for (x, a) is
-        ``<phi_init|x> U_x^dag |a>``.
-    labels : optional per-(context, outcome) labels
-        Defaults to ``"x:a"`` index pairs.
-
-    The result is complete exactly when phi_init lies in the span of the
-    context states.
-    """
-    if len(contexts) == 0:
-        raise ValidationError("at least one context is required", invariant="nonempty")
-    phi_init = amplitudes(phi_init, (None,), "for phi_init")
-    count, env_dim = len(contexts), len(phi_init)
-    what = f"for {count} context states of dim {env_dim}"
-    env_kets = amplitudes([env for env, _ in contexts], (count, env_dim), what)
-    require_orthonormal(env_kets, tol, "context states are", "context-orthonormality")
-    require_normalised_phi_init(phi_init, tol)
-
-    if len(basis) == 0:
-        raise ValidationError("readout basis has no kets", invariant="basis-completeness")
-    sys_dim = len(basis[0])
-    readout = require_basis(basis, sys_dim, tol, "readout basis")[:, :, None]
-    names, blocks = grid_labels(labels, len(contexts), sys_dim), []
-    for x, (_, unitary) in enumerate(contexts):
-        unitary = entries(unitary, sys_dim, f"for context {x}'s unitary on dim {sys_dim}")
-        gap = float(np.abs(unitary.conj().T @ unitary - np.eye(sys_dim)).max())
-        if gap > tol:
-            raise ValidationError(
-                f"context {x} operator is not unitary (residual {gap:.3e})",
-                invariant="unitarity",
-            )
-        # Stacked matrix-vector products round each row as U^dag |a> alone does.
-        overlap = complex(np.vdot(phi_init, env_kets[x]))
-        blocks.append(overlap * (unitary.conj().T @ readout)[:, :, 0])
-    return Povm.from_vectors(sys_dim, names, np.concatenate(blocks))

@@ -194,18 +194,6 @@ def require_orthonormal(vectors: np.ndarray, tol: float, what: str, invariant: s
         )
 
 
-def require_basis(basis: np.ndarray, dim: int, tol: float, name: str) -> np.ndarray:
-    """``basis`` as an ``(dim, dim)`` stack, raising unless it holds exactly ``dim``
-    orthonormal kets of dimension ``dim``."""
-    if len(basis) != dim:
-        raise ValidationError(
-            f"{name} has {len(basis)} kets for dim {dim}", invariant="basis-completeness"
-        )
-    stack = amplitudes(basis, (dim, dim), f"for {name} of dim {dim}")
-    require_orthonormal(stack, tol, f"{name} is", "basis-orthonormality")
-    return stack
-
-
 def require_hermitian(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
     """``matrix``, raising ``hermiticity`` unless it is Hermitian within tol; ``what`` names it."""
     residual = float(np.abs(matrix - matrix.conj().T).max())

@@ -25,8 +25,8 @@ from .hilbert import (
     entries,
     finite,
     fix_phase,
-    require_basis,
     require_hermitian,
+    require_orthonormal,
     unit_vector,
 )
 
@@ -394,22 +394,20 @@ def basis_mixture_povm(
     if len(bases[0]) == 0:
         raise ValidationError("basis 0 has no kets", invariant="basis-completeness")
 
-    dim = len(bases[0][0])
-    names, blocks = grid_labels(labels, len(bases), dim), []
-    for x, basis in enumerate(bases):
-        rows = require_basis(basis, dim, tol, f"basis {x}")
-        scale = np.sqrt(max(float(w[x]), 0.0))
-        blocks.append(rows * scale)
-    return Povm.from_vectors(dim, names, np.concatenate(blocks))
-
-
-def grid_labels(labels: Sequence[Sequence[str]] | None, count: int, dim: int) -> list[str]:
-    """``labels[x][a]`` for ``count`` groups of ``dim`` outcomes in order, ``"x:a"`` without
-    ``labels``; raises ``labels`` unless there is one label per outcome."""
+    count, dim = len(bases), len(bases[0][0])
     if labels is None:
-        return [f"{x}:{a}" for x in range(count) for a in range(dim)]
+        labels = [[f"{x}:{a}" for a in range(dim)] for x in range(count)]
     if len(labels) != count or any(len(row) != dim for row in labels):
         raise ValidationError(
             f"labels must hold {count} groups of {dim}, one per outcome", invariant="labels"
         )
-    return [row[a] for row in labels for a in range(dim)]
+    blocks = []
+    for x, basis in enumerate(bases):
+        if len(basis) != dim:
+            raise ValidationError(
+                f"basis {x} has {len(basis)} kets for dim {dim}", invariant="basis-completeness"
+            )
+        rows = amplitudes(basis, (dim, dim), f"for basis {x} of dim {dim}")
+        require_orthonormal(rows, tol, f"basis {x} is", "basis-orthonormality")
+        blocks.append(rows * np.sqrt(max(float(w[x]), 0.0)))
+    return Povm.from_vectors(dim, [name for row in labels for name in row], np.concatenate(blocks))

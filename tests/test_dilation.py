@@ -16,7 +16,8 @@ from ctxlab import (
     ValidationError,
     build_three_path,
     completeness_check,
-    context_switch_povm,
+    context_graph,
+    context_selection_probability,
     dilation_DA,
     dilation_VH,
     gram,
@@ -47,6 +48,17 @@ def _random_dilation(rng, env_dim, sys_dim):
     phi = rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim)
     phi = phi / np.linalg.norm(phi)
     return Dilation(env_dim, sys_dim, labels, basis.T.copy(), phi)
+
+
+def _switched(contexts, basis, phi, labels=None):
+    """The dilation of a measurement whose readout ``basis`` the environment selects:
+    context x, heralded by the environment ket |x>, reads the basis rotated by U_x, so its
+    rows are |x> (x) U_x^dag |a>, labelled ``"x:a"`` unless ``labels`` says otherwise."""
+    basis = np.asarray(basis)
+    rows = np.concatenate([np.kron(env, basis @ np.conj(u)) for env, u in contexts])
+    if labels is None:
+        labels = [f"{x}:{a}" for x in range(len(contexts)) for a in range(len(basis))]
+    return Dilation(len(phi), basis.shape[1], labels, rows, phi)
 
 
 def test_outcome_set_validates_orthonormality():
@@ -287,26 +299,18 @@ def test_naimark_rejects_incomplete_and_operator_povms():
     assert err.value.invariant == "element-bounds"
 
 
-def test_context_switch_matches_dilation_derivation():
+def test_the_switched_VH_readout_is_dilation_VH():
     s = build_three_path()
     hwp = np.eye(3) - 2.0 * np.outer(s.f, s.f.conj())
-    p = context_switch_povm(
-        contexts=[(s.v, np.eye(3)), (s.h, hwp)],
-        basis=s.paths,
-        phi_init=s.d,
-        labels=[["V1", "V2", "V3"], ["H1", "H2", "H3"]],
-    )
-    q = povm_from_dilation(dilation_VH(s))
-    assert p.labels() == q.labels()
-    for row, row2 in zip(p.vectors, q.vectors):
-        assert np.abs(row - row2).max() <= 1e-12
+    labels = ["V1", "V2", "V3", "H1", "H2", "H3"]
+    assert _switched([(s.v, np.eye(3)), (s.h, hwp)], s.paths, s.d, labels) == dilation_VH(s)
 
 
 def test_single_context_gives_rotated_projective_povm():
     rng = np.random.default_rng(31)
     u = random_unitary(rng, 2)
     x = np.eye(2)[0]
-    p = context_switch_povm([(x, u)], np.eye(2), x)
+    p = povm_from_dilation(_switched([(x, u)], np.eye(2), x))
     assert completeness_check(p) <= 1e-12
     for label in p.labels():
         assert abs(norm_sq(element_row(p, label)) - 1.0) <= 1e-12
@@ -316,53 +320,47 @@ def test_uniform_context_choice_scales_every_weight():
     for count in (2, 3, 5):
         contexts = [(env, np.eye(2)) for env in np.eye(count)]
         phi = np.ones(count) / np.sqrt(count)
-        p = context_switch_povm(contexts, np.eye(2), phi)
+        p = povm_from_dilation(_switched(contexts, np.eye(2), phi))
         assert completeness_check(p) <= 1e-12
         for label in p.labels():
             assert abs(norm_sq(element_row(p, label)) - 1.0 / count) <= 1e-12
 
 
-def test_context_switch_validates_inputs():
+def test_overlapping_contexts_and_non_unitary_rotations_are_not_orthonormal_outcomes():
     x = np.eye(2)[0]
-    basis = np.eye(2)
-    not_unitary = np.array([[1.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(ValidationError) as err:
-        context_switch_povm([(x, not_unitary)], basis, x)
-    assert err.value.invariant == "unitarity"
-    overlapping = [(x, np.eye(2)), (x, np.eye(2))]
-    with pytest.raises(ValidationError):
-        context_switch_povm(overlapping, basis, x)
-    with pytest.raises(ValidationError):
-        context_switch_povm([(x, np.eye(2))], [basis[0]], x)
-    with pytest.raises(SpaceMismatchError, match=r"^a stack of shape \(1, 3\) for 1 context"):
-        context_switch_povm([(np.eye(3)[0], np.eye(2))], basis, x)
-
-
-@pytest.mark.parametrize(
-    "labels", [[["a", "b"]], [["a", "b"], ["c"]]], ids=["one-group-short", "one-label-short"]
-)
-def test_context_switch_rejects_short_labels(labels):
-    contexts = [(env, np.eye(2)) for env in np.eye(2)]
-    basis = np.eye(2)
-    with pytest.raises(ValidationError, match="^labels must hold 2 groups of 2") as err:
-        context_switch_povm(contexts, basis, np.eye(2)[0], labels=labels)
-    assert err.value.invariant == "labels"
-    p = context_switch_povm(contexts, basis, np.eye(2)[0], labels=[["a", "b"], ["c", "d"]])
-    assert p.labels() == ("a", "b", "c", "d")
-
-
-def test_context_switch_rejects_an_empty_readout_basis():
-    x = np.eye(2)[0]
-    with pytest.raises(ValidationError, match="^readout basis has no kets$") as err:
-        context_switch_povm([(x, np.eye(2))], [], x)
-    assert err.value.invariant == "basis-completeness"
+    for contexts in ([(x, np.eye(2)), (x, np.eye(2))], [(x, np.diag([1.0, 2.0]))]):
+        with pytest.raises(ValidationError) as err:
+            _switched(contexts, np.eye(2), x)
+        assert err.value.invariant == "outcome-orthonormality"
 
 
 def test_incomplete_context_span_leaves_incomplete_povm():
     x = np.eye(2)[0]
     phi = np.array([1.0, 1.0]) / SQ2
-    p = context_switch_povm([(x, np.eye(2))], np.eye(2), phi)
+    p = povm_from_dilation(_switched([(x, np.eye(2))], np.eye(2), phi))
     assert abs(completeness_check(p) - 0.5) <= 1e-12
+
+
+def test_the_environment_selects_each_context_with_its_overlap_squared():
+    """Context x carries weight |<phi|x>|^2, so the POVM misses completeness by what phi
+    has outside the span of the context kets, and the outcomes of a live context share it."""
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        env_dim, sys_dim = rng.integers(1, 5), rng.integers(1, 6)
+        count = rng.integers(1, env_dim + 1)
+        envs = random_unitary(rng, env_dim)[:count]
+        contexts = [(env, random_unitary(rng, sys_dim)) for env in envs]
+        phi = unit(rng.normal(size=env_dim) + 1j * rng.normal(size=env_dim))
+        p = povm_from_dilation(_switched(contexts, random_unitary(rng, sys_dim).T, phi))
+        chosen = np.abs(envs.conj() @ phi) ** 2
+        weights = [context_selection_probability(p, label) for label in p.labels()]
+        assert np.abs(np.reshape(weights, (count, sys_dim)) - chosen[:, None]).max() <= 1e-12
+        assert abs(completeness_check(p) - (1.0 - chosen.sum())) <= 1e-12
+        edges = {frozenset((a, b)) for a, b, _ in context_graph(p).edges}
+        for x in np.flatnonzero(chosen > 1e-9):
+            outcomes = [f"{x}:{a}" for a in range(sys_dim)]
+            pairs = {frozenset((a, b)) for a in outcomes for b in outcomes if a != b}
+            assert pairs <= edges
 
 
 def test_dilations_record_the_tol_that_validated_them():

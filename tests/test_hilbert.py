@@ -19,7 +19,6 @@ from ctxlab.hilbert import (
     density_matrix,
     entries,
     orthonormality_residual,
-    require_basis,
     unit_vector,
 )
 from helpers import phase_aligned_max_err, random_pure_state, random_rank1_povm, random_unitary
@@ -133,21 +132,6 @@ def test_gram_and_orthonormality_residual_accept_a_stack():
     basis = random_unitary(rng, 3).T
     want = np.abs(np.array([[np.vdot(a, b) for b in basis] for a in basis]) - np.eye(3)).max()
     assert abs(orthonormality_residual(basis) - want) <= 1e-15
-
-
-def test_require_basis_checks_count_shape_and_orthonormality():
-    basis = require_basis([[1.0, 0.0], [0.0, 1.0]], 2, DEFAULT_TOL, "test basis")
-    assert basis.shape == (2, 2) and basis.dtype == complex
-    with pytest.raises(ValueError):
-        basis[0, 0] = 2.0
-    with pytest.raises(ValidationError, match="^test basis has 1 kets for dim 2$") as err:
-        require_basis([[1.0, 0.0]], 2, DEFAULT_TOL, "test basis")
-    assert err.value.invariant == "basis-completeness"
-    with pytest.raises(SpaceMismatchError, match="^rows that are not one complex stack"):
-        require_basis([[1.0, 0.0], [0.0]], 2, DEFAULT_TOL, "test basis")
-    with pytest.raises(ValidationError) as err:
-        require_basis([[1.0, 0.0], [1.0, 0.0]], 2, DEFAULT_TOL, "test basis")
-    assert err.value.invariant == "basis-orthonormality"
 
 
 def test_joint_index_is_env_major():

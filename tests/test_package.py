@@ -115,7 +115,6 @@ def unreached_public_names(package: list[str], outside: list[str]) -> list[str]:
 
 # The library API that only its own tests reach, each with why it stays.
 KEPT_PUBLIC = {
-    "context_switch_povm": "the paper's environment-conditioned measurement",
     "encode_matrix": "the pair of decode_matrix, which the reader uses",
     "fixture_dict": "a bundled fixture regenerated without file access, to cross-check it",
 }
@@ -285,3 +284,56 @@ def test_only_by_value_defines_equality_and_no_class_freezes_itself_by_hand(path
     frozen by ``dataclass(frozen=True)``."""
     expected = ["ByValue.__eq__"] if path.name == "hilbert.py" else []
     assert value_methods(path.read_text(encoding="utf-8")) == expected
+
+
+def raised_invariants(source: str) -> list[str]:
+    """Each invariant name a module raises, sorted: every string given as ``invariant=``,
+    and the fourth argument of each ``require_orthonormal`` call, a string."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        values = [k.value for k in node.keywords if k.arg == "invariant"]
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if callee == "require_orthonormal" and len(node.args) > 3:
+            values.append(node.args[3])
+        constants = [v.value for v in values if isinstance(v, ast.Constant)]
+        names.update(value for value in constants if isinstance(value, str))
+    return sorted(names)
+
+
+def unnamed_invariants(invariants: list[str], sources: list[str]) -> list[str]:
+    """The invariants that no string constant of ``sources`` names, as the whole string or
+    as ``[name]``, the form of the command line's message."""
+    strings = {
+        node.value
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    return [
+        name
+        for name in invariants
+        if name not in strings and not any(f"[{name}]" in text for text in strings)
+    ]
+
+
+def test_the_scan_finds_each_raised_invariant_and_each_unnamed_one():
+    package = (
+        "def f(x):\n    if x:\n        raise Error('no', invariant='sign')\n"
+        "    require_orthonormal(x, tol, 'rows are', 'rows')\n"
+        "    hilbert.require_orthonormal(x, tol, 'kets are', name)\n"
+        "    raise Error('bad', invariant=f'{x}')\n    check(x, 'x is', 'other')\n"
+    )
+    tests = "assert err.invariant == 'rows'\nassert 'exit 3: invariant violation [sign]'\n"
+    assert raised_invariants(package) == ["rows", "sign"]
+    assert unnamed_invariants(["rows", "sign", "gone"], [tests]) == ["gone"]
+
+
+def test_some_other_test_names_every_invariant_the_package_raises():
+    raised = sorted({
+        name for path in SOURCES for name in raised_invariants(path.read_text(encoding="utf-8"))
+    })
+    others = [path.read_text(encoding="utf-8") for path in TESTS if path.name != "test_package.py"]
+    assert unnamed_invariants(raised, others) == []

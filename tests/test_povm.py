@@ -552,6 +552,19 @@ def test_basis_mixture_names_what_is_wrong_with_its_arguments(kwargs, invariant,
     assert err.value.invariant == invariant
 
 
+def test_basis_mixture_checks_each_basis_count_shape_and_orthonormality():
+    z = np.eye(2)
+    with pytest.raises(ValidationError, match="^basis 1 has 1 kets for dim 2$") as err:
+        basis_mixture_povm([z, z[:1]], [0.5, 0.5])
+    assert err.value.invariant == "basis-completeness"
+    ragged = "^rows that are not one complex stack for basis 1 of dim 2$"
+    with pytest.raises(SpaceMismatchError, match=ragged):
+        basis_mixture_povm([z, [[1.0, 0.0], [0.0]]], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="^basis 1 is not orthonormal") as err:
+        basis_mixture_povm([z, [z[0], z[0]]], [0.5, 0.5])
+    assert err.value.invariant == "basis-orthonormality"
+
+
 def test_basis_mixture_rejects_an_empty_basis():
     with pytest.raises(ValidationError, match="^basis 0 has no kets$") as err:
         basis_mixture_povm([[]], [1.0])

@@ -22,8 +22,9 @@ from ctxlab import (
     UnknownLabelError,
     ValidationError,
     basis_mixture_povm,
-    context_switch_povm,
     evaluate_inequality,
+    hardy_embedding_povm,
+    hardy_state,
     load_fixture,
     maximizing_state,
     probability,
@@ -101,22 +102,8 @@ CASES = {
         ValidationError, "basis-orthonormality",
         "basis 1 is not orthonormal (residual 1.000e+00)",
     ),
-    "context-switch-context-orthonormality": (
-        lambda: context_switch_povm([(X0, IDENTITY), (X0, IDENTITY)], [E0, E1], X0),
-        ValidationError, "context-orthonormality",
-        "context states are not orthonormal (residual 1.000e+00)",
-    ),
-    "context-switch-basis-orthonormality": (
-        lambda: context_switch_povm([(X0, IDENTITY)], [E0, E0], X0),
-        ValidationError, "basis-orthonormality",
-        "readout basis is not orthonormal (residual 1.000e+00)",
-    ),
     "dilation-phi-init-normalisation": (
         lambda: _outcome_set(OUTCOMES, LONG_PHI),
-        ValidationError, "phi-init-normalisation", "phi_init must be normalised",
-    ),
-    "context-switch-phi-init-normalisation": (
-        lambda: context_switch_povm([(X0, IDENTITY)], [E0, E1], LONG_PHI),
         ValidationError, "phi-init-normalisation", "phi_init must be normalised",
     ),
     "povm-element-hermiticity": (
@@ -130,10 +117,6 @@ CASES = {
     "povm-element-of-another-shape": (
         _povm_with_operator(0, np.eye(3)),
         SpaceMismatchError, None, "a matrix of shape (3, 3) for element 'x' of dim 2",
-    ),
-    "context-switch-unitary-of-another-shape": (
-        lambda: context_switch_povm([(X0, np.eye(3))], [E0, E1], X0),
-        SpaceMismatchError, None, "a matrix of shape (3, 3) for context 0's unitary on dim 2",
     ),
     "outcome-set-factor-dim": (
         lambda: Dilation(0, 2, ["a"], np.zeros((1, 0)), X0),
@@ -159,9 +142,25 @@ CASES = {
         lambda: basis_mixture_povm([[E0, E1], [E0]], [0.5, 0.5]),
         ValidationError, "basis-completeness", "basis 1 has 1 kets for dim 2",
     ),
-    "context-switch-count": (
-        lambda: context_switch_povm([(X0, IDENTITY)], [E0], X0),
-        ValidationError, "basis-completeness", "readout basis has 1 kets for dim 2",
+    "density-matrix-positivity": (
+        lambda: probability(_povm_with_zero_vector(), np.diag([1.5, -0.5]), "e1"),
+        ValidationError, "positivity", "density matrix has eigenvalue -5.000e-01 < 0",
+    ),
+    "probability-positivity": (
+        lambda: probability(_povm_with_operator(0, -IDENTITY)(), E0, "x"),
+        ValidationError, "positivity", "negative probability -1.0",
+    ),
+    "outcome-set-count": (
+        lambda: Dilation(1, 1, ["a", "b"], np.ones((2, 1)), [1.0]),
+        ValidationError, "outcome-count", "2 outcomes exceed dim 1",
+    ),
+    "hardy-embedding-zero-direction": (
+        lambda: hardy_embedding_povm(np.zeros(3), *np.eye(3)[:2]),
+        ValidationError, "normalisable", "cannot normalise a zero vector",
+    ),
+    "hardy-state-dimension": (
+        lambda: hardy_state(E0, E1),
+        ValidationError, "dimension", "the paradox state is defined for dim-3 systems only",
     ),
     "povm-unique-labels": (
         lambda: Povm(2, ["a", "a"], np.array([E0, E1])),
