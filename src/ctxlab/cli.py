@@ -174,7 +174,7 @@ def _cmd_context_graph(args: argparse.Namespace) -> int:
 def _hardy_inputs(scenario: Scenario, tol: float) -> HardyTriple:
     if scenario.hardy is None:
         raise ScenarioFileError("the file carries no hardy block")
-    return HardyTriple.from_povm(scenario.resolve_povm(), *scenario.hardy, tol=tol)
+    return HardyTriple(scenario.resolve_povm(), *scenario.hardy, tol=tol)
 
 
 def _cmd_inequality(args: argparse.Namespace) -> int:

@@ -20,40 +20,29 @@ from .povm import Povm, require_context_weight
 
 @dataclass(frozen=True, eq=False)
 class HardyTriple(ByValue):
-    """Labels f, d1, d2 into a POVM plus the derived unit directions.
+    """Labels f, d1, d2 into a POVM plus the unit directions derived from it.
 
-    ``directions`` holds five rows: the unit directions f_hat, d1_hat and d2_hat of
-    the three outcomes, then basis1 and basis2, the unique (up to phase) unit
-    vectors completing the two decompositions ``F = alpha * basis_k + beta * D_k``.
-    On construction it must be a ``(5, system_dim)`` stack for the POVM, stored as a
-    read-only complex copy, and the two basis vectors orthogonal within ``tol`` for
-    the triple to be admissible (``tol`` is kept outside equality and ``repr``).
+    ``directions`` holds five read-only rows: the canonical-phase unit directions
+    f_hat, d1_hat and d2_hat of the three outcomes, then basis1 and basis2, the
+    unique (up to phase) unit vectors completing the two decompositions
+    ``F = alpha * basis_k + beta * D_k``. Each outcome must be a rank-1 element
+    (``rank-one``) of nonzero weight within ``tol`` (``nonzero-element``), F must
+    not be parallel to either D (``hardy-decomposition``), and the two basis vectors
+    must be orthogonal within ``tol`` (``hardy-basis-orthogonality``). ``tol`` is
+    keyword-only and kept outside equality and ``repr``.
     """
 
     povm: Povm
     f: str
     d1: str
     d2: str
-    directions: np.ndarray
-    tol: float = field(default=DEFAULT_TOL, compare=False, repr=False)
+    directions: np.ndarray = field(init=False)
+    tol: float = field(default=DEFAULT_TOL, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        dim = self.povm.system_dim
-        units = amplitudes(self.directions, (5, dim), f"for five directions of dim {dim}")
-        object.__setattr__(self, "directions", units)
-        overlap = abs(complex(np.vdot(units[3], units[4])))
-        if overlap > self.tol:
-            raise ValidationError(
-                f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
-                invariant="hardy-basis-orthogonality",
-            )
-
-    @classmethod
-    def from_povm(
-        cls, p: Povm, f: str, d1: str, d2: str, tol: float = DEFAULT_TOL
-    ) -> HardyTriple:
+        p, tol = self.povm, self.tol
         units = []
-        for label in (f, d1, d2):
+        for label in (self.f, self.d1, self.d2):
             k = p._index[label]
             if not p._is_vector[k]:
                 raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
@@ -65,7 +54,15 @@ class HardyTriple(ByValue):
         for d in units[1:]:  # basis1 and basis2 follow f, d1 and d2
             rest = units[0] - d * complex(np.vdot(d, units[0]))
             units.append(fix_phase(unit_vector(rest, tol, parallel)))
-        return cls(p, f, d1, d2, units, tol=tol)
+        units = np.stack(units)
+        units.flags.writeable = False
+        object.__setattr__(self, "directions", units)
+        overlap = abs(complex(np.vdot(units[3], units[4])))
+        if overlap > tol:
+            raise ValidationError(
+                f"decomposition basis vectors are not orthogonal (|<b1|b2>| = {overlap:.3e})",
+                invariant="hardy-basis-orthogonality",
+            )
 
 
 def hardy_state(d1: np.ndarray, d2: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -151,39 +148,24 @@ def max_violation(t: HardyTriple) -> tuple[float, np.ndarray]:
 
 
 def hardy_embedding_povm(
-    f: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    scales: tuple[float, float, float] | None = None,
-    labels: tuple[str, str, str] = ("F", "D1", "D2"),
-    tol: float = DEFAULT_TOL,
+    f: np.ndarray, d1: np.ndarray, d2: np.ndarray, tol: float = DEFAULT_TOL
 ) -> Povm:
-    """A complete POVM containing the three directions as rank-1 outcomes.
+    """A complete POVM whose outcomes F, D1 and D2 lie along the three directions.
 
-    Each direction enters as ``sqrt(scale) * unit vector``; the default scale
-    of 1/3 apiece keeps the remainder positive for any three directions. The
-    remainder ``I - sum`` is appended as rank-1 elements R1, R2, ... from its
-    eigendecomposition. Rescaled probabilities do not depend on the scales.
+    Each direction enters as ``sqrt(1/3) * unit vector``. Three unit projectors
+    at 1/3 sum to an operator of largest eigenvalue at most 1, so the remainder
+    ``I - sum`` is positive semidefinite for any three directions; it is appended
+    as rank-1 elements R1, R2, ... from its eigendecomposition, largest first,
+    leaving out every eigenvalue at or below tol (a round-off negative included).
+    Rescaled probabilities do not depend on the scale.
     """
-    if scales is None:
-        scales = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     kets = amplitudes([f, d1, d2], (3, None), "for f, d1 and d2")
     units = np.stack([fix_phase(unit_vector(k, tol)) for k in kets])
     dim = units.shape[1]
-    scales = np.asarray(scales, dtype=float)
-    if scales.shape != (3,):
-        raise ValidationError("one scale per direction is required", invariant="weights")
-    if not np.all(np.isfinite(scales) & (scales >= 0)):
-        raise ValidationError("scales must be finite and nonnegative", invariant="weights")
-    rows = np.sqrt(scales)[:, None] * units
+    rows = np.sqrt(1.0 / 3.0) * units
     total = (rows[:, :, None] * rows.conj()[:, None, :]).sum(axis=0)  # added in order
     values, vectors = np.linalg.eigh(np.eye(dim) - total)
-    if values[0] < -tol:
-        raise ValidationError(
-            f"scales leave a negative remainder (eigenvalue {values[0]:.3e})",
-            invariant="completion-positivity",
-        )
     kept = np.flatnonzero(values > tol)[::-1]
     rest = np.sqrt(values[kept])[:, None] * fix_phase(vectors[:, kept].T)
-    names = [*labels, *(f"R{rank}" for rank in range(1, len(kept) + 1))]
+    names = ["F", "D1", "D2", *(f"R{rank}" for rank in range(1, len(kept) + 1))]
     return Povm.from_vectors(dim, names, np.concatenate([rows, rest]))

@@ -41,6 +41,12 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def require_space_dims(dims: Sequence[object]) -> None:
+    """Raise ``space-dim`` unless each factor of a space is an integer of at least 1."""
+    if not all(_is_integer(n) and n >= 1 for n in dims):
+        raise ValidationError("space dimension must be a positive integer", invariant="space-dim")
+
+
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class LabelledStack(ByValue):
     """Labels plus ``vectors``, one read-only complex row per label, as the storage.
@@ -65,9 +71,7 @@ class LabelledStack(ByValue):
 
         Looking up an absent label in ``_index`` raises UnknownLabelError.
         """
-        if not all(_is_integer(n) and n >= 1 for n in dims):
-            problem = "space dimension must be a positive integer"
-            raise ValidationError(problem, invariant="space-dim")
+        require_space_dims(dims)
         dim = math.prod(dims)
         if not all(isinstance(label, str) for label in labels):
             raise ValidationError("outcome labels must be strings", invariant="string-labels")

@@ -44,7 +44,7 @@ from .hilbert import (
     require_hermitian,
     state_array,
 )
-from .povm import Povm
+from .povm import Povm, require_space_dims
 
 SCHEMA_VERSION = 1
 
@@ -129,6 +129,7 @@ def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
 class Scenario(ByValue):
     """Parsed contents of one scenario file.
 
+    ``system_dim`` must be an integer of at least 1, as for a stack (``space-dim``).
     ``dilation`` checks itself and stores its ``phi_init`` as a read-only copy. Each
     state (a ket, or a square density matrix) is stored as a read-only complex copy of
     the system dimension and compares by value; ``states`` is a read-only mapping. A
@@ -143,6 +144,7 @@ class Scenario(ByValue):
 
     def __post_init__(self) -> None:
         """Refuse a part that the file could not hold, as the reader would refuse it."""
+        require_space_dims((self.system_dim,))
         d = self.dilation
         if d is not None and d.sys_dim != self.system_dim:
             raise _wrong_length(f"outcome {d.labels()[0]!r}", d.env_dim * self.system_dim)

@@ -67,7 +67,7 @@ def hardy_fixture():
 
 @pytest.fixture(scope="module")
 def triple(hardy_fixture):
-    return HardyTriple.from_povm(hardy_fixture.resolve_povm(), *hardy_fixture.hardy)
+    return HardyTriple(hardy_fixture.resolve_povm(), *hardy_fixture.hardy)
 
 
 @pytest.fixture(scope="module")

@@ -558,11 +558,20 @@ def test_an_unnormalised_phi_init_beside_a_povm_fails_every_command_that_loads_i
     assert not (tmp_path / "out.json").exists()
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a ``python -m ctxlab`` child, with this checkout's ``src``
+    first on its ``PYTHONPATH`` so it imports the package under test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_module_and_console_entry_points(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "ctxlab", "inequality", HARDY_FILE],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "lhs 0.111111111111"
@@ -570,6 +579,7 @@ def test_module_and_console_entry_points(tmp_path):
         [sys.executable, "-m", "ctxlab", "povm", "check", str(tmp_path / "absent.json")],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 2
     assert "input error" in result.stderr
@@ -584,6 +594,7 @@ def test_a_closed_stdout_exits_one_without_a_traceback():
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
+            env=_child_env(),
         )
     finally:
         os.close(write_end)

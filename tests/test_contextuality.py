@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +48,7 @@ def embedding():
 
 @pytest.fixture(scope="module")
 def triple(embedding):
-    return HardyTriple.from_povm(embedding, "F", "D1", "D2")
+    return HardyTriple(embedding, "F", "D1", "D2")
 
 
 def test_triple_derives_the_path_basis(triple):
@@ -76,13 +74,13 @@ def test_triple_rejects_degenerate_configurations():
     # d2 chosen so that the two completing vectors fail to be orthogonal
     skew = np.eye(3)[2]
     p = hardy_embedding_povm(f, d1, skew)
-    with pytest.raises(ValidationError) as err:
-        HardyTriple.from_povm(p, "F", "D1", "D2")
+    with pytest.raises(ValidationError, match=r"\(\|<b1\|b2>\| = 7.071e-01\)$") as err:
+        HardyTriple(p, "F", "D1", "D2")
     assert err.value.invariant == "hardy-basis-orthogonality"
     # a partner parallel to F leaves nothing to complete
     q = hardy_embedding_povm(f, f, d1)
     with pytest.raises(ValidationError) as err:
-        HardyTriple.from_povm(q, "F", "D1", "D2")
+        HardyTriple(q, "F", "D1", "D2")
     assert err.value.invariant == "hardy-decomposition"
 
 
@@ -93,7 +91,7 @@ def test_triple_rejects_operator_and_zero_elements():
     rows = np.concatenate([p.vectors[:3], np.zeros((1, 3), dtype=complex)])
     q = Povm(3, p.labels()[:3] + ("rest",), rows, {3: blob})
     with pytest.raises(ValidationError) as err:
-        HardyTriple.from_povm(q, "rest", "D1", "D2")
+        HardyTriple(q, "rest", "D1", "D2")
     assert err.value.invariant == "rank-one"
 
 
@@ -144,52 +142,38 @@ def test_inequality_not_violated_at_the_mixed_state(embedding, triple):
     assert not report.violated
 
 
-def test_inequality_rejects_a_hand_built_basis_of_another_dimension(embedding, triple):
-    other = np.eye(4)[:2]
-    message = "rows that are not one complex stack for five directions of dim 3"
-    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
-        HardyTriple(embedding, "F", "D1", "D2", [*triple.directions[:3], *other])
+def test_inequality_rejects_a_state_of_another_dimension(triple):
     with pytest.raises(SpaceMismatchError, match="state dim 4 != system dim 3"):
-        evaluate_inequality(triple, other[0])
+        evaluate_inequality(triple, np.eye(4)[0])
 
 
-@pytest.mark.parametrize("shape", [(5, 4), (4, 3), (6, 3), (5, 3, 1), (15,)])
-def test_a_hand_built_triple_checks_the_shape_of_its_directions(triple, shape):
-    message = re.escape(f"a stack of shape {shape} for five directions of dim 3")
-    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
-        dataclasses.replace(triple, directions=np.zeros(shape))
+def test_directions_are_derived_and_cannot_be_given(triple):
+    # the 2 * f_hat triple that once gave a max violation of 2.74 on this POVM
+    doubled = np.array([2.0 * triple.directions[0], *triple.directions[1:]])
+    with pytest.raises(TypeError):
+        HardyTriple(triple.povm, "F", "D1", "D2", doubled)
+    with pytest.raises(TypeError):
+        HardyTriple(triple.povm, "F", "D1", "D2", directions=doubled)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(triple, directions=doubled)
+    with pytest.raises(TypeError):
+        HardyTriple(triple.povm, "F", "D1", "D2", 1e-3)  # tol is keyword-only
 
 
-@pytest.mark.parametrize("dim", [4, 2], ids=["dim4", "dim2"])
-@pytest.mark.parametrize("name", ["f_hat", "d1_hat", "d2_hat", "basis1", "basis2"])
-def test_a_hand_built_triple_checks_the_space_of_each_direction(triple, name, dim):
-    directions = list(triple.directions)
-    index = ["f_hat", "d1_hat", "d2_hat", "basis1", "basis2"].index(name)
-    directions[index] = np.eye(dim)[0]  # this one direction off the dim-3 system space
-    message = "rows that are not one complex stack for five directions of dim 3"
-    with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
-        dataclasses.replace(triple, directions=directions)
-
-
-def test_directions_are_a_read_only_copy_compared_by_value(embedding, triple):
-    directions = np.array(triple.directions)
-    again = HardyTriple(embedding, "F", "D1", "D2", directions)
-    directions[0, 0] = 2.0
+def test_derived_directions_are_read_only_and_compared_by_value(embedding, triple):
+    again = HardyTriple(embedding, "F", "D1", "D2")
     assert again == triple and again.directions.dtype == complex
     with pytest.raises(ValueError):
         again.directions[0, 0] = 2.0
-    directions[0, 0] = np.nextafter(triple.directions[0, 0].real, np.inf)
-    assert HardyTriple(embedding, "F", "D1", "D2", directions) != triple
-    assert HardyTriple(embedding, "F", "D2", "D1", triple.directions) != triple
+    rows = np.array(embedding.vectors)
+    rows[0, 0] = np.nextafter(rows[0, 0].real, np.inf)  # F's row moved by one ulp
+    moved = HardyTriple(Povm(3, embedding.labels(), rows), "F", "D1", "D2")
+    assert moved != triple and not np.array_equal(moved.directions, triple.directions)
+    assert HardyTriple(embedding, "F", "D2", "D1") != triple
 
 
-def test_a_hand_built_triple_checks_its_basis_at_its_tol(embedding, triple):
-    directions = np.array(triple.directions)
-    directions[4] = directions[3]  # basis2 = basis1
-    with pytest.raises(ValidationError, match=r"\(\|<b1\|b2>\| = 1.000e\+00\)") as err:
-        dataclasses.replace(triple, directions=directions)
-    assert err.value.invariant == "hardy-basis-orthogonality"
-    loose = HardyTriple.from_povm(embedding, "F", "D1", "D2", tol=1e-3)
+def test_a_triple_keeps_its_tol_outside_equality(embedding, triple):
+    loose = HardyTriple(embedding, "F", "D1", "D2", tol=1e-3)
     assert (loose.tol, triple.tol) == (1e-3, 1e-9)
     assert loose == triple and "tol" not in repr(loose)
 
@@ -232,43 +216,13 @@ def test_no_state_beats_the_optimum(embedding, triple):
         assert -1e-12 <= report.lhs <= 1.0 + 1e-12
 
 
-def test_max_violation_is_phase_and_rotation_invariant(embedding, triple):
+def test_max_violation_is_rotation_invariant():
     rng = np.random.default_rng(59)
-    f, d1, d2 = _directions()
     for _ in range(20):
-        phased = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * k for k in (f, d1, d2)]
-        t = HardyTriple(embedding, "F", "D1", "D2", [*phased, *triple.directions[3:]])
-        value, _ = max_violation(t)
-        assert abs(value - MAX_GAP) <= 1e-9
         u = random_unitary(rng, 3)
-        rotated = [u @ k for k in (f, d1, d2)]
-        p = hardy_embedding_povm(*rotated)
-        value, _ = max_violation(HardyTriple.from_povm(p, "F", "D1", "D2"))
+        p = hardy_embedding_povm(*(u @ k for k in _directions()))
+        value, _ = max_violation(HardyTriple(p, "F", "D1", "D2"))
         assert abs(value - MAX_GAP) <= 1e-9
-
-
-def test_max_violation_ignores_element_scales():
-    f, d1, d2 = _directions()
-    p = hardy_embedding_povm(f, d1, d2, scales=(0.2, 0.3, 0.1))
-    t = HardyTriple.from_povm(p, "F", "D1", "D2")
-    value, _ = max_violation(t)
-    assert abs(value - MAX_GAP) <= 1e-12
-
-
-def test_degenerate_triples_have_known_optima():
-    e = np.eye(3, dtype=complex)
-    p = hardy_embedding_povm(*e)
-    orthogonal = HardyTriple(p, "F", "D1", "D2", [e[0], e[1], e[2], e[1], e[2]])
-    value, state = max_violation(orthogonal)
-    assert abs(value - 1.0) <= 1e-12
-    assert abs(abs(np.vdot(state, e[0])) - 1.0) <= 1e-12
-    report = evaluate_inequality(orthogonal, state)
-    assert abs(report.lhs - 1.0) <= 1e-12
-    assert report.rhs <= 1e-12
-    f, d1, _ = _directions()
-    collapsed = HardyTriple(p, "F", "D1", "D2", [f, f, d1, e[0], e[1]])
-    value, _ = max_violation(collapsed)
-    assert abs(value) <= 1e-12
 
 
 def test_embedding_povm_structure(embedding):
@@ -285,39 +239,11 @@ def test_embedding_povm_structure(embedding):
     assert weights == sorted(weights, reverse=True)
 
 
-def test_embedding_povm_custom_labels_and_scales():
-    f, d1, d2 = _directions()
-    p = hardy_embedding_povm(f, d1, d2, scales=(0.5, 0.1, 0.1), labels=("x", "y", "z"))
-    assert p.labels()[:3] == ("x", "y", "z")
+def test_embedding_povm_of_three_parallel_directions_is_complete():
+    f, _, _ = _directions()
+    p = hardy_embedding_povm(f, -f, 1j * f)
+    assert p.labels() == ("F", "D1", "D2", "R1", "R2")  # the remainder's null direction dropped
     assert completeness_check(p) <= 1e-12
-    assert abs(context_selection_probability(p, "x") - 0.5) <= 1e-12
-
-
-def test_embedding_povm_rejects_oversized_scales():
-    f, d1, d2 = _directions()
-    with pytest.raises(ValidationError) as err:
-        hardy_embedding_povm(f, d1, d2, scales=(1.0, 1.0, 1.0))
-    assert err.value.invariant == "completion-positivity"
-    with pytest.raises(ValidationError) as err:
-        hardy_embedding_povm(f, d1, d2, scales=(-0.1, 0.5, 0.5))
-    assert err.value.invariant == "weights"
-
-
-@pytest.mark.parametrize(
-    "scales, message",
-    [
-        ((0.3, 0.3), "one scale per direction is required"),
-        ((0.3, 0.3, 0.3, 0.1), "one scale per direction is required"),
-        ((np.nan, 0.3, 0.3), "scales must be finite and nonnegative"),
-        ((np.inf, 0.1, 0.1), "scales must be finite and nonnegative"),
-    ],
-    ids=["two", "four", "nan", "inf"],
-)
-def test_embedding_povm_names_a_bad_scale_tuple(scales, message):
-    f, d1, d2 = _directions()
-    with pytest.raises(ValidationError, match=f"^{message}$") as err:
-        hardy_embedding_povm(f, d1, d2, scales=scales)
-    assert err.value.invariant == "weights"
 
 
 def test_rescaled_reading_of_the_paradox(embedding):
@@ -339,7 +265,7 @@ def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
     b1, b2 = u[:, 0], u[:, 1]
     d1, d2 = (unit(f - np.vdot(b, f) * b) for b in (b1, b2))
     p = hardy_embedding_povm(f, d1, d2)
-    triple = HardyTriple.from_povm(p, "F", "D1", "D2")
+    triple = HardyTriple(p, "F", "D1", "D2")
     value, best = max_violation(triple)
 
     weights = rng.dirichlet(np.ones(dim))
@@ -360,3 +286,15 @@ def test_hardy_layer_matches_the_numpy_oracle_in_every_dimension(dim, seed):
         assert report.lhs - report.rhs <= value + 1e-9
     report = evaluate_inequality(triple, best)
     assert abs((report.lhs - report.rhs) - value) <= 1e-9
+
+    # a bare three-row POVM whose rows carry any scale and global phase gives the same
+    # canonical-phase unit directions (largest amplitude real positive) and optimum
+    units = np.stack([f, d1, d2])
+    scales = rng.uniform(0.1, 2.0, size=3) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=3))
+    bare = HardyTriple(Povm(dim, ["F", "D1", "D2"], scales[:, None] * units), "F", "D1", "D2")
+    pivots = units[np.arange(3), np.abs(units).argmax(axis=1)]
+    canonical = units * (pivots.conj() / np.abs(pivots))[:, None]
+    assert np.abs(bare.directions[:3] - canonical).max() <= 1e-12
+    projectors = units[:, :, None] * units.conj()[:, None, :]
+    top = np.linalg.eigvalsh(projectors[0] - projectors[1] - projectors[2])[-1]
+    assert abs(max_violation(bare)[0] - top) <= 1e-12

@@ -593,7 +593,7 @@ def test_every_array_a_value_hands_out_is_read_only(da_povm):
     p = Povm(3, ["half"], np.zeros((1, 3)), {0: given})
     given[0, 0] = 1.0
     assert p.operators[0][0, 0] == 0.5
-    triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
+    triple = HardyTriple(load_fixture("hardy").povm, "F", "D1", "D2")
     report = evaluate_inequality(triple, np.eye(3) / 3.0)
     mixed = Scenario(3, states={"rho": np.eye(3) / 3.0}).states["rho"]
     for array in (merged.operators[0], p.operators[0], report.state_used, mixed):
@@ -619,7 +619,7 @@ def test_equal_content_compares_equal(scenario, vh_povm):
     assert merged == coarse_grain(vh_povm, ("V1", "V2"), "V12")
     assert povm_DA(scenario) != povm_from_dilation(dilation_DA(scenario))
     assert merged != vh_povm and dilation_DA(scenario) != "not a dilation"
-    triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
+    triple = HardyTriple(load_fixture("hardy").povm, "F", "D1", "D2")
     state = np.array([1.0, 0.0, 0.0])
     assert evaluate_inequality(triple, state) == evaluate_inequality(triple, state)
     moved = dataclasses.replace(scenario, f=scenario.paths[0])
@@ -637,7 +637,7 @@ def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     outcomes = dilation_DA(scenario)
     moved = _one_ulp_up(outcomes.vectors)
     assert outcomes != Dilation(2, 3, outcomes.labels(), moved, outcomes.phi_init)
-    triple = HardyTriple.from_povm(load_fixture("hardy").povm, "F", "D1", "D2")
+    triple = HardyTriple(load_fixture("hardy").povm, "F", "D1", "D2")
     report = evaluate_inequality(triple, np.eye(3) / 3.0)
     assert report != dataclasses.replace(report, state_used=_one_ulp_up(report.state_used))
 

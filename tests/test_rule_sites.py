@@ -58,7 +58,7 @@ def _outcome_set(pairs, phi_init=X0):
 
 def _hardy_triple():
     scenario = load_fixture("hardy")
-    return HardyTriple.from_povm(scenario.povm, *scenario.hardy)
+    return HardyTriple(scenario.povm, *scenario.hardy)
 
 
 def _entries(section, entry):
@@ -89,7 +89,7 @@ CASES = {
         ValidationError, "nonzero-element", ZERO_WEIGHT,
     ),
     "hardy-unit-direction": (
-        lambda: HardyTriple.from_povm(_povm_with_zero_vector(), "e1", "z", "e1"),
+        lambda: HardyTriple(_povm_with_zero_vector(), "e1", "z", "e1"),
         ValidationError, "nonzero-element", ZERO_WEIGHT,
     ),
     "outcome-set-orthonormality": (
@@ -135,6 +135,22 @@ CASES = {
     ),
     "outcome-set-bool-factor-dim": (
         lambda: Dilation(True, 6, ["a"], np.eye(1, 6), [1.0]),
+        ValidationError, "space-dim", SPACE_DIM,
+    ),
+    "scenario-zero-dim": (
+        lambda: Scenario(0),
+        ValidationError, "space-dim", SPACE_DIM,
+    ),
+    "scenario-negative-dim": (
+        lambda: Scenario(-1),
+        ValidationError, "space-dim", SPACE_DIM,
+    ),
+    "scenario-bool-dim": (
+        lambda: Scenario(True),
+        ValidationError, "space-dim", SPACE_DIM,
+    ),
+    "scenario-float-dim": (
+        lambda: Scenario(2.0),
         ValidationError, "space-dim", SPACE_DIM,
     ),
     "povm-element-key-not-a-position": (
