@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from ctxlab import (
     HardyTriple,
     Povm,
     SpaceMismatchError,
+    UnknownLabelError,
     ValidationError,
     completeness_check,
     context_selection_probability,
@@ -93,6 +96,29 @@ def test_triple_rejects_operator_and_zero_elements():
     with pytest.raises(ValidationError) as err:
         HardyTriple(q, "rest", "D1", "D2")
     assert err.value.invariant == "rank-one"
+
+
+@pytest.mark.parametrize("defect", ["operator", "zero", "faint", "missing"])
+@pytest.mark.parametrize("role", [0, 1, 2], ids=["F", "D1", "D2"])
+def test_a_triple_checks_each_of_its_outcomes(embedding, role, defect):
+    labels, rows, operators = list(embedding.labels()), np.array(embedding.vectors), {}
+    label = labels[role]
+    if defect == "operator":  # a rank-2 element given as a matrix
+        kept = [k for k in range(3) if k != role]
+        operators[role] = sum(np.outer(rows[k], rows[k].conj()) for k in kept)
+        rows[role] = 0.0
+        expected = (ValidationError, f"element {label!r} is not rank one", "rank-one")
+    elif defect in ("zero", "faint"):  # weight 0, or 1e-10 / 3 below the default tol
+        rows[role] *= 0.0 if defect == "zero" else 1e-5
+        expected = (ValidationError, f"element {label!r} has zero weight", "nonzero-element")
+    else:
+        label = "X"
+        expected = (UnknownLabelError, "no outcome labelled 'X'", None)
+    names = [labels[k] if k != role else label for k in range(3)]
+    kind, message, invariant = expected
+    with pytest.raises(kind, match=re.escape(message)) as err:
+        HardyTriple(Povm(3, labels, rows, operators), *names)
+    assert getattr(err.value, "invariant", None) == invariant
 
 
 def test_hardy_state_is_the_uniform_superposition():
@@ -225,6 +251,37 @@ def test_max_violation_is_rotation_invariant():
         assert abs(value - MAX_GAP) <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1.0 / 3.0, 1.0, 2.0, 1e4])
+def test_directions_are_unit_whatever_the_row_scale(triple, scale):
+    # a POVM row of 2 * f_hat once gave a max violation of 2.74 when passed as a direction
+    rows = scale * np.stack(_directions())
+    scaled = HardyTriple(Povm(3, ["F", "D1", "D2"], rows), "F", "D1", "D2")
+    assert np.abs(np.linalg.norm(scaled.directions, axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(scaled.directions - triple.directions).max() <= 1e-12
+    assert abs(max_violation(scaled)[0] - MAX_GAP) <= 1e-12
+
+
+def test_max_violation_ignores_element_scales():
+    weights = np.array([0.2, 0.3, 0.1])
+    rows = np.sqrt(weights)[:, None] * np.stack(_directions())
+    t = HardyTriple(Povm(3, ["F", "D1", "D2"], rows), "F", "D1", "D2")
+    value, _ = max_violation(t)
+    assert abs(value - MAX_GAP) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_partners_that_span_f_admit_no_violation(dim):
+    # d1 and d2 orthonormal with f in their span: P_F <= P_D1 + P_D2, so the optimum is 0
+    e = np.eye(dim)
+    p = hardy_embedding_povm((e[0] + e[1]) / SQ2, e[0], e[1])
+    t = HardyTriple(p, "F", "D1", "D2")
+    np.testing.assert_allclose(t.directions[3:], [e[1], e[0]], atol=1e-12)  # basis1, basis2
+    value, state = max_violation(t)
+    assert abs(value) <= 1e-12
+    report = evaluate_inequality(t, state)
+    assert abs(report.lhs - report.rhs) <= 1e-12 and not report.violated
+
+
 def test_embedding_povm_structure(embedding):
     assert embedding.labels() == ("F", "D1", "D2", "R1", "R2", "R3")
     assert completeness_check(embedding) <= 1e-12
@@ -244,6 +301,23 @@ def test_embedding_povm_of_three_parallel_directions_is_complete():
     p = hardy_embedding_povm(f, -f, 1j * f)
     assert p.labels() == ("F", "D1", "D2", "R1", "R2")  # the remainder's null direction dropped
     assert completeness_check(p) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad, kind, message, invariant",
+    [
+        (np.zeros(3), ValidationError, "cannot normalise a zero vector", "normalisable"),
+        ([np.nan, 0.0, 0.0], ValidationError, "amplitudes must be finite", "finite-amplitudes"),
+        (np.eye(4)[0], SpaceMismatchError, "rows that are not one complex stack", None),
+        (np.eye(3), SpaceMismatchError, "rows that are not one complex stack", None),
+    ],
+    ids=["zero", "nan", "dim4", "matrix"],
+)
+def test_embedding_povm_names_a_bad_direction(bad, kind, message, invariant):
+    f, d1, _ = _directions()
+    with pytest.raises(kind, match=f"^{message}") as err:
+        hardy_embedding_povm(f, d1, bad)
+    assert getattr(err.value, "invariant", None) == invariant
 
 
 def test_rescaled_reading_of_the_paradox(embedding):
