@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -38,10 +38,9 @@ from .dilation import Dilation, povm_from_dilation
 from .hilbert import (
     DEFAULT_TOL,
     ByValue,
+    amplitudes,
     density_matrix,
     entries,
-    require_finite,
-    require_hermitian,
     state_array,
 )
 from .povm import Povm, require_space_dims
@@ -133,7 +132,9 @@ class Scenario(ByValue):
     ``dilation`` checks itself and stores its ``phi_init`` as a read-only copy. Each
     state (a ket, or a square density matrix) is stored as a read-only complex copy of
     the system dimension and compares by value; ``states`` is a read-only mapping. A
-    mixed state's physics is checked where it is used, and by the reader at its tol.
+    mixed state is checked here at ``tol`` by ``density_matrix`` (``hermiticity``,
+    ``positivity``, ``unit-trace``) and stored as the matrix it returns; a pure state's
+    normalisation is checked where it is used.
     """
 
     system_dim: int
@@ -141,6 +142,7 @@ class Scenario(ByValue):
     povm: Povm | None = None
     states: Mapping[str, np.ndarray] = field(default_factory=dict)
     hardy: tuple[str, str, str] | None = None
+    tol: float = field(default=DEFAULT_TOL, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """Refuse a part that the file could not hold, as the reader would refuse it."""
@@ -160,6 +162,8 @@ class Scenario(ByValue):
             state = states[label] = state_array(state, f"for state {label!r}")
             if len(state) != self.system_dim:
                 raise _wrong_length(f"state {label!r}", self.system_dim, matrix=state.ndim == 2)
+            if state.ndim == 2:
+                states[label] = density_matrix(state, self.system_dim, self.tol)
         object.__setattr__(self, "states", MappingProxyType(states))
 
     def resolve_povm(self) -> Povm:
@@ -179,17 +183,18 @@ def _positive_int(raw: dict, key: str) -> int:
 
 
 def _section(
-    raw: object, section: str, dim: int, what: str, noun: str = "", matrix: Callable | None = None
-) -> tuple[list[str], np.ndarray, dict[int, object]]:
-    """Labels, an ``(M, dim)`` stack with zero rows at matrix entries, and
-    ``matrix(label, entries)`` of each matrix entry's read-only ``(dim, dim)`` entries
-    by position.
+    raw: object, section: str, dim: int, what: str, noun: str = ""
+) -> tuple[list[str], np.ndarray, dict[int, np.ndarray]]:
+    """Labels, an ``(M, dim)`` stack with zero rows at matrix entries, and each matrix
+    entry's read-only ``(dim, dim)`` entries by position.
 
-    Without ``matrix`` every entry is a vector and a "matrix" key is ignored.
+    Without ``noun`` every entry is a vector and a "matrix" key is ignored.
     Well-formed vectors are decoded in one call, their finiteness left to the
     stack's constructor, which raises what the first non-finite entry would.
-    Any other section is read entry by entry, each checked in full before the
-    next, and stacked after the last, so no array outgrows the entries read.
+    Any other section is read entry by entry, each decoded in full, finiteness
+    included, before the next, and stacked after the last, so no array outgrows
+    the entries read. The first entry that fails to decode is the one named; the
+    physics of each entry is left to the type built from the whole section.
     ``what`` names an entry in decode errors, ``noun`` in the one-payload rule.
     """
     if not isinstance(raw, list):
@@ -202,21 +207,19 @@ def _section(
             raise ScenarioFileError(f"{section}: duplicate label {item['label']!r}")
         seen.add(item["label"])
     labels = [item["label"] for item in raw]
-    if matrix is None or not any("matrix" in item for item in raw):
+    if not noun or not any("matrix" in item for item in raw):
         stack = _decode_section([item.get("vector") for item in raw], dim)
         if stack is not None:
             return labels, stack, {}
     rows, matrices = [], {}
     for k, (label, item) in enumerate(zip(labels, raw)):
         name = f"{what} {label!r}"
-        if matrix is not None and ("vector" in item) == ("matrix" in item):
+        if noun and ("vector" in item) == ("matrix" in item):
             raise ScenarioFileError(f"{noun} {label!r} needs exactly one of vector/matrix")
-        if matrix is None or "vector" in item:
-            rows.append(decode_vector(item.get("vector"), dim, name))
-            require_finite(rows[-1])
+        if not noun or "vector" in item:
+            rows.append(amplitudes(decode_vector(item.get("vector"), dim, name), (dim,), name))
         else:
-            decoded = decode_matrix(item["matrix"], dim, name)
-            matrices[k] = matrix(label, entries(decoded, dim, name))
+            matrices[k] = entries(decode_matrix(item["matrix"], dim, name), dim, name)
             rows.append(np.zeros(dim, dtype=complex))
     return labels, np.array(rows, dtype=complex).reshape(len(rows), dim), matrices
 
@@ -245,20 +248,12 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
 
     povm = None
     if "povm" in raw:
-        # Each matrix is checked as it is read, so the first faulty entry is the one named.
-        labels, vectors, operators = _section(
-            raw["povm"], "povm", system_dim, "povm", noun="povm element",
-            matrix=lambda label, op: require_hermitian(op, tol, f"element {label!r}"),
-        )
-        povm = Povm(system_dim, labels, vectors, operators, tol)
+        section = _section(raw["povm"], "povm", system_dim, "povm", "povm element")
+        povm = Povm(system_dim, *section, tol)
 
     states: dict[str, np.ndarray] = {}
     if "states" in raw:
-        labels, vectors, matrices = _section(
-            raw["states"], "states", system_dim, "state", noun="state",
-            matrix=lambda _, rho: density_matrix(rho, system_dim, tol),
-        )
-        require_finite(vectors)  # the pure states; a mixed state's row is zero
+        labels, vectors, matrices = _section(raw["states"], "states", system_dim, "state", "state")
         for k, (label, row) in enumerate(zip(labels, vectors)):
             states[label] = matrices.get(k, row)
 
@@ -269,7 +264,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
             raise ScenarioFileError("hardy must map exactly the keys f, d1, d2")
         hardy = (block["f"], block["d1"], block["d2"])
 
-    return Scenario(system_dim, dilation, povm, states, hardy)
+    return Scenario(system_dim, dilation, povm, states, hardy, tol=tol)
 
 
 def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:

@@ -221,19 +221,19 @@ def test_a_malformed_phi_init_is_reported_before_non_orthonormal_outcomes(capsys
 
 
 def test_the_first_faulty_povm_entry_is_named(capsys, tmp_path):
-    skewed = [[[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
-    raw = {
-        "version": 1,
-        "system_dim": 2,
-        "povm": [{"label": "a", "matrix": skewed}, {"label": "b", "vector": [[1.0, 0.0]]}],
-    }
-    path = tmp_path / "two-faults.json"
-    write_raw(path, raw)
-    code, _, err = run_cli(capsys, "povm", "check", str(path))
-    assert code == 3
-    assert err == (
-        "invariant violation [hermiticity]: element 'a' is not Hermitian (residual 1.000e+00)\n"
-    )
+    """The section is decoded in full before the POVM checks it: a non-Hermitian
+    element alone fails ``hermiticity``, but a malformed entry after it is named first."""
+    skewed = {"label": "a", "matrix": [[[0.5, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+    hermiticity = "element 'a' is not Hermitian (residual 1.000e+00)"
+    for second, want in (
+        ([[1.0, 0.0], [0.0, 0.0]], (3, f"invariant violation [hermiticity]: {hermiticity}\n")),
+        ([[1.0, 0.0]], (2, "input error: povm 'b': expected 2 [re, im] pairs\n")),
+    ):
+        raw = {"version": 1, "system_dim": 2, "povm": [skewed, {"label": "b", "vector": second}]}
+        path = tmp_path / "faults.json"
+        write_raw(path, raw)
+        code, _, err = run_cli(capsys, "povm", "check", str(path))
+        assert (code, err) == want
 
 
 def test_dilate_round_trip(capsys, tmp_path):

@@ -153,6 +153,18 @@ CASES = {
         lambda: Scenario(2.0),
         ValidationError, "space-dim", SPACE_DIM,
     ),
+    "scenario-unit-trace": (
+        lambda: Scenario(2, states={"r": IDENTITY}),
+        ValidationError, "unit-trace", "trace 2.0 != 1",
+    ),
+    "scenario-positivity": (
+        lambda: Scenario(2, states={"r": np.diag([1.5, -0.5])}),
+        ValidationError, "positivity", "density matrix has eigenvalue -5.000e-01 < 0",
+    ),
+    "scenario-hermiticity": (
+        lambda: Scenario(2, states={"r": np.array([[0.5, 1.0], [0.0, 0.5]])}),
+        ValidationError, "hermiticity", "density matrix is not Hermitian (residual 1.000e+00)",
+    ),
     "povm-element-key-not-a-position": (
         _povm_with_operator("x", IDENTITY),
         ValidationError, "element-payload", "operator position 'x' is not one of the 1 positions",

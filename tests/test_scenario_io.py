@@ -143,19 +143,38 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
 
 
 @pytest.mark.parametrize("section", ["povm", "states"])
-def test_a_non_hermitian_matrix_before_a_malformed_vector_is_reported_first(
+def test_a_malformed_vector_is_reported_before_an_earlier_non_hermitian_matrix(
     capsys, tmp_path, section
 ):
-    raw = fixture_dict("hardy")
+    """A section is decoded in full before its type checks it: a non-Hermitian matrix
+    alone fails ``hermiticity`` (exit 3), but a malformed vector after it is named (exit 2)."""
     skewed = encode_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    raw[section][:0] = [
-        {"label": "skewed", "matrix": skewed},
-        {"label": "short", "vector": [[1.0, 0.0]]},
-    ]
-    path = tmp_path / "skewed.json"
-    write_raw(path, raw)
-    assert main(["povm", "check", str(path)]) == 3
-    assert capsys.readouterr().err.startswith("invariant violation [hermiticity]: ")
+    named = {"povm": ("element 'skewed'", "povm"), "states": ("density matrix", "state")}
+    what, entry = named[section]
+    hermiticity = f"{what} is not Hermitian (residual 1.000e+00)"
+    short = {"label": "short", "vector": [[1.0, 0.0]]}
+    for after, want in (
+        ([], (3, f"invariant violation [hermiticity]: {hermiticity}\n")),
+        ([short], (2, f"input error: {entry} 'short': expected 3 [re, im] pairs\n")),
+    ):
+        raw = fixture_dict("hardy")
+        raw[section][:0] = [{"label": "skewed", "matrix": skewed}, *after]
+        path = tmp_path / "skewed.json"
+        write_raw(path, raw)
+        assert (main(["povm", "check", str(path)]), capsys.readouterr().err) == want
+
+
+def test_a_malformed_hardy_block_is_reported_before_a_faulty_mixed_state(capsys, tmp_path):
+    """The reader decodes the whole file before ``Scenario`` checks its states."""
+    raw = fixture_dict("hardy")
+    raw["states"].append({"label": "heavy", "matrix": encode_matrix(np.eye(3))})
+    for hardy, want in (
+        (raw["hardy"], (3, "invariant violation [unit-trace]: trace 3.0 != 1\n")),
+        ({"f": "F"}, (2, "input error: hardy must map exactly the keys f, d1, d2\n")),
+    ):
+        path = tmp_path / "heavy.json"
+        write_raw(path, {**raw, "hardy": hardy})
+        assert (main(["povm", "check", str(path)]), capsys.readouterr().err) == want
 
 
 def _written(scenario: Scenario) -> str:
@@ -270,58 +289,90 @@ def test_scenario_must_be_an_object():
         scenario_from_dict([1, 2, 3])
 
 
-def _misfits() -> dict[str, tuple[dict, str]]:
-    """Scenario fields that a file could not hold, with the error its reader gives."""
+def _misfits() -> dict[str, tuple[dict, type, str | None, str]]:
+    """Scenario fields that a file could not hold, with the error type, invariant and
+    message its reader gives."""
     s = build_three_path()
     d = dilation_DA(s)
     identity = np.eye(2)
     return {
         "dilation-of-a-larger-system-dim": (
             {"system_dim": 4, "dilation": d},
-            "outcome 'D1': expected 8 [re, im] pairs",
+            ScenarioFileError, None, "outcome 'D1': expected 8 [re, im] pairs",
         ),
         "dilation-of-a-smaller-system-dim": (
             {"system_dim": 2, "dilation": d},
-            "outcome 'D1': expected 4 [re, im] pairs",
+            ScenarioFileError, None, "outcome 'D1': expected 4 [re, im] pairs",
         ),
         "povm-vector-of-another-dim": (
             {"system_dim": 4, "povm": povm_DA(s)},
-            "povm 'D1': expected 4 [re, im] pairs",
+            ScenarioFileError, None, "povm 'D1': expected 4 [re, im] pairs",
         ),
         "povm-matrix-of-another-dim": (
             {"system_dim": 3, "povm": Povm(2, ["I"], np.zeros((1, 2), complex), {0: identity})},
-            "povm 'I': expected a 3x3 matrix",
+            ScenarioFileError, None, "povm 'I': expected a 3x3 matrix",
         ),
         "state-vector-of-another-dim": (
             {"system_dim": 3, "states": {"psi": np.array([1.0, 0.0])}},
-            "state 'psi': expected 3 [re, im] pairs",
+            ScenarioFileError, None, "state 'psi': expected 3 [re, im] pairs",
         ),
         "state-matrix-of-another-dim": (
             {"system_dim": 3, "states": {"rho": np.eye(2) / 2}},
-            "state 'rho': expected a 3x3 matrix",
+            ScenarioFileError, None, "state 'rho': expected a 3x3 matrix",
         ),
         "state-label-that-is-not-a-string": (
             {"system_dim": 2, "states": {1: np.array([1.0, 0.0])}},
-            "states: every entry needs a string label",
+            ScenarioFileError, None, "states: every entry needs a string label",
         ),
         "hardy-labels-that-are-not-strings": (
             {"system_dim": 3, "hardy": (1, 2, 3)},
-            "hardy labels must be strings",
+            ScenarioFileError, None, "hardy labels must be strings",
+        ),
+        "mixed-state-of-trace-2": (
+            {"system_dim": 2, "states": {"r": identity}},
+            ValidationError, "unit-trace", "trace 2.0 != 1",
+        ),
+        "mixed-state-with-a-negative-eigenvalue": (
+            {"system_dim": 2, "states": {"r": np.diag([1.5, -0.5])}},
+            ValidationError, "positivity", "density matrix has eigenvalue -5.000e-01 < 0",
+        ),
+        "mixed-state-that-is-not-hermitian": (
+            {"system_dim": 2, "states": {"r": np.array([[0.5, 1.0], [0.0, 0.5]])}},
+            ValidationError, "hermiticity", "density matrix is not Hermitian (residual 1.000e+00)",
         ),
     }
 
 
 @pytest.mark.parametrize("name", list(_misfits()))
 def test_a_scenario_refuses_what_its_file_could_not_hold(name):
-    fields, message = _misfits()[name]
-    with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
+    fields, error, invariant, message = _misfits()[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as built:
         Scenario(**fields)
     unchecked = object.__new__(Scenario)  # as a scenario was built before the check
     empty = {"dilation": None, "povm": None, "states": {}, "hardy": None}
     for key, value in {**empty, **fields}.items():
         object.__setattr__(unchecked, key, value)
-    with pytest.raises(ScenarioFileError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as read:
         scenario_from_dict(scenario_to_dict(unchecked))
+    for caught in (built, read):
+        assert type(caught.value) is error
+        assert getattr(caught.value, "invariant", None) == invariant
+
+
+def test_a_scenarios_tol_is_keyword_only_and_neither_compared_nor_shown():
+    with pytest.raises(TypeError):
+        Scenario(2, None, None, {}, None, 1e-5)
+    loose = Scenario(2, tol=1e-5)
+    assert loose.tol == 1e-5 and loose == Scenario(2)
+    assert repr(loose) == repr(Scenario(2)) and "tol" not in repr(loose)
+
+
+def test_a_mixed_state_is_checked_at_the_scenarios_tol():
+    rho = np.diag([0.5 + 1e-6, 0.5])  # trace 1 + 1e-6
+    assert np.array_equal(Scenario(2, states={"r": rho}, tol=1e-5).states["r"], rho)
+    with pytest.raises(ValidationError, match=r"^trace 1\.000001\d* != 1$") as caught:
+        Scenario(2, states={"r": rho})
+    assert caught.value.invariant == "unit-trace"
 
 
 def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
@@ -471,8 +522,9 @@ def scenarios(draw):
 def test_scenario_json_round_trip_is_exact(scenario):
     first = json.dumps(scenario_to_dict(scenario), indent=2)
     assert "-0.0" in first
-    again = scenario_to_dict(scenario_from_dict(json.loads(first)))
-    assert json.dumps(again, indent=2) == first
+    loaded = scenario_from_dict(json.loads(first))
+    assert loaded == scenario
+    assert json.dumps(scenario_to_dict(loaded), indent=2) == first
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
