@@ -88,12 +88,6 @@ def finite(what: str) -> Callable[[Callable], Callable]:
     return decorate
 
 
-def require_finite(amplitudes: np.ndarray) -> None:
-    """Raise ``finite-amplitudes`` unless every amplitude (of a ket or a stack) is finite."""
-    if not np.isfinite(amplitudes).all():
-        raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
-
-
 def _complex(values: object, what: str, items: str, form: str) -> np.ndarray:
     """``values`` as one complex array, else SpaceMismatchError."""
     try:
@@ -114,7 +108,8 @@ def amplitudes(values: object, shape: tuple[int | None, ...], what: str) -> np.n
     array = _complex(values, what, items, form)
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
         raise SpaceMismatchError(f"a {form} of shape {array.shape} {what}")
-    require_finite(array)
+    if not np.isfinite(array).all():
+        raise ValidationError("amplitudes must be finite", invariant="finite-amplitudes")
     array.setflags(write=False)
     return array
 

@@ -198,11 +198,12 @@ def completeness_check(p: Povm) -> float:
 
 @finite("the element bound residual is")
 def element_bound_residual(p: Povm) -> float:
-    """How far the worst element's eigenvalues leave [0, 1]; 0 when none do. ``np.max``
-    keeps a NaN lowest eigenvalue, which Python's ``max`` would drop unless first."""
+    """How far the worst element's eigenvalues leave [0, 1]; 0.0, never -0.0, when none
+    do. ``np.max`` keeps a NaN lowest eigenvalue, which Python's ``max`` would drop unless
+    first, and ``0.0 - low`` is +0.0 at a lowest eigenvalue of zero, where ``-low`` is not."""
     bottoms = np.zeros(len(p))  # no rank-1 element has a negative eigenvalue
     tops = _selection_weights(p, np.arange(len(p)), bottoms)
-    return float(np.max([0.0, tops.max() - 1.0, -bottoms.min()]))
+    return float(np.max([0.0, tops.max() - 1.0, 0.0 - bottoms.min()]))
 
 
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:

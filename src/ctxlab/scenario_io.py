@@ -73,13 +73,12 @@ def _wrong_length(what: str, length: int, matrix: bool = False) -> ScenarioFileE
 
 
 def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
-    """Decode [re, im] pairs of exact ints or floats bit for bit (-0.0 kept)."""
+    """Decode a list of ``length`` [re, im] pairs of exact ints or floats bit for bit
+    (-0.0 kept), pair by pair, so the first pair at fault is the one named, then in one
+    conversion, which names an int beyond float range. Finiteness is left to the caller."""
     if type(obj) is not list or len(obj) != length:
         raise _wrong_length(what, length)
-    vectors = _decode_section([obj], length)
-    if vectors is not None:
-        return vectors[0]
-    for entry in obj:  # names the entry at fault
+    for entry in obj:
         if (
             type(entry) not in _PAIR_TYPES
             or len(entry) != 2
@@ -89,7 +88,18 @@ def decode_vector(obj: object, length: int, what: str) -> np.ndarray:
             if len(shown) > _SHOWN_ENTRY_CHARS:
                 shown = f"{shown[:_SHOWN_ENTRY_CHARS]}... ({len(shown)} characters)"
             raise ScenarioFileError(f"{what}: expected an [re, im] pair, got {shown}")
-    raise ScenarioFileError(f"{what}: an amplitude is too large for a float")
+    try:
+        return np.array(obj, dtype=float).reshape(-1).view(complex)
+    except OverflowError:  # an int beyond float range
+        raise ScenarioFileError(f"{what}: an amplitude is too large for a float") from None
+
+
+def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
+    """Decode a list of ``dim`` rows, each as ``decode_vector`` decodes it, row by row,
+    so the first row at fault is the one named, into one ``(dim, dim)`` array."""
+    if type(obj) is not list or len(obj) != dim:
+        raise _wrong_length(what, dim, matrix=True)
+    return np.stack([decode_vector(row, dim, what) for row in obj])
 
 
 def _decode_section(vectors: list, length: int) -> np.ndarray | None:
@@ -113,15 +123,6 @@ def _decode_section(vectors: list, length: int) -> np.ndarray | None:
     except OverflowError:  # an int beyond float range
         return None
     return values.view(complex).reshape(len(vectors), length)
-
-
-def decode_matrix(obj: object, dim: int, what: str) -> np.ndarray:
-    if type(obj) is not list or len(obj) != dim:
-        raise _wrong_length(what, dim, matrix=True)
-    matrix = _decode_section(obj, dim)
-    if matrix is None:  # row by row, which names the row at fault
-        matrix = np.stack([decode_vector(row, dim, what) for row in obj])
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +368,8 @@ def save_scenario(path: str | Path, s: Scenario) -> None:
     """Write the file text of ``s``, the same as ``json.dumps(scenario_to_dict(s),
     indent=2) + "\\n"``. The text is formatted chunk by chunk into the file, opened
     first, so a failure part-way leaves it truncated, as a failed write does (none is
-    known for a constructed ``Scenario``)."""
+    known for a constructed ``Scenario``). The file records no tol: a part that passed
+    only at a looser ``s.tol`` than the reader's is refused on reading at the default."""
     try:
         with open(path, "w", encoding="utf-8") as file:
             file.writelines(_scenario_text(s))

@@ -126,6 +126,35 @@ def test_povm_check_json(capsys):
     assert report["tol"] == pytest.approx(DEFAULT_TOL)
 
 
+def _bound_residual_outputs(capsys, path) -> tuple[str, float]:
+    """The ``element bound residual`` line of ``povm check`` and its ``--json`` value."""
+    code, out, _ = run_cli(capsys, "povm", "check", str(path))
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("element bound"))
+    code, out, _ = run_cli(capsys, "povm", "check", str(path), "--json")
+    assert code == 0
+    return line, json.loads(out)["element_bound_residual"]
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_the_element_bound_residual_is_a_non_negative_magnitude(capsys, fixture):
+    line, value = _bound_residual_outputs(capsys, fixture_path(fixture))
+    assert value >= 0.0 and not np.signbit(value)
+    assert line == f"element bound residual: {value:.12g}"
+    if fixture != "three-path-DA":  # every element of these lies in [0, 1] exactly
+        assert (line, value) == ("element bound residual: 0", 0.0)
+
+
+def test_a_rank_one_povm_of_weights_below_one_has_a_positive_zero_bound_residual(
+    capsys, tmp_path
+):
+    path = tmp_path / "random.json"
+    save_scenario(path, Scenario(4, povm=random_rank1_povm(np.random.default_rng(11), 4, 9)))
+    line, value = _bound_residual_outputs(capsys, path)
+    assert line == "element bound residual: 0"
+    assert value == 0.0 and not np.signbit(value)
+
+
 def _incomplete_file(tmp_path):
     raw = {
         "version": 1,
@@ -677,6 +706,36 @@ def test_a_deeply_nested_entry_is_cut_in_the_message(capsys, tmp_path):
     assert err.startswith("input error: povm 'a': expected an [re, im] pair, got [[[[")
     assert err.rstrip().endswith("... (1803 characters)")
     assert len(err) < 200
+
+
+_MALFORMED_MATRIX_ROWS = {
+    "povm-short-row": (
+        "povm", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "povm 'a': expected 2 [re, im] pairs"
+    ),
+    "povm-non-pair": (
+        "povm",
+        [[[1.0, 0.0], "x"], [[0.0, 0.0], [1.0, 0.0]]],
+        "povm 'a': expected an [re, im] pair, got 'x'",
+    ),
+    "povm-huge-int": (
+        "povm",
+        [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "povm 'a': an amplitude is too large for a float",
+    ),
+    "states-short-row": (
+        "states", [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]], "state 'r': expected 2 [re, im] pairs"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED_MATRIX_ROWS))
+def test_a_matrix_entry_is_read_row_by_row_and_the_row_at_fault_named(capsys, tmp_path, kind):
+    section, matrix, message = _MALFORMED_MATRIX_ROWS[kind]
+    label = "a" if section == "povm" else "r"
+    path = tmp_path / "bad-row.json"
+    write_raw(path, {"version": 1, "system_dim": 2, section: [{"label": label, "matrix": matrix}]})
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
 _OVERFLOWING_POVMS = {

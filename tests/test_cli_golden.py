@@ -3,9 +3,9 @@
 Every subcommand and output flag runs on the three bundled fixtures, and
 ``scenario run`` on every basis, phi-init and merge combination, each with the
 default tolerance and with ``--tol 1e-3``. Float tokens compare within 1e-12
-absolute and all other text exactly. Paths are written as ``@<fixture>`` and
-``@out`` in the stored argv and as ``<fixture-dir>`` and ``<out>`` in the
-stored text.
+absolute, two zeros only when their signs match, and all other text exactly.
+Paths are written as ``@<fixture>`` and ``@out`` in the stored argv and as
+``<fixture-dir>`` and ``<out>`` in the stored text.
 
 Regenerate ``tests/data/cli_golden.json`` only when the output is meant to
 change::
@@ -20,6 +20,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -95,7 +96,10 @@ def assert_text_matches(got: str, want: str, what: str) -> None:
     want_text, want_numbers = _split(want)
     assert got_text == want_text, f"{what} text differs:\n{got}\n--- expected ---\n{want}"
     for a, b in zip(got_numbers, want_numbers):
-        same = a == b or abs(a - b) <= FLOAT_ABS
+        if a == b == 0.0:  # -0 is not 0
+            same = math.copysign(1.0, a) == math.copysign(1.0, b)
+        else:
+            same = a == b or abs(a - b) <= FLOAT_ABS
         assert same, f"{what}: {a!r} differs from {b!r} by more than {FLOAT_ABS}"
 
 
@@ -126,6 +130,11 @@ def test_float_tokens_compare_within_the_tolerance_only():
         assert_text_matches("x=0.5", "x=0.50001", "text")
     with pytest.raises(AssertionError):
         assert_text_matches("A -- D1", "D1 -- A", "text")
+    assert_text_matches("x=-0.0 y=0", "x=-0.0 y=0", "text")
+    with pytest.raises(AssertionError, match="-0.0 differs from 0.0"):
+        assert_text_matches("residual: -0", "residual: 0", "text")
+    with pytest.raises(AssertionError, match="0.0 differs from -0.0"):
+        assert_text_matches("residual: 0.0", "residual: -0.0", "text")
 
 
 if __name__ == "__main__":

@@ -375,6 +375,17 @@ def test_a_mixed_state_is_checked_at_the_scenarios_tol():
     assert caught.value.invariant == "unit-trace"
 
 
+def test_a_file_records_no_tol_so_a_looser_part_loads_only_at_that_tol(tmp_path):
+    rho = np.diag([0.5 + 1e-6, 0.5])  # trace 1 + 1e-6
+    scenario = Scenario(2, states={"r": rho}, tol=1e-5)
+    path = tmp_path / "loose.json"
+    save_scenario(path, scenario)
+    with pytest.raises(ValidationError, match=r"^trace 1\.000001\d* != 1$") as caught:
+        load_scenario(path)
+    assert caught.value.invariant == "unit-trace"
+    assert load_scenario(path, tol=1e-5) == scenario
+
+
 def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
     s = build_three_path()
     d = dilation_DA(s)
