@@ -33,7 +33,6 @@ from .povm import (
     validate_povm,
 )
 from .dilation import (
-    ConstraintReport,
     Dilation,
     naimark_dilate,
     povm_from_dilation,

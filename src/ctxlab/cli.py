@@ -70,7 +70,10 @@ def _graph_text(report: dict) -> str:
 
 def _graph_dot(report: dict) -> str:
     """Graphviz DOT with the witness as an edge attribute. Labels are quoted IDs, a double
-    quote written ``\\"`` (DOT cannot escape a final ``\\``)."""
+    quote written ``\\"``. DOT cannot escape a final ``\\``, so such a label is an input error."""
+    for node in report["nodes"]:
+        if node.endswith("\\"):
+            raise ScenarioFileError(f"DOT cannot quote the label {node!r}: it ends in a backslash")
     ids = {node: '"' + node.replace('"', '\\"') + '"' for node in report["nodes"]}
     lines = [f"  {ids[node]};" for node in report["nodes"]]
     lines += [f'  {ids[a]} -- {ids[b]} [witness="{_fmt(w)}"];' for a, b, w in report["edges"]]

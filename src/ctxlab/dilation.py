@@ -4,15 +4,14 @@ A ``Dilation`` is one labelled stack of orthonormal joint outcome vectors togeth
 with the environment's initial state phi_init. Contracting each outcome with
 phi_init yields the system-side POVM element; the part of the outcome orthogonal
 to phi_init (x) system is its residual component, one row of the stack that
-``residual_decompose`` returns. The two obey
+``residual_decompose`` returns. Their overlaps obey one Gram identity,
 
-    <sigma(m)|sigma(m')> = -<lambda(m)|lambda(m')>   for m != m'
-    <sigma(m)|sigma(m)> + <lambda(m)|lambda(m)> = 1
+    <sigma(m)|sigma(m')> + <lambda(m)|lambda(m')> = delta(m, m'),
 
-and ``naimark_dilate`` rebuilds a dilation from any complete rank-1 POVM. A measurement
-whose basis the environment selects is a ``Dilation`` too, its rows |x> (x) U_x^dag |a>;
-a random choice among bases with probabilities P(x) is the case |x> = e_x,
-``phi_init`` = (sqrt(P(x))).
+which ``verify_constraints`` checks, and ``naimark_dilate`` rebuilds a dilation from any
+complete rank-1 POVM. A measurement whose basis the environment selects is a ``Dilation``
+too, its rows |x> (x) U_x^dag |a>; a random choice among bases with probabilities P(x) is
+the case |x> = e_x, ``phi_init`` = (sqrt(P(x))).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpaceMismatchError, ValidationError
-from .hilbert import DEFAULT_TOL, amplitudes, fix_phase, gram, orthonormality_residual
+from .hilbert import DEFAULT_TOL, amplitudes, finite, fix_phase, gram, orthonormality_residual
 from .povm import LabelledStack, Povm, validate_povm
 
 
@@ -93,32 +92,17 @@ def residual_decompose(d: Dilation) -> np.ndarray:
     return d.vectors - (phi[:, None] * lambdas[:, None, :]).reshape(len(lambdas), -1)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Worst-case residuals of the two decomposition constraints."""
+@finite("the constraint residual is")
+def verify_constraints(d: Dilation) -> float:
+    """Max-entry residual of G_sigma + G_lambda - identity, the Gram matrices of the
+    ``residual_decompose`` rows and of the lambda rows: its off-diagonal entries check
+    <sigma|sigma'> = -<lambda|lambda'>, its diagonal the unit total norms.
 
-    max_orthogonality_residual: float
-    max_normalisation_residual: float
-
-    def ok(self, tol: float = DEFAULT_TOL) -> bool:
-        return (
-            self.max_orthogonality_residual <= tol
-            and self.max_normalisation_residual <= tol
-        )
-
-
-def verify_constraints(d: Dilation) -> ConstraintReport:
-    """Check <sigma|sigma'> = -<lambda|lambda'> off-diagonal and unit total norms.
-
-    Residuals are reported, never raised, so perturbed dilations can be
-    quantified.
+    The residual is returned, not raised, so perturbed dilations can be quantified; one
+    that is not finite raises FloatingPointError.
     """
-    lambdas, sigmas = _lambdas(d), residual_decompose(d)
-    total = gram(sigmas) + gram(lambdas)
-    off = total[~np.eye(len(total), dtype=bool)]
-    max_orth = float(np.abs(off).max()) if off.size else 0.0
-    max_norm = float(np.abs(np.diag(total) - 1.0).max())
-    return ConstraintReport(max_orth, max_norm)
+    total = gram(residual_decompose(d)) + gram(_lambdas(d))
+    return float(np.abs(total - np.eye(len(total))).max())
 
 
 def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
@@ -129,9 +113,10 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     ``|e_0> (x) |lambda_m>`` plus a residual built from the eigendecomposition
     of ``G_sigma = I_M - G_lambda`` (eigenpairs above tol kept, eigenvector
     phases canonicalised). The elements are embedded verbatim, so the round
-    trip returns ``Povm.from_vectors(p.system_dim, p.labels(), p.vectors)`` exactly:
-    ``p`` itself when its rows carry the canonical phase, as the rows of
-    every ``from_vectors`` POVM do.
+    trip returns ``Povm.from_vectors(p.system_dim, p.labels(), p.vectors)`` exactly.
+    That is ``p`` only to round-off, even for a ``from_vectors`` POVM: ``fix_phase``
+    can leave a pivot with an imaginary part near 1e-17, which a second rotation
+    moves again.
 
     Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """

@@ -176,9 +176,16 @@ def orthonormality_residual(vectors: np.ndarray) -> float:
     return float(np.abs(gram(vectors) - np.eye(len(vectors))).max())
 
 
+@finite("the hermiticity residual is")
+def _hermiticity_residual(matrix: np.ndarray) -> float:
+    """Max-entry residual of matrix - matrix^dagger."""
+    return float(np.abs(matrix - matrix.conj().T).max())
+
+
 def require_hermitian(matrix: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """``matrix``, raising ``hermiticity`` unless it is Hermitian within tol; ``what`` names it."""
-    residual = float(np.abs(matrix - matrix.conj().T).max())
+    """``matrix``, raising ``hermiticity`` unless it is Hermitian within tol; ``what`` names it.
+    A residual that is not finite raises FloatingPointError."""
+    residual = _hermiticity_residual(matrix)
     if residual > tol:
         raise ValidationError(
             f"{what} is not Hermitian (residual {residual:.3e})", invariant="hermiticity"

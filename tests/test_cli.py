@@ -291,7 +291,7 @@ def test_dilate_round_trips_through_the_file(seed, dim, extra):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["dilate", str(source), "-o", str(target)]) == 0
         dilation = load_scenario(target).dilation
-    assert verify_constraints(dilation).ok(DEFAULT_TOL)
+    assert verify_constraints(dilation) <= DEFAULT_TOL
     derived = povm_from_dilation(dilation)
     assert derived.labels() == p.labels()
     for row, row2 in zip(p.vectors, derived.vectors):
@@ -367,6 +367,21 @@ def test_context_graph_dot_escapes_double_quotes(capsys, tmp_path):
     assert code == 0
     assert '  "D\\"1";\n' in out
     assert '  "D\\"1" -- "A" [witness=' in out
+
+
+def test_context_graph_dot_refuses_a_label_that_ends_in_a_backslash(capsys, tmp_path):
+    raw = fixture_dict("three-path-DA")
+    for item in raw["povm"]:
+        item["label"] = item["label"].replace("D1", "D1\\")
+    path = str(tmp_path / "backslash.json")
+    write_raw(path, raw)
+    code, out, err = run_cli(capsys, "context-graph", "--dot", path)
+    message = "input error: DOT cannot quote the label 'D1\\\\': it ends in a backslash\n"
+    assert (code, out, err) == (2, "", message)
+    for form in ((), ("--json",)):  # text and JSON quote it as any label
+        code, out, _ = run_cli(capsys, "context-graph", *form, path)
+        assert code == 0
+        assert "D1\\" in out
 
 
 def test_context_graph_dot_and_json_exclude_each_other(capsys):
@@ -792,11 +807,11 @@ def test_povm_check_with_an_overflowing_residual_is_a_numerical_failure(
 ):
     path = _write_overflowing(tmp_path, kind)
     code, out, err = run_cli(capsys, "povm", "check", str(path), *mode)
-    assert code == 4
-    assert out == ""
-    assert err.startswith("numerical failure: ")
-    if kind == "lowest-eigenvalue-overflow":
-        assert err == "numerical failure: the element bound residual is not finite\n"
+    message = {
+        "lowest-eigenvalue-overflow": "the element bound residual is not finite",
+        "three-path-DA-outcomes": "the orthonormality residual is not finite",  # on loading
+    }.get(kind, "the completeness residual is not finite")
+    assert (code, out, err) == (4, "", f"numerical failure: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -840,6 +855,19 @@ def test_a_density_matrix_whose_trace_overflows_fails_unit_trace_without_a_warni
     assert code == 3
     assert out == ""
     assert err == "invariant violation [unit-trace]: trace inf != 1\n"
+
+
+@pytest.mark.parametrize("section", ["povm", "states"])
+def test_an_overflowing_hermiticity_residual_is_a_numerical_failure(capsys, tmp_path, section):
+    # matrix - matrix^dagger has the entries +-2e308, which overflow
+    skew = np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    raw = fixture_dict("hardy")
+    raw[section][0] = {"label": raw[section][0]["label"], "matrix": encode_matrix(skew)}
+    path = tmp_path / f"skew-{section}.json"
+    write_raw(path, raw)
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    message = "numerical failure: the hermiticity residual is not finite\n"
+    assert (code, out, err) == (4, "", message)
 
 
 def _state_of(out: str) -> np.ndarray:

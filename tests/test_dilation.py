@@ -21,6 +21,7 @@ from ctxlab import (
     dilation_DA,
     dilation_VH,
     gram,
+    load_fixture,
     naimark_dilate,
     orthonormality_residual,
     povm_from_dilation,
@@ -180,10 +181,7 @@ def test_residuals_of_entangled_outcomes_lie_along_rejected_context():
 def test_constraints_hold_for_three_path_dilations():
     s = build_three_path()
     for d in (dilation_VH(s), dilation_DA(s)):
-        report = verify_constraints(d)
-        assert report.max_orthogonality_residual <= 1e-9
-        assert report.max_normalisation_residual <= 1e-9
-        assert report.ok()
+        assert verify_constraints(d) <= 1e-9
 
 
 def test_residual_gram_mirrors_element_gram():
@@ -198,9 +196,7 @@ def test_residual_gram_mirrors_element_gram():
 @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_constraints_hold_for_random_dilations(env_dim, sys_dim, seed):
     d = _random_dilation(np.random.default_rng(seed), env_dim, sys_dim)
-    report = verify_constraints(d)
-    assert report.max_orthogonality_residual <= 1e-9
-    assert report.max_normalisation_residual <= 1e-9
+    assert verify_constraints(d) <= 1e-9
     derived = povm_from_dilation(d)
     assert completeness_check(derived) <= 1e-9
     # the lambda Gram matrix is a rank-d_S projection
@@ -209,16 +205,43 @@ def test_constraints_hold_for_random_dilations(env_dim, sys_dim, seed):
     assert abs(np.trace(g).real - sys_dim) <= 1e-9
 
 
+def _branch_residuals(d):
+    """The off-diagonal and diagonal residuals of G_sigma + G_lambda = I, in plain numpy."""
+    lambdas = d.phi_init.conj() @ d.vectors.reshape(-1, d.env_dim, d.sys_dim)
+    sigmas = residual_decompose(d)
+    total = sigmas.conj() @ sigmas.T + lambdas.conj() @ lambdas.T
+    off = total[~np.eye(len(total), dtype=bool)]
+    orthogonality = float(np.abs(off).max()) if off.size else 0.0
+    return orthogonality, float(np.abs(np.diag(total) - 1.0).max())
+
+
+def test_the_constraint_residual_is_the_larger_branch_residual():
+    s = build_three_path()
+    dilations = [load_fixture(name).dilation for name in ("three-path-DA", "three-path-VH")]
+    dilations += [dilation_DA(s, phi) for phi in (s.h, s.v, s.a)]
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        dim, extra = int(rng.integers(1, 9)), int(rng.integers(0, 9))
+        dilations.append(naimark_dilate(random_rank1_povm(rng, dim, dim + extra)))
+    for d in dilations:
+        residual = verify_constraints(d)
+        assert type(residual) is float
+        assert residual == max(_branch_residuals(d))
+
+
+def test_an_overflowing_constraint_residual_raises():
+    huge = Dilation(2, 1, ["a", "b"], np.eye(2), [1e200, 0.0], tol=np.inf)
+    with pytest.raises(FloatingPointError, match="^the constraint residual is not finite$"):
+        verify_constraints(huge)
+
+
 def test_perturbed_outcomes_are_reported_not_raised():
     s = build_three_path()
     outcomes = dilation_DA(s)
     bumped = np.array(outcomes.vectors)
     bumped[outcomes.labels().index("D1"), 0] += 1e-3
     loose = Dilation(2, 3, outcomes.labels(), bumped, s.d, tol=np.inf)
-    report = verify_constraints(loose)
-    worst = max(report.max_orthogonality_residual, report.max_normalisation_residual)
-    assert 1e-4 < worst < 1e-2
-    assert not report.ok()
+    assert 1e-4 < verify_constraints(loose) < 1e-2
 
 
 def test_naimark_of_projective_povm_has_no_residual():
@@ -272,6 +295,10 @@ def test_naimark_round_trip_returns_the_povm_with_canonical_phases():
     again = povm_from_dilation(naimark_dilate(p))
     assert again == Povm.from_vectors(4, p.labels(), p.vectors)
     assert np.abs(again.vectors - p.vectors).max() > 0.1  # not p: its phases are not canonical
+    canonical = random_rank1_povm(rng, 4, 16)  # a from_vectors POVM
+    again = povm_from_dilation(naimark_dilate(canonical))
+    assert again == Povm.from_vectors(4, canonical.labels(), canonical.vectors)
+    assert np.abs(again.vectors - canonical.vectors).max() <= 1e-15
 
 
 def test_naimark_rejects_incomplete_and_operator_povms():

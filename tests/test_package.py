@@ -299,15 +299,20 @@ def raised_invariants(source: str) -> list[str]:
     })
 
 
-def unnamed_invariants(invariants: list[str], sources: list[str]) -> list[str]:
-    """The invariants that no string constant of ``sources`` names, as the whole string or
-    as ``[name]``, the form of the command line's message."""
-    strings = {
+def string_constants(sources: list[str]) -> set[str]:
+    """Every string constant of ``sources``."""
+    return {
         node.value
         for source in sources
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
+
+
+def unnamed_invariants(invariants: list[str], sources: list[str]) -> list[str]:
+    """The invariants that no string constant of ``sources`` names, as the whole string or
+    as ``[name]``, the form of the command line's message."""
+    strings = string_constants(sources)
     return [
         name
         for name in invariants
@@ -332,3 +337,42 @@ def test_some_other_test_names_every_invariant_the_package_raises():
     })
     others = [path.read_text(encoding="utf-8") for path in TESTS if path.name != "test_package.py"]
     assert unnamed_invariants(raised, others) == []
+
+
+def non_finite_messages(source: str) -> list[str]:
+    """Each message of the non-finite rule a module raises, sorted: ``"<what> not finite"``
+    for every string constant given to ``finite``."""
+    return sorted({
+        f"{node.args[0].value} not finite"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "finite"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    })
+
+
+def unnamed_messages(messages: list[str], sources: list[str]) -> list[str]:
+    """The messages that no string constant of ``sources`` contains."""
+    strings = string_constants(sources)
+    return [text for text in messages if not any(text in string for string in strings)]
+
+
+def test_the_scan_finds_each_non_finite_message_and_each_unnamed_one():
+    package = (
+        "@finite('the sum is')\ndef f(x):\n    return x\n\n"
+        "g = finite('a weight is')(f)\nh = np.isfinite('x')\nk = finite(name)\n"
+    )
+    tests = "assert err == 'numerical failure: the sum is not finite\\n'\n"
+    assert non_finite_messages(package) == ["a weight is not finite", "the sum is not finite"]
+    assert unnamed_messages(non_finite_messages(package), [tests]) == ["a weight is not finite"]
+
+
+def test_some_other_test_names_every_non_finite_message_the_package_raises():
+    raised = sorted({
+        text for path in SOURCES for text in non_finite_messages(path.read_text(encoding="utf-8"))
+    })
+    others = [path.read_text(encoding="utf-8") for path in TESTS if path.name != "test_package.py"]
+    assert unnamed_messages(raised, others) == []
