@@ -61,16 +61,13 @@ from .scenario_io import (
     Scenario,
     decode_matrix,
     decode_vector,
-    encode_matrix,
     encode_vector,
     load_scenario,
     save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from .fixtures import (
     FIXTURE_NAMES,
-    fixture_dict,
     fixture_path,
     load_fixture,
     write_fixtures,

@@ -1,13 +1,12 @@
 """Bundled scenario files and their deterministic regeneration.
 
-Running ``python -m ctxlab.fixtures`` rewrites the packaged data files from
-the library itself, so the JSON on disk can always be cross-checked against
-fresh output.
+``write_fixtures()`` rewrites the packaged data files from the library itself,
+byte for byte, so the JSON on disk can always be cross-checked against fresh
+output.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -17,37 +16,31 @@ from .errors import ScenarioFileError
 from .hilbert import DEFAULT_TOL, fix_phase, unit_vector
 from .interferometer import build_three_path, dilation_DA, dilation_VH, povm_DA
 from .dilation import povm_from_dilation
-from .scenario_io import Scenario, load_scenario, save_scenario, scenario_to_dict
+from .scenario_io import Scenario, load_scenario, save_scenario
 
 FIXTURE_NAMES = ("three-path-VH", "three-path-DA", "hardy")
 _DATA_DIR = Path(__file__).parent / "data"
 
 
 def _fixture_scenario(name: str) -> Scenario:
+    """The scenario bundled as ``name``, one of ``FIXTURE_NAMES``."""
     if name in ("three-path-VH", "three-path-DA"):
         s = build_three_path()
         vh = name == "three-path-VH"
         d = dilation_VH(s) if vh else dilation_DA(s)
         p = povm_from_dilation(d) if vh else povm_DA(s)
         return Scenario(3, d, p)
-    if name == "hardy":
-        f = build_three_path().f
-        # D_k is f less its component along the k-th basis ket, for basis1 = |1>, basis2 = |2>
-        d1, d2 = (
-            fix_phase(unit_vector(f - basis * complex(np.vdot(basis, f)), DEFAULT_TOL))
-            for basis in np.eye(3, dtype=complex)[:2]
-        )
-        p = hardy_embedding_povm(f, d1, d2)
-        # hardy_state(d1, d2) up to last-ulp SVD noise; stored exactly so the
-        # two D overlaps cancel to a clean zero in reports
-        paradox = np.ones(3) / np.sqrt(3.0)
-        return Scenario(3, povm=p, states={"hardy": paradox}, hardy=("F", "D1", "D2"))
-    raise ScenarioFileError(f"unknown fixture {name!r}; choose one of {FIXTURE_NAMES}")
-
-
-def fixture_dict(name: str) -> dict:
-    """Regenerate a bundled scenario from the library (no file access)."""
-    return scenario_to_dict(_fixture_scenario(name))
+    f = build_three_path().f
+    # D_k is f less its component along the k-th basis ket, for basis1 = |1>, basis2 = |2>
+    d1, d2 = (
+        fix_phase(unit_vector(f - basis * complex(np.vdot(basis, f)), DEFAULT_TOL))
+        for basis in np.eye(3, dtype=complex)[:2]
+    )
+    p = hardy_embedding_povm(f, d1, d2)
+    # hardy_state(d1, d2) up to last-ulp SVD noise; stored exactly so the
+    # two D overlaps cancel to a clean zero in reports
+    paradox = np.ones(3) / np.sqrt(3.0)
+    return Scenario(3, povm=p, states={"hardy": paradox}, hardy=("F", "D1", "D2"))
 
 
 def fixture_path(name: str) -> Path:
@@ -70,9 +63,3 @@ def write_fixtures(directory: Path | None = None) -> list[Path]:
         save_scenario(path, _fixture_scenario(name))
         written.append(path)
     return written
-
-
-if __name__ == "__main__":
-    for path in write_fixtures():
-        entries = json.loads(path.read_text())
-        print(f"wrote {path} ({len(entries)} top-level keys)")

@@ -17,8 +17,8 @@ Schema (version 1)::
       "hardy": {"f": "...", "d1": "...", "d2": "..."}
     }
 
-Parse and schema problems raise ScenarioFileError; physical invariants are
-enforced by the constructed objects themselves.
+Parse and schema problems, a key the schema does not show among them, raise
+ScenarioFileError; physical invariants are enforced by the constructed objects.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ _TOP_KEYS = {"version", "system_dim", "env_dim", "outcomes", "phi_init", "povm",
 
 def encode_vector(amplitudes: np.ndarray) -> list[list[float]]:
     return np.ascontiguousarray(amplitudes, dtype=complex).view(float).reshape(-1, 2).tolist()
-
-
-def encode_matrix(matrix: np.ndarray) -> list[list[list[float]]]:
-    """Each row of a matrix, or of a stack of vectors, as ``encode_vector`` writes it."""
-    rows = np.ascontiguousarray(matrix, dtype=complex)
-    return rows.view(float).reshape(len(rows), -1, 2).tolist()
 
 
 _PAIR_TYPES = frozenset((list, tuple))
@@ -189,7 +183,8 @@ def _section(
     """Labels, an ``(M, dim)`` stack with zero rows at matrix entries, and each matrix
     entry's read-only ``(dim, dim)`` entries by position.
 
-    Without ``noun`` every entry is a vector and a "matrix" key is ignored.
+    An entry may hold only a label and a vector, and with ``noun`` a matrix in
+    place of the vector; any other key is refused, as are unknown top-level keys.
     Well-formed vectors are decoded in one call, their finiteness left to the
     stack's constructor, which raises what the first non-finite entry would.
     Any other section is read entry by entry, each decoded in full, finiteness
@@ -200,6 +195,7 @@ def _section(
     """
     if not isinstance(raw, list):
         raise ScenarioFileError(f"{section} must be a list")
+    allowed = {"label", "vector", "matrix"} if noun else {"label", "vector"}
     seen = set()
     for item in raw:
         if not isinstance(item, dict) or not isinstance(item.get("label"), str):
@@ -207,8 +203,11 @@ def _section(
         if item["label"] in seen:
             raise ScenarioFileError(f"{section}: duplicate label {item['label']!r}")
         seen.add(item["label"])
+        if not item.keys() <= allowed:
+            unknown = sorted(item.keys() - allowed)
+            raise ScenarioFileError(f"{what} {item['label']!r}: unknown keys {unknown}")
     labels = [item["label"] for item in raw]
-    if not noun or not any("matrix" in item for item in raw):
+    if not any("matrix" in item for item in raw):
         stack = _decode_section([item.get("vector") for item in raw], dim)
         if stack is not None:
             return labels, stack, {}
@@ -358,18 +357,13 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
     yield "\n}"
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """The JSON-ready dict of a scenario, parsed from its file text;
-    ``scenario_from_dict`` reads it back."""
-    return json.loads("".join(_scenario_text(s)))
-
-
 def save_scenario(path: str | Path, s: Scenario) -> None:
-    """Write the file text of ``s``, the same as ``json.dumps(scenario_to_dict(s),
-    indent=2) + "\\n"``. The text is formatted chunk by chunk into the file, opened
-    first, so a failure part-way leaves it truncated, as a failed write does (none is
-    known for a constructed ``Scenario``). The file records no tol: a part that passed
-    only at a looser ``s.tol`` than the reader's is refused on reading at the default."""
+    """Write the file text of ``s``, the one written form of a scenario: for that
+    ``text``, ``json.dumps(json.loads(text), indent=2) + "\\n" == text``. The text is
+    formatted chunk by chunk into the file, opened first, so a failure part-way leaves
+    it truncated, as a failed write does (none is known for a constructed ``Scenario``).
+    The file records no tol: a part that passed only at a looser ``s.tol`` than the
+    reader's is refused on reading at the default."""
     try:
         with open(path, "w", encoding="utf-8") as file:
             file.writelines(_scenario_text(s))

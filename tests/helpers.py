@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ctxlab import Dilation, Povm
+from ctxlab import Dilation, Povm, encode_vector, fixture_path
 
 # A number token of CLI output: an integer, a decimal or an exponent form, with its sign.
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -17,6 +17,16 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 def write_raw(path: str | Path, raw: dict) -> None:
     """Write a hand-edited file dict as ``json.dumps(raw, indent=2)`` and a newline."""
     Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
+
+
+def fixture_raw(name: str) -> dict:
+    """A bundled scenario file as the dict ``json.loads`` reads from it, to hand-edit."""
+    return json.loads(fixture_path(name).read_text(encoding="utf-8"))
+
+
+def matrix_entry(matrix: np.ndarray) -> list[list[list[float]]]:
+    """A matrix as a file's "matrix" entry holds it: each row as ``encode_vector`` writes it."""
+    return [encode_vector(row) for row in np.asarray(matrix)]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

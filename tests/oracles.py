@@ -154,23 +154,33 @@ def reference_sections(raw: dict) -> dict[str, list[tuple[str, str, list]]]:
     Each section maps to ``(label, "vector" | "matrix", values)`` in file order,
     values being ``(re, im)`` float pairs (rows of them for a matrix). Raises
     ``LoadError`` for the first faulty entry in the order a file is read:
-    outcomes, povm, states. Labels are taken to be unique strings and matrices
-    to be valid operators (Hermitian; positive with unit trace for states), and
-    the outcomes orthonormal: only decoding is modelled here.
+    outcomes, povm, states, and within a section every entry's keys before any
+    entry's values. An outcome holds only a label and a vector; a povm or state
+    entry may hold a matrix as well. Labels are taken to be unique strings and
+    matrices to be valid operators (Hermitian; positive with unit trace for
+    states), and the outcomes orthonormal: only decoding is modelled here.
     """
+
+    def keyed(section: str, what: str, allowed: set[str]) -> list[dict]:
+        for e in raw[section]:
+            unknown = set(e) - allowed
+            if unknown:
+                raise _file_error(f"{what} {e['label']!r}: unknown keys {sorted(unknown)}")
+        return raw[section]
+
     dim = raw["system_dim"]
     sections = {}
     if "outcomes" in raw:
         length = raw["env_dim"] * dim
         sections["outcomes"] = []
-        for e in raw["outcomes"]:  # an outcome reads its vector and ignores a matrix
+        for e in keyed("outcomes", "outcome", {"label", "vector"}):
             values = _reference_vector(e.get("vector"), length, f"outcome {e['label']!r}")
             sections["outcomes"].append((e["label"], "vector", values))
     for section, what, noun in (("povm", "povm", "povm element"), ("states", "state", "state")):
         if section not in raw:
             continue
         sections[section] = []
-        for e in raw[section]:
+        for e in keyed(section, what, {"label", "vector", "matrix"}):
             label = e["label"]
             if ("vector" in e) == ("matrix" in e):
                 raise _file_error(f"{noun} {label!r} needs exactly one of vector/matrix")

@@ -16,8 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ctxlab.cli
-import ctxlab.scenario_io
 from ctxlab import (
     DEFAULT_TOL,
     FIXTURE_NAMES,
@@ -25,21 +23,20 @@ from ctxlab import (
     coarse_grain,
     context_graph,
     decode_vector,
-    encode_matrix,
     encode_vector,
-    fixture_dict,
     fixture_path,
     hardy_embedding_povm,
     load_scenario,
     naimark_dilate,
     povm_from_dilation,
     save_scenario,
-    scenario_to_dict,
     verify_constraints,
 )
 from ctxlab.cli import build_parser, main
 from helpers import (
     NUMBER,
+    fixture_raw,
+    matrix_entry,
     phase_aligned_max_err,
     random_rank1_povm,
     random_unitary,
@@ -184,8 +181,8 @@ def test_povm_check_strict_names_element_bounds(capsys, tmp_path):
         "version": 1,
         "system_dim": 2,
         "povm": [
-            {"label": "over", "matrix": encode_matrix(np.diag([1.5, 0.0]))},
-            {"label": "under", "matrix": encode_matrix(np.diag([-0.5, 1.0]))},
+            {"label": "over", "matrix": matrix_entry(np.diag([1.5, 0.0]))},
+            {"label": "under", "matrix": matrix_entry(np.diag([-0.5, 1.0]))},
         ],
     }
     path = tmp_path / "unbounded.json"
@@ -229,7 +226,7 @@ def test_malformed_json_exits_two(capsys, tmp_path):
 
 
 def test_invalid_outcome_set_exits_three(capsys, tmp_path):
-    raw = fixture_dict("three-path-DA")
+    raw = fixture_raw("three-path-DA")
     raw["outcomes"][0]["vector"] = raw["outcomes"][1]["vector"]
     path = tmp_path / "skewed.json"
     write_raw(path, raw)
@@ -238,9 +235,28 @@ def test_invalid_outcome_set_exits_three(capsys, tmp_path):
     assert "invariant violation [outcome-orthonormality]" in err
 
 
+@pytest.mark.parametrize(
+    "name, section, key, message",
+    [
+        ("hardy", "povm", "vectr", "povm 'R3': unknown keys ['vectr']"),
+        ("three-path-DA", "outcomes", "matrix", "outcome 'A3': unknown keys ['matrix']"),
+    ],
+)
+def test_an_unknown_key_in_an_entry_exits_two(capsys, tmp_path, name, section, key, message):
+    """Every entry's keys are checked before any entry is decoded: the last entry's
+    unknown key is named, not the malformed vector of the first."""
+    raw = fixture_raw(name)
+    first, last = raw[section][0], raw[section][-1]
+    last[key] = matrix_entry(np.eye(3)) if key == "matrix" else last["vector"]
+    first["vector"] = first["vector"][:1]
+    path = tmp_path / "extra-key.json"
+    write_raw(path, raw)
+    assert run_cli(capsys, "povm", "check", str(path)) == (2, "", f"input error: {message}\n")
+
+
 def test_a_malformed_phi_init_is_reported_before_non_orthonormal_outcomes(capsys, tmp_path):
     """The dilation block's parse errors come before its physics checks."""
-    raw = fixture_dict("three-path-DA")
+    raw = fixture_raw("three-path-DA")
     raw["outcomes"][0]["vector"] = raw["outcomes"][1]["vector"]
     raw["phi_init"] = raw["phi_init"][:1]
     path = tmp_path / "two-faults.json"
@@ -298,22 +314,15 @@ def test_dilate_round_trips_through_the_file(seed, dim, extra):
         assert phase_aligned_max_err(row2, row) <= 1e-12
 
 
-def test_dilate_writes_a_large_dilation_straight_from_its_stacks(monkeypatch, tmp_path):
+def test_dilate_writes_a_large_dilation_straight_from_its_stacks(tmp_path):
     p = random_rank1_povm(np.random.default_rng(64), 8, 64)
     source, target = tmp_path / "povm.json", tmp_path / "dilated.json"
     save_scenario(source, Scenario(8, povm=p))
-
-    def refuse(_):
-        raise AssertionError("dilate built the file's dict")
-
-    for module in (ctxlab.cli, ctxlab.scenario_io):
-        monkeypatch.setattr(module, "scenario_to_dict", refuse, raising=False)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["dilate", str(source), "-o", str(target)]) == 0
-    monkeypatch.undo()
+    text = target.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
     written = load_scenario(target)
-    dumped = json.dumps(scenario_to_dict(written), indent=2) + "\n"
-    assert target.read_text(encoding="utf-8") == dumped
     expected = naimark_dilate(load_scenario(source).resolve_povm())
     assert written.dilation == expected
     assert written.povm == povm_from_dilation(expected)
@@ -359,7 +368,7 @@ def test_context_graph_dot(capsys):
 
 
 def test_context_graph_dot_escapes_double_quotes(capsys, tmp_path):
-    raw = fixture_dict("three-path-DA")
+    raw = fixture_raw("three-path-DA")
     for item in raw["povm"]:
         item["label"] = item["label"].replace("D1", 'D"1')
     write_raw(tmp_path / "quoted.json", raw)
@@ -370,7 +379,7 @@ def test_context_graph_dot_escapes_double_quotes(capsys, tmp_path):
 
 
 def test_context_graph_dot_refuses_a_label_that_ends_in_a_backslash(capsys, tmp_path):
-    raw = fixture_dict("three-path-DA")
+    raw = fixture_raw("three-path-DA")
     for item in raw["povm"]:
         item["label"] = item["label"].replace("D1", "D1\\")
     path = str(tmp_path / "backslash.json")
@@ -488,7 +497,7 @@ def test_inequality_state_selection_errors(capsys):
 
 
 def test_inequality_rejects_missing_triple_labels(capsys, tmp_path):
-    raw = fixture_dict("hardy")
+    raw = fixture_raw("hardy")
     raw["hardy"]["d2"] = "nope"
     path = tmp_path / "broken.json"
     write_raw(path, raw)
@@ -522,7 +531,7 @@ def test_tol_must_be_positive(capsys, value):
 
 
 def test_tol_loosens_the_verdict_and_is_restored(capsys, tmp_path):
-    raw = fixture_dict("three-path-DA")
+    raw = fixture_raw("three-path-DA")
     del raw["outcomes"]
     del raw["phi_init"]
     del raw["env_dim"]
@@ -545,24 +554,24 @@ def _decode(pairs):
 def _nearly_valid_file(tmp_path, kind):
     """A bundled fixture with one invariant broken by far less than 1e-3."""
     if kind == "trace":
-        raw = fixture_dict("hardy")
+        raw = fixture_raw("hardy")
         psi = _decode(raw["states"][0]["vector"])
         rho = (1.0 + 1e-6) * np.outer(psi, psi.conj())
-        raw["states"][0] = {"label": "hardy", "matrix": encode_matrix(rho)}
+        raw["states"][0] = {"label": "hardy", "matrix": matrix_entry(rho)}
     elif kind in ("phi-init", "phi-init-beside-povm"):
-        raw = fixture_dict("three-path-DA")
+        raw = fixture_raw("three-path-DA")
         if kind == "phi-init":
             del raw["povm"]
         raw["phi_init"] = encode_vector((1.0 + 1e-5) * _decode(raw["phi_init"]))
     else:
-        raw = fixture_dict("three-path-DA")
+        raw = fixture_raw("three-path-DA")
         for key in ("outcomes", "phi_init", "env_dim"):
             del raw[key]
         entry = raw["povm"][-1]
         vec = _decode(entry["vector"])
         matrix = np.outer(vec, vec.conj())
         matrix[0, 1] += 1e-6
-        raw["povm"][-1] = {"label": entry["label"], "matrix": encode_matrix(matrix)}
+        raw["povm"][-1] = {"label": entry["label"], "matrix": matrix_entry(matrix)}
     path = tmp_path / f"{kind}.json"
     write_raw(path, raw)
     return str(path)
@@ -647,7 +656,7 @@ def test_a_closed_stdout_exits_one_without_a_traceback():
 
 
 def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):
-    raw = fixture_dict("hardy")
+    raw = fixture_raw("hardy")
     raw["povm"][0]["vector"][0][0] = 10**400
     path = tmp_path / "huge.json"
     write_raw(path, raw)
@@ -787,7 +796,7 @@ _OVERFLOWING_FIXTURES = {
 def _write_overflowing(tmp_path: Path, kind: str) -> Path:
     if kind in _OVERFLOWING_FIXTURES:
         name, section = _OVERFLOWING_FIXTURES[kind]
-        raw = fixture_dict(name)
+        raw = fixture_raw(name)
         if section == "outcomes":
             del raw["povm"]
         for entry in raw[section]:
@@ -847,8 +856,8 @@ def test_overflowing_weights_are_a_numerical_failure_in_every_command(
 def test_a_density_matrix_whose_trace_overflows_fails_unit_trace_without_a_warning(
     capsys, tmp_path, command
 ):
-    raw = fixture_dict("hardy")
-    raw["states"] = [{"label": "huge", "matrix": encode_matrix(np.diag([1e308, 1e308, 0.0]))}]
+    raw = fixture_raw("hardy")
+    raw["states"] = [{"label": "huge", "matrix": matrix_entry(np.diag([1e308, 1e308, 0.0]))}]
     path = tmp_path / "huge-trace.json"
     write_raw(path, raw)
     code, out, err = run_cli(capsys, *command.split(), str(path))
@@ -861,8 +870,8 @@ def test_a_density_matrix_whose_trace_overflows_fails_unit_trace_without_a_warni
 def test_an_overflowing_hermiticity_residual_is_a_numerical_failure(capsys, tmp_path, section):
     # matrix - matrix^dagger has the entries +-2e308, which overflow
     skew = np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    raw = fixture_dict("hardy")
-    raw[section][0] = {"label": raw[section][0]["label"], "matrix": encode_matrix(skew)}
+    raw = fixture_raw("hardy")
+    raw[section][0] = {"label": raw[section][0]["label"], "matrix": matrix_entry(skew)}
     path = tmp_path / f"skew-{section}.json"
     write_raw(path, raw)
     code, out, err = run_cli(capsys, "povm", "check", str(path))
@@ -878,7 +887,7 @@ def _state_of(out: str) -> np.ndarray:
 
 def test_max_violation_prints_complex_amplitudes(capsys, tmp_path):
     phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
-    raw = fixture_dict("hardy")
+    raw = fixture_raw("hardy")
     for entry in raw["povm"] + raw["states"]:
         entry["vector"] = encode_vector(phases * decode_vector(entry["vector"], 3, "vector"))
     path = tmp_path / "rotated.json"
@@ -893,7 +902,7 @@ def test_max_violation_prints_complex_amplitudes(capsys, tmp_path):
 
 
 def test_inequality_asks_for_a_state_when_the_file_has_several(capsys, tmp_path):
-    raw = fixture_dict("hardy")
+    raw = fixture_raw("hardy")
     raw["states"].append({"label": "x", "vector": encode_vector(np.array([1.0, 0.0, 0.0]))})
     path = tmp_path / "two-states.json"
     write_raw(path, raw)

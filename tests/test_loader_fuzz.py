@@ -82,7 +82,9 @@ _NUMBER_FAULTS = {
     "-inf": float("-inf"),
     "huge-int": 10**400,
 }
-FAULTS = (*_NUMBER_FAULTS, "nested", "triple", "length", "matrix", "both")
+FAULTS = (*_NUMBER_FAULTS, "nested", "triple", "length", "matrix", "both", "key")
+# Keys that no entry may hold: near misses of the schema's and none at all.
+_UNKNOWN_KEYS = ("vectr", "Vector", "matrices", "labels", "")
 
 
 def _mixed_state_matrix(dim: int) -> list:
@@ -138,6 +140,8 @@ def faulty_files(draw, fault: str | None, section: str) -> dict:
         pair.append(0.0)
     elif fault == "length":
         entry["vector"] = amplitudes[:-1] if draw(st.booleans()) else amplitudes + [[0, 0]]
+    elif fault == "key":
+        entry[draw(st.sampled_from(_UNKNOWN_KEYS))] = draw(_NUMBERS)
     else:
         entry["matrix"] = _mixed_state_matrix(dim)
         if fault == "matrix":

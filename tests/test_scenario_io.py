@@ -26,9 +26,7 @@ from ctxlab import (
     decode_matrix,
     decode_vector,
     dilation_DA,
-    encode_matrix,
     encode_vector,
-    fixture_dict,
     fixture_path,
     load_fixture,
     load_scenario,
@@ -38,11 +36,12 @@ from ctxlab import (
     povm_from_dilation,
     save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     write_fixtures,
 )
 from ctxlab.cli import main
 from helpers import (
+    fixture_raw,
+    matrix_entry,
     random_pure_state,
     random_rank1_povm,
     random_unitary,
@@ -54,15 +53,14 @@ from helpers import (
 def _da_dict():
     s = build_three_path()
     d = dilation_DA(s)
-    return scenario_to_dict(
-        Scenario(
-            system_dim=3,
-            dilation=d,
-            povm=povm_DA(s),
-            states={"plus": np.ones(3) / np.sqrt(3.0)},
-            hardy=("D1", "D2", "D3"),
-        )
+    scenario = Scenario(
+        system_dim=3,
+        dilation=d,
+        povm=povm_DA(s),
+        states={"plus": np.ones(3) / np.sqrt(3.0)},
+        hardy=("D1", "D2", "D3"),
     )
+    return json.loads(_written(scenario))
 
 
 def test_vector_codec_round_trip():
@@ -71,7 +69,7 @@ def test_vector_codec_round_trip():
     decoded = decode_vector(encode_vector(vec), 5, "test")
     np.testing.assert_array_equal(decoded, vec)
     mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_array_equal(decode_matrix(encode_matrix(mat), 3, "test"), mat)
+    np.testing.assert_array_equal(decode_matrix(matrix_entry(mat), 3, "test"), mat)
 
 
 def test_integer_amplitudes_decode_as_the_same_floats():
@@ -97,7 +95,7 @@ def test_decoder_rejects_integers_beyond_float_range():
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_json_amplitudes_reach_the_ket_check(capsys, tmp_path, literal):
-    text = json.dumps(fixture_dict("hardy")).replace("[0.0, 0.0]", f"[{literal}, 0.0]", 1)
+    text = json.dumps(fixture_raw("hardy")).replace("[0.0, 0.0]", f"[{literal}, 0.0]", 1)
     assert literal in text
     path = tmp_path / "non-finite.json"
     path.write_text(text)
@@ -125,8 +123,8 @@ def test_tuple_pairs_from_a_library_dict_decode_bit_for_bit(with_matrices):
     raw = _da_dict()
     third = np.eye(3) / 3.0
     if with_matrices:
-        raw["povm"].append({"label": "M", "matrix": encode_matrix(third)})
-        raw["states"].append({"label": "mixed", "matrix": encode_matrix(third)})
+        raw["povm"].append({"label": "M", "matrix": matrix_entry(third)})
+        raw["states"].append({"label": "mixed", "matrix": matrix_entry(third)})
     assert "-0.0" in json.dumps(raw)
     tupled = _tupled(raw)
     assert type(tupled["phi_init"][0]) is tuple and type(tupled["povm"][0]["vector"][0]) is tuple
@@ -148,7 +146,7 @@ def test_a_malformed_vector_is_reported_before_an_earlier_non_hermitian_matrix(
 ):
     """A section is decoded in full before its type checks it: a non-Hermitian matrix
     alone fails ``hermiticity`` (exit 3), but a malformed vector after it is named (exit 2)."""
-    skewed = encode_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    skewed = matrix_entry(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     named = {"povm": ("element 'skewed'", "povm"), "states": ("density matrix", "state")}
     what, entry = named[section]
     hermiticity = f"{what} is not Hermitian (residual 1.000e+00)"
@@ -157,7 +155,7 @@ def test_a_malformed_vector_is_reported_before_an_earlier_non_hermitian_matrix(
         ([], (3, f"invariant violation [hermiticity]: {hermiticity}\n")),
         ([short], (2, f"input error: {entry} 'short': expected 3 [re, im] pairs\n")),
     ):
-        raw = fixture_dict("hardy")
+        raw = fixture_raw("hardy")
         raw[section][:0] = [{"label": "skewed", "matrix": skewed}, *after]
         path = tmp_path / "skewed.json"
         write_raw(path, raw)
@@ -166,8 +164,8 @@ def test_a_malformed_vector_is_reported_before_an_earlier_non_hermitian_matrix(
 
 def test_a_malformed_hardy_block_is_reported_before_a_faulty_mixed_state(capsys, tmp_path):
     """The reader decodes the whole file before ``Scenario`` checks its states."""
-    raw = fixture_dict("hardy")
-    raw["states"].append({"label": "heavy", "matrix": encode_matrix(np.eye(3))})
+    raw = fixture_raw("hardy")
+    raw["states"].append({"label": "heavy", "matrix": matrix_entry(np.eye(3))})
     for hardy, want in (
         (raw["hardy"], (3, "invariant violation [unit-trace]: trace 3.0 != 1\n")),
         ({"f": "F"}, (2, "input error: hardy must map exactly the keys f, d1, d2\n")),
@@ -185,14 +183,17 @@ def _written(scenario: Scenario) -> str:
         return path.read_bytes().decode("utf-8")
 
 
+def _redumped(text: str) -> str:
+    """``text`` parsed and written again as ``json.dumps(..., indent=2)`` and a newline."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", ["three-path-VH", "three-path-DA"])
 def test_negative_zero_survives_a_load_and_dump(name):
     text = fixture_path(name).read_text()
     assert "-0.0" in text
-    sc = load_scenario(fixture_path(name))
-    raw = scenario_to_dict(sc)
-    assert json.dumps(raw, indent=2) + "\n" == text
-    assert _written(sc).encode("utf-8") == fixture_path(name).read_bytes()
+    assert _redumped(text) == text
+    assert _written(load_scenario(fixture_path(name))).encode("utf-8") == text.encode("utf-8")
 
 
 def test_dict_round_trip_preserves_everything():
@@ -269,9 +270,9 @@ def test_resolve_povm_prefers_the_povm_section():
         lambda raw: raw["outcomes"][0]["vector"].__setitem__(0, [0.0, "x"]),
         lambda raw: raw["outcomes"][0]["vector"].__setitem__(0, [0.0, True]),
         lambda raw: raw["outcomes"][0]["vector"].__setitem__(0, [0.0, 0.0, 0.0]),
-        lambda raw: raw["povm"][0].update(matrix=encode_matrix(np.eye(3))),
+        lambda raw: raw["povm"][0].update(matrix=matrix_entry(np.eye(3))),
         lambda raw: raw["povm"][0].pop("vector"),
-        lambda raw: raw["states"][0].update(matrix=encode_matrix(np.eye(3))),
+        lambda raw: raw["states"][0].update(matrix=matrix_entry(np.eye(3))),
         lambda raw: raw.update(hardy={"f": "D1"}),
         lambda raw: raw.update(hardy={"f": "D1", "d1": "D2", "d2": 3}),
         lambda raw: raw.update(hardy={"f": "D1", "d1": "D2", "d2": "D3", "x": "y"}),
@@ -353,7 +354,7 @@ def test_a_scenario_refuses_what_its_file_could_not_hold(name):
     for key, value in {**empty, **fields}.items():
         object.__setattr__(unchecked, key, value)
     with pytest.raises(error, match=f"^{re.escape(message)}$") as read:
-        scenario_from_dict(scenario_to_dict(unchecked))
+        scenario_from_dict(json.loads(_written(unchecked)))
     for caught in (built, read):
         assert type(caught.value) is error
         assert getattr(caught.value, "invariant", None) == invariant
@@ -424,7 +425,7 @@ def test_physical_invariants_still_apply():
     with pytest.raises(ValidationError):
         scenario_from_dict(raw)
     raw = _da_dict()
-    raw["states"][0]["matrix"] = encode_matrix(np.eye(3))
+    raw["states"][0]["matrix"] = matrix_entry(np.eye(3))
     del raw["states"][0]["vector"]
     with pytest.raises(ValidationError):
         scenario_from_dict(raw)
@@ -465,12 +466,6 @@ def test_loading_leaves_the_garbage_collector_as_it_found_it(monkeypatch, tmp_pa
     assert seen == [False, False]
 
 
-def test_bundled_fixtures_match_regeneration():
-    for name in FIXTURE_NAMES:
-        on_disk = json.loads(fixture_path(name).read_text())
-        assert on_disk == fixture_dict(name)
-
-
 def test_bundled_fixture_contents():
     vh = load_fixture("three-path-VH")
     assert vh.resolve_povm().labels() == ("V1", "V2", "V3", "H1", "H2", "H3")
@@ -495,8 +490,6 @@ def test_write_fixtures_to_a_directory(tmp_path):
 
 
 def test_unknown_fixture_names_are_rejected():
-    with pytest.raises(ScenarioFileError):
-        fixture_dict("nope")
     with pytest.raises(ScenarioFileError):
         fixture_path("nope")
 
@@ -531,17 +524,18 @@ def scenarios(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(scenarios())
 def test_scenario_json_round_trip_is_exact(scenario):
-    first = json.dumps(scenario_to_dict(scenario), indent=2)
+    first = _written(scenario)
     assert "-0.0" in first
     loaded = scenario_from_dict(json.loads(first))
     assert loaded == scenario
-    assert json.dumps(scenario_to_dict(loaded), indent=2) == first
+    assert _written(loaded) == first
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(scenarios())
 def test_a_scenario_is_written_from_its_stacks_as_its_dict_would_be(scenario):
-    assert _written(scenario) == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    text = _written(scenario)
+    assert _redumped(text) == text
 
 
 # Each part alone: -0.0 must not share the +0.0 pair's string.
@@ -559,7 +553,8 @@ def test_writer_equals_the_indented_json_dump(labels, data):
     rows = np.array(parts).view(complex).reshape(len(labels), 2)
     states = {label: row for label, row in zip(labels, rows)}
     scenario = Scenario(2, povm=Povm(2, labels, rows), states=states, hardy=tuple(labels[:3]))
-    assert _written(scenario) == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    text = _written(scenario)
+    assert _redumped(text) == text
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -582,7 +577,7 @@ def test_hand_built_stacks_are_written_as_their_dict_would_be(dim):
     dilation = Dilation(7, dim, labels, outcomes, outcomes[1, :7], np.inf)
     scenario = Scenario(dim, dilation, povm, states, ("m1", "m2", "m3"))
     text = _written(scenario)
-    assert text == json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    assert _redumped(text) == text
     assert all(f" {part}" in text for part in ("-0.0", "5e-324", "1e+16", "1e-05", "0.0001"))
 
 
@@ -618,11 +613,11 @@ def test_saving_a_large_dilation_traces_less_memory_than_the_file_it_writes(tmp_
 
 
 def test_a_lone_env_dim_is_checked_and_not_kept():
-    povm = [{"label": "I", "matrix": encode_matrix(np.eye(2))}]
+    povm = [{"label": "I", "matrix": matrix_entry(np.eye(2))}]
     raw = {"version": 1, "system_dim": 2, "povm": povm}
     scenario = scenario_from_dict({**raw, "env_dim": 3})
     assert scenario == scenario_from_dict(raw)
-    assert "env_dim" not in scenario_to_dict(scenario)
+    assert "env_dim" not in json.loads(_written(scenario))
     for bad in (0, -1, True, 3.0, "3", None):
         with pytest.raises(ScenarioFileError, match="^env_dim must be a positive integer$"):
             scenario_from_dict({**raw, "env_dim": bad})
