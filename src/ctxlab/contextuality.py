@@ -47,14 +47,15 @@ class HardyTriple(ByValue):
             if not p._is_vector[k]:
                 raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
             require_context_weight(p, label, tol)
-            units.append(fix_phase(unit_vector(p.vectors[k], tol)))
+            units.append(unit_vector(p.vectors[k], tol))
+        units = fix_phase(units)
+        f_hat = units[0]
         parallel = ValidationError(
             "the reference outcome is parallel to its partner", invariant="hardy-decomposition"
         )
-        for d in units[1:]:  # basis1 and basis2 follow f, d1 and d2
-            rest = units[0] - d * complex(np.vdot(d, units[0]))
-            units.append(fix_phase(unit_vector(rest, tol, parallel)))
-        units = np.stack(units)
+        rests = [f_hat - d * complex(np.vdot(d, f_hat)) for d in units[1:]]
+        bases = [unit_vector(rest, tol, parallel) for rest in rests]
+        units = np.concatenate([units, fix_phase(bases)])  # f, d1, d2, then basis1 and basis2
         units.flags.writeable = False
         object.__setattr__(self, "directions", units)
         overlap = abs(complex(np.vdot(units[3], units[4])))
@@ -160,7 +161,7 @@ def hardy_embedding_povm(
     Rescaled probabilities do not depend on the scale.
     """
     kets = amplitudes([f, d1, d2], (3, None), "for f, d1 and d2")
-    units = np.stack([fix_phase(unit_vector(k, tol)) for k in kets])
+    units = fix_phase([unit_vector(k, tol) for k in kets])
     dim = units.shape[1]
     rows = np.sqrt(1.0 / 3.0) * units
     total = (rows[:, :, None] * rows.conj()[:, None, :]).sum(axis=0)  # added in order
@@ -168,4 +169,4 @@ def hardy_embedding_povm(
     kept = np.flatnonzero(values > tol)[::-1]
     rest = np.sqrt(values[kept])[:, None] * fix_phase(vectors[:, kept].T)
     names = ["F", "D1", "D2", *(f"R{rank}" for rank in range(1, len(kept) + 1))]
-    return Povm.from_vectors(dim, names, np.concatenate([rows, rest]))
+    return Povm(dim, names, fix_phase(np.concatenate([rows, rest])))

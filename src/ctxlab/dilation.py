@@ -76,7 +76,7 @@ def povm_from_dilation(d: Dilation) -> Povm:
     kept, so the label set always matches the outcome set. If the outcome set
     is complete the result sums to the identity.
     """
-    return Povm.from_vectors(d.sys_dim, d.labels(), _lambdas(d))
+    return Povm(d.sys_dim, d.labels(), fix_phase(_lambdas(d)))
 
 
 def _lambdas(d: Dilation) -> np.ndarray:
@@ -106,17 +106,14 @@ def verify_constraints(d: Dilation) -> float:
 
 
 def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
-    """Rebuild a dilation whose derived POVM is ``p`` with canonical phases.
+    """Rebuild a dilation whose derived POVM is ``p`` with each row in ``fix_phase``'s
+    canonical phase, which is ``p`` itself when its rows already are.
 
     The environment dimension equals the element count M, phi_init is the
     first canonical environment basis vector, and each outcome is
     ``|e_0> (x) |lambda_m>`` plus a residual built from the eigendecomposition
     of ``G_sigma = I_M - G_lambda`` (eigenpairs above tol kept, eigenvector
-    phases canonicalised). The elements are embedded verbatim, so the round
-    trip returns ``Povm.from_vectors(p.system_dim, p.labels(), p.vectors)`` exactly.
-    That is ``p`` only to round-off, even for a ``from_vectors`` POVM: ``fix_phase``
-    can leave a pivot with an imaginary part near 1e-17, which a second rotation
-    moves again.
+    phases canonicalised).
 
     Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """

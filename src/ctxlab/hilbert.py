@@ -43,21 +43,30 @@ def _same(x: object, y: object) -> bool:
 
 
 def fix_phase(vector: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the largest-magnitude entry is real positive.
+    """A copy with each row's global phase rotated so its pivot, the first entry of
+    largest ``np.abs``, is real and non-negative; a 1-D array is one row.
 
-    A 2-D array is a stack of rows, each rotated alone with scalar ``abs`` and
-    division (their array forms can differ by an ulp). Ties pick the first
-    index; zero vectors and empty input are returned unchanged.
+    A row whose pivot ``p`` is not is multiplied by ``complex(p.real / a, -p.imag / a)``,
+    ``a = hypot(p.real, p.imag)``, and its pivot set to ``a``. Every other row, zero rows
+    included, is kept bit for bit, so a second call changes no bit unless the rotation's
+    round-off lifted another entry's magnitude above the pivot's, which only a near tie
+    allows. Entries must be finite.
     """
     v = np.array(vector, dtype=complex, order="C")
     if not v.size:
         return v
-    rows = v if v.ndim == 2 else v.reshape(1, -1)
-    for row in rows:
-        pivot = row[int(np.argmax(np.abs(row)))]
-        if abs(pivot) != 0.0:
-            row *= pivot.conjugate() / abs(pivot)
-    return v if v.ndim == 2 else rows[0]
+    rows = v.reshape(-1, v.shape[-1])
+    at = np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)
+    pivots = rows[at]
+    re, im = pivots.real, pivots.imag
+    turn = (im != 0.0) | (re < 0.0)
+    a = np.hypot(re, im)
+    factor = np.empty(len(rows), dtype=complex)  # read only where a row turns
+    np.divide(re, a, out=factor.real, where=turn)
+    np.divide(-im, a, out=factor.imag, where=turn)
+    np.multiply(rows, factor[:, None], out=rows, where=turn[:, None])
+    rows[at] = np.where(turn, a, pivots)
+    return v
 
 
 def unit_vector(amplitudes: np.ndarray, tol: float, error: Exception | None = None) -> np.ndarray:

@@ -1,9 +1,11 @@
 """POVMs over a system space and the statistics of context selection.
 
-Rank-1 elements are stored as system-space vectors with a canonical global
-phase (largest-magnitude amplitude real positive); coarse-grained elements may
-be full operators. An element's squared norm is both its completeness weight
-and the probability that the environment selects its measurement context.
+Rank-1 elements are stored as system-space vectors, coarse-grained elements
+possibly as full operators. A rank-1 row the library derives (from a dilation,
+a merge or a Hardy embedding) carries ``fix_phase``'s canonical global phase;
+``Povm(...)``, and so a loaded file, keeps the phases it is given. An element's
+squared norm is both its completeness weight and the probability that the
+environment selects its measurement context.
 """
 
 from __future__ import annotations
@@ -142,17 +144,6 @@ class Povm(LabelledStack):
                 problem = f"operator element {labels[k]!r} has a nonzero row"
                 raise ValidationError(problem, invariant="element-payload")
             require_hermitian(op, tol, f"element {labels[k]!r}")
-
-    @classmethod
-    def from_vectors(cls, system_dim: int, labels: Sequence[str], stack: np.ndarray) -> Povm:
-        """A rank-1 POVM over ``stack``, each row rotated to the canonical global phase.
-        The constructor checks and copies the stack, so ``fix_phase``, whose pivot
-        division warns on inf and nan, sees finite rows; its rotated rows replace the copy."""
-        p = cls(system_dim, labels, stack)
-        rows = fix_phase(p.vectors)
-        rows.setflags(write=False)
-        p.__dict__["vectors"] = rows
-        return p
 
     @property
     def operators(self) -> Mapping[int, np.ndarray]:

@@ -204,7 +204,7 @@ def _section(
             raise ScenarioFileError(f"{section}: duplicate label {item['label']!r}")
         seen.add(item["label"])
         if not item.keys() <= allowed:
-            unknown = sorted(item.keys() - allowed)
+            unknown = sorted(item.keys() - allowed, key=str)
             raise ScenarioFileError(f"{what} {item['label']!r}: unknown keys {unknown}")
     labels = [item["label"] for item in raw]
     if not any("matrix" in item for item in raw):
@@ -229,7 +229,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
         raise ScenarioFileError("scenario file must hold a JSON object")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
-        raise ScenarioFileError(f"unknown keys {sorted(unknown)}")
+        raise ScenarioFileError(f"unknown keys {sorted(unknown, key=str)}")
     if raw.get("version") != SCHEMA_VERSION:
         raise ScenarioFileError(f"unsupported version {raw.get('version')!r}")
     system_dim = _positive_int(raw, "system_dim")

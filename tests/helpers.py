@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ctxlab import Dilation, Povm, encode_vector, fixture_path
+from ctxlab import Dilation, Povm, encode_vector, fix_phase, fixture_path
 
 # A number token of CLI output: an integer, a decimal or an exponent form, with its sign.
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -46,7 +46,7 @@ def random_rank1_povm(rng: np.random.Generator, dim: int, count: int) -> Povm:
     """A complete rank-1 POVM from the rows of a random isometry."""
     assert count >= dim
     columns = random_unitary(rng, count)[:, :dim]
-    return Povm.from_vectors(dim, [f"m{m}" for m in range(count)], columns.conj())
+    return Povm(dim, [f"m{m}" for m in range(count)], fix_phase(columns.conj()))
 
 
 def element_row(p: Povm, label: str) -> np.ndarray:

@@ -11,6 +11,9 @@ Regenerate ``tests/data/cli_golden.json`` only when the output is meant to
 change::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the argv of every case whose new transcript fails the comparison
+against the stored one, or has none stored, and rewrites only those cases.
 """
 
 from __future__ import annotations
@@ -103,6 +106,14 @@ def assert_text_matches(got: str, want: str, what: str) -> None:
         assert same, f"{what}: {a!r} differs from {b!r} by more than {FLOAT_ABS}"
 
 
+def assert_case_matches(got: dict, expected: dict) -> None:
+    assert got["exit"] == expected["exit"]
+    for key in ("stdout", "stderr", "file"):
+        assert (key in got) == (key in expected), key
+        if key in expected:
+            assert_text_matches(got[key], expected[key], key)
+
+
 @functools.cache
 def _golden() -> dict[tuple[str, ...], dict]:
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -115,13 +126,7 @@ def test_golden_set_covers_every_case():
 
 @pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
 def test_cli_matches_golden_transcript(argv, tmp_path):
-    expected = _golden()[tuple(argv)]
-    got = run_case(argv, tmp_path)
-    assert got["exit"] == expected["exit"]
-    for key in ("stdout", "stderr", "file"):
-        assert (key in got) == (key in expected), key
-        if key in expected:
-            assert_text_matches(got[key], expected[key], key)
+    assert_case_matches(run_case(argv, tmp_path), _golden()[tuple(argv)])
 
 
 def test_float_tokens_compare_within_the_tolerance_only():
@@ -140,6 +145,13 @@ def test_float_tokens_compare_within_the_tolerance_only():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         cases = [run_case(argv, Path(scratch)) for argv in golden_argvs()]
+    stored = _golden() if GOLDEN.exists() else {}
+    for k, case in enumerate(cases):
+        try:
+            assert_case_matches(case, stored[tuple(case["argv"])])
+            cases[k] = stored[tuple(case["argv"])]  # still matches, so kept as stored
+        except (AssertionError, KeyError):
+            print("changed:", " ".join(case["argv"]))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({len(cases)} cases)")

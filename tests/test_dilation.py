@@ -20,6 +20,7 @@ from ctxlab import (
     context_selection_probability,
     dilation_DA,
     dilation_VH,
+    fix_phase,
     gram,
     load_fixture,
     naimark_dilate,
@@ -245,7 +246,7 @@ def test_perturbed_outcomes_are_reported_not_raised():
 
 
 def test_naimark_of_projective_povm_has_no_residual():
-    p = Povm.from_vectors(3, ["b0", "b1", "b2"], np.eye(3))
+    p = Povm(3, ["b0", "b1", "b2"], np.eye(3))
     d = naimark_dilate(p)
     assert d.env_dim == 3
     np.testing.assert_allclose(d.phi_init, [1.0, 0.0, 0.0])
@@ -293,16 +294,26 @@ def test_naimark_round_trip_returns_the_povm_with_canonical_phases():
     phases = np.exp(2j * np.pi * rng.uniform(size=(16, 1)))
     p = Povm(4, [f"m{k}" for k in range(16)], rows * phases)
     again = povm_from_dilation(naimark_dilate(p))
-    assert again == Povm.from_vectors(4, p.labels(), p.vectors)
+    assert again == Povm(4, p.labels(), fix_phase(p.vectors))
     assert np.abs(again.vectors - p.vectors).max() > 0.1  # not p: its phases are not canonical
-    canonical = random_rank1_povm(rng, 4, 16)  # a from_vectors POVM
-    again = povm_from_dilation(naimark_dilate(canonical))
-    assert again == Povm.from_vectors(4, canonical.labels(), canonical.vectors)
-    assert np.abs(again.vectors - canonical.vectors).max() <= 1e-15
+    canonical = random_rank1_povm(rng, 4, 16)
+    assert povm_from_dilation(naimark_dilate(canonical)) == canonical
+    # the constructor keeps the phases it is given, so this POVM is not its round trip
+    kept = Povm(2, ["a", "b"], [[0, 1j], [1j, 0]])
+    again = povm_from_dilation(naimark_dilate(kept))
+    assert again != kept and again == Povm(2, ["a", "b"], [[0, 1], [1, 0]])
+
+
+def test_naimark_round_trip_is_exact_on_seeded_canonical_povms():
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        dim = int(rng.integers(2, 17))
+        p = random_rank1_povm(rng, dim, int(rng.integers(dim, 2 * dim + 1)))
+        assert povm_from_dilation(naimark_dilate(p)) == p
 
 
 def test_naimark_rejects_incomplete_and_operator_povms():
-    p = Povm.from_vectors(3, ["only"], np.array([[1.0, 0.0, 0.0]]) / SQ2)
+    p = Povm(3, ["only"], np.array([[1.0, 0.0, 0.0]]) / SQ2)
     with pytest.raises(ValidationError) as err:
         naimark_dilate(p)
     assert err.value.invariant == "completeness"
@@ -310,7 +321,7 @@ def test_naimark_rejects_incomplete_and_operator_povms():
     with pytest.raises(ValidationError) as err:
         naimark_dilate(Povm(2, ["op"], np.zeros((1, 2), dtype=complex), identity))
     assert err.value.invariant == "rank-one-elements"
-    heavy = Povm.from_vectors(2, ["a", "b"], np.diag([np.sqrt(1.5), 1.0]))
+    heavy = Povm(2, ["a", "b"], np.diag([np.sqrt(1.5), 1.0]))
     with pytest.raises(ValidationError) as err:
         naimark_dilate(heavy)
     assert err.value.invariant == "element-bounds"

@@ -30,6 +30,7 @@ from ctxlab import (
     dilation_VH,
     element_bound_residual,
     evaluate_inequality,
+    fix_phase,
     fixture_path,
     hwp_transform,
     load_fixture,
@@ -94,8 +95,9 @@ def test_povm_rejects_duplicate_labels_and_mixed_dims():
         Povm(2, (), np.zeros((0, 2), dtype=complex))
 
 
-def test_from_vectors_fixes_global_phase():
-    p = Povm.from_vectors(2, ["m"], np.array([[0.0, -1.0j]]))
+def test_the_constructor_keeps_phases_and_fix_phase_makes_them_canonical():
+    assert np.array_equal(Povm(2, ["m"], [[0.0, -1.0j]]).vectors, [[0.0, -1.0j]])
+    p = Povm(2, ["m"], fix_phase([[0.0, -1.0j]]))
     np.testing.assert_allclose(p.vectors[0], [0.0, 1.0])
     with pytest.raises(UnknownLabelError):
         context_selection_probability(p, "missing")
@@ -103,7 +105,7 @@ def test_from_vectors_fixes_global_phase():
 
 @pytest.mark.parametrize("name", ["system_dim", "vectors", "_is_vector", "_operators", "_index"])
 def test_povm_fields_can_be_neither_assigned_nor_deleted(name):
-    p = Povm.from_vectors(2, ["a", "b"], np.diag([1.0, 1.0j]))
+    p = Povm(2, ["a", "b"], np.diag([1.0, 1.0j]))
     assert p._is_vector.all()  # built and cached
     with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
         setattr(p, name, None)
@@ -180,7 +182,7 @@ def test_dropping_the_plate_outcome_leaves_a_third(da_povm):
 
 
 def test_validate_povm_rejects_oversized_elements():
-    heavy = Povm.from_vectors(2, ["m"], np.array([[1.1, 0.0]]))
+    heavy = Povm(2, ["m"], np.array([[1.1, 0.0]]))
     with pytest.raises(ValidationError) as err:
         validate_povm(heavy)
     assert err.value.invariant == "element-bounds"
@@ -390,7 +392,7 @@ def context_povms(draw):
                     else:
                         labels.append(f"{x}:{a}")
                         rows.append(u)
-            p = Povm.from_vectors(dim, labels, np.array(rows))
+            p = Povm(dim, labels, fix_phase(rows))
             merges = [("0:0", "0:1"), ("1:0", "1:1")]
         else:
             p, merges = random_rank1_povm(rng, dim, count), [("m0", "m1"), ("m2", "m3")]
@@ -582,7 +584,7 @@ def test_vectors_hold_one_read_only_row_per_element(da_povm):
     assert not merged.vectors.flags.writeable
     with pytest.raises(ValueError):
         merged.vectors[0, 0] = 1.0
-    qubit = Povm.from_vectors(2, ["a", "b"], np.eye(2))
+    qubit = Povm(2, ["a", "b"], np.eye(2))
     identity = coarse_grain(qubit, ("a", "b"), "I")
     assert identity.vectors.dtype == complex and not identity.vectors.any()
 
@@ -714,9 +716,9 @@ def test_stack_constructors_reject_rows_of_unequal_lengths(build):
     assert isinstance(caught.value.__cause__, ValueError)
 
 
-def test_from_vectors_of_no_rows_is_refused_as_an_empty_povm():
+def test_no_rows_pass_fix_phase_and_are_refused_as_an_empty_povm():
     with pytest.raises(ValidationError, match="^a POVM needs at least one element$") as caught:
-        Povm.from_vectors(2, [], [])
+        Povm(2, [], fix_phase(np.zeros((0, 2))))
     assert caught.value.invariant == "nonempty"
 
 
@@ -729,14 +731,13 @@ def test_a_povm_equals_a_stack_povm_of_the_same_stack(scenario, vh_povm):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_from_vectors_raises_for_the_first_faulty_row(bad):
-    # A RuntimeWarning fails the test: the rows are checked before fix_phase divides by a pivot.
+def test_the_constructor_raises_for_a_faulty_row(bad):
     stack = np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError) as caught:
-        Povm.from_vectors(2, ["a", "b", "c"], stack)
+        Povm(2, ["a", "b", "c"], stack)
     assert caught.value.invariant == "finite-amplitudes"
     with pytest.raises(SpaceMismatchError, match=re.escape("a stack of shape (3, 2) for 2")):
-        Povm.from_vectors(2, ["a", "b"], np.eye(3, 2))
+        Povm(2, ["a", "b"], np.eye(3, 2))
 
 
 @pytest.mark.parametrize(
@@ -748,7 +749,6 @@ def test_from_vectors_raises_for_the_first_faulty_row(bad):
     ],
     ids=["ragged", "string-entry", "three-axes"],
 )
-def test_from_vectors_maps_a_malformed_stack_as_the_constructor_does(stack, message):
-    for build in (Povm, Povm.from_vectors):
-        with pytest.raises(SpaceMismatchError, match=f"^{re.escape(message)}$"):
-            build(2, ["a", "b"], stack)
+def test_the_constructor_maps_a_malformed_stack_to_one_error(stack, message):
+    with pytest.raises(SpaceMismatchError, match=f"^{re.escape(message)}$"):
+        Povm(2, ["a", "b"], stack)

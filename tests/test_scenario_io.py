@@ -290,6 +290,21 @@ def test_scenario_must_be_an_object():
         scenario_from_dict([1, 2, 3])
 
 
+def test_unknown_top_level_keys_of_mixed_types_are_a_file_error():
+    raw = {"version": 1, "system_dim": 2, 1: 2, "a": 3}
+    with pytest.raises(ScenarioFileError, match=re.escape("unknown keys [1, 'a']")):
+        scenario_from_dict(raw)
+    with pytest.raises(ScenarioFileError, match=re.escape("unknown keys ['a', 'b']")):
+        scenario_from_dict({"version": 1, "system_dim": 2, "b": 2, "a": 3})
+
+
+def test_unknown_entry_keys_of_mixed_types_are_a_file_error():
+    raw = fixture_raw("hardy")
+    raw["povm"][0].update({2: 0, "vectr": 0})
+    with pytest.raises(ScenarioFileError, match=re.escape("povm 'F': unknown keys [2, 'vectr']")):
+        scenario_from_dict(raw)
+
+
 def _misfits() -> dict[str, tuple[dict, type, str | None, str]]:
     """Scenario fields that a file could not hold, with the error type, invariant and
     message its reader gives."""
