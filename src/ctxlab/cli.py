@@ -111,12 +111,11 @@ def _print_povm_report(p: Povm, tol: float) -> None:
         if k not in p.operators:
             weight = float(np.vdot(row, row).real)
             print(f"  {label}: weight={_fmt(weight)} vector={_fmt_vector(row)}")
-        else:
-            op = p.operators[k]
-            print(
-                f"  {label}: operator trace={_fmt(float(np.trace(op).real))} "
-                f"eigenvalues={_fmt_vector(np.linalg.eigvalsh(op))}"
-            )
+        else:  # the signed squared norms of its factor columns, and 0 for its null space
+            values = p.signs[k] * (np.abs(p.factors[k]) ** 2).sum(axis=0)
+            values = np.sort(np.concatenate([values, np.zeros(p.system_dim - len(values))]))
+            trace, shown = _fmt(values.sum()), _fmt_vector(values)
+            print(f"  {label}: operator trace={trace} eigenvalues={shown}")
     print(f"completeness residual: {_fmt(completeness_check(p))}")
     positions = [k for k in range(len(p)) if k not in p.operators]
     if len(positions) > 1:
@@ -139,7 +138,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     d = build(s, phi, args.tol)
     p = povm_from_dilation(d)
     if args.merge_a:
-        p = coarse_grain(p, ("A1", "A2", "A3"), "A", args.tol)
+        p = coarse_grain(p, ("A1", "A2", "A3"), "A")
     merged = "yes" if args.merge_a else "no"
     print(f"scenario three-path: basis={args.basis} phi_init={args.phi_init} merge_A={merged}")
     print(f"system_dim=3 env_dim=2 outcomes={len(d)}")

@@ -44,7 +44,7 @@ class HardyTriple(ByValue):
         units = []
         for label in (self.f, self.d1, self.d2):
             k = p._index[label]
-            if not p._is_vector[k]:
+            if not p._rank_one[k]:
                 raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
             require_context_weight(p, label, tol)
             units.append(unit_vector(p.vectors[k], tol))

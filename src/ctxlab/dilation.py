@@ -33,6 +33,7 @@ class Dilation(LabelledStack):
     ``(env_dim,)`` copy. A perturbed dilation for diagnostics is built at ``tol=np.inf``.
     """
 
+    vectors: np.ndarray = field(repr=False)
     env_dim: int
     sys_dim: int
     phi_init: np.ndarray = field(repr=False)
@@ -52,7 +53,8 @@ class Dilation(LabelledStack):
         ``outcome-count`` and ``outcome-orthonormality``, then ``phi_init``'s conversion,
         length and norm. An orthonormality residual that is not finite raises
         FloatingPointError."""
-        self._store(labels, vectors, (env_dim, sys_dim), env_dim=env_dim, sys_dim=sys_dim, tol=tol)
+        self._store(labels, (env_dim, sys_dim), env_dim=env_dim, sys_dim=sys_dim, tol=tol)
+        self.__dict__["vectors"] = self._rows(vectors, env_dim * sys_dim)
         if len(labels) > env_dim * sys_dim:
             problem = f"{len(labels)} outcomes exceed dim {env_dim * sys_dim}"
             raise ValidationError(problem, invariant="outcome-count")
@@ -117,8 +119,8 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
 
     Raises on operator elements or a POVM that ``validate_povm`` rejects.
     """
-    if p.operators:
-        label = p.labels()[min(p.operators)]
+    if not p._rank_one.all():
+        label = p.labels()[np.argmin(p._rank_one)]  # the first element that is not a row
         raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one-elements")
     validate_povm(p, tol)
 

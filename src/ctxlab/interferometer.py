@@ -111,4 +111,4 @@ def povm_DA(s: ThreePathScenario, tol: float = DEFAULT_TOL) -> Povm:
     with its proportional A1-A3 summed into one rank-1 element "A", so three weight-2/3
     path-context elements plus one weight-1 element along the plate direction."""
     p = povm_from_dilation(dilation_DA(s, tol=tol))
-    return coarse_grain(p, ("A1", "A2", "A3"), "A", tol)
+    return coarse_grain(p, ("A1", "A2", "A3"), "A")

@@ -1,17 +1,17 @@
 """POVMs over a system space and the statistics of context selection.
 
-Rank-1 elements are stored as system-space vectors, coarse-grained elements
-possibly as full operators. A rank-1 row the library derives (from a dilation,
-a merge or a Hardy embedding) carries ``fix_phase``'s canonical global phase;
-``Povm(...)``, and so a loaded file, keeps the phases it is given. An element's
-squared norm is both its completeness weight and the probability that the
-environment selects its measurement context.
+Every element is a stack of signed factor columns, E = F diag(s) F^dagger: a rank-1
+element is one column of sign +1, its row of amplitudes. A row the library derives
+(from a dilation, a merge or a Hardy embedding) carries ``fix_phase``'s canonical
+phase; ``Povm(...)``, and so a loaded file, keeps the phases it is given. An
+element's largest eigenvalue is the probability that the environment selects its
+measurement context.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
@@ -51,30 +51,19 @@ def require_space_dims(dims: Sequence[object]) -> None:
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class LabelledStack(ByValue):
-    """Labels plus ``vectors``, one read-only complex row per label, as the storage.
+    """Labels, each naming one entry of the read-only complex stack a subclass stores as
+    a field. Fields compare by value and show in repr unless they say otherwise;
+    ``_nonempty`` is the message for no labels. Instances are immutable."""
 
-    Subclasses declare their other stored attributes as fields, compared by value and
-    shown by repr beside the labels unless a field says otherwise, and name in
-    ``_nonempty`` the message for an empty label list. Instances are immutable.
-    """
-
-    vectors: np.ndarray = field(repr=False)
     _index: dict[str, int] = field(repr=False)
     _nonempty: ClassVar[str]
 
-    def _store(
-        self, labels: Sequence[str], vectors: np.ndarray, dims: tuple[int, ...], **values: object
-    ) -> None:
+    def _store(self, labels: Sequence[str], dims: tuple[int, ...], **values: object) -> None:
         """Check that each factor of the space, in ``dims``, is an integer of at least 1
         (``space-dim``), then that the labels are strings, then unique, then that there is
-        one, take ``vectors`` as the read-only ``(len(labels), dim)`` copy ``amplitudes``
-        makes, dim the product of ``dims``, and set the fields. The stack is a copy, so no
-        later write to the caller's array reaches it.
-
-        Looking up an absent label in ``_index`` raises UnknownLabelError.
-        """
+        one, and set the fields. Looking up an absent label in ``_index`` raises
+        UnknownLabelError."""
         require_space_dims(dims)
-        dim = math.prod(dims)
         if not all(isinstance(label, str) for label in labels):
             raise ValidationError("outcome labels must be strings", invariant="string-labels")
         index = _LabelIndex((label, i) for i, label in enumerate(labels))
@@ -82,8 +71,11 @@ class LabelledStack(ByValue):
             raise ValidationError("outcome labels must be unique", invariant="unique-labels")
         if not len(labels):
             raise ValidationError(self._nonempty, invariant="nonempty")
-        rows = amplitudes(vectors, (len(labels), dim), f"for {len(labels)} labels of dim {dim}")
-        self.__dict__.update(values, vectors=rows, _index=index)
+        self.__dict__.update(values, _index=index)
+
+    def _rows(self, vectors: object, dim: int) -> np.ndarray:
+        """``vectors`` as the read-only ``(len(self), dim)`` copy ``amplitudes`` makes."""
+        return amplitudes(vectors, (len(self), dim), f"for {len(self)} labels of dim {dim}")
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self._index)
@@ -96,19 +88,32 @@ class LabelledStack(ByValue):
         return f"{type(self).__name__}(labels={self.labels()!r}{shown})"
 
 
+def _factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(d, k)`` columns and ``(k,)`` signs of a Hermitian matrix (its lower triangle):
+    per ``eigh`` pair (w, v), largest w first, ``fix_phase(v)`` times sqrt|w|, signed as w,
+    except where |w| <= d * eps * max|w|, round-off. Entries beyond 1 are first scaled down
+    to 1, so that no eigenvalue overflows."""
+    scale = max(float(np.abs(matrix).max()), 1.0)
+    values, vectors = np.linalg.eigh(matrix / scale)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    size = np.abs(values)
+    keep = ~(size <= len(size) * np.finfo(float).eps * size.max())  # a NaN keeps its column
+    columns = fix_phase(vectors[:, keep].T) * (np.sqrt(size[keep]) * np.sqrt(scale))[:, None]
+    return columns.T, np.where(values[keep] < 0.0, -1.0, 1.0)
+
+
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Povm(LabelledStack):
-    """An ordered, labelled POVM on a system space.
-
-    Construction does not enforce completeness, so partial collections can be
-    inspected; ``completeness_check`` reports the residual and
-    ``validate_povm`` raises on violations. ``vectors`` holds the amplitudes
-    of each rank-1 element and zeros for each operator element, whose
-    read-only Hermitian ``(system_dim, system_dim)`` matrix is kept in ``operators``.
-    """
+    """An ordered, labelled POVM on a system space, not checked for completeness
+    (``validate_povm`` checks it). Element m is F_m diag(s_m) F_m^dagger, with F_m
+    read-only in the ``(M, system_dim, r)`` ``factors``, zero columns padding each
+    element to the widest, and its signs +-1 in the ``(M, r)`` ``signs``. One element's
+    columns are orthogonal, largest eigenvalue first: their signed squared norms.
+    ``vectors`` and ``operators`` are read-only views of the stack."""
 
     system_dim: int
-    _operators: dict[int, np.ndarray]
+    factors: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
     _nonempty = "a POVM needs at least one element"
 
     def __init__(
@@ -119,65 +124,103 @@ class Povm(LabelledStack):
         operators: Mapping[int, np.ndarray] | None = None,
         tol: float = DEFAULT_TOL,
     ) -> None:
-        """A POVM over a copy of an ``(M, system_dim)`` complex stack.
+        """Each row of a copy of an ``(M, system_dim)`` stack is one column of sign +1, bit
+        for bit, except at the positions ``operators`` maps to matrices, whose rows are
+        zero: each matrix is factored by ``_factor``, so its negative eigenvalues keep
+        their sign and one of a single positive eigenvalue becomes a row.
 
-        ``operators`` maps the positions of operator elements, whose rows are
-        zero, to their matrices, each stored as a read-only complex copy. Raises
-        ``space-dim`` for a ``system_dim`` that is not an integer of at least 1,
-        ``nonempty`` or ``unique-labels`` for empty or repeated labels,
-        ``finite-amplitudes`` or ``finite-entries`` for non-finite values,
-        ``SpaceMismatchError`` for a stack that is not ``(len(labels),
-        system_dim)`` or a matrix that is not ``(system_dim, system_dim)``,
-        ``element-payload`` for a key that is not a position (a ``bool`` is not)
-        or a nonzero row at an operator's position, and ``hermiticity`` for an
-        operator that is not Hermitian within tol.
+        Raises ``space-dim`` for a ``system_dim`` not an integer of at least 1, ``nonempty``
+        or ``unique-labels`` for empty or repeated labels, ``finite-amplitudes`` or
+        ``finite-entries`` for non-finite values, ``SpaceMismatchError`` for a stack not
+        ``(len(labels), system_dim)`` or a matrix not ``(system_dim, system_dim)``,
+        ``element-payload`` for a key not a position (a ``bool`` is not) or a nonzero row at
+        an operator's position, and ``hermiticity`` for an operator not Hermitian within tol.
         """
-        operators = dict(operators or {})
-        self._store(labels, vectors, (system_dim,), system_dim=system_dim, _operators=operators)
-        for k, op in operators.items():
+        self._store(labels, (system_dim,), system_dim=system_dim)
+        rows = self._rows(vectors, system_dim)
+        parts = {}
+        for k, op in dict(operators or {}).items():
             if not _is_integer(k) or not 0 <= k < len(labels):
                 problem = f"operator position {k!r} is not one of the {len(labels)} positions"
                 raise ValidationError(problem, invariant="element-payload")
-            what = f"for element {labels[k]!r} of dim {system_dim}"
-            operators[k] = op = entries(op, system_dim, what)
-            if self.vectors[k].any():
+            op = entries(op, system_dim, f"for element {labels[k]!r} of dim {system_dim}")
+            if rows[k].any():
                 problem = f"operator element {labels[k]!r} has a nonzero row"
                 raise ValidationError(problem, invariant="element-payload")
-            require_hermitian(op, tol, f"element {labels[k]!r}")
+            parts[k] = _factor(require_hermitian(op, tol, f"element {labels[k]!r}"))
+        self._set_stack(rows[:, :, None], np.ones((len(rows), 1)), parts)
 
-    @property
-    def operators(self) -> Mapping[int, np.ndarray]:
-        """The operator elements by position; every other element is rank one."""
-        return MappingProxyType(self._operators)
+    @classmethod
+    def _of(cls, system_dim: int, labels: Sequence[str], *stack: object) -> Povm:
+        """A POVM of ``_set_stack``'s arguments, its labels checked as the constructor's."""
+        p = cls.__new__(cls)
+        p._store(labels, (system_dim,), system_dim=system_dim)
+        p._set_stack(*stack)
+        return p
+
+    def _set_stack(self, factors: np.ndarray, signs: np.ndarray, parts: dict) -> None:
+        """Store the stack read-only, with ``parts``, (columns, signs) by position, in place
+        of those elements in a new stack cut after the last column nonzero somewhere."""
+        if parts:
+            width = max([factors.shape[2], *(len(sign) for _, sign in parts.values())])
+            stack = np.zeros((*factors.shape[:2], width), dtype=complex)
+            signed = np.ones((len(signs), width))
+            stack[:, :, : factors.shape[2]], signed[:, : signs.shape[1]] = factors, signs
+            for k, (columns, sign) in parts.items():
+                stack[k], signed[k] = 0.0, 1.0
+                stack[k, :, : len(sign)], signed[k, : len(sign)] = columns, sign
+            width = np.flatnonzero(stack.any(axis=(0, 1))).max(initial=0) + 1
+            factors, signs = stack[:, :, :width], signed[:, :width]
+        factors.setflags(write=False)
+        signs.setflags(write=False)
+        self.__dict__.update(factors=factors, signs=signs)
 
     @functools.cached_property
-    def _is_vector(self) -> np.ndarray:
-        is_vector = np.ones(len(self), dtype=bool)
-        is_vector[list(self._operators)] = False
-        is_vector.setflags(write=False)
-        return is_vector
+    def _rank_one(self) -> np.ndarray:
+        """Which elements are one factor column of sign +1: the rows of ``vectors``."""
+        return (self.signs[:, 0] > 0) & ~self.factors[:, :, 1:].any(axis=(1, 2))
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Read-only ``(M, system_dim)`` rows: a rank-1 element's amplitudes, else zeros."""
+        rows = np.where(self._rank_one[:, None], self.factors[:, :, 0], 0.0)
+        rows.setflags(write=False)
+        return rows
+
+    @functools.cached_property
+    def operators(self) -> Mapping[int, np.ndarray]:
+        """Each element that is not rank one, by position, as its read-only matrix."""
+        positions = np.flatnonzero(~self._rank_one)
+        if not len(positions):
+            return MappingProxyType({})
+        matrices = _element_matrices(self, positions)
+        matrices.setflags(write=False)
+        return MappingProxyType(dict(zip(positions.tolist(), matrices)))
 
 
 def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
-    """The elements at ``positions`` as a ``(K, d, d)`` stack of dense matrices."""
-    rows = p.vectors[positions]
-    stack = rows[:, :, None] * rows.conj()[:, None, :]
-    for k in np.flatnonzero(~p._is_vector[positions]):
-        stack[k] = p._operators[positions[k]]
-    return stack
+    """The ``(K, d, d)`` matrices of the elements at ``positions``: the signed outer
+    products of their columns added in order, so a row's is its outer product exactly."""
+    factors = p.factors[positions]
+    signed = np.where(p.signs[positions][:, None, :] < 0, -factors, factors)
+    products = signed[:, :, None, :] * factors.conj()[:, None, :, :]
+    return products[..., 0] if products.shape[-1] == 1 else products.sum(axis=-1)
 
 
-@finite("an element weight is")
-def _selection_weights(p: Povm, positions: np.ndarray, bottoms=None) -> np.ndarray:
-    """``context_selection_probability`` of the elements at ``positions``; rank-1 weights
-    round as ``np.vdot``. The ``eigvalsh`` that weighs an operator element also writes its
-    lowest eigenvalue at the element's index in ``bottoms``, when given."""
-    rows = p.vectors[positions]
-    weights = (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
-    lows = np.zeros(len(positions)) if bottoms is None else bottoms
-    for i in np.flatnonzero(~p._is_vector[positions]):
-        lows[i], weights[i] = np.linalg.eigvalsh(p._operators[positions[i]])[[0, -1]]
-    return weights
+def _eigenvalues(p: Povm, positions: np.ndarray) -> np.ndarray:
+    """The ``(K, system_dim)`` eigenvalues, unsorted, of the elements at ``positions``: their
+    columns' signed squared norms, each as ``np.vdot`` rounds it, then a 0 for each
+    dimension of the null space. A norm that overflows is left to the callers' finite rules."""
+    signs = p.signs[positions]
+    columns = p.factors[positions].transpose(0, 2, 1).reshape(-1, p.system_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (columns.conj()[:, None, :] @ columns[:, :, None]).real.reshape(signs.shape)
+    null = np.zeros((len(signs), p.system_dim - signs.shape[1]))
+    return np.concatenate([signs * norms, null], axis=1)
+
+
+# each element's largest eigenvalue, its context-selection probability, from _eigenvalues
+_weights = finite("an element weight is")(operator.methodcaller("max", axis=1))
 
 
 @finite("the completeness residual is")
@@ -189,53 +232,40 @@ def completeness_check(p: Povm) -> float:
 
 @finite("the element bound residual is")
 def element_bound_residual(p: Povm) -> float:
-    """How far the worst element's eigenvalues leave [0, 1]; 0.0, never -0.0, when none
-    do. ``np.max`` keeps a NaN lowest eigenvalue, which Python's ``max`` would drop unless
-    first, and ``0.0 - low`` is +0.0 at a lowest eigenvalue of zero, where ``-low`` is not."""
-    bottoms = np.zeros(len(p))  # no rank-1 element has a negative eigenvalue
-    tops = _selection_weights(p, np.arange(len(p)), bottoms)
-    return float(np.max([0.0, tops.max() - 1.0, 0.0 - bottoms.min()]))
+    """How far the worst element's eigenvalues leave [0, 1], once the weights pass their
+    finite rule: 0.0, never -0.0 (``0.0 - low``), when none do, and NaN kept (``np.max``)."""
+    values = _eigenvalues(p, np.arange(len(p)))
+    return float(np.max([0.0, _weights(values).max() - 1.0, 0.0 - values.min()]))
 
 
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
     """Raise unless the POVM is complete with well-bounded elements."""
     bound = element_bound_residual(p)
     if bound > tol:
-        raise ValidationError(
-            f"element eigenvalues leave [0, 1] (residual {bound:.3e})",
-            invariant="element-bounds",
-        )
+        problem = f"element eigenvalues leave [0, 1] (residual {bound:.3e})"
+        raise ValidationError(problem, invariant="element-bounds")
     residual = completeness_check(p)
     if residual > tol:
-        raise ValidationError(
-            f"POVM does not sum to identity (residual {residual:.3e})",
-            invariant="completeness",
-        )
+        problem = f"POVM does not sum to identity (residual {residual:.3e})"
+        raise ValidationError(problem, invariant="completeness")
 
 
 def probability(p: Povm, state: np.ndarray, label: str, tol: float = DEFAULT_TOL) -> float:
-    """Outcome probability <lambda|rho|lambda> (vector) or tr(E rho) (operator) at a
-    ket or a density matrix, checked by ``density_matrix``."""
+    """Outcome probability tr(E rho), the sum of s <f|rho|f> over the element's columns,
+    each as ``np.vdot`` rounds it, at a ket or density matrix ``density_matrix`` checks."""
     k = p._index[label]
     rho = density_matrix(state, p.system_dim, tol)
-    if p._is_vector[k]:
-        value = float(np.vdot(p.vectors[k], rho @ p.vectors[k]).real)
-    else:
-        value = float(np.trace(p._operators[k] @ rho).real)
+    value = float(sum(s * np.vdot(f, rho @ f).real for f, s in zip(p.factors[k].T, p.signs[k])))
     if value < -tol:
         raise ValidationError(f"negative probability {value!r}", invariant="positivity")
     return value
 
 
 def context_selection_probability(p: Povm, label: str) -> float:
-    """Probability that the environment selects this outcome's context.
-
-    For a vector element this is its squared norm; for an operator element it
-    is the largest eigenvalue, the supremum of the outcome probability over
-    states (an extension that reduces to the trace on rank-1 operators).
-    Raises FloatingPointError when the weight is not finite.
-    """
-    return float(_selection_weights(p, np.array([p._index[label]]))[0])
+    """Probability that the environment selects this outcome's context: the element's
+    largest eigenvalue, the supremum of its probability over states, a row's squared
+    norm. Raises FloatingPointError when the weight is not finite."""
+    return float(_weights(_eigenvalues(p, np.array([p._index[label]])))[0])
 
 
 def require_context_weight(p: Povm, label: str, tol: float) -> float:
@@ -247,19 +277,14 @@ def require_context_weight(p: Povm, label: str, tol: float) -> float:
 
 
 def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The density matrix of the pure state attaining the outcome's maximal probability."""
+    """The density matrix of the pure state along the element's top column, which attains
+    its maximal probability; ``rank-one`` when a second eigenvalue exceeds tol."""
     k = p._index[label]
     require_context_weight(p, label, tol)
-    if p._is_vector[k]:
-        row = p.vectors[k]
-    else:
-        values, vectors = np.linalg.eigh(p._operators[k])
-        if values.shape[0] > 1 and values[-2] > tol:
-            raise ValidationError(
-                f"element {label!r} is not rank one", invariant="rank-one"
-            )
-        row = fix_phase(vectors[:, -1])
-    return density_matrix(unit_vector(row, tol), p.system_dim, tol)
+    values = _eigenvalues(p, np.array([k]))[0]
+    if np.count_nonzero(values > tol) > 1:
+        raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
+    return density_matrix(unit_vector(p.factors[k, :, np.argmax(values)], tol), p.system_dim, tol)
 
 
 def rescaled_probability(
@@ -270,28 +295,24 @@ def rescaled_probability(
     return probability(p, state, label, tol) / weight
 
 
-def _context_relations(p: Povm, positions: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Witness and shared matrices of the pairs at ``positions``, which must name
-    nonzero elements.
-
-    Two rank-1 elements share a context iff their normalised inner-product
-    magnitude, the witness, is 0 (orthogonal) or 1 (proportional)
-    within tol: all such pairs come from one Gram matrix of the unit rows,
-    |G_ij| / sqrt(w_i w_j). A pair involving an operator element shares one iff
-    the support projectors commute; the witness is the spectral norm of the
-    commutator, from one ``eigh`` of the element stack.
-    """
-    is_vector = p._is_vector[positions]
+def _context_relations(p: Povm, positions: np.ndarray, values: np.ndarray, tol: float) -> tuple:
+    """Witness and shared matrices of the pairs of nonzero elements at ``positions``, with
+    ``_eigenvalues`` ``values``. Two rows share a context iff the witness, the magnitude of
+    their unit rows' inner product, is 0 or 1 within tol: one Gram matrix gives all such
+    pairs. Any other pair shares one iff the support projectors, of the columns of signed
+    norm above tol, commute; its witness is the spectral norm of the commutator."""
+    factors, is_vector = p.factors[positions], p._rank_one[positions]
     both_vectors = np.outer(is_vector, is_vector)
     witness = np.zeros(both_vectors.shape)
-    if is_vector.any():
-        rows = p.vectors[positions[is_vector]]
-        units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
+    rows = factors[is_vector, :, 0]
+    units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
     if not is_vector.all():
-        values, vectors = np.linalg.eigh(_element_matrices(p, positions))
-        cols = [v[:, w > tol] for w, v in zip(values, vectors)]
-        supports = np.array([c @ c.conj().T for c in cols])
+        signed = values[:, : factors.shape[2]]
+        support = signed > tol
+        scale = np.divide(1.0, np.sqrt(np.abs(signed)), out=np.zeros(signed.shape), where=support)
+        bases = factors * scale[:, None, :]  # orthonormal support columns
+        supports = bases @ bases.conj().transpose(0, 2, 1)
         i, j = np.nonzero(np.triu(~both_vectors, 1))
         commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
         witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
@@ -312,56 +333,32 @@ class ContextGraph:
 
 
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
-    """Pairwise context-sharing structure; zero-weight outcomes are skipped.
-
-    Rank-1 outcomes share a context iff their directions are orthogonal or
-    proportional within tol, and outcomes involving an operator element iff
-    their support projectors commute (``_context_relations``).
-    """
+    """Pairwise context-sharing structure (``_context_relations``); zero-weight
+    outcomes are skipped."""
     labels = p.labels()
-    weights = _selection_weights(p, np.arange(len(p)))
+    values = _eigenvalues(p, np.arange(len(p)))
+    weights = _weights(values)
     live = np.flatnonzero(weights > tol)
     nodes = tuple(labels[k] for k in live)
-    witness, shared = _context_relations(p, live, tol)
+    witness, shared = _context_relations(p, live, values[live], tol)
     i, j = np.nonzero(np.triu(shared, 1))
     a, b = (map(nodes.__getitem__, k.tolist()) for k in (i, j))
     edges = tuple(zip(a, b, witness[i, j].tolist()))
     return ContextGraph(nodes, edges, tuple(labels[k] for k in np.flatnonzero(weights <= tol)))
 
 
-def coarse_grain(
-    p: Povm, labels_to_merge: Sequence[str], new_label: str, tol: float = DEFAULT_TOL
-) -> Povm:
-    """Replace a group of outcomes by their sum, kept rank-1 when possible.
-
-    The merged element sits at the first merged label's position. If the sum
-    is rank one within tol it is stored back as a scaled unit vector with the
-    canonical phase, otherwise as an operator element.
-    """
+def coarse_grain(p: Povm, labels_to_merge: Sequence[str], new_label: str) -> Povm:
+    """Replace a group of outcomes by their sum, at the first one's position, factored
+    by ``_factor``: no eigenvalue beyond round-off is dropped, and a sum with one
+    positive eigenvalue is a row with the canonical phase."""
     merge = [str(label) for label in labels_to_merge]
     if not merge:
         raise ValidationError("nothing to merge", invariant="nonempty")
     if len(set(merge)) < len(merge):
         raise ValidationError("labels to merge must be unique", invariant="unique-labels")
     positions = np.array([p._index[label] for label in merge])
-    total = _element_matrices(p, positions).sum(axis=0)
-
-    operators = dict(p._operators)  # by old position; -1 is the merged element
-    values, vectors = np.linalg.eigh(total)
-    if values.shape[0] == 1 or values[-2] <= tol:
-        row = np.sqrt(max(values[-1], 0.0)) * fix_phase(vectors[:, -1])
-    else:
-        row = np.zeros(p.system_dim, dtype=complex)
-        operators[-1] = total
-
-    drop = set(positions.tolist())
-    labels = p.labels()
-    order = [k for k in range(len(p)) if k not in drop]
-    order.insert(min(drop), -1)  # nothing before the first merged element was dropped
-    return Povm(
-        p.system_dim,
-        [new_label if k < 0 else labels[k] for k in order],
-        np.array([row if k < 0 else p.vectors[k] for k in order]),
-        {i: operators[k] for i, k in enumerate(order) if k in operators},
-        tol,
-    )
+    merged = _factor(_element_matrices(p, positions).sum(axis=0))
+    at, drop, labels = positions.min(), set(positions.tolist()), p.labels()
+    order = [k for k in range(len(p)) if k == at or k not in drop]  # at stays at index at
+    names = [new_label if k == at else labels[k] for k in order]
+    return Povm._of(p.system_dim, names, p.factors[order], p.signs[order], {at: merged})

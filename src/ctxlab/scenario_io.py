@@ -230,7 +230,7 @@ def scenario_from_dict(raw: dict, tol: float = DEFAULT_TOL) -> Scenario:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ScenarioFileError(f"unknown keys {sorted(unknown, key=str)}")
-    if raw.get("version") != SCHEMA_VERSION:
+    if type(raw.get("version")) is not int or raw["version"] != SCHEMA_VERSION:  # not 1.0, True
         raise ScenarioFileError(f"unsupported version {raw.get('version')!r}")
     system_dim = _positive_int(raw, "system_dim")
 
@@ -280,7 +280,7 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
     gc.disable()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ScenarioFileError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ScenarioFileError(f"{path} nests too deeply to parse") from exc

@@ -71,6 +71,23 @@ def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int
     return pairs
 
 
+def dense_element_numbers(matrices: list[np.ndarray], rho: np.ndarray) -> dict[str, object]:
+    """What the POVM rules report, from each element's dense Hermitian matrix alone.
+
+    ``completeness`` is the largest entry of |sum E - I|, ``bound`` how far the
+    eigenvalues of the worst element leave [0, 1], ``weights`` each element's
+    largest eigenvalue, and ``probabilities`` each tr(E rho).
+    """
+    spectra = [np.linalg.eigvalsh(m) for m in matrices]
+    lows, tops = [float(s[0]) for s in spectra], [float(s[-1]) for s in spectra]
+    return {
+        "completeness": float(np.abs(sum(matrices) - np.eye(len(rho))).max()),
+        "bound": max(0.0, max(tops) - 1.0, -min(lows)),
+        "weights": tops,
+        "probabilities": [float(np.trace(m @ rho).real) for m in matrices],
+    }
+
+
 def hardy_numbers(
     f: np.ndarray, d1: np.ndarray, d2: np.ndarray, b1: np.ndarray, b2: np.ndarray, rho: np.ndarray
 ) -> dict[str, float]:

@@ -32,6 +32,7 @@ from ctxlab import (
     save_scenario,
     verify_constraints,
 )
+import ctxlab.povm as povm_module
 from ctxlab.cli import build_parser, main
 from helpers import (
     NUMBER,
@@ -189,24 +190,27 @@ def test_povm_check_strict_names_element_bounds(capsys, tmp_path):
     write_raw(path, raw)
     code, out, err = run_cli(capsys, "povm", "check", str(path), "--strict")
     assert code == 3
-    assert "completeness residual: 0\n" in out
+    # each entry is factored on reading, so the sum is exact only to round-off
+    residual = float(out.split("completeness residual: ")[1].split()[0])
+    assert residual <= 1e-15
     assert "invariant violation [element-bounds]" in err
 
 
 def test_povm_check_strict_does_not_recompute_a_passing_report(capsys, tmp_path, monkeypatch):
-    # one eigvalsh per operator element for the report's bound residual, none after it
+    # the report weighs the elements once; a passing report runs no validate_povm after it
     p = load_scenario(VH_FILE).resolve_povm()
     for pair, label in ((("V1", "H1"), "VH1"), (("V2", "H2"), "VH2")):
         p = coarse_grain(p, pair, label)
     path = tmp_path / "two-operators.json"
     save_scenario(path, Scenario(3, povm=p))
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    name = "element_bound_residual"
+    bound = getattr(povm_module, name)
+    monkeypatch.setattr(povm_module, name, lambda q: calls.append(1) or bound(q))
     code, out, _ = run_cli(capsys, "povm", "check", str(path), "--strict")
     assert code == 0
     assert out.endswith("result: ok (tol=1e-09)\n")
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_undecodable_file_exits_two(capsys, tmp_path):
@@ -665,6 +669,24 @@ def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path):
     assert err.startswith("input error: povm 'F': ")
 
 
+def test_an_integer_past_the_parsers_digit_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"version": 1, "system_dim": ' + "1" * 5000 + "}")
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path} is not valid JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_a_version_that_only_equals_one_exits_two(capsys, tmp_path, version):
+    path = tmp_path / "version.json"
+    path.write_text(f'{{"version": {version}, "system_dim": 2}}')
+    code, out, err = run_cli(capsys, "povm", "check", str(path))
+    shown = {"true": "True", "1.0": "1.0"}[version]
+    assert (code, out, err) == (2, "", f"input error: unsupported version {shown}\n")
+
+
 def test_repeated_calls_do_not_share_state(capsys):
     assert build_parser() is build_parser()
     code, out, _ = run_cli(capsys, "povm", "check", "--json", DA_FILE)
@@ -845,8 +867,11 @@ def test_overflowing_weights_are_a_numerical_failure_in_every_command(
         expected = (4, "numerical failure: an element weight is not finite\n")
     elif argv[0] == "context-graph":  # finite weights: the graph is drawn
         expected = (0, "")
-    else:  # dilate refuses operator elements before it weighs them
+    elif kind == "lowest-eigenvalue-overflow":  # dilate refuses it before it weighs it
         expected = (3, "invariant violation [rank-one-elements]: element 'a' is not rank one\n")
+    else:  # each positive 1x1 entry is factored into a row of weight 1e308
+        bounds = "element eigenvalues leave [0, 1] (residual 1.000e+308)"
+        expected = (3, f"invariant violation [element-bounds]: {bounds}\n")
     assert (code, err) == expected
     assert (out == "") == (code != 0)
     assert not (tmp_path / "out.json").exists()

@@ -4,6 +4,7 @@ alone, and a warning raised while an entry point starts comes before any test.""
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -55,6 +56,11 @@ def _strict_python(args: list[str], src: Path, cwd: Path) -> subprocess.Complete
 
 
 def test_the_cli_runs_its_commands_with_warnings_as_errors(tmp_path):
+    # an operator element beside a row, with eigenvalues 1 and -0.5, runs the factor code
+    unbounded = tmp_path / "unbounded.json"
+    matrix = [[[0.25, 0.0], [0.75, 0.0]], [[0.75, 0.0], [0.25, 0.0]]]
+    povm = [{"label": "op", "matrix": matrix}, {"label": "row", "vector": [[1.0, 0.0], [0.0, 0.0]]}]
+    unbounded.write_text(json.dumps({"version": 1, "system_dim": 2, "povm": povm}))
     commands = [
         ["povm", "check", str(DATA / "three-path-DA.json")],
         ["context-graph", "--dot", str(DATA / "hardy.json")],
@@ -62,6 +68,9 @@ def test_the_cli_runs_its_commands_with_warnings_as_errors(tmp_path):
         ["max-violation", "--json", str(DATA / "hardy.json")],
         ["dilate", str(DATA / "three-path-VH.json"), "-o", str(tmp_path / "dilated.json")],
         ["scenario", "run", "three-path", "--merge-a"],
+        ["scenario", "run", "three-path", "--merge-a", "--phi-init", "H"],
+        ["povm", "check", "--json", str(unbounded)],
+        ["context-graph", "--json", str(unbounded)],
     ]
     for command in commands:
         run = _strict_python(["-m", "ctxlab", *command], ROOT / "src", tmp_path)
