@@ -107,13 +107,10 @@ def _print_povm_report(p: Povm, tol: float) -> None:
     print(f"povm: {len(p)} elements, system_dim={p.system_dim}")
     print("elements:")
     labels = p.labels()
-    for k, (label, row) in enumerate(zip(labels, p.vectors)):
-        if k not in p.operators:
-            weight = float(np.vdot(row, row).real)
-            print(f"  {label}: weight={_fmt(weight)} vector={_fmt_vector(row)}")
-        else:  # the signed squared norms of its factor columns, and 0 for its null space
-            values = p.signs[k] * (np.abs(p.factors[k]) ** 2).sum(axis=0)
-            values = np.sort(np.concatenate([values, np.zeros(p.system_dim - len(values))]))
+    for k, (label, row, values) in enumerate(zip(labels, p.vectors, np.sort(p.eigenvalues))):
+        if k not in p.operators:  # a row's one nonzero eigenvalue is its weight
+            print(f"  {label}: weight={_fmt(values[-1])} vector={_fmt_vector(row)}")
+        else:
             trace, shown = _fmt(values.sum()), _fmt_vector(values)
             print(f"  {label}: operator trace={trace} eigenvalues={shown}")
     print(f"completeness residual: {_fmt(completeness_check(p))}")

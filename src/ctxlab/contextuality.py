@@ -41,19 +41,17 @@ class HardyTriple(ByValue):
 
     def __post_init__(self) -> None:
         p, tol = self.povm, self.tol
-        units = []
+        positions = []
         for label in (self.f, self.d1, self.d2):
-            k = p._index[label]
-            if not p._rank_one[k]:
+            positions.append(p._index[label])
+            if not p._rank_one[positions[-1]]:
                 raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
             require_context_weight(p, label, tol)
-            units.append(unit_vector(p.vectors[k], tol))
-        units = fix_phase(units)
-        f_hat = units[0]
+        units = fix_phase(p._units[positions])
         parallel = ValidationError(
             "the reference outcome is parallel to its partner", invariant="hardy-decomposition"
         )
-        rests = [f_hat - d * complex(np.vdot(d, f_hat)) for d in units[1:]]
+        rests = [units[0] - d * complex(np.vdot(d, units[0])) for d in units[1:]]
         bases = [unit_vector(rest, tol, parallel) for rest in rests]
         units = np.concatenate([units, fix_phase(bases)])  # f, d1, d2, then basis1 and basis2
         units.flags.writeable = False

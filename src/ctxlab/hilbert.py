@@ -98,9 +98,9 @@ def finite(what: str) -> Callable[[Callable], Callable]:
 
 
 def _complex(values: object, what: str, items: str, form: str) -> np.ndarray:
-    """``values`` as one complex array, else SpaceMismatchError."""
+    """``values`` as one C-ordered complex array, else SpaceMismatchError."""
     try:
-        return np.array(values, dtype=complex)
+        return np.array(values, dtype=complex, order="C")
     except (TypeError, ValueError) as exc:  # rows of unequal lengths or a string entry
         raise SpaceMismatchError(f"{items} that are not one complex {form} {what}") from exc
 

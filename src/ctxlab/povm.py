@@ -109,7 +109,7 @@ class Povm(LabelledStack):
     read-only in the ``(M, system_dim, r)`` ``factors``, zero columns padding each
     element to the widest, and its signs +-1 in the ``(M, r)`` ``signs``. One element's
     columns are orthogonal, largest eigenvalue first: their signed squared norms.
-    ``vectors`` and ``operators`` are read-only views of the stack."""
+    ``vectors``, ``operators`` and ``eigenvalues`` are read-only views of the stack."""
 
     system_dim: int
     factors: np.ndarray = field(repr=False)
@@ -159,8 +159,8 @@ class Povm(LabelledStack):
         return p
 
     def _set_stack(self, factors: np.ndarray, signs: np.ndarray, parts: dict) -> None:
-        """Store the stack read-only, with ``parts``, (columns, signs) by position, in place
-        of those elements in a new stack cut after the last column nonzero somewhere."""
+        """Store the stack read-only, with ``parts`` ((columns, signs) by position) in place of
+        those elements in a new C-ordered stack cut after its last column nonzero somewhere."""
         if parts:
             width = max([factors.shape[2], *(len(sign) for _, sign in parts.values())])
             stack = np.zeros((*factors.shape[:2], width), dtype=complex)
@@ -170,7 +170,7 @@ class Povm(LabelledStack):
                 stack[k], signed[k] = 0.0, 1.0
                 stack[k, :, : len(sign)], signed[k, : len(sign)] = columns, sign
             width = np.flatnonzero(stack.any(axis=(0, 1))).max(initial=0) + 1
-            factors, signs = stack[:, :, :width], signed[:, :width]
+            factors, signs = stack[:, :, :width].copy(), signed[:, :width]
         factors.setflags(write=False)
         signs.setflags(write=False)
         self.__dict__.update(factors=factors, signs=signs)
@@ -197,6 +197,29 @@ class Povm(LabelledStack):
         matrices.setflags(write=False)
         return MappingProxyType(dict(zip(positions.tolist(), matrices)))
 
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Read-only ``(M, system_dim)`` eigenvalues, signed and unsorted: the columns' signed
+        squared norms, each as ``np.vdot`` rounds it, then a 0 for each dimension of the null
+        space. Overflow is left to the rules' finite checks."""
+        columns = self.factors.transpose(0, 2, 1).reshape(-1, self.system_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = (columns.conj()[:, None, :] @ columns[:, :, None]).real
+        null = np.zeros((len(self), self.system_dim - self.signs.shape[1]))
+        values = np.concatenate([self.signs * norms.reshape(self.signs.shape), null], axis=1)
+        values.setflags(write=False)
+        return values
+
+    @functools.cached_property
+    def _units(self) -> np.ndarray:
+        """Read-only rows of ``vectors`` over their ``np.linalg.norm`` norms, zero rows kept
+        zero. Overflow is left to the rules' finite checks."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
+            units = self.vectors / np.where(norms > 0.0, norms, 1.0)
+        units.setflags(write=False)
+        return units
+
 
 def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
     """The ``(K, d, d)`` matrices of the elements at ``positions``: the signed outer
@@ -207,19 +230,7 @@ def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
     return products[..., 0] if products.shape[-1] == 1 else products.sum(axis=-1)
 
 
-def _eigenvalues(p: Povm, positions: np.ndarray) -> np.ndarray:
-    """The ``(K, system_dim)`` eigenvalues, unsorted, of the elements at ``positions``: their
-    columns' signed squared norms, each as ``np.vdot`` rounds it, then a 0 for each
-    dimension of the null space. A norm that overflows is left to the callers' finite rules."""
-    signs = p.signs[positions]
-    columns = p.factors[positions].transpose(0, 2, 1).reshape(-1, p.system_dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = (columns.conj()[:, None, :] @ columns[:, :, None]).real.reshape(signs.shape)
-    null = np.zeros((len(signs), p.system_dim - signs.shape[1]))
-    return np.concatenate([signs * norms, null], axis=1)
-
-
-# each element's largest eigenvalue, its context-selection probability, from _eigenvalues
+# each element's largest eigenvalue, its context-selection probability, from eigenvalues
 _weights = finite("an element weight is")(operator.methodcaller("max", axis=1))
 
 
@@ -234,8 +245,7 @@ def completeness_check(p: Povm) -> float:
 def element_bound_residual(p: Povm) -> float:
     """How far the worst element's eigenvalues leave [0, 1], once the weights pass their
     finite rule: 0.0, never -0.0 (``0.0 - low``), when none do, and NaN kept (``np.max``)."""
-    values = _eigenvalues(p, np.arange(len(p)))
-    return float(np.max([0.0, _weights(values).max() - 1.0, 0.0 - values.min()]))
+    return float(np.max([0.0, _weights(p.eigenvalues).max() - 1.0, 0.0 - p.eigenvalues.min()]))
 
 
 def validate_povm(p: Povm, tol: float = DEFAULT_TOL) -> None:
@@ -265,7 +275,7 @@ def context_selection_probability(p: Povm, label: str) -> float:
     """Probability that the environment selects this outcome's context: the element's
     largest eigenvalue, the supremum of its probability over states, a row's squared
     norm. Raises FloatingPointError when the weight is not finite."""
-    return float(_weights(_eigenvalues(p, np.array([p._index[label]])))[0])
+    return float(_weights(p.eigenvalues[[p._index[label]]])[0])
 
 
 def require_context_weight(p: Povm, label: str, tol: float) -> float:
@@ -281,7 +291,7 @@ def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> np.ndarra
     its maximal probability; ``rank-one`` when a second eigenvalue exceeds tol."""
     k = p._index[label]
     require_context_weight(p, label, tol)
-    values = _eigenvalues(p, np.array([k]))[0]
+    values = p.eigenvalues[k]
     if np.count_nonzero(values > tol) > 1:
         raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
     return density_matrix(unit_vector(p.factors[k, :, np.argmax(values)], tol), p.system_dim, tol)
@@ -293,31 +303,6 @@ def rescaled_probability(
     """Outcome probability divided by its context-selection probability."""
     weight = require_context_weight(p, label, tol)
     return probability(p, state, label, tol) / weight
-
-
-def _context_relations(p: Povm, positions: np.ndarray, values: np.ndarray, tol: float) -> tuple:
-    """Witness and shared matrices of the pairs of nonzero elements at ``positions``, with
-    ``_eigenvalues`` ``values``. Two rows share a context iff the witness, the magnitude of
-    their unit rows' inner product, is 0 or 1 within tol: one Gram matrix gives all such
-    pairs. Any other pair shares one iff the support projectors, of the columns of signed
-    norm above tol, commute; its witness is the spectral norm of the commutator."""
-    factors, is_vector = p.factors[positions], p._rank_one[positions]
-    both_vectors = np.outer(is_vector, is_vector)
-    witness = np.zeros(both_vectors.shape)
-    rows = factors[is_vector, :, 0]
-    units = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
-    if not is_vector.all():
-        signed = values[:, : factors.shape[2]]
-        support = signed > tol
-        scale = np.divide(1.0, np.sqrt(np.abs(signed)), out=np.zeros(signed.shape), where=support)
-        bases = factors * scale[:, None, :]  # orthonormal support columns
-        supports = bases @ bases.conj().transpose(0, 2, 1)
-        i, j = np.nonzero(np.triu(~both_vectors, 1))
-        commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
-        witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
-    proportional = both_vectors & (witness >= 1.0 - tol)
-    return witness, (witness <= tol) | proportional
 
 
 @dataclass(frozen=True)
@@ -333,15 +318,30 @@ class ContextGraph:
 
 
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
-    """Pairwise context-sharing structure (``_context_relations``); zero-weight
-    outcomes are skipped."""
+    """Pairwise context-sharing structure, zero-weight outcomes skipped. Two rows share a
+    context iff the witness |<unit row|unit row>| is 0 or 1 within tol: one Gram matrix
+    gives all such pairs. Any other pair shares one iff the support projectors, of the
+    columns of signed norm above tol, commute; the witness is their commutator's 2-norm."""
     labels = p.labels()
-    values = _eigenvalues(p, np.arange(len(p)))
-    weights = _weights(values)
+    weights = _weights(p.eigenvalues)
     live = np.flatnonzero(weights > tol)
     nodes = tuple(labels[k] for k in live)
-    witness, shared = _context_relations(p, live, values[live], tol)
-    i, j = np.nonzero(np.triu(shared, 1))
+    is_vector = p._rank_one[live]
+    both_vectors = np.outer(is_vector, is_vector)
+    witness = np.zeros(both_vectors.shape)
+    units = p._units[live[is_vector]]
+    witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
+    if not is_vector.all():
+        signed = p.eigenvalues[live, : p.factors.shape[2]]
+        support = signed > tol
+        scale = np.divide(1.0, np.sqrt(np.abs(signed)), out=np.zeros(signed.shape), where=support)
+        bases = p.factors[live] * scale[:, None, :]  # orthonormal support columns
+        supports = bases @ bases.conj().transpose(0, 2, 1)
+        i, j = np.nonzero(np.triu(~both_vectors, 1))
+        commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
+        witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
+    proportional = both_vectors & (witness >= 1.0 - tol)
+    i, j = np.nonzero(np.triu((witness <= tol) | proportional, 1))
     a, b = (map(nodes.__getitem__, k.tolist()) for k in (i, j))
     edges = tuple(zip(a, b, witness[i, j].tolist()))
     return ContextGraph(nodes, edges, tuple(labels[k] for k in np.flatnonzero(weights <= tol)))

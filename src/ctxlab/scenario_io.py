@@ -129,7 +129,7 @@ class Scenario(ByValue):
     the system dimension and compares by value; ``states`` is a read-only mapping. A
     mixed state is checked here at ``tol`` by ``density_matrix`` (``hermiticity``,
     ``positivity``, ``unit-trace``) and stored as the matrix it returns; a pure state's
-    normalisation is checked where it is used.
+    normalisation is checked where it is used. ``hardy`` is stored as a tuple.
     """
 
     system_dim: int
@@ -145,8 +145,12 @@ class Scenario(ByValue):
         d = self.dilation
         if d is not None and d.sys_dim != self.system_dim:
             raise _wrong_length(f"outcome {d.labels()[0]!r}", d.env_dim * self.system_dim)
-        if self.hardy is not None and not all(isinstance(label, str) for label in self.hardy):
-            raise ScenarioFileError("hardy labels must be strings")
+        if self.hardy is not None:
+            if not isinstance(self.hardy, (tuple, list)) or len(self.hardy) != 3:
+                raise ScenarioFileError("hardy must map exactly the keys f, d1, d2")
+            if not all(isinstance(label, str) for label in self.hardy):
+                raise ScenarioFileError("hardy labels must be strings")
+            object.__setattr__(self, "hardy", tuple(self.hardy))
         if self.povm is not None and self.povm.system_dim != self.system_dim:
             first = f"povm {self.povm.labels()[0]!r}"
             raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)

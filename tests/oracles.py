@@ -74,6 +74,7 @@ def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int
 def dense_element_numbers(matrices: list[np.ndarray], rho: np.ndarray) -> dict[str, object]:
     """What the POVM rules report, from each element's dense Hermitian matrix alone.
 
+    ``spectra`` holds each element's eigenvalues in ascending order,
     ``completeness`` is the largest entry of |sum E - I|, ``bound`` how far the
     eigenvalues of the worst element leave [0, 1], ``weights`` each element's
     largest eigenvalue, and ``probabilities`` each tr(E rho).
@@ -81,6 +82,7 @@ def dense_element_numbers(matrices: list[np.ndarray], rho: np.ndarray) -> dict[s
     spectra = [np.linalg.eigvalsh(m) for m in matrices]
     lows, tops = [float(s[0]) for s in spectra], [float(s[-1]) for s in spectra]
     return {
+        "spectra": np.array(spectra),
         "completeness": float(np.abs(sum(matrices) - np.eye(len(rho))).max()),
         "bound": max(0.0, max(tops) - 1.0, -min(lows)),
         "weights": tops,

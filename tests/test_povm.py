@@ -478,6 +478,8 @@ def test_every_rule_on_the_factor_stack_matches_the_dense_oracle(case):
     p, rows, matrices, pairs, rho = case
     assert sorted(p.operators) == [4, 5, 6, 7] and np.array_equal(p.vectors[:4], rows[:4])
     want = dense_element_numbers(matrices, rho)
+    assert p.eigenvalues.shape == (len(p), p.system_dim)
+    assert np.abs(np.sort(p.eigenvalues, axis=1) - want["spectra"]).max() <= 1e-12
     assert abs(completeness_check(p) - want["completeness"]) <= 1e-12
     assert abs(element_bound_residual(p) - want["bound"]) <= 1e-12
     for label, weight, chance in zip(p.labels(), want["weights"], want["probabilities"]):
@@ -710,11 +712,13 @@ def test_every_array_a_value_hands_out_is_read_only(da_povm):
     triple = HardyTriple(load_fixture("hardy").povm, "F", "D1", "D2")
     report = evaluate_inequality(triple, np.eye(3) / 3.0)
     mixed = Scenario(3, states={"rho": np.eye(3) / 3.0}).states["rho"]
+    views = (merged.eigenvalues, merged._units, p.eigenvalues, p._units)
     for array in (merged.operators[0], p.operators[0], report.state_used, mixed, p.factors[0]):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        p.signs[0, 0] = -1.0
+    for array in (p.signs, *views):
+        with pytest.raises(ValueError):
+            array[0, 0] = -1.0
     assert report == evaluate_inequality(triple, np.eye(3) / 3.0)
 
 
@@ -769,6 +773,50 @@ def test_an_element_bound_residual_that_is_not_finite_raises(monkeypatch):
     half = Povm(2, ["a", "b"], [[0.0, 0.0], [1.0, 0.0]], {0: np.eye(2) / 2})
     with pytest.raises(FloatingPointError, match="^an element weight is not finite$"):
         element_bound_residual(half)
+
+
+def test_a_weight_that_is_not_finite_raises_from_every_rule_that_reads_it():
+    """An overflowing row's weight is not finite: each rule that reads it raises, with no
+    numpy warning, while a finite element's own weight is still read."""
+    p = Povm(3, ["big", "x", "y"], [[1e200, 1e200, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    state = np.array([0.0, 0.0, 1.0])
+    for rule in (
+        lambda: element_bound_residual(p),
+        lambda: context_graph(p),
+        lambda: context_selection_probability(p, "big"),
+        lambda: maximizing_state(p, "big"),
+        lambda: rescaled_probability(p, state, "big"),
+        lambda: HardyTriple(p, "big", "x", "y"),
+        lambda: HardyTriple(p, "x", "y", "big"),
+    ):
+        with pytest.raises(FloatingPointError, match="^an element weight is not finite$"):
+            rule()
+    assert context_selection_probability(p, "x") == 1.0
+    assert np.isinf(p.eigenvalues[0, 0]) and not p._units[0].any()
+
+
+def test_an_element_has_one_weight_whatever_the_width_or_layout_of_its_stack():
+    """Each weight is a squared norm as ``np.vdot`` rounds it on a contiguous row, the same
+    bits at every position and for every rule: in a stack widened by a merged operator,
+    where one label's weight used to differ from the graph's in its last bits, and in a
+    stack given in Fortran order, which is stored as its C-ordered copy."""
+    rows = random_unitary(np.random.default_rng(23), 24)[:, :8] * np.sqrt(1 / 3)
+    labels = [f"e{k}" for k in range(24)]
+    flat = Povm(8, labels, np.asfortranarray(rows))
+    wide = coarse_grain(Povm(8, labels, rows), labels[:3], "m")
+    for p in (flat, wide):
+        squared = [np.vdot(row, row).real for row in np.ascontiguousarray(p.vectors)]
+        for k, label in enumerate(p.labels()):
+            weight = context_selection_probability(p, label)
+            assert weight == p.eigenvalues[k].max()
+            assert weight == squared[k] or k in p.operators
+    c_order = Povm(8, labels, rows)
+    assert flat.factors.flags.c_contiguous and flat == c_order
+    assert context_graph(flat) == context_graph(c_order)
+    assert element_bound_residual(flat) == element_bound_residual(c_order)
+    psi = random_pure_state(np.random.default_rng(24), 8)
+    for label in labels:
+        assert probability(flat, psi, label) == probability(c_order, psi, label)
 
 
 def _half_identity(dim=2):

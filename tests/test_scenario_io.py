@@ -348,6 +348,10 @@ def _misfits() -> dict[str, tuple[dict, type, str | None, str]]:
             {"system_dim": 3, "hardy": (1, 2, 3)},
             ScenarioFileError, None, "hardy labels must be strings",
         ),
+        "hardy-of-two-labels": (
+            {"system_dim": 3, "hardy": ("F", "D1")},
+            ScenarioFileError, None, "hardy must map exactly the keys f, d1, d2",
+        ),
         "mixed-state-of-trace-2": (
             {"system_dim": 2, "states": {"r": identity}},
             ValidationError, "unit-trace", "trace 2.0 != 1",
@@ -404,6 +408,21 @@ def test_a_file_records_no_tol_so_a_looser_part_loads_only_at_that_tol(tmp_path)
         load_scenario(path)
     assert caught.value.invariant == "unit-trace"
     assert load_scenario(path, tol=1e-5) == scenario
+
+
+@pytest.mark.parametrize("hardy", [("F", "D1", "D2", "R1"), "FDD"], ids=["four", "a-string"])
+def test_a_scenario_refuses_a_hardy_that_is_not_three_labels(hardy):
+    """Four labels would be cut to three on save, and a string read as its letters."""
+    povm = load_fixture("hardy").povm
+    with pytest.raises(ScenarioFileError, match="^hardy must map exactly the keys f, d1, d2$"):
+        Scenario(3, povm=povm, hardy=hardy)
+
+
+def test_a_hardy_list_is_stored_as_the_tuple_a_file_loads_back(tmp_path):
+    scenario = Scenario(3, povm=load_fixture("hardy").povm, hardy=["F", "D1", "D2"])
+    assert scenario.hardy == ("F", "D1", "D2")
+    save_scenario(tmp_path / "list.json", scenario)
+    assert load_scenario(tmp_path / "list.json") == scenario
 
 
 def test_phi_init_and_pure_states_are_read_only_copies_compared_by_value():
