@@ -187,7 +187,7 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
         label, state = next(iter(scenario.states.items()))
     else:
         raise ScenarioFileError("choose a state with --state; the file has none or several")
-    verdict = evaluate_inequality(triple, state, args.tol)
+    verdict = evaluate_inequality(triple, state)
     report = dict(lhs=verdict.lhs, rhs=verdict.rhs, violated=verdict.violated, state=label)
     report["certification"] = dataclasses.asdict(verdict.certification)
     return _emit(args, report, _inequality_text)

@@ -47,7 +47,7 @@ class HardyTriple(ByValue):
             if not p._rank_one[positions[-1]]:
                 raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
             require_context_weight(p, label, tol)
-        units = fix_phase(p._units[positions])
+        units = fix_phase(p._directions[positions, :, 0])
         parallel = ValidationError(
             "the reference outcome is parallel to its partner", invariant="hardy-decomposition"
         )
@@ -108,28 +108,25 @@ class InequalityReport(ByValue):
     certification: Certification
 
 
-def evaluate_inequality(
-    t: HardyTriple, state: np.ndarray, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def evaluate_inequality(t: HardyTriple, state: np.ndarray) -> InequalityReport:
     """Compare the rescaled F probability against the D1 + D2 sum at a state.
 
-    A noncontextual assignment of context-selection outcomes bounds the
-    left-hand side by the right-hand side; ``violated`` is True when the gap
-    exceeds tol. The certification block evaluates the rescaled F probability
-    at the states maximising D1 and D2 and at the two decomposition basis
-    vectors. For rank-1 elements a rescaled probability is ``<u|rho|u>`` at the
-    element's unit direction u, so every number comes from the stack U of the
-    triple's five directions: lhs and rhs from the diagonal of U rho U^dagger,
-    the certification from |<u_k|f_hat>|^2, row 0 of the Gram matrix of U. The
-    state, a ket or a density matrix, is checked by ``density_matrix``.
+    A noncontextual assignment of context-selection outcomes bounds the left-hand side
+    by the right-hand side; ``violated`` is True when the gap exceeds the triple's tol.
+    The certification block evaluates the rescaled F probability at the states
+    maximising D1 and D2 and at the two decomposition basis vectors. For rank-1 elements
+    a rescaled probability is ``<u|rho|u>`` at the element's unit direction u, so every
+    number comes from the stack U of the triple's five directions: lhs and rhs from the
+    diagonal of U rho U^dagger, the certification from |<u_k|f_hat>|^2, row 0 of the
+    Gram matrix of U. The state, a ket or a density matrix, is checked by
+    ``density_matrix`` at that tol.
     """
-    used = density_matrix(state, t.povm.system_dim, tol)
-    units = t.directions
-    rows = units[:3]  # f_hat, d1_hat, d2_hat
+    used = density_matrix(state, t.povm.system_dim, t.tol)
+    rows = t.directions[:3]  # f_hat, d1_hat, d2_hat
     lhs, d1, d2 = np.einsum("ki,ij,kj->k", rows.conj(), used, rows).real.tolist()
-    c1, c2, r1, r2 = (np.abs(units[1:].conj() @ units[0]) ** 2).tolist()
+    c1, c2, r1, r2 = (np.abs(t.directions[1:].conj() @ t.directions[0]) ** 2).tolist()
     rhs = d1 + d2
-    return InequalityReport(lhs, rhs, lhs > rhs + tol, used, Certification(c1, c2, r1, r2))
+    return InequalityReport(lhs, rhs, lhs > rhs + t.tol, used, Certification(c1, c2, r1, r2))
 
 
 def max_violation(t: HardyTriple) -> tuple[float, np.ndarray]:

@@ -29,7 +29,6 @@ from .hilbert import (
     finite,
     fix_phase,
     require_hermitian,
-    unit_vector,
 )
 
 
@@ -211,12 +210,13 @@ class Povm(LabelledStack):
         return values
 
     @functools.cached_property
-    def _units(self) -> np.ndarray:
-        """Read-only rows of ``vectors`` over their ``np.linalg.norm`` norms, zero rows kept
-        zero. Overflow is left to the rules' finite checks."""
+    def _directions(self) -> np.ndarray:
+        """Read-only ``(M, system_dim, r)`` factor columns over their ``np.linalg.norm`` norms,
+        each reduced as a contiguous row, zero columns kept zero; overflow left to the rules."""
+        columns = self.factors.transpose(0, 2, 1).copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-            units = self.vectors / np.where(norms > 0.0, norms, 1.0)
+            norms = np.linalg.norm(columns, axis=2, keepdims=True)
+            units = (columns / np.where(norms > 0.0, norms, 1.0)).transpose(0, 2, 1)
         units.setflags(write=False)
         return units
 
@@ -294,7 +294,7 @@ def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> np.ndarra
     values = p.eigenvalues[k]
     if np.count_nonzero(values > tol) > 1:
         raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
-    return density_matrix(unit_vector(p.factors[k, :, np.argmax(values)], tol), p.system_dim, tol)
+    return density_matrix(p._directions[k, :, np.argmax(values)], p.system_dim, tol)
 
 
 def rescaled_probability(
@@ -319,9 +319,10 @@ class ContextGraph:
 
 def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     """Pairwise context-sharing structure, zero-weight outcomes skipped. Two rows share a
-    context iff the witness |<unit row|unit row>| is 0 or 1 within tol: one Gram matrix
-    gives all such pairs. Any other pair shares one iff the support projectors, of the
-    columns of signed norm above tol, commute; the witness is their commutator's 2-norm."""
+    context iff their witness |<unit row|unit row>|, or their angle's sine, one unit row's
+    residual off the other, is at most tol. Any other pair shares one iff the support
+    projectors, of the columns of signed norm above tol, commute: the witness is the 2-norm
+    of their commutator."""
     labels = p.labels()
     weights = _weights(p.eigenvalues)
     live = np.flatnonzero(weights > tol)
@@ -329,19 +330,21 @@ def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
     is_vector = p._rank_one[live]
     both_vectors = np.outer(is_vector, is_vector)
     witness = np.zeros(both_vectors.shape)
-    units = p._units[live[is_vector]]
+    units = p._directions[live[is_vector], :, 0]
     witness[np.ix_(is_vector, is_vector)] = np.abs(units.conj() @ units.T)
     if not is_vector.all():
-        signed = p.eigenvalues[live, : p.factors.shape[2]]
-        support = signed > tol
-        scale = np.divide(1.0, np.sqrt(np.abs(signed)), out=np.zeros(signed.shape), where=support)
-        bases = p.factors[live] * scale[:, None, :]  # orthonormal support columns
+        bases = p._directions[live] * (p.eigenvalues[live, : p.factors.shape[2]] > tol)[:, None]
         supports = bases @ bases.conj().transpose(0, 2, 1)
         i, j = np.nonzero(np.triu(~both_vectors, 1))
         commutators = supports[i] @ supports[j] - supports[j] @ supports[i]
         witness[i, j] = witness[j, i] = np.linalg.norm(commutators, 2, axis=(1, 2))
-    proportional = both_vectors & (witness >= 1.0 - tol)
-    i, j = np.nonzero(np.triu((witness <= tol) | proportional, 1))
+    shared = np.triu((witness <= tol) | both_vectors & (witness >= 1.0 - tol), 1)
+    i, j = np.nonzero(shared & (witness > tol))
+    if len(i):  # proportional candidates: the sine is the norm of x's residual off y
+        x, y = p._directions[live[i], :, 0], p._directions[live[j], :, 0]
+        sines = np.linalg.norm(x - np.einsum("kd,kd->k", y.conj(), x)[:, None] * y, axis=1)
+        shared[i, j] = sines <= tol
+    i, j = np.nonzero(shared)
     a, b = (map(nodes.__getitem__, k.tolist()) for k in (i, j))
     edges = tuple(zip(a, b, witness[i, j].tolist()))
     return ContextGraph(nodes, edges, tuple(labels[k] for k in np.flatnonzero(weights <= tol)))

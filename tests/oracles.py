@@ -44,8 +44,11 @@ def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int
 
     Each element is a 1-D vector (rank one) or a 2-D positive matrix. Two
     vectors share a context when the modulus of the inner product of their unit
-    vectors is within tol of 0 or 1; any other pair shares one when the
-    spectral norm of the commutator of the two support projectors is at most tol.
+    vectors is at most tol, or when the sine of their angle is: the norm of what
+    is left of one unit vector once its component along the other is removed,
+    never sqrt(1 - c^2), which loses the sine to cancellation. Any other pair
+    shares one when the spectral norm of the commutator of the two support
+    projectors is at most tol.
     """
 
     def support(e: np.ndarray) -> np.ndarray:
@@ -61,8 +64,9 @@ def context_pairs(elements: list[np.ndarray], tol: float) -> list[tuple[int, int
         for j in range(i + 1, len(elements)):
             b = elements[j]
             if a.ndim == 1 and b.ndim == 1:
-                witness = abs(np.vdot(a / np.linalg.norm(a), b / np.linalg.norm(b)))
-                shared = witness <= tol or witness >= 1.0 - tol
+                x, y = a / np.linalg.norm(a), b / np.linalg.norm(b)
+                witness = abs(np.vdot(x, y))
+                shared = witness <= tol or np.linalg.norm(x - np.vdot(y, x) * y) <= tol
             else:
                 pa, pb = support(a), support(b)
                 witness = np.linalg.norm(pa @ pb - pb @ pa, 2)

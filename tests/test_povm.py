@@ -305,6 +305,27 @@ def test_unmerged_plate_outcomes_are_proportional(scenario):
         assert abs(context_selection_probability(p, f"A{i}") - 1.0 / 3.0) <= 1e-12
 
 
+def test_a_proportional_pair_is_judged_by_the_sine_of_its_angle():
+    """Rows share a context as proportional when sin(angle) <= tol, not when the witness
+    |<x|y>| = cos(angle) is within tol of 1: 1e-5 rad apart, the witness 0.99999999995
+    passes 1 - 1e-9 but the pair is no edge at tol 1e-9, while it is one at 1e-4. Exactly
+    proportional rows, and rows 1e-11 rad apart, stay edges, printed with their witness.
+    The oracle judges each pair the same."""
+
+    def pair(angle, tol):
+        rows = np.array([[1.0, 0.0, 0.0], [np.cos(angle), np.sin(angle), 0.0]])
+        witnesses = _witnesses(context_graph(Povm(3, ["x", "y"], rows), tol))
+        assert bool(witnesses) == context_pairs(list(rows), tol)[0][3]
+        return witnesses
+
+    assert 1.0 - np.cos(1e-5) <= 1e-9 and pair(1e-5, 1e-9) == {}
+    assert pair(1e-5, 1e-4) == {("x", "y"): abs(np.cos(1e-5))}
+    assert pair(1e-11, 1e-9) == {("x", "y"): 1.0}
+    u = 0.3 * unit(np.array([1.0, 1j, 2.0]))
+    witnesses = _witnesses(context_graph(Povm(3, ["u", "2u"], [u, 2.0 * u]), 1e-9))
+    assert witnesses.keys() == {("u", "2u")} and abs(witnesses[("u", "2u")] - 1.0) <= 1e-15
+
+
 def test_operator_edges_use_support_commutators(vh_povm, da_povm):
     # span{D1, D2} is the full plane orthogonal to the plate direction
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
@@ -497,6 +518,41 @@ def test_every_rule_on_the_factor_stack_matches_the_dense_oracle(case):
     assert g.has_edge("u0", "signed") and g.has_edge("u0", "u23")
     for (_, _, got), (_, _, witness) in zip(g.edges, expected):
         assert abs(got - witness) <= 1e-12
+
+
+@st.composite
+def wide_mixtures(draw):
+    """A seeded mixture of two random bases, d 8-16, with two outcomes of the first merged
+    into a rank-2 element: from d = 8 on, a norm reduced across the strided columns of the
+    factor stack no longer has the bits of one reduced along a contiguous row."""
+    dim = draw(st.integers(8, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = [random_unitary(rng, dim) / SQ2 for _ in range(2)]
+    rows = [basis[:, a] for basis in bases for a in range(dim)]
+    labels = [f"{x}:{a}" for x in range(2) for a in range(dim)]
+    return coarse_grain(Povm(dim, labels, fix_phase(rows)), ("0:0", "0:1"), "merged")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(context_povms(), mixed_rank_povms()).map(lambda case: case[0]) | wide_mixtures())
+def test_the_direction_view_is_every_factor_column_over_its_norm(p):
+    """Each nonzero factor column, of an operator element or a negative one too, has a unit
+    direction parallel to it; a zero column stays zero. The rank-1 witnesses the context
+    graph prints keep the bits of the unit rows of ``vectors``, each normalised as a
+    contiguous row."""
+    columns, units = p.factors.transpose(0, 2, 1), p._directions.transpose(0, 2, 1)
+    norms = np.linalg.norm(columns, axis=2)
+    kept = norms > 0.0
+    assert not units[~kept].any()
+    assert np.abs(np.linalg.norm(units[kept], axis=1) - 1.0).max() <= 1e-15
+    error = np.abs(units[kept] * norms[kept][:, None] - columns[kept]).max(axis=1)
+    assert (error <= 1e-15 * norms[kept]).all()
+    rows = p.vectors[p._rank_one]
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    gram = np.abs(rows.conj() @ rows.T)
+    at = {label: k for k, label in enumerate(np.array(p.labels())[p._rank_one])}
+    pairs = [(at[a], at[b], w) for a, b, w in context_graph(p, 1e-9).edges if {a, b} <= at.keys()]
+    assert all(witness == gram[a, b] for a, b, witness in pairs)
 
 
 def test_a_saved_povm_with_matrix_entries_settles_after_the_first_cycle(tmp_path):
@@ -712,7 +768,7 @@ def test_every_array_a_value_hands_out_is_read_only(da_povm):
     triple = HardyTriple(load_fixture("hardy").povm, "F", "D1", "D2")
     report = evaluate_inequality(triple, np.eye(3) / 3.0)
     mixed = Scenario(3, states={"rho": np.eye(3) / 3.0}).states["rho"]
-    views = (merged.eigenvalues, merged._units, p.eigenvalues, p._units)
+    views = (merged.eigenvalues, merged._directions, p.eigenvalues, p._directions)
     for array in (merged.operators[0], p.operators[0], report.state_used, mixed, p.factors[0]):
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
@@ -792,7 +848,7 @@ def test_a_weight_that_is_not_finite_raises_from_every_rule_that_reads_it():
         with pytest.raises(FloatingPointError, match="^an element weight is not finite$"):
             rule()
     assert context_selection_probability(p, "x") == 1.0
-    assert np.isinf(p.eigenvalues[0, 0]) and not p._units[0].any()
+    assert np.isinf(p.eigenvalues[0, 0]) and not p._directions[0].any()
 
 
 def test_an_element_has_one_weight_whatever_the_width_or_layout_of_its_stack():
