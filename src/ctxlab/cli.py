@@ -108,13 +108,13 @@ def _print_povm_report(p: Povm, tol: float) -> None:
     print("elements:")
     labels = p.labels()
     for k, (label, row, values) in enumerate(zip(labels, p.vectors, np.sort(p.eigenvalues))):
-        if k not in p.operators:  # a row's one nonzero eigenvalue is its weight
+        if p._rank_one[k]:  # a row's one nonzero eigenvalue is its weight
             print(f"  {label}: weight={_fmt(values[-1])} vector={_fmt_vector(row)}")
         else:
             trace, shown = _fmt(values.sum()), _fmt_vector(values)
             print(f"  {label}: operator trace={trace} eigenvalues={shown}")
     print(f"completeness residual: {_fmt(completeness_check(p))}")
-    positions = [k for k in range(len(p)) if k not in p.operators]
+    positions = np.flatnonzero(p._rank_one).tolist()
     if len(positions) > 1:
         print("gram (vector elements):")
         for k, row in zip(positions, gram(p.vectors[positions])):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hilbert import DEFAULT_TOL, ByValue, amplitudes, density_matrix, fix_phase, unit_vector
-from .povm import Povm, require_context_weight
+from .povm import Povm
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,8 +25,8 @@ class HardyTriple(ByValue):
     ``directions`` holds five read-only rows: the canonical-phase unit directions
     f_hat, d1_hat and d2_hat of the three outcomes, then basis1 and basis2, the
     unique (up to phase) unit vectors completing the two decompositions
-    ``F = alpha * basis_k + beta * D_k``. Each outcome must be a rank-1 element
-    (``rank-one``) of nonzero weight within ``tol`` (``nonzero-element``), F must
+    ``F = alpha * basis_k + beta * D_k``. Each outcome must be stored as a row
+    (``rank-one``) of weight above ``tol`` (``nonzero-element``), F must
     not be parallel to either D (``hardy-decomposition``), and the two basis vectors
     must be orthogonal within ``tol`` (``hardy-basis-orthogonality``). ``tol`` is
     keyword-only and kept outside equality and ``repr``.
@@ -41,13 +41,7 @@ class HardyTriple(ByValue):
 
     def __post_init__(self) -> None:
         p, tol = self.povm, self.tol
-        positions = []
-        for label in (self.f, self.d1, self.d2):
-            positions.append(p._index[label])
-            if not p._rank_one[positions[-1]]:
-                raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
-            require_context_weight(p, label, tol)
-        units = fix_phase(p._directions[positions, :, 0])
+        units = fix_phase([p._row(label, tol) for label in (self.f, self.d1, self.d2)])
         parallel = ValidationError(
             "the reference outcome is parallel to its partner", invariant="hardy-decomposition"
         )

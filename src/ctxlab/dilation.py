@@ -117,11 +117,11 @@ def naimark_dilate(p: Povm, tol: float = DEFAULT_TOL) -> Dilation:
     of ``G_sigma = I_M - G_lambda`` (eigenpairs above tol kept, eigenvector
     phases canonicalised).
 
-    Raises on operator elements or a POVM that ``validate_povm`` rejects.
+    Raises ``rank-one`` on an element not stored as a row, then as ``validate_povm`` does.
     """
     if not p._rank_one.all():
         label = p.labels()[np.argmin(p._rank_one)]  # the first element that is not a row
-        raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one-elements")
+        raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
     validate_povm(p, tol)
 
     count, sys_dim = p.vectors.shape

@@ -220,6 +220,15 @@ class Povm(LabelledStack):
         units.setflags(write=False)
         return units
 
+    def _row(self, label: str, tol: float) -> np.ndarray:
+        """The read-only unit direction of an element stored as a row: ``rank-one`` unless it
+        is one column of sign +1, then ``nonzero-element`` unless its weight exceeds tol."""
+        k = self._index[label]
+        if not self._rank_one[k]:
+            raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
+        require_context_weight(self, label, tol)
+        return self._directions[k, :, 0]
+
 
 def _element_matrices(p: Povm, positions: np.ndarray) -> np.ndarray:
     """The ``(K, d, d)`` matrices of the elements at ``positions``: the signed outer
@@ -287,14 +296,9 @@ def require_context_weight(p: Povm, label: str, tol: float) -> float:
 
 
 def maximizing_state(p: Povm, label: str, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The density matrix of the pure state along the element's top column, which attains
-    its maximal probability; ``rank-one`` when a second eigenvalue exceeds tol."""
-    k = p._index[label]
-    require_context_weight(p, label, tol)
-    values = p.eigenvalues[k]
-    if np.count_nonzero(values > tol) > 1:
-        raise ValidationError(f"element {label!r} is not rank one", invariant="rank-one")
-    return density_matrix(p._directions[k, :, np.argmax(values)], p.system_dim, tol)
+    """The density matrix of the pure state along the unit row of an element stored as a row
+    (else ``rank-one``, then ``nonzero-element``), which attains its maximal probability."""
+    return density_matrix(p._row(label, tol), p.system_dim, tol)
 
 
 def rescaled_probability(

@@ -153,7 +153,7 @@ class Scenario(ByValue):
             object.__setattr__(self, "hardy", tuple(self.hardy))
         if self.povm is not None and self.povm.system_dim != self.system_dim:
             first = f"povm {self.povm.labels()[0]!r}"
-            raise _wrong_length(first, self.system_dim, matrix=0 in self.povm.operators)
+            raise _wrong_length(first, self.system_dim, matrix=not self.povm._rank_one[0])
         states = {}
         for label, state in self.states.items():
             if not isinstance(label, str):

@@ -345,7 +345,7 @@ def test_dilate_rejects_operator_povms(capsys, tmp_path):
     write_raw(path, raw)
     code, _, err = run_cli(capsys, "dilate", str(path), "-o", str(tmp_path / "out.json"))
     assert code == 3
-    assert "rank-one-elements" in err
+    assert "[rank-one]: element 'a' is not rank one" in err
 
 
 def test_dilate_into_a_missing_directory_exits_two(capsys, tmp_path):
@@ -868,7 +868,7 @@ def test_overflowing_weights_are_a_numerical_failure_in_every_command(
     elif argv[0] == "context-graph":  # finite weights: the graph is drawn
         expected = (0, "")
     elif kind == "lowest-eigenvalue-overflow":  # dilate refuses it before it weighs it
-        expected = (3, "invariant violation [rank-one-elements]: element 'a' is not rank one\n")
+        expected = (3, "invariant violation [rank-one]: element 'a' is not rank one\n")
     else:  # each positive 1x1 entry is factored into a row of weight 1e308
         bounds = "element eigenvalues leave [0, 1] (residual 1.000e+308)"
         expected = (3, f"invariant violation [element-bounds]: {bounds}\n")

@@ -320,7 +320,7 @@ def test_naimark_rejects_incomplete_and_operator_povms():
     identity = {0: np.eye(2)}
     with pytest.raises(ValidationError) as err:
         naimark_dilate(Povm(2, ["op"], np.zeros((1, 2), dtype=complex), identity))
-    assert err.value.invariant == "rank-one-elements"
+    assert err.value.invariant == "rank-one"
     heavy = Povm(2, ["a", "b"], np.diag([np.sqrt(1.5), 1.0]))
     with pytest.raises(ValidationError) as err:
         naimark_dilate(heavy)

@@ -373,3 +373,47 @@ def test_some_other_test_names_every_non_finite_message_the_package_raises():
     })
     others = [path.read_text(encoding="utf-8") for path in TESTS if path.name != "test_package.py"]
     assert unnamed_messages(raised, others) == []
+
+
+def invariants_by_message(sources: list[str]) -> dict[str, list[str]]:
+    """Each message ``ValidationError`` is called with as a string or f-string constant, in
+    its source form, with the invariant names it is raised under, sorted; a message passed
+    through a variable is left out."""
+    found: dict[str, set[str]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "ValidationError"
+                and node.args
+                and isinstance(node.args[0], (ast.Constant, ast.JoinedStr))
+            ):
+                continue
+            names = [ast.unparse(k.value) for k in node.keywords if k.arg == "invariant"]
+            found.setdefault(ast.unparse(node.args[0]), set()).update(names)
+    return {message: sorted(names) for message, names in found.items()}
+
+
+def test_the_scan_finds_each_message_raised_under_two_invariant_names():
+    first = (
+        "raise ValidationError(f'element {label!r} is odd', invariant='parity')\n"
+        "raise ValidationError('no rows', invariant='nonempty')\n"
+        "raise ValidationError(problem, invariant='rows')\n"
+    )
+    second = (
+        "raise ValidationError(f'element {label!r} is odd', invariant='odd-elements')\n"
+        "raise ValidationError('no rows', invariant='nonempty')\n"
+        "raise ValidationError(problem, invariant='columns')\n"
+    )
+    assert invariants_by_message([first, second]) == {
+        "f'element {label!r} is odd'": ["'odd-elements'", "'parity'"],
+        "'no rows'": ["'nonempty'"],
+    }
+
+
+def test_each_message_is_raised_under_one_invariant_name():
+    """A refusal reads the same, and is told apart the same, wherever the package raises it."""
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    found = invariants_by_message(sources)
+    assert {message: names for message, names in found.items() if len(names) != 1} == {}

@@ -746,6 +746,48 @@ def test_operator_elements_give_trace_probabilities_and_rank_one_maximizers():
     assert err.value.invariant == "rank-one"
 
 
+
+def _beside_rows(element: np.ndarray) -> Povm:
+    """A complete d=3 POVM: the diagonal ``element`` as a matrix, then its complement as
+    the rows a, b, c along e0, e1, e2."""
+    rest = np.sqrt(1.0 - np.diag(element).real)
+    return Povm(3, ["E", "a", "b", "c"], np.vstack([np.zeros(3), np.diag(rest)]), {0: element})
+
+
+def _rank_one_raises(p: Povm, label: str) -> list[tuple[str, str]]:
+    """``(invariant, message)`` of each rule that takes an element as a row, at ``label``."""
+    found = []
+    for rule in (
+        lambda: maximizing_state(p, label),
+        lambda: HardyTriple(p, label, "b", "c"),
+        lambda: naimark_dilate(p),
+    ):
+        with pytest.raises(ValidationError) as err:
+            rule()
+        found.append((err.value.invariant, str(err.value)))
+    return found
+
+
+def test_an_element_is_a_row_by_one_rule_whatever_its_eigenvalues_above_tol():
+    """A second eigenvalue between round-off and tol keeps the element off the rows: every
+    rule that takes a row refuses it, and the graph judges its pairs by their commutator."""
+    p = _beside_rows(np.diag([0.5, 1e-12, 0.0]))
+    validate_povm(p)
+    assert p.signs.shape == (4, 2) and abs(p.eigenvalues[0, 1] - 1e-12) <= 1e-24
+    assert not p.vectors[0].any() and list(p.operators) == [0]
+    refusal = ("rank-one", "element 'E' is not rank one")
+    assert _rank_one_raises(p, "E") == [refusal] * 3
+    graph = context_graph(p)
+    # a row along e0 has witness 1.0 with e0; the support projectors commute exactly
+    assert graph.edges[:3] == (("E", "a", 0.0), ("E", "b", 0.0), ("E", "c", 0.0))
+
+
+def test_an_element_off_the_rows_is_refused_as_a_row_before_it_is_weighed():
+    p = _beside_rows(np.diag([1e-10, 5e-11, 0.0]))
+    assert context_graph(p).skipped == ("E",)
+    refusal = ("rank-one", "element 'E' is not rank one")
+    assert _rank_one_raises(p, "E") == [refusal] * 3
+
 def test_vectors_hold_one_read_only_row_per_element(da_povm):
     merged = coarse_grain(da_povm, ("D1", "D2"), "D12")
     assert merged.vectors.shape == (len(merged), 3) and merged.vectors.dtype == complex
