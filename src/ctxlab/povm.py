@@ -88,7 +88,7 @@ class LabelledStack(ByValue):
 
 
 def _factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(d, k)`` columns and ``(k,)`` signs of a Hermitian matrix (its lower triangle):
+    """The ``(d, k)`` columns and ``(k,)`` signs of a Hermitian matrix:
     per ``eigh`` pair (w, v), largest w first, ``fix_phase(v)`` times sqrt|w|, signed as w,
     except where |w| <= d * eps * max|w|, round-off. Entries beyond 1 are first scaled down
     to 1, so that no eigenvalue overflows."""
@@ -108,11 +108,13 @@ class Povm(LabelledStack):
     read-only in the ``(M, system_dim, r)`` ``factors``, zero columns padding each
     element to the widest, and its signs +-1 in the ``(M, r)`` ``signs``. One element's
     columns are orthogonal, largest eigenvalue first: their signed squared norms.
-    ``vectors``, ``operators`` and ``eigenvalues`` are read-only views of the stack."""
+    ``operators`` keeps, read-only by position, the matrix each element not a row was
+    factored from; ``vectors`` and ``eigenvalues`` are read-only views of the stack."""
 
     system_dim: int
     factors: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
+    operators: Mapping[int, np.ndarray] = field(repr=False)
     _nonempty = "a POVM needs at least one element"
 
     def __init__(
@@ -125,8 +127,8 @@ class Povm(LabelledStack):
     ) -> None:
         """Each row of a copy of an ``(M, system_dim)`` stack is one column of sign +1, bit
         for bit, except at the positions ``operators`` maps to matrices, whose rows are
-        zero: each matrix is factored by ``_factor``, so its negative eigenvalues keep
-        their sign and one of a single positive eigenvalue becomes a row.
+        zero: each matrix, kept as given if Hermitian in value, else as m/2 + m^dagger/2, is
+        factored by ``_factor``; one of a single positive eigenvalue becomes a row.
 
         Raises ``space-dim`` for a ``system_dim`` not an integer of at least 1, ``nonempty``
         or ``unique-labels`` for empty or repeated labels, ``finite-amplitudes`` or
@@ -137,7 +139,7 @@ class Povm(LabelledStack):
         """
         self._store(labels, (system_dim,), system_dim=system_dim)
         rows = self._rows(vectors, system_dim)
-        parts = {}
+        factors, signs, matrices = rows[:, :, None], np.ones((len(rows), 1)), {}
         for k, op in dict(operators or {}).items():
             if not _is_integer(k) or not 0 <= k < len(labels):
                 problem = f"operator position {k!r} is not one of the {len(labels)} positions"
@@ -146,33 +148,23 @@ class Povm(LabelledStack):
             if rows[k].any():
                 problem = f"operator element {labels[k]!r} has a nonzero row"
                 raise ValidationError(problem, invariant="element-payload")
-            parts[k] = _factor(require_hermitian(op, tol, f"element {labels[k]!r}"))
-        self._set_stack(rows[:, :, None], np.ones((len(rows), 1)), parts)
-
-    @classmethod
-    def _of(cls, system_dim: int, labels: Sequence[str], *stack: object) -> Povm:
-        """A POVM of ``_set_stack``'s arguments, its labels checked as the constructor's."""
-        p = cls.__new__(cls)
-        p._store(labels, (system_dim,), system_dim=system_dim)
-        p._set_stack(*stack)
-        return p
-
-    def _set_stack(self, factors: np.ndarray, signs: np.ndarray, parts: dict) -> None:
-        """Store the stack read-only, with ``parts`` ((columns, signs) by position) in place of
-        those elements in a new C-ordered stack cut after its last column nonzero somewhere."""
-        if parts:
-            width = max([factors.shape[2], *(len(sign) for _, sign in parts.values())])
-            stack = np.zeros((*factors.shape[:2], width), dtype=complex)
-            signed = np.ones((len(signs), width))
-            stack[:, :, : factors.shape[2]], signed[:, : signs.shape[1]] = factors, signs
+            op = require_hermitian(op, tol, f"element {labels[k]!r}")
+            if not np.array_equal(op, op.conj().T):
+                op = op / 2 + op.conj().T / 2
+                op.setflags(write=False)
+            matrices[int(k)] = op
+        if matrices:
+            parts = {k: _factor(op) for k, op in matrices.items()}
+            width = max([1, *(len(sign) for _, sign in parts.values())])
+            factors, signs = np.zeros((*rows.shape, width), complex), np.ones((len(rows), width))
+            factors[:, :, 0] = rows
             for k, (columns, sign) in parts.items():
-                stack[k], signed[k] = 0.0, 1.0
-                stack[k, :, : len(sign)], signed[k, : len(sign)] = columns, sign
-            width = np.flatnonzero(stack.any(axis=(0, 1))).max(initial=0) + 1
-            factors, signs = stack[:, :, :width].copy(), signed[:, :width]
-        factors.setflags(write=False)
-        signs.setflags(write=False)
+                factors[k, :, : len(sign)], signs[k, : len(sign)] = columns, sign
+        for array in (factors, signs):
+            array.setflags(write=False)
         self.__dict__.update(factors=factors, signs=signs)
+        kept = {k: matrices[k] for k in sorted(matrices) if not self._rank_one[k]}
+        self.__dict__["operators"] = MappingProxyType(kept)
 
     @functools.cached_property
     def _rank_one(self) -> np.ndarray:
@@ -185,16 +177,6 @@ class Povm(LabelledStack):
         rows = np.where(self._rank_one[:, None], self.factors[:, :, 0], 0.0)
         rows.setflags(write=False)
         return rows
-
-    @functools.cached_property
-    def operators(self) -> Mapping[int, np.ndarray]:
-        """Each element that is not rank one, by position, as its read-only matrix."""
-        positions = np.flatnonzero(~self._rank_one)
-        if not len(positions):
-            return MappingProxyType({})
-        matrices = _element_matrices(self, positions)
-        matrices.setflags(write=False)
-        return MappingProxyType(dict(zip(positions.tolist(), matrices)))
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -355,17 +337,20 @@ def context_graph(p: Povm, tol: float = DEFAULT_TOL) -> ContextGraph:
 
 
 def coarse_grain(p: Povm, labels_to_merge: Sequence[str], new_label: str) -> Povm:
-    """Replace a group of outcomes by their sum, at the first one's position, factored
-    by ``_factor``: no eigenvalue beyond round-off is dropped, and a sum with one
-    positive eigenvalue is a row with the canonical phase."""
+    """Replace a group of outcomes by their sum, at the first one's position, in a new
+    ``Povm`` of the other rows and matrices: no eigenvalue beyond round-off is dropped,
+    and a sum with one positive eigenvalue is a row with the canonical phase."""
     merge = [str(label) for label in labels_to_merge]
     if not merge:
         raise ValidationError("nothing to merge", invariant="nonempty")
     if len(set(merge)) < len(merge):
         raise ValidationError("labels to merge must be unique", invariant="unique-labels")
     positions = np.array([p._index[label] for label in merge])
-    merged = _factor(_element_matrices(p, positions).sum(axis=0))
+    merged = _element_matrices(p, positions).sum(axis=0)
     at, drop, labels = positions.min(), set(positions.tolist()), p.labels()
     order = [k for k in range(len(p)) if k == at or k not in drop]  # at stays at index at
     names = [new_label if k == at else labels[k] for k in order]
-    return Povm._of(p.system_dim, names, p.factors[order], p.signs[order], {at: merged})
+    rows = p.vectors[order]
+    rows[at] = 0.0
+    kept = {order.index(k): op for k, op in p.operators.items() if k in order}
+    return Povm(p.system_dim, names, rows, {**kept, at: merged})

@@ -4,8 +4,9 @@ A section that decodes cleanly becomes one stacked array with no object per
 element; any fault sends the loader back to the entry-by-entry path, which
 names the first faulty entry. Both must agree with the plain per-entry
 reference in ``oracles.py``, bit for bit and error for error, except that a povm
-``matrix`` entry, factored on reading, agrees within round-off. Arbitrary
-command lines over good and broken inputs end in a documented exit code.
+``matrix`` entry that loads as a row agrees with the row's outer product within
+round-off. Arbitrary command lines over good and broken inputs end in a
+documented exit code.
 """
 
 from __future__ import annotations
@@ -152,15 +153,14 @@ def faulty_files(draw, fault: str | None, section: str) -> dict:
 
 
 def _take_factored_matrices(want: dict, got: dict, p: Povm) -> None:
-    """Check each povm ``matrix`` entry of the reference against its loaded element within
-    1e-15 and then take it into ``got``: a matrix entry is factored on reading, so its
-    entries may move by round-off, and a rank-1 entry becomes a row."""
+    """Check each povm ``matrix`` entry of the reference that loaded as a row against the
+    row's outer product within 1e-15, then take it into ``got``: a rank-1 entry is factored
+    on reading into a row. Every other matrix entry loads into ``operators`` bit for bit."""
     for k, (_, kind, bits) in enumerate(want["povm"]):
-        if kind == "matrix":
+        if kind == "matrix" and k not in p.operators:
             matrix = np.array(bits, dtype=np.uint64).view(complex).reshape(p.system_dim, -1)
             row = p.vectors[k]
-            element = p.operators[k] if k in p.operators else np.outer(row, row.conj())
-            assert np.abs(element - matrix).max() <= 1e-15
+            assert np.abs(np.outer(row, row.conj()) - matrix).max() <= 1e-15
             got["povm"][k] = want["povm"][k]
 
 

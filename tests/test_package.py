@@ -283,6 +283,32 @@ def test_only_by_value_defines_equality_and_no_class_freezes_itself_by_hand(path
     assert value_methods(path.read_text(encoding="utf-8")) == expected
 
 
+def new_calls(source: str) -> list[int]:
+    """The line of each call of a ``__new__`` attribute, which builds an instance without
+    running its class's ``__init__``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+    )
+
+
+def test_the_scan_finds_each_instance_built_through_new():
+    source = (
+        "class A:\n    @classmethod\n    def of(cls):\n        return cls.__new__(cls)\n\n"
+        "b = object.__new__(A)\nc = A.__new__\n"
+    )
+    assert new_calls(source) == [4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_source_builds_an_instance_through_new(path):
+    """Each type has one constructor, its ``__init__``, so every instance is checked by it."""
+    assert new_calls(path.read_text(encoding="utf-8")) == []
+
+
 def raised_invariants(source: str) -> list[str]:
     """Each invariant name a module raises, sorted: every string given as ``invariant=``."""
     return sorted({

@@ -83,9 +83,9 @@ def test_element_must_be_a_hermitian_system_operator():
     with pytest.raises(ValidationError) as err:
         Povm(2, ["skew"], zero, {0: skew})
     assert err.value.invariant == "hermiticity"
-    # accepted at a looser tol, it is factored from its lower triangle
+    # accepted at a looser tol, it is kept as its Hermitian part
     kept = Povm(2, ["skew"], zero, {0: skew}, tol=1e-6).operators[0]
-    assert np.abs(kept - skew).max() <= 1e-7 + 1e-15
+    assert np.array_equal(kept, [[0.5, 1e-7 / 2], [1e-7 / 2, 0.5]])
 
 
 def test_povm_rejects_duplicate_labels_and_mixed_dims():
@@ -557,8 +557,8 @@ def test_the_direction_view_is_every_factor_column_over_its_norm(p):
 
 def test_a_saved_povm_with_matrix_entries_settles_after_the_first_cycle(tmp_path):
     """save -> load -> save: a rank-1 PSD entry comes back a vector, and from the first
-    cycle on every row and a diagonal entry are byte-stable. A generic operator entry is
-    factored again on each load, so its matrix moves by round-off on every cycle."""
+    cycle on every entry is byte-stable: an operator entry is written as the matrix it
+    was built from, not rebuilt from its factors."""
     rng = np.random.default_rng(37)
     u = random_unitary(rng, 4)
     operators = {
@@ -577,12 +577,9 @@ def test_a_saved_povm_with_matrix_entries_settles_after_the_first_cycle(tmp_path
     kinds = [[next(key for key in entry if key != "label") for entry in t["povm"]] for t in texts]
     assert kinds[0] == ["vector", "matrix", "matrix", "vector"]
     assert kinds[1:] == kinds[:-1]
-    for text in texts[1:]:
-        for k in (0, 1, 3):  # by the text of each number, so -0.0 is not 0.0
-            assert json.dumps(text["povm"][k]) == json.dumps(texts[0]["povm"][k])
-        moved = np.subtract(text["povm"][2]["matrix"], texts[0]["povm"][2]["matrix"])
-        assert np.abs(moved).max() <= 1e-13
-    assert np.abs(p.operators[2] - operators[2]).max() <= 1e-13
+    for text in texts[1:]:  # by the text of each number, so -0.0 is not 0.0
+        assert json.dumps(text["povm"]) == json.dumps(texts[0]["povm"])
+    assert np.array_equal(p.operators[2], operators[2] / 2 + operators[2].conj().T / 2)
 
 
 def test_a_rank_one_matrix_element_is_a_row(tmp_path):
@@ -850,8 +847,8 @@ def test_a_one_ulp_change_compares_unequal(scenario, vh_povm):
     p = povm_DA(scenario)
     assert p != Povm(p.system_dim, p.labels(), _one_ulp_up(p.vectors))
     merged = coarse_grain(vh_povm, ("V1", "V2"), "V12")
-    bumped = Povm._of(3, merged.labels(), _one_ulp_up(merged.factors), merged.signs, {})
-    assert merged != bumped
+    (k, op), = merged.operators.items()
+    assert op[0, 0] and merged != Povm(3, merged.labels(), merged.vectors, {k: _one_ulp_up(op)})
     outcomes = dilation_DA(scenario)
     moved = _one_ulp_up(outcomes.vectors)
     assert outcomes != Dilation(2, 3, outcomes.labels(), moved, outcomes.phi_init)

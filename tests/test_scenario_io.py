@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import re
@@ -24,6 +23,7 @@ from ctxlab import (
     ScenarioFileError,
     ValidationError,
     build_three_path,
+    coarse_grain,
     decode_matrix,
     decode_vector,
     dilation_DA,
@@ -236,7 +236,7 @@ def test_matrix_states_and_operator_elements_round_trip(tmp_path):
     save_scenario(path, scenario)
     sc = load_scenario(path)
     op = sc.povm.operators[sc.povm.labels().index("half")]
-    assert np.abs(op - np.eye(2) / 2.0).max() <= 1e-15  # factored on reading
+    assert _bits(op) == _bits(np.eye(2) / 2.0)  # kept as written
     assert sc.povm == scenario.povm  # a diagonal element's factor survives the cycle
     np.testing.assert_array_equal(sc.states["mixed"], mixed)
 
@@ -532,6 +532,65 @@ def test_unknown_fixture_names_are_rejected():
         fixture_path("nope")
 
 
+def _rows_beside_operators(rng: np.random.Generator, dim: int, merge: bool) -> Povm:
+    """Random rows beside four operators, built at tol 1e-5: positive and full rank,
+    positive and rank-deficient, one with a negative eigenvalue, all three Hermitian in
+    value, and one Hermitian only within tol. With ``merge``, the first operator and the
+    two rows after it are merged into one element."""
+    spectra = [
+        rng.random(dim),
+        np.r_[rng.random(dim - 1), 0.0],
+        np.r_[-rng.random(), rng.random(dim - 1)],
+        rng.random(dim),
+    ]
+    operators = []
+    for spectrum in spectra:
+        u = random_unitary(rng, dim)
+        m = (u * spectrum) @ u.conj().T
+        operators.append(m / 2 + m.conj().T / 2)
+    operators[-1] = operators[-1] + 1e-7 * rng.normal(size=(dim, dim))
+    count = len(operators) + dim + 2
+    rows = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    at = rng.choice(count, len(operators), replace=False)
+    rows[at] = 0.0
+    labels = [f"m{m}" for m in range(count)]
+    p = Povm(dim, labels, rows, dict(zip(at.tolist(), operators)), tol=1e-5)
+    if not merge:
+        return p
+    others = [labels[k] for k in range(count) if k not in at]
+    return coarse_grain(p, [labels[at[0]], *others[:2]], "merged")
+
+
+@pytest.mark.parametrize("merge", [False, True], ids=["built", "merged"])
+def test_a_povm_with_operators_is_exact_through_the_constructor_and_a_file(tmp_path, merge):
+    rng = np.random.default_rng(42)
+    for case in range(30):
+        p = _rows_beside_operators(rng, 2 + case % 5, merge)
+        assert p.operators
+        assert Povm(p.system_dim, p.labels(), p.vectors, p.operators, 1e-5) == p
+        path = tmp_path / f"case{case}.json"
+        save_scenario(path, Scenario(p.system_dim, povm=p))
+        first = path.read_bytes()
+        loaded = load_scenario(path)
+        assert loaded.povm == p
+        save_scenario(path, loaded)
+        assert path.read_bytes() == first
+
+
+def test_a_matrix_hermitian_only_within_a_loose_tol_saves_and_loads_back_equal(tmp_path):
+    skew = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    p = Povm(2, ["skew", "row"], np.array([[0.0, 0.0], [0.6, 0.8]]), {0: skew}, tol=1e-5)
+    path = tmp_path / "skew.json"
+    save_scenario(path, Scenario(2, povm=p))
+    assert load_scenario(path).povm == p
+
+
+def test_operator_positions_are_python_ints_in_order():
+    a, b = np.eye(2) / 2.0, np.diag([0.25, 0.75])
+    p = Povm(2, list("abcd"), np.zeros((4, 2)), {np.int64(3): a, 1: b})
+    assert list(p.operators) == [1, 3] and {type(k) for k in p.operators} == {int}
+
+
 @st.composite
 def scenarios(draw):
     """Scenarios with rank-1 and operator elements, pure and mixed states, and
@@ -562,22 +621,14 @@ def scenarios(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(scenarios())
 def test_scenario_json_round_trip_is_exact(scenario):
-    """Exact but for operator elements, whose matrices are factored on reading and so
-    may move by round-off."""
     first = _written(scenario)
     assert "-0.0" in first
     loaded = scenario_from_dict(json.loads(first))
-    assert dataclasses.replace(loaded, povm=None) == dataclasses.replace(scenario, povm=None)
-    assert loaded.povm.labels() == scenario.povm.labels()
+    assert loaded == scenario
     assert _bits(loaded.povm.vectors) == _bits(scenario.povm.vectors)
-    assert loaded.povm.operators.keys() == scenario.povm.operators.keys()
     for k, op in scenario.povm.operators.items():
-        assert np.abs(loaded.povm.operators[k] - op).max() <= 1e-13
-    again, raw = json.loads(_written(loaded)), json.loads(first)
-    for moved, entry in zip(again["povm"], raw["povm"]):
-        if "matrix" in entry:
-            assert np.abs(np.subtract(moved.pop("matrix"), entry.pop("matrix"))).max() <= 1e-13
-    assert again == raw
+        assert _bits(loaded.povm.operators[k]) == _bits(op)
+    assert _written(loaded) == first
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
