@@ -301,13 +301,15 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
 def _vectors(stack: np.ndarray, pad: str) -> Iterator[str]:
     """Each row of a finite complex stack in turn, as ``_scenario_text`` writes its [re, im]
     pairs at indentation ``pad``. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
-    string; the others fill the ``%r`` slots of one template per zero mask, ``float.__repr__``
-    as in ``json``. ``save_scenario`` has its file open by then, so a failure here leaves it
-    truncated, as a failed write does (none is known for a constructed ``Scenario``)."""
+    string, written ``[0, 0]``: the reader reads that exact integer as +0.0, and ``json``
+    parses it to its cached small int, not to two new floats. The others fill the ``%r``
+    slots of one template per zero mask, ``float.__repr__`` as in ``json``. ``save_scenario``
+    has its file open by then, so a failure here leaves it truncated, as a failed write does
+    (none is known for a constructed ``Scenario``)."""
     rows = np.ascontiguousarray(stack, dtype=complex)
     pairs, inner = rows.view(float).reshape(len(rows), -1, 2), pad + "  "
     pair, sep = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]", ",\n" + inner
-    texts = (pair, pair % (0.0, 0.0))
+    texts = (pair, pair % (0, 0))
     zero = ~((pairs != 0) | np.signbit(pairs)).any(axis=2)
     templates = {}
     for mask, parts in zip(zero, pairs):
@@ -363,7 +365,9 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
 
 def save_scenario(path: str | Path, s: Scenario) -> None:
     """Write the file text of ``s``, the one written form of a scenario: for that
-    ``text``, ``json.dumps(json.loads(text), indent=2) + "\\n" == text``. The text is
+    ``text``, ``json.dumps(json.loads(text), indent=2) + "\\n" == text``. A pair of two
+    +0.0 is written ``[0, 0]``, every other part as its float ``repr``; a file written
+    with ``[0.0, 0.0]`` pairs loads equal and is rewritten in this form. The text is
     formatted chunk by chunk into the file, opened first, so a failure part-way leaves
     it truncated, as a failed write does (none is known for a constructed ``Scenario``).
     The file records no tol: a part that passed only at a looser ``s.tol`` than the
