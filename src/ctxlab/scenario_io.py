@@ -298,36 +298,35 @@ def load_scenario(path: str | Path, tol: float = DEFAULT_TOL) -> Scenario:
             gc.enable()
 
 
-def _vectors(stack: np.ndarray, pad: str) -> Iterator[str]:
-    """Each row of a finite complex stack in turn, as ``_scenario_text`` writes its [re, im]
-    pairs at indentation ``pad``. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
+def _vectors(stack: np.ndarray) -> Iterator[str]:
+    """Each row of a finite complex stack in turn, on one line, as ``json.dumps`` writes its
+    list of [re, im] pairs. Pairs of two +0.0 (``signbit`` tells -0.0 apart) share one
     string, written ``[0, 0]``: the reader reads that exact integer as +0.0, and ``json``
     parses it to its cached small int, not to two new floats. The others fill the ``%r``
     slots of one template per zero mask, ``float.__repr__`` as in ``json``. ``save_scenario``
     has its file open by then, so a failure here leaves it truncated, as a failed write does
     (none is known for a constructed ``Scenario``)."""
     rows = np.ascontiguousarray(stack, dtype=complex)
-    pairs, inner = rows.view(float).reshape(len(rows), -1, 2), pad + "  "
-    pair, sep = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]", ",\n" + inner
-    texts = (pair, pair % (0, 0))
+    pairs = rows.view(float).reshape(len(rows), -1, 2)
+    texts = ("[%r, %r]", "[0, 0]")
     zero = ~((pairs != 0) | np.signbit(pairs)).any(axis=2)
     templates = {}
     for mask, parts in zip(zero, pairs):
         key = mask.tobytes()
         if key not in templates:
-            templates[key] = f"[\n{inner}{sep.join(map(texts.__getitem__, mask.tolist()))}\n{pad}]"
+            templates[key] = f"[{', '.join(map(texts.__getitem__, mask.tolist()))}]"
         yield templates[key] % tuple(parts[~mask].ravel().tolist())
 
 
 def _section_text(labels: Iterable[str], vectors: np.ndarray, matrices: dict) -> Iterator[str]:
     """A labelled section as a top-level value, in chunks: each row of ``vectors`` as a
-    "vector", except the positions in ``matrices``, written as those matrices."""
+    one-line "vector", but at the positions in ``matrices`` those matrices, a row a line."""
     pad = "      "  # the keys of an entry sit three levels deep
     yield "[\n"
-    for k, (label, row) in enumerate(zip(labels, _vectors(vectors, pad))):
+    for k, (label, row) in enumerate(zip(labels, _vectors(vectors))):
         key = "vector"
         if k in matrices:
-            rows = f",\n{pad}  ".join(_vectors(matrices[k], pad + "  "))
+            rows = f",\n{pad}  ".join(_vectors(matrices[k]))
             key, row = "matrix", f"[\n{pad}  {rows}\n{pad}]"
         comma = ",\n" if k else ""
         yield f'{comma}    {{\n{pad}"label": {json.dumps(label)},\n{pad}"{key}": {row}\n    }}'
@@ -336,15 +335,15 @@ def _section_text(labels: Iterable[str], vectors: np.ndarray, matrices: dict) ->
 
 def _scenario_text(s: Scenario) -> Iterator[str]:
     """The file text of a scenario in chunks, in file order, the one encoder of the
-    format: what ``json.dumps(..., indent=2)`` writes for its JSON form, byte for byte,
-    in schema order, with every [re, im] run (sections, ``phi_init``, matrix entries)
-    formatted straight from the stacks by ``_vectors``."""
+    format: ``json.dumps(..., indent=2)`` of its JSON form in schema order, byte for byte,
+    but each vector (a section's "vector", ``phi_init``, a row of a "matrix") on one line,
+    as ``json.dumps`` writes it alone, formatted straight from the stacks by ``_vectors``."""
     fields = {"version": [str(SCHEMA_VERSION)], "system_dim": [str(int(s.system_dim))]}
     if s.dilation is not None:
         d = s.dilation
         fields["env_dim"] = [str(int(d.env_dim))]
         fields["outcomes"] = _section_text(d.labels(), d.vectors, {})
-        fields["phi_init"] = _vectors(d.phi_init[None], "  ")
+        fields["phi_init"] = _vectors(d.phi_init[None])
     if s.povm is not None:
         fields["povm"] = _section_text(s.povm.labels(), s.povm.vectors, s.povm.operators)
     if s.states:
@@ -364,10 +363,11 @@ def _scenario_text(s: Scenario) -> Iterator[str]:
 
 
 def save_scenario(path: str | Path, s: Scenario) -> None:
-    """Write the file text of ``s``, the one written form of a scenario: for that
-    ``text``, ``json.dumps(json.loads(text), indent=2) + "\\n" == text``. A pair of two
-    +0.0 is written ``[0, 0]``, every other part as its float ``repr``; a file written
-    with ``[0.0, 0.0]`` pairs loads equal and is rewritten in this form. The text is
+    """Write the file text of ``s``, the one written form of a scenario: its JSON form
+    as ``json.dumps(..., indent=2)`` lays it out, each vector (list of [re, im] pairs)
+    on one line as ``json.dumps`` writes it alone, and a newline. A pair of two +0.0 is
+    written ``[0, 0]``, every other part as its float ``repr``; a file in another
+    layout, or with ``[0.0, 0.0]`` pairs, loads equal and is rewritten in this form. The text is
     formatted chunk by chunk into the file, opened first, so a failure part-way leaves
     it truncated, as a failed write does (none is known for a constructed ``Scenario``).
     The file records no tol: a part that passed only at a looser ``s.tol`` than the

@@ -19,6 +19,38 @@ def write_raw(path: str | Path, raw: dict) -> None:
     Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
 
 
+def laid_out(raw: dict) -> str:
+    """The text a scenario file dict is written as: ``json.dumps(raw, indent=2)`` and a
+    newline, but with each vector (a list of [re, im] pairs: a section entry's "vector",
+    ``phi_init``, a row of a "matrix") on one line, as ``json.dumps`` writes it alone.
+    Each vector is swapped for a placeholder string of a mark the compact dump lacks,
+    the rest laid out, and the vector's own dump spliced back in for its placeholder."""
+    compact, mark, vectors = json.dumps(raw), "@", []
+    while mark in compact:
+        mark += "@"
+
+    def hide(vector: list) -> str:
+        vectors.append(json.dumps(vector))
+        return f"{mark}{len(vectors) - 1}"
+
+    def entry(item: dict) -> dict:
+        item = dict(item)
+        if "vector" in item:
+            item["vector"] = hide(item["vector"])
+        if "matrix" in item:
+            item["matrix"] = [hide(row) for row in item["matrix"]]
+        return item
+
+    hidden = dict(raw)  # in the order of raw, as the writer keeps schema order
+    for section in ("outcomes", "povm", "states"):
+        if section in raw:
+            hidden[section] = [entry(item) for item in raw[section]]
+    if "phi_init" in raw:
+        hidden["phi_init"] = hide(raw["phi_init"])
+    text = json.dumps(hidden, indent=2)
+    return re.sub(f'"{mark}(\\d+)"', lambda match: vectors[int(match[1])], text) + "\n"
+
+
 def fixture_raw(name: str) -> dict:
     """A bundled scenario file as the dict ``json.loads`` reads from it, to hand-edit."""
     return json.loads(fixture_path(name).read_text(encoding="utf-8"))

@@ -37,6 +37,7 @@ from ctxlab.cli import build_parser, main
 from helpers import (
     NUMBER,
     fixture_raw,
+    laid_out,
     matrix_entry,
     phase_aligned_max_err,
     random_rank1_povm,
@@ -325,7 +326,7 @@ def test_dilate_writes_a_large_dilation_straight_from_its_stacks(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["dilate", str(source), "-o", str(target)]) == 0
     text = target.read_text(encoding="utf-8")
-    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    assert laid_out(json.loads(text)) == text
     written = load_scenario(target)
     expected = naimark_dilate(load_scenario(source).resolve_povm())
     assert written.dilation == expected
