@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 stdout closed by the reader, 2 input or file-schema
-error, 3 violated invariant, 4 numerical failure. Numbers print with 12
+error, 3 violated invariant, 4 numerical failure. Handlers raise every failure
+and ``main`` alone maps each to its exit code. Numbers print with 12
 significant digits. ``povm check``, ``context-graph``, ``inequality`` and
 ``max-violation`` each build one report: ``--json`` prints it as JSON, and the
 text (or ``--dot``) output renders the same report.
@@ -27,7 +28,6 @@ from .hilbert import DEFAULT_TOL, gram
 from .dilation import naimark_dilate, povm_from_dilation
 from .interferometer import build_three_path, dilation_DA, dilation_VH
 from .povm import (
-    ContextGraph,
     Povm,
     coarse_grain,
     completeness_check,
@@ -50,14 +50,9 @@ def _fmt_vector(amplitudes) -> str:
     return "[" + ", ".join(_fmt_complex(complex(z)) for z in amplitudes) + "]"
 
 
-def _emit(args: argparse.Namespace, report: dict, render: Callable[[dict], str]) -> int:
-    """Print the report, as JSON under ``--json`` and else as ``render`` writes it; exit 0."""
+def _emit(args: argparse.Namespace, report: dict, render: Callable[[dict], str]) -> None:
+    """Print the report, as JSON under ``--json`` and else as ``render`` writes it."""
     print(json.dumps(report) if args.json else render(report))
-    return 0
-
-
-def _graph_report(graph: ContextGraph) -> dict:
-    return {"nodes": graph.nodes, "edges": graph.edges, "skipped": graph.skipped}
 
 
 def _graph_text(report: dict) -> str:
@@ -119,16 +114,14 @@ def _print_povm_report(p: Povm, tol: float) -> None:
         print("gram (vector elements):")
         for k, row in zip(positions, gram(p.vectors[positions])):
             print(f"  {labels[k]}: {_fmt_vector(row)}")
-    print(_graph_text(_graph_report(context_graph(p, tol))))
+    print(_graph_text(vars(context_graph(p, tol))))
 
 
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
+def _cmd_scenario_run(args: argparse.Namespace) -> None:
     if args.name != "three-path":
-        print(f"unknown scenario {args.name!r}; available: three-path", file=sys.stderr)
-        return 2
+        raise ScenarioFileError(f"unknown scenario {args.name!r}; available: three-path")
     if args.merge_a and args.basis != "DA":
-        print("--merge-a needs --basis DA (the V/H basis has no A outcomes)", file=sys.stderr)
-        return 2
+        raise ScenarioFileError("--merge-a needs --basis DA (the V/H basis has no A outcomes)")
     s = build_three_path()
     phi = {"D": s.d, "A": s.a, "H": s.h, "V": s.v}[args.phi_init]
     build = dilation_DA if args.basis == "DA" else dilation_VH
@@ -140,10 +133,9 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     print(f"scenario three-path: basis={args.basis} phi_init={args.phi_init} merge_A={merged}")
     print(f"system_dim=3 env_dim=2 outcomes={len(d)}")
     _print_povm_report(p, args.tol)
-    return 0
 
 
-def _cmd_povm_check(args: argparse.Namespace) -> int:
+def _cmd_povm_check(args: argparse.Namespace) -> None:
     p = load_scenario(args.file, args.tol).resolve_povm()
     completeness, bounds = completeness_check(p), element_bound_residual(p)
     report = dict(
@@ -153,21 +145,18 @@ def _cmd_povm_check(args: argparse.Namespace) -> int:
     _emit(args, report, _check_text)
     if args.strict and not report["ok"]:
         validate_povm(p, args.tol)
-    return 0
 
 
-def _cmd_dilate(args: argparse.Namespace) -> int:
+def _cmd_dilate(args: argparse.Namespace) -> None:
     p = load_scenario(args.file, args.tol).resolve_povm()
     d = naimark_dilate(p, args.tol)
     save_scenario(args.output, Scenario(p.system_dim, d, povm_from_dilation(d)))
     print(f"wrote {args.output}: env_dim={d.env_dim}, {len(d)} joint outcomes")
-    return 0
 
 
-def _cmd_context_graph(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.file, args.tol)
-    graph = context_graph(scenario.resolve_povm(), args.tol)
-    return _emit(args, _graph_report(graph), _graph_dot if args.dot else _graph_text)
+def _cmd_context_graph(args: argparse.Namespace) -> None:
+    graph = context_graph(load_scenario(args.file, args.tol).resolve_povm(), args.tol)
+    _emit(args, vars(graph), _graph_dot if args.dot else _graph_text)
 
 
 def _hardy_inputs(scenario: Scenario, tol: float) -> HardyTriple:
@@ -176,7 +165,7 @@ def _hardy_inputs(scenario: Scenario, tol: float) -> HardyTriple:
     return HardyTriple(scenario.resolve_povm(), *scenario.hardy, tol=tol)
 
 
-def _cmd_inequality(args: argparse.Namespace) -> int:
+def _cmd_inequality(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.file, args.tol)
     triple = _hardy_inputs(scenario, args.tol)
     if args.state is not None:
@@ -190,14 +179,14 @@ def _cmd_inequality(args: argparse.Namespace) -> int:
     verdict = evaluate_inequality(triple, state)
     report = dict(lhs=verdict.lhs, rhs=verdict.rhs, violated=verdict.violated, state=label)
     report["certification"] = dataclasses.asdict(verdict.certification)
-    return _emit(args, report, _inequality_text)
+    _emit(args, report, _inequality_text)
 
 
-def _cmd_max_violation(args: argparse.Namespace) -> int:
+def _cmd_max_violation(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.file, args.tol)
     triple = _hardy_inputs(scenario, args.tol)
     value, state = max_violation(triple)
-    return _emit(args, {"value": value, "state": encode_vector(state)}, _violation_text)
+    _emit(args, {"value": value, "state": encode_vector(state)}, _violation_text)
 
 
 @functools.cache
@@ -262,13 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print("input error: --tol must be positive and finite", file=sys.stderr)
-        return 2
     try:
-        code = args.handler(args)
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ScenarioFileError("--tol must be positive and finite")
+        args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here rather than at exit
-        return code
+        return 0
     except BrokenPipeError:
         # Point fd 1 at devnull so that the flush at exit stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

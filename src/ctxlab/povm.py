@@ -293,7 +293,7 @@ def rescaled_probability(
 
 @dataclass(frozen=True)
 class ContextGraph:
-    """Outcome labels as nodes, context-sharing pairs as witnessed edges."""
+    """Nodes, witnessed edges, skipped outcomes; its __dict__ is the CLI context-graph report."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]

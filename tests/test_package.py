@@ -241,6 +241,40 @@ def test_only_the_scenario_reader_switches_the_collector_off(path):
     assert len(switches) == (path.name == "scenario_io.py")
 
 
+def stderr_uses_outside_main(source: str) -> list[int]:
+    """The lines where a module reaches ``sys.stderr``, as an attribute of ``sys`` or
+    imported from it, outside its module-level function ``main``."""
+    lines = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "stderr":
+                if isinstance(node.value, ast.Name) and node.value.id == "sys":
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                if any(alias.name == "stderr" for alias in node.names):
+                    lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_each_stderr_use_outside_main():
+    source = (
+        "import sys\nfrom sys import stderr as err\n"
+        "def main():\n    def inner():\n        sys.stderr.write('a')\n"
+        "    print('b', file=sys.stderr)\n\n"
+        "def _handler():\n    print('c', file=sys.stderr)\n\n"
+        "class Report:\n    def show(self):\n        sys.stderr.write('d')\n\n"
+        "sys.stdout.flush()\nsys.stderr.flush()\n"
+    )
+    assert stderr_uses_outside_main(source) == [2, 9, 13, 16]
+
+
+def test_only_main_writes_to_stderr_in_the_command_line():
+    """Handlers raise every failure, so ``main`` alone prints it and picks the exit code."""
+    assert stderr_uses_outside_main((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_only_the_command_line_formats_numbers_for_output(path):
     """Text output's 12 significant digits are set in the one module that renders it."""
